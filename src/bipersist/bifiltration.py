@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grid_module import GridModule
-from .ioutil import FormatError, logical_lines, parse_int
+from .ioutil import FormatError, InvariantError, logical_lines, parse_int
 from .linalg import Subspace, check_modulus, extend_basis, kernel_basis, solve_matrix
 
 Simplex = tuple[int, ...]
@@ -161,7 +161,7 @@ def homology_map(src: HomologyBasis, tgt: HomologyBasis, p: int) -> np.ndarray:
     system = np.hstack([tgt.reps, tgt.boundaries])
     x = solve_matrix(system, src.reps, p)
     if x is None:  # cycles of a subcomplex stay cycles in any supercomplex
-        raise AssertionError("homology representative is not a cycle in the target")
+        raise InvariantError("homology representative is not a cycle in the target")
     return x[: tgt.dim] % p
 
 
@@ -261,10 +261,12 @@ def _zigzag_from_stations(stations: list, kinds: list) -> ZigzagComplex:
     for m, kind in enumerate(kinds):
         prev, cur = stations[m], stations[m + 1]
         if kind == "insert":
-            assert prev <= cur, "insert step must grow the complex"
+            if not prev <= cur:
+                raise InvariantError("insert step must grow the complex")
             steps.append(("insert", sorted(cur - prev, key=_batch_key)))
         else:
-            assert cur <= prev, "delete step must shrink the complex"
+            if not cur <= prev:
+                raise InvariantError("delete step must shrink the complex")
             steps.append(("delete", sorted(prev - cur, key=_batch_key, reverse=True)))
     return ZigzagComplex(sorted(stations[0], key=_batch_key), steps)
 

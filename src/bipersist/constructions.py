@@ -14,6 +14,7 @@ import random
 import numpy as np
 
 from .grid_module import GridModule, hom_basis, naturality_hom_basis
+from .ioutil import InvariantError
 from .linalg import check_modulus, invertible, kernel_basis, matmul, solve, solve_matrix
 
 
@@ -259,7 +260,7 @@ def ran_extension(module: PosetModule, embedding: GridEmbedding, nx: int, ny: in
         projected = matmul(proj, ker.basis, p)
         sol = solve_matrix(ker2.basis, projected, p)
         if sol is None:
-            raise AssertionError("restricted limit family is not a limit family")
+            raise InvariantError("restricted limit family is not a limit family")
         return sol
 
     hmaps, vmaps = {}, {}

@@ -55,6 +55,15 @@ def comparable_pairs(nx: int, ny: int) -> Iterator[tuple[tuple[int, int], tuple[
                 yield s, (tx, ty)
 
 
+def comparable_mask(nx: int, ny: int) -> np.ndarray:
+    """Boolean [sx, sy, tx, ty] table of the pairs s <= t."""
+    sx = np.arange(nx)[:, None, None, None]
+    sy = np.arange(ny)[None, :, None, None]
+    tx = np.arange(nx)[None, None, :, None]
+    ty = np.arange(ny)[None, None, None, :]
+    return (sx <= tx) & (sy <= ty)
+
+
 class GridModule:
     """Explicit grid persistence module over F_p.
 

@@ -1,10 +1,18 @@
-"""Shared bits for the text file formats: UTF-8, LF, '#' comments."""
+"""Shared bits: the text file formats (UTF-8, LF, '#' comments) and the
+package's exception classes."""
 
 from __future__ import annotations
 
 
 class FormatError(ValueError):
     """Raised on malformed input files; message carries a 1-based line number."""
+
+
+class InvariantError(RuntimeError):
+    """A fact the algorithms guarantee for every valid input did not hold.
+
+    Raised instead of `assert` so the checks survive `python -O`.
+    """
 
 
 def logical_lines(text: str):

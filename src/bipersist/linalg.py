@@ -71,20 +71,26 @@ def inv_mod(a: int, p: int) -> int:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, with blocking so int64 never overflows."""
+    """a @ b mod p for entries in [0, p), exact in int64.
+
+    When k products of size p^2 could overflow, b is split into w-bit
+    limbs with k (p - 1) 2^w < 2^61 and the partial products are
+    combined by Horner's rule mod p, so every intermediate stays below
+    2^62.
+    """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     k = a.shape[1]
     if k == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    # each product term is < p^2; cap the inner block so the sum stays < 2^62
-    block = max(1, (1 << 62) // (p * p))
-    if k <= block:
+    w = 61 - (k * (p - 1)).bit_length()
+    bits = (p - 1).bit_length()
+    if w >= bits:
         return np.mod(a @ b, p)
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, k, block):
-        hi = min(k, lo + block)
-        acc = np.mod(acc + a[:, lo:hi] @ b[lo:hi, :], p)
+    for shift in range((bits - 1) // w * w, -1, -w):
+        limb = (b >> shift) & ((1 << w) - 1)
+        acc = np.mod(acc * (1 << w) + a @ limb, p)
     return acc
 
 
@@ -157,10 +163,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         v = asmatrix(vec, self.p)
         return rank(np.hstack([self.basis, v]), self.p) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        joint = np.hstack([self.basis, other.basis])
-        return rank(joint, self.p) == self.dim
 
     def __eq__(self, other) -> bool:
         return (

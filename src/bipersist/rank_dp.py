@@ -13,31 +13,16 @@ relation matrix:
 which needs one echelon sweep per grid row for the middle term and one
 per class of row-support for the last.  `rank_from_resolution` computes
 this; it is exact for every resolution of the module.
-
-`rank_from_resolution_counting` instead counts relation profiles: each
-relation decrements the table on {lub(eta) <= s, grade(eta) <= t}, and
-each relation-on-relations increments it back on the analogous window.
-The two agree whenever the stored layers enumerate the window
-dimensions one column per dimension (direct sums of rectangles, merges,
-most small fixtures); on general inputs the profile counts can
-undershoot, so the rank form is the one to trust.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import GridModule, RankInvariant
-from .linalg import rank
-from .resolution import FreeResolution, lub_of_column
-
-
-def _comparable_mask(nx: int, ny: int) -> np.ndarray:
-    sx = np.arange(nx)[:, None, None, None]
-    sy = np.arange(ny)[None, :, None, None]
-    tx = np.arange(nx)[None, None, :, None]
-    ty = np.arange(ny)[None, None, None, :]
-    return (sx <= tx) & (sy <= ty)
+from .grid_module import GridModule, RankInvariant, comparable_mask
+from .ioutil import InvariantError
+from .linalg import matmul, rank
+from .resolution import FreeResolution
 
 
 def _gen_count_table(res: FreeResolution) -> np.ndarray:
@@ -72,7 +57,7 @@ def _prefix_rank_table(mat: np.ndarray, col_grades: np.ndarray, nx: int, ny: int
         for j in sel:
             v = mat[:, j] % p
             if piv.size:
-                v = (v - basis @ v[piv]) % p
+                v = (v - matmul(basis, v[piv, None], p)[:, 0]) % p
             nz = np.nonzero(v)[0]
             if nz.size == 0:
                 continue
@@ -114,51 +99,10 @@ def rank_from_resolution(res: FreeResolution) -> RankInvariant:
             sub = _prefix_rank_table(res.phi.entries[high], col_g, nx, ny, p)
             for f in np.nonzero(inverse == c)[0]:
                 table[f // ny, f % ny] += sub
-    mask = _comparable_mask(nx, ny)
-    assert not (table[mask] < 0).any(), "rank table went negative"
+    mask = comparable_mask(nx, ny)
+    if (table[mask] < 0).any():
+        raise InvariantError("rank table went negative")
     table[~mask] = 0
-    return RankInvariant(nx, ny, table)
-
-
-def _lub_tables(res: FreeResolution):
-    rel_lubs = [lub_of_column(res.phi, j) for j in range(len(res.rels))]
-    rr_lubs = [
-        lub_of_column(res.psi, r, row_grades=rel_lubs) for r in range(len(res.relrels))
-    ]
-    return rel_lubs, rr_lubs
-
-
-def rank_from_resolution_counting(res: FreeResolution) -> RankInvariant:
-    """The profile-count form of the invariant, by 4-D prefix sums.
-
-    r(s,t) = #{gens <= s} - #{rels: lub <= s, grade <= t}
-                          + #{relrels: lub <= s, grade <= t}.
-
-    Exact precisely when the stored layers hit every window dimension
-    once; elsewhere individual entries can undershoot (even below
-    zero), which `rank_from_resolution` never does.
-    """
-    nx, ny = res.nx, res.ny
-    table = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    table += _gen_count_table(res)[:, :, None, None]
-    rel_lubs, rr_lubs = _lub_tables(res)
-    hist = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    for sign, lubs, grades in (
-        (-1, rel_lubs, res.rels.grades),
-        (+1, rr_lubs, res.relrels.grades),
-    ):
-        if not grades:
-            continue
-        hist[:] = 0
-        for lub, g in zip(lubs, grades):
-            hist[lub[0], lub[1], g[0], g[1]] += 1
-        for axis in range(4):
-            np.cumsum(hist, axis=axis, out=hist)
-        if sign < 0:
-            table -= hist
-        else:
-            table += hist
-    table[~_comparable_mask(nx, ny)] = 0
     return RankInvariant(nx, ny, table)
 
 

@@ -1,51 +1,24 @@
 """Rectangle barcodes from rank invariants by inclusion-exclusion.
 
 On a rectangle-decomposable module the rank invariant determines the
-multiset of rectangle summands; the multiplicity of each rectangle
-falls out of corner differencing of the rank function.  On arbitrary
-input the same formulas can go negative, which is reported instead of
-silently clamped.
+multiset of rectangle summands: the multiplicity of the rectangle s <= t
+is the signed sixteen-term sum
+
+    m(s, t) = sum over a, b in {0, 1}^2 of (-1)^(|a| + |b|) r(s - a, t + b),
+
+with r = 0 off the grid.  Over the whole table this is one mixed 4-D
+finite difference of r, downward in the s axes and upward in the t
+axes, and its inverse is a 4-D prefix sum.  On arbitrary input the
+differences can go negative, which is reported instead of silently
+clamped.
 """
 
 from __future__ import annotations
 
-from .grid_module import RankInvariant, comparable_pairs
+import numpy as np
+
+from .grid_module import RankInvariant, comparable_mask
 from .ioutil import FormatError, logical_lines, parse_int
-
-
-def corner_count(r: RankInvariant, s, t) -> int:
-    """Summands whose support has lower-left corner exactly s and contains t."""
-    sx, sy = s
-    return (
-        r.get(s, t)
-        - r.get((sx - 1, sy), t)
-        - r.get((sx, sy - 1), t)
-        + r.get((sx - 1, sy - 1), t)
-    )
-
-
-def multiplicity(r: RankInvariant, s, t) -> int:
-    """Multiplicity of the rectangle with corners s <= t.
-
-    Corner differencing of corner counts, cross-checked against the
-    direct sixteen-term expansion over both corners; out-of-range rank
-    values count as zero in either form.
-    """
-    sx, sy = s
-    tx, ty = t
-    via_corners = (
-        corner_count(r, s, t)
-        - corner_count(r, s, (tx + 1, ty))
-        - corner_count(r, s, (tx, ty + 1))
-        + corner_count(r, s, (tx + 1, ty + 1))
-    )
-    direct = 0
-    for ax, ay in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        for bx, by in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            sign = -1 if (ax + ay + bx + by) % 2 else 1
-            direct += sign * r.get((sx - ax, sy - ay), (tx + bx, ty + by))
-    assert direct == via_corners, "inclusion-exclusion forms disagree"
-    return via_corners
 
 
 class RectangleBarcode(dict):
@@ -72,19 +45,23 @@ class RectangleBarcode(dict):
         )
 
     def rank_invariant(self, nx: int, ny: int) -> RankInvariant:
-        """The rank invariant of the direct sum of these rectangles."""
-        inv = RankInvariant(nx, ny)
-        for s, t in comparable_pairs(nx, ny):
-            inv.set(
-                s,
-                t,
-                sum(
-                    m
-                    for (sx, sy, tx, ty), m in self.items()
-                    if sx <= s[0] and sy <= s[1] and t[0] <= tx and t[1] <= ty
-                ),
-            )
-        return inv
+        """The rank invariant of the direct sum of these rectangles on an nx x ny grid.
+
+        r(s, t) counts the rectangles with lower corner <= s and upper
+        corner >= t: the rectangles go into a 4-D histogram, which is
+        summed forward along the s axes and backward along the t axes.
+        """
+        table = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+        for (sx, sy, tx, ty), m in self.items():
+            if sx < nx and sy < ny:  # a rectangle may run past the grid
+                table[sx, sy, min(tx, nx - 1), min(ty, ny - 1)] += m
+        for axis in (0, 1):
+            np.cumsum(table, axis=axis, out=table)
+        for axis in (2, 3):
+            rev = np.flip(table, axis=axis)
+            np.cumsum(rev, axis=axis, out=rev)
+        table[~comparable_mask(nx, ny)] = 0
+        return RankInvariant(nx, ny, table)
 
     def to_text(self) -> str:
         out = ["# rectangle barcode: s_x s_y t_x t_y multiplicity (1-based)"]
@@ -122,12 +99,14 @@ def decompose(r: RankInvariant):
     positive part.  A clean outcome alone does not certify
     decomposability -- that decision belongs to the checkers.
     """
-    counts = {}
-    clean = True
-    for s, t in comparable_pairs(r.nx, r.ny):
-        m = multiplicity(r, s, t)
-        if m < 0:
-            clean = False
-        elif m > 0:
-            counts[(s[0], s[1], t[0], t[1])] = m
+    nx, ny = r.nx, r.ny
+    pad = np.zeros((nx + 1, ny + 1, nx + 1, ny + 1), dtype=np.int64)
+    pad[1:, 1:, :nx, :ny] = r.table  # pad[sx + 1, sy + 1, tx, ty] = r(s, t)
+    m = pad
+    for axis in range(4):  # the sign flips of the two t axes cancel
+        m = np.diff(m, axis=axis)
+    m[~comparable_mask(nx, ny)] = 0
+    clean = not (m < 0).any()
+    idx = np.nonzero(m > 0)
+    counts = dict(zip(zip(*(c.tolist() for c in idx)), m[idx].tolist()))
     return RectangleBarcode(counts), clean

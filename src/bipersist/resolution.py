@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bifiltration import Bifiltration, homology_module
-from .ioutil import FormatError, logical_lines, parse_int
+from .ioutil import FormatError, InvariantError, logical_lines, parse_int
 from .linalg import (
     check_modulus,
     extend_basis,
@@ -43,9 +43,6 @@ class FreeModule:
 
     def __len__(self) -> int:
         return len(self.grades)
-
-    def count_leq(self, t) -> int:
-        return sum(1 for g in self.grades if _leq(g, t))
 
 
 @dataclass
@@ -168,7 +165,7 @@ def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
         sel = [i for i, gg in enumerate(gen_grades) if _leq(gg, up_grades[j])]
         x = solve_matrix(gen_basis[:, sel], d_up[:, j : j + 1], p)
         if x is None:  # boundaries are cycles, which the generators span gradewise
-            raise AssertionError("boundary column outside the generator span")
+            raise InvariantError("boundary column outside the generator span")
         col = np.zeros(len(gens), dtype=np.int64)
         col[sel] = x[:, 0]
         if not col.any():
@@ -219,23 +216,6 @@ def validate_resolution(res: FreeResolution, bif: Bifiltration, degree: int) -> 
                     f"but homology has {oracle.dim_at(t)}"
                 )
     return None
-
-
-def lub_of_column(mat: GradedMatrix, j: int, row_grades=None):
-    """Least upper bound of the grades of rows hit by column j.
-
-    `row_grades` overrides the row module's own grades; passing each
-    relation's lub yields the lub of a relation-on-relations.
-    """
-    if row_grades is None:
-        row_grades = mat.target.grades
-    rows = np.nonzero(mat.entries[:, j])[0]
-    if rows.size == 0:
-        raise ValueError(f"column {j} is zero and has no lub")
-    return (
-        max(row_grades[i][0] for i in rows),
-        max(row_grades[i][1] for i in rows),
-    )
 
 
 # -- .fres file format -----------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .bifiltration import Bifiltration, ZigzagComplex, homology_basis, homology_map
-from .ioutil import FormatError, logical_lines, parse_int
+from .ioutil import FormatError, InvariantError, logical_lines, parse_int
 from .linalg import Subspace, asmatrix, image_of_subspace, preimage_of_subspace
 
 
@@ -89,7 +89,8 @@ def module_barcode(dims, arrows, p: int) -> list:
             m -= int(r[i - 1, j]) if i > 0 else 0
             m -= int(r[i, j + 1]) if j + 1 < k else 0
             m += int(r[i - 1, j + 1]) if i > 0 and j + 1 < k else 0
-            assert m >= 0, "zigzag interval multiplicities must be nonnegative"
+            if m < 0:
+                raise InvariantError("zigzag interval multiplicities must be nonnegative")
             bars.extend([(i, j)] * m)
     bars.sort()
     return bars
@@ -122,7 +123,8 @@ def zigzag_barcode(zz: ZigzagComplex, degree: int, p: int = 2) -> ZigzagBarcode:
             arrows.append(("bwd", homology_map(data[m + 1], data[m], p)))
     bars = module_barcode(dims, arrows, p)
     bc = ZigzagBarcode(len(stations), bars, degree)
-    assert all(bc.dim_at(i) == dims[i] for i in range(len(stations)))
+    if any(bc.dim_at(i) != dims[i] for i in range(len(stations))):
+        raise InvariantError("zigzag barcode does not reconstruct the station dimensions")
     return bc
 
 

@@ -45,6 +45,35 @@ def random_bifiltration(seed, max_simplices=40, nx=8, ny=8, p=2):
     return Bifiltration(grades, nx, ny, p)
 
 
+def clique_bifiltration(seed, n_vert, q, nx, ny, p=2):
+    """Random clique-style bifiltration without the caps above.
+
+    Each edge is present with probability q, a triangle on present
+    edges with probability 1/2; grades follow the same join-plus-delay
+    rule.
+    """
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(n_vert) for j in range(i + 1, n_vert) if rng.random() < q]
+    edge_set = set(edges)
+    tris = [
+        (i, j, k)
+        for i, j in edges
+        for k in range(j + 1, n_vert)
+        if (i, k) in edge_set and (j, k) in edge_set and rng.random() < 0.5
+    ]
+    grades = {(v,): (rng.randrange(nx), rng.randrange(ny)) for v in range(n_vert)}
+    for s in edges + tris:
+        fx = max(grades[f][0] for f in facets(s))
+        fy = max(grades[f][1] for f in facets(s))
+        grades[s] = (min(nx - 1, fx + rng.randint(0, 1)), min(ny - 1, fy + rng.randint(0, 1)))
+    return Bifiltration(grades, nx, ny, p)
+
+
 @pytest.fixture
 def random_bif():
     return random_bifiltration
+
+
+@pytest.fixture
+def clique_bif():
+    return clique_bifiltration

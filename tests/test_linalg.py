@@ -158,14 +158,15 @@ def test_image_preimage_of_subspace():
 
 
 def test_matmul_overflow_blocked_path():
-    # modulus near 2^31 forces the blocked accumulation path
-    p = 2**31 - 1
+    # moduli near 2^31 force the limb-split accumulation path
     rng = random.Random(23)
-    a = random_matrix(rng, 3, 50, p)
-    b = random_matrix(rng, 50, 2, p)
-    want = (a.astype(object) @ b.astype(object)) % p
-    got = matmul(a, b, p)
-    assert np.array_equal(got, want.astype(np.int64))
+    for p, k in ((2**31 - 1, 1), (2**31 - 1, 50), (2**31 - 1, 3000), (2**29 - 3, 50), (65521, 50)):
+        a = random_matrix(rng, 3, k, p)
+        b = random_matrix(rng, k, 2, p)
+        a[0], b[:, 0] = p - 1, p - 1  # the largest terms
+        want = (a.astype(object) @ b.astype(object)) % p
+        got = matmul(a, b, p)
+        assert np.array_equal(got, want.astype(np.int64))
 
 
 def test_zero_dimensional_edges():

@@ -4,7 +4,8 @@ import pytest
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import example, random_rectangle_module
 from bipersist.grid_module import GridModule, rank_invariant_naive
-from bipersist.rank_dp import rank_1d, rank_from_resolution, rank_from_resolution_counting
+from bipersist.linalg import MAX_MODULUS, matmul, rank
+from bipersist.rank_dp import _prefix_rank_table, rank_1d, rank_from_resolution
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution
 
 TRIANGLE = [
@@ -46,7 +47,6 @@ def test_dp_equals_naive_on_random_bifiltrations(random_bif):
     for degree in (0, 1):
         res = free_resolution(bif, degree)
         dp = rank_from_resolution(res)
-        assert dp == rank_from_resolution_counting(res)
         assert dp == rank_invariant_naive(homology_module(bif, degree))
     for seed in range(10):
         bif = random_bif(300 + seed, nx=6, ny=5)
@@ -56,29 +56,33 @@ def test_dp_equals_naive_on_random_bifiltrations(random_bif):
             assert dp == rank_invariant_naive(homology_module(bif, degree))
 
 
-def test_counting_matches_on_single_column_relations():
-    # every relation hits one generator, so each window dimension is
-    # enumerated by exactly one profile and the two paths must agree
-    res = hand_resolution(
-        [(0, 0), (1, 0), (0, 1)],
-        [(2, 0), (0, 2), (2, 2)],
-        [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
-        4, 4, p=5,
-    )
-    assert rank_from_resolution(res) == rank_from_resolution_counting(res)
+def test_prefix_rank_table_exact_at_the_largest_prime():
+    # low-rank products keep the sweep reducing against dense pivot
+    # columns, whose raw int64 products exceed 2**63 at p = 2**31 - 1
+    p = MAX_MODULUS
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        k, l, r = 6, 8, int(rng.integers(1, 5))
+        mat = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
+        grades = rng.integers(0, 4, (l, 2))
+        table = _prefix_rank_table(mat, grades, 4, 4, p)
+        for x in range(4):
+            for y in range(4):
+                cols = (grades[:, 0] <= x) & (grades[:, 1] <= y)
+                assert table[x, y] == rank(mat[:, cols], p)
 
 
-def test_profile_counts_can_drift(random_bif):
-    # two relations can each touch a high generator yet cancel it in
-    # combination; the lub windows then misjudge both the span and the
-    # dependencies of the relation columns, while the rank form stays
-    # equal to the pointwise oracle
-    bif = random_bif(300, nx=6, ny=5)
-    res = free_resolution(bif, 0)
-    dp = rank_from_resolution(res)
-    assert dp == rank_invariant_naive(homology_module(bif, 0))
-    cnt = rank_from_resolution_counting(res)
-    assert (dp.table != cnt.table).any()
+# degree-1 inputs whose relation columns get dense enough to overflow
+# int64 products at p = 2**31 - 1: (seed, vertices, q, nx, ny)
+DENSE_CLIQUES = [(0, 36, 0.2, 5, 5), (12, 44, 0.18, 6, 4), (16, 32, 0.25, 8, 3)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, MAX_MODULUS])
+def test_dp_equals_naive_for_every_prime_size(clique_bif, p):
+    for seed, n_vert, q, nx, ny in DENSE_CLIQUES:
+        bif = clique_bif(seed, n_vert, q, nx, ny, p)
+        res = free_resolution(bif, 1)
+        assert rank_from_resolution(res) == rank_invariant_naive(homology_module(bif, 1))
 
 
 def test_dp_serializes_like_the_oracle(random_bif):

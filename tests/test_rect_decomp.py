@@ -1,36 +1,90 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bipersist.bifiltration import homology_module
 from bipersist.constructions import indecgrid, random_rectangle_module
 from bipersist.grid_module import (
     GridModule,
+    comparable_pairs,
     is_weakly_exact_algebraic,
     rank_invariant_naive,
 )
 from bipersist.ioutil import FormatError
-from bipersist.rect_decomp import (
-    RectangleBarcode,
-    corner_count,
-    decompose,
-    multiplicity,
-)
+from bipersist.rect_decomp import RectangleBarcode, decompose
+from conftest import random_bifiltration
 
 
-def test_corner_count_single_rectangle():
-    m = GridModule.rectangle(4, 3, (1, 0, 2, 1), 2)
-    r = rank_invariant_naive(m)
-    # nonzero only when s is the lower-left corner and t is inside
-    assert corner_count(r, (1, 0), (2, 1)) == 1
-    assert corner_count(r, (1, 0), (1, 0)) == 1
-    assert corner_count(r, (2, 0), (2, 1)) == 0
-    assert corner_count(r, (1, 0), (3, 1)) == 0
+def sixteen_term(r, s, t) -> int:
+    """The paper's inclusion-exclusion for one pair s <= t, term by term."""
+    (sx, sy), (tx, ty) = s, t
+    total = 0
+    for ax, ay in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        for bx, by in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            sign = -1 if (ax + ay + bx + by) % 2 else 1
+            total += sign * r.get((sx - ax, sy - ay), (tx + bx, ty + by))
+    return total
+
+
+def oracle_decompose(r):
+    """`decompose` evaluated pair by pair through the sixteen-term form."""
+    counts, clean = {}, True
+    for s, t in comparable_pairs(r.nx, r.ny):
+        m = sixteen_term(r, s, t)
+        clean &= m >= 0
+        if m > 0:
+            counts[(*s, *t)] = m
+    return RectangleBarcode(counts), clean
 
 
 def test_multiplicity_reads_off_one_summand():
     m = GridModule.rectangle(3, 3, (0, 1, 2, 2), 5)
     r = rank_invariant_naive(m)
-    assert multiplicity(r, (0, 1), (2, 2)) == 1
-    assert multiplicity(r, (0, 1), (2, 1)) == 0
-    assert multiplicity(r, (0, 0), (2, 2)) == 0
+    assert decompose(r) == ({(0, 1, 2, 2): 1}, True)
+    assert sixteen_term(r, (0, 1), (2, 2)) == 1
+    assert sixteen_term(r, (0, 1), (2, 1)) == 0
+    assert sixteen_term(r, (0, 0), (2, 2)) == 0
+
+
+@st.composite
+def barcodes(draw):
+    nx = draw(st.integers(1, 6))
+    ny = draw(st.integers(1, 6))
+    rects = {}
+    for _ in range(draw(st.integers(0, 8))):
+        sx, tx = sorted(draw(st.integers(0, nx - 1)) for _ in range(2))
+        sy, ty = sorted(draw(st.integers(0, ny - 1)) for _ in range(2))
+        rects[(sx, sy, tx, ty)] = draw(st.integers(1, 3))
+    return nx, ny, RectangleBarcode(rects)
+
+
+@settings(max_examples=60, deadline=None)
+@given(barcodes())
+def test_decompose_inverts_barcode_rank_invariant(case):
+    nx, ny, bc = case
+    assert decompose(bc.rank_invariant(nx, ny)) == (bc, True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 1))
+def test_decompose_matches_oracle_on_random_modules(seed, degree):
+    bif = random_bifiltration(seed, max_simplices=25, nx=4, ny=4)
+    r = rank_invariant_naive(homology_module(bif, degree))
+    assert decompose(r) == oracle_decompose(r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decompose_matches_oracle_on_indecgrid(n):
+    r = rank_invariant_naive(indecgrid(n))
+    barcode, clean = decompose(r)
+    assert not clean  # the staircase is no sum of rectangles
+    assert (barcode, clean) == oracle_decompose(r)
+
+
+def test_barcode_rank_invariant_clips_to_the_grid():
+    inside = RectangleBarcode({(1, 0, 2, 2): 2})
+    beyond = RectangleBarcode({(1, 0, 7, 5): 2, (3, 0, 4, 4): 1})
+    assert beyond.rank_invariant(3, 3) == inside.rank_invariant(3, 3)
 
 
 def test_decompose_recovers_generated_multiset():

@@ -11,7 +11,6 @@ from bipersist.resolution import (
     evaluate,
     free_resolution,
     graded_kernel_basis,
-    lub_of_column,
     read_fres,
     validate_resolution,
     write_fres,
@@ -51,12 +50,13 @@ def test_free_resolution_validates_on_fixtures(random_bif):
 
 
 def test_resolution_grades_dominate_lubs():
+    # homogeneity: every relation's grade dominates the grades of the
+    # generators it hits, i.e. their least upper bound
     bif = Bifiltration.from_graded_simplices(TRIANGLE)
-    res = free_resolution(bif, 0)
-    for j in range(len(res.rels)):
-        lub = lub_of_column(res.phi, j)
-        g = res.rels.grades[j]
-        assert lub[0] <= g[0] and lub[1] <= g[1]
+    for degree in (0, 1):
+        res = free_resolution(bif, degree)
+        assert res.phi.validate_homogeneous() == []
+        assert res.psi.validate_homogeneous() == []
 
 
 def test_evaluate_counts_and_shapes():
@@ -94,19 +94,6 @@ def test_empty_degree_gives_empty_resolution():
     res = free_resolution(bif, 5)
     assert len(res.gens) == 0 and len(res.rels) == 0 and len(res.relrels) == 0
     assert validate_resolution(res, bif, 5) is None
-
-
-def test_lub_of_column():
-    target = FreeModule([(1, 3), (3, 1)])
-    source = FreeModule([(3, 3), (3, 3)])
-    mat = GradedMatrix(target, source, [[1, 1], [1, 0]], 5)
-    assert lub_of_column(mat, 0) == (3, 3)  # two generators at (1,3), (3,1)
-    assert lub_of_column(mat, 1) == (1, 3)  # single entry: that row's grade
-    override = [(0, 0), (2, 2)]
-    assert lub_of_column(mat, 0, row_grades=override) == (2, 2)
-    zero = GradedMatrix(target, FreeModule([(3, 3)]), [[0], [0]], 5)
-    with pytest.raises(ValueError):
-        lub_of_column(zero, 0)
 
 
 def test_graded_matrix_homogeneity():
