@@ -14,18 +14,13 @@ import sys
 
 from .bifiltration import Bifiltration, col_zigzag, homology_module, read_bif, row_zigzag
 from .constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from .grid_module import RankInvariant, rank_invariant_naive, read_gmod, write_gmod
+from .grid_module import RankInvariant, check_table_grid, rank_invariant_naive, read_gmod, write_gmod
 from .ioutil import FormatError
 from .rank_dp import rank_from_resolution
 from .rect_decomp import RectangleBarcode, decompose
 from .resolution import free_resolution, read_fres
 from .weakexact import check_bifiltration, check_module
 from .zigzag import write_zbar, zigzag_barcode
-
-# The DP materializes the full 4-D rank table; past this extent the
-# table alone would outgrow desk-scale memory.
-DP_GRID_CAP = 60
-
 
 class CliError(Exception):
     """Usage or input problem; reported on stderr, exit code 1."""
@@ -59,13 +54,6 @@ def _check_field(flag_p, file_p: int):
         raise CliError(
             f"--field {flag_p} conflicts with the file's field {file_p}; "
             "re-reduction is refused"
-        )
-
-
-def _check_dp_cap(nx: int, ny: int):
-    if max(nx, ny) > DP_GRID_CAP:
-        raise CliError(
-            f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the DP path"
         )
 
 
@@ -134,7 +122,7 @@ def _rank_of_input(args) -> RankInvariant:
         bif = _load_bif(args.infile, args.field)
         method = args.method or "dp"
         if method == "dp":
-            _check_dp_cap(bif.nx, bif.ny)
+            check_table_grid(bif.nx, bif.ny)  # refuse before building the resolution
             return rank_from_resolution(free_resolution(bif, degree or 0))
         return rank_invariant_naive(homology_module(bif, degree or 0))
     if degree is not None:
@@ -147,7 +135,6 @@ def _rank_of_input(args) -> RankInvariant:
         if args.method == "naive":
             raise CliError("--method naive needs a .bif or .gmod input")
         res = _load_fres(args.infile, args.field)
-        _check_dp_cap(res.nx, res.ny)
         return rank_from_resolution(res)
     raise CliError(f"cannot compute ranks from {ext or 'extensionless'} files")
 
@@ -183,7 +170,7 @@ def cmd_check(args) -> int:
         bif = _load_bif(args.infile, args.field)
         degree = args.degree or 0
         if method == "zigzag":
-            ok, witness = check_bifiltration(bif, degree, args.jobs)
+            ok, witness = check_bifiltration(bif, degree)
         else:
             ok, witness = check_module(homology_module(bif, degree), method)
     elif ext == ".gmod":
@@ -298,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile", help=".bif or .gmod input")
     p.add_argument("--method", choices=["zigzag", "algebraic", "geometric"])
     p.add_argument("--degree", type=int, metavar="p", help="homology degree (.bif only, default 0)")
-    p.add_argument("--jobs", type=int, metavar="k", help="parallel zigzag sweeps (result independent of k)")
     add_field(p)
     p.set_defaults(func=cmd_check)
 

@@ -37,8 +37,28 @@ SQUARE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abc", "bcd", "abcd
 RECTANGLE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abcd")
 
 
+# The rank invariant and the kappa/iota tables are dense 4-D int64
+# tables of nx*ny*nx*ny entries; past this extent one table alone would
+# outgrow desk-scale memory.
+DP_GRID_CAP = 60
+
+
 class InconsistentSquareError(ValueError):
     """Square invariants admit no nonnegative interval decomposition."""
+
+
+class GridTooLargeError(ValueError):
+    """A grid past DP_GRID_CAP, where the dense 4-D tables are refused."""
+
+
+def check_table_grid(nx: int, ny: int, tables: int = 1) -> None:
+    """Refuse to allocate `tables` dense 4-D tables on a grid past the cap."""
+    if max(nx, ny) > DP_GRID_CAP:
+        need = tables * 8 * (nx * ny) ** 2
+        raise GridTooLargeError(
+            f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the "
+            f"dense 4-D tables ({tables} table(s) would need {need:,} bytes)"
+        )
 
 
 def iter_points(nx: int, ny: int) -> Iterator[tuple[int, int]]:
@@ -243,7 +263,8 @@ class RankInvariant:
         self.nx = int(nx)
         self.ny = int(ny)
         if table is None:
-            table = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+            check_table_grid(self.nx, self.ny)
+            table = np.zeros((self.nx, self.ny, self.nx, self.ny), dtype=np.int64)
         self.table = table
 
     def get(self, s, t) -> int:

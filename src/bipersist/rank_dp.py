@@ -81,7 +81,8 @@ def rank_from_resolution(res: FreeResolution) -> RankInvariant:
     so grids sharing the same live generators share one sweep).
     """
     nx, ny, p = res.nx, res.ny, res.p
-    table = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+    inv = RankInvariant(nx, ny)
+    table = inv.table
     table += _gen_count_table(res)[:, :, None, None]
     if len(res.rels):
         col_g = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
@@ -103,7 +104,7 @@ def rank_from_resolution(res: FreeResolution) -> RankInvariant:
     if (table[mask] < 0).any():
         raise InvariantError("rank table went negative")
     table[~mask] = 0
-    return RankInvariant(nx, ny, table)
+    return inv
 
 
 def rank_1d(module: GridModule) -> dict:

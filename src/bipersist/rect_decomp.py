@@ -51,7 +51,8 @@ class RectangleBarcode(dict):
         corner >= t: the rectangles go into a 4-D histogram, which is
         summed forward along the s axes and backward along the t axes.
         """
-        table = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+        inv = RankInvariant(nx, ny)
+        table = inv.table
         for (sx, sy, tx, ty), m in self.items():
             if sx < nx and sy < ny:  # a rectangle may run past the grid
                 table[sx, sy, min(tx, nx - 1), min(ty, ny - 1)] += m
@@ -61,7 +62,7 @@ class RectangleBarcode(dict):
             rev = np.flip(table, axis=axis)
             np.cumsum(rev, axis=axis, out=rev)
         table[~comparable_mask(nx, ny)] = 0
-        return RankInvariant(nx, ny, table)
+        return inv
 
     def to_text(self) -> str:
         out = ["# rectangle barcode: s_x s_y t_x t_y multiplicity (1-based)"]

@@ -7,32 +7,32 @@ pair s <= t with corner points b = (t_x, s_y) and c = (s_x, t_y),
     dim V_s - rank(s -> t) = dim(Ker(s -> b) + Ker(s -> c))    (kappa)
 
 Both right-hand sides are readable off zigzag barcodes of one row and
-one column path through the bifiltration, so the decision procedure
-never builds the module itself; a direct subspace-arithmetic oracle is
-provided for cross-checking on explicit modules.
+one column path per grid point, and all paths share one computation of
+the station homology; a direct subspace-arithmetic oracle is provided
+for cross-checking on explicit modules.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bifiltration import Bifiltration, col_zigzag, row_zigzag
+from .bifiltration import Bifiltration, homology_module
 from .grid_module import (
     GridModule,
     RankInvariant,
+    check_table_grid,
     comparable_pairs,
     is_strongly_exact,
     is_weakly_exact_algebraic,
     is_weakly_exact_geometric,
+    iter_points,
 )
 from .linalg import image_basis, kernel_basis, subspace_intersect, subspace_sum
 from .rank_dp import rank_from_resolution
 from .resolution import free_resolution
-from .zigzag import count_spanning, zigzag_barcode
+from .zigzag import checked_barcode, count_spanning
 
 
 @dataclass
@@ -45,42 +45,52 @@ class KappaIota:
     iota: np.ndarray
 
 
-def kappa_iota_from_zigzags(
-    bif: Bifiltration, degree: int, jobs: Optional[int] = None
-) -> KappaIota:
+def kappa_iota_from_zigzags(bif: Bifiltration, degree: int, jobs=None) -> KappaIota:
     """Fill both tables from zigzag barcodes of row and column paths.
 
-    One row path per t serves iota for every s <= t, one column path
-    per s serves kappa for every t >= s; with `jobs` the barcodes are
-    computed on a thread pool (results do not depend on jobs).
+    Every station of a row or column path is a grid-point complex
+    F_(x,y) and every arrow a unit-edge inclusion, so the station
+    homology is built once, as `homology_module`, and each path reads
+    its dimensions and edge maps from it.  One row path per t serves
+    iota for every s <= t, one column path per s serves kappa for every
+    t >= s.  The barcode is an isomorphism invariant, so the homology
+    bases of the full complex give the same tables as those of each
+    path's own ambient complex.  The paths run one after another;
+    `jobs` must be None (any other value raises ValueError).
     """
+    if jobs is not None:
+        raise ValueError("kappa_iota_from_zigzags runs serially; pass None for jobs")
     nx, ny, p = bif.nx, bif.ny, bif.p
+    check_table_grid(nx, ny, 2)
+    module = homology_module(bif, degree)
     kappa = np.zeros((nx, ny, nx, ny), dtype=np.int64)
     iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    points = [(x, y) for x in range(nx) for y in range(ny)]
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be positive")
 
-    def row_entry(t):
-        return t, zigzag_barcode(row_zigzag(bif, t), degree, p)
+    def path_barcode(stations, arrows):
+        dims = [module.dim_at(st) for st in stations]
+        return checked_barcode(dims, arrows, p, degree)
 
-    def col_entry(s):
-        return s, zigzag_barcode(col_zigzag(bif, s), degree, p)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        row_bars = dict(pool.map(row_entry, points))
-        col_bars = dict(pool.map(col_entry, points))
-    for tx, ty in points:
-        bc = row_bars[(tx, ty)]
+    for tx, ty in iter_points(nx, ny):
         # stations walk (x, t_y) for x = 0..t_x, then (t_x, y) downwards,
         # so F_(s_x, t_y) sits at s_x and F_(t_x, s_y) at t_x + (t_y - s_y)
+        down = range(ty - 1, -1, -1)
+        bc = path_barcode(
+            [(x, ty) for x in range(tx + 1)] + [(tx, y) for y in down],
+            [("fwd", module.hmaps[(x, ty)]) for x in range(tx)]
+            + [("bwd", module.vmaps[(tx, y)]) for y in down],
+        )
         for sx in range(tx + 1):
             for sy in range(ty + 1):
                 iota[sx, sy, tx, ty] = count_spanning(bc, sx, tx + ty - sy)
-    for sx, sy in points:
-        bc = col_bars[(sx, sy)]
+    for sx, sy in iter_points(nx, ny):
         # stations walk (s_x, y) for y = n_y-1..s_y, then (x, s_y) rightwards,
         # so F_(s_x, t_y) sits at n_y-1-t_y and F_(t_x, s_y) at n_y-1-s_y + t_x-s_x
+        down = range(ny - 2, sy - 1, -1)
+        bc = path_barcode(
+            [(sx, ny - 1)] + [(sx, y) for y in down] + [(x, sy) for x in range(sx + 1, nx)],
+            [("bwd", module.vmaps[(sx, y)]) for y in down]
+            + [("fwd", module.hmaps[(x, sy)]) for x in range(sx, nx - 1)],
+        )
         s_station = ny - 1 - sy
         dim_s = count_spanning(bc, s_station, s_station)
         for tx in range(sx, nx):
@@ -94,6 +104,7 @@ def kappa_iota_from_zigzags(
 def kappa_iota_naive(module: GridModule) -> KappaIota:
     """Direct subspace arithmetic on an explicit module; the oracle path."""
     nx, ny, p = module.nx, module.ny, module.p
+    check_table_grid(nx, ny, 2)
     kappa = np.zeros((nx, ny, nx, ny), dtype=np.int64)
     iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
     for s, t in comparable_pairs(nx, ny):
@@ -129,14 +140,17 @@ def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
     return True, None
 
 
-def check_bifiltration(bif: Bifiltration, degree: int, jobs: Optional[int] = None):
+def check_bifiltration(bif: Bifiltration, degree: int):
     """End-to-end decision for degree-q homology of a bifiltration.
 
-    Rank invariant via the resolution DP, kappa/iota via zigzags, then
-    the pointwise comparison; same return shape as the checker.
+    Rank invariant via the resolution DP, kappa/iota via the zigzag
+    paths of one serial sweep, then the pointwise comparison; same
+    return shape as the checker.  A grid past the dense-table cap is
+    refused before any work.
     """
+    check_table_grid(bif.nx, bif.ny, 3)
     r = rank_from_resolution(free_resolution(bif, degree))
-    return check_rectangle_decomposable(r, kappa_iota_from_zigzags(bif, degree, jobs))
+    return check_rectangle_decomposable(r, kappa_iota_from_zigzags(bif, degree))
 
 
 def check_module(module: GridModule, method: str = "algebraic"):

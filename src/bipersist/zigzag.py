@@ -54,7 +54,10 @@ def module_barcode(dims, arrows, p: int) -> list:
     matrix, backward arrows pull both back.  Every bar born strictly
     after station i on a backward arrow enters L and N together, and a
     bar through station i survives in L exactly while it is alive, so
-    the spanning count is r(i, j) = dim L_j - dim N_j.
+    the spanning count is r(i, j) = dim L_j - dim N_j.  The push from i
+    stops at the first r(i, j) = 0: N lies inside L, so equal dimensions
+    mean equal subspaces, which stay equal under every later push or
+    pull, and the rest of the row is 0.
     """
     k = len(dims)
     if len(arrows) != max(k - 1, 0):
@@ -82,6 +85,8 @@ def module_barcode(dims, arrows, p: int) -> list:
                 live = preimage_of_subspace(mat, live)
                 newborn = preimage_of_subspace(mat, newborn)
             r[i, j] = live.dim - newborn.dim
+            if r[i, j] == 0:
+                break
     bars = []
     for i in range(k):
         for j in range(i, k):
@@ -121,9 +126,13 @@ def zigzag_barcode(zz: ZigzagComplex, degree: int, p: int = 2) -> ZigzagBarcode:
             arrows.append(("fwd", homology_map(data[m], data[m + 1], p)))
         else:
             arrows.append(("bwd", homology_map(data[m + 1], data[m], p)))
-    bars = module_barcode(dims, arrows, p)
-    bc = ZigzagBarcode(len(stations), bars, degree)
-    if any(bc.dim_at(i) != dims[i] for i in range(len(stations))):
+    return checked_barcode(dims, arrows, p, degree)
+
+
+def checked_barcode(dims, arrows, p: int, degree: Optional[int] = None) -> ZigzagBarcode:
+    """`module_barcode` as a ZigzagBarcode, checked to reconstruct `dims`."""
+    bc = ZigzagBarcode(len(dims), module_barcode(dims, arrows, p), degree)
+    if any(bc.dim_at(i) != dims[i] for i in range(len(dims))):
         raise InvariantError("zigzag barcode does not reconstruct the station dimensions")
     return bc
 

@@ -96,6 +96,15 @@ def test_dp_grid_cap(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_check_rectangle_grid_cap(tmp_path, capsys):
+    wide = tmp_path / "wide.bif"
+    wide.write_text("bifiltration\nfield 2\n" + "".join(f"{x} 1 ; {x}\n" for x in range(1, 62)))
+    assert main(["check-rectangle", str(wide)]) == 1
+    err = capsys.readouterr().err
+    assert "grid 61x1 exceeds the 60x60 cap" in err
+    assert f"{3 * 8 * 61**2:,} bytes" in err
+
+
 def test_decompose_matches_ground_truth(tmp_path):
     prefix = str(tmp_path / "rnd")
     assert main(["random-rect", "5", "4", "6", "--seed", "3", "-o", prefix]) == 0
@@ -148,7 +157,7 @@ def test_check_rectangle_methods_agree(tmp_path, capsys):
         codes.add(main(["check-rectangle", bif, "--method", method, "--degree", "0"]))
     assert len(codes) == 1
     capsys.readouterr()
-    assert main(["check-rectangle", bif, "--jobs", "2"]) in (0, 2)
+    assert main(["check-rectangle", bif]) in (0, 2)
     gmod = tmp_path / "m.gmod"
     gmod.write_text(write_gmod(example("ex2")))
     assert main(["check-rectangle", str(gmod), "--method", "zigzag"]) == 1

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from bipersist.bifiltration import homology_module
+from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, random_rectangle_module
-from bipersist.grid_module import rank_invariant_naive
+from bipersist.grid_module import GridModule, GridTooLargeError, RankInvariant, rank_invariant_naive
 from bipersist.linalg import (
     image_basis,
     kernel_basis,
@@ -57,23 +57,34 @@ def test_kernel_sum_is_a_spanning_codeficit():
         assert s - count_spanning(bc, 0, 2) == want
 
 
-def test_zigzag_tables_match_subspace_oracle(random_bif):
-    for seed, degree in ((40, 0), (41, 1), (42, 0)):
-        bif = random_bif(seed, max_simplices=22, nx=4, ny=4)
+@pytest.mark.parametrize("degree", (0, 1))
+@pytest.mark.parametrize("p", (2, 3, 2**31 - 1))
+def test_zigzag_tables_match_subspace_oracle(clique_bif, p, degree):
+    for seed in range(4):
+        bif = clique_bif(seed, n_vert=7, q=0.6, nx=5, ny=5, p=p)
         ki = kappa_iota_from_zigzags(bif, degree)
         oracle = kappa_iota_naive(homology_module(bif, degree))
         assert np.array_equal(ki.iota, oracle.iota)
         assert np.array_equal(ki.kappa, oracle.kappa)
 
 
-def test_zigzag_tables_independent_of_jobs(random_bif):
+def test_zigzag_tables_take_no_jobs(random_bif):
     bif = random_bif(43, max_simplices=18, nx=4, ny=3)
-    one = kappa_iota_from_zigzags(bif, 0, jobs=1)
-    four = kappa_iota_from_zigzags(bif, 0, jobs=4)
-    assert np.array_equal(one.iota, four.iota)
-    assert np.array_equal(one.kappa, four.kappa)
-    with pytest.raises(ValueError):
-        kappa_iota_from_zigzags(bif, 0, jobs=0)
+    for jobs in (0, 1, 4):
+        with pytest.raises(ValueError):
+            kappa_iota_from_zigzags(bif, 0, jobs)
+
+
+def test_dense_tables_refuse_grids_past_the_cap():
+    wide = Bifiltration({(0,): (60, 0)}, 61, 1)
+    for build in (
+        lambda: RankInvariant(61, 1),
+        lambda: kappa_iota_naive(GridModule.zero(61, 1, 2)),
+        lambda: kappa_iota_from_zigzags(wide, 0),
+        lambda: check_bifiltration(wide, 0),
+    ):
+        with pytest.raises(GridTooLargeError, match="grid 61x1 exceeds"):
+            build()
 
 
 def test_checker_accepts_rectangle_sums():
