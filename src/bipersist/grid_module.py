@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .ioutil import FormatError, logical_lines, parse_int
+from .ioutil import FormatError, int_rows, logical_lines, parse_int
 from .linalg import (
     Subspace,
     check_modulus,
@@ -293,30 +293,60 @@ class RankInvariant:
         return RankInvariant(self.nx, self.ny, self.table + other.table)
 
     def to_text(self) -> str:
-        out = [f"# rank invariant on grid {self.nx} x {self.ny} (1-based coordinates)"]
-        for s, t in comparable_pairs(self.nx, self.ny):
-            r = self.table[s[0], s[1], t[0], t[1]]
-            out.append(f"{s[0] + 1} {s[1] + 1} {t[0] + 1} {t[1] + 1} {r}")
-        return "\n".join(out) + "\n"
+        """One line per comparable pair, in `comparable_pairs` order.
+
+        Written one s_x slab at a time (the C order of the comparable
+        mask), which keeps the per-line Python objects to one slab.
+        """
+        nx, ny = self.nx, self.ny
+        label = [f"{x + 1} {y + 1}" for x in range(nx) for y in range(ny)]
+        mask = comparable_mask(nx, ny)
+        out = [f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n"]
+        for x in range(nx):
+            sy, tx, ty = np.nonzero(mask[x])
+            ranks = self.table[x, sy, tx, ty].tolist()
+            s = (x * ny + sy).tolist()
+            t = (tx * ny + ty).tolist()
+            out.append("".join([f"{label[a]} {label[b]} {r}\n" for a, b, r in zip(s, t, ranks)]))
+        return "".join(out)
 
     @classmethod
     def from_text(cls, text: str) -> "RankInvariant":
-        entries = {}
-        nx = ny = 0
-        for lineno, line in logical_lines(text):
-            toks = line.split()
-            if len(toks) != 5:
-                raise FormatError(f"line {lineno}: expected 's_x s_y t_x t_y r', got {line!r}")
-            sx, sy, tx, ty, r = (parse_int(t, lineno, "coordinate") for t in toks)
-            if not (1 <= sx <= tx and 1 <= sy <= ty):
-                raise FormatError(f"line {lineno}: pair not comparable or not 1-based")
-            if r < 0:
-                raise FormatError(f"line {lineno}: negative rank")
-            entries[(sx - 1, sy - 1, tx - 1, ty - 1)] = r
-            nx, ny = max(nx, tx), max(ny, ty)
+        """Read a .rank file; a FormatError names the first bad line.
+
+        A line is bad when it is malformed, when its pair is not
+        comparable or not 1-based, when its rank is negative, when it
+        lies past the grid cap, or when its pair repeats an earlier line.
+        """
+        rows, lines, error = int_rows(text, "s_x s_y t_x t_y r")
+        sx, sy, tx, ty, r = rows.T
+        bad = (sx < 1) | (sy < 1) | (sx > tx) | (sy > ty) | (r < 0)
+        bad |= (tx > DP_GRID_CAP) | (ty > DP_GRID_CAP)
+        n_ok = int(np.argmax(bad)) if bad.any() else len(rows)
+        nx, ny = int(tx[:n_ok].max(initial=0)), int(ty[:n_ok].max(initial=0))
+        flat = np.ravel_multi_index(tuple(rows[:n_ok, :4].T - 1), (nx, ny, nx, ny))
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        again = ordered[1:] == ordered[:-1]
+        if again.any():  # stable order: the later line of a repeat comes second
+            i = int(order[1:][again].min())
+            first = int(order[np.searchsorted(ordered, flat[i])])
+            raise FormatError(f"line {lines[i]}: pair repeats line {lines[first]}")
+        if n_ok < len(rows):
+            where = f"line {lines[n_ok]}"
+            a, b, c, d, value = rows[n_ok].tolist()
+            if not (1 <= a <= c and 1 <= b <= d):
+                raise FormatError(f"{where}: pair not comparable or not 1-based")
+            if value < 0:
+                raise FormatError(f"{where}: negative rank")
+            try:
+                check_table_grid(c, d)
+            except GridTooLargeError as e:
+                raise FormatError(f"{where}: {e}") from None
+        if error is not None:
+            raise error
         inv = cls(nx, ny)
-        for (sx, sy, tx, ty), r in entries.items():
-            inv.table[sx, sy, tx, ty] = r
+        inv.table.reshape(-1)[flat] = r
         return inv
 
 

@@ -6,6 +6,13 @@ modulus travels as an explicit argument; containers higher up the stack
 Everything here is deterministic: no pivoting heuristics beyond
 first-nonzero, and subspaces are kept in a canonical reduced echelon
 form so equality is plain array equality.
+
+`ColumnReducer` is the one incremental column reducer: the rank DP's
+prefix-rank sweeps all run through it.  At p = 2 it packs columns into
+uint64 words and reduces by XOR; at other p it works on int64 rows in
+place, with products through `matmul`.  `rref` (and with it
+`kernel_basis`, `extend_basis` and the subspace operations) is still a
+separate row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -124,6 +131,93 @@ def rank(m: np.ndarray, p: int) -> int:
     if m.shape[0] == 0 or m.shape[1] == 0:
         return 0
     return len(rref(m, p)[1])
+
+
+class ColumnReducer:
+    """Incremental rank of a growing set of columns in F_p^k.
+
+    `add(v)` reduces v against the pivot block, a fully reduced echelon
+    basis of the columns added so far (row i is a basis vector whose
+    pivot entry is 1 and whose other pivot entries are 0), and keeps
+    the reduced v when it is independent.  The block lives in one
+    preallocated array, updated in place and doubled when full.
+
+    The storage follows p.  At p = 2 a vector is packed into uint64
+    words and reduced by XOR; at any other p rows are int64 with
+    products through `matmul`, exact for every p up to MAX_MODULUS.
+    """
+
+    def __init__(self, k: int, p: int):
+        self.k = int(k)
+        self.p = p
+        self.rank = 0
+        self._packed = p == 2
+        cap = min(self.k, 64)
+        if self._packed:
+            width = (self.k + 63) // 64
+            self._rows = np.zeros((cap, width), dtype=np.uint64)
+            self._bits = np.zeros(64 * width, dtype=np.uint8)  # v mod 2, zero-padded to whole words
+        else:
+            self._rows = np.zeros((cap, self.k), dtype=np.int64)
+        self._piv = np.zeros(cap, dtype=np.int64)
+
+    def add(self, v: np.ndarray) -> bool:
+        """Admit column v (length k, any int64 entries); True if independent."""
+        if self.rank == self.k:
+            return False
+        if self.rank == self._rows.shape[0]:
+            self._grow()
+        r = self.rank
+        reduce = self._reduce_gf2 if self._packed else self._reduce_modp
+        found = reduce(v, self._rows[:r], self._piv[:r])
+        if found is None:
+            return False
+        self._rows[r], self._piv[r] = found
+        self.rank = r + 1
+        return True
+
+    def _reduce_gf2(self, v, rows, piv):
+        """Packed XOR reduction; clears the new pivot from `rows` in place."""
+        np.bitwise_and(v, 1, out=self._bits[: self.k], casting="unsafe")
+        w = np.packbits(self._bits, bitorder="little").view(np.uint64)
+        # the block is fully reduced, so v's entry at a pivot is the
+        # coefficient of that pivot's row
+        hit = np.flatnonzero(self._bits[piv])
+        if hit.size:
+            w ^= np.bitwise_xor.reduce(rows.take(hit, axis=0), axis=0)
+        nz = np.flatnonzero(w)
+        if nz.size == 0:
+            return None
+        word = int(w[nz[0]])
+        lead = 64 * int(nz[0]) + (word & -word).bit_length() - 1
+        above = np.flatnonzero(rows[:, lead >> 6] & np.uint64(1 << (lead & 63)))
+        if above.size:
+            rows[above] ^= w
+        return w, lead
+
+    def _reduce_modp(self, v, rows, piv):
+        """int64 reduction mod p; clears the new pivot from `rows` in place."""
+        p = self.p
+        w = np.mod(v, p)
+        if piv.size:
+            w = np.mod(w - matmul(rows.T, w[piv, None], p)[:, 0], p)
+        nz = np.flatnonzero(w)
+        if nz.size == 0:
+            return None
+        lead = int(nz[0])
+        w = w * inv_mod(int(w[lead]), p) % p
+        above = np.flatnonzero(rows[:, lead])
+        if above.size:  # w is zero before its lead
+            rows[above, lead:] = (rows[above, lead:] - np.outer(rows[above, lead], w[lead:])) % p
+        return w, lead
+
+    def _grow(self) -> None:
+        cap = min(self.k, 2 * self._rows.shape[0])
+        rows = np.zeros((cap, self._rows.shape[1]), dtype=self._rows.dtype)
+        rows[: self.rank] = self._rows
+        piv = np.zeros(cap, dtype=np.int64)
+        piv[: self.rank] = self._piv
+        self._rows, self._piv = rows, piv
 
 
 class Subspace:

@@ -12,7 +12,10 @@ relation matrix:
 
 which needs one echelon sweep per grid row for the middle term and one
 per class of row-support for the last.  `rank_from_resolution` computes
-this; it is exact for every resolution of the module.
+this; it is exact for every resolution of the module.  Every sweep
+admits its columns one at a time into a `linalg.ColumnReducer`, the
+package's one incremental reducer, which reduces packed uint64 words
+by XOR at p = 2 and int64 rows in place at any other p.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .grid_module import GridModule, RankInvariant, comparable_mask
 from .ioutil import InvariantError
-from .linalg import matmul, rank
+from .linalg import ColumnReducer, rank
 from .resolution import FreeResolution
 
 
@@ -51,23 +54,11 @@ def _prefix_rank_table(mat: np.ndarray, col_grades: np.ndarray, nx: int, ny: int
         if sel.size == 0:
             continue
         sel = sel[np.argsort(gx[sel], kind="stable")]
-        basis = np.zeros((k, 0), dtype=np.int64)  # fully reduced echelon columns
-        piv = np.zeros(0, dtype=np.int64)
+        reducer = ColumnReducer(k, p)
         gained = np.zeros(nx, dtype=np.int64)
         for j in sel:
-            v = mat[:, j] % p
-            if piv.size:
-                v = (v - matmul(basis, v[piv, None], p)[:, 0]) % p
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                continue
-            r0 = int(nz[0])
-            v = (v * pow(int(v[r0]), p - 2, p)) % p
-            if piv.size:
-                basis = (basis - np.outer(v, basis[r0])) % p
-            basis = np.column_stack([basis, v])
-            piv = np.append(piv, r0)
-            gained[gx[j]] += 1
+            if reducer.add(mat[:, j]):
+                gained[gx[j]] += 1
         out[:, ty] = np.cumsum(gained)
     return out
 

@@ -124,6 +124,20 @@ def test_decompose_from_rank_file(tmp_path):
     assert direct.read_bytes() == via_rank.read_bytes()
 
 
+def test_decompose_reports_bad_rank_lines(tmp_path, capsys):
+    # a rank past int64 used to escape as an OverflowError traceback,
+    # and a repeated pair used to overwrite the first silently
+    cases = {
+        "big.rank": ("1 1 1 1 99999999999999999999\n", "error: line 1: "),
+        "again.rank": ("1 1 1 1 1\n1 1 1 1 1\n", "error: line 2: pair repeats line 1"),
+    }
+    for name, (text, err) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["decompose-rectangles", str(path), "-o", str(tmp_path / "out.barcode")]) == 1
+        assert capsys.readouterr().err.startswith(err)
+
+
 def test_decompose_strict_flags_negatives(tmp_path, capsys):
     gmod = tmp_path / "stair.gmod"
     gmod.write_text(write_gmod(indecgrid(2)))

@@ -1,10 +1,14 @@
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipersist.constructions import example, random_rectangle_module
 from bipersist.grid_module import (
+    DP_GRID_CAP,
     SQUARE_LABELS,
     FormatError,
     GridModule,
@@ -24,6 +28,7 @@ from bipersist.grid_module import (
     square_invariant_matrix,
     write_gmod,
 )
+from bipersist.ioutil import logical_lines
 from bipersist.linalg import matmul, rank
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
@@ -130,6 +135,146 @@ def test_rank_invariant_text_roundtrip():
     back = RankInvariant.from_text(text)
     assert back == inv
     assert back.to_text() == text
+
+
+def reference_rank_to_text(inv):
+    """Oracle: the per-pair .rank writer."""
+    out = [f"# rank invariant on grid {inv.nx} x {inv.ny} (1-based coordinates)"]
+    for s, t in comparable_pairs(inv.nx, inv.ny):
+        r = inv.table[s[0], s[1], t[0], t[1]]
+        out.append(f"{s[0] + 1} {s[1] + 1} {t[0] + 1} {t[1] + 1} {r}")
+    return "\n".join(out) + "\n"
+
+
+INTEGER = re.compile(r"[+-]?[0-9]+")
+INT64 = np.iinfo(np.int64)
+
+
+def reference_rank_from_text(text):
+    """Oracle: the per-line .rank reader, one check after another per line."""
+    entries = {}
+    nx = ny = 0
+    for lineno, line in logical_lines(text):
+        toks = line.split()
+        if len(toks) != 5 or not all(INTEGER.fullmatch(t) for t in toks):
+            raise FormatError(f"line {lineno}: malformed")
+        vals = [int(t) for t in toks]
+        if not all(INT64.min <= v <= INT64.max for v in vals):
+            raise FormatError(f"line {lineno}: outside int64")
+        sx, sy, tx, ty, r = vals
+        if not (1 <= sx <= tx and 1 <= sy <= ty):
+            raise FormatError(f"line {lineno}: pair not comparable or not 1-based")
+        if r < 0:
+            raise FormatError(f"line {lineno}: negative rank")
+        if max(tx, ty) > DP_GRID_CAP:
+            raise FormatError(f"line {lineno}: past the grid cap")
+        key = (sx - 1, sy - 1, tx - 1, ty - 1)
+        if key in entries:
+            raise FormatError(f"line {lineno}: repeated pair")
+        entries[key] = r
+        nx, ny = max(nx, tx), max(ny, ty)
+    inv = RankInvariant(nx, ny)
+    for key, r in entries.items():
+        inv.table[key] = r
+    return inv
+
+
+@st.composite
+def rank_tables(draw):
+    nx = draw(st.integers(1, 4))
+    ny = draw(st.integers(1, 4))
+    inv = RankInvariant(nx, ny)
+    for s, t in comparable_pairs(nx, ny):
+        inv.set(s, t, draw(st.one_of(st.integers(0, 5), st.integers(0, INT64.max))))
+    return inv
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_tables())
+def test_rank_to_text_matches_the_per_pair_writer(inv):
+    text = inv.to_text()
+    assert text == reference_rank_to_text(inv)
+    assert RankInvariant.from_text(text) == inv
+
+
+TOKENS = st.one_of(
+    st.integers(1, 3).map(str),
+    st.sampled_from(["0", "-1", "+2", "003", "-0", "61", "9223372036854775807",
+                     "-9223372036854775808", "9223372036854775808", "-99999999999999999999",
+                     "18446744073709551617"]),  # 2**64 + 1, which wraps to 1 in int64
+)
+
+
+@st.composite
+def rank_texts(draw):
+    """.rank-like text: rows of integer tokens, some short, with blanks and comments."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "short", "blank", "comment"]))
+        if kind in ("row", "short"):
+            toks = draw(st.lists(TOKENS, min_size=5 if kind == "row" else 1, max_size=5 if kind == "row" else 6))
+            sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+            line = sep.join(toks) + draw(st.sampled_from(["", " ", "\r", " # 1 2"]))
+        elif kind == "comment":
+            line = "# rank 1 1 1 1 1"
+        else:
+            line = draw(st.sampled_from(["", "   ", "\t"]))
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except FormatError as e:
+        return int(re.match(r"line (\d+): ", str(e)).group(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rank_texts(), rank_tables().map(lambda inv: inv.to_text())))
+def test_rank_from_text_matches_the_per_line_reader(text):
+    # the same table, or a FormatError naming the same line
+    assert outcome(RankInvariant.from_text, text) == outcome(reference_rank_from_text, text)
+
+
+FUZZ_CHARS = st.one_of(st.sampled_from(list("0123456789 +-#\n\t\r_x.\x0b\x00\xa0\u00e9\ud800")), st.characters())
+
+
+@st.composite
+def mutated_rank_texts(draw):
+    """.rank-like text with a few arbitrary characters spliced in."""
+    text = draw(rank_texts())
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.text(FUZZ_CHARS, max_size=3)) + text[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(FUZZ_CHARS, max_size=80), mutated_rank_texts()))
+def test_rank_reader_fuzz_raises_only_format_errors(text):
+    try:
+        inv = RankInvariant.from_text(text)
+    except FormatError as e:
+        assert re.match(r"line \d+: ", str(e))
+    else:
+        assert isinstance(inv, RankInvariant)
+
+
+def test_rank_reader_names_the_second_line_of_a_repeated_pair():
+    text = "# r\n1 1 2 2 1\n1 1 1 1 2\n\n1 1 2 2 1\n"
+    with pytest.raises(FormatError, match=r"^line 5: pair repeats line 2"):
+        RankInvariant.from_text(text)
+
+
+@pytest.mark.parametrize("value", ["99999999999999999999", "-9223372036854775809"])
+def test_rank_reader_rejects_integers_outside_int64(value):
+    with pytest.raises(FormatError, match=r"^line 2: integer .* outside the 64-bit range"):
+        RankInvariant.from_text(f"1 1 1 1 1\n1 1 1 2 {value}\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "1.0", "0x1", "+", "1-", "\u0661"])
+def test_rank_reader_accepts_only_sign_and_ascii_digits(token):
+    with pytest.raises(FormatError, match=r"^line 1: expected integer"):
+        RankInvariant.from_text(f"1 1 1 1 {token}\n")
 
 
 def test_rank_invariant_additivity():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import example, random_rectangle_module
 from bipersist.grid_module import GridModule, rank_invariant_naive
-from bipersist.linalg import MAX_MODULUS, matmul, rank
+from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, rank
 from bipersist.rank_dp import _prefix_rank_table, rank_1d, rank_from_resolution
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution
 
@@ -70,6 +72,61 @@ def test_prefix_rank_table_exact_at_the_largest_prime():
             for y in range(4):
                 cols = (grades[:, 0] <= x) & (grades[:, 1] <= y)
                 assert table[x, y] == rank(mat[:, cols], p)
+
+
+PRIMES = [2, 3, 65521, MAX_MODULUS]
+
+
+def prefix_ranks_by_rank(mat, grades, nx, ny, p):
+    """Oracle: linalg.rank of the columns of grade <= (x, y), grid point by grid point."""
+    out = np.zeros((nx, ny), dtype=np.int64)
+    for x in range(nx):
+        for y in range(ny):
+            cols = (grades[:, 0] <= x) & (grades[:, 1] <= y)
+            out[x, y] = rank(mat[:, cols], p)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    k=st.sampled_from([0, 1, 63, 64, 65, 130]),
+    l=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_rank_table_equals_rank_of_every_prefix(p, k, l, seed):
+    # row counts straddle the 64-bit words of the packed p = 2 path;
+    # low-rank products and zeroed columns make dependent columns common
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(k, l) + 1))
+    mat = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
+    mat[:, rng.random(l) < 0.2] = 0
+    grades = rng.integers(0, 3, (l, 2))
+    table = _prefix_rank_table(mat, grades, 3, 3, p)
+    assert np.array_equal(table, prefix_ranks_by_rank(mat, grades, 3, 3, p))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_column_reducer_grows_past_its_first_block(p):
+    # 140 columns in F_p^130: the block doubles past 64 and 128 pivots,
+    # and once the rank is full every further column is dependent
+    rng = np.random.default_rng(p % 1000)
+    mat = rng.integers(0, p, (130, 140))
+    mat[:, 5] = 0
+    mat[:, 70] = (mat[:, 3] + 2 * mat[:, 60]) % p
+    reducer = ColumnReducer(130, p)
+    independent = [reducer.add(mat[:, j]) for j in range(140)]
+    assert not independent[5] and not independent[70]
+    for j in (1, 63, 64, 65, 66, 129, 130, 131, 140):
+        assert sum(independent[:j]) == rank(mat[:, :j], p)
+    assert reducer.rank == 130
+
+
+def test_column_reducer_on_empty_space():
+    reducer = ColumnReducer(0, 2)
+    assert not reducer.add(np.zeros(0, dtype=np.int64))
+    assert reducer.rank == 0
+    assert not np.any(_prefix_rank_table(np.zeros((4, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 2, 2, 3))
 
 
 # degree-1 inputs whose relation columns get dense enough to overflow
