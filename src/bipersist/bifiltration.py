@@ -1,8 +1,9 @@
 """1-critical simplicial bifiltrations over a finite grid.
 
 Parsing and validation, graded subcomplexes, brute-force graded homology
-(the end-to-end oracle for everything downstream), and the row/column
-zigzag event lists consumed by the decomposability checker.
+(the oracle for the resolution route, and the module the decomposability
+check reads its kernel/image tables from), and the row/column zigzag
+event lists of the `zigzag-barcode` subcommand.
 """
 
 from __future__ import annotations

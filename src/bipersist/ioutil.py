@@ -27,17 +27,34 @@ def logical_lines(text: str):
             yield i, line
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_SAFE_DIGITS = 18  # every integer of this many digits fits in int64
+
+
+def _int64(token: str):
+    """Value of a sign-and-digits token, or None when it is outside int64."""
+    digits = token.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > _SAFE_DIGITS + 1:
+        return None  # also keeps int() below its limit on digits
+    value = -int(digits) if token.startswith("-") else int(digits)
+    return value if _INT64_MIN <= value <= _INT64_MAX else None
+
+
 def parse_int(tok: str, lineno: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise FormatError(f"line {lineno}: expected integer {what}, got {tok!r}") from None
+    """One integer field of any format: an optional sign and ASCII digits, within int64."""
+    if len(tok) <= _SAFE_DIGITS and tok.isdigit() and tok.isascii():
+        return int(tok)  # short unsigned fields, the bulk of every file, skip the regex
+    if not _INT_TOKEN.fullmatch(tok):
+        raise FormatError(f"line {lineno}: expected integer {what}, got {tok!r}")
+    value = _int64(tok)
+    if value is None:
+        raise FormatError(f"line {lineno}: integer {tok} is outside the 64-bit range")
+    return value
 
 
 _COMMENT = re.compile(r"#[^\n]*")
 _BLOCK_CHARS = 1 << 22  # text parsed per vectorized pass; bounds the per-byte arrays
-_SAFE_DIGITS = 18  # every integer of this many digits fits in int64
-_INT64 = np.iinfo(np.int64)
 
 
 def int_rows(text: str, fields: str):
@@ -116,13 +133,14 @@ def _block_rows(block: str, fields: str, width: int, first_line: int):
     values[minus] *= -1
     for t in np.flatnonzero(n_digits > _SAFE_DIGITS):
         token = data[starts[t] : ends[t]].tobytes().decode()
-        if not _INT64.min <= int(token) <= _INT64.max:
+        value = _int64(token)
+        if value is None:
             stop = int(np.searchsorted(line_ends, starts[t]))
             why = f"integer {token} is outside the 64-bit range"
             n_tok = t - t % width
             values = values[:n_tok]
             break
-        values[t] = int(token)
+        values[t] = value
     error = FormatError(f"line {first_line + stop}: {why}") if why else None
     lines = first_line + np.flatnonzero(per_line[:stop] == width)
     return values.reshape(-1, width), lines[: n_tok // width], error

@@ -82,10 +82,11 @@ def rank_from_resolution(res: FreeResolution) -> RankInvariant:
         sx = np.arange(nx)[:, None, None]
         sy = np.arange(ny)[None, :, None]
         low = (gg[None, None, :, 0] <= sx) & (gg[None, None, :, 1] <= sy)
-        flat = low.reshape(nx * ny, -1)
-        classes, inverse = np.unique(flat, axis=0, return_inverse=True)
+        # eight generators to a byte, as np.unique's row sort costs per byte
+        packed = np.packbits(low.reshape(nx * ny, -1), axis=1)
+        classes, inverse = np.unique(packed, axis=0, return_inverse=True)
         for c in range(classes.shape[0]):
-            high = ~classes[c]
+            high = ~np.unpackbits(classes[c], count=len(res.gens)).astype(bool)
             if not high.any():
                 continue  # all generators alive below s: nothing above to correct
             sub = _prefix_rank_table(res.phi.entries[high], col_g, nx, ny, p)

@@ -6,10 +6,13 @@ pair s <= t with corner points b = (t_x, s_y) and c = (s_x, t_y),
     rank(s -> t) = dim(Im(b -> t)  intersect  Im(c -> t))      (iota)
     dim V_s - rank(s -> t) = dim(Ker(s -> b) + Ker(s -> c))    (kappa)
 
-Both right-hand sides are readable off zigzag barcodes of one row and
-one column path per grid point, and all paths share one computation of
-the station homology; a direct subspace-arithmetic oracle is provided
-for cross-checking on explicit modules.
+Each right-hand side is one joint rank:
+
+    iota(s, t)  = r(b, t) + r(c, t) - rank [M(b -> t) | M(c -> t)]
+    kappa(s, t) = dim M_s - r(s, b) - r(s, c) + rank [M(s -> b) ; M(s -> c)]
+
+`kappa_iota` fills both tables this way from an explicit module; the
+tests check it against direct subspace arithmetic at every pair.
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ from .grid_module import (
     GridModule,
     RankInvariant,
     check_table_grid,
-    comparable_pairs,
+    comparable_mask,
     is_strongly_exact,
     is_weakly_exact_algebraic,
     is_weakly_exact_geometric,
     iter_points,
 )
-from .linalg import image_basis, kernel_basis, subspace_intersect, subspace_sum
+from .ioutil import InvariantError
+from .linalg import matmul, rank
 from .rank_dp import rank_from_resolution
 from .resolution import free_resolution
-from .zigzag import checked_barcode, count_spanning
 
 
 @dataclass
@@ -45,112 +48,93 @@ class KappaIota:
     iota: np.ndarray
 
 
-def kappa_iota_from_zigzags(bif: Bifiltration, degree: int, jobs=None) -> KappaIota:
-    """Fill both tables from zigzag barcodes of row and column paths.
+def _image_intersections(module: GridModule) -> np.ndarray:
+    """The iota table: for each t, walk the maps into t along its row and
+    column, one product per unit edge, then one joint rank per s <= t."""
+    nx, ny, p = module.nx, module.ny, module.p
+    iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+    for tx, ty in iter_points(nx, ny):
+        # row[x] is M((x, t_y) -> t) = M(c -> t), col[y] is M((t_x, y) -> t) = M(b -> t)
+        row = col = [np.eye(module.dim_at((tx, ty)), dtype=np.int64)]
+        for x in range(tx - 1, -1, -1):
+            row = [matmul(row[0], module.hmaps[(x, ty)], p)] + row
+        for y in range(ty - 1, -1, -1):
+            col = [matmul(col[0], module.vmaps[(tx, y)], p)] + col
+        r_row, r_col = [rank(m, p) for m in row], [rank(m, p) for m in col]
+        for sx, sy in iter_points(tx + 1, ty + 1):
+            if r_row[sx] and r_col[sy]:  # else one image is zero, and so is iota
+                joint = rank(np.hstack((col[sy], row[sx])), p)
+                iota[sx, sy, tx, ty] = r_row[sx] + r_col[sy] - joint
+    return iota
 
-    Every station of a row or column path is a grid-point complex
-    F_(x,y) and every arrow a unit-edge inclusion, so the station
-    homology is built once, as `homology_module`, and each path reads
-    its dimensions and edge maps from it.  One row path per t serves
-    iota for every s <= t, one column path per s serves kappa for every
-    t >= s.  The barcode is an isomorphism invariant, so the homology
-    bases of the full complex give the same tables as those of each
-    path's own ambient complex.  The paths run one after another;
-    `jobs` must be None (any other value raises ValueError).
+
+def kappa_iota(module: GridModule) -> KappaIota:
+    """Both tables of an explicit module, from one joint rank per pair.
+
+    Ker(s -> b) + Ker(s -> c) is the annihilator of the intersection of
+    the row spaces of M(s -> b) and M(s -> c).  Those row spaces are the
+    images into s' of the dual module, on the grid reversed by
+    u' = (n_x-1-u_x, n_y-1-u_y), so kappa(s, t) = dim M_s - iota*(t', s'):
+    the dual's walks into s' are the walks out of s, transposed.
     """
+    nx, ny = module.nx, module.ny
+    check_table_grid(nx, ny, 2)
+    # one expression, so the dual's table is freed before iota's is built
+    kappa = module.dims[:, :, None, None] - (
+        _image_intersections(module.dualize())[::-1, ::-1, ::-1, ::-1].transpose(2, 3, 0, 1)
+    )
+    kappa[~comparable_mask(nx, ny)] = 0
+    return KappaIota(nx, ny, kappa, _image_intersections(module))
+
+
+def kappa_iota_from_zigzags(bif: Bifiltration, degree: int, jobs=None) -> KappaIota:
+    """`kappa_iota` of a bifiltration's degree-q homology, refusing grids past
+    the cap first.  Name and `jobs` (None only) are kept for perfbench/traced.py."""
     if jobs is not None:
         raise ValueError("kappa_iota_from_zigzags runs serially; pass None for jobs")
-    nx, ny, p = bif.nx, bif.ny, bif.p
-    check_table_grid(nx, ny, 2)
-    module = homology_module(bif, degree)
-    kappa = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-
-    def path_barcode(stations, arrows):
-        dims = [module.dim_at(st) for st in stations]
-        return checked_barcode(dims, arrows, p, degree)
-
-    for tx, ty in iter_points(nx, ny):
-        # stations walk (x, t_y) for x = 0..t_x, then (t_x, y) downwards,
-        # so F_(s_x, t_y) sits at s_x and F_(t_x, s_y) at t_x + (t_y - s_y)
-        down = range(ty - 1, -1, -1)
-        bc = path_barcode(
-            [(x, ty) for x in range(tx + 1)] + [(tx, y) for y in down],
-            [("fwd", module.hmaps[(x, ty)]) for x in range(tx)]
-            + [("bwd", module.vmaps[(tx, y)]) for y in down],
-        )
-        for sx in range(tx + 1):
-            for sy in range(ty + 1):
-                iota[sx, sy, tx, ty] = count_spanning(bc, sx, tx + ty - sy)
-    for sx, sy in iter_points(nx, ny):
-        # stations walk (s_x, y) for y = n_y-1..s_y, then (x, s_y) rightwards,
-        # so F_(s_x, t_y) sits at n_y-1-t_y and F_(t_x, s_y) at n_y-1-s_y + t_x-s_x
-        down = range(ny - 2, sy - 1, -1)
-        bc = path_barcode(
-            [(sx, ny - 1)] + [(sx, y) for y in down] + [(x, sy) for x in range(sx + 1, nx)],
-            [("bwd", module.vmaps[(sx, y)]) for y in down]
-            + [("fwd", module.hmaps[(x, sy)]) for x in range(sx, nx - 1)],
-        )
-        s_station = ny - 1 - sy
-        dim_s = count_spanning(bc, s_station, s_station)
-        for tx in range(sx, nx):
-            for ty in range(sy, ny):
-                kappa[sx, sy, tx, ty] = dim_s - count_spanning(
-                    bc, ny - 1 - ty, s_station + tx - sx
-                )
-    return KappaIota(nx, ny, kappa, iota)
-
-
-def kappa_iota_naive(module: GridModule) -> KappaIota:
-    """Direct subspace arithmetic on an explicit module; the oracle path."""
-    nx, ny, p = module.nx, module.ny, module.p
-    check_table_grid(nx, ny, 2)
-    kappa = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    for s, t in comparable_pairs(nx, ny):
-        b, c = (t[0], s[1]), (s[0], t[1])
-        iota[s[0], s[1], t[0], t[1]] = subspace_intersect(
-            image_basis(module.composite(b, t), p),
-            image_basis(module.composite(c, t), p),
-        ).dim
-        kappa[s[0], s[1], t[0], t[1]] = subspace_sum(
-            kernel_basis(module.composite(s, b), p),
-            kernel_basis(module.composite(s, c), p),
-        ).dim
-    return KappaIota(nx, ny, kappa, iota)
+    check_table_grid(bif.nx, bif.ny, 2)
+    return kappa_iota(homology_module(bif, degree))
 
 
 def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
     """Decide decomposability from the rank invariant and the two tables.
 
     Returns (True, None) or (False, (s, t, reason)) with the
-    lexicographically first failing comparable pair.
+    lexicographically first failing comparable pair.  Every module has
+    r(s, t) <= iota(s, t) and kappa(s, t) <= r(s, s) - r(s, t), since
+    Im(s -> t) lies in both corner images and both corner kernels lie in
+    Ker(s -> t); tables that break either bound raise InvariantError.
     """
     if (r.nx, r.ny) != (ki.nx, ki.ny):
         raise ValueError("rank invariant and kappa/iota tables use different grids")
-    for s, t in comparable_pairs(r.nx, r.ny):
-        r_st = r.get(s, t)
-        i_st = int(ki.iota[s[0], s[1], t[0], t[1]])
-        if r_st != i_st:
-            return False, (s, t, f"rank {r_st} != image intersection {i_st}")
-        k_st = int(ki.kappa[s[0], s[1], t[0], t[1]])
-        corank = r.get(s, s) - r_st
-        if corank != k_st:
-            return False, (s, t, f"corank {corank} != kernel sum {k_st}")
-    return True, None
+    x, y = np.arange(r.nx)[:, None], np.arange(r.ny)[None, :]
+    corank = r.table[x, y, x, y][:, :, None, None] - r.table
+    mask = comparable_mask(r.nx, r.ny)
+    broken = mask & ((r.table > ki.iota) | (ki.kappa > corank))
+    if broken.any():
+        at = np.argwhere(broken)[0].tolist()
+        raise InvariantError(f"kernel/image tables out of bounds at [s, t] = {at}")
+    fails = mask & ((r.table != ki.iota) | (corank != ki.kappa))
+    if not fails.any():
+        return True, None
+    at = tuple(int(v) for v in np.unravel_index(np.argmax(fails), fails.shape))  # C order: lexicographic
+    s, t = at[:2], at[2:]
+    if r.table[at] != ki.iota[at]:
+        return False, (s, t, f"rank {r.table[at]} != image intersection {ki.iota[at]}")
+    return False, (s, t, f"corank {corank[at]} != kernel sum {ki.kappa[at]}")
 
 
 def check_bifiltration(bif: Bifiltration, degree: int):
     """End-to-end decision for degree-q homology of a bifiltration.
 
-    Rank invariant via the resolution DP, kappa/iota via the zigzag
-    paths of one serial sweep, then the pointwise comparison; same
+    Rank invariant via the resolution DP, kappa/iota from the joint
+    ranks of the homology module, then the pointwise comparison; same
     return shape as the checker.  A grid past the dense-table cap is
     refused before any work.
     """
     check_table_grid(bif.nx, bif.ny, 3)
     r = rank_from_resolution(free_resolution(bif, degree))
-    return check_rectangle_decomposable(r, kappa_iota_from_zigzags(bif, degree))
+    return check_rectangle_decomposable(r, kappa_iota(homology_module(bif, degree)))
 
 
 def check_module(module: GridModule, method: str = "algebraic"):

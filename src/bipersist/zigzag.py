@@ -126,11 +126,6 @@ def zigzag_barcode(zz: ZigzagComplex, degree: int, p: int = 2) -> ZigzagBarcode:
             arrows.append(("fwd", homology_map(data[m], data[m + 1], p)))
         else:
             arrows.append(("bwd", homology_map(data[m + 1], data[m], p)))
-    return checked_barcode(dims, arrows, p, degree)
-
-
-def checked_barcode(dims, arrows, p: int, degree: Optional[int] = None) -> ZigzagBarcode:
-    """`module_barcode` as a ZigzagBarcode, checked to reconstruct `dims`."""
     bc = ZigzagBarcode(len(dims), module_barcode(dims, arrows, p), degree)
     if any(bc.dim_at(i) != dims[i] for i in range(len(dims))):
         raise InvariantError("zigzag barcode does not reconstruct the station dimensions")

@@ -1,8 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from bipersist.bifiltration import Bifiltration, facets
+from bipersist.grid_module import comparable_pairs
+from bipersist.linalg import image_basis, kernel_basis, subspace_intersect, subspace_sum
+from bipersist.weakexact import KappaIota
 
 
 def random_bifiltration(seed, max_simplices=40, nx=8, ny=8, p=2):
@@ -67,6 +71,25 @@ def clique_bifiltration(seed, n_vert, q, nx, ny, p=2):
         fy = max(grades[f][1] for f in facets(s))
         grades[s] = (min(nx - 1, fx + rng.randint(0, 1)), min(ny - 1, fy + rng.randint(0, 1)))
     return Bifiltration(grades, nx, ny, p)
+
+
+def kappa_iota_naive(module):
+    """The kernel/image tables by direct subspace arithmetic at every
+    comparable pair: the oracle for `weakexact.kappa_iota`."""
+    nx, ny, p = module.nx, module.ny, module.p
+    kappa = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+    iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+    for s, t in comparable_pairs(nx, ny):
+        b, c = (t[0], s[1]), (s[0], t[1])
+        iota[s + t] = subspace_intersect(
+            image_basis(module.composite(b, t), p),
+            image_basis(module.composite(c, t), p),
+        ).dim
+        kappa[s + t] = subspace_sum(
+            kernel_basis(module.composite(s, b), p),
+            kernel_basis(module.composite(s, c), p),
+        ).dim
+    return KappaIota(nx, ny, kappa, iota)
 
 
 @pytest.fixture

@@ -50,9 +50,9 @@ from bipersist.weakexact import (
     check_bifiltration,
     check_module,
     check_rectangle_decomposable,
-    kappa_iota_naive,
 )
 from bipersist.zigzag import ZigzagBarcode, count_spanning, module_barcode
+from conftest import kappa_iota_naive
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
 CORNERS = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
@@ -181,18 +181,18 @@ def test_criterion_4_checkers_agree_three_ways(random_bif):
     for seed in range(100):
         bif = random_bif(seed)
         for degree in (0, 1):
-            zigzag = check_bifiltration(bif, degree)
+            tables = check_bifiltration(bif, degree)
             module = homology_module(bif, degree)
             algebraic = check_module(module, "algebraic")
             geometric = check_module(module, "geometric")
-            assert zigzag[0] == algebraic[0] == geometric[0], (seed, degree)
-            if zigzag[0]:
+            assert tables[0] == algebraic[0] == geometric[0], (seed, degree)
+            if tables[0]:
                 assert_unique_decomposition(module)
             else:
-                assert zigzag[1][:2] == algebraic[1][:2] == geometric[1][:2]
+                assert tables[1][:2] == algebraic[1][:2] == geometric[1][:2]
 
-    # catalogue modules have no backing bifiltration, so the zigzag leg
-    # becomes the same table test fed by direct kernel/image arithmetic
+    # catalogue modules have no backing bifiltration, so the table leg
+    # is fed by direct kernel/image arithmetic instead
     for name in EXAMPLE_NAMES:
         module = example(name)
         table = check_rectangle_decomposable(

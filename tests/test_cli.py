@@ -130,12 +130,34 @@ def test_decompose_reports_bad_rank_lines(tmp_path, capsys):
     cases = {
         "big.rank": ("1 1 1 1 99999999999999999999\n", "error: line 1: "),
         "again.rank": ("1 1 1 1 1\n1 1 1 1 1\n", "error: line 2: pair repeats line 1"),
+        "long.rank": ("1 1 1 1 " + "9" * 5000 + "\n", "error: line 1: integer 999"),
     }
     for name, (text, err) in cases.items():
         path = tmp_path / name
         path.write_text(text)
         assert main(["decompose-rectangles", str(path), "-o", str(tmp_path / "out.barcode")]) == 1
         assert capsys.readouterr().err.startswith(err)
+
+
+def test_validate_names_the_line_of_a_gmod_integer_past_int64(tmp_path, capsys):
+    # a matrix entry past int64 used to escape as an OverflowError
+    # traceback, and a grid extent past it as numpy's "Maximum allowed
+    # dimension exceeded" with no line
+    cases = {
+        "entry.gmod": (
+            "gridmodule\nfield 2\ngrid 2 1\ndim 1 1 1\ndim 2 1 1\nhmap 1 1\n99999999999999999999\n",
+            "error: line 7: integer 99999999999999999999 is outside the 64-bit range\n",
+        ),
+        "extent.gmod": (
+            "gridmodule\nfield 2\ngrid 2 99999999999999999999\n",
+            "error: line 3: integer 99999999999999999999 is outside the 64-bit range\n",
+        ),
+    }
+    for name, (text, err) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == err
 
 
 def test_decompose_strict_flags_negatives(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bipersist.bifiltration import Bifiltration, homology_module
-from bipersist.constructions import EXAMPLE_NAMES, example, random_rectangle_module
+from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from bipersist.grid_module import GridModule, GridTooLargeError, RankInvariant, rank_invariant_naive
+from bipersist.ioutil import InvariantError
 from bipersist.linalg import (
     image_basis,
     kernel_basis,
@@ -16,10 +17,11 @@ from bipersist.weakexact import (
     check_bifiltration,
     check_module,
     check_rectangle_decomposable,
+    kappa_iota,
     kappa_iota_from_zigzags,
-    kappa_iota_naive,
 )
 from bipersist.zigzag import ZigzagBarcode, count_spanning, module_barcode
+from conftest import kappa_iota_naive
 
 
 def rand_mat(rng, rows, cols, p):
@@ -68,6 +70,49 @@ def test_zigzag_tables_match_subspace_oracle(clique_bif, p, degree):
         assert np.array_equal(ki.kappa, oracle.kappa)
 
 
+def explicit_modules(p):
+    for name in EXAMPLE_NAMES:
+        yield name, example(name, p)
+    for n in (2, 3, 4):
+        yield f"indecgrid({n})", indecgrid(n, p)
+    for seed in range(6):
+        yield f"rectangles-{seed}", random_rectangle_module(4, 3, 5, seed=seed, p=p)[0]
+
+
+@pytest.mark.parametrize("p", (2, 3, 2**31 - 1))
+def test_kappa_iota_matches_subspace_oracle_on_explicit_modules(p):
+    for name, m in explicit_modules(p):
+        ki, oracle = kappa_iota(m), kappa_iota_naive(m)
+        assert np.array_equal(ki.iota, oracle.iota), name
+        assert np.array_equal(ki.kappa, oracle.kappa), name
+
+
+@pytest.mark.parametrize("p", (2, 3, 2**31 - 1))
+def test_kappa_iota_verdicts_match_the_algebraic_checker(p):
+    for name in EXAMPLE_NAMES:
+        m = example(name, p)
+        table = check_rectangle_decomposable(rank_invariant_naive(m), kappa_iota(m))
+        algebraic = check_module(m, "algebraic")
+        assert table[0] == algebraic[0], name
+        if not table[0]:
+            assert table[1][:2] == algebraic[1][:2], name
+
+
+def test_checker_refuses_tables_that_break_the_bounds():
+    # r(s, t) <= iota(s, t) and kappa(s, t) <= r(s, s) - r(s, t) hold
+    # for every module; fabricated tables past them are a fault, not a
+    # verdict, even where the true tables already fail at an earlier pair
+    m = example("ex3-right")
+    r = rank_invariant_naive(m)
+    s_t = (1, 1, 2, 1)  # r(s, t) = 1, r(s, s) = 2
+    corank = r.table[1, 1, 1, 1] - r.table[s_t]
+    for field, value in (("iota", r.table[s_t] - 1), ("kappa", corank + 1)):
+        ki = kappa_iota_naive(m)
+        getattr(ki, field)[s_t] = value
+        with pytest.raises(InvariantError, match=r"\[1, 1, 2, 1\]"):
+            check_rectangle_decomposable(r, ki)
+
+
 def test_zigzag_tables_take_no_jobs(random_bif):
     bif = random_bif(43, max_simplices=18, nx=4, ny=3)
     for jobs in (0, 1, 4):
@@ -79,7 +124,7 @@ def test_dense_tables_refuse_grids_past_the_cap():
     wide = Bifiltration({(0,): (60, 0)}, 61, 1)
     for build in (
         lambda: RankInvariant(61, 1),
-        lambda: kappa_iota_naive(GridModule.zero(61, 1, 2)),
+        lambda: kappa_iota(GridModule.zero(61, 1, 2)),
         lambda: kappa_iota_from_zigzags(wide, 0),
         lambda: check_bifiltration(wide, 0),
     ):
