@@ -10,7 +10,15 @@ from .bifiltration import Bifiltration, homology_module, read_bif, write_bif
 from .grid_module import GridModule, RankInvariant, rank_invariant_naive, read_gmod, write_gmod
 from .rank_dp import rank_1d, rank_from_resolution
 from .rect_decomp import RectangleBarcode, decompose
-from .resolution import FreeResolution, free_resolution, read_fres, validate_resolution, write_fres
+from .resolution import (
+    FreeResolution,
+    Presentation,
+    free_resolution,
+    presentation,
+    read_fres,
+    validate_resolution,
+    write_fres,
+)
 from .weakexact import check_bifiltration, check_module
 from .zigzag import ZigzagBarcode, zigzag_barcode
 
@@ -20,6 +28,7 @@ __all__ = [
     "Bifiltration",
     "FreeResolution",
     "GridModule",
+    "Presentation",
     "RankInvariant",
     "RectangleBarcode",
     "ZigzagBarcode",
@@ -28,6 +37,7 @@ __all__ = [
     "decompose",
     "free_resolution",
     "homology_module",
+    "presentation",
     "rank_1d",
     "rank_from_resolution",
     "rank_invariant_naive",

@@ -14,11 +14,11 @@ import sys
 
 from .bifiltration import Bifiltration, col_zigzag, homology_module, read_bif, row_zigzag
 from .constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from .grid_module import RankInvariant, check_table_grid, rank_invariant_naive, read_gmod, write_gmod
+from .grid_module import DP_GRID_CAP, RankInvariant, check_table_grid, rank_invariant_naive, read_gmod, write_gmod
 from .ioutil import FormatError
 from .rank_dp import rank_from_resolution
 from .rect_decomp import RectangleBarcode, decompose
-from .resolution import free_resolution, read_fres
+from .resolution import presentation, read_fres
 from .weakexact import check_bifiltration, check_module
 from .zigzag import write_zbar, zigzag_barcode
 
@@ -81,6 +81,12 @@ def _load_fres(path: str, field):
     return res
 
 
+def _check_gmod_grid(nx: int, ny: int):
+    """Refuse to write a .gmod that read_gmod would refuse."""
+    if max(nx, ny) > DP_GRID_CAP:
+        raise CliError(f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of .gmod files")
+
+
 def _point_1based(raw: str, flag: str):
     parts = raw.split(",")
     if len(parts) != 2:
@@ -122,8 +128,8 @@ def _rank_of_input(args) -> RankInvariant:
         bif = _load_bif(args.infile, args.field)
         method = args.method or "dp"
         if method == "dp":
-            check_table_grid(bif.nx, bif.ny)  # refuse before building the resolution
-            return rank_from_resolution(free_resolution(bif, degree or 0))
+            check_table_grid(bif.nx, bif.ny)  # refuse before building the presentation
+            return rank_from_resolution(presentation(bif, degree or 0))
         return rank_invariant_naive(homology_module(bif, degree or 0))
     if degree is not None:
         raise CliError("--degree applies to .bif inputs only")
@@ -214,6 +220,7 @@ def cmd_examples(args) -> int:
     if args.name == "indecgrid":
         if args.n is None:
             raise CliError("indecgrid needs --n")
+        _check_gmod_grid(args.n + 1, args.n + 1)
         try:
             module = indecgrid(args.n, p)
         except ValueError as e:
@@ -232,6 +239,7 @@ def cmd_examples(args) -> int:
 def cmd_random_rect(args) -> int:
     if args.n < 1 or args.m < 1 or args.count < 1:
         raise CliError("grid extents and summand count must be positive")
+    _check_gmod_grid(args.n, args.m)
     p = args.field if args.field is not None else 2
     module, truth = random_rectangle_module(args.n, args.m, args.count, args.seed, p)
     prefix = args.output

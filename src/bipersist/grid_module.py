@@ -654,6 +654,7 @@ def read_gmod(text: str) -> GridModule:
     i = 1
     p = nx = ny = None
     dims = {}
+    dim_lines = {}
     hmaps, vmaps = {}, {}
     seen = set()
 
@@ -679,6 +680,8 @@ def read_gmod(text: str) -> GridModule:
             need(len(toks) == 3, lineno, "expected 'grid n m'")
             nx, ny = parse_int(toks[1], lineno, "extent"), parse_int(toks[2], lineno, "extent")
             need(nx >= 1 and ny >= 1, lineno, "grid extents must be positive")
+            need(max(nx, ny) <= DP_GRID_CAP, lineno,
+                 f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap")
             i += 1
         elif key == "dim":
             need(nx is not None, lineno, "dim before grid line")
@@ -687,7 +690,12 @@ def read_gmod(text: str) -> GridModule:
             need(1 <= x <= nx and 1 <= y <= ny, lineno, f"point ({x},{y}) outside grid")
             need((x, y) not in dims, lineno, f"duplicate dim for ({x},{y})")
             need(d >= 0, lineno, "negative dimension")
+            # a space with a map in or out has a matrix of at least d
+            # entries in the file; a larger d could only be an isolated
+            # point, whose d x d identity a later command would build
+            need(d <= len(text), lineno, f"dimension {d} exceeds the file's {len(text)} characters")
             dims[(x, y)] = d
+            dim_lines[(x - 1, y - 1)] = lineno
             i += 1
         elif key in ("hmap", "vmap"):
             need(nx is not None and p is not None, lineno, f"{key} before grid/field lines")
@@ -722,13 +730,16 @@ def read_gmod(text: str) -> GridModule:
     dims_arr = np.zeros((nx, ny), dtype=np.int64)
     for (x, y), d in dims.items():
         dims_arr[x - 1, y - 1] = d
-    # every edge between two nonzero spaces must have been given
+    # every edge between two nonzero spaces must have been given; the
+    # error names the later of the two spaces' dim lines
     for x in range(nx - 1):
         for y in range(ny):
             if dims_arr[x, y] and dims_arr[x + 1, y] and (x, y) not in hmaps:
-                raise FormatError(f"missing hmap between nonzero spaces at ({x + 1},{y + 1})")
+                lineno = max(dim_lines[(x, y)], dim_lines[(x + 1, y)])
+                raise FormatError(f"line {lineno}: missing hmap between nonzero spaces at ({x + 1},{y + 1})")
     for x in range(nx):
         for y in range(ny - 1):
             if dims_arr[x, y] and dims_arr[x, y + 1] and (x, y) not in vmaps:
-                raise FormatError(f"missing vmap between nonzero spaces at ({x + 1},{y + 1})")
+                lineno = max(dim_lines[(x, y)], dim_lines[(x, y + 1)])
+                raise FormatError(f"line {lineno}: missing vmap between nonzero spaces at ({x + 1},{y + 1})")
     return GridModule(nx, ny, p, dims_arr, hmaps, vmaps)

@@ -7,12 +7,14 @@ Everything here is deterministic: no pivoting heuristics beyond
 first-nonzero, and subspaces are kept in a canonical reduced echelon
 form so equality is plain array equality.
 
-`ColumnReducer` is the one incremental column reducer: the rank DP's
-prefix-rank sweeps all run through it.  At p = 2 it packs columns into
-uint64 words and reduces by XOR; at other p it works on int64 rows in
-place, with products through `matmul`.  `rref` (and with it
-`kernel_basis`, `extend_basis` and the subspace operations) is still a
-separate row-by-row elimination.
+`ColumnReducer` is the one incremental column reducer, and it reports
+the lead row of every column it admits.  The rank DP's prefix-rank
+sweeps run through it, and so does the check path: the kappa/iota
+tables pair two flags at each grid point from its leads.  At p = 2 it
+packs columns into uint64 words and reduces by XOR; at other p it works
+on int64 rows in place, with products through `matmul`.  `rref` (and
+with it `kernel_basis`, `extend_basis`, `solve_matrix` and the subspace
+operations) is still a separate row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -138,9 +140,16 @@ class ColumnReducer:
 
     `add(v)` reduces v against the pivot block, a fully reduced echelon
     basis of the columns added so far (row i is a basis vector whose
-    pivot entry is 1 and whose other pivot entries are 0), and keeps
-    the reduced v when it is independent.  The block lives in one
-    preallocated array, updated in place and doubled when full.
+    pivot entry is 1 and whose other pivot entries are 0), keeps the
+    reduced v when it is independent, and reports its lead row.  The
+    block lives in one preallocated array, updated in place and doubled
+    when full.
+
+    The leads obey the pairing lemma: after columns c_1..c_j are added
+    in order, the rank of rows 0..i of [c_1 .. c_j] is the number of
+    leads <= i among the columns admitted so far, for every i and j.
+    Adding the columns of a matrix with its rows reversed therefore
+    gives the rank of every lower-left submatrix from one reduction.
 
     The storage follows p.  At p = 2 a vector is packed into uint64
     words and reduced by XOR; at any other p rows are int64 with
@@ -161,20 +170,24 @@ class ColumnReducer:
             self._rows = np.zeros((cap, self.k), dtype=np.int64)
         self._piv = np.zeros(cap, dtype=np.int64)
 
-    def add(self, v: np.ndarray) -> bool:
-        """Admit column v (length k, any int64 entries); True if independent."""
+    def add(self, v: np.ndarray) -> Optional[int]:
+        """Admit column v (length k, any int64 entries).
+
+        Returns the lead of v reduced against the block (its first
+        nonzero row) when v is independent, else None.
+        """
         if self.rank == self.k:
-            return False
+            return None
         if self.rank == self._rows.shape[0]:
             self._grow()
         r = self.rank
         reduce = self._reduce_gf2 if self._packed else self._reduce_modp
         found = reduce(v, self._rows[:r], self._piv[:r])
         if found is None:
-            return False
-        self._rows[r], self._piv[r] = found
+            return None
+        self._rows[r], self._piv[r] = w, lead = found
         self.rank = r + 1
-        return True
+        return lead
 
     def _reduce_gf2(self, v, rows, piv):
         """Packed XOR reduction; clears the new pivot from `rows` in place."""

@@ -25,10 +25,10 @@ import numpy as np
 from .grid_module import GridModule, RankInvariant, comparable_mask
 from .ioutil import InvariantError
 from .linalg import ColumnReducer, rank
-from .resolution import FreeResolution
+from .resolution import Presentation
 
 
-def _gen_count_table(res: FreeResolution) -> np.ndarray:
+def _gen_count_table(res: Presentation) -> np.ndarray:
     hist = np.zeros((res.nx, res.ny), dtype=np.int64)
     for g in res.gens.grades:
         hist[g] += 1
@@ -57,14 +57,17 @@ def _prefix_rank_table(mat: np.ndarray, col_grades: np.ndarray, nx: int, ny: int
         reducer = ColumnReducer(k, p)
         gained = np.zeros(nx, dtype=np.int64)
         for j in sel:
-            if reducer.add(mat[:, j]):
+            if reducer.add(mat[:, j]) is not None:
                 gained[gx[j]] += 1
         out[:, ty] = np.cumsum(gained)
     return out
 
 
-def rank_from_resolution(res: FreeResolution) -> RankInvariant:
+def rank_from_resolution(res: Presentation) -> RankInvariant:
     """The full rank invariant of the presented module, table-exact.
+
+    Reads gens, rels and phi only, so a `FreeResolution` serves as well
+    as a `Presentation`.
 
     Three passes over one signed accumulator: generator prefix counts,
     minus the column-prefix rank table of the relation matrix, plus the

@@ -1,4 +1,4 @@
-"""Free bigraded modules, graded matrices, and free resolutions.
+"""Free bigraded modules, graded matrices, presentations and free resolutions.
 
 A free resolution of the graded homology of a 1-critical bifiltration
 comes out of one primitive: a graded kernel basis of a column-graded
@@ -7,6 +7,11 @@ point against the generators already recorded.  Generators are a graded
 kernel basis of the boundary matrix, relations are boundary columns of
 one dimension up rewritten in generator coordinates, and relations-on-
 relations are a graded kernel basis of the relation matrix.
+
+`presentation` stops after the relations: gens, rels and phi are all
+the rank invariant needs, so the rank and check paths skip the second
+kernel sweep.  `free_resolution` adds psi on top of it, for `.fres`
+output and `validate_resolution`.
 """
 
 from __future__ import annotations
@@ -63,14 +68,28 @@ class GradedMatrix:
             )
 
     def validate_homogeneous(self) -> list[str]:
-        problems = []
-        for i, j in zip(*np.nonzero(self.entries)):
-            if not _leq(self.target.grades[i], self.source.grades[j]):
-                problems.append(
-                    f"entry ({i + 1},{j + 1}) nonzero but row grade "
-                    f"{self.target.grades[i]} is not below column grade {self.source.grades[j]}"
-                )
-        return problems
+        return [problem for _, problem in self.inhomogeneous_entries()]
+
+    def inhomogeneous_entries(self) -> list:
+        """((i, j), message) for each nonzero entry whose row grade is not below its column grade."""
+        return [
+            ((i, j), f"entry ({i + 1},{j + 1}) nonzero but row grade "
+                     f"{self.target.grades[i]} is not below column grade {self.source.grades[j]}")
+            for i, j in zip(*np.nonzero(self.entries))
+            if not _leq(self.target.grades[i], self.source.grades[j])
+        ]
+
+
+@dataclass
+class Presentation:
+    """rels -> gens -> M -> 0: the module is the cokernel of phi."""
+
+    gens: FreeModule
+    rels: FreeModule
+    phi: GradedMatrix
+    nx: int
+    ny: int
+    p: int
 
 
 @dataclass
@@ -140,15 +159,14 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     return basis, grades
 
 
-def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
-    """A free resolution of the degree-q homology of the bifiltration.
+def presentation(bif: Bifiltration, degree: int) -> Presentation:
+    """A presentation of the degree-q homology of the bifiltration.
 
     Generators are a graded kernel basis of the boundary matrix in the
     given degree.  Relations are the boundary columns of one dimension
     up rewritten in generator coordinates, keeping the simplex grades;
     columns that rewrite to zero are dropped (they would only feed a
-    spurious cancellation into the next layer).  Relations-on-relations
-    are a graded kernel basis of the relation matrix, by the same sweep.
+    spurious cancellation into the next layer).
     """
     p = bif.p
     q_list = bif.by_dim.get(degree, [])
@@ -178,13 +196,22 @@ def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
         else np.zeros((len(gens), 0), dtype=np.int64)
     )
     rels = FreeModule(rel_grades)
-    phi = GradedMatrix(gens, rels, phi_entries, p)
+    return Presentation(gens, rels, GradedMatrix(gens, rels, phi_entries, p), bif.nx, bif.ny, p)
+
+
+def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
+    """A free resolution of the degree-q homology of the bifiltration.
+
+    The `presentation`, plus relations-on-relations: a graded kernel
+    basis of the relation matrix, by the same sweep as the generators.
+    """
+    pres = presentation(bif, degree)
     psi_entries, rr_grades = graded_kernel_basis(
-        phi_entries, rel_grades, bif.nx, bif.ny, p
+        pres.phi.entries, pres.rels.grades, bif.nx, bif.ny, bif.p
     )
     relrels = FreeModule(rr_grades)
-    psi = GradedMatrix(rels, relrels, psi_entries, p)
-    return FreeResolution(gens, rels, relrels, phi, psi, bif.nx, bif.ny, p)
+    psi = GradedMatrix(pres.rels, relrels, psi_entries, bif.p)
+    return FreeResolution(pres.gens, pres.rels, relrels, pres.phi, psi, bif.nx, bif.ny, bif.p)
 
 
 def validate_resolution(res: FreeResolution, bif: Bifiltration, degree: int) -> Optional[str]:
@@ -286,9 +313,11 @@ def read_fres(text: str) -> FreeResolution:
     relrels = FreeModule(grade_block("relrels"))
 
     def matrix_block(name, n_rows, n_cols):
+        """The block's matrix, and its triplet lines."""
         nonlocal pos
         take(name, 0)
         mat = np.zeros((n_rows, n_cols), dtype=np.int64)
+        first = pos
         while pos < len(lines):
             lineno, line = lines[pos]
             toks = line.split()
@@ -301,12 +330,20 @@ def read_fres(text: str) -> FreeResolution:
                 raise FormatError(f"line {lineno}: index ({i},{j}) outside {n_rows}x{n_cols}")
             mat[i - 1, j - 1] = v % p
             pos += 1
-        return mat
+        return mat, lines[first:pos]
 
-    phi = GradedMatrix(gens, rels, matrix_block("phi", len(gens), len(rels)), p)
-    psi = GradedMatrix(rels, relrels, matrix_block("psi", len(rels), len(relrels)), p)
-    for name, gm in (("phi", phi), ("psi", psi)):
-        problems = gm.validate_homogeneous()
+    phi_entries, phi_lines = matrix_block("phi", len(gens), len(rels))
+    psi_entries, psi_lines = matrix_block("psi", len(rels), len(relrels))
+    phi = GradedMatrix(gens, rels, phi_entries, p)
+    psi = GradedMatrix(rels, relrels, psi_entries, p)
+    for name, gm, triplets in (("phi", phi, phi_lines), ("psi", psi, psi_lines)):
+        problems = gm.inhomogeneous_entries()
         if problems:
-            raise FormatError(f"{name} not homogeneous: {problems[0]}")
+            (i, j), problem = problems[0]
+            # the entry holds the value of the last triplet naming it
+            lineno = next(
+                n for n, line in reversed(triplets)
+                if [int(t) for t in line.split()[:2]] == [i + 1, j + 1]
+            )
+            raise FormatError(f"line {lineno}: {name} not homogeneous: {problem}")
     return FreeResolution(gens, rels, relrels, phi, psi, nx, ny, p)

@@ -50,6 +50,23 @@ def test_rank_dp_and_naive_agree_bytewise(tmp_path):
         assert out_dp.read_bytes() == out_naive.read_bytes()
 
 
+def test_rank_on_bif_matches_the_full_resolution_route(tmp_path, random_bif):
+    # the CLI ranks a .bif from its presentation; the bytes are those of
+    # the rank invariant of the full free resolution
+    from bipersist.bifiltration import read_bif
+    from bipersist.rank_dp import rank_from_resolution
+    from bipersist.resolution import free_resolution
+
+    for seed, p in ((60, 2), (61, 3), (62, 2**31 - 1)):
+        path = tmp_path / f"r{seed}.bif"
+        path.write_text(write_bif(random_bif(seed, nx=5, ny=4, p=p)))
+        bif = read_bif(path.read_text())  # the file's grid is the extent its grades use
+        for degree in (0, 1):
+            out = tmp_path / f"r{seed}-{degree}.rank"
+            assert main(["rank", str(path), "--degree", str(degree), "-o", str(out)]) == 0
+            assert out.read_text() == rank_from_resolution(free_resolution(bif, degree)).to_text()
+
+
 def test_rank_fres_matches_bif(tmp_path):
     bif = write_triangle(tmp_path)
     fres = tmp_path / "tri.fres"
@@ -103,6 +120,15 @@ def test_check_rectangle_grid_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "grid 61x1 exceeds the 60x60 cap" in err
     assert f"{3 * 8 * 61**2:,} bytes" in err
+
+
+def test_gmod_writers_refuse_grids_the_reader_refuses(tmp_path, capsys):
+    prefix = str(tmp_path / "wide")
+    assert main(["random-rect", "61", "1", "1", "-o", prefix]) == 1
+    assert capsys.readouterr().err == "error: grid 61x1 exceeds the 60x60 cap of .gmod files\n"
+    assert not (tmp_path / "wide.gmod").exists()
+    assert main(["examples", "indecgrid", "--n", "60"]) == 1
+    assert capsys.readouterr().err == "error: grid 61x61 exceeds the 60x60 cap of .gmod files\n"
 
 
 def test_decompose_matches_ground_truth(tmp_path):

@@ -3,8 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipersist.linalg import (
+    MAX_MODULUS,
+    ColumnReducer,
     Subspace,
     image_basis,
     image_of_subspace,
@@ -188,3 +192,25 @@ def test_rref_is_idempotent():
         r, piv = rref(m, 5)
         r2, piv2 = rref(r, 5)
         assert np.array_equal(r, r2) and piv == piv2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, MAX_MODULUS]),
+    k=st.sampled_from([0, 1, 2, 5, 9, 65]),
+    l=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_reducer_leads_count_every_lower_left_rank(p, k, l, seed):
+    # the pairing lemma: columns added left to right with the rows
+    # reversed, the leads inside rows i.. and columns ..j number the
+    # rank of that lower-left submatrix; 65 rows span two packed words
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(k, l) + 1))
+    mat = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
+    mat[:, rng.random(l) < 0.2] = 0
+    reducer = ColumnReducer(k, p)
+    rows = [k - 1 - lead if lead is not None else -1 for lead in (reducer.add(mat[::-1, j]) for j in range(l))]
+    for i in range(0, k + 1, 1 if k < 10 else 8):
+        for j in range(l + 1):
+            assert sum(row >= i for row in rows[:j]) == rank(mat[i:, :j], p)

@@ -3,8 +3,6 @@
 Every reader here must turn any text into either a parsed object or a
 FormatError naming a line; no other exception may escape.  The `.rank`
 reader has its own fuzz and reference tests in test_grid_module.py.
-`.gmod` is left out: a valid `grid` line with large extents makes its
-reader allocate the whole grid before it checks any content.
 """
 
 import re
@@ -14,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
+from bipersist.constructions import random_rectangle_module
+from bipersist.grid_module import DP_GRID_CAP, GridModule, read_gmod, write_gmod
 from bipersist.ioutil import FormatError, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres
@@ -41,6 +41,13 @@ def fres_texts(draw):
     seed = draw(st.integers(0, 10**6))
     bif = random_bifiltration(seed, max_simplices=10, nx=3, ny=3, p=draw(st.sampled_from([2, 3])))
     return write_fres(free_resolution(bif, draw(st.sampled_from([0, 1]))))
+
+
+@st.composite
+def gmod_texts(draw):
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 10**6))
+    return write_gmod(random_rectangle_module(nx, ny, 4, seed, draw(st.sampled_from([2, 3])))[0])
 
 
 @st.composite
@@ -80,6 +87,7 @@ def mutated(draw, texts):
 READERS = {
     ".bif": (read_bif, Bifiltration, bif_texts()),
     ".fres": (read_fres, FreeResolution, fres_texts()),
+    ".gmod": (read_gmod, GridModule, gmod_texts()),
     ".barcode": (RectangleBarcode.from_text, RectangleBarcode, barcode_texts()),
     ".zbar": (read_zbar, list, zbar_texts()),
 }
@@ -95,9 +103,7 @@ def test_reader_fuzz_raises_only_format_errors(ext):
         try:
             got = read(text)
         except FormatError as e:
-            # the one message without a line: .fres checks homogeneity
-            # on the assembled matrices
-            assert LINE.match(str(e)) or (ext == ".fres" and "not homogeneous" in str(e)), str(e)
+            assert LINE.match(str(e)), str(e)
         else:
             assert isinstance(got, kind)
 
@@ -134,6 +140,7 @@ def test_parse_int_accepts_only_sign_and_ascii_digits(tok):
     [
         (".bif", "bifiltration\nfield 2\n1 1 ; 9223372036854775808\n", 3),
         (".fres", "resolution\nfield 2\ngrid 1 99999999999999999999\n", 3),
+        (".gmod", "gridmodule\nfield 2\ngrid 1 1\ndim 1 1 99999999999999999999\n", 4),
         (".barcode", "1 1 1 1 99999999999999999999\n", 1),
         (".zbar", "# bars\n0 1 99999999999999999999\n", 2),
     ],
@@ -141,3 +148,25 @@ def test_parse_int_accepts_only_sign_and_ascii_digits(tok):
 def test_every_reader_names_the_line_of_an_integer_past_int64(ext, text, line):
     with pytest.raises(FormatError, match=rf"^line {line}: integer \d+ is outside the 64-bit range"):
         READERS[ext][0](text)
+
+
+def test_fres_homogeneity_error_names_the_triplet_line():
+    # a generator at (2, 2) cannot feed a relation at (1, 1); the
+    # second triplet line sets that entry
+    text = "resolution\nfield 2\ngrid 2 2\ngens\n1 1\n2 2\nrels\n1 1\nrelrels\nphi\n1 1 1\n2 1 1\npsi\n"
+    with pytest.raises(FormatError, match=r"^line 12: phi not homogeneous: entry \(2,1\)"):
+        read_fres(text)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("gridmodule\nfield 2\ngrid 2 100000\n", 3, f"grid 2x100000 exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap"),
+        ("gridmodule\nfield 2\ngrid 1 1\ndim 1 1 1000\n", 4, "dimension 1000 exceeds the file's 41 characters"),
+        ("gridmodule\nfield 2\ngrid 2 1\ndim 1 1 1\n\ndim 2 1 1\n", 6, r"missing hmap between nonzero spaces at \(1,1\)"),
+    ],
+    ids=["grid-past-cap", "dim-past-file", "missing-map"],
+)
+def test_gmod_reader_refuses_sizes_the_file_cannot_back(text, line, message):
+    with pytest.raises(FormatError, match=rf"^line {line}: {message}"):
+        read_gmod(text)

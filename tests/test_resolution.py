@@ -11,6 +11,7 @@ from bipersist.resolution import (
     evaluate,
     free_resolution,
     graded_kernel_basis,
+    presentation,
     read_fres,
     validate_resolution,
     write_fres,
@@ -132,3 +133,13 @@ def test_fres_rejects_malformed():
         read_fres(bad)
     with pytest.raises(FormatError):
         read_fres("resolution\nfield 2\ngrid 2 2\ngens\n3 1\nrels\nrelrels\nphi\npsi\n")
+
+
+def test_presentation_is_the_resolution_without_psi(random_bif):
+    for seed in range(6):
+        bif = random_bif(500 + seed, nx=5, ny=4, p=(2, 3)[seed % 2])
+        for degree in (0, 1):
+            pres, res = presentation(bif, degree), free_resolution(bif, degree)
+            assert pres.gens == res.gens and pres.rels == res.rels
+            assert np.array_equal(pres.phi.entries, res.phi.entries)
+            assert (pres.nx, pres.ny, pres.p) == (res.nx, res.ny, res.p)

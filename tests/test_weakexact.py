@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
@@ -21,7 +24,7 @@ from bipersist.weakexact import (
     kappa_iota_from_zigzags,
 )
 from bipersist.zigzag import ZigzagBarcode, count_spanning, module_barcode
-from conftest import kappa_iota_naive
+from conftest import clique_bifiltration, kappa_iota_naive
 
 
 def rand_mat(rng, rows, cols, p):
@@ -68,6 +71,27 @@ def test_zigzag_tables_match_subspace_oracle(clique_bif, p, degree):
         oracle = kappa_iota_naive(homology_module(bif, degree))
         assert np.array_equal(ki.iota, oracle.iota)
         assert np.array_equal(ki.kappa, oracle.kappa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 2**31 - 1]),
+    degree=st.sampled_from([0, 1]),
+    n_vert=st.integers(1, 8),
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 10**6),
+)
+@hypothesis.example(p=2**31 - 1, degree=1, n_vert=8, grid=(5, 4), seed=3)
+@hypothesis.example(p=3, degree=1, n_vert=5, grid=(5, 5), seed=0)
+def test_kappa_iota_equals_subspace_oracle_on_drawn_cliques(p, degree, n_vert, grid, seed):
+    # degree 1 and sparse vertex sets leave zero-dimensional points;
+    # in the second example they also lie between nonzero ones along
+    # a column, where the pushed flag bases restart from nothing
+    bif = clique_bifiltration(seed, n_vert, 0.6, *grid, p)
+    module = homology_module(bif, degree)
+    ki, oracle = kappa_iota(module), kappa_iota_naive(module)
+    assert np.array_equal(ki.iota, oracle.iota)
+    assert np.array_equal(ki.kappa, oracle.kappa)
 
 
 def explicit_modules(p):
