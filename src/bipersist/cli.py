@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="compute a rank invariant (.rank)")
     p.add_argument("infile", help=".bif, .gmod, or .fres input")
-    p.add_argument("--degree", type=int, metavar="p", help="homology degree (.bif only, default 0)")
+    p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     p.add_argument("--method", choices=["dp", "naive"], help="dp (from a free resolution) or naive (explicit matrices)")
     p.add_argument("-o", "--output", metavar="out.rank", help="output path (default stdout)")
     add_field(p)
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose-rectangles", help="rectangle barcode of a rank invariant")
     p.add_argument("infile", help=".rank, .bif, or .gmod input")
-    p.add_argument("--degree", type=int, metavar="p", help="homology degree (.bif only, default 0)")
+    p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     p.add_argument("--method", choices=["dp", "naive"], help="rank method for .bif inputs")
     p.add_argument("--strict", action="store_true", help="exit 2 on negative multiplicities")
     p.add_argument("-o", "--output", metavar="out.barcode", help="output path (default stdout)")
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-rectangle", help="decide rectangle-decomposability")
     p.add_argument("infile", help=".bif or .gmod input")
     p.add_argument("--method", choices=["zigzag", "algebraic", "geometric"])
-    p.add_argument("--degree", type=int, metavar="p", help="homology degree (.bif only, default 0)")
+    p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     add_field(p)
     p.set_defaults(func=cmd_check)
 
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile", help=".bif input")
     p.add_argument("--row", metavar="j,l", help="row path through corner (j,l), 1-based")
     p.add_argument("--col", metavar="i,k", help="column path through corner (i,k), 1-based")
-    p.add_argument("--degree", type=int, metavar="p", help="homology degree (default 0)")
+    p.add_argument("--degree", type=int, metavar="q", help="homology degree (default 0)")
     p.add_argument("-o", "--output", metavar="out.zbar", help="output path (default stdout)")
     add_field(p)
     p.set_defaults(func=cmd_zigzag)

@@ -42,6 +42,11 @@ RECTANGLE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abcd")
 # outgrow desk-scale memory.
 DP_GRID_CAP = 60
 
+# A .gmod space with no nonzero neighbour has no matrix in the file to
+# back its dimension d, yet `composite(s, s)` builds its d x d identity;
+# the reader refuses files whose isolated spaces would need more than this.
+GMOD_ISOLATED_BYTES_CAP = 1 << 28
+
 
 class InconsistentSquareError(ValueError):
     """Square invariants admit no nonnegative interval decomposition."""
@@ -692,7 +697,7 @@ def read_gmod(text: str) -> GridModule:
             need(d >= 0, lineno, "negative dimension")
             # a space with a map in or out has a matrix of at least d
             # entries in the file; a larger d could only be an isolated
-            # point, whose d x d identity a later command would build
+            # point, which GMOD_ISOLATED_BYTES_CAP bounds once all are read
             need(d <= len(text), lineno, f"dimension {d} exceeds the file's {len(text)} characters")
             dims[(x, y)] = d
             dim_lines[(x - 1, y - 1)] = lineno
@@ -727,6 +732,13 @@ def read_gmod(text: str) -> GridModule:
         raise FormatError("line 1: missing 'field p' line")
     if nx is None:
         raise FormatError("line 1: missing 'grid n m' line")
+    isolated = 0
+    for (x, y), d in dims.items():
+        if not any(dims.get(n, 0) for n in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))):
+            isolated += 8 * d * d
+            need(isolated <= GMOD_ISOLATED_BYTES_CAP, dim_lines[(x - 1, y - 1)],
+                 f"identities of isolated spaces would need {isolated:,} bytes, "
+                 f"past the {GMOD_ISOLATED_BYTES_CAP:,}-byte cap")
     dims_arr = np.zeros((nx, ny), dtype=np.int64)
     for (x, y), d in dims.items():
         dims_arr[x - 1, y - 1] = d

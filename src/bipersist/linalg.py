@@ -8,13 +8,15 @@ first-nonzero, and subspaces are kept in a canonical reduced echelon
 form so equality is plain array equality.
 
 `ColumnReducer` is the one incremental column reducer, and it reports
-the lead row of every column it admits.  The rank DP's prefix-rank
-sweeps run through it, and so does the check path: the kappa/iota
-tables pair two flags at each grid point from its leads.  At p = 2 it
-packs columns into uint64 words and reduces by XOR; at other p it works
-on int64 rows in place, with products through `matmul`.  `rref` (and
-with it `kernel_basis`, `extend_basis`, `solve_matrix` and the subspace
-operations) is still a separate row-by-row elimination.
+the lead row of every column it admits.  At p = 2 it packs columns into
+uint64 words and reduces by XOR; at other p it works on int64 rows in
+place, with products through `matmul`.  `pair_counts` turns its leads
+into 2-D cumulative pair counts, and the rank DP and the kappa/iota
+tables share that one helper: the DP pairs the relation matrix once per
+(generator class, t_y), the check path pairs two flags at each grid
+point.  `rref` (and with it `kernel_basis`, `extend_basis`,
+`solve_matrix` and the subspace operations) is still a separate
+row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -231,6 +233,30 @@ class ColumnReducer:
         piv = np.zeros(cap, dtype=np.int64)
         piv[: self.rank] = self._piv
         self._rows, self._piv = rows, piv
+
+
+def pair_counts(mat: np.ndarray, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:
+    """C[a, b] = #{lead pairs (i, j) with row_key[i] <= a and col_key[j] <= b}.
+
+    The columns of `mat` go left to right through one `ColumnReducer`,
+    and every admitted column j is paired with its lead row i; rows
+    keyed shape[0] or more never count.  When the row keys never rise
+    down the rows and the column keys never fall along the columns, the
+    pairing lemma gives
+
+        C[a, b] = rank(mat[:, key <= b]) - rank(mat[key > a, key <= b]).
+    """
+    reducer = ColumnReducer(mat.shape[0], p)
+    leads, cols = [], []
+    for j in range(mat.shape[1]):
+        lead = reducer.add(mat[:, j])
+        if lead is not None:
+            leads.append(lead)
+            cols.append(j)
+    a, b = row_key[leads], col_key[cols]
+    keep = a < shape[0]
+    hist = np.bincount(a[keep] * shape[1] + b[keep], minlength=shape[0] * shape[1])
+    return hist.reshape(shape).cumsum(axis=0).cumsum(axis=1)
 
 
 class Subspace:

@@ -2,20 +2,23 @@
 
 The rank of the structure map s -> t of the presented module is
 
-    r(s,t) = #{generators with grade <= s}
-           - dim( span{relation columns with grade <= t} cap <rows <= s> )
+    r(s,t) = #{gens <= s} - dim( span{relation columns <= t} cap <rows <= s> )
+           = #{gens <= s} - rank(phi[:, cols <= t]) + rank(phi[rows not <= s, cols <= t]).
 
-and the intersection dimension unfolds into two rank tables of the
-relation matrix:
+One pairing reduction gives both ranks for every (s_x, t_x) at once.
+Fix t_y and add the relation columns with g_y <= t_y, in rising g_x, to
+a `linalg.ColumnReducer`; the columns <= t are then a prefix.  Fix s_y
+and put first the generators with g_y > s_y, then those with g_y <= s_y
+in falling g_x; the rows not <= s are then a prefix.  By the pairing
+lemma
 
-    r(s,t) = #{gens <= s} - rank(phi[:, cols <= t]) + rank(phi[rows not <= s, cols <= t])
+    r(s,t) = #{gens <= s} - #{lead pairs (i, j): row i <= s, column j <= t},
 
-which needs one echelon sweep per grid row for the middle term and one
-per class of row-support for the last.  `rank_from_resolution` computes
-this; it is exact for every resolution of the module.  Every sweep
-admits its columns one at a time into a `linalg.ColumnReducer`, the
-package's one incremental reducer, which reduces packed uint64 words
-by XOR at p = 2 and int64 rows in place at any other p.
+and `linalg.pair_counts` returns the 2-D cumulative sum of the pairs.
+Values of s_y with the same generators g_y <= s_y share one row order,
+so `rank_from_resolution` runs at most (distinct generator y-grades) x
+n_y reductions, only those with t_y >= s_y.  It is exact for every
+presentation of the module and every prime.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .grid_module import GridModule, RankInvariant, comparable_mask
 from .ioutil import InvariantError
-from .linalg import ColumnReducer, rank
+from .linalg import pair_counts, rank
 from .resolution import Presentation
 
 
@@ -37,64 +40,32 @@ def _gen_count_table(res: Presentation) -> np.ndarray:
     return hist
 
 
-def _prefix_rank_table(mat: np.ndarray, col_grades: np.ndarray, nx: int, ny: int, p: int) -> np.ndarray:
-    """T[x, y] = rank of the columns of grade <= (x, y), mod p.
-
-    One reduced-echelon sweep per grid row: for fixed y the admitted
-    column set only grows with x, so a single incremental reduction
-    records the rank at every x threshold.
-    """
-    k, l = mat.shape
-    out = np.zeros((nx, ny), dtype=np.int64)
-    if k == 0 or l == 0:
-        return out
-    gx, gy = col_grades[:, 0], col_grades[:, 1]
-    for ty in range(ny):
-        sel = np.nonzero(gy <= ty)[0]
-        if sel.size == 0:
-            continue
-        sel = sel[np.argsort(gx[sel], kind="stable")]
-        reducer = ColumnReducer(k, p)
-        gained = np.zeros(nx, dtype=np.int64)
-        for j in sel:
-            if reducer.add(mat[:, j]) is not None:
-                gained[gx[j]] += 1
-        out[:, ty] = np.cumsum(gained)
-    return out
-
-
 def rank_from_resolution(res: Presentation) -> RankInvariant:
     """The full rank invariant of the presented module, table-exact.
 
     Reads gens, rels and phi only, so a `FreeResolution` serves as well
-    as a `Presentation`.
-
-    Three passes over one signed accumulator: generator prefix counts,
-    minus the column-prefix rank table of the relation matrix, plus the
-    correction ranks on the rows not below s (grouped by row support,
-    so grids sharing the same live generators share one sweep).
+    as a `Presentation`.  One `pair_counts` per (generator class, t_y),
+    where a class is the run of s_y from one generator y-grade to the
+    next.  In a class a generator is born at its g_x if g_y <= s_y and
+    never (nx) otherwise, and the rows go in falling birth.
     """
     nx, ny, p = res.nx, res.ny, res.p
     inv = RankInvariant(nx, ny)
     table = inv.table
     table += _gen_count_table(res)[:, :, None, None]
-    if len(res.rels):
-        col_g = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
-        table -= _prefix_rank_table(res.phi.entries, col_g, nx, ny, p)[None, None, :, :]
-        gg = np.array(res.gens.grades, dtype=np.int64).reshape(-1, 2)
-        sx = np.arange(nx)[:, None, None]
-        sy = np.arange(ny)[None, :, None]
-        low = (gg[None, None, :, 0] <= sx) & (gg[None, None, :, 1] <= sy)
-        # eight generators to a byte, as np.unique's row sort costs per byte
-        packed = np.packbits(low.reshape(nx * ny, -1), axis=1)
-        classes, inverse = np.unique(packed, axis=0, return_inverse=True)
-        for c in range(classes.shape[0]):
-            high = ~np.unpackbits(classes[c], count=len(res.gens)).astype(bool)
-            if not high.any():
-                continue  # all generators alive below s: nothing above to correct
-            sub = _prefix_rank_table(res.phi.entries[high], col_g, nx, ny, p)
-            for f in np.nonzero(inverse == c)[0]:
-                table[f // ny, f % ny] += sub
+    gg = np.array(res.gens.grades, dtype=np.int64).reshape(-1, 2)
+    rg = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
+    by_x = np.argsort(rg[:, 0], kind="stable")
+    ys = sorted({y for _, y in res.gens.grades})
+    for lo, hi in zip(ys, ys[1:] + [ny]):  # below ys[0] no generator is alive
+        birth = np.where(gg[:, 1] <= lo, gg[:, 0], nx)
+        order = np.argsort(-birth, kind="stable")
+        rows, birth = res.phi.entries[order], birth[order]
+        pairs = np.zeros((nx, nx, ny), dtype=np.int64)  # [s_x, t_x, t_y]
+        for ty in range(lo, ny):
+            cols = by_x[rg[by_x, 1] <= ty]
+            pairs[:, :, ty] = pair_counts(rows[:, cols], birth, rg[cols, 0], (nx, nx), p)
+        table[:, lo:hi] -= pairs[:, None]  # once per class: per t_y would stride the whole table n_y times
     mask = comparable_mask(nx, ny)
     if (table[mask] < 0).any():
         raise InvariantError("rank table went negative")

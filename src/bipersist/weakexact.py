@@ -10,10 +10,10 @@ For a fixed t the images into M_t along its row, A_x = Im M((x, t_y) -> t),
 and along its column, B_y = Im M((t_x, y) -> t), are two flags, and
 iota(s, t) = dim(A_{s_x} cap B_{s_y}).  This is the zigzag through t,
 (0, t_y) -> ... -> t <- ... <- (t_x, 0), read off at once: one column
-reduction (`linalg.ColumnReducer`) pairs the two flags, and a 2-D
-cumulative sum of the pairs gives iota(s, t) for every s <= t.  kappa
-is the same routine on the dual module.  That is O(n_x n_y)
-eliminations per table, against one per comparable pair.
+reduction pairs the two flags, and a 2-D cumulative sum of the pairs
+(`linalg.pair_counts`, shared with the rank DP) gives iota(s, t) for
+every s <= t.  kappa is the same routine on the dual module.  That is
+O(n_x n_y) eliminations per table, against one per comparable pair.
 
 `kappa_iota` fills both tables this way from an explicit module; the
 tests check it against direct subspace arithmetic at every pair.
@@ -36,7 +36,7 @@ from .grid_module import (
     is_weakly_exact_geometric,
 )
 from .ioutil import InvariantError
-from .linalg import ColumnReducer, matmul, rref, solve_matrix
+from .linalg import matmul, pair_counts, rref, solve_matrix
 from .rank_dp import rank_from_resolution
 from .resolution import presentation
 
@@ -95,12 +95,7 @@ def _image_intersections(module: GridModule) -> np.ndarray:
             into = (matmul(module.vmaps[(tx, ty - 1)], below[tx][0], p), below[tx][1]) if ty else empty
             below[tx] = b, b_birth = _flag_basis(*into, ty, p)
             coords = solve_matrix(a, b, p)[::-1]
-            a_birth = a_birth[::-1]
-            reducer = ColumnReducer(d, p)
-            pairs = np.zeros((tx + 1, ty + 1), dtype=np.int64)
-            for j in range(d):
-                pairs[a_birth[reducer.add(coords[:, j])], b_birth[j]] += 1
-            iota[: tx + 1, : ty + 1, tx, ty] = pairs.cumsum(axis=0).cumsum(axis=1)
+            iota[: tx + 1, : ty + 1, tx, ty] = pair_counts(coords, a_birth[::-1], b_birth, (tx + 1, ty + 1), p)
     return iota
 
 

@@ -1,3 +1,5 @@
+import pytest
+
 from bipersist.bifiltration import write_bif
 from bipersist.cli import main
 from bipersist.constructions import example, indecgrid
@@ -262,3 +264,12 @@ def test_random_rect_is_deterministic(tmp_path, capsys):
     module = read_gmod(open(a + ".gmod").read())
     assert module.validate() == []
     assert main(["random-rect", "0", "4", "3", "-o", a]) == 1
+
+
+def test_degree_help_names_the_homology_degree(capsys):
+    # p is the field modulus; the degree is q, as in the README
+    for command in ("rank", "decompose-rectangles", "check-rectangle", "zigzag-barcode"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert "--degree q" in out and "--degree p" not in out

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import example, random_rectangle_module
-from bipersist.grid_module import GridModule, rank_invariant_naive
+from bipersist.grid_module import GridModule, RankInvariant, comparable_pairs, rank_invariant_naive
 from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, rank
-from bipersist.rank_dp import _prefix_rank_table, rank_1d, rank_from_resolution
+from bipersist.rank_dp import rank_1d, rank_from_resolution
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution
 
 TRIANGLE = [
@@ -58,33 +58,54 @@ def test_dp_equals_naive_on_random_bifiltrations(random_bif):
             assert dp == rank_invariant_naive(homology_module(bif, degree))
 
 
-def test_prefix_rank_table_exact_at_the_largest_prime():
-    # low-rank products keep the sweep reducing against dense pivot
-    # columns, whose raw int64 products exceed 2**63 at p = 2**31 - 1
-    p = MAX_MODULUS
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        k, l, r = 6, 8, int(rng.integers(1, 5))
-        mat = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
-        grades = rng.integers(0, 4, (l, 2))
-        table = _prefix_rank_table(mat, grades, 4, 4, p)
-        for x in range(4):
-            for y in range(4):
-                cols = (grades[:, 0] <= x) & (grades[:, 1] <= y)
-                assert table[x, y] == rank(mat[:, cols], p)
-
-
 PRIMES = [2, 3, 65521, MAX_MODULUS]
 
 
-def prefix_ranks_by_rank(mat, grades, nx, ny, p):
-    """Oracle: linalg.rank of the columns of grade <= (x, y), grid point by grid point."""
-    out = np.zeros((nx, ny), dtype=np.int64)
-    for x in range(nx):
-        for y in range(ny):
-            cols = (grades[:, 0] <= x) & (grades[:, 1] <= y)
-            out[x, y] = rank(mat[:, cols], p)
-    return out
+def low_rank_presentation(rng, k, l, nx, ny, p):
+    """A valid presentation whose phi is a low-rank product with zeroed columns.
+
+    Generator y-grades are drawn from two values, so runs of s_y share
+    one reduction, and about half the relations touch only the lower
+    one; each relation sits at or above the join of the generators in
+    its column's support.
+    """
+    y_pool = np.sort(rng.integers(0, ny, 2))
+    gens = np.column_stack((rng.integers(0, nx, k), rng.choice(y_pool, k)))
+    r = int(rng.integers(0, min(k, l) + 1))
+    left = rng.integers(0, p, (k, r)) * (rng.random((k, r)) < 0.5)
+    phi = matmul(left, rng.integers(0, p, (r, l)), p)
+    phi[np.ix_(gens[:, 1] > y_pool[0], rng.random(l) < 0.5)] = 0
+    phi[:, rng.random(l) < 0.2] = 0
+    rels = np.column_stack((rng.integers(0, nx, l), rng.integers(0, ny, l)))
+    for j in range(l):
+        support = gens[phi[:, j] != 0]
+        if support.size:
+            rels[j] = np.maximum(rels[j], support.max(axis=0))
+    res = hand_resolution(gens.tolist(), rels.tolist(), phi, nx, ny, p)
+    assert not res.phi.validate_homogeneous()
+    return res
+
+
+def rank_by_pairs(res):
+    """Oracle: #gens <= s - rank phi[:, <= t] + rank phi[rows not <= s, <= t], pair by pair."""
+    phi, p = res.phi.entries, res.p
+    gens = np.array(res.gens.grades, dtype=np.int64).reshape(-1, 2)
+    rels = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
+    inv = RankInvariant(res.nx, res.ny)
+    for s, t in comparable_pairs(res.nx, res.ny):
+        low = (gens <= s).all(axis=1)
+        cols = (rels <= t).all(axis=1)
+        inv.set(s, t, int(low.sum()) - rank(phi[:, cols], p) + rank(phi[~low][:, cols], p))
+    return inv
+
+
+def test_dp_exact_at_the_largest_prime():
+    # low-rank products keep the reduction working against dense pivot
+    # columns, whose raw int64 products exceed 2**63 at p = 2**31 - 1
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        res = low_rank_presentation(rng, 6, 8, 4, 4, MAX_MODULUS)
+        assert rank_from_resolution(res) == rank_by_pairs(res)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,16 +115,12 @@ def prefix_ranks_by_rank(mat, grades, nx, ny, p):
     l=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_prefix_rank_table_equals_rank_of_every_prefix(p, k, l, seed):
+def test_dp_equals_rank_of_every_pair(p, k, l, seed):
     # row counts straddle the 64-bit words of the packed p = 2 path;
-    # low-rank products and zeroed columns make dependent columns common
-    rng = np.random.default_rng(seed)
-    r = int(rng.integers(0, min(k, l) + 1))
-    mat = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
-    mat[:, rng.random(l) < 0.2] = 0
-    grades = rng.integers(0, 3, (l, 2))
-    table = _prefix_rank_table(mat, grades, 3, 3, p)
-    assert np.array_equal(table, prefix_ranks_by_rank(mat, grades, 3, 3, p))
+    # k = 0 gives relations on no generators, l = 0 generators with no
+    # relations; a 3 x 4 grid keeps the x and y extents apart
+    res = low_rank_presentation(np.random.default_rng(seed), k, l, 3, 4, p)
+    assert rank_from_resolution(res) == rank_by_pairs(res)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -126,7 +143,8 @@ def test_column_reducer_on_empty_space():
     reducer = ColumnReducer(0, 2)
     assert reducer.add(np.zeros(0, dtype=np.int64)) is None
     assert reducer.rank == 0
-    assert not np.any(_prefix_rank_table(np.zeros((4, 0), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), 2, 2, 3))
+    no_gens = hand_resolution([], [(0, 0), (1, 1)], np.zeros((0, 2)), 2, 2, 3)
+    assert not rank_from_resolution(no_gens).table.any()
 
 
 # degree-1 inputs whose relation columns get dense enough to overflow

@@ -6,6 +6,7 @@ reader has its own fuzz and reference tests in test_grid_module.py.
 """
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
-from bipersist.grid_module import DP_GRID_CAP, GridModule, read_gmod, write_gmod
+from bipersist.grid_module import DP_GRID_CAP, GMOD_ISOLATED_BYTES_CAP, GridModule, read_gmod, write_gmod
 from bipersist.ioutil import FormatError, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres
@@ -170,3 +171,20 @@ def test_fres_homogeneity_error_names_the_triplet_line():
 def test_gmod_reader_refuses_sizes_the_file_cannot_back(text, line, message):
     with pytest.raises(FormatError, match=rf"^line {line}: {message}"):
         read_gmod(text)
+
+
+def test_gmod_reader_refuses_large_isolated_spaces_before_allocating():
+    # (1,1) and (3,1) have no nonzero neighbour, so nothing in the file
+    # backs their dimensions; a comment makes the file long enough to
+    # pass the per-line bound, and the sum of 8 d^2 over them passes the cap
+    d = 10**5
+    text = f"gridmodule\nfield 2\ngrid 3 1\ndim 1 1 1\ndim 3 1 {d}\n#{'x' * d}\n"
+    assert 8 * d * d > GMOD_ISOLATED_BYTES_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^line 5: identities of isolated spaces would need 80,000,000,008 bytes"):
+            read_gmod(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(text)
