@@ -42,10 +42,11 @@ RECTANGLE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abcd")
 # outgrow desk-scale memory.
 DP_GRID_CAP = 60
 
-# A .gmod space with no nonzero neighbour has no matrix in the file to
-# back its dimension d, yet `composite(s, s)` builds its d x d identity;
-# the reader refuses files whose isolated spaces would need more than this.
-GMOD_ISOLATED_BYTES_CAP = 1 << 28
+# `composite(s, s)` builds the d x d identity of every .gmod space, which
+# the file backs with at most d entries (none for a space with no nonzero
+# neighbour); the reader refuses files whose identities, summed over all
+# spaces, would need more bytes than this.
+GMOD_IDENTITY_BYTES_CAP = 1 << 28
 
 
 class InconsistentSquareError(ValueError):
@@ -300,19 +301,38 @@ class RankInvariant:
     def to_text(self) -> str:
         """One line per comparable pair, in `comparable_pairs` order.
 
-        Written one s_x slab at a time (the C order of the comparable
-        mask), which keeps the per-line Python objects to one slab.
+        Built as bytes one s_x slab at a time (the C order of the
+        comparable mask), so the byte arrays stay at one slab.  A line
+        is the NUL-padded label "x y " of s and of t, gathered as one
+        8-byte word each from a table of labels, then the rank as ASCII
+        digits by digit arithmetic, right-aligned in a field as wide as
+        the slab's largest rank, then a newline; one mask squeezes out
+        the NUL padding.
         """
         nx, ny = self.nx, self.ny
-        label = [f"{x + 1} {y + 1}" for x in range(nx) for y in range(ny)]
-        mask = comparable_mask(nx, ny)
+        check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
+        if (self.table < 0).any():
+            raise ValueError("rank invariant has a negative entry")
+        labels = np.frombuffer(
+            "".join(f"{x + 1} {y + 1} ".ljust(8, "\0") for x in range(nx) for y in range(ny)).encode(),
+            dtype=np.uint64,
+        )
+        mask = comparable_mask(nx, ny).reshape(nx, ny, nx * ny)  # [s_x, s_y, t]
         out = [f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n"]
         for x in range(nx):
-            sy, tx, ty = np.nonzero(mask[x])
-            ranks = self.table[x, sy, tx, ty].tolist()
-            s = (x * ny + sy).tolist()
-            t = (tx * ny + ty).tolist()
-            out.append("".join([f"{label[a]} {label[b]} {r}\n" for a, b, r in zip(s, t, ranks)]))
+            m = mask[x]
+            q = self.table[x].reshape(m.shape)[m]
+            width = len(str(int(q.max())))
+            line = np.zeros((q.size, 16 + width + 1), dtype=np.uint8)
+            words = np.empty((q.size, 2), dtype=np.uint64)
+            words[:, 0] = np.broadcast_to(labels[x * ny : (x + 1) * ny, None], m.shape)[m]
+            words[:, 1] = np.broadcast_to(labels, m.shape)[m]
+            line[:, :16] = words.view(np.uint8)
+            for place in range(width):  # leading zeros stay NUL; a zero rank keeps its "0"
+                q, digit = np.divmod(q, 10)
+                line[:, 15 + width - place] = (digit + 48) * ((q > 0) | (digit > 0) | (place == 0))
+            line[:, -1] = 10
+            out.append(line[line != 0].tobytes().decode("ascii"))
         return "".join(out)
 
     @classmethod
@@ -662,6 +682,7 @@ def read_gmod(text: str) -> GridModule:
     dim_lines = {}
     hmaps, vmaps = {}, {}
     seen = set()
+    identities = 0
 
     def need(cond, lineno, msg):
         if not cond:
@@ -695,10 +716,12 @@ def read_gmod(text: str) -> GridModule:
             need(1 <= x <= nx and 1 <= y <= ny, lineno, f"point ({x},{y}) outside grid")
             need((x, y) not in dims, lineno, f"duplicate dim for ({x},{y})")
             need(d >= 0, lineno, "negative dimension")
-            # a space with a map in or out has a matrix of at least d
-            # entries in the file; a larger d could only be an isolated
-            # point, which GMOD_ISOLATED_BYTES_CAP bounds once all are read
+            # a space with a map in or out has at least d entries in the file
             need(d <= len(text), lineno, f"dimension {d} exceeds the file's {len(text)} characters")
+            identities += 8 * d * d
+            need(identities <= GMOD_IDENTITY_BYTES_CAP, lineno,
+                 f"identities of the spaces would need {identities:,} bytes, "
+                 f"past the {GMOD_IDENTITY_BYTES_CAP:,}-byte cap")
             dims[(x, y)] = d
             dim_lines[(x - 1, y - 1)] = lineno
             i += 1
@@ -732,13 +755,6 @@ def read_gmod(text: str) -> GridModule:
         raise FormatError("line 1: missing 'field p' line")
     if nx is None:
         raise FormatError("line 1: missing 'grid n m' line")
-    isolated = 0
-    for (x, y), d in dims.items():
-        if not any(dims.get(n, 0) for n in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))):
-            isolated += 8 * d * d
-            need(isolated <= GMOD_ISOLATED_BYTES_CAP, dim_lines[(x - 1, y - 1)],
-                 f"identities of isolated spaces would need {isolated:,} bytes, "
-                 f"past the {GMOD_ISOLATED_BYTES_CAP:,}-byte cap")
     dims_arr = np.zeros((nx, ny), dtype=np.int64)
     for (x, y), d in dims.items():
         dims_arr[x - 1, y - 1] = d

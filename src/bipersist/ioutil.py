@@ -57,13 +57,17 @@ _COMMENT = re.compile(r"#[^\n]*")
 _BLOCK_CHARS = 1 << 22  # text parsed per vectorized pass; bounds the per-byte arrays
 
 
-def int_rows(text: str, fields: str):
+def int_rows(text: str, fields: str, first_line: int = 1):
     """Parse a table of integers, one row per logical line.
 
     Every line that is not blank once its '#' comment is cut must hold
     one integer per name in `fields` (e.g. "s_x s_y t_x t_y r").  An
     integer is an optional sign and ASCII digits, within int64; tokens
     are separated by spaces or tabs, and a CR is read as a space.
+
+    `text` is a run of whole lines whose first line is line `first_line`
+    of its file, so a reader that cuts one block out of a file keeps the
+    line numbers of the file.
 
     Returns (rows, lines, error): the (n, width) int64 rows of the lines
     before the first malformed one, their 1-based line numbers, and a
@@ -74,7 +78,7 @@ def int_rows(text: str, fields: str):
     """
     width = len(fields.split())
     rows, lines = [np.zeros((0, width), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    pos, first_line = 0, 1
+    pos = 0
     while pos < len(text):
         cut = text.find("\n", pos + _BLOCK_CHARS)
         cut = len(text) if cut < 0 else cut + 1

@@ -12,17 +12,24 @@ relations are a graded kernel basis of the relation matrix.
 the rank invariant needs, so the rank and check paths skip the second
 kernel sweep.  `free_resolution` adds psi on top of it, for `.fres`
 output and `validate_resolution`.
+
+`.fres` files share the `.rank` field rule (`ioutil.int_rows`): fields
+are separated by spaces or tabs, a CR reads as a space, and every
+integer is an optional sign and ASCII digits within int64.  Any other
+character, other Unicode whitespace included, belongs to a field.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bifiltration import Bifiltration, homology_module
-from .ioutil import FormatError, InvariantError, logical_lines, parse_int
+from .ioutil import FormatError, InvariantError, int_rows, parse_int
 from .linalg import (
     check_modulus,
     extend_basis,
@@ -71,12 +78,16 @@ class GradedMatrix:
         return [problem for _, problem in self.inhomogeneous_entries()]
 
     def inhomogeneous_entries(self) -> list:
-        """((i, j), message) for each nonzero entry whose row grade is not below its column grade."""
+        """((i, j), message) for each nonzero entry whose row grade is not
+        below its column grade, in row-major order."""
+        rows, cols = np.nonzero(self.entries)
+        target = np.array(self.target.grades, dtype=np.int64).reshape(-1, 2)
+        source = np.array(self.source.grades, dtype=np.int64).reshape(-1, 2)
+        bad = (target[rows] > source[cols]).any(axis=1)
         return [
             ((i, j), f"entry ({i + 1},{j + 1}) nonzero but row grade "
                      f"{self.target.grades[i]} is not below column grade {self.source.grades[j]}")
-            for i, j in zip(*np.nonzero(self.entries))
-            if not _leq(self.target.grades[i], self.source.grades[j])
+            for i, j in zip(rows[bad].tolist(), cols[bad].tolist())
         ]
 
 
@@ -261,89 +272,113 @@ def write_fres(res: FreeResolution) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_fres(text: str) -> FreeResolution:
-    lines = list(logical_lines(text))
-    if not lines or lines[0][1] != "resolution":
-        lineno = lines[0][0] if lines else 1
-        raise FormatError(f"line {lineno}: expected 'resolution' header")
-    pos = 1
+# a logical line (one with a field once its comment is cut), and a line
+# whose first field is a section name (group 2: the rest, up to the comment)
+_LINE = re.compile(r"^[ \t\r]*([^ \t\r\n#][^\n#]*)", re.M)
+_SECTION = re.compile(r"^[ \t\r]*(gens|rels|relrels|phi|psi)(?=[ \t\r#]|$)([^\n#]*)", re.M)
+_BLANKS = re.compile(r"[ \t\r]+")
 
-    def take(prefix, parts):
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError(f"line {lines[-1][0]}: missing '{prefix}' section")
-        lineno, line = lines[pos]
-        toks = line.split()
+
+def read_fres(text: str) -> FreeResolution:
+    """Read a .fres file; a FormatError names the first bad line.
+
+    The header is the first four logical lines: `resolution`,
+    `field p`, `grid nx ny` and `gens`.  The section lines (`gens`,
+    `rels`, `relrels`, `phi`, `psi`) are found by one scan of the text,
+    and each block between them is parsed by one `int_rows` call whose
+    rows are then checked as whole arrays: grades within the grid,
+    triplet indices within the matrix.  A grade block ends at the next
+    line that opens with a section name, a triplet block at the next
+    `phi` or `psi` line.  A triplet's value is reduced mod p, and the
+    last triplet naming an entry sets it.
+    """
+    header = [
+        (text.count("\n", 0, m.start()) + 1, _BLANKS.split(m[1].strip(" \t\r")))
+        for m in itertools.islice(_LINE.finditer(text), 4)
+    ]
+    if not header or header[0][1] != ["resolution"]:
+        raise FormatError(f"line {header[0][0] if header else 1}: expected 'resolution' header")
+
+    def take(at, prefix, parts):
+        if at >= len(header):
+            raise FormatError(f"line {header[-1][0]}: missing '{prefix}' section")
+        lineno, toks = header[at]
         if toks[0] != prefix or len(toks) != parts + 1:
             raise FormatError(f"line {lineno}: expected '{prefix}'" + " with arguments" * bool(parts))
-        pos += 1
         return lineno, toks[1:]
 
-    lineno, toks = take("field", 1)
+    lineno, toks = take(1, "field", 1)
     p = parse_int(toks[0], lineno, "modulus")
     try:
         check_modulus(p)
     except ValueError as e:
         raise FormatError(f"line {lineno}: {e}") from None
-    lineno, toks = take("grid", 2)
+    lineno, toks = take(2, "grid", 2)
     nx, ny = (parse_int(v, lineno, "extent") for v in toks)
     if nx < 1 or ny < 1:
         raise FormatError(f"line {lineno}: grid extents must be positive")
+    take(3, "gens", 0)
 
-    def grade_block(name):
-        nonlocal pos
-        take(name, 0)
-        grades = []
-        while pos < len(lines) and lines[pos][1].split()[0] not in (
-            "gens", "rels", "relrels", "phi", "psi",
-        ):
-            lineno, line = lines[pos]
-            toks = line.split()
-            if len(toks) != 2:
-                raise FormatError(f"line {lineno}: expected 'g_x g_y'")
-            gx, gy = (parse_int(v, lineno, "grade") for v in toks)
-            if not (1 <= gx <= nx and 1 <= gy <= ny):
-                raise FormatError(f"line {lineno}: grade ({gx},{gy}) outside the grid")
-            grades.append((gx - 1, gy - 1))
-            pos += 1
-        return grades
+    # (line number, name, whether the line holds nothing else, start, end) of each section line
+    sections, lineno, at = [], 1, 0
+    for m in _SECTION.finditer(text):
+        lineno += text.count("\n", at, m.start())
+        at = m.start()
+        sections.append((lineno, m[1], not m[2].strip(" \t\r"), m.start(), m.end()))
 
-    gens = FreeModule(grade_block("gens"))
-    rels = FreeModule(grade_block("rels"))
-    relrels = FreeModule(grade_block("relrels"))
+    def section(k, ends, fields, bad, why, then):
+        """Rows and line numbers of the block after section line k, which
+        runs to the next section line named in `ends`; that line must be
+        `then` alone (no line: the block runs to the end, which `then`
+        None allows), and is returned as the next k.  A FormatError names
+        the first line that is malformed or whose row is `bad`."""
+        nxt = next((i for i in range(k + 1, len(sections)) if sections[i][1] in ends), None)
+        eol = text.find("\n", sections[k][4])
+        a = len(text) if eol < 0 else eol + 1
+        b = len(text) if nxt is None else sections[nxt][3]
+        rows, lines, error = int_rows(text[a:b], fields, first_line=sections[k][0] + 1)
+        wrong = bad(*rows.T)
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise FormatError(f"line {lines[i]}: " + why(*rows[i].tolist()))
+        if error is not None:
+            raise error
+        if then is not None and nxt is None:
+            raise FormatError(f"line {lines[-1] if len(lines) else sections[k][0]}: missing '{then}' section")
+        if then is not None and sections[nxt][1:3] != (then, True):
+            raise FormatError(f"line {sections[nxt][0]}: expected '{then}'")
+        return rows, lines, nxt
 
-    def matrix_block(name, n_rows, n_cols):
-        """The block's matrix, and its triplet lines."""
-        nonlocal pos
-        take(name, 0)
-        mat = np.zeros((n_rows, n_cols), dtype=np.int64)
-        first = pos
-        while pos < len(lines):
-            lineno, line = lines[pos]
-            toks = line.split()
-            if toks[0] in ("phi", "psi"):
-                break
-            if len(toks) != 3:
-                raise FormatError(f"line {lineno}: expected 'row col value'")
-            i, j, v = (parse_int(tok, lineno, "triplet entry") for tok in toks)
-            if not (1 <= i <= n_rows and 1 <= j <= n_cols):
-                raise FormatError(f"line {lineno}: index ({i},{j}) outside {n_rows}x{n_cols}")
-            mat[i - 1, j - 1] = v % p
-            pos += 1
-        return mat, lines[first:pos]
+    modules, k = [], 0
+    for then in ("rels", "relrels", "phi"):
+        rows, lines, k = section(
+            k, ("gens", "rels", "relrels", "phi", "psi"), "g_x g_y",
+            lambda x, y: (x < 1) | (x > nx) | (y < 1) | (y > ny),
+            lambda x, y: f"grade ({x},{y}) outside the grid", then,
+        )
+        modules.append(FreeModule((rows - 1).tolist()))
+    gens, rels, relrels = modules
 
-    phi_entries, phi_lines = matrix_block("phi", len(gens), len(rels))
-    psi_entries, psi_lines = matrix_block("psi", len(rels), len(relrels))
-    phi = GradedMatrix(gens, rels, phi_entries, p)
-    psi = GradedMatrix(rels, relrels, psi_entries, p)
-    for name, gm, triplets in (("phi", phi, phi_lines), ("psi", psi, psi_lines)):
+    matrices = []  # psi's block ends at the next phi or psi line, or at the end of the file
+    for n_rows, n_cols, then in ((len(gens), len(rels), "psi"), (len(rels), len(relrels), None)):
+        rows, lines, k = section(
+            k, ("phi", "psi"), "row col value",
+            lambda i, j, v: (i < 1) | (i > n_rows) | (j < 1) | (j > n_cols),
+            lambda i, j, v: f"index ({i},{j}) outside {n_rows}x{n_cols}", then,
+        )
+        flat = (rows[:, 0] - 1) * n_cols + rows[:, 1] - 1
+        order = np.argsort(flat, kind="stable")
+        last = order[np.diff(flat[order], append=-1) != 0]  # the last triplet of each entry
+        entries = np.zeros((n_rows, n_cols), dtype=np.int64)
+        entries.reshape(-1)[flat[last]] = rows[last, 2]  # GradedMatrix reduces mod p
+        matrices.append((entries, flat[last], lines[last]))
+
+    phi = GradedMatrix(gens, rels, matrices[0][0], p)
+    psi = GradedMatrix(rels, relrels, matrices[1][0], p)
+    for name, gm, (_, entry, setter) in (("phi", phi, matrices[0]), ("psi", psi, matrices[1])):
         problems = gm.inhomogeneous_entries()
         if problems:
             (i, j), problem = problems[0]
-            # the entry holds the value of the last triplet naming it
-            lineno = next(
-                n for n, line in reversed(triplets)
-                if [int(t) for t in line.split()[:2]] == [i + 1, j + 1]
-            )
+            lineno = setter[np.searchsorted(entry, i * len(gm.source) + j)]
             raise FormatError(f"line {lineno}: {name} not homogeneous: {problem}")
     return FreeResolution(gens, rels, relrels, phi, psi, nx, ny, p)

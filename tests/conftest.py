@@ -1,11 +1,14 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from bipersist.bifiltration import Bifiltration, facets
 from bipersist.grid_module import comparable_pairs
-from bipersist.linalg import image_basis, kernel_basis, subspace_intersect, subspace_sum
+from bipersist.ioutil import FormatError, parse_int
+from bipersist.linalg import check_modulus, image_basis, kernel_basis, subspace_intersect, subspace_sum
+from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix
 from bipersist.weakexact import KappaIota
 
 
@@ -90,6 +93,93 @@ def kappa_iota_naive(module):
             kernel_basis(module.composite(s, c), p),
         ).dim
     return KappaIota(nx, ny, kappa, iota)
+
+
+def reference_read_fres(text):
+    """Oracle: the per-line .fres reader, one check after another per line.
+
+    Fields are separated by spaces or tabs, and a CR reads as a space:
+    the field rule of `ioutil.int_rows`.
+    """
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        toks = re.split(r"[ \t\r]+", raw.split("#", 1)[0].strip(" \t\r"))
+        if toks != [""]:
+            lines.append((lineno, toks))
+    if not lines or lines[0][1] != ["resolution"]:
+        raise FormatError(f"line {lines[0][0] if lines else 1}: expected 'resolution' header")
+    pos = 1
+
+    def take(prefix, parts):
+        nonlocal pos
+        if pos >= len(lines):
+            raise FormatError(f"line {lines[-1][0]}: missing '{prefix}' section")
+        lineno, toks = lines[pos]
+        if toks[0] != prefix or len(toks) != parts + 1:
+            raise FormatError(f"line {lineno}: expected '{prefix}'")
+        pos += 1
+        return lineno, toks[1:]
+
+    lineno, toks = take("field", 1)
+    p = parse_int(toks[0], lineno, "modulus")
+    try:
+        check_modulus(p)
+    except ValueError as e:
+        raise FormatError(f"line {lineno}: {e}") from None
+    lineno, toks = take("grid", 2)
+    nx, ny = (parse_int(v, lineno, "extent") for v in toks)
+    if nx < 1 or ny < 1:
+        raise FormatError(f"line {lineno}: grid extents must be positive")
+
+    def grade_block(name):
+        nonlocal pos
+        take(name, 0)
+        grades = []
+        while pos < len(lines) and lines[pos][1][0] not in ("gens", "rels", "relrels", "phi", "psi"):
+            lineno, toks = lines[pos]
+            if len(toks) != 2:
+                raise FormatError(f"line {lineno}: expected 'g_x g_y'")
+            gx, gy = (parse_int(v, lineno, "grade") for v in toks)
+            if not (1 <= gx <= nx and 1 <= gy <= ny):
+                raise FormatError(f"line {lineno}: grade ({gx},{gy}) outside the grid")
+            grades.append((gx - 1, gy - 1))
+            pos += 1
+        return grades
+
+    gens = FreeModule(grade_block("gens"))
+    rels = FreeModule(grade_block("rels"))
+    relrels = FreeModule(grade_block("relrels"))
+
+    def matrix_block(name, n_rows, n_cols):
+        """The block's matrix, and the line of the last triplet naming each entry."""
+        nonlocal pos
+        take(name, 0)
+        mat = np.zeros((n_rows, n_cols), dtype=np.int64)
+        setter = {}
+        while pos < len(lines) and lines[pos][1][0] not in ("phi", "psi"):
+            lineno, toks = lines[pos]
+            if len(toks) != 3:
+                raise FormatError(f"line {lineno}: expected 'row col value'")
+            i, j, v = (parse_int(tok, lineno, "triplet entry") for tok in toks)
+            if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+                raise FormatError(f"line {lineno}: index ({i},{j}) outside {n_rows}x{n_cols}")
+            mat[i - 1, j - 1] = v % p
+            setter[i - 1, j - 1] = lineno
+            pos += 1
+        return mat, setter
+
+    phi_entries, phi_setter = matrix_block("phi", len(gens), len(rels))
+    psi_entries, psi_setter = matrix_block("psi", len(rels), len(relrels))
+    for name, mat, setter, rows, cols in (
+        ("phi", phi_entries, phi_setter, gens, rels),
+        ("psi", psi_entries, psi_setter, rels, relrels),
+    ):
+        for i, j in zip(*np.nonzero(mat)):
+            (a, b), (c, d) = rows.grades[i], cols.grades[j]
+            if a > c or b > d:
+                raise FormatError(f"line {setter[i, j]}: {name} not homogeneous")
+    return FreeResolution(gens, rels, relrels, GradedMatrix(gens, rels, phi_entries, p),
+                          GradedMatrix(rels, relrels, psi_entries, p), nx, ny, p)
 
 
 @pytest.fixture

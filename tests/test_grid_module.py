@@ -16,6 +16,7 @@ from bipersist.grid_module import (
     RankInvariant,
     SquareBarcode,
     SquareInvariants,
+    comparable_mask,
     comparable_pairs,
     decompose_square,
     hom_dim,
@@ -195,6 +196,28 @@ def test_rank_to_text_matches_the_per_pair_writer(inv):
     text = inv.to_text()
     assert text == reference_rank_to_text(inv)
     assert RankInvariant.from_text(text) == inv
+
+
+@pytest.mark.parametrize("nx, ny", [(DP_GRID_CAP, 2), (2, DP_GRID_CAP), (12, 12)])
+@pytest.mark.parametrize("fill", ["seeded", "zero"])
+def test_rank_to_text_at_the_grid_cap(nx, ny, fill):
+    # coordinates reach the cap, and on 12 x 12 a label "x y " takes 6
+    # of its 8 bytes, as "60 60 " does; ranks take 1, 2 and 19 digits
+    inv = RankInvariant(nx, ny)
+    if fill == "seeded":
+        rng = np.random.default_rng(60)
+        values = np.array([0, 9, 10, 10**18, INT64.max], dtype=np.int64)
+        inv.table[...] = np.where(comparable_mask(nx, ny), rng.choice(values, inv.table.shape), 0)
+    text = inv.to_text()
+    assert text == reference_rank_to_text(inv)
+    assert RankInvariant.from_text(text) == inv
+
+
+def test_rank_to_text_refuses_a_negative_rank():
+    inv = RankInvariant(1, 2)
+    inv.set((0, 0), (0, 1), -1)
+    with pytest.raises(ValueError, match="negative entry"):
+        inv.to_text()
 
 
 TOKENS = st.one_of(

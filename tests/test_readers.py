@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
-from bipersist.grid_module import DP_GRID_CAP, GMOD_ISOLATED_BYTES_CAP, GridModule, read_gmod, write_gmod
+from bipersist.grid_module import DP_GRID_CAP, GMOD_IDENTITY_BYTES_CAP, GridModule, read_gmod, write_gmod
 from bipersist.ioutil import FormatError, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres
 from bipersist.zigzag import ZigzagBarcode, read_zbar, write_zbar
-from conftest import random_bifiltration
+from conftest import random_bifiltration, reference_read_fres
 
 FUZZ_CHARS = st.one_of(
     st.sampled_from(list("0123456789 +-#;\n\t\r_x.e\x0b\x00\xa0é١\ud800")),
@@ -40,7 +40,7 @@ def bif_texts(draw):
 @st.composite
 def fres_texts(draw):
     seed = draw(st.integers(0, 10**6))
-    bif = random_bifiltration(seed, max_simplices=10, nx=3, ny=3, p=draw(st.sampled_from([2, 3])))
+    bif = random_bifiltration(seed, max_simplices=10, nx=3, ny=3, p=draw(st.sampled_from([2, 3, 2**31 - 1])))
     return write_fres(free_resolution(bif, draw(st.sampled_from([0, 1]))))
 
 
@@ -151,6 +151,82 @@ def test_every_reader_names_the_line_of_an_integer_past_int64(ext, text, line):
         READERS[ext][0](text)
 
 
+def _triplet(line):
+    toks = line.split()
+    return len(toks) == 3 and all(t.isdigit() for t in toks)
+
+
+@st.composite
+def edited_fres_texts(draw):
+    """A valid .fres with lines dropped, doubled, cut or pushed out of range, an
+    inhomogeneous entry set twice, triplet values moved by multiples of p,
+    comments, tabs, blanks and CRLF, and a few characters spliced in."""
+    text = draw(fres_texts())
+    res = reference_read_fres(text)
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(["drop", "double", "cut", "range", "inhomogeneous", "value", "layout"]))
+        body = st.integers(min(4, len(lines) - 1), len(lines) - 1)
+        at = draw(body | st.integers(0, len(lines) - 1) if how in ("drop", "double") else body)
+        if how == "drop":
+            del lines[at]
+        elif how == "cut":
+            del lines[at + 1 :]
+        elif how == "double":
+            lines.insert(at, lines[at])
+        elif how == "range" and lines[at][:1].isdigit():
+            toks = lines[at].split()
+            k = draw(st.integers(0, min(len(toks), 2) - 1))
+            toks[k] = draw(st.sampled_from(["0", "-1", str(int(toks[k]) + 1), str(int(toks[k]) + 9)]))
+            lines[at] = " ".join(toks)
+        elif how == "inhomogeneous" and "phi" in lines and "psi" in lines[lines.index("phi"):]:
+            gens, rels = res.gens.grades, res.rels.grades
+            pairs = [(i, j) for i in range(len(gens)) for j in range(len(rels))]
+            pairs = [(i, j) for i, j in pairs if not (gens[i][0] <= rels[j][0] and gens[i][1] <= rels[j][1])] or pairs
+            if pairs:
+                i, j = draw(st.sampled_from(pairs))
+                values = st.sampled_from([0, 1, -1, res.p, res.p + 1, 2**63 - 1])
+                for _ in range(2):
+                    a = lines.index("phi")
+                    where = draw(st.integers(a + 1, lines.index("psi", a)))
+                    lines.insert(where, f"{i + 1} {j + 1} {draw(values)}")
+        elif how == "value" and _triplet(lines[at]):
+            i, j, v = map(int, lines[at].split())
+            k = draw(st.integers(-(2**63) // res.p, (2**63 - 1 - v) // res.p))
+            lines[at] = f"{i} {j} {v + k * res.p}"
+        elif how == "layout":
+            edit = draw(st.sampled_from(["tabs", "tail", "insert", "indent"]))
+            if edit == "tabs":
+                lines[at] = lines[at].replace(" ", draw(st.sampled_from(["\t", " \t ", "  "])))
+            elif edit == "tail":
+                lines[at] += draw(st.sampled_from(["\r", " # note", "\t#1 2", " ", " 1"]))
+            elif edit == "insert":
+                lines.insert(at, draw(st.sampled_from(["", "# 1 1", " \t", "\r", "#phi"])))
+            else:
+                lines[at] = draw(st.sampled_from([" ", "\t", "\r"])) + lines[at]
+        if not lines:
+            break
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)) | st.integers(len(text) // 4, len(text)))
+        text = text[:at] + draw(st.text(FUZZ_CHARS, max_size=3)) + text[at:]
+    return text
+
+
+def fres_outcome(read, text):
+    try:
+        return write_fres(read(text))
+    except FormatError as e:
+        return int(re.match(r"line (\d+): ", str(e)).group(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(fres_texts(), edited_fres_texts()))
+def test_read_fres_matches_the_per_line_reader(text):
+    # the same resolution, or a FormatError naming the same line
+    assert fres_outcome(read_fres, text) == fres_outcome(reference_read_fres, text)
+
+
 def test_fres_homogeneity_error_names_the_triplet_line():
     # a generator at (2, 2) cannot feed a relation at (1, 1); the
     # second triplet line sets that entry
@@ -179,10 +255,26 @@ def test_gmod_reader_refuses_large_isolated_spaces_before_allocating():
     # pass the per-line bound, and the sum of 8 d^2 over them passes the cap
     d = 10**5
     text = f"gridmodule\nfield 2\ngrid 3 1\ndim 1 1 1\ndim 3 1 {d}\n#{'x' * d}\n"
-    assert 8 * d * d > GMOD_ISOLATED_BYTES_CAP
+    assert 8 * d * d > GMOD_IDENTITY_BYTES_CAP
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=r"^line 5: identities of isolated spaces would need 80,000,000,008 bytes"):
+        with pytest.raises(FormatError, match=r"^line 5: identities of the spaces would need 80,000,000,008 bytes"):
+            read_gmod(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(text)
+
+
+def test_gmod_reader_refuses_large_spaces_with_neighbours_before_allocating():
+    # a 1 x d map backs a space of dimension d with about 2 d characters,
+    # yet its identity takes 8 d^2 bytes: d = 6000 passes the cap
+    d = 6000
+    text = f"gridmodule\nfield 2\ngrid 2 1\ndim 1 1 {d}\ndim 2 1 1\nhmap 1 1\n{' '.join(['1'] * d)}\n"
+    assert 8 * d * d > GMOD_IDENTITY_BYTES_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"^line 4: identities of the spaces would need 288,000,000 bytes"):
             read_gmod(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
