@@ -15,6 +15,7 @@ from .resolution import (
     Presentation,
     free_resolution,
     presentation,
+    presented_module,
     read_fres,
     validate_resolution,
     write_fres,
@@ -38,6 +39,7 @@ __all__ = [
     "free_resolution",
     "homology_module",
     "presentation",
+    "presented_module",
     "rank_1d",
     "rank_from_resolution",
     "rank_invariant_naive",

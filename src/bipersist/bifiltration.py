@@ -1,13 +1,14 @@
 """1-critical simplicial bifiltrations over a finite grid.
 
 Parsing and validation, graded subcomplexes, brute-force graded homology
-(the oracle for the resolution route, and the module the decomposability
-check reads its kernel/image tables from), and the row/column zigzag
-event lists of the `zigzag-barcode` subcommand.
+(the oracle for the resolution route, and the module of the explicit
+checkers `--method naive|algebraic|geometric`), and the row/column
+zigzag event lists of the `zigzag-barcode` subcommand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -62,9 +63,12 @@ class Bifiltration:
 
         Each coordinate is replaced by its rank among the distinct values
         appearing in that coordinate, so real-valued inputs land on the
-        smallest grid with the same subcomplexes.
+        smallest grid with the same subcomplexes.  Grades must be finite.
         """
         parsed = [((float(g[0]), float(g[1])), _check_simplex(s)) for g, s in items]
+        for g, s in parsed:
+            if not all(map(math.isfinite, g)):
+                raise ValueError(f"simplex {s} has a non-finite grade {g}")
         xs = sorted({g[0] for g, _ in parsed})
         ys = sorted({g[1] for g, _ in parsed})
         xrank = {v: i for i, v in enumerate(xs)}
@@ -340,6 +344,8 @@ def read_bif(text: str) -> Bifiltration:
             grade = (float(gtoks[0]), float(gtoks[1]))
         except ValueError:
             raise FormatError(f"line {lineno}: bad grade {left.strip()!r}") from None
+        if not all(map(math.isfinite, grade)):  # nan is unordered, and inf (1e400 too) no real grade
+            raise FormatError(f"line {lineno}: grade {left.strip()!r} is not finite")
         vtoks = right.split()
         if not vtoks:
             raise FormatError(f"line {lineno}: empty simplex")

@@ -291,7 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-rectangle", help="decide rectangle-decomposability")
     p.add_argument("infile", help=".bif or .gmod input")
-    p.add_argument("--method", choices=["zigzag", "algebraic", "geometric"])
+    p.add_argument(
+        "--method", choices=["zigzag", "algebraic", "geometric"],
+        help="zigzag (.bif default): rank DP and kappa/iota tables from one presentation; "
+        "algebraic (.gmod default) or geometric: explicit-module checkers, on the homology module for a .bif",
+    )
     p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     add_field(p)
     p.set_defaults(func=cmd_check)

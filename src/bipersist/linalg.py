@@ -8,15 +8,16 @@ first-nonzero, and subspaces are kept in a canonical reduced echelon
 form so equality is plain array equality.
 
 `ColumnReducer` is the one incremental column reducer, and it reports
-the lead row of every column it admits.  At p = 2 it packs columns into
-uint64 words and reduces by XOR; at other p it works on int64 rows in
-place, with products through `matmul`.  `pair_counts` turns its leads
-into 2-D cumulative pair counts, and the rank DP and the kappa/iota
-tables share that one helper: the DP pairs the relation matrix once per
-(generator class, t_y), the check path pairs two flags at each grid
-point.  `rref` (and with it `kernel_basis`, `extend_basis`,
-`solve_matrix` and the subspace operations) is still a separate
-row-by-row elimination.
+the lead row of every column it admits; `block` shows its reduced
+basis, from which `resolution.presented_module` reads normal forms.  At
+p = 2 it packs columns into uint64 words and reduces by XOR; at other p
+it works on int64 rows in place, with products through `matmul`.
+`pair_counts` turns its leads into 2-D cumulative pair counts, and the
+rank DP and the kappa/iota tables share that one helper: the DP pairs
+the relation matrix once per (generator class, t_y), the check path
+pairs two flags at each grid point.  `rref` (and with it
+`kernel_basis`, `extend_basis`, `solve_matrix` and the subspace
+operations) is still a separate row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -190,6 +191,21 @@ class ColumnReducer:
         self._rows[r], self._piv[r] = w, lead = found
         self.rank = r + 1
         return lead
+
+    def block(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, leads): the reduced block as read-only int64 rows of length
+        k, in admission order, and the lead of each row.  At p = 2 the rows
+        are unpacked into a new array."""
+        r = self.rank
+        if self._packed:
+            rows = np.unpackbits(self._rows[:r].view(np.uint8), axis=1, count=self.k, bitorder="little")
+            rows = rows.astype(np.int64)
+        else:
+            rows = self._rows[:r].view()
+        rows.flags.writeable = False
+        leads = self._piv[:r].view()
+        leads.flags.writeable = False
+        return rows, leads
 
     def _reduce_gf2(self, v, rows, piv):
         """Packed XOR reduction; clears the new pivot from `rows` in place."""

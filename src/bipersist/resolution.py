@@ -11,7 +11,9 @@ relations are a graded kernel basis of the relation matrix.
 `presentation` stops after the relations: gens, rels and phi are all
 the rank invariant needs, so the rank and check paths skip the second
 kernel sweep.  `free_resolution` adds psi on top of it, for `.fres`
-output and `validate_resolution`.
+output and `validate_resolution`.  `presented_module` turns gens, rels
+and phi into explicit matrices, M_t = F_t / Im phi_t, with one column
+reduction per grid row; the check path reads kappa/iota off it.
 
 `.fres` files share the `.rank` field rule (`ioutil.int_rows`): fields
 are separated by spaces or tabs, a CR reads as a space, and every
@@ -29,8 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .bifiltration import Bifiltration, homology_module
+from .grid_module import GridModule
 from .ioutil import FormatError, InvariantError, int_rows, parse_int
 from .linalg import (
+    ColumnReducer,
     check_modulus,
     extend_basis,
     kernel_basis,
@@ -225,6 +229,49 @@ def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
     return FreeResolution(pres.gens, pres.rels, relrels, pres.phi, psi, bif.nx, bif.ny, bif.p)
 
 
+def presented_module(pres: Presentation) -> GridModule:
+    """The module presented by `pres` as explicit matrices: M_t = F_t / Im phi_t.
+
+    Reads gens, rels and phi only, so a `FreeResolution` serves as well.
+    One `ColumnReducer` per grid row y takes the generators as rows, in
+    index order, and the relation columns with g_y <= y in rising g_x.
+    Once the columns with g_x <= x are in, its block is a fully reduced
+    basis of Im phi_(x,y), since homogeneity keeps every such column on
+    the generators <= (x, y).  The leads of the block are the pivot
+    generators, and the other generators <= t are the basis of M_t.  The
+    class of a pivot generator is e_g minus its block row, which lies on
+    the basis generators, so the map of an edge into t selects the
+    normal-form rows of the source's basis generators.
+    """
+    nx, ny, p = pres.nx, pres.ny, pres.p
+    k = len(pres.gens)
+    columns = pres.phi.entries.T
+    gg = np.array(pres.gens.grades, dtype=np.int64).reshape(-1, 2)
+    rg = np.array(pres.rels.grades, dtype=np.int64).reshape(-1, 2)
+    dims = np.zeros((nx, ny), dtype=np.int64)
+    hmaps, vmaps = {}, {}
+    below = [None] * nx  # the basis generators at (x, y - 1)
+    for y in range(ny):
+        reducer = ColumnReducer(k, p)
+        for x in range(nx):
+            for j in np.flatnonzero((rg[:, 0] == x) & (rg[:, 1] <= y)):
+                reducer.add(columns[j])
+            rows, leads = reducer.block()
+            alive = (gg[:, 0] <= x) & (gg[:, 1] <= y)
+            alive[leads] = False
+            basis = np.flatnonzero(alive)
+            nf = np.zeros((k, basis.size), dtype=np.int64)  # row g: the class of e_g in the basis
+            nf[basis, np.arange(basis.size)] = 1
+            nf[leads] = -rows[:, basis] % p
+            dims[x, y] = basis.size
+            if x:
+                hmaps[(x - 1, y)] = nf[left].T
+            if y:
+                vmaps[(x, y - 1)] = nf[below[x]].T
+            left = below[x] = basis
+    return GridModule(nx, ny, p, dims, hmaps, vmaps)
+
+
 def validate_resolution(res: FreeResolution, bif: Bifiltration, degree: int) -> Optional[str]:
     """Check exactness of 0 -> relrels -> rels -> gens -> H_q -> 0 pointwise.
 
@@ -289,8 +336,9 @@ def read_fres(text: str) -> FreeResolution:
     rows are then checked as whole arrays: grades within the grid,
     triplet indices within the matrix.  A grade block ends at the next
     line that opens with a section name, a triplet block at the next
-    `phi` or `psi` line.  A triplet's value is reduced mod p, and the
-    last triplet naming an entry sets it.
+    `phi` or `psi` line, and the `psi` block must run to the end of the
+    text.  A triplet's value is reduced mod p, and the last triplet
+    naming an entry sets it.
     """
     header = [
         (text.count("\n", 0, m.start()) + 1, _BLANKS.split(m[1].strip(" \t\r")))
@@ -329,9 +377,10 @@ def read_fres(text: str) -> FreeResolution:
     def section(k, ends, fields, bad, why, then):
         """Rows and line numbers of the block after section line k, which
         runs to the next section line named in `ends`; that line must be
-        `then` alone (no line: the block runs to the end, which `then`
-        None allows), and is returned as the next k.  A FormatError names
-        the first line that is malformed or whose row is `bad`."""
+        `then` alone, and is returned as the next k.  With `then` None
+        there must be no such line: the block runs to the end of the
+        text.  A FormatError names the first line that is malformed or
+        whose row is `bad`."""
         nxt = next((i for i in range(k + 1, len(sections)) if sections[i][1] in ends), None)
         eol = text.find("\n", sections[k][4])
         a = len(text) if eol < 0 else eol + 1
@@ -343,6 +392,8 @@ def read_fres(text: str) -> FreeResolution:
             raise FormatError(f"line {lines[i]}: " + why(*rows[i].tolist()))
         if error is not None:
             raise error
+        if then is None and nxt is not None:
+            raise FormatError(f"line {sections[nxt][0]}: expected the end of the file after the '{sections[k][1]}' block")
         if then is not None and nxt is None:
             raise FormatError(f"line {lines[-1] if len(lines) else sections[k][0]}: missing '{then}' section")
         if then is not None and sections[nxt][1:3] != (then, True):
@@ -359,7 +410,7 @@ def read_fres(text: str) -> FreeResolution:
         modules.append(FreeModule((rows - 1).tolist()))
     gens, rels, relrels = modules
 
-    matrices = []  # psi's block ends at the next phi or psi line, or at the end of the file
+    matrices = []  # psi's block runs to the end of the file
     for n_rows, n_cols, then in ((len(gens), len(rels), "psi"), (len(rels), len(relrels), None)):
         rows, lines, k = section(
             k, ("phi", "psi"), "row col value",

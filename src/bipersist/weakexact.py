@@ -16,7 +16,12 @@ every s <= t.  kappa is the same routine on the dual module.  That is
 O(n_x n_y) eliminations per table, against one per comparable pair.
 
 `kappa_iota` fills both tables this way from an explicit module; the
-tests check it against direct subspace arithmetic at every pair.
+tests check it against direct subspace arithmetic at every pair.  Both
+tables are isomorphism invariants, so any model of the module serves:
+for a bifiltration, `check_bifiltration` (the default `zigzag` route of
+`check-rectangle`) builds one presentation, runs the rank DP on it and
+reads the module off it with `resolution.presented_module`, so no
+homology is solved per grid point.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bifiltration import Bifiltration, homology_module
+from .bifiltration import Bifiltration
 from .grid_module import (
     GridModule,
     RankInvariant,
@@ -38,7 +43,7 @@ from .grid_module import (
 from .ioutil import InvariantError
 from .linalg import matmul, pair_counts, rref, solve_matrix
 from .rank_dp import rank_from_resolution
-from .resolution import presentation
+from .resolution import presentation, presented_module
 
 
 @dataclass
@@ -119,12 +124,14 @@ def kappa_iota(module: GridModule) -> KappaIota:
 
 
 def kappa_iota_from_zigzags(bif: Bifiltration, degree: int, jobs=None) -> KappaIota:
-    """`kappa_iota` of a bifiltration's degree-q homology, refusing grids past
-    the cap first.  Name and `jobs` (None only) are kept for perfbench/traced.py."""
+    """`kappa_iota` of the module presented by `presentation(bif, degree)`,
+    refusing grids past the cap first; the same tables `check_bifiltration`
+    builds, from a presentation of its own.  Name and `jobs` (None only)
+    are kept for perfbench/traced.py."""
     if jobs is not None:
         raise ValueError("kappa_iota_from_zigzags runs serially; pass None for jobs")
     check_table_grid(bif.nx, bif.ny, 2)
-    return kappa_iota(homology_module(bif, degree))
+    return kappa_iota(presented_module(presentation(bif, degree)))
 
 
 def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
@@ -158,14 +165,16 @@ def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
 def check_bifiltration(bif: Bifiltration, degree: int):
     """End-to-end decision for degree-q homology of a bifiltration.
 
-    Rank invariant via the DP on a presentation, kappa/iota from one
-    two-flag pairing per grid point of the homology module, then the
-    pointwise comparison; same return shape as the checker.  A grid
-    past the dense-table cap is refused before any work.
+    One presentation feeds both sides: the rank invariant comes from the
+    DP on it, and kappa/iota from one two-flag pairing per grid point of
+    the module it presents (`presented_module`); then the pointwise
+    comparison, with the same return shape as the checker.  No homology
+    is solved per grid point.  A grid past the dense-table cap is
+    refused before any work.
     """
     check_table_grid(bif.nx, bif.ny, 3)
-    r = rank_from_resolution(presentation(bif, degree))
-    return check_rectangle_decomposable(r, kappa_iota(homology_module(bif, degree)))
+    pres = presentation(bif, degree)
+    return check_rectangle_decomposable(rank_from_resolution(pres), kappa_iota(presented_module(pres)))
 
 
 def check_module(module: GridModule, method: str = "algebraic"):

@@ -170,6 +170,8 @@ def reference_read_fres(text):
 
     phi_entries, phi_setter = matrix_block("phi", len(gens), len(rels))
     psi_entries, psi_setter = matrix_block("psi", len(rels), len(relrels))
+    if pos < len(lines):
+        raise FormatError(f"line {lines[pos][0]}: expected the end of the file after the 'psi' block")
     for name, mat, setter, rows, cols in (
         ("phi", phi_entries, phi_setter, gens, rels),
         ("psi", psi_entries, psi_setter, rels, relrels),

@@ -66,6 +66,12 @@ def test_duplicate_simplex_rejected():
         Bifiltration.from_graded_simplices([((0, 0), (0,)), ((1, 1), (0,))])
 
 
+@pytest.mark.parametrize("grade", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
+def test_non_finite_grades_rejected(grade):
+    with pytest.raises(ValueError, match="non-finite grade"):
+        Bifiltration.from_graded_simplices([((0, 0), (0,)), (grade, (1,))])
+
+
 def test_grade_normalization():
     items = [((0.5, 10.0), (0,)), ((2.5, 10.0), (1,)), ((2.5, 20.0), (0, 1))]
     bif = Bifiltration.from_graded_simplices(items)

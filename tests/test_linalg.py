@@ -214,3 +214,27 @@ def test_column_reducer_leads_count_every_lower_left_rank(p, k, l, seed):
     for i in range(0, k + 1, 1 if k < 10 else 8):
         for j in range(l + 1):
             assert sum(row >= i for row in rows[:j]) == rank(mat[i:, :j], p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, MAX_MODULUS]),
+    k=st.sampled_from([0, 1, 2, 5, 9, 63, 64, 65, 130]),
+    l=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_reducer_block_is_a_reduced_basis_of_the_columns(p, k, l, seed):
+    # row i is zero before its lead, 1 at it and 0 at every other lead,
+    # and the rows span the columns added; the view cannot be written
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(k, l) + 1))
+    mat = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
+    mat[:, rng.random(l) < 0.2] = 0
+    reducer = ColumnReducer(k, p)
+    leads = [lead for lead in (reducer.add(mat[:, j]) for j in range(l)) if lead is not None]
+    rows, got = reducer.block()
+    assert got.tolist() == leads and rows.shape == (len(leads), k) and rows.dtype == np.int64
+    assert np.array_equal(rows[:, got], np.eye(len(leads), dtype=np.int64))
+    assert all(not rows[i, :lead].any() for i, lead in enumerate(leads))
+    assert len(leads) == rank(mat, p) == rank(np.hstack((mat, rows.T)), p)
+    assert not rows.flags.writeable and not got.flags.writeable

@@ -8,7 +8,7 @@ from bipersist.constructions import example, random_rectangle_module
 from bipersist.grid_module import GridModule, RankInvariant, comparable_pairs, rank_invariant_naive
 from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, rank
 from bipersist.rank_dp import rank_1d, rank_from_resolution
-from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution
+from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -123,6 +123,22 @@ def test_dp_equals_rank_of_every_pair(p, k, l, seed):
     assert rank_from_resolution(res) == rank_by_pairs(res)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from(PRIMES),
+    k=st.sampled_from([0, 1, 63, 64, 65, 130]),
+    l=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_presented_module_has_the_rank_of_every_pair(p, k, l, seed):
+    # the presented module's own composites against the per-pair oracle;
+    # r(t, t) = dim M_t, so the dimensions are checked too
+    res = low_rank_presentation(np.random.default_rng(seed), k, l, 3, 4, p)
+    module = presented_module(res)
+    assert module.validate() == []
+    assert rank_invariant_naive(module) == rank_by_pairs(res)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_column_reducer_grows_past_its_first_block(p):
     # 140 columns in F_p^130: the block doubles past 64 and 128 pivots,
@@ -145,6 +161,7 @@ def test_column_reducer_on_empty_space():
     assert reducer.rank == 0
     no_gens = hand_resolution([], [(0, 0), (1, 1)], np.zeros((0, 2)), 2, 2, 3)
     assert not rank_from_resolution(no_gens).table.any()
+    assert not presented_module(no_gens).dims.any()
 
 
 # degree-1 inputs whose relation columns get dense enough to overflow

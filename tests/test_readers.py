@@ -227,6 +227,23 @@ def test_read_fres_matches_the_per_line_reader(text):
     assert fres_outcome(read_fres, text) == fres_outcome(reference_read_fres, text)
 
 
+def test_fres_reader_refuses_text_past_the_psi_block():
+    # the psi block ends at the second psi line; what follows it is not
+    # read, so the file is refused, not read as an empty resolution
+    text = "resolution\nfield 2\ngrid 1 1\ngens\nrels\nrelrels\nphi\npsi\npsi\nnot a triplet at all\nphi 7\n"
+    for read in (read_fres, reference_read_fres):
+        with pytest.raises(FormatError, match=r"^line 9: expected the end of the file after the 'psi' block"):
+            read(text)
+
+
+@pytest.mark.parametrize("grade", ["nan 1", "1 NaN", "inf 1", "1 -inf", "-Infinity 2", "1e400 0", "0 -1e999"])
+def test_bif_reader_refuses_non_finite_grades(grade):
+    # nan compares false with every grade, and 1e400 reads as infinity
+    text = f"bifiltration\nfield 2\n0 0 ; 1\n\n{grade} ; 2\n"
+    with pytest.raises(FormatError, match=rf"^line 5: grade '{grade}' is not finite"):
+        read_bif(text)
+
+
 def test_fres_homogeneity_error_names_the_triplet_line():
     # a generator at (2, 2) cannot feed a relation at (1, 1); the
     # second triplet line sets that entry

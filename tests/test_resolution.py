@@ -1,9 +1,14 @@
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
+from bipersist.grid_module import rank_invariant_naive
 from bipersist.ioutil import FormatError
 from bipersist.linalg import kernel_basis, rank
+from bipersist.rank_dp import rank_from_resolution
 from bipersist.resolution import (
     FreeModule,
     FreeResolution,
@@ -12,10 +17,13 @@ from bipersist.resolution import (
     free_resolution,
     graded_kernel_basis,
     presentation,
+    presented_module,
     read_fres,
     validate_resolution,
     write_fres,
 )
+from bipersist.weakexact import kappa_iota
+from conftest import clique_bifiltration
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -143,3 +151,27 @@ def test_presentation_is_the_resolution_without_psi(random_bif):
             assert pres.gens == res.gens and pres.rels == res.rels
             assert np.array_equal(pres.phi.entries, res.phi.entries)
             assert (pres.nx, pres.ny, pres.p) == (res.nx, res.ny, res.p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 2**31 - 1]),
+    degree=st.sampled_from([0, 1, 2]),
+    n_vert=st.integers(1, 9),
+    q=st.sampled_from([0.4, 0.7, 0.9]),
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 10**6),
+)
+@hypothesis.example(p=2**31 - 1, degree=1, n_vert=8, grid=(5, 4), q=0.7, seed=3)
+@hypothesis.example(p=3, degree=2, n_vert=9, grid=(4, 4), q=0.9, seed=1)
+def test_presented_module_is_the_homology_module(p, degree, n_vert, q, grid, seed):
+    # two models of the same module: equal dimensions and the same
+    # isomorphism invariants, though the bases differ
+    bif = clique_bifiltration(seed, n_vert, q, *grid, p)
+    pres = presentation(bif, degree)
+    module, oracle = presented_module(pres), homology_module(bif, degree)
+    assert module.validate() == []
+    assert np.array_equal(module.dims, oracle.dims)
+    ki, want = kappa_iota(module), kappa_iota(oracle)
+    assert np.array_equal(ki.kappa, want.kappa) and np.array_equal(ki.iota, want.iota)
+    assert rank_invariant_naive(module) == rank_from_resolution(pres)

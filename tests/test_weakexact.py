@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -142,6 +143,36 @@ def test_zigzag_tables_take_no_jobs(random_bif):
     for jobs in (0, 1, 4):
         with pytest.raises(ValueError):
             kappa_iota_from_zigzags(bif, 0, jobs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 2**31 - 1]),
+    degree=st.sampled_from([0, 1]),
+    n_vert=st.integers(1, 8),
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 10**6),
+)
+def test_check_path_solves_no_homology(p, degree, n_vert, grid, seed):
+    # the .bif check reads kappa/iota off the presentation: with every
+    # homology solver in the package made to raise, it still gives the
+    # verdict and tables of the homology module
+    bif = clique_bifiltration(seed, n_vert, 0.6, *grid, p)
+    oracle = homology_module(bif, degree)
+    want, want_ki = check_module(oracle, "algebraic"), kappa_iota(oracle)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("homology solved on the check path")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, module in list(sys.modules.items()):
+            if name == "bipersist" or name.startswith("bipersist."):
+                for solver in ("homology_module", "homology_basis", "homology_map"):
+                    if hasattr(module, solver):
+                        mp.setattr(module, solver, refuse)
+        got, ki = check_bifiltration(bif, degree), kappa_iota_from_zigzags(bif, degree)
+    assert got[0] == want[0] and (got[0] or got[1][:2] == want[1][:2])
+    assert np.array_equal(ki.kappa, want_ki.kappa) and np.array_equal(ki.iota, want_ki.iota)
 
 
 def test_dense_tables_refuse_grids_past_the_cap():
