@@ -65,7 +65,13 @@ class Bifiltration:
         appearing in that coordinate, so real-valued inputs land on the
         smallest grid with the same subcomplexes.  Grades must be finite.
         """
-        parsed = [((float(g[0]), float(g[1])), _check_simplex(s)) for g, s in items]
+        parsed = []
+        for g, s in items:
+            try:
+                grade = (float(g[0]), float(g[1]))
+            except OverflowError:
+                raise ValueError(f"simplex {_check_simplex(s)} has a grade past the float range") from None
+            parsed.append((grade, _check_simplex(s)))
         for g, s in parsed:
             if not all(map(math.isfinite, g)):
                 raise ValueError(f"simplex {s} has a non-finite grade {g}")

@@ -10,14 +10,16 @@ form so equality is plain array equality.
 `ColumnReducer` is the one incremental column reducer, and it reports
 the lead row of every column it admits; `block` shows its reduced
 basis, from which `resolution.presented_module` reads normal forms.  At
-p = 2 it packs columns into uint64 words and reduces by XOR; at other p
-it works on int64 rows in place, with products through `matmul`.
-`pair_counts` turns its leads into 2-D cumulative pair counts, and the
-rank DP and the kappa/iota tables share that one helper: the DP pairs
-the relation matrix once per (generator class, t_y), the check path
-pairs two flags at each grid point.  `rref` (and with it
-`kernel_basis`, `extend_basis`, `solve_matrix` and the subspace
-operations) is still a separate row-by-row elimination.
+p = 2 a column is a Python-int bitset, reduced by XOR against the
+admitted columns keyed by their lead; at other p it works on int64 rows
+in place, with products through `matmul`.  `pair_counts`
+turns its leads into 2-D cumulative pair counts, and the rank DP and
+the kappa/iota tables share that one helper: the DP pairs the relation
+matrix once per (generator class, t_y), the check path pairs two flags
+at each grid point.  The same reducer picks the flag bases of the check
+path and counts kernel dimensions in `resolution.graded_kernel_basis`.
+`rref` (and with it `kernel_basis`, `extend_basis`, `solve_matrix` and
+the subspace operations) is still a separate row-by-row elimination.
 """
 
 from __future__ import annotations
@@ -141,51 +143,69 @@ def rank(m: np.ndarray, p: int) -> int:
 class ColumnReducer:
     """Incremental rank of a growing set of columns in F_p^k.
 
-    `add(v)` reduces v against the pivot block, a fully reduced echelon
-    basis of the columns added so far (row i is a basis vector whose
-    pivot entry is 1 and whose other pivot entries are 0), keeps the
-    reduced v when it is independent, and reports its lead row.  The
-    block lives in one preallocated array, updated in place and doubled
-    when full.
+    `add(v)` reduces v against the columns admitted so far, keeps the
+    reduced v when it is independent, and reports its lead row (its
+    first nonzero entry).  `block()` gives the admitted columns as a
+    fully reduced echelon basis: row i is a basis vector whose lead
+    entry is 1 and whose entries at the other leads are 0.
 
     The leads obey the pairing lemma: after columns c_1..c_j are added
     in order, the rank of rows 0..i of [c_1 .. c_j] is the number of
     leads <= i among the columns admitted so far, for every i and j.
     Adding the columns of a matrix with its rows reversed therefore
     gives the rank of every lower-left submatrix from one reduction.
+    The pairs do not depend on how a column is reduced, only on the
+    order the columns come in.
 
-    The storage follows p.  At p = 2 a vector is packed into uint64
-    words and reduced by XOR; at any other p rows are int64 with
-    products through `matmul`, exact for every p up to MAX_MODULUS.
+    The storage follows p.  At p = 2 a column is a Python-int bitset
+    with bit k-1-i for row i, so that its lead is its highest set bit,
+    which `int.bit_length` reads without building an int.  It is reduced
+    by XOR against a {bit length: column} dict until its lead leads no
+    admitted column, and `block` back-substitutes when it is called.  At
+    any other p the block is kept fully reduced in one preallocated
+    int64 array, updated in place and doubled when full, with products
+    through `matmul`, exact for every p up to MAX_MODULUS.  `columns`
+    converts a whole matrix at once to the form `add` takes, so that
+    `add` converts nothing.
     """
 
     def __init__(self, k: int, p: int):
         self.k = int(k)
         self.p = p
         self.rank = 0
-        self._packed = p == 2
-        cap = min(self.k, 64)
-        if self._packed:
-            width = (self.k + 63) // 64
-            self._rows = np.zeros((cap, width), dtype=np.uint64)
-            self._bits = np.zeros(64 * width, dtype=np.uint8)  # v mod 2, zero-padded to whole words
+        if p == 2:
+            self._cols: dict = {}  # bit length -> admitted column, in admission order
+            self._block = None  # block() at the rank it was built for
         else:
+            cap = min(self.k, 64)
             self._rows = np.zeros((cap, self.k), dtype=np.int64)
-        self._piv = np.zeros(cap, dtype=np.int64)
+            self._piv = np.zeros(cap, dtype=np.int64)
 
-    def add(self, v: np.ndarray) -> Optional[int]:
-        """Admit column v (length k, any int64 entries).
+    @staticmethod
+    def columns(mat: np.ndarray, p: int):
+        """The columns of `mat` (any int entries) in the form `add` takes
+        at modulus p: Python-int bitsets at p = 2, int64 views otherwise."""
+        if p != 2:
+            return mat.T
+        packed = np.packbits(np.asarray(mat)[::-1] & 1, axis=0, bitorder="little")
+        n, data = packed.shape[0], packed.T.tobytes()
+        return [int.from_bytes(data[j * n : (j + 1) * n], "little") for j in range(packed.shape[1])]
+
+    def add(self, v) -> Optional[int]:
+        """Admit column v: length k with any int entries, or at p = 2 a
+        bitset from `columns`.
 
         Returns the lead of v reduced against the block (its first
         nonzero row) when v is independent, else None.
         """
         if self.rank == self.k:
             return None
+        if self.p == 2:
+            return self._add_gf2(v if type(v) is int else self.columns(np.reshape(v, (-1, 1)), 2)[0])
         if self.rank == self._rows.shape[0]:
             self._grow()
         r = self.rank
-        reduce = self._reduce_gf2 if self._packed else self._reduce_modp
-        found = reduce(v, self._rows[:r], self._piv[:r])
+        found = self._reduce_modp(v, self._rows[:r], self._piv[:r])
         if found is None:
             return None
         self._rows[r], self._piv[r] = w, lead = found
@@ -195,36 +215,53 @@ class ColumnReducer:
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, leads): the reduced block as read-only int64 rows of length
         k, in admission order, and the lead of each row.  At p = 2 the rows
-        are unpacked into a new array."""
+        are a new array, built once per rank."""
+        if self.p == 2:
+            if self._block is None or self._block[1].size != self.rank:
+                self._block = self._block_gf2()
+            return self._block
         r = self.rank
-        if self._packed:
-            rows = np.unpackbits(self._rows[:r].view(np.uint8), axis=1, count=self.k, bitorder="little")
-            rows = rows.astype(np.int64)
-        else:
-            rows = self._rows[:r].view()
+        rows = self._rows[:r].view()
         rows.flags.writeable = False
         leads = self._piv[:r].view()
         leads.flags.writeable = False
         return rows, leads
 
-    def _reduce_gf2(self, v, rows, piv):
-        """Packed XOR reduction; clears the new pivot from `rows` in place."""
-        np.bitwise_and(v, 1, out=self._bits[: self.k], casting="unsafe")
-        w = np.packbits(self._bits, bitorder="little").view(np.uint64)
-        # the block is fully reduced, so v's entry at a pivot is the
-        # coefficient of that pivot's row
-        hit = np.flatnonzero(self._bits[piv])
-        if hit.size:
-            w ^= np.bitwise_xor.reduce(rows.take(hit, axis=0), axis=0)
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            return None
-        word = int(w[nz[0]])
-        lead = 64 * int(nz[0]) + (word & -word).bit_length() - 1
-        above = np.flatnonzero(rows[:, lead >> 6] & np.uint64(1 << (lead & 63)))
-        if above.size:
-            rows[above] ^= w
-        return w, lead
+    def _add_gf2(self, w: int) -> Optional[int]:
+        cols = self._cols
+        while w:
+            top = w.bit_length()
+            c = cols.get(top)
+            if c is None:
+                cols[top] = w
+                self.rank += 1
+                return self.k - top
+            w ^= c  # clears the lead; c has no higher bit set
+        return None
+
+    def _block_gf2(self):
+        """Back-substitution, from the last lead row up: a column's entries
+        at the other leads all lie below its own lead, where the rows are
+        already fully reduced, and XOR with such a row changes no other
+        lead entry."""
+        cols = self._cols
+        lead_bits = sum(1 << (top - 1) for top in cols)
+        red = {}
+        for top in sorted(cols):
+            w = cols[top]
+            hits = (w & lead_bits) ^ (1 << (top - 1))
+            while hits:
+                bit = hits.bit_length()
+                w ^= red[bit]
+                hits ^= 1 << (bit - 1)
+            red[top] = w
+        n = (self.k + 7) // 8
+        data = np.frombuffer(b"".join(red[top].to_bytes(n, "little") for top in cols), dtype=np.uint8)
+        rows = np.unpackbits(data.reshape(self.rank, n), axis=1, count=self.k, bitorder="little")
+        rows = rows[:, ::-1].astype(np.int64)
+        leads = np.array([self.k - top for top in cols], dtype=np.int64)
+        rows.flags.writeable = leads.flags.writeable = False
+        return rows, leads
 
     def _reduce_modp(self, v, rows, piv):
         """int64 reduction mod p; clears the new pivot from `rows` in place."""
@@ -244,7 +281,7 @@ class ColumnReducer:
 
     def _grow(self) -> None:
         cap = min(self.k, 2 * self._rows.shape[0])
-        rows = np.zeros((cap, self._rows.shape[1]), dtype=self._rows.dtype)
+        rows = np.zeros((cap, self.k), dtype=np.int64)
         rows[: self.rank] = self._rows
         piv = np.zeros(cap, dtype=np.int64)
         piv[: self.rank] = self._piv
@@ -264,8 +301,8 @@ def pair_counts(mat: np.ndarray, row_key: np.ndarray, col_key: np.ndarray, shape
     """
     reducer = ColumnReducer(mat.shape[0], p)
     leads, cols = [], []
-    for j in range(mat.shape[1]):
-        lead = reducer.add(mat[:, j])
+    for j, v in enumerate(ColumnReducer.columns(mat, p)):
+        lead = reducer.add(v)
         if lead is not None:
             leads.append(lead)
             cols.append(j)

@@ -145,24 +145,41 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     parameters are free modules, so the union over the sweep restricts
     to a basis of the kernel at every single grid point.
 
+    Only points that gain a generator solve anything.  One
+    `ColumnReducer` per row y takes the columns with g_y <= y in rising
+    g_x, so its rank gives dim ker at every (x, y) of the row.  The
+    generators found <= t are independent (those <= (x-1, y) and those
+    <= (x, y-1) are bases of two kernels that meet in the kernel at
+    (x-1, y-1), of which they share a basis), so where dim ker equals
+    their number the completion would add nothing and the point is
+    skipped.
+
     Returns (basis, grades): basis columns live in full column
     coordinates and vanish outside columns of grade <= their own.
     """
     cols = mat.shape[1]
-    col_g = [(int(g[0]), int(g[1])) for g in col_grades]
-    if len(col_g) != cols:
+    cg = np.array([(int(g[0]), int(g[1])) for g in col_grades], dtype=np.int64).reshape(-1, 2)
+    if len(cg) != cols:
         raise ValueError("one grade per column required")
+    vectors = ColumnReducer.columns(mat, p)
+    by_x = np.argsort(cg[:, 0], kind="stable")
     found: list[np.ndarray] = []
     grades: list[tuple[int, int]] = []
+    found_at_x = [0] * nx  # generators found so far with g_x = x, all with g_y <= y
     for y in range(ny):
+        reducer = ColumnReducer(mat.shape[0], p)
+        row = by_x[cg[by_x, 1] <= y]
+        present = np.searchsorted(cg[row, 0], np.arange(nx), side="right")  # columns <= (x, y)
+        seen = 0  # generators found <= (x, y)
         for x in range(nx):
+            for j in row[present[x - 1] if x else 0 : present[x]]:
+                reducer.add(vectors[j])
+            seen += found_at_x[x]
+            if present[x] - reducer.rank == seen:
+                continue
             t = (x, y)
-            mask = np.fromiter((_leq(g, t) for g in col_g), dtype=bool, count=cols)
-            if not mask.any():
-                continue
+            mask = (cg[:, 0] <= x) & (cg[:, 1] <= y)
             ker = kernel_basis(mat[:, mask], p)
-            if ker.dim == 0:
-                continue
             emb = np.zeros((cols, ker.dim), dtype=np.int64)
             emb[mask] = ker.basis
             old = [v for v, g in zip(found, grades) if _leq(g, t)]
@@ -170,6 +187,8 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
             for j in extend_basis(base, emb, p):
                 found.append(emb[:, j])
                 grades.append(t)
+                found_at_x[x] += 1
+                seen += 1
     basis = np.column_stack(found) if found else np.zeros((cols, 0), dtype=np.int64)
     return basis, grades
 
@@ -182,6 +201,12 @@ def presentation(bif: Bifiltration, degree: int) -> Presentation:
     up rewritten in generator coordinates, keeping the simplex grades;
     columns that rewrite to zero are dropped (they would only feed a
     spurious cancellation into the next layer).
+
+    One `solve_matrix` rewrites every boundary column at once.  The
+    generators are a basis of the kernel at the top grid point, so each
+    solution is unique, and it must lie on the generators <= its
+    column's grade, since boundaries are cycles, which the generators
+    span gradewise; an InvariantError reports a solution that does not.
     """
     p = bif.p
     q_list = bif.by_dim.get(degree, [])
@@ -190,28 +215,15 @@ def presentation(bif: Bifiltration, degree: int) -> Presentation:
         bif.boundary_matrix(degree), [bif.grades[s] for s in q_list], bif.nx, bif.ny, p
     )
     gens = FreeModule(gen_grades)
-    d_up = bif.boundary_matrix(degree + 1)
-    up_grades = [bif.grades[s] for s in up_list]
-    phi_cols = []
-    rel_grades = []
-    for j in range(len(up_list)):
-        sel = [i for i, gg in enumerate(gen_grades) if _leq(gg, up_grades[j])]
-        x = solve_matrix(gen_basis[:, sel], d_up[:, j : j + 1], p)
-        if x is None:  # boundaries are cycles, which the generators span gradewise
-            raise InvariantError("boundary column outside the generator span")
-        col = np.zeros(len(gens), dtype=np.int64)
-        col[sel] = x[:, 0]
-        if not col.any():
-            continue
-        phi_cols.append(col)
-        rel_grades.append(up_grades[j])
-    phi_entries = (
-        np.column_stack(phi_cols)
-        if phi_cols
-        else np.zeros((len(gens), 0), dtype=np.int64)
-    )
-    rels = FreeModule(rel_grades)
-    return Presentation(gens, rels, GradedMatrix(gens, rels, phi_entries, p), bif.nx, bif.ny, p)
+    up_grades = np.array([bif.grades[s] for s in up_list], dtype=np.int64).reshape(-1, 2)
+    x = solve_matrix(gen_basis, bif.boundary_matrix(degree + 1), p)
+    gg = np.array(gen_grades, dtype=np.int64).reshape(-1, 2)
+    outside = (gg[:, None, :] > up_grades[None, :, :]).any(axis=2)
+    if x is None or (x.astype(bool) & outside).any():
+        raise InvariantError("boundary column outside the generator span")
+    keep = x.any(axis=0)
+    rels = FreeModule(up_grades[keep].tolist())
+    return Presentation(gens, rels, GradedMatrix(gens, rels, x[:, keep], p), bif.nx, bif.ny, p)
 
 
 def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
@@ -245,7 +257,7 @@ def presented_module(pres: Presentation) -> GridModule:
     """
     nx, ny, p = pres.nx, pres.ny, pres.p
     k = len(pres.gens)
-    columns = pres.phi.entries.T
+    columns = ColumnReducer.columns(pres.phi.entries, p)
     gg = np.array(pres.gens.grades, dtype=np.int64).reshape(-1, 2)
     rg = np.array(pres.rels.grades, dtype=np.int64).reshape(-1, 2)
     dims = np.zeros((nx, ny), dtype=np.int64)

@@ -41,7 +41,7 @@ from .grid_module import (
     is_weakly_exact_geometric,
 )
 from .ioutil import InvariantError
-from .linalg import matmul, pair_counts, rref, solve_matrix
+from .linalg import ColumnReducer, matmul, pair_counts, solve_matrix
 from .rank_dp import rank_from_resolution
 from .resolution import presentation, presented_module
 
@@ -62,12 +62,20 @@ def _flag_basis(pushed: np.ndarray, births: np.ndarray, here: int, p: int):
     `pushed` holds a spanning set of the earlier flag spaces, sorted by
     birth; each column independent of those before it is kept, and unit
     vectors born at `here` complete the basis.  Every flag space is then
-    the span of the basis vectors born at or before its index.
+    the span of the basis vectors born at or before its index.  The kept
+    columns are those a `ColumnReducer` admits, in order, until the
+    rank is d.
     """
     d = pushed.shape[0]
     cand = np.hstack((pushed, np.eye(d, dtype=np.int64)))
     born = np.concatenate((births, np.full(d, here, dtype=np.int64)))
-    keep = rref(cand, p)[1]  # echelon pivots: each column independent of those before it
+    reducer = ColumnReducer(d, p)
+    keep = []
+    for j, v in enumerate(ColumnReducer.columns(cand, p)):
+        if reducer.add(v) is not None:
+            keep.append(j)
+            if reducer.rank == d:
+                break
     return cand[:, keep], born[keep]
 
 

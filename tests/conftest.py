@@ -7,8 +7,16 @@ import pytest
 from bipersist.bifiltration import Bifiltration, facets
 from bipersist.grid_module import comparable_pairs
 from bipersist.ioutil import FormatError, parse_int
-from bipersist.linalg import check_modulus, image_basis, kernel_basis, subspace_intersect, subspace_sum
-from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix
+from bipersist.linalg import (
+    check_modulus,
+    extend_basis,
+    image_basis,
+    kernel_basis,
+    solve_matrix,
+    subspace_intersect,
+    subspace_sum,
+)
+from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
 from bipersist.weakexact import KappaIota
 
 
@@ -93,6 +101,63 @@ def kappa_iota_naive(module):
             kernel_basis(module.composite(s, c), p),
         ).dim
     return KappaIota(nx, ny, kappa, iota)
+
+
+def _leq(a, b):
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def reference_graded_kernel_basis(mat, col_grades, nx, ny, p):
+    """Oracle for `resolution.graded_kernel_basis`: a dense kernel and its
+    completion against the generators found so far at every grid point
+    of the y-major sweep, whether or not the point gains a generator."""
+    cols = mat.shape[1]
+    col_g = [(int(g[0]), int(g[1])) for g in col_grades]
+    found, grades = [], []
+    for y in range(ny):
+        for x in range(nx):
+            t = (x, y)
+            mask = np.array([_leq(g, t) for g in col_g], dtype=bool).reshape(cols)
+            if not mask.any():
+                continue
+            ker = kernel_basis(mat[:, mask], p)
+            if ker.dim == 0:
+                continue
+            emb = np.zeros((cols, ker.dim), dtype=np.int64)
+            emb[mask] = ker.basis
+            old = [v for v, g in zip(found, grades) if _leq(g, t)]
+            base = np.column_stack(old) if old else np.zeros((cols, 0), dtype=np.int64)
+            for j in extend_basis(base, emb, p):
+                found.append(emb[:, j])
+                grades.append(t)
+    basis = np.column_stack(found) if found else np.zeros((cols, 0), dtype=np.int64)
+    return basis, grades
+
+
+def reference_presentation(bif, degree):
+    """Oracle for `resolution.presentation`: each boundary column solved on
+    its own, against the generators <= its grade only."""
+    p = bif.p
+    q_list = bif.by_dim.get(degree, [])
+    up_list = bif.by_dim.get(degree + 1, [])
+    gen_basis, gen_grades = reference_graded_kernel_basis(
+        bif.boundary_matrix(degree), [bif.grades[s] for s in q_list], bif.nx, bif.ny, p
+    )
+    gens = FreeModule(gen_grades)
+    d_up = bif.boundary_matrix(degree + 1)
+    phi_cols, rel_grades = [], []
+    for j, s in enumerate(up_list):
+        sel = [i for i, g in enumerate(gen_grades) if _leq(g, bif.grades[s])]
+        x = solve_matrix(gen_basis[:, sel], d_up[:, j : j + 1], p)
+        assert x is not None, "boundary column outside the generator span"
+        col = np.zeros(len(gens), dtype=np.int64)
+        col[sel] = x[:, 0]
+        if col.any():
+            phi_cols.append(col)
+            rel_grades.append(bif.grades[s])
+    phi = np.column_stack(phi_cols) if phi_cols else np.zeros((len(gens), 0), dtype=np.int64)
+    rels = FreeModule(rel_grades)
+    return Presentation(gens, rels, GradedMatrix(gens, rels, phi, p), bif.nx, bif.ny, p)
 
 
 def reference_read_fres(text):

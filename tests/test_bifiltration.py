@@ -72,6 +72,12 @@ def test_non_finite_grades_rejected(grade):
         Bifiltration.from_graded_simplices([((0, 0), (0,)), (grade, (1,))])
 
 
+@pytest.mark.parametrize("grade", [(10**400, 0), (0, -(10**400))])
+def test_grades_past_the_float_range_rejected(grade):
+    with pytest.raises(ValueError, match=r"simplex \(1,\) has a grade past the float range"):
+        Bifiltration.from_graded_simplices([((0, 0), (0,)), (grade, (1,))])
+
+
 def test_grade_normalization():
     items = [((0.5, 10.0), (0,)), ((2.5, 10.0), (1,)), ((2.5, 20.0), (0, 1))]
     bif = Bifiltration.from_graded_simplices(items)

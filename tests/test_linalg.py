@@ -238,3 +238,53 @@ def test_column_reducer_block_is_a_reduced_basis_of_the_columns(p, k, l, seed):
     assert all(not rows[i, :lead].any() for i, lead in enumerate(leads))
     assert len(leads) == rank(mat, p) == rank(np.hstack((mat, rows.T)), p)
     assert not rows.flags.writeable and not got.flags.writeable
+
+
+def test_column_reducer_reduces_entries_mod_2():
+    # negative, even and large entries at p = 2, as arrays or as bitsets
+    for add in (lambda r, v: r.add(v), lambda r, v: r.add(ColumnReducer.columns(v[:, None], 2)[0])):
+        reducer = ColumnReducer(3, 2)
+        assert add(reducer, np.array([2, -4, 6])) is None
+        assert add(reducer, np.array([-1, 2, 3])) == 0
+        assert add(reducer, np.array([7, 10**12, -3])) is None
+        assert add(reducer, np.array([0, 5, -2])) == 1
+        rows, leads = reducer.block()
+        assert rows.tolist() == [[1, 0, 1], [0, 1, 0]] and leads.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 130, 200])
+def test_column_reducer_gf2_has_no_word_boundaries(k):
+    # unit vectors at the old uint64 word edges, then columns with entries
+    # in -3..3; the rows are fully reduced, in admission order, and match
+    # the reduced echelon form of the columns; at full rank add gives None
+    rng = np.random.default_rng(k)
+    edges = [i for i in (0, 1, 62, 63, 64, 65, 127, 128, 129, 199) if i < k]
+    mat = np.hstack((np.eye(k, dtype=np.int64)[:, edges], rng.integers(-3, 4, (k, k + 4)), np.zeros((k, 1), dtype=np.int64)))
+    by_array, by_bits = ColumnReducer(k, 2), ColumnReducer(k, 2)
+    leads = [by_array.add(mat[:, j]) for j in range(mat.shape[1])]
+    assert [by_bits.add(v) for v in ColumnReducer.columns(mat, 2)] == leads
+    assert leads[: len(edges)] == edges
+    admitted = [lead for lead in leads if lead is not None]
+    for i in sorted({0, k // 2, k - 1, *edges} - {-1}):
+        for j in (len(edges), mat.shape[1] // 2, mat.shape[1]):
+            assert sum(lead <= i for lead in leads[:j] if lead is not None) == rank(mat[: i + 1, :j] % 2, 2)
+    rows, got = by_array.block()
+    assert got.tolist() == admitted and rows.shape == (len(admitted), k)
+    assert np.array_equal(rows[:, got], np.eye(len(admitted), dtype=np.int64))
+    assert all(not rows[i, :lead].any() for i, lead in enumerate(admitted))
+    r, piv = rref(mat.T % 2, 2)
+    assert np.array_equal(rows[np.argsort(got)], r[: len(piv)])
+    assert np.array_equal(by_bits.block()[0], rows)
+    assert by_array.rank == k and by_array.add(np.ones(k, dtype=np.int64)) is None
+
+
+def test_column_reducer_block_follows_later_admissions():
+    # a block read before further columns come in is not reused after
+    reducer = ColumnReducer(4, 2)
+    reducer.add(np.array([1, 1, 1, 1]))
+    first, _ = reducer.block()
+    reducer.add(np.array([0, 1, 1, 0]))
+    rows, leads = reducer.block()
+    assert first.tolist() == [[1, 1, 1, 1]]
+    assert rows.tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]] and leads.tolist() == [0, 1]
+    assert reducer.block()[0] is rows

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.grid_module import rank_invariant_naive
-from bipersist.ioutil import FormatError
+from bipersist.ioutil import FormatError, InvariantError
 from bipersist.linalg import kernel_basis, rank
 from bipersist.rank_dp import rank_from_resolution
+import bipersist.resolution as resolution
 from bipersist.resolution import (
     FreeModule,
     FreeResolution,
@@ -23,7 +24,7 @@ from bipersist.resolution import (
     write_fres,
 )
 from bipersist.weakexact import kappa_iota
-from conftest import clique_bifiltration
+from conftest import clique_bifiltration, reference_graded_kernel_basis, reference_presentation
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -175,3 +176,82 @@ def test_presented_module_is_the_homology_module(p, degree, n_vert, q, grid, see
     ki, want = kappa_iota(module), kappa_iota(oracle)
     assert np.array_equal(ki.kappa, want.kappa) and np.array_equal(ki.iota, want.iota)
     assert rank_invariant_naive(module) == rank_from_resolution(pres)
+
+
+@st.composite
+def column_graded_matrices(draw):
+    """(mat, grades, nx, ny, p): entries from {0, 1, 2, p - 1}, some columns
+    zero and some multiples of an earlier column, grades on a grid small
+    enough to repeat."""
+    p = draw(st.sampled_from([2, 3, 2**31 - 1]))
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 10))
+    flat = draw(st.lists(st.sampled_from([0, 0, 1, 2, p - 1]), min_size=rows * cols, max_size=rows * cols))
+    mat = np.array(flat, dtype=np.int64).reshape(rows, cols) % p
+    for j in range(cols):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "multiple"]))
+        if kind == "zero":
+            mat[:, j] = 0
+        elif kind == "multiple" and j:
+            mat[:, j] = mat[:, draw(st.integers(0, j - 1))] * draw(st.sampled_from([1, 2, p - 1])) % p
+    grades = draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)), min_size=cols, max_size=cols))
+    return mat, grades, nx, ny, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_graded_matrices())
+def test_graded_kernel_basis_equals_the_per_point_sweep(drawn):
+    # skipping the points that gain no generator changes neither the
+    # basis nor its grades
+    mat, grades, nx, ny, p = drawn
+    basis, got = graded_kernel_basis(mat, grades, nx, ny, p)
+    want_basis, want = reference_graded_kernel_basis(mat, grades, nx, ny, p)
+    assert got == want
+    assert basis.shape == want_basis.shape and np.array_equal(basis, want_basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_graded_kernel_basis_of_empty_matrices(p, shape):
+    mat = np.zeros(shape, dtype=np.int64)
+    grades = [(0, j % 2) for j in range(shape[1])]
+    basis, got = graded_kernel_basis(mat, grades, 2, 2, p)
+    want_basis, want = reference_graded_kernel_basis(mat, grades, 2, 2, p)
+    assert got == want and basis.shape == want_basis.shape == (shape[1], shape[1] if not shape[0] else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 2**31 - 1]),
+    degree=st.sampled_from([0, 1, 2]),
+    n_vert=st.integers(1, 9),
+    q=st.sampled_from([0.3, 0.6, 0.9]),
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 10**6),
+)
+@hypothesis.example(p=2, degree=1, n_vert=9, q=0.9, grid=(1, 1), seed=0)
+@hypothesis.example(p=3, degree=2, n_vert=1, q=0.3, grid=(2, 3), seed=5)
+def test_presentation_equals_the_per_column_solve(p, degree, n_vert, q, grid, seed):
+    # one solve for all boundary columns against the top-point basis
+    # gives the same phi as one solve per column against the generators
+    # below its grade; degree 2 has no relations, one vertex no edges
+    bif = clique_bifiltration(seed, n_vert, q, *grid, p)
+    got, want = presentation(bif, degree), reference_presentation(bif, degree)
+    assert got.gens.grades == want.gens.grades and got.rels.grades == want.rels.grades
+    assert got.phi.entries.shape == want.phi.entries.shape
+    assert np.array_equal(got.phi.entries, want.phi.entries)
+
+
+@pytest.mark.parametrize("damage", ["raise the grades", "drop a generator"])
+def test_presentation_refuses_boundaries_outside_the_generator_span(monkeypatch, damage):
+    # vertex generators graded above their edges, or one vertex missing:
+    # some boundary column has no solution on the generators below it
+    bif = Bifiltration.from_graded_simplices(TRIANGLE)
+    basis, grades = graded_kernel_basis(bif.boundary_matrix(0), [bif.grades[s] for s in bif.by_dim[0]], bif.nx, bif.ny, 2)
+    if damage == "raise the grades":
+        damaged = (basis, [(bif.nx - 1, bif.ny - 1)] * len(grades))
+    else:
+        damaged = (basis[:, 1:], grades[1:])
+    monkeypatch.setattr(resolution, "graded_kernel_basis", lambda *args: damaged)
+    with pytest.raises(InvariantError, match="outside the generator span"):
+        presentation(bif, 0)
