@@ -7,14 +7,14 @@ Everything here is deterministic: no pivoting heuristics beyond
 first-nonzero, and subspaces are kept in a canonical reduced echelon
 form so equality is plain array equality.
 
-`ColumnReducer` is the one incremental column reducer, and it reports
-the lead row of every column it admits; `block` shows its reduced
-basis, from which `resolution.presented_module` reads normal forms.  At
-p = 2 a column is a Python-int bitset, reduced by XOR against the
-admitted columns keyed by their lead; at other p it works on int64 rows
-in place, with products through `matmul`.  `pair_counts`
-turns its leads into 2-D cumulative pair counts, and the rank DP and
-the kappa/iota tables share that one helper: the DP pairs the relation
+`ColumnReducer` is the one incremental column reducer, one lead-keyed
+algorithm at every p: Python-int bitsets reduced by XOR at p = 2, int64
+columns reduced by axpy mod p otherwise, exact as (p - 1)^2 < 2^62.  It
+reports the lead row of every column it admits, and `block`
+back-substitutes on demand into the reduced basis from which
+`resolution.presented_module` reads normal forms.  `pair_counts` turns
+the leads into 2-D cumulative pair counts, and the rank DP and the
+kappa/iota tables share that one helper: the DP pairs the relation
 matrix once per (generator class, t_y), the check path pairs two flags
 at each grid point.  The same reducer picks the flag bases of the check
 path and counts kernel dimensions in `resolution.graded_kernel_basis`.
@@ -157,34 +157,34 @@ class ColumnReducer:
     The pairs do not depend on how a column is reduced, only on the
     order the columns come in.
 
-    The storage follows p.  At p = 2 a column is a Python-int bitset
-    with bit k-1-i for row i, so that its lead is its highest set bit,
-    which `int.bit_length` reads without building an int.  It is reduced
-    by XOR against a {bit length: column} dict until its lead leads no
-    admitted column, and `block` back-substitutes when it is called.  At
-    any other p the block is kept fully reduced in one preallocated
-    int64 array, updated in place and doubled when full, with products
-    through `matmul`, exact for every p up to MAX_MODULUS.  `columns`
-    converts a whole matrix at once to the form `add` takes, so that
-    `add` converts nothing.
+    One algorithm serves every p, the lead-keyed column reduction: the
+    admitted columns sit in a dict keyed by lead, and a new column
+    subtracts the admitted column at its lead until it is zero or its
+    lead is free.  Only the storage follows p.  At p = 2 a column is a
+    Python-int bitset with bit k-1-i for row i, keyed by bit length, so
+    that `int.bit_length` reads its lead without building an int, and a
+    subtraction is one XOR.  At any other p it is an int64 array in
+    [0, p) with lead entry 1, and a subtraction is one axpy
+    w = (w - w[lead] c) mod p, whose products are at most
+    (p - 1)^2 < 2^62: exact in int64 for every p up to MAX_MODULUS.
+    `block` back-substitutes when called and keeps the result until the
+    rank changes.  `columns` converts a whole matrix at once to the form
+    `add` takes.
     """
 
     def __init__(self, k: int, p: int):
         self.k = int(k)
         self.p = p
         self.rank = 0
-        if p == 2:
-            self._cols: dict = {}  # bit length -> admitted column, in admission order
-            self._block = None  # block() at the rank it was built for
-        else:
-            cap = min(self.k, 64)
-            self._rows = np.zeros((cap, self.k), dtype=np.int64)
-            self._piv = np.zeros(cap, dtype=np.int64)
+        self._cols: dict = {}  # lead (bit length at p = 2) -> admitted column, in admission order
+        self._block = None  # block() at the rank it was built for
 
     @staticmethod
     def columns(mat: np.ndarray, p: int):
         """The columns of `mat` (any int entries) in the form `add` takes
-        at modulus p: Python-int bitsets at p = 2, int64 views otherwise."""
+        at modulus p: Python-int bitsets at p = 2, which `add` uses as
+        they are, and otherwise the rows of mat.T, which `add` reduces
+        mod p."""
         if p != 2:
             return mat.T
         packed = np.packbits(np.asarray(mat)[::-1] & 1, axis=0, bitorder="little")
@@ -202,30 +202,17 @@ class ColumnReducer:
             return None
         if self.p == 2:
             return self._add_gf2(v if type(v) is int else self.columns(np.reshape(v, (-1, 1)), 2)[0])
-        if self.rank == self._rows.shape[0]:
-            self._grow()
-        r = self.rank
-        found = self._reduce_modp(v, self._rows[:r], self._piv[:r])
-        if found is None:
-            return None
-        self._rows[r], self._piv[r] = w, lead = found
-        self.rank = r + 1
-        return lead
+        return self._add_modp(v)
 
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, leads): the reduced block as read-only int64 rows of length
-        k, in admission order, and the lead of each row.  At p = 2 the rows
-        are a new array, built once per rank."""
-        if self.p == 2:
-            if self._block is None or self._block[1].size != self.rank:
-                self._block = self._block_gf2()
-            return self._block
-        r = self.rank
-        rows = self._rows[:r].view()
-        rows.flags.writeable = False
-        leads = self._piv[:r].view()
-        leads.flags.writeable = False
-        return rows, leads
+        k, in admission order, and the lead of each row; built once per
+        rank."""
+        if self._block is None or self._block[1].size != self.rank:
+            rows, leads = self._block_gf2() if self.p == 2 else self._block_modp()
+            rows.flags.writeable = leads.flags.writeable = False
+            self._block = rows, leads
+        return self._block
 
     def _add_gf2(self, w: int) -> Optional[int]:
         cols = self._cols
@@ -238,6 +225,25 @@ class ColumnReducer:
                 return self.k - top
             w ^= c  # clears the lead; c has no higher bit set
         return None
+
+    def _add_modp(self, v) -> Optional[int]:
+        p, cols = self.p, self._cols
+        w = np.asarray(v, dtype=np.int64) % p
+        lead = 0
+        while True:
+            nz = w[lead:].nonzero()[0]
+            if nz.size == 0:
+                return None
+            lead += int(nz[0])
+            c = cols.get(lead)
+            if c is None:
+                break
+            tail = w[lead:]  # c is zero before its lead
+            tail -= tail[0] * c[lead:]
+            tail %= p
+        cols[lead] = w * inv_mod(int(w[lead]), p) % p
+        self.rank += 1
+        return lead
 
     def _block_gf2(self):
         """Back-substitution, from the last lead row up: a column's entries
@@ -258,34 +264,23 @@ class ColumnReducer:
         n = (self.k + 7) // 8
         data = np.frombuffer(b"".join(red[top].to_bytes(n, "little") for top in cols), dtype=np.uint8)
         rows = np.unpackbits(data.reshape(self.rank, n), axis=1, count=self.k, bitorder="little")
-        rows = rows[:, ::-1].astype(np.int64)
-        leads = np.array([self.k - top for top in cols], dtype=np.int64)
-        rows.flags.writeable = leads.flags.writeable = False
-        return rows, leads
+        return rows[:, ::-1].astype(np.int64), np.array([self.k - top for top in cols], dtype=np.int64)
 
-    def _reduce_modp(self, v, rows, piv):
-        """int64 reduction mod p; clears the new pivot from `rows` in place."""
+    def _block_modp(self):
+        """Back-substitution, from the last lead up, one lead column at a
+        time: the row of that lead is by then zero at every other lead, so
+        clearing its column in the other rows changes no other lead entry,
+        and which rows need it can be read off before the first step."""
         p = self.p
-        w = np.mod(v, p)
-        if piv.size:
-            w = np.mod(w - matmul(rows.T, w[piv, None], p)[:, 0], p)
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
-            return None
-        lead = int(nz[0])
-        w = w * inv_mod(int(w[lead]), p) % p
-        above = np.flatnonzero(rows[:, lead])
-        if above.size:  # w is zero before its lead
-            rows[above, lead:] = (rows[above, lead:] - np.outer(rows[above, lead], w[lead:])) % p
-        return w, lead
-
-    def _grow(self) -> None:
-        cap = min(self.k, 2 * self._rows.shape[0])
-        rows = np.zeros((cap, self.k), dtype=np.int64)
-        rows[: self.rank] = self._rows
-        piv = np.zeros(cap, dtype=np.int64)
-        piv[: self.rank] = self._piv
-        self._rows, self._piv = rows, piv
+        leads = np.fromiter(self._cols, dtype=np.int64, count=self.rank)
+        rows = np.array([*self._cols.values()], dtype=np.int64).reshape(self.rank, self.k)
+        hits = rows[:, leads] != 0
+        np.fill_diagonal(hits, False)
+        order = np.argsort(leads)[::-1]
+        for i in order[hits[:, order].any(axis=0)]:
+            lead, above = leads[i], hits[:, i].nonzero()[0]
+            rows[above, lead:] = (rows[above, lead:] - rows[above, lead, None] * rows[i, lead:]) % p
+        return rows, leads
 
 
 def pair_counts(mat: np.ndarray, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:

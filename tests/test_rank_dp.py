@@ -140,11 +140,16 @@ def test_presented_module_has_the_rank_of_every_pair(p, k, l, seed):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_column_reducer_grows_past_its_first_block(p):
-    # 140 columns in F_p^130: the block doubles past 64 and 128 pivots,
-    # and once the rank is full every further column is dependent
+def test_column_reducer_counts_prefix_ranks_up_to_full_rank(p):
+    # 140 columns in F_p^130: the rank of every prefix, a zero column and
+    # a combination are dependent, and once the rank is full every
+    # further column is dependent; column 0 is 1 over p - 1 entries and
+    # column 1 is all p - 1, so reducing column 1 multiplies p - 1 by
+    # p - 1, the largest product an axpy forms
     rng = np.random.default_rng(p % 1000)
     mat = rng.integers(0, p, (130, 140))
+    mat[:, :2] = p - 1
+    mat[0, 0] = 1
     mat[:, 5] = 0
     mat[:, 70] = (mat[:, 3] + 2 * mat[:, 60]) % p
     reducer = ColumnReducer(130, p)
