@@ -32,6 +32,12 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise CliError(str(e)) from None
+    except UnicodeDecodeError as e:
+        # the whole file is decoded at once, so e.start counts from its
+        # first byte; text mode reads a CR or a CRLF as one line end
+        head = e.object[: e.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise FormatError(f"line {line}: byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})") from None
 
 
 def _write_output(text: str, path):

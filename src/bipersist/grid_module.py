@@ -349,7 +349,13 @@ class RankInvariant:
         bad |= (tx > DP_GRID_CAP) | (ty > DP_GRID_CAP)
         n_ok = int(np.argmax(bad)) if bad.any() else len(rows)
         nx, ny = int(tx[:n_ok].max(initial=0)), int(ty[:n_ok].max(initial=0))
-        flat = np.ravel_multi_index(tuple(rows[:n_ok, :4].T - 1), (nx, ny, nx, ny))
+        # flat index of (s - 1, t - 1) in the (nx, ny, nx, ny) table, built in place
+        flat = sx[:n_ok] * ny
+        for col, extent in ((sy, nx), (tx, ny)):
+            flat += col[:n_ok]
+            flat *= extent
+        flat += ty[:n_ok]
+        flat -= ((ny + 1) * nx + 1) * ny + 1
         order = np.argsort(flat, kind="stable")
         ordered = flat[order]
         again = ordered[1:] == ordered[:-1]
@@ -357,6 +363,7 @@ class RankInvariant:
             i = int(order[1:][again].min())
             first = int(order[np.searchsorted(ordered, flat[i])])
             raise FormatError(f"line {lines[i]}: pair repeats line {lines[first]}")
+        del order, ordered, again  # before the table, the largest array, is allocated
         if n_ok < len(rows):
             where = f"line {lines[n_ok]}"
             a, b, c, d, value = rows[n_ok].tolist()

@@ -54,7 +54,9 @@ def parse_int(tok: str, lineno: int, what: str) -> int:
 
 
 _COMMENT = re.compile(r"#[^\n]*")
-_BLOCK_CHARS = 1 << 22  # text parsed per vectorized pass; bounds the per-byte arrays
+# text parsed per vectorized pass: small enough that the pass's per-byte and
+# per-token temporaries stay in the CPU cache
+_BLOCK_CHARS = 1 << 17
 
 
 def int_rows(text: str, fields: str, first_line: int = 1):
@@ -67,7 +69,9 @@ def int_rows(text: str, fields: str, first_line: int = 1):
 
     `text` is a run of whole lines whose first line is line `first_line`
     of its file, so a reader that cuts one block out of a file keeps the
-    line numbers of the file.
+    line numbers of the file.  The text is parsed in cache-sized blocks
+    of whole lines, each of which writes its rows straight into one
+    array allocated up front for as many rows as the text can hold.
 
     Returns (rows, lines, error): the (n, width) int64 rows of the lines
     before the first malformed one, their 1-based line numbers, and a
@@ -77,24 +81,27 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     check that line fails.
     """
     width = len(fields.split())
-    rows, lines = [np.zeros((0, width), dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    pos = 0
-    while pos < len(text):
+    # a row takes a line, and at least one character and one separator per field
+    cap = min(text.count("\n") + 1, (len(text) + 1) // (2 * width))
+    rows = np.empty((cap, width), dtype=np.int64)
+    lines = np.empty(cap, dtype=np.int64)
+    n, pos, error = 0, 0, None
+    while pos < len(text) and error is None:
         cut = text.find("\n", pos + _BLOCK_CHARS)
         cut = len(text) if cut < 0 else cut + 1
         block = text[pos:cut]
-        block_rows, block_lines, error = _block_rows(block, fields, width, first_line)
-        rows.append(block_rows)
-        lines.append(block_lines)
-        if error is not None:
-            return np.concatenate(rows), np.concatenate(lines), error
+        got, error = _block_rows(block, fields, first_line, rows[n:], lines[n:])
+        n += got
         first_line += block.count("\n")
         pos = cut
-    return np.concatenate(rows), np.concatenate(lines), None
+    return rows[:n], lines[:n], error
 
 
-def _block_rows(block: str, fields: str, width: int, first_line: int):
-    """`int_rows` on a run of whole lines starting at line `first_line`."""
+def _block_rows(block: str, fields: str, first_line: int, rows, lines):
+    """`int_rows` on a run of whole lines starting at line `first_line`:
+    writes the rows and their line numbers to the heads of `rows` and
+    `lines`, and returns (number of rows written, error)."""
+    width = rows.shape[1]
     data = np.frombuffer(_COMMENT.sub("", block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
     blank = (data == 32) | (data == 10) | (data == 9) | (data == 13)
     digit = (data - 48) < 10  # uint8 arithmetic wraps the bytes below '0' upwards
@@ -126,15 +133,20 @@ def _block_rows(block: str, fields: str, width: int, first_line: int):
 
     n_tok = int(per_line[:stop].sum())
     starts, ends = starts[:n_tok], ends[:n_tok]
-    minus = data[starts] == 45
-    lo = starts + (minus | (data[starts] == 43))
-    n_digits = ends - lo
-    values = np.zeros(n_tok, dtype=np.int64)
-    for back in range(min(int(n_digits.max(initial=0)), _SAFE_DIGITS), 0, -1):
-        at = ends - back
-        d = np.take(data, at, mode="clip").astype(np.int64) - 48
-        values = values * 10 + np.where(at >= lo, d, 0)
-    values[minus] *= -1
+    first = data[starts]
+    minus = first == 45
+    n_digits = ends - starts - (minus | (first == 43))
+    # every token has a last digit; each earlier place is added over the
+    # tokens long enough to have it
+    values = rows.reshape(-1)[:n_tok]
+    np.subtract(data[ends - 1], 48, out=values, dtype=np.int64)
+    live = np.flatnonzero(n_digits > 1)
+    for place in range(1, _SAFE_DIGITS):
+        if not live.size:
+            break
+        values[live] += (data[ends[live] - 1 - place].astype(np.int64) - 48) * 10**place
+        live = live[n_digits[live] > place + 1]
+    np.negative(values, out=values, where=minus)
     for t in np.flatnonzero(n_digits > _SAFE_DIGITS):
         token = data[starts[t] : ends[t]].tobytes().decode()
         value = _int64(token)
@@ -142,9 +154,9 @@ def _block_rows(block: str, fields: str, width: int, first_line: int):
             stop = int(np.searchsorted(line_ends, starts[t]))
             why = f"integer {token} is outside the 64-bit range"
             n_tok = t - t % width
-            values = values[:n_tok]
             break
         values[t] = value
     error = FormatError(f"line {first_line + stop}: {why}") if why else None
-    lines = first_line + np.flatnonzero(per_line[:stop] == width)
-    return values.reshape(-1, width), lines[: n_tok // width], error
+    n_rows = n_tok // width
+    lines[:n_rows] = first_line + np.flatnonzero(per_line[:stop] == width)[:n_rows]
+    return n_rows, error

@@ -99,14 +99,21 @@ def decompose(r: RankInvariant):
     module has this rank invariant; the barcode then keeps only the
     positive part.  A clean outcome alone does not certify
     decomposability -- that decision belongs to the checkers.
+
+    The table is copied once and differenced in place, one hyperplane
+    at a time: downward along the s axes from the top plane, upward
+    along the t axes from the bottom plane, so each plane is taken
+    from a neighbour not yet differenced.  r.table is left as it was.
     """
-    nx, ny = r.nx, r.ny
-    pad = np.zeros((nx + 1, ny + 1, nx + 1, ny + 1), dtype=np.int64)
-    pad[1:, 1:, :nx, :ny] = r.table  # pad[sx + 1, sy + 1, tx, ty] = r(s, t)
-    m = pad
-    for axis in range(4):  # the sign flips of the two t axes cancel
-        m = np.diff(m, axis=axis)
-    m[~comparable_mask(nx, ny)] = 0
+    m = r.table.copy()
+    for axis in range(4):
+        planes = list(np.moveaxis(m, axis, 0))  # views into m
+        if axis < 2:
+            planes.reverse()
+        # s axes: m(s) -= m(s - 1); t axes: m(t) -= m(t + 1); r = 0 off the grid
+        for plane, neighbour in zip(planes, planes[1:]):
+            plane -= neighbour
+    m *= comparable_mask(r.nx, r.ny)
     clean = not (m < 0).any()
     idx = np.nonzero(m > 0)
     counts = dict(zip(zip(*(c.tolist() for c in idx)), m[idx].tolist()))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bipersist.bifiltration import Bifiltration, facets
-from bipersist.grid_module import comparable_pairs
-from bipersist.ioutil import FormatError, parse_int
+from bipersist.grid_module import DP_GRID_CAP, RankInvariant, comparable_pairs
+from bipersist.ioutil import FormatError, logical_lines, parse_int
 from bipersist.linalg import (
     check_modulus,
     extend_basis,
@@ -158,6 +158,39 @@ def reference_presentation(bif, degree):
     phi = np.column_stack(phi_cols) if phi_cols else np.zeros((len(gens), 0), dtype=np.int64)
     rels = FreeModule(rel_grades)
     return Presentation(gens, rels, GradedMatrix(gens, rels, phi, p), bif.nx, bif.ny, p)
+
+
+INTEGER = re.compile(r"[+-]?[0-9]+")
+INT64 = np.iinfo(np.int64)
+
+
+def reference_rank_from_text(text):
+    """Oracle: the per-line .rank reader, one check after another per line."""
+    entries = {}
+    nx = ny = 0
+    for lineno, line in logical_lines(text):
+        toks = line.split()
+        if len(toks) != 5 or not all(INTEGER.fullmatch(t) for t in toks):
+            raise FormatError(f"line {lineno}: malformed")
+        vals = [int(t) for t in toks]
+        if not all(INT64.min <= v <= INT64.max for v in vals):
+            raise FormatError(f"line {lineno}: outside int64")
+        sx, sy, tx, ty, r = vals
+        if not (1 <= sx <= tx and 1 <= sy <= ty):
+            raise FormatError(f"line {lineno}: pair not comparable or not 1-based")
+        if r < 0:
+            raise FormatError(f"line {lineno}: negative rank")
+        if max(tx, ty) > DP_GRID_CAP:
+            raise FormatError(f"line {lineno}: past the grid cap")
+        key = (sx - 1, sy - 1, tx - 1, ty - 1)
+        if key in entries:
+            raise FormatError(f"line {lineno}: repeated pair")
+        entries[key] = r
+        nx, ny = max(nx, tx), max(ny, ty)
+    inv = RankInvariant(nx, ny)
+    for key, r in entries.items():
+        inv.table[key] = r
+    return inv
 
 
 def reference_read_fres(text):

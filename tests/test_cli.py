@@ -188,6 +188,24 @@ def test_validate_names_the_line_of_a_gmod_integer_past_int64(tmp_path, capsys):
         assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    "name, text, command, line",
+    [
+        ("bad.rank", b"1 1 1 1 \xff\n", "decompose-rectangles", 1),
+        ("bad.bif", b"bifiltration\r\nfield 2\r\n0 0 ; 1 # caf\xe9\r\n", "validate", 3),
+        ("bad.fres", b"resolution\nfield 2\rgrid 1 1\ngens\n\n1 1\xc3\x28\n", "validate", 6),
+        ("bad.gmod", b"gridmodule\nfield 2\ngrid 1 1\n\xe2\x82dim 1 1 1\n", "rank", 4),
+    ],
+)
+def test_input_that_is_not_utf8_names_its_line(tmp_path, capsys, name, text, command, line):
+    # such a file used to fail with the codec's message, which names a
+    # byte offset and no line; a CR and a CRLF end a line, as text mode reads them
+    path = tmp_path / name
+    path.write_bytes(text)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: byte 0x")
+
+
 def test_decompose_strict_flags_negatives(tmp_path, capsys):
     gmod = tmp_path / "stair.gmod"
     gmod.write_text(write_gmod(indecgrid(2)))

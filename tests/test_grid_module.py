@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipersist import ioutil
 from bipersist.constructions import example, random_rectangle_module
 from bipersist.grid_module import (
     DP_GRID_CAP,
@@ -29,8 +30,8 @@ from bipersist.grid_module import (
     square_invariant_matrix,
     write_gmod,
 )
-from bipersist.ioutil import logical_lines
 from bipersist.linalg import matmul, rank
+from conftest import INT64, reference_rank_from_text
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
 CORNERS = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
@@ -147,39 +148,6 @@ def reference_rank_to_text(inv):
     return "\n".join(out) + "\n"
 
 
-INTEGER = re.compile(r"[+-]?[0-9]+")
-INT64 = np.iinfo(np.int64)
-
-
-def reference_rank_from_text(text):
-    """Oracle: the per-line .rank reader, one check after another per line."""
-    entries = {}
-    nx = ny = 0
-    for lineno, line in logical_lines(text):
-        toks = line.split()
-        if len(toks) != 5 or not all(INTEGER.fullmatch(t) for t in toks):
-            raise FormatError(f"line {lineno}: malformed")
-        vals = [int(t) for t in toks]
-        if not all(INT64.min <= v <= INT64.max for v in vals):
-            raise FormatError(f"line {lineno}: outside int64")
-        sx, sy, tx, ty, r = vals
-        if not (1 <= sx <= tx and 1 <= sy <= ty):
-            raise FormatError(f"line {lineno}: pair not comparable or not 1-based")
-        if r < 0:
-            raise FormatError(f"line {lineno}: negative rank")
-        if max(tx, ty) > DP_GRID_CAP:
-            raise FormatError(f"line {lineno}: past the grid cap")
-        key = (sx - 1, sy - 1, tx - 1, ty - 1)
-        if key in entries:
-            raise FormatError(f"line {lineno}: repeated pair")
-        entries[key] = r
-        nx, ny = max(nx, tx), max(ny, ty)
-    inv = RankInvariant(nx, ny)
-    for key, r in entries.items():
-        inv.table[key] = r
-    return inv
-
-
 @st.composite
 def rank_tables(draw):
     nx = draw(st.integers(1, 4))
@@ -258,6 +226,55 @@ def outcome(read, text):
 def test_rank_from_text_matches_the_per_line_reader(text):
     # the same table, or a FormatError naming the same line
     assert outcome(RankInvariant.from_text, text) == outcome(reference_rank_from_text, text)
+
+
+BAD_RANK_LINES = [
+    "1 1 1 1", "1 1 1 1 1 1", "1 1 1 1 x", "1 1 1 1 -1", "2 1 1 1 1", "0 1 1 1 1", f"1 1 1 {DP_GRID_CAP + 1} 1",
+    "1 1 1 1 9223372036854775808", "1 1 1 1 -9223372036854775809", "1 1 1 1 9999999999999999999",
+]
+
+
+@st.composite
+def long_rank_texts(draw):
+    """A valid .rank of at least nine pairs, respelled: comments, blank lines,
+    CRs and tabs, signed and zero-padded tokens of up to 19 digits.  Maybe
+    one bad line, or a repeat of an earlier pair, in its second half."""
+    nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    lines = []
+    for s, t in comparable_pairs(nx, ny):
+        values = [s[0] + 1, s[1] + 1, t[0] + 1, t[1] + 1, draw(st.integers(0, 5) | st.just(INT64.max))]
+        toks = [draw(st.sampled_from([str(v), str(v), f"+{v}", f"00{v}", str(v).zfill(19)])) for v in values]
+        toks = [draw(st.sampled_from([tok, "-0"])) if tok == "0" else tok for tok in toks]
+        sep = draw(st.sampled_from([" ", "\t", " \t"]))
+        lines.append(sep.join(toks) + draw(st.sampled_from(["", "", " ", "\r", " # 1 2"])))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\r", "# 1 1 1 1 1"])))
+    if draw(st.booleans()):
+        at = draw(st.integers(len(lines) // 2, len(lines)))
+        bad = draw(st.sampled_from(BAD_RANK_LINES) | st.sampled_from(lines[:at]))
+        lines.insert(at, bad)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def outcome_text(read, text):
+    try:
+        return read(text)
+    except FormatError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(long_rank_texts(), rank_texts()))
+def test_rank_from_text_reads_the_same_in_blocks_of_any_size(block, text):
+    # the text fits in one block of the default size; cut into many, it
+    # gives the same table or the same FormatError
+    assert len(text) < ioutil._BLOCK_CHARS
+    whole = outcome_text(RankInvariant.from_text, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        assert outcome_text(RankInvariant.from_text, text) == whole
+        assert outcome(RankInvariant.from_text, text) == outcome(reference_rank_from_text, text)
 
 
 FUZZ_CHARS = st.one_of(st.sampled_from(list("0123456789 +-#\n\t\r_x.\x0b\x00\xa0\u00e9\ud800")), st.characters())

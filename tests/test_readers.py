@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipersist import ioutil
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
 from bipersist.grid_module import DP_GRID_CAP, GMOD_IDENTITY_BYTES_CAP, GridModule, read_gmod, write_gmod
-from bipersist.ioutil import FormatError, parse_int
+from bipersist.ioutil import FormatError, int_rows, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres
 from bipersist.zigzag import ZigzagBarcode, read_zbar, write_zbar
@@ -227,6 +228,27 @@ def test_read_fres_matches_the_per_line_reader(text):
     assert fres_outcome(read_fres, text) == fres_outcome(reference_read_fres, text)
 
 
+def fres_outcome_text(text):
+    try:
+        return write_fres(read_fres(text))
+    except FormatError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=100, deadline=None)
+@given(text=st.one_of(fres_texts(), edited_fres_texts()))
+def test_read_fres_reads_the_same_in_blocks_of_any_size(block, text):
+    # the text fits in one block of the default size; cut into many, it
+    # gives the same resolution or the same FormatError
+    assert len(text) < ioutil._BLOCK_CHARS
+    whole = fres_outcome_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        assert fres_outcome_text(text) == whole
+        assert fres_outcome(read_fres, text) == fres_outcome(reference_read_fres, text)
+
+
 def test_fres_reader_refuses_text_past_the_psi_block():
     # the psi block ends at the second psi line; what follows it is not
     # read, so the file is refused, not read as an empty resolution
@@ -297,3 +319,18 @@ def test_gmod_reader_refuses_large_spaces_with_neighbours_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10 * len(text)
+
+
+def test_int_rows_peak_memory_is_its_rows_and_one_block():
+    # a 40 x 40 .rank: the rows go straight into one array, and the
+    # per-byte and per-token temporaries of one cache-sized block fit in
+    # the quarter of slack
+    text = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40).to_text()
+    tracemalloc.start()
+    try:
+        rows, lines, error = int_rows(text, "s_x s_y t_x t_y r")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error is None and len(rows) == (40 * 41 // 2) ** 2
+    assert peak <= 1.25 * (rows.nbytes + lines.nbytes) + ioutil._BLOCK_CHARS

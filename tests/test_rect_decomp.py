@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,8 @@ from bipersist.bifiltration import homology_module
 from bipersist.constructions import indecgrid, random_rectangle_module
 from bipersist.grid_module import (
     GridModule,
+    RankInvariant,
+    comparable_mask,
     comparable_pairs,
     is_weakly_exact_algebraic,
     rank_invariant_naive,
@@ -79,6 +84,38 @@ def test_decompose_matches_oracle_on_indecgrid(n):
     barcode, clean = decompose(r)
     assert not clean  # the staircase is no sum of rectangles
     assert (barcode, clean) == oracle_decompose(r)
+
+
+@st.composite
+def drawn_tables(draw):
+    """Arbitrary entries on the comparable pairs, which mostly give negative
+    multiplicities, on grids that include 1 x n and n x 1."""
+    nx, ny = draw(st.sampled_from([(1, 1), (1, 5), (5, 1), (1, 2), (3, 1)]) | st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    r = RankInvariant(nx, ny)
+    mask = comparable_mask(nx, ny)
+    size = int(mask.sum())
+    r.table[mask] = draw(st.lists(st.integers(0, 6) | st.integers(0, 2**58), min_size=size, max_size=size))
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_tables())
+def test_decompose_is_the_sixteen_term_sum_and_leaves_the_table(r):
+    before = r.table.copy()
+    assert decompose(r) == oracle_decompose(r)
+    assert np.array_equal(r.table, before)
+
+
+def test_decompose_peak_memory_is_one_table_and_the_mask():
+    r = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1, (10, 0, 12, 39): 4}).rank_invariant(40, 40)
+    tracemalloc.start()
+    try:
+        barcode, clean = decompose(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clean and len(barcode) == 3
+    assert peak <= 1.25 * r.table.nbytes + comparable_mask(40, 40).nbytes
 
 
 def test_barcode_rank_invariant_clips_to_the_grid():
