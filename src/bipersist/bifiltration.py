@@ -363,9 +363,3 @@ def read_bif(text: str) -> Bifiltration:
         seen.add(verts)
         items.append((grade, verts))
     return Bifiltration.from_graded_simplices(items, p)
-
-
-def parse(path) -> Bifiltration:
-    """Read a .bif file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_bif(fh.read())

@@ -18,7 +18,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .ioutil import FormatError, int_rows, logical_lines, parse_int
+from .ioutil import (
+    FormatError,
+    InvariantError,
+    block_rows,
+    int_rows,
+    line_blocks,
+    logical_lines,
+    parse_int,
+    row_capacity,
+)
 from .linalg import (
     Subspace,
     check_modulus,
@@ -342,44 +351,100 @@ class RankInvariant:
         A line is bad when it is malformed, when its pair is not
         comparable or not 1-based, when its rank is negative, when it
         lies past the grid cap, or when its pair repeats an earlier line.
+
+        The text is parsed one cache-sized block of lines at a time, and
+        of each block's rows only the pair, packed into an int32 key, and
+        the int64 rank are kept: 12 bytes a row.  Once the last block has
+        set the grid, the keys are scattered into the table block by
+        block, and a bitmap of the cells they hit shows whether a pair
+        repeats; only then is the text parsed again, whole, to name the
+        two lines.
         """
-        rows, lines, error = int_rows(text, "s_x s_y t_x t_y r")
-        sx, sy, tx, ty, r = rows.T
-        bad = (sx < 1) | (sy < 1) | (sx > tx) | (sy > ty) | (r < 0)
-        bad |= (tx > DP_GRID_CAP) | (ty > DP_GRID_CAP)
-        n_ok = int(np.argmax(bad)) if bad.any() else len(rows)
-        nx, ny = int(tx[:n_ok].max(initial=0)), int(ty[:n_ok].max(initial=0))
-        # flat index of (s - 1, t - 1) in the (nx, ny, nx, ny) table, built in place
-        flat = sx[:n_ok] * ny
-        for col, extent in ((sy, nx), (tx, ny)):
-            flat += col[:n_ok]
-            flat *= extent
-        flat += ty[:n_ok]
-        flat -= ((ny + 1) * nx + 1) * ny + 1
-        order = np.argsort(flat, kind="stable")
-        ordered = flat[order]
-        again = ordered[1:] == ordered[:-1]
-        if again.any():  # stable order: the later line of a repeat comes second
-            i = int(order[1:][again].min())
-            first = int(order[np.searchsorted(ordered, flat[i])])
-            raise FormatError(f"line {lines[i]}: pair repeats line {lines[first]}")
-        del order, ordered, again  # before the table, the largest array, is allocated
-        if n_ok < len(rows):
-            where = f"line {lines[n_ok]}"
-            a, b, c, d, value = rows[n_ok].tolist()
-            if not (1 <= a <= c and 1 <= b <= d):
-                raise FormatError(f"{where}: pair not comparable or not 1-based")
-            if value < 0:
-                raise FormatError(f"{where}: negative rank")
-            try:
-                check_table_grid(c, d)
-            except GridTooLargeError as e:
-                raise FormatError(f"{where}: {e}") from None
+        keys, ranks = [], []
+        nx = ny = 0
+        error = None
+        for first_line, block in line_blocks(text):
+            cap = row_capacity(block, 5)
+            rows, lines = np.empty((cap, 5), dtype=np.int64), np.empty(cap, dtype=np.int64)
+            got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines)
+            n_ok, bad = _first_bad_rank_row(rows[:got], lines[:got])
+            rows = rows[:n_ok]
+            keys.append(_pair_keys(rows))
+            ranks.append(rows[:, 4].copy())
+            nx, ny = max(nx, int(rows[:, 2].max(initial=0))), max(ny, int(rows[:, 3].max(initial=0)))
+            if bad is not None:  # a bad row comes before the block's malformed line
+                error = bad
+            if error is not None:
+                break
+        # flat index of (s - 1, t - 1) in the (nx, ny, nx, ny) table: the
+        # key's high twelve bits give the s part, its low twelve the t part
+        six = np.arange(64)
+        s_part = ((six[:, None] * ny + six) * (nx * ny)).ravel()
+        t_part = (six[:, None] * ny + six).ravel()
+        seen = np.zeros(nx * ny * nx * ny, dtype=bool)
+        inv = cls(nx, ny) if error is None else None
+        for key, rank in zip(keys, ranks):
+            flat = s_part[key >> 12]
+            flat += t_part[key & 4095]
+            seen[flat] = True
+            if inv is not None:
+                inv.table.reshape(-1)[flat] = rank
+        if np.count_nonzero(seen) < sum(len(key) for key in keys):
+            raise _repeated_pair(text)
         if error is not None:
             raise error
-        inv = cls(nx, ny)
-        inv.table.reshape(-1)[flat] = r
         return inv
+
+
+_RANK_FIELDS = "s_x s_y t_x t_y r"
+
+
+def _first_bad_rank_row(rows, lines):
+    """(n, error): the number of .rank rows before the first one with a
+    bad pair, rank or extent, and a FormatError naming that row's line
+    (None when every row is good)."""
+    sx, sy, tx, ty, r = rows.T
+    bad = (sx < 1) | (sy < 1) | (sx > tx) | (sy > ty) | (r < 0)
+    bad |= (tx > DP_GRID_CAP) | (ty > DP_GRID_CAP)
+    if not bad.any():
+        return len(rows), None
+    n = int(np.argmax(bad))
+    where = f"line {lines[n]}"
+    a, b, c, d, value = rows[n].tolist()
+    if not (1 <= a <= c and 1 <= b <= d):
+        return n, FormatError(f"{where}: pair not comparable or not 1-based")
+    if value < 0:
+        return n, FormatError(f"{where}: negative rank")
+    try:
+        check_table_grid(c, d)
+    except GridTooLargeError as e:
+        return n, FormatError(f"{where}: {e}")
+    raise InvariantError(f"{where}: row {rows[n].tolist()} flagged bad without a cause")
+
+
+def _pair_keys(rows):
+    """The pairs of good .rank rows as int32 keys, six bits per 0-based
+    coordinate (s_x, s_y, t_x, t_y), most significant first."""
+    key = rows[:, 0] - 1
+    for col in (1, 2, 3):
+        key <<= 6
+        key |= rows[:, col] - 1
+    return key.astype(np.int32)
+
+
+def _repeated_pair(text: str) -> FormatError:
+    """The FormatError of the first .rank line whose pair repeats an
+    earlier line's, for a text whose good rows are known to repeat one."""
+    rows, lines, _ = int_rows(text, _RANK_FIELDS)
+    n_ok, _ = _first_bad_rank_row(rows, lines)
+    key = _pair_keys(rows[:n_ok])
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    again = ordered[1:] == ordered[:-1]
+    # stable order: the later line of a repeat comes second
+    i = int(order[1:][again].min())
+    first = int(order[np.searchsorted(ordered, key[i])])
+    return FormatError(f"line {lines[i]}: pair repeats line {lines[first]}")
 
 
 def rank_invariant_naive(module: GridModule) -> RankInvariant:

@@ -81,24 +81,39 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     check that line fails.
     """
     width = len(fields.split())
-    # a row takes a line, and at least one character and one separator per field
-    cap = min(text.count("\n") + 1, (len(text) + 1) // (2 * width))
+    cap = row_capacity(text, width)
     rows = np.empty((cap, width), dtype=np.int64)
     lines = np.empty(cap, dtype=np.int64)
-    n, pos, error = 0, 0, None
-    while pos < len(text) and error is None:
+    n = 0
+    for first, block in line_blocks(text, first_line):
+        got, error = block_rows(block, fields, first, rows[n:], lines[n:])
+        n += got
+        if error is not None:
+            return rows[:n], lines[:n], error
+    return rows[:n], lines[:n], None
+
+
+def row_capacity(text: str, width: int) -> int:
+    """Most rows of `width` integers that `text` can hold: a row takes a
+    line, and at least one character and one separator per field."""
+    return min(text.count("\n") + 1, (len(text) + 1) // (2 * width))
+
+
+def line_blocks(text: str, first_line: int = 1):
+    """Cut `text` into runs of whole lines of about `_BLOCK_CHARS`
+    characters; yields (number of the run's first line, run)."""
+    pos = 0
+    while pos < len(text):
         cut = text.find("\n", pos + _BLOCK_CHARS)
         cut = len(text) if cut < 0 else cut + 1
         block = text[pos:cut]
-        got, error = _block_rows(block, fields, first_line, rows[n:], lines[n:])
-        n += got
+        yield first_line, block
         first_line += block.count("\n")
         pos = cut
-    return rows[:n], lines[:n], error
 
 
-def _block_rows(block: str, fields: str, first_line: int, rows, lines):
-    """`int_rows` on a run of whole lines starting at line `first_line`:
+def block_rows(block: str, fields: str, first_line: int, rows, lines):
+    """`int_rows` on one run of whole lines starting at line `first_line`:
     writes the rows and their line numbers to the heads of `rows` and
     `lines`, and returns (number of rows written, error)."""
     width = rows.shape[1]

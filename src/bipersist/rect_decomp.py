@@ -15,6 +15,8 @@ clamped.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .grid_module import RankInvariant, comparable_mask
@@ -100,21 +102,24 @@ def decompose(r: RankInvariant):
     positive part.  A clean outcome alone does not certify
     decomposability -- that decision belongs to the checkers.
 
-    The table is copied once and differenced in place, one hyperplane
-    at a time: downward along the s axes from the top plane, upward
-    along the t axes from the bottom plane, so each plane is taken
-    from a neighbour not yet differenced.  r.table is left as it was.
+    The differences are taken one s_x slab at a time: the slab
+    r[s_x] - r[s_x - 1], then, inside that contiguous (ny, nx, ny)
+    slab, downward along s_y and upward along t_x and t_y, each as one
+    shifted subtraction.  Beside r.table, which is left as it was, and
+    the comparable mask, only a few slabs are held at once.
     """
-    m = r.table.copy()
-    for axis in range(4):
-        planes = list(np.moveaxis(m, axis, 0))  # views into m
-        if axis < 2:
-            planes.reverse()
-        # s axes: m(s) -= m(s - 1); t axes: m(t) -= m(t + 1); r = 0 off the grid
-        for plane, neighbour in zip(planes, planes[1:]):
-            plane -= neighbour
-    m *= comparable_mask(r.nx, r.ny)
-    clean = not (m < 0).any()
-    idx = np.nonzero(m > 0)
-    counts = dict(zip(zip(*(c.tolist() for c in idx)), m[idx].tolist()))
+    table = r.table
+    mask = comparable_mask(r.nx, r.ny)
+    clean = True
+    counts = {}
+    for sx in range(r.nx):
+        m = table[sx] - table[sx - 1] if sx else table[sx].copy()
+        # s_y: m(s) -= m(s - 1); t axes: m(t) -= m(t + 1); r = 0 off the grid
+        m[1:] -= m[:-1]
+        m[:, :-1] -= m[:, 1:]
+        m[:, :, :-1] -= m[:, :, 1:]
+        m *= mask[sx]
+        clean = clean and not (m < 0).any()
+        idx = np.nonzero(m > 0)
+        counts.update(zip(zip(repeat(sx), *(c.tolist() for c in idx)), m[idx].tolist()))
     return RectangleBarcode(counts), clean

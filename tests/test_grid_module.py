@@ -305,6 +305,58 @@ def test_rank_reader_names_the_second_line_of_a_repeated_pair():
         RankInvariant.from_text(text)
 
 
+@pytest.mark.parametrize("nx, ny", [(DP_GRID_CAP, 1), (1, DP_GRID_CAP), (DP_GRID_CAP, 2)])
+def test_rank_reader_reads_coordinates_up_to_the_grid_cap(nx, ny):
+    # the packed pair keys give each 0-based coordinate six bits
+    inv = RankInvariant.from_text(f"1 1 {nx} {ny} 3\n{nx} {ny} {nx} {ny} 2\n1 1 1 1 4\n")
+    want = RankInvariant(nx, ny)
+    want.set((0, 0), (nx - 1, ny - 1), 3)
+    want.set((nx - 1, ny - 1), (nx - 1, ny - 1), 2)
+    want.set((0, 0), (0, 0), 4)
+    assert inv == want
+
+
+@pytest.mark.parametrize("row, grid", [
+    (f"1 1 {DP_GRID_CAP + 1} 1 1", f"{DP_GRID_CAP + 1}x1"),
+    (f"1 1 1 {DP_GRID_CAP + 1} 0", f"1x{DP_GRID_CAP + 1}"),
+    (f"{DP_GRID_CAP + 1} 1 {DP_GRID_CAP + 1} 1 1", f"{DP_GRID_CAP + 1}x1"),
+])
+def test_rank_reader_refuses_coordinates_past_the_grid_cap(row, grid):
+    message = f"line 2: grid {grid} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the dense 4-D tables"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+        RankInvariant.from_text(f"1 1 1 1 1\n{row}\n")
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_rank_reader_names_both_lines_of_a_repeat_in_different_blocks(block):
+    rows = [f"{s[0] + 1} {s[1] + 1} {t[0] + 1} {t[1] + 1} 1" for s, t in comparable_pairs(3, 3)]
+    text = "\n".join(rows + [rows[2]]) + "\n"
+    # line 3 ends at character 29 and its repeat, line 37, starts at 360:
+    # no block of at most 64 characters past a line's end holds both
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        with pytest.raises(FormatError, match=rf"^line {len(rows) + 1}: pair repeats line 3$"):
+            RankInvariant.from_text(text)
+
+
+@pytest.mark.parametrize("block", [7, None])
+@pytest.mark.parametrize("text, message", [
+    ("1 1 1 1 1\n1 1 2 2 1\n1 1 1 1 2\n1 1 1 x 1\n", "line 3: pair repeats line 1"),
+    ("1 1 1 1 1\n1 1 2 2 1\n1 1 1 1 2\n1 1 1 1 -1\n", "line 3: pair repeats line 1"),
+    ("1 1 1 1 1\n1 1 2 2 1 0\n1 1 1 1 2\n", "line 2: expected 's_x s_y t_x t_y r', got '1 1 2 2 1 0'"),
+    ("1 1 1 1 1\n2 1 1 1 1\n1 1 1 1 2\n", "line 2: pair not comparable or not 1-based"),
+    ("1 1 1 1 1\n1 1 2 2 -1\n1 1 1 1 2\n", "line 2: negative rank"),
+    (f"1 1 1 1 1\n1 1 {DP_GRID_CAP + 1} 1 0\n1 1 1 1 2\n", f"line 2: grid {DP_GRID_CAP + 1}x1 exceeds"),
+], ids=["repeat-then-malformed", "repeat-then-bad-row", "malformed-then-repeat", "not-comparable-then-repeat",
+        "negative-then-repeat", "past-cap-then-repeat"])
+def test_rank_reader_raises_for_the_first_bad_line(block, text, message):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
+            RankInvariant.from_text(text)
+
+
 @pytest.mark.parametrize("value", ["99999999999999999999", "-9223372036854775809"])
 def test_rank_reader_rejects_integers_outside_int64(value):
     with pytest.raises(FormatError, match=r"^line 2: integer .* outside the 64-bit range"):

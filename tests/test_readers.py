@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bipersist import ioutil
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
-from bipersist.grid_module import DP_GRID_CAP, GMOD_IDENTITY_BYTES_CAP, GridModule, read_gmod, write_gmod
+from bipersist.grid_module import DP_GRID_CAP, GMOD_IDENTITY_BYTES_CAP, GridModule, RankInvariant, read_gmod, write_gmod
 from bipersist.ioutil import FormatError, int_rows, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres
@@ -334,3 +334,18 @@ def test_int_rows_peak_memory_is_its_rows_and_one_block():
         tracemalloc.stop()
     assert error is None and len(rows) == (40 * 41 // 2) ** 2
     assert peak <= 1.25 * (rows.nbytes + lines.nbytes) + ioutil._BLOCK_CHARS
+
+
+def test_rank_from_text_peak_memory_is_the_table_and_a_key_per_row():
+    # the same 40 x 40 .rank: beside the table, a row keeps its packed
+    # pair and its rank (12 bytes) and the repeat check one bool per cell;
+    # one block's temporaries fit in the rest
+    text = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40).to_text()
+    tracemalloc.start()
+    try:
+        inv = RankInvariant.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, cells = (40 * 41 // 2) ** 2, inv.table.size
+    assert peak <= inv.table.nbytes + 16 * n + cells + 8 * ioutil._BLOCK_CHARS
