@@ -81,35 +81,39 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     check that line fails.
     """
     width = len(fields.split())
-    cap = row_capacity(text, width)
+    blocks = line_blocks(text, first_line)
+    cap = row_capacity(len(text), sum(newlines for *_, newlines in blocks), width)
     rows = np.empty((cap, width), dtype=np.int64)
     lines = np.empty(cap, dtype=np.int64)
     n = 0
-    for first, block in line_blocks(text, first_line):
-        got, error = block_rows(block, fields, first, rows[n:], lines[n:])
+    for start, end, first, _ in blocks:
+        got, error = block_rows(text[start:end], fields, first, rows[n:], lines[n:])
         n += got
         if error is not None:
             return rows[:n], lines[:n], error
     return rows[:n], lines[:n], None
 
 
-def row_capacity(text: str, width: int) -> int:
-    """Most rows of `width` integers that `text` can hold: a row takes a
-    line, and at least one character and one separator per field."""
-    return min(text.count("\n") + 1, (len(text) + 1) // (2 * width))
+def row_capacity(chars: int, newlines: int, width: int) -> int:
+    """Most rows of `width` integers that a text of `chars` characters
+    and `newlines` newlines can hold: a row takes a line, and at least
+    one character and one separator per field."""
+    return min(newlines + 1, (chars + 1) // (2 * width))
 
 
-def line_blocks(text: str, first_line: int = 1):
+def line_blocks(text: str, first_line: int = 1) -> list:
     """Cut `text` into runs of whole lines of about `_BLOCK_CHARS`
-    characters; yields (number of the run's first line, run)."""
-    pos = 0
+    characters, counting the newlines of each run once: a list of
+    (start, end, number of the run's first line, newlines in the run)."""
+    blocks, pos = [], 0
     while pos < len(text):
         cut = text.find("\n", pos + _BLOCK_CHARS)
         cut = len(text) if cut < 0 else cut + 1
-        block = text[pos:cut]
-        yield first_line, block
-        first_line += block.count("\n")
+        newlines = text.count("\n", pos, cut)
+        blocks.append((pos, cut, first_line, newlines))
+        first_line += newlines
         pos = cut
+    return blocks
 
 
 def block_rows(block: str, fields: str, first_line: int, rows, lines):

@@ -18,8 +18,9 @@ kappa/iota tables share that one helper: the DP pairs the relation
 matrix once per (generator class, t_y), the check path pairs two flags
 at each grid point.  The same reducer picks the flag bases of the check
 path and counts kernel dimensions in `resolution.graded_kernel_basis`.
-`rref` (and with it `kernel_basis`, `extend_basis`, `solve_matrix` and
-the subspace operations) is still a separate row-by-row elimination.
+It is the only elimination: `rref` is the block of the rows, and
+`rank`, `kernel_basis`, `extend_basis`, `solve_matrix` and the subspace
+operations all run on it.
 """
 
 from __future__ import annotations
@@ -108,46 +109,15 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = m.copy()
-    rows, cols = r.shape
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        if pr >= rows:
-            break
-        nz = np.nonzero(r[pr:, pc])[0]
-        if nz.size == 0:
-            continue
-        i = pr + int(nz[0])
-        if i != pr:
-            r[[pr, i]] = r[[i, pr]]
-        inv = inv_mod(int(r[pr, pc]), p)
-        r[pr] = (r[pr] * inv) % p
-        hit = np.nonzero(r[:, pc])[0]
-        for j in hit:
-            if j != pr:
-                r[j] = (r[j] - r[j, pc] * r[pr]) % p
-        pivots.append(pc)
-        pr += 1
-    return r, pivots
-
-
-def rank(m: np.ndarray, p: int) -> int:
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return 0
-    return len(rref(m, p)[1])
-
-
 class ColumnReducer:
     """Incremental rank of a growing set of columns in F_p^k.
 
     `add(v)` reduces v against the columns admitted so far, keeps the
     reduced v when it is independent, and reports its lead row (its
     first nonzero entry).  `block()` gives the admitted columns as a
-    fully reduced echelon basis: row i is a basis vector whose lead
-    entry is 1 and whose entries at the other leads are 0.
+    fully reduced echelon basis, rows sorted by lead: row i is a basis
+    vector whose lead entry is 1 and whose entries at the other leads
+    are 0, the reduced row echelon form of the span of the columns.
 
     The leads obey the pairing lemma: after columns c_1..c_j are added
     in order, the rank of rows 0..i of [c_1 .. c_j] is the number of
@@ -187,9 +157,10 @@ class ColumnReducer:
         mod p."""
         if p != 2:
             return mat.T
-        packed = np.packbits(np.asarray(mat)[::-1] & 1, axis=0, bitorder="little")
+        packed = np.packbits(np.asarray(mat) & 1, axis=0)
         n, data = packed.shape[0], packed.T.tobytes()
-        return [int.from_bytes(data[j * n : (j + 1) * n], "little") for j in range(packed.shape[1])]
+        pad = 8 * n - mat.shape[0]  # the zero bits past the last row
+        return [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(packed.shape[1])]
 
     def add(self, v) -> Optional[int]:
         """Admit column v: length k with any int entries, or at p = 2 a
@@ -206,7 +177,7 @@ class ColumnReducer:
 
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, leads): the reduced block as read-only int64 rows of length
-        k, in admission order, and the lead of each row; built once per
+        k, sorted by lead, and the lead of each row; built once per
         rank."""
         if self._block is None or self._block[1].size != self.rank:
             rows, leads = self._block_gf2() if self.p == 2 else self._block_modp()
@@ -252,8 +223,9 @@ class ColumnReducer:
         lead entry."""
         cols = self._cols
         lead_bits = sum(1 << (top - 1) for top in cols)
+        tops = sorted(cols)
         red = {}
-        for top in sorted(cols):
+        for top in tops:
             w = cols[top]
             hits = (w & lead_bits) ^ (1 << (top - 1))
             while hits:
@@ -262,25 +234,49 @@ class ColumnReducer:
                 hits ^= 1 << (bit - 1)
             red[top] = w
         n = (self.k + 7) // 8
-        data = np.frombuffer(b"".join(red[top].to_bytes(n, "little") for top in cols), dtype=np.uint8)
-        rows = np.unpackbits(data.reshape(self.rank, n), axis=1, count=self.k, bitorder="little")
-        return rows[:, ::-1].astype(np.int64), np.array([self.k - top for top in cols], dtype=np.int64)
+        data = np.frombuffer(b"".join(red[top].to_bytes(n, "big") for top in reversed(tops)), dtype=np.uint8)
+        rows = np.unpackbits(data).reshape(self.rank, 8 * n)[:, 8 * n - self.k :]
+        return rows.astype(np.int64), np.array([self.k - top for top in reversed(tops)], dtype=np.int64)
 
     def _block_modp(self):
         """Back-substitution, from the last lead up, one lead column at a
         time: the row of that lead is by then zero at every other lead, so
-        clearing its column in the other rows changes no other lead entry,
+        clearing its column in the rows above changes no other lead entry,
         and which rows need it can be read off before the first step."""
         p = self.p
-        leads = np.fromiter(self._cols, dtype=np.int64, count=self.rank)
-        rows = np.array([*self._cols.values()], dtype=np.int64).reshape(self.rank, self.k)
-        hits = rows[:, leads] != 0
-        np.fill_diagonal(hits, False)
-        order = np.argsort(leads)[::-1]
-        for i in order[hits[:, order].any(axis=0)]:
-            lead, above = leads[i], hits[:, i].nonzero()[0]
+        leads = np.array(sorted(self._cols), dtype=np.int64)
+        rows = np.array([self._cols[lead] for lead in leads.tolist()], dtype=np.int64).reshape(self.rank, self.k)
+        hits = rows[:, leads] != 0  # zero below the diagonal, one on it
+        for i in np.flatnonzero(hits.sum(axis=0) > 1)[::-1]:
+            lead, above = leads[i], hits[:i, i].nonzero()[0]
             rows[above, lead:] = (rows[above, lead:] - rows[above, lead, None] * rows[i, lead:]) % p
         return rows, leads
+
+
+def _reduced_rows(m: np.ndarray, p: int) -> ColumnReducer:
+    """A ColumnReducer in F_p^cols that the rows of m went through."""
+    reducer = ColumnReducer(m.shape[1], p)
+    for v in ColumnReducer.columns(m.T, p):
+        reducer.add(v)
+    return reducer
+
+
+def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    The rows of m go through one ColumnReducer, whose block is the
+    nonzero part of R.
+    """
+    r = np.zeros(m.shape, dtype=np.int64)
+    if not np.count_nonzero(m):
+        return r, []
+    rows, leads = _reduced_rows(m, p).block()
+    r[: leads.size] = rows
+    return r, leads.tolist()
+
+
+def rank(m: np.ndarray, p: int) -> int:
+    return _reduced_rows(m, p).rank if np.count_nonzero(m) else 0
 
 
 def pair_counts(mat: np.ndarray, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:
@@ -383,15 +379,13 @@ def image_basis(m: np.ndarray, p: int) -> Subspace:
 def extend_basis(base: np.ndarray, candidates: np.ndarray, p: int) -> list[int]:
     """Indices of candidate columns completing span(base) to span(base|candidates).
 
-    Echelon pivots prefer base columns, so the selection is deterministic
-    and the chosen candidates are independent modulo span(base).
+    The base columns go through one ColumnReducer first, then the
+    candidates in order, and a candidate is chosen when the reducer
+    admits it: when it is independent of span(base) and of the
+    candidates chosen before it.
     """
-    if candidates.shape[1] == 0:
-        return []
-    stacked = np.hstack([base, candidates]) % p
-    _, piv = rref(stacked, p)
-    b = base.shape[1]
-    return [j - b for j in piv if j >= b]
+    reducer = _reduced_rows(base.T, p)
+    return [j for j, v in enumerate(ColumnReducer.columns(candidates, p)) if reducer.add(v) is not None]
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -424,14 +418,11 @@ def solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     rows, cols = m.shape
     if b.shape[0] != rows:
         raise ValueError(f"shape mismatch {m.shape} x = {b.shape}")
-    aug = np.hstack([m, b])
-    r, piv = rref(aug, p)
-    main = [pc for pc in piv if pc < cols]
-    if len(main) < len(piv):
+    r, piv = rref(np.hstack([m, b]), p)
+    if piv and piv[-1] >= cols:
         return None  # a pivot landed in the right-hand block
     x = np.zeros((cols, b.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(main):
-        x[pc] = r[i, cols:]
+    x[piv] = r[: len(piv), cols:]
     return x
 
 

@@ -11,6 +11,7 @@ from bipersist.linalg import (
     check_modulus,
     extend_basis,
     image_basis,
+    inv_mod,
     kernel_basis,
     solve_matrix,
     subspace_intersect,
@@ -18,6 +19,37 @@ from bipersist.linalg import (
 )
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
 from bipersist.weakexact import KappaIota
+
+
+def reference_rref(m, p):
+    """Oracle for `linalg.rref`: Gauss-Jordan elimination one pivot row at
+    a time, on entries in [0, p); returns (R, pivot column indices)."""
+    r = m.copy()
+    rows, cols = r.shape
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        if pr >= rows:
+            break
+        nz = np.nonzero(r[pr:, pc])[0]
+        if nz.size == 0:
+            continue
+        i = pr + int(nz[0])
+        if i != pr:
+            r[[pr, i]] = r[[i, pr]]
+        inv = inv_mod(int(r[pr, pc]), p)
+        r[pr] = (r[pr] * inv) % p
+        hit = np.nonzero(r[:, pc])[0]
+        for j in hit:
+            if j != pr:
+                r[j] = (r[j] - r[j, pc] * r[pr]) % p
+        pivots.append(pc)
+        pr += 1
+    return r, pivots
+
+
+def reference_rank(m, p):
+    return len(reference_rref(m, p)[1])
 
 
 def random_bifiltration(seed, max_simplices=40, nx=8, ny=8, p=2):

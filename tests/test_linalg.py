@@ -10,6 +10,7 @@ from bipersist.linalg import (
     MAX_MODULUS,
     ColumnReducer,
     Subspace,
+    extend_basis,
     image_basis,
     image_of_subspace,
     inv_mod,
@@ -25,6 +26,7 @@ from bipersist.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from conftest import reference_rank, reference_rref
 
 
 def span_set(cols, p):
@@ -194,6 +196,48 @@ def test_rref_is_idempotent():
         assert np.array_equal(r, r2) and piv == piv2
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, MAX_MODULUS]),
+    rows=st.sampled_from([0, 1, 2, 5, 9]),
+    cols=st.sampled_from([0, 1, 2, 7, 63, 64, 65]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_matches_the_row_by_row_reference(p, rows, cols, seed):
+    # 0-row, 0-column, all-zero (r = 0) and rank-deficient matrices, and
+    # 63 to 65 columns either side of a 64-bit word; R is unique, so the
+    # reducer's block must give the reference's R and pivots exactly
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(rows, cols) + 1))
+    m = matmul(rng.integers(0, p, (rows, r)), rng.integers(0, p, (r, cols)), p)
+    m[rng.random(rows) < 0.2] = 0
+    want, want_piv = reference_rref(m, p)
+    got, piv = rref(m, p)
+    assert piv == want_piv and got.dtype == np.int64 and np.array_equal(got, want)
+    assert rank(m, p) == len(want_piv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, MAX_MODULUS]),
+    n=st.sampled_from([0, 1, 3, 9, 65]),
+    b=st.integers(0, 4),
+    c=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extend_basis_takes_the_pivots_after_the_base(p, n, b, c, seed):
+    # the candidates chosen are the pivot columns of [base | candidates]
+    # past the base, and the chosen columns complete span(base)
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(n, b + c) + 1))
+    mat = matmul(rng.integers(0, p, (n, r)), rng.integers(0, p, (r, b + c)), p)
+    mat[:, rng.random(b + c) < 0.2] = 0
+    base, cand = mat[:, :b], mat[:, b:]
+    chosen = extend_basis(base, cand, p)
+    assert chosen == [j - b for j in reference_rref(mat, p)[1] if j >= b]
+    assert reference_rank(np.hstack((base, cand[:, chosen])), p) == reference_rank(mat, p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 65521, MAX_MODULUS]),
@@ -213,7 +257,7 @@ def test_column_reducer_leads_count_every_lower_left_rank(p, k, l, seed):
     rows = [k - 1 - lead if lead is not None else -1 for lead in (reducer.add(mat[::-1, j]) for j in range(l))]
     for i in range(0, k + 1, 1 if k < 10 else 8):
         for j in range(l + 1):
-            assert sum(row >= i for row in rows[:j]) == rank(mat[i:, :j], p)
+            assert sum(row >= i for row in rows[:j]) == reference_rank(mat[i:, :j], p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,8 +268,9 @@ def test_column_reducer_leads_count_every_lower_left_rank(p, k, l, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_column_reducer_block_is_a_reduced_basis_of_the_columns(p, k, l, seed):
-    # row i is zero before its lead, 1 at it and 0 at every other lead,
-    # and the rows span the columns added; the view cannot be written
+    # rows sorted by lead, row i zero before its lead, 1 at it and 0 at
+    # every other lead, spanning the columns added: the reference's
+    # reduced row echelon form of the columns; the view cannot be written
     rng = np.random.default_rng(seed)
     r = int(rng.integers(0, min(k, l) + 1))
     mat = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
@@ -233,10 +278,12 @@ def test_column_reducer_block_is_a_reduced_basis_of_the_columns(p, k, l, seed):
     reducer = ColumnReducer(k, p)
     leads = [lead for lead in (reducer.add(mat[:, j]) for j in range(l)) if lead is not None]
     rows, got = reducer.block()
-    assert got.tolist() == leads and rows.shape == (len(leads), k) and rows.dtype == np.int64
+    assert got.tolist() == sorted(leads) and rows.shape == (len(leads), k) and rows.dtype == np.int64
     assert np.array_equal(rows[:, got], np.eye(len(leads), dtype=np.int64))
-    assert all(not rows[i, :lead].any() for i, lead in enumerate(leads))
-    assert len(leads) == rank(mat, p) == rank(np.hstack((mat, rows.T)), p)
+    assert all(not rows[i, :lead].any() for i, lead in enumerate(got))
+    assert len(leads) == reference_rank(mat, p) == reference_rank(np.hstack((mat, rows.T)), p)
+    r, piv = reference_rref(mat.T, p)
+    assert piv == got.tolist() and np.array_equal(rows, r[: len(piv)])
     assert not rows.flags.writeable and not got.flags.writeable
 
 
@@ -255,7 +302,7 @@ def test_column_reducer_reduces_entries_mod_2():
 @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 130, 200])
 def test_column_reducer_gf2_has_no_word_boundaries(k):
     # unit vectors at the old uint64 word edges, then columns with entries
-    # in -3..3; the rows are fully reduced, in admission order, and match
+    # in -3..3; the rows are fully reduced, sorted by lead, and match
     # the reduced echelon form of the columns; at full rank add gives None
     rng = np.random.default_rng(k)
     edges = [i for i in (0, 1, 62, 63, 64, 65, 127, 128, 129, 199) if i < k]
@@ -267,13 +314,13 @@ def test_column_reducer_gf2_has_no_word_boundaries(k):
     admitted = [lead for lead in leads if lead is not None]
     for i in sorted({0, k // 2, k - 1, *edges} - {-1}):
         for j in (len(edges), mat.shape[1] // 2, mat.shape[1]):
-            assert sum(lead <= i for lead in leads[:j] if lead is not None) == rank(mat[: i + 1, :j] % 2, 2)
+            assert sum(lead <= i for lead in leads[:j] if lead is not None) == reference_rank(mat[: i + 1, :j] % 2, 2)
     rows, got = by_array.block()
-    assert got.tolist() == admitted and rows.shape == (len(admitted), k)
+    assert got.tolist() == sorted(admitted) and rows.shape == (len(admitted), k)
     assert np.array_equal(rows[:, got], np.eye(len(admitted), dtype=np.int64))
-    assert all(not rows[i, :lead].any() for i, lead in enumerate(admitted))
-    r, piv = rref(mat.T % 2, 2)
-    assert np.array_equal(rows[np.argsort(got)], r[: len(piv)])
+    assert all(not rows[i, :lead].any() for i, lead in enumerate(got))
+    r, piv = reference_rref(mat.T % 2, 2)
+    assert np.array_equal(rows, r[: len(piv)])
     assert np.array_equal(by_bits.block()[0], rows)
     assert by_array.rank == k and by_array.add(np.ones(k, dtype=np.int64)) is None
 

@@ -33,3 +33,22 @@ def test_package_starts_no_threads_or_processes():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
     assert found == []
+
+
+def test_only_column_reducer_normalises_a_pivot():
+    # every elimination runs on linalg.ColumnReducer, which scales an
+    # admitted column's lead to 1 with inv_mod; a second elimination in
+    # the package would need a call of its own
+    inside, outside = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reducer = {
+            id(sub)
+            for node in ast.walk(tree)
+            if path.name == "linalg.py" and isinstance(node, ast.ClassDef) and node.name == "ColumnReducer"
+            for sub in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "inv_mod":
+                (inside if id(node) in reducer else outside).append(f"{path.name}:{node.lineno}")
+    assert inside and outside == []
