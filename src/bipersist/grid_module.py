@@ -363,10 +363,10 @@ class RankInvariant:
         keys, ranks = [], []
         nx = ny = 0
         error = None
-        for start, end, first_line, newlines in line_blocks(text):
-            cap = row_capacity(end - start, newlines, 5)
+        for first_line, block, newlines in line_blocks(text):
+            cap = row_capacity(len(block), newlines, 5)
             rows, lines = np.empty((cap, 5), dtype=np.int64), np.empty(cap, dtype=np.int64)
-            got, error = block_rows(text[start:end], _RANK_FIELDS, first_line, rows, lines)
+            got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines)
             n_ok, bad = _first_bad_rank_row(rows[:got], lines[:got])
             rows = rows[:n_ok]
             keys.append(_pair_keys(rows))

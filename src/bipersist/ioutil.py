@@ -81,13 +81,12 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     check that line fails.
     """
     width = len(fields.split())
-    blocks = line_blocks(text, first_line)
-    cap = row_capacity(len(text), sum(newlines for *_, newlines in blocks), width)
+    cap = row_capacity(len(text), text.count("\n"), width)
     rows = np.empty((cap, width), dtype=np.int64)
     lines = np.empty(cap, dtype=np.int64)
     n = 0
-    for start, end, first, _ in blocks:
-        got, error = block_rows(text[start:end], fields, first, rows[n:], lines[n:])
+    for first, block, _ in line_blocks(text, first_line):
+        got, error = block_rows(block, fields, first, rows[n:], lines[n:])
         n += got
         if error is not None:
             return rows[:n], lines[:n], error
@@ -101,19 +100,19 @@ def row_capacity(chars: int, newlines: int, width: int) -> int:
     return min(newlines + 1, (chars + 1) // (2 * width))
 
 
-def line_blocks(text: str, first_line: int = 1) -> list:
+def line_blocks(text: str, first_line: int = 1):
     """Cut `text` into runs of whole lines of about `_BLOCK_CHARS`
-    characters, counting the newlines of each run once: a list of
-    (start, end, number of the run's first line, newlines in the run)."""
-    blocks, pos = [], 0
+    characters; yields (number of the run's first line, run, newlines
+    in the run), each run's newlines counted once."""
+    pos = 0
     while pos < len(text):
         cut = text.find("\n", pos + _BLOCK_CHARS)
         cut = len(text) if cut < 0 else cut + 1
-        newlines = text.count("\n", pos, cut)
-        blocks.append((pos, cut, first_line, newlines))
+        block = text[pos:cut]
+        newlines = block.count("\n")
+        yield first_line, block, newlines
         first_line += newlines
         pos = cut
-    return blocks
 
 
 def block_rows(block: str, fields: str, first_line: int, rows, lines):
