@@ -15,7 +15,7 @@ import sys
 from .bifiltration import Bifiltration, col_zigzag, homology_module, read_bif, row_zigzag
 from .constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from .grid_module import DP_GRID_CAP, RankInvariant, check_table_grid, rank_invariant_naive, read_gmod, write_gmod
-from .ioutil import FormatError
+from .ioutil import FormatError, file_blocks
 from .rank_dp import rank_from_resolution
 from .rect_decomp import RectangleBarcode, decompose
 from .resolution import presentation, read_fres
@@ -40,13 +40,40 @@ def _read_file(path: str) -> str:
         raise FormatError(f"line {line}: byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})") from None
 
 
-def _write_output(text: str, path):
+def _read_rank(path: str) -> RankInvariant:
+    """`RankInvariant.from_blocks` over a .rank file read one block at a
+    time, so its text is never held whole.  The errors are those of
+    `_read_file` and `from_text` on the whole file: a byte that is not
+    UTF-8 anywhere in it is reported before any bad line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+
+            def blocks():
+                fh.seek(0)
+                return file_blocks(fh)
+
+            try:
+                return RankInvariant.from_blocks(blocks)
+            except FormatError:
+                for _ in file_blocks(fh):  # decode the rest of the file
+                    pass
+                raise
+    except OSError as e:
+        raise CliError(str(e)) from None
+    except UnicodeDecodeError:
+        _read_file(path)  # raises the FormatError that names the byte's line
+        raise
+
+
+def _write_output(chunks, path):
+    """Write the strings of `chunks` in order to `path`, or to stdout
+    for None or "-"; each is written as the iterable yields it."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as e:
         raise CliError(str(e)) from None
 
@@ -152,18 +179,18 @@ def _rank_of_input(args) -> RankInvariant:
 
 
 def cmd_rank(args) -> int:
-    _write_output(_rank_of_input(args).to_text(), args.output)
+    _write_output(_rank_of_input(args).text_slabs(), args.output)
     return 0
 
 
 def cmd_decompose(args) -> int:
     ext = _ext(args.infile)
     if ext == ".rank":
-        inv = RankInvariant.from_text(_read_file(args.infile))
+        inv = _read_rank(args.infile)
     else:
         inv = _rank_of_input(args)
     barcode, clean = decompose(inv)
-    _write_output(barcode.to_text(), args.output)
+    _write_output([barcode.to_text()], args.output)
     if not clean:
         print(
             "warning: negative multiplicities encountered; no rectangle-"
@@ -217,7 +244,7 @@ def cmd_zigzag(args) -> int:
         raise CliError(f"point ({x + 1},{y + 1}) outside the {bif.nx}x{bif.ny} grid")
     zz = row_zigzag(bif, (x, y)) if args.row is not None else col_zigzag(bif, (x, y))
     barcode = zigzag_barcode(zz, args.degree or 0, bif.p)
-    _write_output(write_zbar([barcode]), args.output)
+    _write_output([write_zbar([barcode])], args.output)
     return 0
 
 
@@ -238,7 +265,7 @@ def cmd_examples(args) -> int:
             module = example(args.name, p)
         except ValueError as e:
             raise CliError(str(e)) from None
-    _write_output(write_gmod(module), args.output)
+    _write_output([write_gmod(module)], args.output)
     return 0
 
 
@@ -249,8 +276,8 @@ def cmd_random_rect(args) -> int:
     p = args.field if args.field is not None else 2
     module, truth = random_rectangle_module(args.n, args.m, args.count, args.seed, p)
     prefix = args.output
-    _write_output(write_gmod(module), f"{prefix}.gmod")
-    _write_output(RectangleBarcode(truth).to_text(), f"{prefix}.barcode")
+    _write_output([write_gmod(module)], f"{prefix}.gmod")
+    _write_output([RectangleBarcode(truth).to_text()], f"{prefix}.barcode")
     print(f"wrote {prefix}.gmod and {prefix}.barcode")
     return 0
 

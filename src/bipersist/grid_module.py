@@ -14,6 +14,7 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -22,7 +23,6 @@ from .ioutil import (
     FormatError,
     InvariantError,
     block_rows,
-    int_rows,
     line_blocks,
     logical_lines,
     parse_int,
@@ -96,6 +96,15 @@ def comparable_mask(nx: int, ny: int) -> np.ndarray:
     sy = np.arange(ny)[None, :, None, None]
     tx = np.arange(nx)[None, None, :, None]
     ty = np.arange(ny)[None, None, None, :]
+    return (sx <= tx) & (sy <= ty)
+
+
+def slab_mask(nx: int, ny: int, sx: int) -> np.ndarray:
+    """`comparable_mask(nx, ny)[sx]` without the whole mask: the
+    boolean [sy, tx, ty] table of the pairs s <= t with s_x = sx."""
+    sy = np.arange(ny)[:, None, None]
+    tx = np.arange(nx)[None, :, None]
+    ty = np.arange(ny)[None, None, :]
     return (sx <= tx) & (sy <= ty)
 
 
@@ -308,95 +317,120 @@ class RankInvariant:
         return RankInvariant(self.nx, self.ny, self.table + other.table)
 
     def to_text(self) -> str:
-        """One line per comparable pair, in `comparable_pairs` order.
+        """The .rank text: one line per comparable pair, in
+        `comparable_pairs` order; the join of `text_slabs`."""
+        return "".join(self.text_slabs())
 
-        Built as bytes one s_x slab at a time (the C order of the
-        comparable mask), so the byte arrays stay at one slab.  A line
-        is the NUL-padded label "x y " of s and of t, gathered as one
-        8-byte word each from a table of labels, then the rank as ASCII
-        digits by digit arithmetic, right-aligned in a field as wide as
-        the slab's largest rank, then a newline; one mask squeezes out
+    def text_slabs(self) -> Iterator[str]:
+        """The .rank text as the header line, then one string per s_x
+        slab, made as the iterator reaches it, so a writer that writes
+        each as it comes holds one slab of text at a time.  The grid and
+        the ranks are checked at the call, before any slab is made.
+
+        A slab is built as bytes (the C order of the comparable mask).
+        A line is the NUL-padded label "x y " of s and of t, gathered as
+        one 8-byte word each from a table of labels, then the rank as
+        ASCII digits by digit arithmetic, right-aligned in a field as wide
+        as the slab's largest rank, then a newline; one mask squeezes out
         the NUL padding.
         """
         nx, ny = self.nx, self.ny
         check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
-        if (self.table < 0).any():
+        if any((self.table[x] < 0).any() for x in range(nx)):
             raise ValueError("rank invariant has a negative entry")
         labels = np.frombuffer(
             "".join(f"{x + 1} {y + 1} ".ljust(8, "\0") for x in range(nx) for y in range(ny)).encode(),
             dtype=np.uint64,
         )
-        mask = comparable_mask(nx, ny).reshape(nx, ny, nx * ny)  # [s_x, s_y, t]
-        out = [f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n"]
-        for x in range(nx):
-            m = mask[x]
-            q = self.table[x].reshape(m.shape)[m]
-            width = len(str(int(q.max())))
-            line = np.zeros((q.size, 16 + width + 1), dtype=np.uint8)
-            words = np.empty((q.size, 2), dtype=np.uint64)
-            words[:, 0] = np.broadcast_to(labels[x * ny : (x + 1) * ny, None], m.shape)[m]
-            words[:, 1] = np.broadcast_to(labels, m.shape)[m]
-            line[:, :16] = words.view(np.uint8)
-            for place in range(width):  # leading zeros stay NUL; a zero rank keeps its "0"
-                q, digit = np.divmod(q, 10)
-                line[:, 15 + width - place] = (digit + 48) * ((q > 0) | (digit > 0) | (place == 0))
-            line[:, -1] = 10
-            out.append(line[line != 0].tobytes().decode("ascii"))
-        return "".join(out)
+        header = f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n"
+        return chain([header], (self._slab_text(x, labels) for x in range(nx)))
+
+    def _slab_text(self, x: int, labels) -> str:
+        """The .rank lines of the pairs with s_x = x; see `text_slabs`."""
+        nx, ny = self.nx, self.ny
+        m = slab_mask(nx, ny, x).reshape(ny, nx * ny)  # [s_y, t]
+        q = self.table[x].reshape(m.shape)[m]
+        width = len(str(int(q.max())))
+        line = np.zeros((q.size, 16 + width + 1), dtype=np.uint8)
+        words = np.empty((q.size, 2), dtype=np.uint64)
+        words[:, 0] = np.broadcast_to(labels[x * ny : (x + 1) * ny, None], m.shape)[m]
+        words[:, 1] = np.broadcast_to(labels, m.shape)[m]
+        line[:, :16] = words.view(np.uint8)
+        for place in range(width):  # leading zeros stay NUL; a zero rank keeps its "0"
+            q, digit = np.divmod(q, 10)
+            line[:, 15 + width - place] = (digit + 48) * ((q > 0) | (digit > 0) | (place == 0))
+        line[:, -1] = 10
+        return line[line != 0].tobytes().decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "RankInvariant":
-        """Read a .rank file; a FormatError names the first bad line.
+        """Read a .rank text; a FormatError names the first bad line.
+        See `from_blocks`, which reads the text's `ioutil.line_blocks`."""
+        return cls.from_blocks(lambda: line_blocks(text))
+
+    @classmethod
+    def from_blocks(cls, blocks) -> "RankInvariant":
+        """Read a .rank file given as runs of whole lines; a FormatError
+        names the first bad line.
+
+        `blocks()` returns a fresh iterable of (number of the run's first
+        line, run, newlines in the run), as `ioutil.line_blocks` yields
+        them; it is called once, and once more only to name the lines of
+        a repeated pair.
 
         A line is bad when it is malformed, when its pair is not
         comparable or not 1-based, when its rank is negative, when it
         lies past the grid cap, or when its pair repeats an earlier line.
 
-        The text is parsed one cache-sized block of lines at a time, and
-        of each block's rows only the pair, packed into an int32 key, and
-        the int64 rank are kept: 12 bytes a row.  Once the last block has
-        set the grid, the keys are scattered into the table block by
-        block, and a bitmap of the cells they hit shows whether a pair
-        repeats; only then is the text parsed again, whole, to name the
-        two lines.
+        Each run's good rows are scattered straight into the table and
+        into a bitmap of one bool per cell, marking the cells they hit.
+        Both are allocated at the extents read so far and regrown, the
+        old copied into the new, only when a later run names a larger t;
+        the writer's files name their largest t in the first lines, so
+        they are allocated once.  Beside them only one run's text and
+        rows are held.  A pair repeats exactly when fewer cells are hit
+        than rows were read.
         """
-        keys, ranks = [], []
-        nx = ny = 0
+        table = np.zeros((0, 0, 0, 0), dtype=np.int64)
+        seen = np.zeros(table.shape, dtype=bool)
+        n_rows = 0
         error = None
-        for first_line, block, newlines in line_blocks(text):
-            cap = row_capacity(len(block), newlines, 5)
-            rows, lines = np.empty((cap, 5), dtype=np.int64), np.empty(cap, dtype=np.int64)
-            got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines)
-            n_ok, bad = _first_bad_rank_row(rows[:got], lines[:got])
-            rows = rows[:n_ok]
-            keys.append(_pair_keys(rows))
-            ranks.append(rows[:, 4].copy())
-            nx, ny = max(nx, int(rows[:, 2].max(initial=0))), max(ny, int(rows[:, 3].max(initial=0)))
-            if bad is not None:  # a bad row comes before the block's malformed line
-                error = bad
-            if error is not None:
-                break
-        # flat index of (s - 1, t - 1) in the (nx, ny, nx, ny) table: the
-        # key's high twelve bits give the s part, its low twelve the t part
-        six = np.arange(64)
-        s_part = ((six[:, None] * ny + six) * (nx * ny)).ravel()
-        t_part = (six[:, None] * ny + six).ravel()
-        seen = np.zeros(nx * ny * nx * ny, dtype=bool)
-        inv = cls(nx, ny) if error is None else None
-        for key, rank in zip(keys, ranks):
-            flat = s_part[key >> 12]
-            flat += t_part[key & 4095]
-            seen[flat] = True
-            if inv is not None:
-                inv.table.reshape(-1)[flat] = rank
-        if np.count_nonzero(seen) < sum(len(key) for key in keys):
-            raise _repeated_pair(text)
+        for rows, _, error in _rank_rows(blocks()):
+            nx = max(table.shape[0], int(rows[:, 2].max(initial=0)))
+            ny = max(table.shape[1], int(rows[:, 3].max(initial=0)))
+            if (nx, ny) != table.shape[:2]:  # a good row's t is within the grid cap
+                table, seen = _regrown(table, nx, ny), _regrown(seen, nx, ny)
+            cells = _cells(rows, nx, ny)
+            seen.reshape(-1)[cells] = True
+            table.reshape(-1)[cells] = rows[:, 4]
+            n_rows += len(rows)
+        nx, ny = table.shape[:2]
+        if np.count_nonzero(seen) < n_rows:
+            del table, seen  # naming the lines needs neither
+            raise _repeated_pair(blocks(), nx, ny)
         if error is not None:
             raise error
-        return inv
+        return cls(nx, ny, table)
 
 
 _RANK_FIELDS = "s_x s_y t_x t_y r"
+
+
+def _rank_rows(blocks):
+    """Parse .rank runs of whole lines; yields (rows, lines, error) per
+    run: the run's good rows and their line numbers, up to the first
+    bad line of the file, and a FormatError naming that line (None
+    before its run, which is the last one read)."""
+    for first_line, block, newlines in blocks:
+        cap = row_capacity(len(block), newlines, 5)
+        rows, lines = np.empty((cap, 5), dtype=np.int64), np.empty(cap, dtype=np.int64)
+        got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines)
+        n_ok, bad = _first_bad_rank_row(rows[:got], lines[:got])
+        if bad is not None:  # a bad row comes before the run's malformed line
+            error = bad
+        yield rows[:n_ok], lines[:n_ok], error
+        if error is not None:
+            return
 
 
 def _first_bad_rank_row(rows, lines):
@@ -422,29 +456,41 @@ def _first_bad_rank_row(rows, lines):
     raise InvariantError(f"{where}: row {rows[n].tolist()} flagged bad without a cause")
 
 
-def _pair_keys(rows):
-    """The pairs of good .rank rows as int32 keys, six bits per 0-based
-    coordinate (s_x, s_y, t_x, t_y), most significant first."""
-    key = rows[:, 0] - 1
-    for col in (1, 2, 3):
-        key <<= 6
-        key |= rows[:, col] - 1
-    return key.astype(np.int32)
+def _regrown(a, nx: int, ny: int):
+    """A zero (nx, ny, nx, ny) array of `a`'s dtype with `a` copied into
+    its low corner."""
+    out = np.zeros((nx, ny, nx, ny), dtype=a.dtype)
+    out[tuple(slice(n) for n in a.shape)] = a
+    return out
 
 
-def _repeated_pair(text: str) -> FormatError:
+def _cells(rows, nx, ny):
+    """Flat indices in the (nx, ny, nx, ny) table of the pairs of good
+    .rank rows."""
+    cells = rows[:, 0] - 1
+    for col, n in ((1, ny), (2, nx), (3, ny)):
+        cells *= n
+        cells += rows[:, col] - 1
+    return cells
+
+
+def _repeated_pair(blocks, nx: int, ny: int) -> FormatError:
     """The FormatError of the first .rank line whose pair repeats an
-    earlier line's, for a text whose good rows are known to repeat one."""
-    rows, lines, _ = int_rows(text, _RANK_FIELDS)
-    n_ok, _ = _first_bad_rank_row(rows, lines)
-    key = _pair_keys(rows[:n_ok])
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    again = ordered[1:] == ordered[:-1]
-    # stable order: the later line of a repeat comes second
-    i = int(order[1:][again].min())
-    first = int(order[np.searchsorted(ordered, key[i])])
-    return FormatError(f"line {lines[i]}: pair repeats line {lines[first]}")
+    earlier line's, for a file on an nx x ny grid whose good rows are
+    known to repeat one; reads the file again, keeping the first line
+    of each cell."""
+    first = np.zeros((nx * ny) ** 2, dtype=np.int64)  # 0: no line yet
+    for rows, lines, _ in _rank_rows(blocks):
+        cells = _cells(rows, nx, ny)
+        _, at, back = np.unique(cells, return_index=True, return_inverse=True)
+        # the first line of each row's cell, in an earlier run or in this one
+        earlier = np.where(first[cells] > 0, first[cells], lines[at][back])
+        again = np.flatnonzero(earlier < lines)
+        if again.size:
+            i = int(again[0])
+            return FormatError(f"line {lines[i]}: pair repeats line {earlier[i]}")
+        first[cells[at]] = lines[at]
+    raise InvariantError("no .rank pair repeats")
 
 
 def rank_invariant_naive(module: GridModule) -> RankInvariant:

@@ -115,6 +115,17 @@ def line_blocks(text: str, first_line: int = 1):
         pos = cut
 
 
+def file_blocks(fh):
+    """`line_blocks` of an open text file, read one run at a time: each
+    run is `_BLOCK_CHARS` characters and the rest of the line they end
+    in, so the file's text is never held whole."""
+    first_line = 1
+    while block := fh.read(_BLOCK_CHARS) + fh.readline():
+        newlines = block.count("\n")
+        yield first_line, block, newlines
+        first_line += newlines
+
+
 def block_rows(block: str, fields: str, first_line: int, rows, lines):
     """`int_rows` on one run of whole lines starting at line `first_line`:
     writes the rows and their line numbers to the heads of `rows` and

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import GridModule, RankInvariant, comparable_mask
+from .grid_module import GridModule, RankInvariant, slab_mask
 from .ioutil import InvariantError
 from .linalg import pair_counts, rank
 from .resolution import Presentation
@@ -66,10 +66,11 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
             cols = by_x[rg[by_x, 1] <= ty]
             pairs[:, :, ty] = pair_counts(rows[:, cols], birth, rg[cols, 0], (nx, nx), p)
         table[:, lo:hi] -= pairs[:, None]  # once per class: per t_y would stride the whole table n_y times
-    mask = comparable_mask(nx, ny)
-    if (table[mask] < 0).any():
-        raise InvariantError("rank table went negative")
-    table[~mask] = 0
+    for sx in range(nx):  # per slab, so no whole-table temporary
+        slab = table[sx]
+        slab *= slab_mask(nx, ny, sx)  # incomparable pairs are kept at 0
+        if (slab < 0).any():
+            raise InvariantError("rank table went negative")
     return inv
 
 

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grid_module import RankInvariant, comparable_mask
+from .grid_module import RankInvariant, comparable_mask, slab_mask
 from .ioutil import FormatError, logical_lines, parse_int
 
 
@@ -105,11 +105,10 @@ def decompose(r: RankInvariant):
     The differences are taken one s_x slab at a time: the slab
     r[s_x] - r[s_x - 1], then, inside that contiguous (ny, nx, ny)
     slab, downward along s_y and upward along t_x and t_y, each as one
-    shifted subtraction.  Beside r.table, which is left as it was, and
-    the comparable mask, only a few slabs are held at once.
+    shifted subtraction, then the slab's comparable mask.  Beside
+    r.table, which is left as it was, only a few slabs are held at once.
     """
     table = r.table
-    mask = comparable_mask(r.nx, r.ny)
     clean = True
     counts = {}
     for sx in range(r.nx):
@@ -118,7 +117,7 @@ def decompose(r: RankInvariant):
         m[1:] -= m[:-1]
         m[:, :-1] -= m[:, 1:]
         m[:, :, :-1] -= m[:, :, 1:]
-        m *= mask[sx]
+        m *= slab_mask(r.nx, r.ny, sx)
         clean = clean and not (m < 0).any()
         idx = np.nonzero(m > 0)
         counts.update(zip(zip(repeat(sx), *(c.tolist() for c in idx)), m[idx].tolist()))

@@ -1,10 +1,12 @@
 import pytest
 
+from bipersist import ioutil
 from bipersist.bifiltration import write_bif
 from bipersist.cli import main
 from bipersist.constructions import example, indecgrid
-from bipersist.grid_module import read_gmod, write_gmod
-from bipersist.rect_decomp import RectangleBarcode
+from bipersist.grid_module import RankInvariant, read_gmod, write_gmod
+from bipersist.ioutil import FormatError
+from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.zigzag import read_zbar
 
 TRIANGLE = [
@@ -204,6 +206,99 @@ def test_input_that_is_not_utf8_names_its_line(tmp_path, capsys, name, text, com
     path.write_bytes(text)
     assert main([command, str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: line {line}: byte 0x")
+
+
+def decompose_rank_file(tmp_path, capsys, data: bytes):
+    """(exit code, the .barcode text or the stderr) of `decompose-rectangles`
+    on a .rank file holding `data`."""
+    path, out = tmp_path / "in.rank", tmp_path / "out.barcode"
+    path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    code = main(["decompose-rectangles", str(path), "-o", str(out)])
+    err = capsys.readouterr().err
+    return code, out.read_text() if code == 0 else err
+
+
+def barcode_text(inv):
+    return decompose(inv)[0].to_text()
+
+
+RANKS = RectangleBarcode({(0, 0, 5, 4): 2, (1, 2, 3, 4): 1, (4, 0, 5, 1): 3}).rank_invariant(6, 5)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("order", ["reversed", "t-major"])
+@pytest.mark.parametrize("bad", [None, "past-cap", "repeat"])
+def test_rank_rows_in_any_order_read_as_in_the_writers_order(tmp_path, capsys, block, order, bad):
+    # the reader allocates the table at the extents read so far: the
+    # reversed rows name the largest t first, the t-major ones last, so
+    # read in blocks of 64 characters they regrow it many times
+    header, *rows = RANKS.to_text().splitlines()
+    if order == "reversed":
+        moved = rows[::-1]
+    else:
+        moved = sorted(rows, key=lambda line: [int(v) for v in line.split()[2:4] + line.split()[:2]])
+    extra = {None: [], "past-cap": ["1 1 61 1 1"], "repeat": [rows[0]]}[bad]
+    text = "\n".join([header, *moved, *extra]) + "\n"
+    canonical = "\n".join([header, *rows, *extra]) + "\n"
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        got = decompose_rank_file(tmp_path, capsys, text.encode())
+        if bad is None:
+            assert RankInvariant.from_text(text) == RankInvariant.from_text(canonical) == RANKS
+            assert got == (0, barcode_text(RANKS)) == decompose_rank_file(tmp_path, capsys, canonical.encode())
+            return
+        if bad == "past-cap":
+            message = f"line {len(rows) + 2}: grid 61x1 exceeds the 60x60 cap of the dense 4-D tables"
+            assert decompose_rank_file(tmp_path, capsys, canonical.encode())[1].startswith(f"error: {message}")
+        else:
+            message = f"line {len(rows) + 2}: pair repeats line {moved.index(rows[0]) + 2}"
+        with pytest.raises(FormatError, match=f"^{message}"):
+            RankInvariant.from_text(text)
+        assert got[0] == 1 and got[1].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("bad_line", [3, 40_002])
+def test_a_byte_that_is_not_utf8_wins_over_an_earlier_malformed_line(tmp_path, capsys, bad_line):
+    # the parse stops at the malformed line 1, but the rest of the file,
+    # several blocks of it for the later byte, is still decoded: as when
+    # the whole file was read at once, the bad byte is what is reported
+    data = b"1 1 1 1\n" + b"1 1 1 1 1\n" * (bad_line - 2) + b"1 1 1 2 \xff\n" + b"1 1 1 1 1\n" * 10
+    assert decompose_rank_file(tmp_path, capsys, data) == (
+        1, f"error: line {bad_line}: byte 0xff is not UTF-8 (invalid start byte)\n"
+    )
+
+
+def test_decompose_names_both_lines_of_a_repeat_blocks_apart(tmp_path, capsys):
+    # a 20 x 20 .rank is about five 128 KiB blocks; the repeat of its
+    # line 3 is in the last one
+    inv = RectangleBarcode({(0, 0, 19, 19): 1, (2, 3, 17, 12): 2}).rank_invariant(20, 20)
+    text = inv.to_text()
+    assert len(text) > 4 * ioutil._BLOCK_CHARS
+    again = text + text.splitlines()[2] + "\n"
+    lines = again.count("\n")
+    assert decompose_rank_file(tmp_path, capsys, again.encode()) == (1, f"error: line {lines}: pair repeats line 3\n")
+
+
+def test_decompose_reads_crlf_rank_files(tmp_path, capsys):
+    text = RANKS.to_text()
+    assert decompose_rank_file(tmp_path, capsys, text.replace("\n", "\r\n").encode()) == (0, barcode_text(RANKS))
+
+
+@pytest.mark.parametrize("data", [b"", b"# rank invariant on grid 0 x 0\n\n  # nothing\n"])
+def test_decompose_reads_an_empty_rank_file_as_the_empty_grid(tmp_path, capsys, data):
+    assert decompose_rank_file(tmp_path, capsys, data) == (0, RectangleBarcode().to_text())
+
+
+def test_a_lone_cr_ends_a_rank_line_in_the_cli_only(tmp_path, capsys):
+    # the CLI reads files with universal newlines, where a CR ends a line;
+    # text given to the library reader reads a CR as a space
+    data = "1 1 1 1 1\r1 1 1 2 1\n"
+    with pytest.raises(FormatError, match="^line 1: "):
+        RankInvariant.from_text(data)
+    want = barcode_text(RankInvariant.from_text(data.replace("\r", "\n")))
+    assert decompose_rank_file(tmp_path, capsys, data.encode()) == (0, want)
 
 
 def test_decompose_strict_flags_negatives(tmp_path, capsys):

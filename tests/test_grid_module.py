@@ -235,13 +235,17 @@ BAD_RANK_LINES = [
 
 
 @st.composite
-def long_rank_texts(draw):
+def long_rank_texts(draw, shuffled=False):
     """A valid .rank of at least nine pairs, respelled: comments, blank lines,
-    CRs and tabs, signed and zero-padded tokens of up to 19 digits.  Maybe
-    one bad line, or a repeat of an earlier pair, in its second half."""
+    CRs and tabs, signed and zero-padded tokens of up to 19 digits; its
+    pairs in the writer's order, or shuffled.  Maybe one bad line, or a
+    repeat of an earlier pair, in its second half."""
     nx, ny = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    pairs = list(comparable_pairs(nx, ny))
+    if shuffled:
+        pairs = draw(st.permutations(pairs))
     lines = []
-    for s, t in comparable_pairs(nx, ny):
+    for s, t in pairs:
         values = [s[0] + 1, s[1] + 1, t[0] + 1, t[1] + 1, draw(st.integers(0, 5) | st.just(INT64.max))]
         toks = [draw(st.sampled_from([str(v), str(v), f"+{v}", f"00{v}", str(v).zfill(19)])) for v in values]
         toks = [draw(st.sampled_from([tok, "-0"])) if tok == "0" else tok for tok in toks]
@@ -265,10 +269,11 @@ def outcome_text(read, text):
 
 @pytest.mark.parametrize("block", [1, 7, 64])
 @settings(max_examples=100, deadline=None)
-@given(text=st.one_of(long_rank_texts(), rank_texts()))
+@given(text=st.one_of(long_rank_texts(), long_rank_texts(shuffled=True), rank_texts()))
 def test_rank_from_text_reads_the_same_in_blocks_of_any_size(block, text):
     # the text fits in one block of the default size; cut into many, it
-    # gives the same table or the same FormatError
+    # gives the same table or the same FormatError, also when a later
+    # block names a larger t and the table is regrown
     assert len(text) < ioutil._BLOCK_CHARS
     whole = outcome_text(RankInvariant.from_text, text)
     with pytest.MonkeyPatch.context() as mp:
@@ -307,7 +312,7 @@ def test_rank_reader_names_the_second_line_of_a_repeated_pair():
 
 @pytest.mark.parametrize("nx, ny", [(DP_GRID_CAP, 1), (1, DP_GRID_CAP), (DP_GRID_CAP, 2)])
 def test_rank_reader_reads_coordinates_up_to_the_grid_cap(nx, ny):
-    # the packed pair keys give each 0-based coordinate six bits
+    # a coordinate at the grid cap is read on either axis
     inv = RankInvariant.from_text(f"1 1 {nx} {ny} 3\n{nx} {ny} {nx} {ny} 2\n1 1 1 1 4\n")
     want = RankInvariant(nx, ny)
     want.set((0, 0), (nx - 1, ny - 1), 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,20 @@ def test_presented_module_has_the_rank_of_every_pair(p, k, l, seed):
     module = presented_module(res)
     assert module.validate() == []
     assert rank_invariant_naive(module) == rank_by_pairs(res)
+
+
+def test_dp_peak_memory_is_the_table_and_a_few_slabs():
+    # on a 40 x 40 grid: beside the table, the per-class pair counts (one
+    # s_x slab) and the per-slab comparable mask of the tail; the
+    # presentation's 60 x 60 phi is small beside one slab
+    res = low_rank_presentation(np.random.default_rng(7), 60, 60, 40, 40, 2)
+    tracemalloc.start()
+    try:
+        inv = rank_from_resolution(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inv.table.nbytes + 3 * inv.table[0].nbytes
 
 
 @pytest.mark.parametrize("p", PRIMES)

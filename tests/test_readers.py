@@ -349,3 +349,36 @@ def test_rank_from_text_peak_memory_is_the_table_and_a_key_per_row():
         tracemalloc.stop()
     n, cells = (40 * 41 // 2) ** 2, inv.table.size
     assert peak <= inv.table.nbytes + 16 * n + cells + 8 * ioutil._BLOCK_CHARS
+
+
+def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
+    # the same 40 x 40 .rank: each block's rows go straight into the
+    # table and the one-bool-per-cell repeat bitmap, so beside them only
+    # one block's text, rows and temporaries are held, whatever the
+    # number of rows (672,400 here; 2 bytes a row would break the bound)
+    text = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40).to_text()
+    tracemalloc.start()
+    try:
+        inv = RankInvariant.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inv.table.nbytes + inv.table.size + 40 * ioutil._BLOCK_CHARS
+    assert inv == RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40)
+
+
+def test_rank_text_slabs_peak_memory_is_a_few_slabs():
+    # written slab by slab, the .rank text of a 40 x 40 table (10.9 MB)
+    # is never held whole: beside the table, one s_x slab's text and its
+    # temporaries
+    inv = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40)
+    chars = 0
+    tracemalloc.start()
+    try:
+        for slab in inv.text_slabs():
+            chars += len(slab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chars == len(inv.to_text())
+    assert peak <= 8 * inv.table[0].nbytes
