@@ -4,51 +4,58 @@ Exact computation over prime fields: grid modules and their rank
 invariants, free bigraded resolutions of one-critical bifiltrations,
 rectangle-barcode extraction, zigzag barcodes, and the local
 exactness checks that decide rectangle decomposability.
+
+The names below, and the submodules, are imported on first use
+(PEP 562), so `import bipersist` loads none of the submodules and each
+CLI command loads only those it runs.
 """
 
-from .bifiltration import Bifiltration, homology_module, read_bif, write_bif
-from .grid_module import GridModule, RankInvariant, rank_invariant_naive, read_gmod, write_gmod
-from .rank_dp import rank_1d, rank_from_resolution
-from .rect_decomp import RectangleBarcode, decompose
-from .resolution import (
-    FreeResolution,
-    Presentation,
-    free_resolution,
-    presentation,
-    presented_module,
-    read_fres,
-    validate_resolution,
-    write_fres,
-)
-from .weakexact import check_bifiltration, check_module
-from .zigzag import ZigzagBarcode, zigzag_barcode
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bifiltration",
-    "FreeResolution",
-    "GridModule",
-    "Presentation",
-    "RankInvariant",
-    "RectangleBarcode",
-    "ZigzagBarcode",
-    "check_bifiltration",
-    "check_module",
-    "decompose",
-    "free_resolution",
-    "homology_module",
-    "presentation",
-    "presented_module",
-    "rank_1d",
-    "rank_from_resolution",
-    "rank_invariant_naive",
-    "read_bif",
-    "read_fres",
-    "read_gmod",
-    "validate_resolution",
-    "write_bif",
-    "write_fres",
-    "write_gmod",
-    "zigzag_barcode",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    "Bifiltration": "bifiltration",
+    "homology_module": "bifiltration",
+    "read_bif": "bifiltration",
+    "write_bif": "bifiltration",
+    "GridModule": "grid_module",
+    "RankInvariant": "grid_module",
+    "rank_invariant_naive": "grid_module",
+    "read_gmod": "grid_module",
+    "write_gmod": "grid_module",
+    "rank_1d": "rank_dp",
+    "rank_from_resolution": "rank_dp",
+    "RectangleBarcode": "rect_decomp",
+    "decompose": "rect_decomp",
+    "FreeResolution": "resolution",
+    "Presentation": "resolution",
+    "free_resolution": "resolution",
+    "presentation": "resolution",
+    "presented_module": "resolution",
+    "read_fres": "resolution",
+    "validate_resolution": "resolution",
+    "write_fres": "resolution",
+    "check_bifiltration": "weakexact",
+    "check_module": "weakexact",
+    "ZigzagBarcode": "zigzag",
+    "zigzag_barcode": "zigzag",
+}
+
+_SUBMODULES = {
+    "bifiltration", "cli", "constructions", "grid_module", "ioutil", "linalg",
+    "rank_dp", "rect_decomp", "resolution", "weakexact", "zigzag",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

@@ -12,15 +12,11 @@ import argparse
 import os
 import sys
 
-from .bifiltration import Bifiltration, col_zigzag, homology_module, read_bif, row_zigzag
-from .constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from .grid_module import DP_GRID_CAP, RankInvariant, check_table_grid, rank_invariant_naive, read_gmod, write_gmod
-from .ioutil import FormatError, file_blocks
-from .rank_dp import rank_from_resolution
-from .rect_decomp import RectangleBarcode, decompose
-from .resolution import presentation, read_fres
-from .weakexact import check_bifiltration, check_module
-from .zigzag import write_zbar, zigzag_barcode
+from .ioutil import FormatError
+
+# Each subcommand imports the modules it runs when it runs, so that a
+# command compiles and loads only its own part of the package.
+
 
 class CliError(Exception):
     """Usage or input problem; reported on stderr, exit code 1."""
@@ -40,11 +36,14 @@ def _read_file(path: str) -> str:
         raise FormatError(f"line {line}: byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})") from None
 
 
-def _read_rank(path: str) -> RankInvariant:
+def _read_rank(path: str):
     """`RankInvariant.from_blocks` over a .rank file read one block at a
     time, so its text is never held whole.  The errors are those of
     `_read_file` and `from_text` on the whole file: a byte that is not
     UTF-8 anywhere in it is reported before any bad line."""
+    from .grid_module import RankInvariant
+    from .ioutil import file_blocks
+
     try:
         with open(path, encoding="utf-8") as fh:
 
@@ -66,14 +65,15 @@ def _read_rank(path: str) -> RankInvariant:
 
 
 def _write_output(chunks, path):
-    """Write the strings of `chunks` in order to `path`, or to stdout
-    for None or "-"; each is written as the iterable yields it."""
+    """Write `chunks` in order to `path`, or to stdout for None or "-";
+    each is written as the iterable yields it.  A chunk is a str, or
+    ASCII bytes (the .rank writer's), which a file takes as they are."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(c if isinstance(c, str) else c.decode("ascii") for c in chunks)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        with open(path, "wb") as fh:
+            fh.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
     except OSError as e:
         raise CliError(str(e)) from None
 
@@ -90,7 +90,9 @@ def _check_field(flag_p, file_p: int):
         )
 
 
-def _load_bif(path: str, field) -> Bifiltration:
+def _load_bif(path: str, field):
+    from .bifiltration import read_bif
+
     bif = read_bif(_read_file(path))
     _check_field(field, bif.p)
     problems = bif.validate()
@@ -100,6 +102,8 @@ def _load_bif(path: str, field) -> Bifiltration:
 
 
 def _load_gmod(path: str, field):
+    from .grid_module import read_gmod
+
     module = read_gmod(_read_file(path))
     _check_field(field, module.p)
     problems = module.validate()
@@ -109,6 +113,8 @@ def _load_gmod(path: str, field):
 
 
 def _load_fres(path: str, field):
+    from .resolution import read_fres
+
     res = read_fres(_read_file(path))
     _check_field(field, res.p)
     return res
@@ -116,6 +122,8 @@ def _load_fres(path: str, field):
 
 def _check_gmod_grid(nx: int, ny: int):
     """Refuse to write a .gmod that read_gmod would refuse."""
+    from .grid_module import DP_GRID_CAP
+
     if max(nx, ny) > DP_GRID_CAP:
         raise CliError(f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of .gmod files")
 
@@ -138,10 +146,16 @@ def cmd_validate(args) -> int:
     ext = _ext(args.file)
     text = _read_file(args.file)
     if ext == ".bif":
+        from .bifiltration import read_bif
+
         problems = read_bif(text).validate()
     elif ext == ".gmod":
+        from .grid_module import read_gmod
+
         problems = read_gmod(text).validate()
     elif ext == ".fres":
+        from .resolution import read_fres
+
         read_fres(text)  # the reader enforces shapes and homogeneity
         problems = []
     else:
@@ -154,15 +168,23 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _rank_of_input(args) -> RankInvariant:
+def _rank_of_input(args):
+    from .grid_module import rank_invariant_naive
+
     ext = _ext(args.infile)
     degree = args.degree
     if ext == ".bif":
         bif = _load_bif(args.infile, args.field)
         method = args.method or "dp"
         if method == "dp":
+            from .grid_module import check_table_grid
+            from .rank_dp import rank_from_resolution
+            from .resolution import presentation
+
             check_table_grid(bif.nx, bif.ny)  # refuse before building the presentation
             return rank_from_resolution(presentation(bif, degree or 0))
+        from .bifiltration import homology_module
+
         return rank_invariant_naive(homology_module(bif, degree or 0))
     if degree is not None:
         raise CliError("--degree applies to .bif inputs only")
@@ -173,8 +195,9 @@ def _rank_of_input(args) -> RankInvariant:
     if ext == ".fres":
         if args.method == "naive":
             raise CliError("--method naive needs a .bif or .gmod input")
-        res = _load_fres(args.infile, args.field)
-        return rank_from_resolution(res)
+        from .rank_dp import rank_from_resolution
+
+        return rank_from_resolution(_load_fres(args.infile, args.field))
     raise CliError(f"cannot compute ranks from {ext or 'extensionless'} files")
 
 
@@ -184,6 +207,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .rect_decomp import decompose
+
     ext = _ext(args.infile)
     if ext == ".rank":
         inv = _read_rank(args.infile)
@@ -203,6 +228,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .weakexact import check_bifiltration, check_module
+
     ext = _ext(args.infile)
     if ext == ".bif":
         method = args.method or "zigzag"
@@ -211,6 +238,8 @@ def cmd_check(args) -> int:
         if method == "zigzag":
             ok, witness = check_bifiltration(bif, degree)
         else:
+            from .bifiltration import homology_module
+
             ok, witness = check_module(homology_module(bif, degree), method)
     elif ext == ".gmod":
         method = args.method or "algebraic"
@@ -233,6 +262,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_zigzag(args) -> int:
+    from .bifiltration import col_zigzag, row_zigzag
+    from .zigzag import write_zbar, zigzag_barcode
+
     bif = _load_bif(args.infile, args.field)
     if (args.row is None) == (args.col is None):
         raise CliError("exactly one of --row and --col is required")
@@ -249,6 +281,9 @@ def cmd_zigzag(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .constructions import example, indecgrid
+    from .grid_module import write_gmod
+
     p = args.field if args.field is not None else 2
     if args.name == "indecgrid":
         if args.n is None:
@@ -270,6 +305,10 @@ def cmd_examples(args) -> int:
 
 
 def cmd_random_rect(args) -> int:
+    from .constructions import random_rectangle_module
+    from .grid_module import write_gmod
+    from .rect_decomp import RectangleBarcode
+
     if args.n < 1 or args.m < 1 or args.count < 1:
         raise CliError("grid extents and summand count must be positive")
     _check_gmod_grid(args.n, args.m)
@@ -283,6 +322,17 @@ def cmd_random_rect(args) -> int:
 
 
 # -- argument parsing --------------------------------------------------------
+
+
+class _CatalogueHelp(argparse.HelpFormatter):
+    """Fills "{catalogue}" in a help string with the names of the
+    worked-example catalogue, read from `constructions` only when the
+    help is shown, so that building the parser imports none of it."""
+
+    def _get_help_string(self, action):
+        from .constructions import EXAMPLE_NAMES
+
+        return action.help.replace("{catalogue}", ", ".join(EXAMPLE_NAMES))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,8 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_field(p)
     p.set_defaults(func=cmd_zigzag)
 
-    p = sub.add_parser("examples", help="emit a module from the worked-example catalogue")
-    p.add_argument("name", help=f"one of {', '.join(EXAMPLE_NAMES)}, or indecgrid")
+    p = sub.add_parser(
+        "examples", help="emit a module from the worked-example catalogue", formatter_class=_CatalogueHelp
+    )
+    p.add_argument("name", help="one of {catalogue}, or indecgrid")
     p.add_argument("--n", type=int, help="size parameter (indecgrid only, n >= 2)")
     p.add_argument("-o", "--output", metavar="out.gmod", help="output path (default stdout)")
     add_field(p)

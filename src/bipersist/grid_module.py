@@ -14,6 +14,7 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -22,6 +23,7 @@ import numpy as np
 from .ioutil import (
     FormatError,
     InvariantError,
+    Scratch,
     block_rows,
     line_blocks,
     logical_lines,
@@ -276,6 +278,20 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- rank invariant -----------------------------------------------------
 
 
+@cache
+def _digit_groups():
+    """The ASCII of 0 .. 9999 as little-endian 4-byte words, so the first
+    character is the low byte: zero-padded ("0042"), and without the
+    leading zeros, left-aligned and NUL-padded ("42\\0\\0"; 0 is "0")."""
+    v = np.arange(10000)
+    chars = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1) + ord("0")
+    zero_padded = chars.astype(np.uint8).view("<u4").ravel()
+    leading_zeros = 3 - (v >= 10) - (v >= 100) - (v >= 1000)
+    leading = zero_padded >> (8 * leading_zeros).astype(np.uint32)
+    zero_padded.flags.writeable = leading.flags.writeable = False  # shared by every caller
+    return zero_padded, leading
+
+
 class RankInvariant:
     """r(s, t) = rank of the structure map s -> t, for all s <= t.
 
@@ -319,48 +335,53 @@ class RankInvariant:
     def to_text(self) -> str:
         """The .rank text: one line per comparable pair, in
         `comparable_pairs` order; the join of `text_slabs`."""
-        return "".join(self.text_slabs())
+        return b"".join(self.text_slabs()).decode("ascii")
 
-    def text_slabs(self) -> Iterator[str]:
-        """The .rank text as the header line, then one string per s_x
-        slab, made as the iterator reaches it, so a writer that writes
-        each as it comes holds one slab of text at a time.  The grid and
-        the ranks are checked at the call, before any slab is made.
+    def text_slabs(self) -> Iterator[bytes]:
+        """The .rank file as ASCII bytes: the header line, then one chunk
+        per s_x slab, made as the iterator reaches it, so a writer that
+        writes each as it comes holds one slab of text at a time.  The
+        grid and the ranks are checked at the call, before any slab is
+        made.
 
-        A slab is built as bytes (the C order of the comparable mask).
-        A line is the NUL-padded label "x y " of s and of t, gathered as
-        one 8-byte word each from a table of labels, then the rank as
-        ASCII digits by digit arithmetic, right-aligned in a field as wide
-        as the slab's largest rank, then a newline; one mask squeezes out
-        the NUL padding.
+        A slab is one record per line, in the C order of the comparable
+        mask: the NUL-padded labels "x y " of s and of t, gathered as one
+        8-byte word each from a table of labels; the rank as 4-digit
+        groups, each one 4-byte word from a table of the 10,000 groups
+        (the leading group without its leading zeros, the groups above it
+        NUL); and a newline.  One `bytes.translate` deletes the NULs.
         """
         nx, ny = self.nx, self.ny
         check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
-        if any((self.table[x] < 0).any() for x in range(nx)):
+        if self.table.min(initial=0) < 0:
             raise ValueError("rank invariant has a negative entry")
         labels = np.frombuffer(
             "".join(f"{x + 1} {y + 1} ".ljust(8, "\0") for x in range(nx) for y in range(ny)).encode(),
             dtype=np.uint64,
         )
-        header = f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n"
-        return chain([header], (self._slab_text(x, labels) for x in range(nx)))
+        header = f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n".encode()
+        return chain([header], (self._slab_bytes(x, labels) for x in range(nx)))
 
-    def _slab_text(self, x: int, labels) -> str:
+    def _slab_bytes(self, x: int, labels) -> bytes:
         """The .rank lines of the pairs with s_x = x; see `text_slabs`."""
         nx, ny = self.nx, self.ny
         m = slab_mask(nx, ny, x).reshape(ny, nx * ny)  # [s_y, t]
         q = self.table[x].reshape(m.shape)[m]
-        width = len(str(int(q.max())))
-        line = np.zeros((q.size, 16 + width + 1), dtype=np.uint8)
-        words = np.empty((q.size, 2), dtype=np.uint64)
-        words[:, 0] = np.broadcast_to(labels[x * ny : (x + 1) * ny, None], m.shape)[m]
-        words[:, 1] = np.broadcast_to(labels, m.shape)[m]
-        line[:, :16] = words.view(np.uint8)
-        for place in range(width):  # leading zeros stay NUL; a zero rank keeps its "0"
-            q, digit = np.divmod(q, 10)
-            line[:, 15 + width - place] = (digit + 48) * ((q > 0) | (digit > 0) | (place == 0))
-        line[:, -1] = 10
-        return line[line != 0].tobytes().decode("ascii")
+        groups = -(-len(str(int(q.max()))) // 4)
+        line = np.empty(q.size, dtype=[("s", np.uint64), ("t", np.uint64), ("r", "<u4", (groups,)), ("nl", np.uint8)])
+        line["s"] = np.repeat(labels[x * ny : (x + 1) * ny], (nx - x) * (ny - np.arange(ny)))
+        line["t"] = np.broadcast_to(labels, m.shape)[m]
+        zero_padded, leading = _digit_groups()
+        for k in range(groups):  # the group of the places 4k .. 4k + 3
+            r = q // 10 ** (4 * k) % 10000 if groups > 1 else q
+            word = line["r"][:, groups - 1 - k]
+            word[:] = leading[r]
+            if k < groups - 1:
+                np.copyto(word, zero_padded[r], where=q >= 10 ** (4 * k + 4))
+            if k:
+                word *= q >= 10 ** (4 * k)
+        line["nl"] = 10
+        return line.tobytes().translate(None, b"\0")
 
     @classmethod
     def from_text(cls, text: str) -> "RankInvariant":
@@ -420,11 +441,13 @@ def _rank_rows(blocks):
     """Parse .rank runs of whole lines; yields (rows, lines, error) per
     run: the run's good rows and their line numbers, up to the first
     bad line of the file, and a FormatError naming that line (None
-    before its run, which is the last one read)."""
+    before its run, which is the last one read).  The rows and lines
+    are views into one `ioutil.Scratch`, good until the next run."""
+    scratch = Scratch()
     for first_line, block, newlines in blocks:
         cap = row_capacity(len(block), newlines, 5)
-        rows, lines = np.empty((cap, 5), dtype=np.int64), np.empty(cap, dtype=np.int64)
-        got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines)
+        rows, lines = scratch.array("rows", 5 * cap).reshape(cap, 5), scratch.array("lines", cap)
+        got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines, scratch)
         n_ok, bad = _first_bad_rank_row(rows[:got], lines[:got])
         if bad is not None:  # a bad row comes before the run's malformed line
             error = bad

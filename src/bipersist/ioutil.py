@@ -71,7 +71,8 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     of its file, so a reader that cuts one block out of a file keeps the
     line numbers of the file.  The text is parsed in cache-sized blocks
     of whole lines, each of which writes its rows straight into one
-    array allocated up front for as many rows as the text can hold.
+    array allocated up front for as many rows as the text can hold;
+    the blocks share one `Scratch`.
 
     Returns (rows, lines, error): the (n, width) int64 rows of the lines
     before the first malformed one, their 1-based line numbers, and a
@@ -85,8 +86,9 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     rows = np.empty((cap, width), dtype=np.int64)
     lines = np.empty(cap, dtype=np.int64)
     n = 0
+    scratch = Scratch()
     for first, block, _ in line_blocks(text, first_line):
-        got, error = block_rows(block, fields, first, rows[n:], lines[n:])
+        got, error = block_rows(block, fields, first, rows[n:], lines[n:], scratch)
         n += got
         if error is not None:
             return rows[:n], lines[:n], error
@@ -126,57 +128,121 @@ def file_blocks(fh):
         first_line += newlines
 
 
-def block_rows(block: str, fields: str, first_line: int, rows, lines):
+class Scratch:
+    """The work arrays of one read, reused by every block it parses.
+
+    An array is allocated at its first use and replaced, a quarter
+    larger, only when a block needs more than it holds, so the blocks
+    after the first run their vectorized passes in pages already
+    faulted in, instead of allocating, freeing and faulting in their
+    temporaries (about 1.7 MB for a block of `_BLOCK_CHARS`) each time.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, n: int, dtype=np.int64):
+        """The first n entries of the work array `name`; their values are
+        whatever the last block left there."""
+        a = self._arrays.get(name)
+        if a is None or a.size < n:
+            a = self._arrays[name] = np.empty(n + n // 4, dtype=dtype)
+        return a[:n]
+
+
+def block_rows(block: str, fields: str, first_line: int, rows, lines, scratch: Scratch):
     """`int_rows` on one run of whole lines starting at line `first_line`:
     writes the rows and their line numbers to the heads of `rows` and
-    `lines`, and returns (number of rows written, error)."""
+    `lines`, and returns (number of rows written, error).  Its per-byte
+    and per-token work arrays come from `scratch`."""
     width = rows.shape[1]
     data = np.frombuffer(_COMMENT.sub("", block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    blank = (data == 32) | (data == 10) | (data == 9) | (data == 13)
-    digit = (data - 48) < 10  # uint8 arithmetic wraps the bytes below '0' upwards
-    edges = np.flatnonzero(np.diff(~blank, prepend=False, append=False))
-    starts, ends = edges[0::2], edges[1::2]
-    line_ends = np.append(np.flatnonzero(data == 10), data.size)
-    per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
+    size = data.size
+    # per byte: the digit values, 0 off the digits and shifted one place
+    # behind a leading 0; the blanks; and the non-blanks, padded with a
+    # blank at each end so that every token has a start and an end edge.
+    # `edge` and `solid` serve as temporaries before they hold those.
+    digit_at = scratch.array("digit_at", size + 1, np.uint8)
+    blank = scratch.array("blank", size, bool)
+    solid = scratch.array("solid", size + 2, bool)
+    edge = scratch.array("edge", size + 1, bool)
+    digit_at[0] = 0
+    np.subtract(data, 48, out=digit_at[1:])  # uint8 arithmetic wraps the bytes below '0' upwards
+    digit = np.less(digit_at[1:], 10, out=edge[:size])
+    digit_at[1:] *= digit
+    plain = np.count_nonzero(digit)  # bytes that are digits or blanks
+    newline = np.equal(data, 10, out=solid[:size])
+    solid[size] = True  # the run's last line ends at its end
+    line_ends = np.flatnonzero(solid[: size + 1])
+    np.equal(data, 32, out=blank)
+    blank |= newline
+    for tab_or_cr in (9, 13):
+        blank |= np.equal(data, tab_or_cr, out=solid[:size])
+    plain += np.count_nonzero(blank)
+    solid[0] = solid[-1] = False
+    np.logical_not(blank, out=solid[1:-1])
+    edges = np.flatnonzero(np.not_equal(solid[1:], solid[:-1], out=edge))  # token i is data[edges[2i]:edges[2i + 1]]
+    # twice the tokens up to each line end: a token lies within one line,
+    # and its end edge may be the newline itself
+    through = np.searchsorted(edges, line_ends, side="right")
+    per_line = scratch.array("per_line", line_ends.size)
+    per_line[0] = through[0]
+    np.subtract(through[1:], through[:-1], out=per_line[1:])
+    per_line >>= 1
     stop = line_ends.size  # index of the first malformed line
     why = ""
-    wrong_count = np.flatnonzero((per_line != 0) & (per_line != width))
-    if wrong_count.size:
-        stop = int(wrong_count[0])
+    fits = scratch.array("fits", line_ends.size, bool)
+    np.equal(per_line, width, out=fits)
+    fits |= per_line == 0
+    if not fits.all():
+        stop = int(np.argmin(fits))
         a = line_ends[stop - 1] + 1 if stop else 0
         line = data[a : line_ends[stop]].tobytes().decode("utf-8", "replace").strip()
         why = f"expected '{fields}', got {line!r}"
     # a byte that is neither blank nor a digit must be a sign that opens
     # its token and is followed by a digit
-    odd = np.flatnonzero(~(blank | digit))
-    opens = (odd == 0) | blank[odd - 1]
-    then_digit = digit[np.minimum(odd + 1, data.size - 1)] & (odd + 1 < data.size)
-    stray = odd[~(((data[odd] == 43) | (data[odd] == 45)) & opens & then_digit)]
-    if stray.size:
-        at = int(np.searchsorted(line_ends, stray[0]))
-        if at < stop:
-            stop = at
-            t = np.searchsorted(starts, stray[0], side="right") - 1
-            token = data[starts[t] : ends[t]].tobytes().decode("utf-8", "replace")
-            why = f"expected integer, got {token!r}"
+    signed = plain < size
+    if signed:
+        digit = (data - 48) < 10
+        odd = np.flatnonzero(~(blank | digit))
+        opens = (odd == 0) | blank[odd - 1]
+        then_digit = digit[np.minimum(odd + 1, size - 1)] & (odd + 1 < size)
+        stray = odd[~(((data[odd] == 43) | (data[odd] == 45)) & opens & then_digit)]
+        if stray.size:
+            at = int(np.searchsorted(line_ends, stray[0]))
+            if at < stop:
+                stop = at
+                t = np.searchsorted(edges[0::2], stray[0], side="right") - 1
+                token = data[edges[2 * t] : edges[2 * t + 1]].tobytes().decode("utf-8", "replace")
+                why = f"expected integer, got {token!r}"
 
-    n_tok = int(per_line[:stop].sum())
-    starts, ends = starts[:n_tok], ends[:n_tok]
-    first = data[starts]
-    minus = first == 45
-    n_digits = ends - starts - (minus | (first == 43))
-    # every token has a last digit; each earlier place is added over the
-    # tokens long enough to have it
+    n_tok = int(through[stop - 1]) // 2 if stop else 0
+    starts, ends = edges[0 : 2 * n_tok : 2], scratch.array("ends", n_tok)
+    ends[:] = edges[1 : 2 * n_tok : 2]
+    n_digits = np.subtract(ends, starts, out=scratch.array("low", n_tok))
+    if signed:
+        first = data[starts]
+        minus = first == 45
+        n_digits -= minus | (first == 43)
+    longest = int(n_digits.max(initial=0))
+    long_tokens = np.flatnonzero(n_digits > _SAFE_DIGITS) if longest > _SAFE_DIGITS else ()
+    # Horner's rule over the digit places, from the highest any token
+    # has; digit_at[ends] is a token's last digit, and a place before
+    # its first digit reads digit_at[low], the byte before that digit (a
+    # blank or a sign), whose digit value is 0
+    low = np.subtract(ends, n_digits, out=n_digits)
     values = rows.reshape(-1)[:n_tok]
-    np.subtract(data[ends - 1], 48, out=values, dtype=np.int64)
-    live = np.flatnonzero(n_digits > 1)
-    for place in range(1, _SAFE_DIGITS):
-        if not live.size:
-            break
-        values[live] += (data[ends[live] - 1 - place].astype(np.int64) - 48) * 10**place
-        live = live[n_digits[live] > place + 1]
-    np.negative(values, out=values, where=minus)
-    for t in np.flatnonzero(n_digits > _SAFE_DIGITS):
+    values[:] = 0
+    at = scratch.array("at", n_tok)
+    digits = scratch.array("digits", n_tok, np.uint8)
+    for place in reversed(range(min(longest, _SAFE_DIGITS))):
+        if place:
+            np.maximum(np.subtract(ends, place, out=at), low, out=at)
+        values *= 10
+        values += np.take(digit_at, at if place else ends, out=digits)
+    if signed:
+        np.negative(values, out=values, where=minus)
+    for t in long_tokens:
         token = data[starts[t] : ends[t]].tobytes().decode()
         value = _int64(token)
         if value is None:
@@ -187,5 +253,5 @@ def block_rows(block: str, fields: str, first_line: int, rows, lines):
         values[t] = value
     error = FormatError(f"line {first_line + stop}: {why}") if why else None
     n_rows = n_tok // width
-    lines[:n_rows] = first_line + np.flatnonzero(per_line[:stop] == width)[:n_rows]
+    np.add(np.flatnonzero(per_line[:stop] == width)[:n_rows], first_line, out=lines[:n_rows])
     return n_rows, error

@@ -279,20 +279,22 @@ def rank(m: np.ndarray, p: int) -> int:
     return _reduced_rows(m, p).rank if np.count_nonzero(m) else 0
 
 
-def pair_counts(mat: np.ndarray, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:
+def pair_counts(columns, k: int, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:
     """C[a, b] = #{lead pairs (i, j) with row_key[i] <= a and col_key[j] <= b}.
 
-    The columns of `mat` go left to right through one `ColumnReducer`,
-    and every admitted column j is paired with its lead row i; rows
-    keyed shape[0] or more never count.  When the row keys never rise
-    down the rows and the column keys never fall along the columns, the
-    pairing lemma gives
+    `columns` are the columns of a k-row matrix in the form `ColumnReducer.add`
+    takes (`ColumnReducer.columns`), so a caller that pairs several
+    column subsets of one matrix converts it once.  They go left to
+    right through one `ColumnReducer`, and every admitted column j is
+    paired with its lead row i; rows keyed shape[0] or more never count.
+    When the row keys never rise down the rows and the column keys never
+    fall along the columns, the pairing lemma gives
 
         C[a, b] = rank(mat[:, key <= b]) - rank(mat[key > a, key <= b]).
     """
-    reducer = ColumnReducer(mat.shape[0], p)
+    reducer = ColumnReducer(k, p)
     leads, cols = [], []
-    for j, v in enumerate(ColumnReducer.columns(mat, p)):
+    for j, v in enumerate(columns):
         lead = reducer.add(v)
         if lead is not None:
             leads.append(lead)

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import GridModule, RankInvariant, slab_mask
+from .grid_module import GridModule, RankInvariant, check_table_grid
 from .ioutil import InvariantError
-from .linalg import pair_counts, rank
+from .linalg import ColumnReducer, pair_counts, rank
 from .resolution import Presentation
 
 
@@ -47,31 +47,40 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     as a `Presentation`.  One `pair_counts` per (generator class, t_y),
     where a class is the run of s_y from one generator y-grade to the
     next.  In a class a generator is born at its g_x if g_y <= s_y and
-    never (nx) otherwise, and the rows go in falling birth.
+    never (nx) otherwise, and the rows go in falling birth; phi's
+    columns are converted to the reducer's form once per class.
+
+    The table is written once, a class's rows of one s_x slab at a
+    time: generator counts minus pair counts, zero at the incomparable
+    pairs, and checked for negative entries while the slab is in cache.
     """
     nx, ny, p = res.nx, res.ny, res.p
-    inv = RankInvariant(nx, ny)
-    table = inv.table
-    table += _gen_count_table(res)[:, :, None, None]
+    check_table_grid(nx, ny)
+    table = np.empty((nx, ny, nx, ny), dtype=np.int64)
+    counts = _gen_count_table(res)
     gg = np.array(res.gens.grades, dtype=np.int64).reshape(-1, 2)
     rg = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
     by_x = np.argsort(rg[:, 0], kind="stable")
     ys = sorted({y for _, y in res.gens.grades})
-    for lo, hi in zip(ys, ys[1:] + [ny]):  # below ys[0] no generator is alive
+    table[:, : ys[0] if ys else ny] = 0  # below the lowest generator nothing is alive
+    for lo, hi in zip(ys, ys[1:] + [ny]):
         birth = np.where(gg[:, 1] <= lo, gg[:, 0], nx)
         order = np.argsort(-birth, kind="stable")
-        rows, birth = res.phi.entries[order], birth[order]
+        columns, birth = ColumnReducer.columns(res.phi.entries[order], p), birth[order]
         pairs = np.zeros((nx, nx, ny), dtype=np.int64)  # [s_x, t_x, t_y]
         for ty in range(lo, ny):
             cols = by_x[rg[by_x, 1] <= ty]
-            pairs[:, :, ty] = pair_counts(rows[:, cols], birth, rg[cols, 0], (nx, nx), p)
-        table[:, lo:hi] -= pairs[:, None]  # once per class: per t_y would stride the whole table n_y times
-    for sx in range(nx):  # per slab, so no whole-table temporary
-        slab = table[sx]
-        slab *= slab_mask(nx, ny, sx)  # incomparable pairs are kept at 0
-        if (slab < 0).any():
-            raise InvariantError("rank table went negative")
-    return inv
+            picked = [columns[j] for j in cols.tolist()]
+            pairs[:, :, ty] = pair_counts(picked, len(gg), birth, rg[cols, 0], (nx, nx), p)
+        above = np.arange(lo, hi)[:, None, None] <= np.arange(ny)  # [s_y, 1, t_y]: s_y <= t_y
+        for sx in range(nx):
+            rows = table[sx, lo:hi]  # [s_y, t_x, t_y]
+            np.subtract(counts[sx, lo:hi, None, None], pairs[sx], out=rows)
+            rows[:, :sx] = 0  # incomparable pairs are kept at 0
+            rows[:, sx:] *= above
+            if rows.min() < 0:
+                raise InvariantError("rank table went negative")
+    return RankInvariant(nx, ny, table)
 
 
 def rank_1d(module: GridModule) -> dict:

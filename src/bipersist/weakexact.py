@@ -108,7 +108,8 @@ def _image_intersections(module: GridModule) -> np.ndarray:
             into = (matmul(module.vmaps[(tx, ty - 1)], below[tx][0], p), below[tx][1]) if ty else empty
             below[tx] = b, b_birth = _flag_basis(*into, ty, p)
             coords = solve_matrix(a, b, p)[::-1]
-            iota[: tx + 1, : ty + 1, tx, ty] = pair_counts(coords, a_birth[::-1], b_birth, (tx + 1, ty + 1), p)
+            columns = ColumnReducer.columns(coords, p)
+            iota[: tx + 1, : ty + 1, tx, ty] = pair_counts(columns, d, a_birth[::-1], b_birth, (tx + 1, ty + 1), p)
     return iota
 
 

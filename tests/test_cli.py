@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from bipersist import ioutil
@@ -386,3 +391,77 @@ def test_degree_help_names_the_homology_degree(capsys):
             main([command, "--help"])
         out = capsys.readouterr().out
         assert "--degree q" in out and "--degree p" not in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(args, cwd, columns=80):
+    """`python -m bipersist.cli ARGS` in a fresh process: (exit code, stdout bytes)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS=str(columns))
+    done = subprocess.run([sys.executable, "-m", "bipersist.cli", *args], cwd=cwd, env=env, capture_output=True)
+    return done.returncode, done.stdout
+
+
+def test_rank_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path):
+    # a file takes the writer's bytes as they are; stdout takes them as text
+    from bipersist.bifiltration import read_bif
+    from bipersist.resolution import free_resolution, write_fres
+
+    fres = tmp_path / "tri.fres"
+    fres.write_text(write_fres(free_resolution(read_bif(open(write_triangle(tmp_path)).read()), 0)))
+    assert run_cli(["rank", str(fres), "-o", "out.rank"], tmp_path) == (0, b"")
+    data = (tmp_path / "out.rank").read_bytes()
+    assert run_cli(["rank", str(fres)], tmp_path) == (0, data)
+    assert run_cli(["rank", str(fres), "-o", "-"], tmp_path) == (0, data)
+    assert data.decode() == RankInvariant.from_text(data.decode()).to_text()
+
+
+LOADED = (
+    "import sys\n"
+    "from bipersist.cli import main\n"
+    "main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('bipersist'))))\n"
+)
+
+
+def loaded_modules(args, cwd):
+    """The bipersist modules a fresh process has loaded after running `main(args)`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", LOADED, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    (tmp_path / "in.rank").write_text(RANKS.to_text())
+    assert loaded_modules(["decompose-rectangles", "in.rank", "-o", "out.barcode"], tmp_path) == {
+        "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
+        "bipersist.rect_decomp",
+    }
+    assert (tmp_path / "out.barcode").read_text() == barcode_text(RANKS)
+    from bipersist.bifiltration import read_bif
+    from bipersist.resolution import free_resolution, write_fres
+
+    (tmp_path / "in.fres").write_text(write_fres(free_resolution(read_bif(open(write_triangle(tmp_path)).read()), 0)))
+    loaded = loaded_modules(["rank", "in.fres", "-o", "out.rank"], tmp_path)
+    assert "bipersist.rank_dp" in loaded
+    assert not loaded & {"bipersist.weakexact", "bipersist.zigzag", "bipersist.constructions", "bipersist.rect_decomp"}
+
+
+def test_the_package_binds_its_public_names_on_first_use():
+    import bipersist
+
+    names = {}
+    exec("from bipersist import *", names)
+    assert all(names[name] is getattr(bipersist, name) for name in bipersist.__all__)
+    assert bipersist.weakexact.check_bifiltration is bipersist.check_bifiltration
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        bipersist.nothing
+
+
+def test_examples_help_lists_the_catalogue(tmp_path):
+    from bipersist.constructions import EXAMPLE_NAMES
+
+    code, out = run_cli(["examples", "--help"], tmp_path, columns=400)
+    assert code == 0
+    assert f"one of {', '.join(EXAMPLE_NAMES)}, or indecgrid" in out.decode()

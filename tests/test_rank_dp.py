@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import example, random_rectangle_module
 from bipersist.grid_module import GridModule, RankInvariant, comparable_pairs, rank_invariant_naive
-from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, rank
+from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, pair_counts, rank
 from bipersist.rank_dp import rank_1d, rank_from_resolution
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module
 
@@ -139,6 +139,56 @@ def test_presented_module_has_the_rank_of_every_pair(p, k, l, seed):
     module = presented_module(res)
     assert module.validate() == []
     assert rank_invariant_naive(module) == rank_by_pairs(res)
+
+
+def scattered_presentation(rng, k, l, nx, ny, p):
+    """A valid presentation whose generators sit at three or more y-grades
+    (so as many generator classes), most of them off the origin, with a
+    low-rank phi and each relation at or above the join of its column's
+    support."""
+    ys = rng.choice(ny, size=min(ny, 3), replace=False)
+    gens = np.column_stack((rng.integers(0, nx, k), np.concatenate([ys, rng.integers(0, ny, k)])[:k]))
+    r = int(rng.integers(1, min(k, l) + 1))
+    phi = matmul(rng.integers(0, p, (k, r)), rng.integers(0, p, (r, l)), p)
+    phi[:, rng.random(l) < 0.2] = 0
+    rels = np.column_stack((rng.integers(0, nx, l), rng.integers(0, ny, l)))
+    for j in range(l):
+        support = gens[phi[:, j] != 0]
+        if support.size:
+            rels[j] = np.maximum(rels[j], support.max(axis=0))
+    res = hand_resolution(gens.tolist(), rels.tolist(), phi, nx, ny, p)
+    assert not res.phi.validate_homogeneous()
+    return res
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, MAX_MODULUS]), k=st.integers(3, 9), l=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_dp_table_written_slab_by_slab_equals_the_presented_module(p, k, l, seed):
+    # each class's rows of each s_x slab are written once, masked and
+    # checked; the rows below the lowest generator are zero
+    res = scattered_presentation(np.random.default_rng(seed), k, l, 4, 5, p)
+    assert len({y for _, y in res.gens.grades}) >= 3
+    assert rank_from_resolution(res) == rank_invariant_naive(presented_module(res))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), k=st.sampled_from([0, 1, 5, 64, 65]), n=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_prepacked_pair_counts_equal_the_ranks_of_submatrices(p, k, n, seed):
+    # the columns are converted once and a subset of them paired, as the
+    # DP pairs the relation columns of each t_y; rows keyed 3 never count
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(0, p, (k, n)) * (rng.random((k, n)) < 0.5)
+    row_key = np.sort(rng.integers(0, 4, k))[::-1]
+    col_key = np.sort(rng.integers(0, 4, n))
+    picked = np.flatnonzero(rng.random(n) < 0.7)
+    columns = ColumnReducer.columns(mat, p)
+    got = pair_counts([columns[j] for j in picked.tolist()], k, row_key, col_key[picked], (3, 4), p)
+    sub, keys = mat[:, picked], col_key[picked]
+    assert np.array_equal(got, pair_counts(ColumnReducer.columns(sub, p), k, row_key, keys, (3, 4), p))
+    for a in range(3):
+        for b in range(4):
+            cols = keys <= b
+            assert got[a, b] == rank(sub[:, cols], p) - rank(sub[row_key > a][:, cols], p)
 
 
 def test_dp_peak_memory_is_the_table_and_a_few_slabs():

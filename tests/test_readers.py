@@ -5,6 +5,7 @@ FormatError naming a line; no other exception may escape.  The `.rank`
 reader has its own fuzz and reference tests in test_grid_module.py.
 """
 
+import io
 import re
 import tracemalloc
 
@@ -382,3 +383,92 @@ def test_rank_text_slabs_peak_memory_is_a_few_slabs():
         tracemalloc.stop()
     assert chars == len(inv.to_text())
     assert peak <= 8 * inv.table[0].nbytes
+
+
+INT64_MAX = 2**63 - 1
+
+
+def spelled(value: int, draw) -> str:
+    """One spelling of an integer token: plain, signed, or zero-padded to 19 digits."""
+    plain = str(value)
+    return draw(st.sampled_from([plain, plain, f"+{value}", plain.zfill(19), "-0" if value == 0 else plain]))
+
+
+@st.composite
+def ragged_rank_texts(draw):
+    """.rank rows whose lines, and so the blocks cut from them, keep
+    changing length: a short row, a row padded with tens of blanks or
+    spelled with 19-digit tokens, blank and comment lines, CRs, tabs and
+    signs; maybe one bad line (wrong count, a stray byte, a negative
+    rank, a token past int64) or a repeated pair."""
+    lines = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["row", "row", "row", "padded", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " " * 30, "\t", "\r"])))
+            continue
+        if kind == "comment":
+            lines.append("#" + " 1" * draw(st.integers(0, 30)))
+            continue
+        sx, sy = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        tx, ty = draw(st.integers(sx, 6)), draw(st.integers(sy, 6))
+        r = draw(st.sampled_from([0, 1, 7, 12, 345, INT64_MAX]))
+        sep = draw(st.sampled_from([" ", "\t", " \t "]))
+        line = sep.join(spelled(v, draw) for v in (sx, sy, tx, ty, r))
+        if kind == "padded":
+            line = " " * draw(st.integers(10, 60)) + line + "\t" * draw(st.integers(0, 20))
+        lines.append(line + draw(st.sampled_from(["", "", "\r", " # 1 2 3 4 5"])))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(
+            ["1 1 1 1", "1 1 1 1 1 1", "1 1 1 1 x", "1 1 1 1 -1", "1 1 1 1 9223372036854775808",
+             "1 1 1 1 -99999999999999999999", "1 1 2 2 +", "1é 1 1 1 1"]
+        ) | st.sampled_from(lines))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def reference_int_rows(text):
+    """Oracle: `int_rows` with five fields, line by line: (rows, their
+    line numbers, the number of the first malformed line or None)."""
+    rows, lines = [], []
+    for lineno, line in ioutil.logical_lines(text):
+        toks = line.split()
+        if len(toks) != 5 or not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in toks):
+            return rows, lines, lineno
+        values = [int(t) for t in toks]
+        if not all(-(2**63) <= v <= INT64_MAX for v in values):
+            return rows, lines, lineno
+        rows.append(values)
+        lines.append(lineno)
+    return rows, lines, None
+
+
+def rank_outcome_text(read):
+    try:
+        return read()
+    except FormatError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("block", [12, 29, 70])
+@settings(max_examples=100, deadline=None)
+@given(text=ragged_rank_texts())
+def test_rank_reader_scratch_carries_nothing_between_blocks(block, text):
+    # cut into blocks of tens of characters, the lines' lengths make the
+    # blocks, and their per-byte and per-token work, grow and shrink; a
+    # block that reused a byte or token of a longer earlier block would
+    # read a different table or name a different line
+    fields = "s_x s_y t_x t_y r"
+    whole_rows, whole_lines, whole_error = int_rows(text, fields)
+    whole = rank_outcome_text(lambda: RankInvariant.from_text(text))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        rows, lines, error = int_rows(text, fields)
+        assert rank_outcome_text(lambda: RankInvariant.from_text(text)) == whole
+        from_file = rank_outcome_text(lambda: RankInvariant.from_blocks(lambda: ioutil.file_blocks(io.StringIO(text))))
+        assert from_file == whole
+    ref_rows, ref_lines, ref_error = reference_int_rows(text)
+    assert rows.tolist() == whole_rows.tolist() == ref_rows
+    assert lines.tolist() == whole_lines.tolist() == ref_lines
+    assert str(error) == str(whole_error)
+    assert (error and int(re.match(r"line (\d+): ", str(error)).group(1))) == ref_error
