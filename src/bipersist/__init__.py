@@ -25,7 +25,6 @@ _HOME = {
     "rank_invariant_naive": "grid_module",
     "read_gmod": "grid_module",
     "write_gmod": "grid_module",
-    "rank_1d": "rank_dp",
     "rank_from_resolution": "rank_dp",
     "RectangleBarcode": "rect_decomp",
     "decompose": "rect_decomp",

@@ -39,18 +39,16 @@ def facets(s: Simplex) -> list[Simplex]:
 class Bifiltration:
     """A bifiltered complex where each simplex enters at a single grade.
 
-    Grades are stored 0-based on the normalized grid; `raw_grades`
-    keeps the values that appeared in the input, for labeling only.
+    Grades are stored 0-based on the normalized grid.
     """
 
-    def __init__(self, grades: dict, nx: int, ny: int, p: int = 2, raw_grades=None):
+    def __init__(self, grades: dict, nx: int, ny: int, p: int = 2):
         self.p = check_modulus(p)
         self.nx = int(nx)
         self.ny = int(ny)
         self.grades: dict[Simplex, tuple[int, int]] = {
             _check_simplex(s): (int(g[0]), int(g[1])) for s, g in grades.items()
         }
-        self.raw_grades = raw_grades
         self.by_dim: dict[int, list[Simplex]] = {}
         for s in sorted(self.grades):
             self.by_dim.setdefault(len(s) - 1, []).append(s)
@@ -80,13 +78,11 @@ class Bifiltration:
         xrank = {v: i for i, v in enumerate(xs)}
         yrank = {v: i for i, v in enumerate(ys)}
         grades: dict = {}
-        raw: dict = {}
         for g, s in parsed:
             if s in grades:
                 raise ValueError(f"duplicate simplex {s}")
             grades[s] = (xrank[g[0]], yrank[g[1]])
-            raw[s] = g
-        return cls(grades, max(1, len(xs)), max(1, len(ys)), p, raw)
+        return cls(grades, max(1, len(xs)), max(1, len(ys)), p)
 
     def validate(self) -> list[str]:
         problems = []
@@ -214,9 +210,6 @@ class ZigzagComplex:
 
     initial: list
     steps: list  # (kind, [simplices]) with kind "insert" or "delete"
-
-    def station_count(self) -> int:
-        return len(self.steps) + 1
 
     def stations(self) -> list[set]:
         cur = set(self.initial)

@@ -66,14 +66,17 @@ def _read_rank(path: str):
 
 def _write_output(chunks, path):
     """Write `chunks` in order to `path`, or to stdout for None or "-";
-    each is written as the iterable yields it.  A chunk is a str, or
-    ASCII bytes (the .rank writer's), which a file takes as they are."""
+    each is written as the iterable yields it.  A chunk is a str, written
+    as UTF-8, or ASCII bytes (the .rank writer's), written as they are,
+    to the file or to stdout's byte stream alike."""
+    data = (c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
     if path is None or path == "-":
-        sys.stdout.writelines(c if isinstance(c, str) else c.decode("ascii") for c in chunks)
+        sys.stdout.flush()  # text printed before goes first
+        sys.stdout.buffer.writelines(data)
         return
     try:
         with open(path, "wb") as fh:
-            fh.writelines(c.encode("utf-8") if isinstance(c, str) else c for c in chunks)
+            fh.writelines(data)
     except OSError as e:
         raise CliError(str(e)) from None
 
@@ -231,8 +234,8 @@ def cmd_check(args) -> int:
     from .weakexact import check_bifiltration, check_module
 
     ext = _ext(args.infile)
+    method = args.method or "zigzag"
     if ext == ".bif":
-        method = args.method or "zigzag"
         bif = _load_bif(args.infile, args.field)
         degree = args.degree or 0
         if method == "zigzag":
@@ -242,9 +245,6 @@ def cmd_check(args) -> int:
 
             ok, witness = check_module(homology_module(bif, degree), method)
     elif ext == ".gmod":
-        method = args.method or "algebraic"
-        if method == "zigzag":
-            raise CliError("--method zigzag needs a .bif input")
         if args.degree is not None:
             raise CliError("--degree applies to .bif inputs only")
         ok, witness = check_module(_load_gmod(args.infile, args.field), method)
@@ -376,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("infile", help=".bif or .gmod input")
     p.add_argument(
         "--method", choices=["zigzag", "algebraic", "geometric"],
-        help="zigzag (.bif default): rank DP and kappa/iota tables from one presentation; "
-        "algebraic (.gmod default) or geometric: explicit-module checkers, on the homology module for a .bif",
+        help="zigzag (default): the rank invariant against the kappa/iota tables, one pairing per grid point, "
+        "both from one presentation for a .bif; algebraic or geometric: subspace checkers pair by pair, "
+        "on the homology module for a .bif",
     )
     p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     add_field(p)

@@ -3,9 +3,9 @@
 A module assigns a vector space over F_p to every point of the grid
 [0,nx) x [0,ny) and a matrix to every unit edge; commutativity of the
 unit squares is the validation contract.  Composite maps, the rank
-invariant, restriction/dualization, Hom computations and the
-square-local invariants used by the exactness checkers all live here,
-together with the .gmod/.rank file formats.
+invariant, dualization and the square-local invariants used by the
+explicit-module exactness checkers all live here, together with the
+.gmod/.rank file formats.
 
 Grid points are 0-based (x, y) tuples in code; the file formats use
 1-based coordinates.
@@ -31,7 +31,6 @@ from .ioutil import (
     row_capacity,
 )
 from .linalg import (
-    Subspace,
     check_modulus,
     image_basis,
     kernel_basis,
@@ -42,10 +41,6 @@ from .linalg import (
 )
 
 SQUARE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abc", "bcd", "abcd")
-
-# interval types on a square that are restrictions of rectangles; the
-# two missing ones ("abc", "bcd") are the hooks
-RECTANGLE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abcd")
 
 
 # The rank invariant and the kappa/iota tables are dense 4-D int64
@@ -237,23 +232,6 @@ class GridModule:
             vmaps[key] = _block_diag(self.vmaps[key], other.vmaps[key])
         return GridModule(self.nx, self.ny, self.p, dims, hmaps, vmaps)
 
-    def restrict(self, xs, ys) -> "GridModule":
-        """Restriction to the subgrid xs x ys (sorted 0-based indices)."""
-        xs, ys = sorted(set(xs)), sorted(set(ys))
-        if not xs or not ys:
-            raise ValueError("restriction needs a nonempty subgrid")
-        if xs[0] < 0 or xs[-1] >= self.nx or ys[0] < 0 or ys[-1] >= self.ny:
-            raise ValueError("subgrid indices out of range")
-        dims = self.dims[np.ix_(xs, ys)]
-        hmaps, vmaps = {}, {}
-        for i in range(len(xs) - 1):
-            for j in range(len(ys)):
-                hmaps[(i, j)] = self.composite((xs[i], ys[j]), (xs[i + 1], ys[j]))
-        for i in range(len(xs)):
-            for j in range(len(ys) - 1):
-                vmaps[(i, j)] = self.composite((xs[i], ys[j]), (xs[i], ys[j + 1]))
-        return GridModule(len(xs), len(ys), self.p, dims, hmaps, vmaps)
-
     def dualize(self) -> "GridModule":
         """Linear dual: grid reversed in both coordinates, matrices transposed."""
         nx, ny = self.nx, self.ny
@@ -326,11 +304,6 @@ class RankInvariant:
             and (self.nx, self.ny) == (other.nx, other.ny)
             and bool(np.array_equal(self.table, other.table))
         )
-
-    def __add__(self, other: "RankInvariant") -> "RankInvariant":
-        if (self.nx, self.ny) != (other.nx, other.ny):
-            raise ValueError("rank invariants on different grids")
-        return RankInvariant(self.nx, self.ny, self.table + other.table)
 
     def to_text(self) -> str:
         """The .rank text: one line per comparable pair, in
@@ -517,88 +490,24 @@ def _repeated_pair(blocks, nx: int, ny: int) -> FormatError:
 
 
 def rank_invariant_naive(module: GridModule) -> RankInvariant:
-    """Rank of every composite structure map, computed directly."""
-    inv = RankInvariant(module.nx, module.ny)
-    for s, t in comparable_pairs(module.nx, module.ny):
-        inv.set(s, t, rank(module.composite(s, t), module.p))
+    """Rank of every composite structure map, computed directly.
+
+    The maps out of one source s are pushed from s one edge at a time,
+    along the row s_y and then up every column, the route that
+    `GridModule.composite` takes; only the maps into one row are held,
+    and the module's composite cache is left as it is.
+    """
+    nx, ny, p = module.nx, module.ny, module.p
+    inv = RankInvariant(nx, ny)
+    for sx, sy in iter_points(nx, ny):
+        row = [np.eye(module.dim_at((sx, sy)), dtype=np.int64)]  # row[i]: s -> (s_x + i, t_y)
+        for tx in range(sx + 1, nx):
+            row.append(matmul(module.hmaps[(tx - 1, sy)], row[-1], p))
+        for ty in range(sy, ny):
+            if ty > sy:
+                row = [matmul(module.vmaps[(tx, ty - 1)], m, p) for tx, m in enumerate(row, sx)]
+            inv.table[sx, sy, sx:, ty] = [rank(m, p) for m in row]
     return inv
-
-
-# -- Hom computations ---------------------------------------------------
-
-
-def naturality_hom_basis(points, dim_a, dim_b, edges, p) -> list[dict]:
-    """Basis of natural families {phi_t} for two diagrams on shared points.
-
-    dim_a/dim_b map each point to a dimension; edges is a list of
-    (src, tgt, a_mat, b_mat) with a_mat the source diagram's map and
-    b_mat the target diagram's.  Unknowns are the entries of every
-    component phi_t (shape dim_b x dim_a, column-stacked) and each edge
-    contributes the constraint phi_tgt . a_mat = b_mat . phi_src.
-    Returns a list of dicts point -> matrix, zero-size points omitted.
-    """
-    offset = {}
-    blocks = []
-    total = 0
-    for t in points:
-        da, db = dim_a[t], dim_b[t]
-        if da > 0 and db > 0:
-            offset[t] = total
-            blocks.append((t, db, da))
-            total += da * db
-    if total == 0:
-        return []
-    rows = []
-    for src, tgt, a_mat, b_mat in edges:
-        n_rows = dim_b[tgt] * dim_a[src]
-        if n_rows == 0:
-            continue
-        block = np.zeros((n_rows, total), dtype=np.int64)
-        if tgt in offset:  # phi_tgt . a_mat, vec'd as (a^T kron I)
-            block[:, offset[tgt] : offset[tgt] + dim_a[tgt] * dim_b[tgt]] = np.kron(
-                a_mat.T, np.eye(dim_b[tgt], dtype=np.int64)
-            )
-        if src in offset:  # - b_mat . phi_src, vec'd as (I kron b)
-            block[:, offset[src] : offset[src] + dim_a[src] * dim_b[src]] -= np.kron(
-                np.eye(dim_a[src], dtype=np.int64), b_mat
-            )
-        rows.append(np.mod(block, p))
-    system = np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64)
-    ker = kernel_basis(system, p)
-    basis = []
-    for j in range(ker.dim):
-        vec = ker.basis[:, j]
-        comp = {}
-        for t, db, da in blocks:
-            o = offset[t]
-            comp[t] = vec[o : o + da * db].reshape(db, da, order="F").copy()
-        basis.append(comp)
-    return basis
-
-
-def hom_basis(a: GridModule, b: GridModule) -> list[dict]:
-    """Basis of the space of module morphisms a -> b.
-
-    Each basis element is a dict mapping grid points to matrices of
-    shape (dim_b, dim_a); points where either module vanishes are
-    omitted.
-    """
-    if (a.nx, a.ny, a.p) != (b.nx, b.ny, b.p):
-        raise ValueError("hom needs matching grids and fields")
-    points = list(a.points())
-    dim_a = {t: a.dim_at(t) for t in points}
-    dim_b = {t: b.dim_at(t) for t in points}
-    edges = []
-    for t, mat in a.hmaps.items():
-        edges.append((t, (t[0] + 1, t[1]), mat, b.hmaps[t]))
-    for t, mat in a.vmaps.items():
-        edges.append((t, (t[0], t[1] + 1), mat, b.vmaps[t]))
-    return naturality_hom_basis(points, dim_a, dim_b, edges, a.p)
-
-
-def hom_dim(a: GridModule, b: GridModule) -> int:
-    """Dimension of Hom(a, b) as an F_p vector space."""
-    return len(hom_basis(a, b))
 
 
 # -- square-local invariants and decomposition --------------------------
@@ -623,24 +532,6 @@ class SquareInvariants:
     r_ad: int
     i_d: int
     k_a: int
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.dim_a,
-                self.dim_b,
-                self.dim_c,
-                self.dim_d,
-                self.r_ab,
-                self.r_ac,
-                self.r_bd,
-                self.r_cd,
-                self.r_ad,
-                self.i_d,
-                self.k_a,
-            ],
-            dtype=np.int64,
-        )
 
 
 class SquareBarcode(dict):
@@ -712,29 +603,6 @@ def decompose_square(inv: SquareInvariants) -> SquareBarcode:
     return SquareBarcode(m)
 
 
-def square_invariant_matrix() -> np.ndarray:
-    """11x11 integer matrix: column j = invariants of interval type j.
-
-    Row order matches SquareInvariants.as_vector, column order
-    SQUARE_LABELS.  Used to certify that decompose_square inverts it.
-    """
-    cols = []
-    for lab in SQUARE_LABELS:
-        has = {c: (c in lab) for c in "abcd"}
-        dim_a, dim_b, dim_c, dim_d = (int(has[c]) for c in "abcd")
-        r_ab = int(has["a"] and has["b"])
-        r_ac = int(has["a"] and has["c"])
-        r_bd = int(has["b"] and has["d"])
-        r_cd = int(has["c"] and has["d"])
-        r_ad = int(has["a"] and has["d"])
-        i_d = int(has["d"] and has["b"] and has["c"])
-        # Ker(a->b) + Ker(a->c) is all of the 1-dim corner space unless
-        # both legs are injective, i.e. unless b and c both lie in the type
-        k_a = int(has["a"] and not (has["b"] and has["c"]))
-        cols.append([dim_a, dim_b, dim_c, dim_d, r_ab, r_ac, r_bd, r_cd, r_ad, i_d, k_a])
-    return np.array(cols, dtype=np.int64).T
-
-
 # -- exactness checkers -------------------------------------------------
 
 
@@ -769,24 +637,6 @@ def is_weakly_exact_geometric(module: GridModule):
     for s, t in comparable_pairs(module.nx, module.ny):
         barcode = decompose_square(invariants_of_square(module, s, t))
         if not barcode.is_rectangular():
-            return False, (s, t)
-    return True, None
-
-
-def is_strongly_exact(module: GridModule):
-    """Middle exactness of M_s -> M_b (+) M_c -> M_t on every square.
-
-    The image of the pairing map always sits inside the kernel of the
-    difference map, so exactness is a dimension equality.
-    """
-    p = module.p
-    for s, t in comparable_pairs(module.nx, module.ny):
-        bpt, cpt = (t[0], s[1]), (s[0], t[1])
-        pairing = np.vstack([module.composite(s, bpt), module.composite(s, cpt)])
-        difference = np.hstack(
-            [module.composite(bpt, t), (-module.composite(cpt, t)) % p]
-        )
-        if kernel_basis(difference, p).dim != rank(pairing, p):
             return False, (s, t)
     return True, None
 

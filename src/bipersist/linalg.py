@@ -339,10 +339,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, vec) -> bool:
-        v = asmatrix(vec, self.p)
-        return rank(np.hstack([self.basis, v]), self.p) == self.dim
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -409,12 +405,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_columns(vecs, p)
 
 
-def solve(m: np.ndarray, b, p: int) -> Optional[np.ndarray]:
-    """One solution x of m x = b, or None if the system is inconsistent."""
-    s = solve_matrix(m, asmatrix(b, p), p)
-    return None if s is None else s[:, 0]
-
-
 def solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     """Solve m X = b column-wise; None if any column is inconsistent."""
     rows, cols = m.shape
@@ -444,7 +434,3 @@ def preimage_of_subspace(a: np.ndarray, s: Subspace) -> Subspace:
     stacked = np.hstack([a, (-s.basis) % p])
     ker = kernel_basis(stacked, p)
     return Subspace.from_columns(ker.basis[:cols], p)
-
-
-def invertible(m: np.ndarray, p: int) -> bool:
-    return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]

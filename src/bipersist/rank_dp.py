@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import GridModule, RankInvariant, check_table_grid
+from .grid_module import RankInvariant, check_table_grid
 from .ioutil import InvariantError
-from .linalg import ColumnReducer, pair_counts, rank
+from .linalg import ColumnReducer, pair_counts
 from .resolution import Presentation
 
 
@@ -82,26 +82,3 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
                 raise InvariantError("rank table went negative")
     return RankInvariant(nx, ny, table)
 
-
-def rank_1d(module: GridModule) -> dict:
-    """Interval multiplicities of a one-parameter module (single row).
-
-    m([s,t]) = r(s,t) - r(s-1,t) - r(s,t+1) + r(s-1,t+1), out-of-range
-    ranks zero; a negative value cannot come from an actual module.
-    """
-    if module.ny != 1:
-        raise ValueError("rank_1d expects a module on an n x 1 grid")
-    n = module.nx
-    r = np.zeros((n + 2, n + 2), dtype=np.int64)  # shifted by +1, zero-padded
-    for s in range(n):
-        for t in range(s, n):
-            r[s + 1, t + 1] = rank(module.composite((s, 0), (t, 0)), module.p)
-    out = {}
-    for s in range(n):
-        for t in range(s, n):
-            m = int(r[s + 1, t + 1] - r[s, t + 1] - r[s + 1, t + 2] + r[s, t + 2])
-            if m < 0:
-                raise ValueError(f"negative multiplicity {m} for interval [{s}, {t}]")
-            if m:
-                out[(s, t)] = m
-    return out

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grid_module import RankInvariant, comparable_mask, slab_mask
+from .grid_module import RankInvariant, slab_mask
 from .ioutil import FormatError, logical_lines, parse_int
 
 
@@ -36,35 +36,6 @@ class RectangleBarcode(dict):
                 raise ValueError(f"rectangle {rect} has negative multiplicity")
             if mult:
                 self[(sx, sy, tx, ty)] = int(mult)
-
-    def total(self) -> int:
-        return sum(self.values())
-
-    def dim_at(self, t) -> int:
-        x, y = t
-        return sum(
-            m for (sx, sy, tx, ty), m in self.items() if sx <= x <= tx and sy <= y <= ty
-        )
-
-    def rank_invariant(self, nx: int, ny: int) -> RankInvariant:
-        """The rank invariant of the direct sum of these rectangles on an nx x ny grid.
-
-        r(s, t) counts the rectangles with lower corner <= s and upper
-        corner >= t: the rectangles go into a 4-D histogram, which is
-        summed forward along the s axes and backward along the t axes.
-        """
-        inv = RankInvariant(nx, ny)
-        table = inv.table
-        for (sx, sy, tx, ty), m in self.items():
-            if sx < nx and sy < ny:  # a rectangle may run past the grid
-                table[sx, sy, min(tx, nx - 1), min(ty, ny - 1)] += m
-        for axis in (0, 1):
-            np.cumsum(table, axis=axis, out=table)
-        for axis in (2, 3):
-            rev = np.flip(table, axis=axis)
-            np.cumsum(rev, axis=axis, out=rev)
-        table[~comparable_mask(nx, ny)] = 0
-        return inv
 
     def to_text(self) -> str:
         out = ["# rectangle barcode: s_x s_y t_x t_y multiplicity (1-based)"]

@@ -78,9 +78,6 @@ class GradedMatrix:
                 f"{len(self.target)} rows x {len(self.source)} cols"
             )
 
-    def validate_homogeneous(self) -> list[str]:
-        return [problem for _, problem in self.inhomogeneous_entries()]
-
     def inhomogeneous_entries(self) -> list:
         """((i, j), message) for each nonzero entry whose row grade is not
         below its column grade, in row-major order."""

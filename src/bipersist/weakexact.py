@@ -16,12 +16,13 @@ every s <= t.  kappa is the same routine on the dual module.  That is
 O(n_x n_y) eliminations per table, against one per comparable pair.
 
 `kappa_iota` fills both tables this way from an explicit module; the
-tests check it against direct subspace arithmetic at every pair.  Both
-tables are isomorphism invariants, so any model of the module serves:
-for a bifiltration, `check_bifiltration` (the default `zigzag` route of
-`check-rectangle`) builds one presentation, runs the rank DP on it and
-reads the module off it with `resolution.presented_module`, so no
-homology is solved per grid point.
+tests check it against direct subspace arithmetic at every pair.  The
+default `zigzag` route of `check-rectangle` compares them with the rank
+invariant.  For a module, `check_module` takes the naive rank
+invariant.  Both tables are isomorphism invariants, so any model of the
+module serves: for a bifiltration, `check_bifiltration` builds one
+presentation, runs the rank DP on it and reads the module off it with
+`resolution.presented_module`, so no homology is solved per grid point.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .grid_module import (
     RankInvariant,
     check_table_grid,
     comparable_mask,
-    is_strongly_exact,
     is_weakly_exact_algebraic,
     is_weakly_exact_geometric,
+    rank_invariant_naive,
 )
 from .ioutil import InvariantError
 from .linalg import ColumnReducer, matmul, pair_counts, solve_matrix
@@ -186,18 +187,23 @@ def check_bifiltration(bif: Bifiltration, degree: int):
     return check_rectangle_decomposable(rank_from_resolution(pres), kappa_iota(presented_module(pres)))
 
 
-def check_module(module: GridModule, method: str = "algebraic"):
-    """Uniform front end over the explicit-module checkers.
+def check_module(module: GridModule, method: str = "zigzag"):
+    """Decide decomposability of an explicit module.
 
-    "algebraic" tests the kernel/image equalities directly,
-    "geometric" looks for hooks in square barcodes, and "strong"
-    tests the strong exactness equality; all agree on their verdict
-    for the weak checkers and return the same first witness.
+    "zigzag" compares the naive rank invariant with the kappa/iota
+    tables of `kappa_iota`, one two-flag pairing per grid point, and
+    gives the reasons of `check_rectangle_decomposable`; a grid past the
+    dense-table cap is refused before any work.  "algebraic" tests the
+    kernel/image equalities pair by pair with subspace arithmetic, and
+    "geometric" looks for hooks in square barcodes.  The three give the
+    same verdict and the same first witness pair.
     """
+    if method == "zigzag":
+        check_table_grid(module.nx, module.ny, 3)
+        return check_rectangle_decomposable(rank_invariant_naive(module), kappa_iota(module))
     checkers = {
         "algebraic": (is_weakly_exact_algebraic, "kernel/image equalities fail"),
         "geometric": (is_weakly_exact_geometric, "square barcode contains a hook"),
-        "strong": (is_strongly_exact, "strong exactness equality fails"),
     }
     if method not in checkers:
         raise ValueError(f"unknown method {method!r}")

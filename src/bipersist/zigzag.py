@@ -35,13 +35,6 @@ class ZigzagBarcode:
         return sum(1 for b, d in self.intervals if b <= i <= d)
 
 
-def count_spanning(barcode: ZigzagBarcode, i: int, j: int) -> int:
-    """Number of bars whose closed range contains [i, j]."""
-    if i > j:
-        raise ValueError("need i <= j")
-    return sum(1 for b, d in barcode.intervals if b <= i and j <= d)
-
-
 def module_barcode(dims, arrows, p: int) -> list:
     """Interval multiset of an explicitly given zigzag module.
 

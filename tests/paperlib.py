@@ -1,0 +1,572 @@
+"""Paper-verification machinery that only the tests use.
+
+The package computes rank invariants, rectangle barcodes and
+decomposability verdicts; the constructions here check the paper's
+other claims against it: representations of finite posets, their
+fully faithful grid embeddings and pointwise right Kan extensions, the
+dart family and its staircase, Hom spaces by naturality equations, a
+randomized isomorphism confirmer, restriction to a subgrid, the
+eleven-by-eleven square invariant matrix, strong exactness, the rank
+invariant of a sum of rectangles and zigzag spanning counts.  None of
+it is on a path the CLI runs.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import astuple
+from typing import Optional
+
+import numpy as np
+
+from bipersist.grid_module import (
+    SQUARE_LABELS,
+    GridModule,
+    RankInvariant,
+    SquareInvariants,
+    comparable_mask,
+    comparable_pairs,
+    rank_invariant_naive,
+)
+from bipersist.ioutil import InvariantError
+from bipersist.linalg import Subspace, asmatrix, check_modulus, kernel_basis, matmul, rank, solve_matrix
+from bipersist.rect_decomp import RectangleBarcode, decompose
+from bipersist.zigzag import ZigzagBarcode
+
+
+# -- linear algebra -------------------------------------------------------
+
+
+def solve(m: np.ndarray, b, p: int) -> Optional[np.ndarray]:
+    """One solution x of m x = b, or None if the system is inconsistent."""
+    s = solve_matrix(m, asmatrix(b, p), p)
+    return None if s is None else s[:, 0]
+
+
+def invertible(m: np.ndarray, p: int) -> bool:
+    return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]
+
+
+def contains(space: Subspace, vec) -> bool:
+    v = asmatrix(vec, space.p)
+    return rank(np.hstack([space.basis, v]), space.p) == space.dim
+
+
+# -- grid modules ----------------------------------------------------------
+
+
+def restrict(module: GridModule, xs, ys) -> GridModule:
+    """Restriction to the subgrid xs x ys (sorted 0-based indices)."""
+    xs, ys = sorted(set(xs)), sorted(set(ys))
+    if not xs or not ys:
+        raise ValueError("restriction needs a nonempty subgrid")
+    if xs[0] < 0 or xs[-1] >= module.nx or ys[0] < 0 or ys[-1] >= module.ny:
+        raise ValueError("subgrid indices out of range")
+    dims = module.dims[np.ix_(xs, ys)]
+    hmaps, vmaps = {}, {}
+    for i in range(len(xs) - 1):
+        for j in range(len(ys)):
+            hmaps[(i, j)] = module.composite((xs[i], ys[j]), (xs[i + 1], ys[j]))
+    for i in range(len(xs)):
+        for j in range(len(ys) - 1):
+            vmaps[(i, j)] = module.composite((xs[i], ys[j]), (xs[i], ys[j + 1]))
+    return GridModule(len(xs), len(ys), module.p, dims, hmaps, vmaps)
+
+
+# -- rectangle sums ---------------------------------------------------------
+
+
+def rectangle_rank_invariant(barcode: RectangleBarcode, nx: int, ny: int) -> RankInvariant:
+    """The rank invariant of the direct sum of the barcode's rectangles
+    on an nx x ny grid.
+
+    r(s, t) counts the rectangles with lower corner <= s and upper
+    corner >= t: the rectangles go into a 4-D histogram, which is
+    summed forward along the s axes and backward along the t axes.
+    """
+    inv = RankInvariant(nx, ny)
+    table = inv.table
+    for (sx, sy, tx, ty), m in barcode.items():
+        if sx < nx and sy < ny:  # a rectangle may run past the grid
+            table[sx, sy, min(tx, nx - 1), min(ty, ny - 1)] += m
+    for axis in (0, 1):
+        np.cumsum(table, axis=axis, out=table)
+    for axis in (2, 3):
+        rev = np.flip(table, axis=axis)
+        np.cumsum(rev, axis=axis, out=rev)
+    table[~comparable_mask(nx, ny)] = 0
+    return inv
+
+
+def barcode_dim_at(barcode: RectangleBarcode, t) -> int:
+    """Pointwise dimension at t of the direct sum of the rectangles."""
+    x, y = t
+    return sum(m for (sx, sy, tx, ty), m in barcode.items() if sx <= x <= tx and sy <= y <= ty)
+
+
+# -- Hom computations ---------------------------------------------------
+
+
+def naturality_hom_basis(points, dim_a, dim_b, edges, p) -> list[dict]:
+    """Basis of natural families {phi_t} for two diagrams on shared points.
+
+    dim_a/dim_b map each point to a dimension; edges is a list of
+    (src, tgt, a_mat, b_mat) with a_mat the source diagram's map and
+    b_mat the target diagram's.  Unknowns are the entries of every
+    component phi_t (shape dim_b x dim_a, column-stacked) and each edge
+    contributes the constraint phi_tgt . a_mat = b_mat . phi_src.
+    Returns a list of dicts point -> matrix, zero-size points omitted.
+    """
+    offset = {}
+    blocks = []
+    total = 0
+    for t in points:
+        da, db = dim_a[t], dim_b[t]
+        if da > 0 and db > 0:
+            offset[t] = total
+            blocks.append((t, db, da))
+            total += da * db
+    if total == 0:
+        return []
+    rows = []
+    for src, tgt, a_mat, b_mat in edges:
+        n_rows = dim_b[tgt] * dim_a[src]
+        if n_rows == 0:
+            continue
+        block = np.zeros((n_rows, total), dtype=np.int64)
+        if tgt in offset:  # phi_tgt . a_mat, vec'd as (a^T kron I)
+            block[:, offset[tgt] : offset[tgt] + dim_a[tgt] * dim_b[tgt]] = np.kron(
+                a_mat.T, np.eye(dim_b[tgt], dtype=np.int64)
+            )
+        if src in offset:  # - b_mat . phi_src, vec'd as (I kron b)
+            block[:, offset[src] : offset[src] + dim_a[src] * dim_b[src]] -= np.kron(
+                np.eye(dim_a[src], dtype=np.int64), b_mat
+            )
+        rows.append(np.mod(block, p))
+    system = np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64)
+    ker = kernel_basis(system, p)
+    basis = []
+    for j in range(ker.dim):
+        vec = ker.basis[:, j]
+        comp = {}
+        for t, db, da in blocks:
+            o = offset[t]
+            comp[t] = vec[o : o + da * db].reshape(db, da, order="F").copy()
+        basis.append(comp)
+    return basis
+
+
+def hom_basis(a: GridModule, b: GridModule) -> list[dict]:
+    """Basis of the space of module morphisms a -> b.
+
+    Each basis element is a dict mapping grid points to matrices of
+    shape (dim_b, dim_a); points where either module vanishes are
+    omitted.
+    """
+    if (a.nx, a.ny, a.p) != (b.nx, b.ny, b.p):
+        raise ValueError("hom needs matching grids and fields")
+    points = list(a.points())
+    dim_a = {t: a.dim_at(t) for t in points}
+    dim_b = {t: b.dim_at(t) for t in points}
+    edges = []
+    for t, mat in a.hmaps.items():
+        edges.append((t, (t[0] + 1, t[1]), mat, b.hmaps[t]))
+    for t, mat in a.vmaps.items():
+        edges.append((t, (t[0], t[1] + 1), mat, b.vmaps[t]))
+    return naturality_hom_basis(points, dim_a, dim_b, edges, a.p)
+
+
+def hom_dim(a: GridModule, b: GridModule) -> int:
+    """Dimension of Hom(a, b) as an F_p vector space."""
+    return len(hom_basis(a, b))
+
+
+# -- square-local invariants and exactness --------------------------------
+
+
+def square_vector(inv: SquareInvariants) -> np.ndarray:
+    """The eleven square invariants in field order."""
+    return np.array(astuple(inv), dtype=np.int64)
+
+
+def square_invariant_matrix() -> np.ndarray:
+    """11x11 integer matrix: column j = invariants of interval type j.
+
+    Row order matches `square_vector`, column order SQUARE_LABELS.
+    Used to certify that decompose_square inverts it.
+    """
+    cols = []
+    for lab in SQUARE_LABELS:
+        has = {c: (c in lab) for c in "abcd"}
+        dim_a, dim_b, dim_c, dim_d = (int(has[c]) for c in "abcd")
+        r_ab = int(has["a"] and has["b"])
+        r_ac = int(has["a"] and has["c"])
+        r_bd = int(has["b"] and has["d"])
+        r_cd = int(has["c"] and has["d"])
+        r_ad = int(has["a"] and has["d"])
+        i_d = int(has["d"] and has["b"] and has["c"])
+        # Ker(a->b) + Ker(a->c) is all of the 1-dim corner space unless
+        # both legs are injective, i.e. unless b and c both lie in the type
+        k_a = int(has["a"] and not (has["b"] and has["c"]))
+        cols.append([dim_a, dim_b, dim_c, dim_d, r_ab, r_ac, r_bd, r_cd, r_ad, i_d, k_a])
+    return np.array(cols, dtype=np.int64).T
+
+
+def is_strongly_exact(module: GridModule):
+    """Middle exactness of M_s -> M_b (+) M_c -> M_t on every square.
+
+    The image of the pairing map always sits inside the kernel of the
+    difference map, so exactness is a dimension equality.  Returns
+    (True, None) or (False, (s, t)) with the lexicographically smallest
+    failing pair.
+    """
+    p = module.p
+    for s, t in comparable_pairs(module.nx, module.ny):
+        bpt, cpt = (t[0], s[1]), (s[0], t[1])
+        pairing = np.vstack([module.composite(s, bpt), module.composite(s, cpt)])
+        difference = np.hstack(
+            [module.composite(bpt, t), (-module.composite(cpt, t)) % p]
+        )
+        if kernel_basis(difference, p).dim != rank(pairing, p):
+            return False, (s, t)
+    return True, None
+
+
+# -- one-parameter and zigzag counts ----------------------------------------
+
+
+def count_spanning(barcode: ZigzagBarcode, i: int, j: int) -> int:
+    """Number of bars whose closed range contains [i, j]."""
+    if i > j:
+        raise ValueError("need i <= j")
+    return sum(1 for b, d in barcode.intervals if b <= i and j <= d)
+
+
+def interval_multiplicities(module: GridModule) -> dict:
+    """{(s, t): multiplicity} of the intervals of a module on an n x 1
+    grid: its rectangle barcode, read off the naive rank invariant."""
+    if module.ny != 1:
+        raise ValueError("interval_multiplicities expects a module on an n x 1 grid")
+    barcode, clean = decompose(rank_invariant_naive(module))
+    if not clean:
+        raise InvariantError("a one-parameter rank invariant gave a negative multiplicity")
+    return {(sx, tx): m for (sx, _, tx, _), m in barcode.items()}
+
+
+# -- finite posets and their representations ----------------------------
+
+
+class FinitePoset:
+    """A finite poset given by its elements and covering relations."""
+
+    def __init__(self, elements, covers):
+        self.elements = list(elements)
+        index = {u: i for i, u in enumerate(self.elements)}
+        if len(index) != len(self.elements):
+            raise ValueError("duplicate poset elements")
+        self.covers = [(u, v) for u, v in covers]
+        for u, v in self.covers:
+            if u not in index or v not in index:
+                raise ValueError(f"cover ({u}, {v}) uses unknown elements")
+        n = len(self.elements)
+        leq = np.eye(n, dtype=bool)
+        for u, v in self.covers:
+            leq[index[u], index[v]] = True
+        # transitive closure (Floyd-Warshall on the boolean matrix)
+        for k in range(n):
+            leq |= leq[:, k : k + 1] & leq[k : k + 1, :]
+        if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
+            raise ValueError("covers contain a cycle")
+        self._index = index
+        self._leq = leq
+
+    def leq(self, u, v) -> bool:
+        return bool(self._leq[self._index[u], self._index[v]])
+
+    def restrict(self, keep) -> "FinitePoset":
+        """Induced subposet, with covers recomputed inside the subset."""
+        keep = [u for u in self.elements if u in set(keep)]
+        covers = []
+        for u in keep:
+            for v in keep:
+                if u != v and self.leq(u, v):
+                    between = [w for w in keep if w not in (u, v) and self.leq(u, w) and self.leq(w, v)]
+                    if not between:
+                        covers.append((u, v))
+        return FinitePoset(keep, covers)
+
+
+class PosetModule:
+    """A functor from a finite poset to F_p vector spaces.
+
+    maps[(u, v)] is the matrix of the cover u < v; composites along
+    different cover paths must agree (checked by validate).
+    """
+
+    def __init__(self, poset: FinitePoset, p: int, dims: dict, maps: dict):
+        self.poset = poset
+        self.p = check_modulus(p)
+        self.dims = {u: int(dims.get(u, 0)) for u in poset.elements}
+        self.maps = {}
+        for (u, v) in poset.covers:
+            m = maps.get((u, v))
+            shape = (self.dims[v], self.dims[u])
+            if m is None:
+                m = np.zeros(shape, dtype=np.int64)
+            m = np.mod(np.array(m, dtype=np.int64).reshape(shape), self.p)
+            self.maps[(u, v)] = m
+
+    def validate(self) -> list[str]:
+        bad = []
+        for u in self.poset.elements:
+            for v in self.poset.elements:
+                if u != v and self.poset.leq(u, v):
+                    comps = self._path_composites(u, v)
+                    for m in comps[1:]:
+                        if not np.array_equal(m, comps[0]):
+                            bad.append(f"path composites {u} -> {v} disagree")
+                            break
+        return bad
+
+    def _path_composites(self, u, v) -> list[np.ndarray]:
+        if u == v:
+            return [np.eye(self.dims[u], dtype=np.int64)]
+        out = []
+        for (w, x) in self.poset.covers:
+            if x == v and self.poset.leq(u, w):
+                for m in self._path_composites(u, w):
+                    out.append(matmul(self.maps[(w, x)], m, self.p))
+        return out
+
+    def restrict(self, keep) -> "PosetModule":
+        sub = self.poset.restrict(keep)
+        maps = {}
+        for (u, v) in sub.covers:
+            # a cover of the subposet is a comparable pair upstairs;
+            # its matrix is any cover-path composite there
+            maps[(u, v)] = self._composite(u, v)
+        return PosetModule(sub, self.p, {u: self.dims[u] for u in sub.elements}, maps)
+
+    def _composite(self, u, v) -> np.ndarray:
+        comps = self._path_composites(u, v)
+        if not comps:
+            raise ValueError(f"{u} and {v} are not comparable")
+        return comps[0]
+
+
+def indicator_poset_module(poset: FinitePoset, support, p: int) -> PosetModule:
+    """k at each point of `support` with identity maps inside it."""
+    support = set(support)
+    dims = {u: 1 if u in support else 0 for u in poset.elements}
+    maps = {}
+    for (u, v) in poset.covers:
+        if u in support and v in support:
+            maps[(u, v)] = np.array([[1]], dtype=np.int64)
+    return PosetModule(poset, p, dims, maps)
+
+
+class GridEmbedding:
+    """A fully faithful poset map into a finite grid.
+
+    mapping[u] is a 0-based grid point; full faithfulness means
+    u <= v in the poset iff mapping[u] <= mapping[v] in the grid order.
+    """
+
+    def __init__(self, poset: FinitePoset, mapping: dict):
+        self.poset = poset
+        self.mapping = {u: tuple(mapping[u]) for u in poset.elements}
+        if len(set(self.mapping.values())) != len(poset.elements):
+            raise ValueError("embedding is not injective")
+        for u in poset.elements:
+            for v in poset.elements:
+                grid_leq = (
+                    self.mapping[u][0] <= self.mapping[v][0]
+                    and self.mapping[u][1] <= self.mapping[v][1]
+                )
+                if poset.leq(u, v) != grid_leq:
+                    raise ValueError(f"embedding not fully faithful at ({u}, {v})")
+
+
+def hom_basis_poset(a: PosetModule, b: PosetModule) -> list[dict]:
+    """Basis of natural transformations a -> b over a shared poset."""
+    if a.poset is not b.poset and a.poset.elements != b.poset.elements:
+        raise ValueError("hom needs a shared poset")
+    edges = [(u, v, a.maps[(u, v)], b.maps[(u, v)]) for (u, v) in a.poset.covers]
+    return naturality_hom_basis(a.poset.elements, a.dims, b.dims, edges, a.p)
+
+
+def hom_dim_poset(a: PosetModule, b: PosetModule) -> int:
+    return len(hom_basis_poset(a, b))
+
+
+# -- the dart poset and its grid embedding -------------------------------
+
+
+def dart(n: int, p: int = 2) -> PosetModule:
+    """The (n+2)-element poset 1..n+1 < n+2 carrying k -> k^n maps.
+
+    Elements 1..n map in by the coordinate inclusions, element n+1 by
+    the diagonal; every pointwise dimension is at most n while the
+    poset width is n+1.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    elements = list(range(1, n + 3))
+    top = n + 2
+    covers = [(i, top) for i in range(1, n + 2)]
+    poset = FinitePoset(elements, covers)
+    dims = {i: 1 for i in range(1, n + 2)}
+    dims[top] = n
+    maps = {}
+    for i in range(1, n + 1):
+        col = np.zeros((n, 1), dtype=np.int64)
+        col[i - 1, 0] = 1
+        maps[(i, top)] = col
+    maps[(n + 1, top)] = np.ones((n, 1), dtype=np.int64)
+    return PosetModule(poset, p, dims, maps)
+
+
+def dart_embedding(n: int) -> GridEmbedding:
+    """The standard embedding into the (n+1) x (n+1) grid (0-based).
+
+    Element i goes to the antidiagonal point (i-1, n+1-i); the top
+    element goes to the upper-right corner.
+    """
+    module_poset = dart(n).poset
+    mapping = {i: (i - 1, n + 1 - i) for i in range(1, n + 2)}
+    mapping[n + 2] = (n, n)
+    return GridEmbedding(module_poset, mapping)
+
+
+# -- right Kan extension --------------------------------------------------
+
+
+def ran_extension(module: PosetModule, embedding: GridEmbedding, nx: int, ny: int) -> GridModule:
+    """Right Kan extension along a grid embedding, computed pointwise.
+
+    At a grid point t the value is the limit of the module over the
+    upset {u : e(u) >= t}, realized as the kernel of the difference map
+    prod_u N_u -> prod_{covers u < u' inside the upset} N_u'; the limit
+    of the empty diagram is the zero space.  Edge maps drop the
+    coordinates that leave the upset.
+    """
+    p = module.p
+    poset = module.poset
+    elems = poset.elements
+    emb = embedding.mapping
+
+    def upset(t):
+        return [u for u in elems if emb[u][0] >= t[0] and emb[u][1] >= t[1]]
+
+    limits = {}
+    for x in range(nx):
+        for y in range(ny):
+            t = (x, y)
+            us = upset(t)
+            offs = {}
+            total = 0
+            for u in us:
+                offs[u] = total
+                total += module.dims[u]
+            rows = []
+            for (u, v) in poset.covers:
+                if u in offs and v in offs:
+                    dv = module.dims[v]
+                    if dv == 0:
+                        continue
+                    row = np.zeros((dv, total), dtype=np.int64)
+                    row[:, offs[u] : offs[u] + module.dims[u]] = module.maps[(u, v)]
+                    row[:, offs[v] : offs[v] + dv] -= np.eye(dv, dtype=np.int64)
+                    rows.append(np.mod(row, p))
+            system = np.vstack(rows) if rows else np.zeros((0, total), dtype=np.int64)
+            limits[t] = (us, offs, total, kernel_basis(system, p))
+
+    dims = np.zeros((nx, ny), dtype=np.int64)
+    for t, (_, _, _, ker) in limits.items():
+        dims[t] = ker.dim
+
+    def edge(t, t2):
+        us, offs, total, ker = limits[t]
+        us2, offs2, total2, ker2 = limits[t2]
+        proj = np.zeros((total2, total), dtype=np.int64)
+        for u in us2:
+            d = module.dims[u]
+            proj[offs2[u] : offs2[u] + d, offs[u] : offs[u] + d] = np.eye(d, dtype=np.int64)
+        projected = matmul(proj, ker.basis, p)
+        sol = solve_matrix(ker2.basis, projected, p)
+        if sol is None:
+            raise InvariantError("restricted limit family is not a limit family")
+        return sol
+
+    hmaps, vmaps = {}, {}
+    for x in range(nx - 1):
+        for y in range(ny):
+            hmaps[(x, y)] = edge((x, y), (x + 1, y))
+    for x in range(nx):
+        for y in range(ny - 1):
+            vmaps[(x, y)] = edge((x, y), (x, y + 1))
+    return GridModule(nx, ny, p, dims, hmaps, vmaps)
+
+
+def pad(module: GridModule, nx: int, ny: int) -> GridModule:
+    """Copy-paste into the bottom-left of a larger grid, zero elsewhere."""
+    if nx < module.nx or ny < module.ny:
+        raise ValueError("target grid must contain the module's grid")
+    dims = np.zeros((nx, ny), dtype=np.int64)
+    dims[: module.nx, : module.ny] = module.dims
+    hmaps = {k: v for k, v in module.hmaps.items()}
+    vmaps = {k: v for k, v in module.vmaps.items()}
+    return GridModule(nx, ny, module.p, dims, hmaps, vmaps)
+
+
+# -- randomized isomorphism confirmation ----------------------------------
+
+
+def iso_test(a: GridModule, b: GridModule, trials: int = 64, seed: int = 0):
+    """One-sided randomized isomorphism check.
+
+    Samples random F_p combinations of a Hom basis and tests pointwise
+    invertibility; returns ("confirmed", None) on success and
+    ("undetermined", reason) otherwise.  Never asserts non-isomorphism;
+    p >= 101 keeps the failure probability of a true isomorphism low.
+    """
+    if (a.nx, a.ny) != (b.nx, b.ny) or a.p != b.p:
+        return "undetermined", "grids or fields differ"
+    for t in a.points():
+        if a.dim_at(t) != b.dim_at(t):
+            return "undetermined", f"pointwise dimensions differ at {t}"
+    if int(a.dims.sum()) == 0:
+        return "confirmed", None  # both zero modules
+    basis = hom_basis(a, b)
+    if not basis:
+        return "undetermined", "Hom space is zero"
+    p = a.p
+    support = [t for t in a.points() if a.dim_at(t) > 0]
+    # Deterministic first try: a combination that is the identity at
+    # every point (one linear solve) is immediately an isomorphism.
+    blocks, targets = [], []
+    for t in support:
+        d = a.dim_at(t)
+        block = np.zeros((d * d, len(basis)), dtype=np.int64)
+        for i, h in enumerate(basis):
+            if t in h:
+                block[:, i] = h[t].reshape(-1)
+        blocks.append(block)
+        targets.append(np.eye(d, dtype=np.int64).reshape(-1))
+    if solve(np.vstack(blocks), np.concatenate(targets), p) is not None:
+        return "confirmed", None
+    rng = random.Random(seed)
+    for _ in range(trials):
+        coeffs = [rng.randrange(p) for _ in basis]
+        ok = True
+        for t in support:
+            phi = np.zeros((b.dim_at(t), a.dim_at(t)), dtype=np.int64)
+            for c, h in zip(coeffs, basis):
+                if c and t in h:
+                    phi = (phi + c * h[t]) % p
+            if not invertible(phi, p):
+                ok = False
+                break
+        if ok:
+            return "confirmed", None
+    return "undetermined", f"no invertible combination found in {trials} trials"

@@ -14,27 +14,14 @@ import numpy as np
 
 from bipersist.bifiltration import homology_module
 from bipersist.cli import main
-from bipersist.constructions import (
-    EXAMPLE_NAMES,
-    dart,
-    dart_embedding,
-    example,
-    hom_dim_poset,
-    indecgrid,
-    indicator_poset_module,
-    iso_test,
-    ran_extension,
-    random_rectangle_module,
-)
+from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from bipersist.grid_module import (
     SQUARE_LABELS,
     GridModule,
     comparable_pairs,
     decompose_square,
-    hom_dim,
     invariants_of_square,
     rank_invariant_naive,
-    square_invariant_matrix,
 )
 from bipersist.linalg import (
     image_basis,
@@ -43,7 +30,7 @@ from bipersist.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from bipersist.rank_dp import rank_1d, rank_from_resolution
+from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import decompose
 from bipersist.resolution import free_resolution, read_fres, validate_resolution
 from bipersist.weakexact import (
@@ -51,8 +38,24 @@ from bipersist.weakexact import (
     check_module,
     check_rectangle_decomposable,
 )
-from bipersist.zigzag import ZigzagBarcode, count_spanning, module_barcode
+from bipersist.zigzag import ZigzagBarcode, module_barcode
 from conftest import kappa_iota_naive
+from paperlib import (
+    barcode_dim_at,
+    count_spanning,
+    dart,
+    dart_embedding,
+    hom_dim,
+    hom_dim_poset,
+    indicator_poset_module,
+    interval_multiplicities,
+    is_strongly_exact,
+    iso_test,
+    ran_extension,
+    restrict,
+    square_invariant_matrix,
+    square_vector,
+)
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
 CORNERS = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
@@ -101,7 +104,7 @@ def _exact_det(mat):
 
 def test_criterion_1_worked_examples():
     # one-parameter module: two bars, over columns 1..3 and 1..2
-    assert rank_1d(example("ex1")) == {(0, 2): 1, (0, 1): 1}
+    assert interval_multiplicities(example("ex1")) == {(0, 2): 1, (0, 1): 1}
 
     # 2x2 module splitting as the top edge plus the full square
     barcode, clean = decompose(rank_invariant_naive(example("ex2")))
@@ -130,11 +133,11 @@ def test_criterion_1_worked_examples():
     assert not ok and witness[:2] == outermost
 
     # strong exactness separates the last pair, weak exactness does not
-    assert check_module(example("ex4-left"), "strong") == (True, None)
+    assert is_strongly_exact(example("ex4-left")) == (True, None)
     assert check_module(example("ex4-left"), "algebraic") == (True, None)
     assert check_module(example("ex4-right"), "algebraic") == (True, None)
     assert check_module(example("ex4-right"), "geometric") == (True, None)
-    ok, _ = check_module(example("ex4-right"), "strong")
+    ok, _ = is_strongly_exact(example("ex4-right"))
     assert not ok
     print("criterion 1: pass")
 
@@ -176,7 +179,7 @@ def test_criterion_4_checkers_agree_three_ways(random_bif):
         barcode, clean = decompose(rank_invariant_naive(module))
         assert clean
         for t in module.points():
-            assert barcode.dim_at(t) == module.dim_at(t)
+            assert barcode_dim_at(barcode, t) == module.dim_at(t)
 
     for seed in range(100):
         bif = random_bif(seed)
@@ -241,9 +244,9 @@ def _ran_interval_sum(n, xs, ys, skip, p):
     for j in range(1, n + 2):
         if j == skip:
             continue
-        summand = ran_extension(
-            indicator_poset_module(poset, {j, n + 2}, p), emb, n + 1, n + 1
-        ).restrict(xs, ys)
+        summand = restrict(
+            ran_extension(indicator_poset_module(poset, {j, n + 2}, p), emb, n + 1, n + 1), xs, ys
+        )
         assert int(summand.dims.max()) <= 1  # each summand is an interval
         total = total.direct_sum(summand)
         parts += 1
@@ -265,10 +268,10 @@ def test_criterion_6_staircase_family():
         everything = list(range(n + 1))
         for removed in range(n + 1):
             keep = [v for v in everything if v != removed]
-            col = grid.restrict(keep, everything)
+            col = restrict(grid, keep, everything)
             col_sum = _ran_interval_sum(n, keep, everything, removed + 1, 101)
             assert iso_test(col, col_sum) == ("confirmed", None), (n, removed)
-            row = grid.restrict(everything, keep)
+            row = restrict(grid, everything, keep)
             row_sum = _ran_interval_sum(n, everything, keep, n + 1 - removed, 101)
             assert iso_test(row, row_sum) == ("confirmed", None), (n, removed)
 
@@ -288,7 +291,7 @@ def test_criterion_7_square_solver_oracle():
     # evaluation on the corresponding explicit interval module
     mat = square_invariant_matrix()
     for col, letters in enumerate(SQUARE_LABELS):
-        brute = invariants_of_square(_interval(letters), (0, 0), (1, 1)).as_vector()
+        brute = square_vector(invariants_of_square(_interval(letters), (0, 0), (1, 1)))
         assert np.array_equal(mat[:, col], brute), letters
     assert _exact_det(mat) != 0
 

@@ -169,12 +169,12 @@ def test_zigzag_random_station_reconstruction(random_bif):
         for t in [(4, 3), (2, 2), (0, 3), (4, 0)]:
             zz = row_zigzag(bif, t)
             assert zz.validate() == []
-            assert zz.station_count() == t[0] + t[1] + 1
+            assert len(zz.stations()) == t[0] + t[1] + 1
             assert zz.stations()[t[0]] == bif.complex_at(t)
         for s in [(0, 0), (2, 1), (4, 3)]:
             zz = col_zigzag(bif, s)
             assert zz.validate() == []
-            assert zz.station_count() == (4 - s[1]) + (4 - s[0])
+            assert len(zz.stations()) == (4 - s[1]) + (4 - s[0])
 
 
 def test_zigzag_validate_catches_broken_closure():

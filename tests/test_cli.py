@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,12 @@ import pytest
 from bipersist import ioutil
 from bipersist.bifiltration import write_bif
 from bipersist.cli import main
-from bipersist.constructions import example, indecgrid
+from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid
 from bipersist.grid_module import RankInvariant, read_gmod, write_gmod
 from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.zigzag import read_zbar
+from paperlib import rectangle_rank_invariant
 
 TRIANGLE = [
     ((0, 0), (0,)),
@@ -228,7 +230,7 @@ def barcode_text(inv):
     return decompose(inv)[0].to_text()
 
 
-RANKS = RectangleBarcode({(0, 0, 5, 4): 2, (1, 2, 3, 4): 1, (4, 0, 5, 1): 3}).rank_invariant(6, 5)
+RANKS = rectangle_rank_invariant(RectangleBarcode({(0, 0, 5, 4): 2, (1, 2, 3, 4): 1, (4, 0, 5, 1): 3}), 6, 5)
 
 
 @pytest.mark.parametrize("block", [None, 64])
@@ -278,7 +280,7 @@ def test_a_byte_that_is_not_utf8_wins_over_an_earlier_malformed_line(tmp_path, c
 def test_decompose_names_both_lines_of_a_repeat_blocks_apart(tmp_path, capsys):
     # a 20 x 20 .rank is about five 128 KiB blocks; the repeat of its
     # line 3 is in the last one
-    inv = RectangleBarcode({(0, 0, 19, 19): 1, (2, 3, 17, 12): 2}).rank_invariant(20, 20)
+    inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 19, 19): 1, (2, 3, 17, 12): 2}), 20, 20)
     text = inv.to_text()
     assert len(text) > 4 * ioutil._BLOCK_CHARS
     again = text + text.splitlines()[2] + "\n"
@@ -340,9 +342,34 @@ def test_check_rectangle_methods_agree(tmp_path, capsys):
     assert len(codes) == 1
     capsys.readouterr()
     assert main(["check-rectangle", bif]) in (0, 2)
+    capsys.readouterr()
     gmod = tmp_path / "m.gmod"
     gmod.write_text(write_gmod(example("ex2")))
-    assert main(["check-rectangle", str(gmod), "--method", "zigzag"]) == 1
+    assert main(["check-rectangle", str(gmod), "--method", "zigzag"]) == 0
+    assert capsys.readouterr().out.strip() == "decomposable"
+
+
+def test_check_rectangle_gmod_default_gives_the_algebraic_witness(tmp_path, capsys):
+    # a .gmod is checked by the pairing route unless --method says
+    # otherwise; it exits and names the witness pair as the subspace
+    # checker does, with the reason of the table comparison
+    modules = {name: example(name) for name in EXAMPLE_NAMES}
+    modules.update({f"indecgrid-{n}": indecgrid(n) for n in (2, 3, 5)})
+    for name, module in modules.items():
+        path = tmp_path / f"{name}.gmod"
+        path.write_text(write_gmod(module))
+        runs, reasons = [], []
+        for extra in ([], ["--method", "algebraic"]):
+            code = main(["check-rectangle", str(path), *extra])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, re.findall(r"witness: s=\S+ t=\S+:", captured.err)))
+            reasons.append(captured.err)
+        assert runs[0] == runs[1], name
+        assert runs[0][0] in (0, 2)
+        if runs[0][0] == 2:
+            assert "kernel/image equalities fail" not in reasons[0]
+    assert main(["check-rectangle", str(tmp_path / "indecgrid-3.gmod")]) == 2
+    assert capsys.readouterr().err.strip() == "witness: s=(1,2) t=(4,4): rank 0 != image intersection 1"
 
 
 def test_zigzag_barcode_subcommand(tmp_path, capsys):

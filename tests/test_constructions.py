@@ -1,28 +1,26 @@
 import pytest
 
-from bipersist.constructions import (
-    EXAMPLE_NAMES,
-    FinitePoset,
-    GridEmbedding,
-    dart,
-    dart_embedding,
-    example,
-    hom_dim_poset,
-    indecgrid,
-    indicator_poset_module,
-    iso_test,
-    pad,
-    ran_extension,
-    random_rectangle_module,
-)
+from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from bipersist.grid_module import (
     GridModule,
     decompose_square,
-    hom_dim,
     invariants_of_square,
     rank_invariant_naive,
 )
 from bipersist.weakexact import check_module
+from paperlib import (
+    FinitePoset,
+    GridEmbedding,
+    dart,
+    dart_embedding,
+    hom_dim,
+    hom_dim_poset,
+    indicator_poset_module,
+    iso_test,
+    pad,
+    ran_extension,
+    restrict,
+)
 
 
 def test_finite_poset_closure_and_cycles():
@@ -107,9 +105,9 @@ def _ran_interval_sum(n, xs, ys, skip, p):
     for j in range(1, n + 2):
         if j == skip:
             continue
-        summand = ran_extension(
-            indicator_poset_module(poset, {j, n + 2}, p), emb, n + 1, n + 1
-        ).restrict(xs, ys)
+        summand = restrict(
+            ran_extension(indicator_poset_module(poset, {j, n + 2}, p), emb, n + 1, n + 1), xs, ys
+        )
         assert int(summand.dims.max()) <= 1  # each summand is an interval
         total = total.direct_sum(summand)
     return total
@@ -123,10 +121,10 @@ def test_subgrid_restrictions_decompose_into_intervals():
         everything = list(range(n + 1))
         for removed in range(n + 1):
             keep = [v for v in everything if v != removed]
-            col = full.restrict(keep, everything)
+            col = restrict(full, keep, everything)
             col_sum = _ran_interval_sum(n, keep, everything, removed + 1, 101)
             assert iso_test(col, col_sum) == ("confirmed", None)
-            row = full.restrict(everything, keep)
+            row = restrict(full, everything, keep)
             row_sum = _ran_interval_sum(n, everything, keep, n + 1 - removed, 101)
             assert iso_test(row, row_sum) == ("confirmed", None)
 

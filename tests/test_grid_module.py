@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,18 +21,16 @@ from bipersist.grid_module import (
     comparable_mask,
     comparable_pairs,
     decompose_square,
-    hom_dim,
     invariants_of_square,
-    is_strongly_exact,
     is_weakly_exact_algebraic,
     is_weakly_exact_geometric,
     rank_invariant_naive,
     read_gmod,
-    square_invariant_matrix,
     write_gmod,
 )
-from bipersist.linalg import matmul, rank
+from bipersist.linalg import MAX_MODULUS, matmul, rank
 from conftest import INT64, reference_rank_from_text
+from paperlib import hom_dim, is_strongly_exact, restrict, square_invariant_matrix, square_vector
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
 CORNERS = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
@@ -100,7 +99,7 @@ def test_restrict_and_direct_sum_dims():
     b, _ = random_rectangle_module(4, 3, 2, seed=2, p=2)
     s = a.direct_sum(b)
     assert all(s.dim_at(t) == a.dim_at(t) + b.dim_at(t) for t in s.points())
-    r = s.restrict([0, 2, 3], [1, 2])
+    r = restrict(s, [0, 2, 3], [1, 2])
     assert (r.nx, r.ny) == (3, 2)
     assert r.validate() == []
     assert r.dim_at((1, 0)) == s.dim_at((2, 1))
@@ -137,6 +136,40 @@ def test_rank_invariant_text_roundtrip():
     back = RankInvariant.from_text(text)
     assert back == inv
     assert back.to_text() == text
+
+
+@pytest.mark.parametrize("p", [2, 3, MAX_MODULUS])
+def test_naive_rank_is_the_rank_of_every_composite(p):
+    rng = random.Random(p)
+    modules = [random_rectangle_module(5, 4, 6, seed, p)[0] for seed in range(3)]
+    # random maps do not commute, so the table pins the edge route of
+    # every composite, not only its rank
+    dims = [[rng.randrange(3) for _ in range(4)] for _ in range(5)]
+    hmaps = {(x, y): [[rng.randrange(p) for _ in range(dims[x][y])] for _ in range(dims[x + 1][y])]
+             for x in range(4) for y in range(4)}
+    vmaps = {(x, y): [[rng.randrange(p) for _ in range(dims[x][y])] for _ in range(dims[x][y + 1])]
+             for x in range(5) for y in range(3)}
+    modules.append(GridModule(5, 4, p, dims, hmaps, vmaps))
+    for m in modules:
+        table = rank_invariant_naive(m).table
+        for s, t in comparable_pairs(m.nx, m.ny):
+            assert table[s + t] == rank(m.composite(s, t), p), (s, t)
+
+
+def test_naive_rank_holds_one_row_of_composites():
+    # the maps out of one source are pushed row by row and dropped: the
+    # peak is the table and O(n_x n_y) small matrices, not one cached
+    # composite per comparable pair
+    m, _ = random_rectangle_module(12, 12, 40, 1)
+    tracemalloc.start()
+    try:
+        inv = rank_invariant_naive(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = int(m.dims.max())
+    assert peak < inv.table.nbytes + m.nx * m.ny * (8 * d * d + 256)
+    assert m._composites == {}
 
 
 def reference_rank_to_text(inv):
@@ -377,9 +410,8 @@ def test_rank_reader_accepts_only_sign_and_ascii_digits(token):
 def test_rank_invariant_additivity():
     a, _ = random_rectangle_module(3, 3, 3, seed=10, p=2)
     b, _ = random_rectangle_module(3, 3, 3, seed=11, p=2)
-    assert rank_invariant_naive(a) + rank_invariant_naive(b) == rank_invariant_naive(
-        a.direct_sum(b)
-    )
+    total = rank_invariant_naive(a).table + rank_invariant_naive(b).table
+    assert np.array_equal(total, rank_invariant_naive(a.direct_sum(b)).table)
 
 
 def test_hom_dim_interval_pairs():
@@ -400,15 +432,15 @@ def test_hom_dim_counts_endomorphisms_of_sums():
 
 def test_invariants_of_square_interval_modules():
     inv = invariants_of_square(interval_module("abc"), (0, 0), (1, 1))
-    assert inv.as_vector().tolist() == [1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0]
+    assert square_vector(inv).tolist() == [1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0]
     inv = invariants_of_square(interval_module("bd"), (0, 0), (1, 1))
-    assert inv.as_vector().tolist() == [0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0]
+    assert square_vector(inv).tolist() == [0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0]
 
 
 def test_square_invariant_matrix_vs_bruteforce():
     mat = square_invariant_matrix()
     for col, letters in enumerate(SQUARE_LABELS):
-        vec = invariants_of_square(interval_module(letters), (0, 0), (1, 1)).as_vector()
+        vec = square_vector(invariants_of_square(interval_module(letters), (0, 0), (1, 1)))
         assert mat[:, col].tolist() == vec.tolist()
 
 

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
-from bipersist.constructions import example, random_rectangle_module
-from bipersist.grid_module import GridModule, RankInvariant, comparable_pairs, rank_invariant_naive
+from bipersist.grid_module import RankInvariant, comparable_pairs, rank_invariant_naive
 from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, pair_counts, rank
-from bipersist.rank_dp import rank_1d, rank_from_resolution
+from bipersist.rank_dp import rank_from_resolution
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module
 
 TRIANGLE = [
@@ -84,7 +83,7 @@ def low_rank_presentation(rng, k, l, nx, ny, p):
         if support.size:
             rels[j] = np.maximum(rels[j], support.max(axis=0))
     res = hand_resolution(gens.tolist(), rels.tolist(), phi, nx, ny, p)
-    assert not res.phi.validate_homogeneous()
+    assert not res.phi.inhomogeneous_entries()
     return res
 
 
@@ -157,7 +156,7 @@ def scattered_presentation(rng, k, l, nx, ny, p):
         if support.size:
             rels[j] = np.maximum(rels[j], support.max(axis=0))
     res = hand_resolution(gens.tolist(), rels.tolist(), phi, nx, ny, p)
-    assert not res.phi.validate_homogeneous()
+    assert not res.phi.inhomogeneous_entries()
     return res
 
 
@@ -253,30 +252,3 @@ def test_dp_serializes_like_the_oracle(random_bif):
     res = free_resolution(bif, 0)
     oracle = rank_invariant_naive(homology_module(bif, 0))
     assert rank_from_resolution(res).to_text() == oracle.to_text()
-
-
-def test_rank_1d_on_two_bars():
-    m = example("ex1")
-    assert rank_1d(m) == {(0, 2): 1, (0, 1): 1}
-
-
-def test_rank_1d_interval_modules():
-    # single interval [1, 2] on a 4-point line
-    mod = GridModule.rectangle(4, 1, (1, 0, 2, 0), 3)
-    assert rank_1d(mod) == {(1, 2): 1}
-    both = mod.direct_sum(GridModule.rectangle(4, 1, (1, 0, 2, 0), 3))
-    assert rank_1d(both) == {(1, 2): 2}
-
-
-def test_rank_1d_random_interval_sums():
-    for seed in range(10):
-        mod, truth = random_rectangle_module(6, 1, 4, seed=seed, p=2)
-        expected = {}
-        for (sx, _, tx, _), mult in truth.items():
-            expected[(sx, tx)] = expected.get((sx, tx), 0) + mult
-        assert rank_1d(mod) == expected
-
-
-def test_rank_1d_requires_one_row():
-    with pytest.raises(ValueError):
-        rank_1d(GridModule.zero(3, 2, 2))

@@ -22,6 +22,7 @@ from bipersist.rect_decomp import RectangleBarcode
 from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres
 from bipersist.zigzag import ZigzagBarcode, read_zbar, write_zbar
 from conftest import random_bifiltration, reference_read_fres
+from paperlib import rectangle_rank_invariant
 
 FUZZ_CHARS = st.one_of(
     st.sampled_from(list("0123456789 +-#;\n\t\r_x.e\x0b\x00\xa0é١\ud800")),
@@ -326,7 +327,7 @@ def test_int_rows_peak_memory_is_its_rows_and_one_block():
     # a 40 x 40 .rank: the rows go straight into one array, and the
     # per-byte and per-token temporaries of one cache-sized block fit in
     # the quarter of slack
-    text = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40).to_text()
+    text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
     tracemalloc.start()
     try:
         rows, lines, error = int_rows(text, "s_x s_y t_x t_y r")
@@ -341,7 +342,7 @@ def test_rank_from_text_peak_memory_is_the_table_and_a_key_per_row():
     # the same 40 x 40 .rank: beside the table, a row keeps its packed
     # pair and its rank (12 bytes) and the repeat check one bool per cell;
     # one block's temporaries fit in the rest
-    text = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40).to_text()
+    text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
     tracemalloc.start()
     try:
         inv = RankInvariant.from_text(text)
@@ -357,7 +358,7 @@ def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
     # table and the one-bool-per-cell repeat bitmap, so beside them only
     # one block's text, rows and temporaries are held, whatever the
     # number of rows (672,400 here; 2 bytes a row would break the bound)
-    text = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40).to_text()
+    text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
     tracemalloc.start()
     try:
         inv = RankInvariant.from_text(text)
@@ -365,14 +366,14 @@ def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= inv.table.nbytes + inv.table.size + 40 * ioutil._BLOCK_CHARS
-    assert inv == RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40)
+    assert inv == rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
 
 
 def test_rank_text_slabs_peak_memory_is_a_few_slabs():
     # written slab by slab, the .rank text of a 40 x 40 table (10.9 MB)
     # is never held whole: beside the table, one s_x slab's text and its
     # temporaries
-    inv = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}).rank_invariant(40, 40)
+    inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
     chars = 0
     tracemalloc.start()
     try:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipersist.bifiltration import homology_module
-from bipersist.constructions import indecgrid, random_rectangle_module
+from bipersist.constructions import example, indecgrid, random_rectangle_module
 from bipersist.grid_module import (
     GridModule,
     RankInvariant,
@@ -18,6 +18,7 @@ from bipersist.grid_module import (
 from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from conftest import random_bifiltration
+from paperlib import barcode_dim_at, interval_multiplicities, rectangle_rank_invariant
 
 
 def sixteen_term(r, s, t) -> int:
@@ -67,7 +68,7 @@ def barcodes(draw):
 @given(barcodes())
 def test_decompose_inverts_barcode_rank_invariant(case):
     nx, ny, bc = case
-    assert decompose(bc.rank_invariant(nx, ny)) == (bc, True)
+    assert decompose(rectangle_rank_invariant(bc, nx, ny)) == (bc, True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -107,7 +108,7 @@ def test_decompose_is_the_sixteen_term_sum_and_leaves_the_table(r):
 
 
 def test_decompose_peak_memory_is_a_few_slabs_and_the_mask():
-    r = RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1, (10, 0, 12, 39): 4}).rank_invariant(40, 40)
+    r = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1, (10, 0, 12, 39): 4}), 40, 40)
     tracemalloc.start()
     try:
         barcode, clean = decompose(r)
@@ -129,7 +130,7 @@ def test_a_comment_only_rank_file_decomposes_to_an_empty_barcode():
 def test_barcode_rank_invariant_clips_to_the_grid():
     inside = RectangleBarcode({(1, 0, 2, 2): 2})
     beyond = RectangleBarcode({(1, 0, 7, 5): 2, (3, 0, 4, 4): 1})
-    assert beyond.rank_invariant(3, 3) == inside.rank_invariant(3, 3)
+    assert rectangle_rank_invariant(beyond, 3, 3) == rectangle_rank_invariant(inside, 3, 3)
 
 
 def test_decompose_recovers_generated_multiset():
@@ -139,7 +140,7 @@ def test_decompose_recovers_generated_multiset():
             barcode, clean = decompose(rank_invariant_naive(m))
             assert clean
             assert dict(barcode) == truth
-            assert barcode.total() == sum(truth.values())
+            assert sum(barcode.values()) == sum(truth.values())
 
 
 def test_decompose_barcode_reconstructs_rank_invariant():
@@ -147,8 +148,8 @@ def test_decompose_barcode_reconstructs_rank_invariant():
     r = rank_invariant_naive(m)
     barcode, clean = decompose(r)
     assert clean
-    assert barcode.rank_invariant(4, 4) == r
-    assert all(barcode.dim_at(t) == m.dim_at(t) for t in m.points())
+    assert rectangle_rank_invariant(barcode, 4, 4) == r
+    assert all(barcode_dim_at(barcode, t) == m.dim_at(t) for t in m.points())
 
 
 def test_decompose_flags_negative_multiplicity():
@@ -157,7 +158,7 @@ def test_decompose_flags_negative_multiplicity():
     r = rank_invariant_naive(indecgrid(2))
     barcode, clean = decompose(r)
     assert not clean
-    assert barcode.rank_invariant(3, 3) != r
+    assert rectangle_rank_invariant(barcode, 3, 3) != r
 
 
 def test_decompose_clean_is_not_a_certificate():
@@ -168,16 +169,16 @@ def test_decompose_clean_is_not_a_certificate():
     r = rank_invariant_naive(m)
     barcode, clean = decompose(r)
     assert clean
-    assert barcode.rank_invariant(3, 3) == r
+    assert rectangle_rank_invariant(barcode, 3, 3) == r
     assert is_weakly_exact_algebraic(m) != (True, None)
 
 
 def test_barcode_dim_at_and_total():
     bc = RectangleBarcode({(0, 0, 1, 1): 2, (1, 1, 1, 1): 1})
-    assert bc.total() == 3
-    assert bc.dim_at((0, 0)) == 2
-    assert bc.dim_at((1, 1)) == 3
-    assert bc.dim_at((2, 0)) == 0
+    assert sum(bc.values()) == 3
+    assert barcode_dim_at(bc, (0, 0)) == 2
+    assert barcode_dim_at(bc, (1, 1)) == 3
+    assert barcode_dim_at(bc, (2, 0)) == 0
 
 
 def test_barcode_constructor_validates():
@@ -207,3 +208,28 @@ def test_barcode_from_text_rejects_malformed():
         RectangleBarcode.from_text("1 1 2 2 0\n")  # zero multiplicity
     with pytest.raises(FormatError):
         RectangleBarcode.from_text("1 1 2 2 1\n1 1 2 2 3\n")  # duplicate
+
+
+# one-parameter modules: the rectangles of an n x 1 grid are its intervals
+
+
+def test_one_row_decompose_on_two_bars():
+    m = example("ex1")
+    assert interval_multiplicities(m) == {(0, 2): 1, (0, 1): 1}
+
+
+def test_one_row_decompose_interval_modules():
+    # single interval [1, 2] on a 4-point line
+    mod = GridModule.rectangle(4, 1, (1, 0, 2, 0), 3)
+    assert interval_multiplicities(mod) == {(1, 2): 1}
+    both = mod.direct_sum(GridModule.rectangle(4, 1, (1, 0, 2, 0), 3))
+    assert interval_multiplicities(both) == {(1, 2): 2}
+
+
+def test_one_row_decompose_random_interval_sums():
+    for seed in range(10):
+        mod, truth = random_rectangle_module(6, 1, 4, seed=seed, p=2)
+        expected = {}
+        for (sx, _, tx, _), mult in truth.items():
+            expected[(sx, tx)] = expected.get((sx, tx), 0) + mult
+        assert interval_multiplicities(mod) == expected

@@ -65,8 +65,8 @@ def test_resolution_grades_dominate_lubs():
     bif = Bifiltration.from_graded_simplices(TRIANGLE)
     for degree in (0, 1):
         res = free_resolution(bif, degree)
-        assert res.phi.validate_homogeneous() == []
-        assert res.psi.validate_homogeneous() == []
+        assert res.phi.inhomogeneous_entries() == []
+        assert res.psi.inhomogeneous_entries() == []
 
 
 def test_evaluate_counts_and_shapes():
@@ -108,9 +108,9 @@ def test_empty_degree_gives_empty_resolution():
 
 def test_graded_matrix_homogeneity():
     good = GradedMatrix(FreeModule([(0, 0)]), FreeModule([(1, 1)]), [[1]], 2)
-    assert good.validate_homogeneous() == []
+    assert good.inhomogeneous_entries() == []
     bad = GradedMatrix(FreeModule([(1, 1)]), FreeModule([(0, 0)]), [[1]], 2)
-    assert bad.validate_homogeneous() != []
+    assert bad.inhomogeneous_entries() != []
 
 
 def test_fres_roundtrip(random_bif):

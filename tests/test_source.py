@@ -1,9 +1,18 @@
 """Checks on the package source itself."""
 
 import ast
+import symtable
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bipersist"
+from bipersist import _HOME
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bipersist"
+
+# top-level names kept although no entry point reaches them, with the reason
+REACHABILITY_ALLOWLIST = {
+    ("zigzag", "read_zbar"): "reads the .zbar files that `zigzag-barcode` writes",
+}
 
 
 def test_package_has_no_assert_statements():
@@ -52,3 +61,174 @@ def test_only_column_reducer_normalises_a_pivot():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "inv_mod":
                 (inside if id(node) in reducer else outside).append(f"{path.name}:{node.lineno}")
     assert inside and outside == []
+
+
+def _names_in(nodes, quoted=False):
+    """Names read by expressions evaluated in module scope; with
+    `quoted`, a string in them (an annotation) is read as the expression
+    it quotes."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif quoted and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out |= _names_in([ast.parse(sub.value, mode="eval")], quoted)
+    return out
+
+
+def _scope_globals(table):
+    """Names that a function or class body and the scopes nested in it
+    read as globals; a local, a parameter or a comprehension variable
+    of the same name is not such a read."""
+    out = {s.get_name() for s in table.get_symbols() if s.is_global() and s.is_referenced()}
+    for child in table.get_children():
+        out |= _scope_globals(child)
+    return out
+
+
+def _module_scope_reads(node):
+    """Names read by the parts of a `def` or `class` statement that are
+    evaluated in module scope: decorators, defaults, bases, keywords,
+    and the annotations in it, which `from __future__ import
+    annotations` leaves out of the symbol tables."""
+    parts = list(node.decorator_list)
+    if isinstance(node, ast.ClassDef):
+        parts += node.bases + [k.value for k in node.keywords]
+    else:
+        parts += node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+    notes = [sub.annotation for sub in ast.walk(node) if isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation]
+    notes += [sub.returns for sub in ast.walk(node) if isinstance(sub, ast.FunctionDef) and sub.returns]
+    return _names_in(parts) | _names_in(notes, quoted=True)
+
+
+def _package_graph():
+    """(definitions, edges, roots) over the package's top-level names.
+
+    A definition is a top-level function, class or assigned constant,
+    keyed (module, name).  Its edges are the definitions that its body
+    reads as globals, resolved through the module's relative imports,
+    and those that a relative import inside its body names.  Roots are
+    the definitions read by module-level statements that define nothing
+    (`cli`'s `__main__` block) and dunder names.
+    """
+    defs, edges, roots, imports = set(), {}, set(), {}
+    raw = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        mod = path.stem
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        top = symtable.symtable(source, str(path), "exec")
+        imports[mod] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[mod][alias.asname or alias.name] = (node.module or alias.name, alias.name)
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+                reads = _module_scope_reads(node)
+                for ns in top.lookup(node.name).get_namespaces():
+                    reads |= _scope_globals(ns)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                reads = _names_in([node.value] if node.value is not None else [])
+            else:  # a statement that runs at import and defines nothing
+                names, reads = [None], _names_in([node])
+            inner = {
+                (sub.module, alias.name)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub is not node
+                for alias in sub.names
+            }
+            for name in names:
+                if name is not None:
+                    defs.add((mod, name))
+                    if name.startswith("__") and name.endswith("__"):
+                        roots.add((mod, name))
+                raw.setdefault((mod, name), (set(), set()))
+                raw[(mod, name)][0].update(reads)
+                raw[(mod, name)][1].update(inner)
+
+    def resolve(mod, name, depth=0):
+        if (mod, name) in defs:
+            return (mod, name)
+        if name in imports.get(mod, {}) and depth < 10:
+            return resolve(*imports[mod][name], depth + 1)
+        return None
+
+    for (mod, name), (reads, inner) in raw.items():
+        targets = {resolve(mod, n) for n in reads} | {resolve(*key) for key in inner}
+        targets.discard(None)
+        if name is None:
+            roots |= targets
+        else:
+            edges[(mod, name)] = targets
+    return defs, edges, roots
+
+
+def _perfbench_names():
+    """Attribute names read in perfbench/*.py, and the names it imports
+    from `bipersist`: the benchmark reaches the package through both."""
+    out = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bipersist"):
+                out |= {alias.name for alias in node.names}
+    return out
+
+
+def unreached_names():
+    """Top-level names of the package that nothing reaches from `cli`,
+    from the names `bipersist` exports (`_HOME`) or from perfbench/."""
+    defs, edges, roots = _package_graph()
+    roots |= {(mod, name) for name, mod in _HOME.items()}
+    bench = _perfbench_names()
+    roots |= {key for key in defs if key[1] in bench}
+    seen, todo = set(), [key for key in roots if key in defs]
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            todo.extend(edges.get(key, ()))
+    return sorted(f"{mod}.{name}" for mod, name in defs - seen)
+
+
+def test_every_top_level_name_is_reached():
+    # a name that only the tests reach belongs in tests/paperlib.py; an
+    # allowlisted name must still exist and still be unreached
+    assert unreached_names() == sorted(f"{mod}.{name}" for mod, name in REACHABILITY_ALLOWLIST)
+
+
+def test_reachability_counts_reads_not_locals():
+    # a local, a parameter or a comprehension variable that shares a
+    # global's name does not reach that global
+    source = (
+        "def used():\n    pass\n\n"
+        "def shadowed():\n    pass\n\n"
+        "def caller(shadowed):\n"
+        "    hidden = [used for used in range(3)]\n"
+        "    return used(), hidden, shadowed\n"
+    )
+    tree = symtable.symtable(source, "m", "exec")
+    reads = _scope_globals(tree.lookup("caller").get_namespace())
+    assert "used" in reads and "shadowed" not in reads
+
+
+def test_nothing_in_the_package_imports_the_tests():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in ("tests", "conftest", "paperlib")]
+    assert found == []

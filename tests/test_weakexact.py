@@ -12,6 +12,7 @@ from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_re
 from bipersist.grid_module import GridModule, GridTooLargeError, RankInvariant, rank_invariant_naive
 from bipersist.ioutil import InvariantError
 from bipersist.linalg import (
+    MAX_MODULUS,
     image_basis,
     kernel_basis,
     subspace_intersect,
@@ -24,8 +25,9 @@ from bipersist.weakexact import (
     kappa_iota,
     kappa_iota_from_zigzags,
 )
-from bipersist.zigzag import ZigzagBarcode, count_spanning, module_barcode
+from bipersist.zigzag import ZigzagBarcode, module_barcode
 from conftest import clique_bifiltration, kappa_iota_naive
+from paperlib import count_spanning, is_strongly_exact
 
 
 def rand_mat(rng, rows, cols, p):
@@ -222,16 +224,29 @@ def test_check_module_methods_agree_on_catalogue():
         assert algebraic[0] == geometric[0]
         if not algebraic[0]:
             assert algebraic[1][:2] == geometric[1][:2]
-    with pytest.raises(ValueError):
-        check_module(example("ex2"), "telepathic")
+    # the default pairing route gives the subspace checker's verdict and
+    # first witness pair, at every prime
+    for p in (2, 3, MAX_MODULUS):
+        modules = [example(name, p) for name in EXAMPLE_NAMES]
+        modules += [indecgrid(n, p) for n in range(2, 7)]
+        modules += [random_rectangle_module(6, 5, 8, seed, p)[0] for seed in range(3)]
+        for m in modules:
+            algebraic = check_module(m, "algebraic")
+            zigzag = check_module(m)
+            assert zigzag[0] == algebraic[0]
+            if not algebraic[0]:
+                assert zigzag[1][:2] == algebraic[1][:2]
+    for method in ("telepathic", "strong"):
+        with pytest.raises(ValueError):
+            check_module(example("ex2"), method)
 
 
 def test_check_module_strong_is_strictly_finer():
-    assert check_module(example("ex4-left"), "strong") == (True, None)
+    assert is_strongly_exact(example("ex4-left")) == (True, None)
     assert check_module(example("ex4-left"), "algebraic") == (True, None)
     assert check_module(example("ex4-right"), "algebraic") == (True, None)
     assert check_module(example("ex4-right"), "geometric") == (True, None)
-    ok, witness = check_module(example("ex4-right"), "strong")
+    ok, witness = is_strongly_exact(example("ex4-right"))
     assert not ok and witness is not None
 
 

@@ -11,15 +11,14 @@ from bipersist.bifiltration import (
     row_zigzag,
 )
 from bipersist.ioutil import FormatError
-from bipersist.rank_dp import rank_1d
 from bipersist.zigzag import (
     ZigzagBarcode,
-    count_spanning,
     module_barcode,
     read_zbar,
     write_zbar,
     zigzag_barcode,
 )
+from paperlib import count_spanning, interval_multiplicities
 
 
 def random_interval_diagram(rng, stations, p):
@@ -157,12 +156,13 @@ def test_col_zigzag_matches_pointwise_homology(random_bif):
 
 def test_row_zigzag_of_one_row_grid_is_ordinary_persistence(random_bif):
     # a pure filtration's zigzag barcode is the usual persistence barcode,
-    # which rank_1d reads off the homology module independently
+    # which the rectangle barcode of the homology module's naive rank
+    # invariant gives independently
     for seed in (3, 4, 5):
         bif = random_bif(seed, max_simplices=20, nx=6, ny=1)
         for degree in (0, 1):
             bc = zigzag_barcode(row_zigzag(bif, (5, 0)), degree, 2)
-            bars = rank_1d(homology_module(bif, degree))
+            bars = interval_multiplicities(homology_module(bif, degree))
             expect = sorted(iv for iv, mult in bars.items() for _ in range(mult))
             assert sorted(bc.intervals) == expect
 
