@@ -2,8 +2,9 @@
 
 Exact computation over prime fields: grid modules and their rank
 invariants, free bigraded resolutions of one-critical bifiltrations,
-rectangle-barcode extraction, zigzag barcodes, and the local
-exactness checks that decide rectangle decomposability.
+rectangle-barcode extraction, zigzag barcodes along the row and
+column paths, and the local exactness checks that decide rectangle
+decomposability.
 
 The names below, and the submodules, are imported on first use
 (PEP 562), so `import bipersist` loads none of the submodules and each
@@ -39,7 +40,8 @@ _HOME = {
     "check_bifiltration": "weakexact",
     "check_module": "weakexact",
     "ZigzagBarcode": "zigzag",
-    "zigzag_barcode": "zigzag",
+    "col_zigzag_barcode": "zigzag",
+    "row_zigzag_barcode": "zigzag",
 }
 
 _SUBMODULES = {

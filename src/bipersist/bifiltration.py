@@ -1,9 +1,11 @@
 """1-critical simplicial bifiltrations over a finite grid.
 
-Parsing and validation, graded subcomplexes, brute-force graded homology
-(the oracle for the resolution route, and the module of the explicit
-checkers `--method naive|algebraic|geometric`), and the row/column
-zigzag event lists of the `zigzag-barcode` subcommand.
+Parsing and validation, graded subcomplexes, and graded homology by
+brute force: `homology_basis` and `homology_map` at single points,
+which the `zigzag-barcode` subcommand solves along its path, and
+`homology_module` over the whole grid, which `rank --method naive` and
+`check-rectangle --method algebraic|geometric` take for a `.bif` and
+the tests take as the oracle of the presentation route.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ class HomologyBasis:
 
 def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -> HomologyBasis:
     """H_degree of the subcomplex on `present`, boundaries-first completion."""
+    if degree < 0:
+        raise ValueError(f"homology degree {degree} is negative")
     p = bif.p
     present = set(present)
     q_list = bif.by_dim.get(degree, [])
@@ -190,115 +194,6 @@ def homology_module(bif: Bifiltration, degree: int) -> GridModule:
         for y in range(bif.ny - 1):
             vmaps[(x, y)] = homology_map(data[(x, y)], data[(x, y + 1)], p)
     return GridModule(bif.nx, bif.ny, p, dims, hmaps, vmaps)
-
-
-# -- zigzag event lists ----------------------------------------------------
-
-
-def _batch_key(s: Simplex):
-    return (len(s), s)
-
-
-@dataclass
-class ZigzagComplex:
-    """Complexes along a path, consecutive ones related by inclusion.
-
-    `initial` builds station 0 from the empty complex; step m turns
-    station m into station m+1 by inserting a batch (forward arrow,
-    station m included in station m+1) or deleting one (backward arrow).
-    """
-
-    initial: list
-    steps: list  # (kind, [simplices]) with kind "insert" or "delete"
-
-    def stations(self) -> list[set]:
-        cur = set(self.initial)
-        out = [set(cur)]
-        for kind, batch in self.steps:
-            cur = set(cur)
-            if kind == "insert":
-                cur.update(batch)
-            else:
-                cur.difference_update(batch)
-            out.append(cur)
-        return out
-
-    def validate(self) -> list[str]:
-        problems = []
-        cur: set = set()
-        for s in self.initial:
-            if s in cur:
-                problems.append(f"station 0: duplicate simplex {s}")
-            cur.add(s)
-        problems += _closure_problems(cur, "station 0")
-        for m, (kind, batch) in enumerate(self.steps):
-            if kind not in ("insert", "delete"):
-                problems.append(f"step {m}: unknown kind {kind!r}")
-                continue
-            for s in batch:
-                if kind == "insert":
-                    if s in cur:
-                        problems.append(f"step {m}: inserting already present {s}")
-                    cur.add(s)
-                else:
-                    if s not in cur:
-                        problems.append(f"step {m}: deleting absent {s}")
-                    cur.discard(s)
-            # a closed result after a delete batch means no simplex lost a face,
-            # i.e. only coface-free simplices were removed
-            problems += _closure_problems(cur, f"station {m + 1}")
-        return problems
-
-
-def _closure_problems(station: set, where: str) -> list[str]:
-    out = []
-    for s in station:
-        if len(s) > 1:
-            for f in facets(s):
-                if f not in station:
-                    out.append(f"{where}: face {f} of {s} missing")
-    return out
-
-
-def _zigzag_from_stations(stations: list, kinds: list) -> ZigzagComplex:
-    steps = []
-    for m, kind in enumerate(kinds):
-        prev, cur = stations[m], stations[m + 1]
-        if kind == "insert":
-            if not prev <= cur:
-                raise InvariantError("insert step must grow the complex")
-            steps.append(("insert", sorted(cur - prev, key=_batch_key)))
-        else:
-            if not cur <= prev:
-                raise InvariantError("delete step must shrink the complex")
-            steps.append(("delete", sorted(prev - cur, key=_batch_key, reverse=True)))
-    return ZigzagComplex(sorted(stations[0], key=_batch_key), steps)
-
-
-def row_zigzag(bif: Bifiltration, t) -> ZigzagComplex:
-    """Grow along the row of t, then shrink down its column.
-
-    Stations F_(0,ty), ..., F_(tx,ty) = F_t, F_(tx,ty-1), ..., F_(tx,0);
-    the first tx arrows are insertions, the remaining ty deletions.
-    """
-    tx, ty = t
-    stations = [bif.complex_at((x, ty)) for x in range(tx + 1)]
-    stations += [bif.complex_at((tx, y)) for y in range(ty - 1, -1, -1)]
-    return _zigzag_from_stations(stations, ["insert"] * tx + ["delete"] * ty)
-
-
-def col_zigzag(bif: Bifiltration, s) -> ZigzagComplex:
-    """Shrink down the column of s from the top row, then grow along its row.
-
-    Stations F_(sx,ny-1), ..., F_(sx,sy) = F_s, F_(sx+1,sy), ..., F_(nx-1,sy);
-    the first ny-1-sy arrows are deletions (the later station is the
-    smaller complex), the remaining nx-1-sx insertions.
-    """
-    sx, sy = s
-    stations = [bif.complex_at((sx, y)) for y in range(bif.ny - 1, sy - 1, -1)]
-    stations += [bif.complex_at((x, sy)) for x in range(sx + 1, bif.nx)]
-    kinds = ["delete"] * (bif.ny - 1 - sy) + ["insert"] * (bif.nx - 1 - sx)
-    return _zigzag_from_stations(stations, kinds)
 
 
 # -- .bif file format ------------------------------------------------------

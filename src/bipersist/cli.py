@@ -262,8 +262,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_zigzag(args) -> int:
-    from .bifiltration import col_zigzag, row_zigzag
-    from .zigzag import write_zbar, zigzag_barcode
+    from .zigzag import col_zigzag_barcode, row_zigzag_barcode, write_zbar
 
     bif = _load_bif(args.infile, args.field)
     if (args.row is None) == (args.col is None):
@@ -274,8 +273,8 @@ def cmd_zigzag(args) -> int:
         x, y = _point_1based(args.col, "--col")
     if not (0 <= x < bif.nx and 0 <= y < bif.ny):
         raise CliError(f"point ({x + 1},{y + 1}) outside the {bif.nx}x{bif.ny} grid")
-    zz = row_zigzag(bif, (x, y)) if args.row is not None else col_zigzag(bif, (x, y))
-    barcode = zigzag_barcode(zz, args.degree or 0, bif.p)
+    path_barcode = row_zigzag_barcode if args.row is not None else col_zigzag_barcode
+    barcode = path_barcode(bif, (x, y), args.degree or 0)
     _write_output([write_zbar([barcode])], args.output)
     return 0
 
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_field(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("zigzag-barcode", help="barcode of a row or column zigzag path")
+    p = sub.add_parser("zigzag-barcode", help="barcode of a row or column zigzag path, by the check's flag walk")
     p.add_argument("infile", help=".bif input")
     p.add_argument("--row", metavar="j,l", help="row path through corner (j,l), 1-based")
     p.add_argument("--col", metavar="i,k", help="column path through corner (i,k), 1-based")
@@ -417,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "degree", None) is not None and args.degree < 0:
+            raise CliError(f"--degree must be 0 or more, got {args.degree}")
         return args.func(args)
     except (CliError, FormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

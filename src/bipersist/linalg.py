@@ -14,13 +14,16 @@ reports the lead row of every column it admits, and `block`
 back-substitutes on demand into the reduced basis from which
 `resolution.presented_module` reads normal forms.  `pair_counts` turns
 the leads into 2-D cumulative pair counts, and the rank DP and the
-kappa/iota tables share that one helper: the DP pairs the relation
-matrix once per (generator class, t_y), the check path pairs two flags
-at each grid point.  The same reducer picks the flag bases of the check
-path and counts kernel dimensions in `resolution.graded_kernel_basis`.
-It is the only elimination: `rref` is the block of the rows, and
-`rank`, `kernel_basis`, `extend_basis`, `solve_matrix` and the subspace
-operations all run on it.
+flag pairing share that one helper: the DP pairs the relation matrix
+once per (generator class, t_y).  A flag walk along a path of maps
+keeps a basis adapted to the images of the earlier spaces
+(`flag_step`, on the same reducer), and `pair_flags` pairs two such
+flags in one space: the kappa/iota tables of the check path pair two
+walks at each grid point, and `zigzag-barcode` walks the two legs of
+one path into its apex.  The reducer also counts kernel dimensions in
+`resolution.graded_kernel_basis`.  It is the only elimination: `rref`
+is the block of the rows, and `rank`, `kernel_basis`, `extend_basis`,
+`solve_matrix` and the subspace operations all run on it.
 """
 
 from __future__ import annotations
@@ -305,6 +308,50 @@ def pair_counts(columns, k: int, row_key: np.ndarray, col_key: np.ndarray, shape
     return hist.reshape(shape).cumsum(axis=0).cumsum(axis=1)
 
 
+def flag_step(edge: np.ndarray, flag, here: int, p: int):
+    """One step of a flag walk V_0 -> V_1 -> ... along a path of maps.
+
+    The flag at V_h is the chain of images Im(V_u -> V_h), u <= h.  A
+    flag is held as (basis, births): a basis of V_h adapted to it, with
+    the birth u of each vector, so that Im(V_u -> V_h) is the span of
+    the vectors born at or before u.  Given the flag at V_{h-1} and the
+    map `edge` from V_{h-1} into V_h = F_p^d, this returns the flag at
+    V_h, h = `here`.  The pushed basis spans the earlier flag spaces and
+    is sorted by birth; each column independent of those before it is
+    kept, and unit vectors born at `here` complete the basis.  The kept
+    columns are those a `ColumnReducer` admits, in order, until the
+    rank is d.  A walk starts from the zero space: an edge with no
+    columns and a flag with an empty basis.
+    """
+    d = edge.shape[0]
+    cand = np.hstack((matmul(edge, flag[0], p), np.eye(d, dtype=np.int64)))
+    born = np.concatenate((flag[1], np.full(d, here, dtype=np.int64)))
+    reducer = ColumnReducer(d, p)
+    keep = []
+    for j, v in enumerate(ColumnReducer.columns(cand, p)):
+        if reducer.add(v) is not None:
+            keep.append(j)
+            if reducer.rank == d:
+                break
+    return cand[:, keep], born[keep]
+
+
+def pair_flags(flag_a, flag_b, shape, p: int) -> np.ndarray:
+    """C[x, y] = dim(A_x cap B_y) for two flags A and B of F_p^d, held as
+    `flag_step` returns them, for x < shape[0] and y < shape[1].
+
+    Let X be the B-basis in coordinates of the A-basis, rows ordered by
+    falling A-birth.  Then dim B_y - dim(A_x cap B_y) is the rank of the
+    rows of A-birth > x in the columns of B-birth <= y, a lower-left
+    submatrix.  One left-to-right reduction of X pairs every column with
+    a lead row (X is invertible), so by the pairing lemma C[x, y] counts
+    the pairs with A-birth <= x and B-birth <= y: `pair_counts` of X.
+    """
+    (a, a_birth), (b, b_birth) = flag_a, flag_b
+    coords = solve_matrix(a, b, p)[::-1]
+    return pair_counts(ColumnReducer.columns(coords, p), a.shape[0], a_birth[::-1], b_birth, shape, p)
+
+
 class Subspace:
     """A subspace of F_p^n held as a canonical column basis.
 
@@ -416,21 +463,3 @@ def solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     x = np.zeros((cols, b.shape[1]), dtype=np.int64)
     x[piv] = r[: len(piv), cols:]
     return x
-
-
-def image_of_subspace(a: np.ndarray, s: Subspace) -> Subspace:
-    """a(S) for a linear map a and subspace S of its source."""
-    return Subspace.from_columns(matmul(a, s.basis, s.p), s.p)
-
-
-def preimage_of_subspace(a: np.ndarray, s: Subspace) -> Subspace:
-    """{v : a v in S}, a subspace of the source of a."""
-    p = s.p
-    rows, cols = a.shape
-    if rows != s.ambient_dim:
-        raise ValueError("preimage needs map target = subspace ambient")
-    if s.dim == 0:
-        return kernel_basis(a, p)
-    stacked = np.hstack([a, (-s.basis) % p])
-    ker = kernel_basis(stacked, p)
-    return Subspace.from_columns(ker.basis[:cols], p)

@@ -205,6 +205,8 @@ def presentation(bif: Bifiltration, degree: int) -> Presentation:
     column's grade, since boundaries are cycles, which the generators
     span gradewise; an InvariantError reports a solution that does not.
     """
+    if degree < 0:
+        raise ValueError(f"homology degree {degree} is negative")
     p = bif.p
     q_list = bif.by_dim.get(degree, [])
     up_list = bif.by_dim.get(degree + 1, [])

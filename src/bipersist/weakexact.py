@@ -9,11 +9,14 @@ pair s <= t with corner points b = (t_x, s_y) and c = (s_x, t_y),
 For a fixed t the images into M_t along its row, A_x = Im M((x, t_y) -> t),
 and along its column, B_y = Im M((t_x, y) -> t), are two flags, and
 iota(s, t) = dim(A_{s_x} cap B_{s_y}).  This is the zigzag through t,
-(0, t_y) -> ... -> t <- ... <- (t_x, 0), read off at once: one column
-reduction pairs the two flags, and a 2-D cumulative sum of the pairs
-(`linalg.pair_counts`, shared with the rank DP) gives iota(s, t) for
-every s <= t.  kappa is the same routine on the dual module.  That is
-O(n_x n_y) eliminations per table, against one per comparable pair.
+(0, t_y) -> ... -> t <- ... <- (t_x, 0), read off at once: adapted
+bases of the flags come from the neighbours' pushed one edge forward
+(`linalg.flag_step`), and one column reduction pairs them, whose 2-D
+cumulative pair counts give iota(s, t) for every s <= t
+(`linalg.pair_flags`, on the `pair_counts` of the rank DP).  The
+`zigzag-barcode` subcommand walks the same flags along one path.
+kappa is the same routine on the dual module.  That is O(n_x n_y)
+eliminations per table, against one per comparable pair.
 
 `kappa_iota` fills both tables this way from an explicit module; the
 tests check it against direct subspace arithmetic at every pair.  The
@@ -42,7 +45,7 @@ from .grid_module import (
     rank_invariant_naive,
 )
 from .ioutil import InvariantError
-from .linalg import ColumnReducer, matmul, pair_counts, solve_matrix
+from .linalg import flag_step, pair_flags
 from .rank_dp import rank_from_resolution
 from .resolution import presentation, presented_module
 
@@ -57,60 +60,30 @@ class KappaIota:
     iota: np.ndarray
 
 
-def _flag_basis(pushed: np.ndarray, births: np.ndarray, here: int, p: int):
-    """A basis of F_p^d adapted to a flag, with the birth of each vector.
-
-    `pushed` holds a spanning set of the earlier flag spaces, sorted by
-    birth; each column independent of those before it is kept, and unit
-    vectors born at `here` complete the basis.  Every flag space is then
-    the span of the basis vectors born at or before its index.  The kept
-    columns are those a `ColumnReducer` admits, in order, until the
-    rank is d.
-    """
-    d = pushed.shape[0]
-    cand = np.hstack((pushed, np.eye(d, dtype=np.int64)))
-    born = np.concatenate((births, np.full(d, here, dtype=np.int64)))
-    reducer = ColumnReducer(d, p)
-    keep = []
-    for j, v in enumerate(ColumnReducer.columns(cand, p)):
-        if reducer.add(v) is not None:
-            keep.append(j)
-            if reducer.rank == d:
-                break
-    return cand[:, keep], born[keep]
-
-
 def _image_intersections(module: GridModule) -> np.ndarray:
     """The iota table, from one two-flag pairing per grid point t.
 
     A_x = Im M((x, t_y) -> t) and B_y = Im M((t_x, y) -> t) are flags in
-    M_t.  Adapted bases come from the neighbours' bases pushed one edge
-    forward.  Let X be the B-basis in coordinates of the A-basis, rows
-    ordered by falling A-birth.  Then dim B_y - dim(A_x cap B_y) is the
-    rank of the rows of A-birth > x in the columns of B-birth <= y, a
-    lower-left submatrix.  One left-to-right reduction of X pairs every
-    column with a lead row (X is invertible), so by the pairing lemma
-    iota(s, t) counts the pairs with A-birth <= s_x and B-birth <= s_y.
+    M_t.  Their adapted bases come from the neighbours' bases pushed one
+    edge forward (`linalg.flag_step`), and one pairing of the two
+    (`linalg.pair_flags`) gives iota(s, t) = dim(A_{s_x} cap B_{s_y})
+    for every s <= t.
     """
     nx, ny, p = module.nx, module.ny, module.p
     iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    no_births = np.zeros(0, dtype=np.int64)
-    below = [None] * nx  # the B-adapted bases at (x, t_y - 1)
+    zero = (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))  # the flag of the zero space
+    below = [zero] * nx  # the B-adapted bases at (x, t_y - 1)
     for ty in range(ny):
-        left = None  # the A-adapted basis at (t_x - 1, t_y)
+        left = zero  # the A-adapted basis at (t_x - 1, t_y)
         for tx in range(nx):
             d = module.dim_at((tx, ty))
             if d == 0:
-                left = below[tx] = (np.zeros((0, 0), dtype=np.int64), no_births)
+                left = below[tx] = zero
                 continue
-            empty = (np.zeros((d, 0), dtype=np.int64), no_births)
-            into = (matmul(module.hmaps[(tx - 1, ty)], left[0], p), left[1]) if tx else empty
-            left = a, a_birth = _flag_basis(*into, tx, p)
-            into = (matmul(module.vmaps[(tx, ty - 1)], below[tx][0], p), below[tx][1]) if ty else empty
-            below[tx] = b, b_birth = _flag_basis(*into, ty, p)
-            coords = solve_matrix(a, b, p)[::-1]
-            columns = ColumnReducer.columns(coords, p)
-            iota[: tx + 1, : ty + 1, tx, ty] = pair_counts(columns, d, a_birth[::-1], b_birth, (tx + 1, ty + 1), p)
+            start = np.zeros((d, 0), dtype=np.int64)
+            left = flag_step(module.hmaps[(tx - 1, ty)] if tx else start, left, tx, p)
+            below[tx] = flag_step(module.vmaps[(tx, ty - 1)] if ty else start, below[tx], ty, p)
+            iota[: tx + 1, : ty + 1, tx, ty] = pair_flags(left, below[tx], (tx + 1, ty + 1), p)
     return iota
 
 

@@ -1,9 +1,22 @@
-"""Zigzag persistence barcodes for insert/delete event lists.
+"""Zigzag barcodes along the row and column paths of a bifiltration.
 
-The generalized rank r(i, j) -- the number of bars covering the closed
-station range [i, j] -- is computed by pushing a pair of nested
-subspaces rightwards from each left endpoint, and the barcode follows
-by corner differencing exactly as for one-parameter persistence.
+The row path through t, (0, t_y) -> ... -> t <- ... <- (t_x, 0), is a
+cospan: two legs of inclusions into the apex t.  Its generalized rank
+r(i, j), the number of bars covering the closed station range [i, j],
+is the rank of a composite within a leg and dim(A_x cap B_y) across the
+apex, where A and B are the flags of the legs' images in the apex.  One
+flag walk along each leg gives both, with the flag step and the pairing
+of the check's kappa/iota tables (`linalg.flag_step`,
+`linalg.pair_flags`): within a leg, the rank of u -> v is the number of
+adapted vectors at v born at or before u, and one pairing at the apex
+gives every rank across it.  The bars follow by corner differencing,
+as for one-parameter persistence.
+
+The column path through s, (s_x, n_y-1) <- ... <- s -> ... -> (n_x-1, s_y),
+is a span.  Its dual, the same spaces under the transposed maps, is a
+cospan into s with the same bars, so it goes the same way with both
+legs walked from their far ends.  Homology is solved once at each point
+of a path, over the simplices that the path's complexes hold.
 """
 
 from __future__ import annotations
@@ -13,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bifiltration import Bifiltration, ZigzagComplex, homology_basis, homology_map
+from .bifiltration import Bifiltration, homology_basis, homology_map
 from .ioutil import FormatError, InvariantError, logical_lines, parse_int
-from .linalg import Subspace, asmatrix, image_of_subspace, preimage_of_subspace
+from .linalg import flag_step, pair_flags
 
 
 @dataclass
@@ -35,94 +48,82 @@ class ZigzagBarcode:
         return sum(1 for b, d in self.intervals if b <= i <= d)
 
 
-def module_barcode(dims, arrows, p: int) -> list:
-    """Interval multiset of an explicitly given zigzag module.
+def _walk(edges, p: int) -> list:
+    """The flag at each space of a walk from the zero space along `edges`."""
+    flag = (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    flags = []
+    for here, edge in enumerate(edges):
+        flag = flag_step(edge, flag, here, p)
+        flags.append(flag)
+    return flags
 
-    dims gives the dimension at each station; arrows holds one
-    (direction, matrix) per consecutive pair, direction "fwd" meaning
-    V_m -> V_{m+1} (matrix has dims[m+1] rows) and "bwd" the reverse.
 
-    From each left endpoint i two nested subspaces travel right: L
-    starts full, N starts zero; forward arrows push both through the
-    matrix, backward arrows pull both back.  Every bar born strictly
-    after station i on a backward arrow enters L and N together, and a
-    bar through station i survives in L exactly while it is alive, so
-    the spanning count is r(i, j) = dim L_j - dim N_j.  The push from i
-    stops at the first r(i, j) = 0: N lies inside L, so equal dimensions
-    mean equal subspaces, which stay equal under every later push or
-    pull, and the rest of the row is 0.
+def _cospan_bars(edges_a, edges_b, p: int) -> list:
+    """Bars of the zigzag U_0 -> ... -> U_a = D = W_b <- ... <- W_0.
+
+    Each leg is given by its edges in walk order, the first from the
+    zero space; both end in the apex D.  The stations are U_0 .. U_a,
+    then W_{b-1} .. W_0.
     """
-    k = len(dims)
-    if len(arrows) != max(k - 1, 0):
-        raise ValueError("need exactly one arrow between consecutive stations")
-    mats = []
-    for m, (direction, mat) in enumerate(arrows):
-        mat = asmatrix(mat, p)
-        want = (dims[m + 1], dims[m]) if direction == "fwd" else (dims[m], dims[m + 1])
-        if direction not in ("fwd", "bwd"):
-            raise ValueError(f"unknown arrow direction {direction!r}")
-        if mat.shape != want:
-            raise ValueError(f"arrow {m} has shape {mat.shape}, expected {want}")
-        mats.append((direction, mat))
-    r = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        live = Subspace.full(dims[i], p)
-        newborn = Subspace.zero(dims[i], p)
-        r[i, i] = dims[i]
-        for j in range(i + 1, k):
-            direction, mat = mats[j - 1]
-            if direction == "fwd":
-                live = image_of_subspace(mat, live)
-                newborn = image_of_subspace(mat, newborn)
-            else:
-                live = preimage_of_subspace(mat, live)
-                newborn = preimage_of_subspace(mat, newborn)
-            r[i, j] = live.dim - newborn.dim
-            if r[i, j] == 0:
-                break
-    bars = []
-    for i in range(k):
-        for j in range(i, k):
-            m = int(r[i, j])
-            m -= int(r[i - 1, j]) if i > 0 else 0
-            m -= int(r[i, j + 1]) if j + 1 < k else 0
-            m += int(r[i - 1, j + 1]) if i > 0 and j + 1 < k else 0
-            if m < 0:
-                raise InvariantError("zigzag interval multiplicities must be nonnegative")
-            bars.extend([(i, j)] * m)
-    bars.sort()
-    return bars
+    flags_a, flags_b = _walk(edges_a, p), _walk(edges_b, p)
+    a, b = len(flags_a) - 1, len(flags_b) - 1
+    k = a + b + 1
+    r = np.zeros((k + 1, k + 1), dtype=np.int64)  # r[i + 1, j] = r(i, j); r(-1, j) = r(i, k) = 0
+    for v, (_, births) in enumerate(flags_a[:-1]):
+        r[1 : v + 2, v] = np.bincount(births, minlength=v + 1).cumsum()
+    for y, (_, births) in enumerate(flags_b[:-1]):
+        i = a + b - y  # the station of W_y
+        r[i + 1, i:k] = np.bincount(births, minlength=y + 1).cumsum()[::-1]
+    r[1 : a + 2, a:k] = pair_flags(flags_a[-1], flags_b[-1], (a + 1, b + 1), p)[:, ::-1]
+    mult = np.triu(r[1:, :k] - r[:k, :k] - r[1:, 1:] + r[:k, 1:])
+    if (mult < 0).any():
+        raise InvariantError("zigzag interval multiplicities must be nonnegative")
+    return [(i, j) for i, j in np.argwhere(mult).tolist() for _ in range(mult[i, j])]
 
 
-def zigzag_barcode(zz: ZigzagComplex, degree: int, p: int = 2) -> ZigzagBarcode:
-    """Barcode of the degree-q homology zigzag of an event list.
+def _cospan_barcode(bif: Bifiltration, held: set, leg_a: list, leg_b: list, degree: int, dual: bool) -> ZigzagBarcode:
+    """The barcode of degree-q homology along two legs of grid points,
+    each in walk order and both ending in the apex, over the simplices
+    in `held`; with `dual`, the maps go against the grid order and are
+    transposed."""
+    p = bif.p
+    ambient = Bifiltration({s: bif.grades[s] for s in held}, bif.nx, bif.ny, p)
+    hb = {u: homology_basis(ambient, ambient.complex_at(u), degree) for u in dict.fromkeys(leg_a + leg_b)}
 
-    Station homologies are computed inside one ambient complex (the
-    union of all stations, necessarily closed under faces), inclusions
-    induce the arrows, and the interval multiset comes out of
-    `module_barcode`.  The result is checked to reconstruct the
-    pointwise homology dimensions.
+    def edges(leg):
+        out = [np.zeros((hb[leg[0]].dim, 0), dtype=np.int64)]
+        for u, v in zip(leg, leg[1:]):
+            out.append(homology_map(hb[v], hb[u], p).T if dual else homology_map(hb[u], hb[v], p))
+        return out
+
+    return ZigzagBarcode(len(leg_a) + len(leg_b) - 1, _cospan_bars(edges(leg_a), edges(leg_b), p), degree)
+
+
+def row_zigzag_barcode(bif: Bifiltration, t, degree: int) -> ZigzagBarcode:
+    """Barcode of degree-q homology along the row path through t.
+
+    Stations F_(0,ty), ..., F_(tx,ty) = F_t, F_(tx,ty-1), ..., F_(tx,0),
+    0-based: the row of t grows into F_t, then its column shrinks.
     """
-    problems = zz.validate()
-    if problems:
-        raise ValueError(f"invalid zigzag complex: {problems[0]}")
-    stations = zz.stations()
-    universe = set()
-    for st in stations:
-        universe |= st
-    ambient = Bifiltration({s: (0, 0) for s in universe}, 1, 1, p)
-    data = [homology_basis(ambient, st, degree) for st in stations]
-    dims = [hb.dim for hb in data]
-    arrows = []
-    for m, (kind, _) in enumerate(zz.steps):
-        if kind == "insert":
-            arrows.append(("fwd", homology_map(data[m], data[m + 1], p)))
-        else:
-            arrows.append(("bwd", homology_map(data[m + 1], data[m], p)))
-    bc = ZigzagBarcode(len(dims), module_barcode(dims, arrows, p), degree)
-    if any(bc.dim_at(i) != dims[i] for i in range(len(dims))):
-        raise InvariantError("zigzag barcode does not reconstruct the station dimensions")
-    return bc
+    tx, ty = t
+    held = bif.complex_at(t)
+    return _cospan_barcode(bif, held, [(x, ty) for x in range(tx + 1)], [(tx, y) for y in range(ty + 1)], degree, False)
+
+
+def col_zigzag_barcode(bif: Bifiltration, s, degree: int) -> ZigzagBarcode:
+    """Barcode of degree-q homology along the column path through s.
+
+    Stations F_(sx,ny-1), ..., F_(sx,sy) = F_s, F_(sx+1,sy), ..., F_(nx-1,sy),
+    0-based: the column of s shrinks from the top row into F_s, then
+    its row grows.
+    """
+    sx, sy = s
+    if not (0 <= sx < bif.nx and 0 <= sy < bif.ny):  # complex_at below would name the path's ends
+        raise ValueError(f"{tuple(s)} outside the {bif.nx}x{bif.ny} grid")
+    held = bif.complex_at((sx, bif.ny - 1)) | bif.complex_at((bif.nx - 1, sy))
+    column = [(sx, y) for y in range(bif.ny - 1, sy - 1, -1)]
+    row = [(x, sy) for x in range(bif.nx - 1, sx - 1, -1)]
+    return _cospan_barcode(bif, held, column, row, degree, True)
 
 
 # -- .zbar file format -----------------------------------------------------

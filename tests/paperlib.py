@@ -7,18 +7,22 @@ fully faithful grid embeddings and pointwise right Kan extensions, the
 dart family and its staircase, Hom spaces by naturality equations, a
 randomized isomorphism confirmer, restriction to a subgrid, the
 eleven-by-eleven square invariant matrix, strong exactness, the rank
-invariant of a sum of rectangles and zigzag spanning counts.  None of
-it is on a path the CLI runs.
+invariant of a sum of rectangles and zigzag spanning counts, and the
+zigzag oracle: insert/delete event lists along the row and column
+paths, and barcodes of explicit zigzag modules by pushing two nested
+subspaces from every left endpoint.  None of it is on a path the CLI
+runs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
+from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map
 from bipersist.grid_module import (
     SQUARE_LABELS,
     GridModule,
@@ -251,6 +255,223 @@ def interval_multiplicities(module: GridModule) -> dict:
     if not clean:
         raise InvariantError("a one-parameter rank invariant gave a negative multiplicity")
     return {(sx, tx): m for (sx, _, tx, _), m in barcode.items()}
+
+
+# -- zigzag oracle: event lists and subspace pushes -------------------------
+
+
+def image_of_subspace(a: np.ndarray, s: Subspace) -> Subspace:
+    """a(S) for a linear map a and subspace S of its source."""
+    return Subspace.from_columns(matmul(a, s.basis, s.p), s.p)
+
+
+def preimage_of_subspace(a: np.ndarray, s: Subspace) -> Subspace:
+    """{v : a v in S}, a subspace of the source of a."""
+    p = s.p
+    rows, cols = a.shape
+    if rows != s.ambient_dim:
+        raise ValueError("preimage needs map target = subspace ambient")
+    if s.dim == 0:
+        return kernel_basis(a, p)
+    stacked = np.hstack([a, (-s.basis) % p])
+    ker = kernel_basis(stacked, p)
+    return Subspace.from_columns(ker.basis[:cols], p)
+
+
+def module_barcode(dims, arrows, p: int) -> list:
+    """Interval multiset of an explicitly given zigzag module.
+
+    dims gives the dimension at each station; arrows holds one
+    (direction, matrix) per consecutive pair, direction "fwd" meaning
+    V_m -> V_{m+1} (matrix has dims[m+1] rows) and "bwd" the reverse.
+
+    From each left endpoint i two nested subspaces travel right: L
+    starts full, N starts zero; forward arrows push both through the
+    matrix, backward arrows pull both back.  Every bar born strictly
+    after station i on a backward arrow enters L and N together, and a
+    bar through station i survives in L exactly while it is alive, so
+    the spanning count is r(i, j) = dim L_j - dim N_j.  The push from i
+    stops at the first r(i, j) = 0: N lies inside L, so equal dimensions
+    mean equal subspaces, which stay equal under every later push or
+    pull, and the rest of the row is 0.
+    """
+    k = len(dims)
+    if len(arrows) != max(k - 1, 0):
+        raise ValueError("need exactly one arrow between consecutive stations")
+    mats = []
+    for m, (direction, mat) in enumerate(arrows):
+        mat = asmatrix(mat, p)
+        want = (dims[m + 1], dims[m]) if direction == "fwd" else (dims[m], dims[m + 1])
+        if direction not in ("fwd", "bwd"):
+            raise ValueError(f"unknown arrow direction {direction!r}")
+        if mat.shape != want:
+            raise ValueError(f"arrow {m} has shape {mat.shape}, expected {want}")
+        mats.append((direction, mat))
+    r = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        live = Subspace.full(dims[i], p)
+        newborn = Subspace.zero(dims[i], p)
+        r[i, i] = dims[i]
+        for j in range(i + 1, k):
+            direction, mat = mats[j - 1]
+            if direction == "fwd":
+                live = image_of_subspace(mat, live)
+                newborn = image_of_subspace(mat, newborn)
+            else:
+                live = preimage_of_subspace(mat, live)
+                newborn = preimage_of_subspace(mat, newborn)
+            r[i, j] = live.dim - newborn.dim
+            if r[i, j] == 0:
+                break
+    bars = []
+    for i in range(k):
+        for j in range(i, k):
+            m = int(r[i, j])
+            m -= int(r[i - 1, j]) if i > 0 else 0
+            m -= int(r[i, j + 1]) if j + 1 < k else 0
+            m += int(r[i - 1, j + 1]) if i > 0 and j + 1 < k else 0
+            if m < 0:
+                raise InvariantError("zigzag interval multiplicities must be nonnegative")
+            bars.extend([(i, j)] * m)
+    bars.sort()
+    return bars
+
+
+def _batch_key(s: tuple):
+    return (len(s), s)
+
+
+@dataclass
+class ZigzagComplex:
+    """Complexes along a path, consecutive ones related by inclusion.
+
+    `initial` builds station 0 from the empty complex; step m turns
+    station m into station m+1 by inserting a batch (forward arrow,
+    station m included in station m+1) or deleting one (backward arrow).
+    """
+
+    initial: list
+    steps: list  # (kind, [simplices]) with kind "insert" or "delete"
+
+    def stations(self) -> list[set]:
+        cur = set(self.initial)
+        out = [set(cur)]
+        for kind, batch in self.steps:
+            cur = set(cur)
+            if kind == "insert":
+                cur.update(batch)
+            else:
+                cur.difference_update(batch)
+            out.append(cur)
+        return out
+
+    def validate(self) -> list[str]:
+        problems = []
+        cur: set = set()
+        for s in self.initial:
+            if s in cur:
+                problems.append(f"station 0: duplicate simplex {s}")
+            cur.add(s)
+        problems += _closure_problems(cur, "station 0")
+        for m, (kind, batch) in enumerate(self.steps):
+            if kind not in ("insert", "delete"):
+                problems.append(f"step {m}: unknown kind {kind!r}")
+                continue
+            for s in batch:
+                if kind == "insert":
+                    if s in cur:
+                        problems.append(f"step {m}: inserting already present {s}")
+                    cur.add(s)
+                else:
+                    if s not in cur:
+                        problems.append(f"step {m}: deleting absent {s}")
+                    cur.discard(s)
+            # a closed result after a delete batch means no simplex lost a face,
+            # i.e. only coface-free simplices were removed
+            problems += _closure_problems(cur, f"station {m + 1}")
+        return problems
+
+
+def _closure_problems(station: set, where: str) -> list[str]:
+    out = []
+    for s in station:
+        if len(s) > 1:
+            for f in facets(s):
+                if f not in station:
+                    out.append(f"{where}: face {f} of {s} missing")
+    return out
+
+
+def _zigzag_from_stations(stations: list, kinds: list) -> ZigzagComplex:
+    steps = []
+    for m, kind in enumerate(kinds):
+        prev, cur = stations[m], stations[m + 1]
+        if kind == "insert":
+            if not prev <= cur:
+                raise InvariantError("insert step must grow the complex")
+            steps.append(("insert", sorted(cur - prev, key=_batch_key)))
+        else:
+            if not cur <= prev:
+                raise InvariantError("delete step must shrink the complex")
+            steps.append(("delete", sorted(prev - cur, key=_batch_key, reverse=True)))
+    return ZigzagComplex(sorted(stations[0], key=_batch_key), steps)
+
+
+def row_zigzag(bif: Bifiltration, t) -> ZigzagComplex:
+    """Grow along the row of t, then shrink down its column.
+
+    Stations F_(0,ty), ..., F_(tx,ty) = F_t, F_(tx,ty-1), ..., F_(tx,0);
+    the first tx arrows are insertions, the remaining ty deletions.
+    """
+    tx, ty = t
+    stations = [bif.complex_at((x, ty)) for x in range(tx + 1)]
+    stations += [bif.complex_at((tx, y)) for y in range(ty - 1, -1, -1)]
+    return _zigzag_from_stations(stations, ["insert"] * tx + ["delete"] * ty)
+
+
+def col_zigzag(bif: Bifiltration, s) -> ZigzagComplex:
+    """Shrink down the column of s from the top row, then grow along its row.
+
+    Stations F_(sx,ny-1), ..., F_(sx,sy) = F_s, F_(sx+1,sy), ..., F_(nx-1,sy);
+    the first ny-1-sy arrows are deletions (the later station is the
+    smaller complex), the remaining nx-1-sx insertions.
+    """
+    sx, sy = s
+    stations = [bif.complex_at((sx, y)) for y in range(bif.ny - 1, sy - 1, -1)]
+    stations += [bif.complex_at((x, sy)) for x in range(sx + 1, bif.nx)]
+    kinds = ["delete"] * (bif.ny - 1 - sy) + ["insert"] * (bif.nx - 1 - sx)
+    return _zigzag_from_stations(stations, kinds)
+
+
+def zigzag_barcode(zz: ZigzagComplex, degree: int, p: int = 2) -> ZigzagBarcode:
+    """Barcode of the degree-q homology zigzag of an event list.
+
+    Station homologies are computed inside one ambient complex (the
+    union of all stations, necessarily closed under faces), inclusions
+    induce the arrows, and the interval multiset comes out of
+    `module_barcode`.  The result is checked to reconstruct the
+    pointwise homology dimensions.
+    """
+    problems = zz.validate()
+    if problems:
+        raise ValueError(f"invalid zigzag complex: {problems[0]}")
+    stations = zz.stations()
+    universe = set()
+    for st in stations:
+        universe |= st
+    ambient = Bifiltration({s: (0, 0) for s in universe}, 1, 1, p)
+    data = [homology_basis(ambient, st, degree) for st in stations]
+    dims = [hb.dim for hb in data]
+    arrows = []
+    for m, (kind, _) in enumerate(zz.steps):
+        if kind == "insert":
+            arrows.append(("fwd", homology_map(data[m], data[m + 1], p)))
+        else:
+            arrows.append(("bwd", homology_map(data[m + 1], data[m], p)))
+    bc = ZigzagBarcode(len(dims), module_barcode(dims, arrows, p), degree)
+    if any(bc.dim_at(i) != dims[i] for i in range(len(dims))):
+        raise InvariantError("zigzag barcode does not reconstruct the station dimensions")
+    return bc
 
 
 # -- finite posets and their representations ----------------------------

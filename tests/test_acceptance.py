@@ -38,7 +38,7 @@ from bipersist.weakexact import (
     check_module,
     check_rectangle_decomposable,
 )
-from bipersist.zigzag import ZigzagBarcode, module_barcode
+from bipersist.zigzag import ZigzagBarcode
 from conftest import kappa_iota_naive
 from paperlib import (
     barcode_dim_at,
@@ -51,6 +51,7 @@ from paperlib import (
     interval_multiplicities,
     is_strongly_exact,
     iso_test,
+    module_barcode,
     ran_extension,
     restrict,
     square_invariant_matrix,

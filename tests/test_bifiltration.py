@@ -4,15 +4,15 @@ import pytest
 from bipersist.bifiltration import (
     Bifiltration,
     FormatError,
-    ZigzagComplex,
-    col_zigzag,
     facets,
+    homology_basis,
     homology_module,
     read_bif,
-    row_zigzag,
     write_bif,
 )
 from bipersist.linalg import matmul
+from bipersist.resolution import presentation
+from paperlib import ZigzagComplex, col_zigzag, row_zigzag
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -129,6 +129,16 @@ def test_homology_h1_of_circle():
     assert h1.dim_at((2, 1)) == 1
     assert h1.dim_at((2, 2)) == 0
     assert h1.dim_at((1, 1)) == 0
+
+
+def test_negative_degree_is_refused():
+    # no homology lives in a negative degree; the routes refuse it
+    # rather than report an all-zero module
+    bif = Bifiltration.from_graded_simplices(TRIANGLE)
+    with pytest.raises(ValueError, match="negative"):
+        homology_basis(bif, bif.complex_at((2, 2)), -1)
+    with pytest.raises(ValueError, match="negative"):
+        presentation(bif, -1)
 
 
 def test_row_zigzag_stations_match_complexes():

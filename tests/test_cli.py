@@ -13,8 +13,9 @@ from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid
 from bipersist.grid_module import RankInvariant, read_gmod, write_gmod
 from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
-from bipersist.zigzag import read_zbar
-from paperlib import rectangle_rank_invariant
+from bipersist.zigzag import read_zbar, write_zbar
+from conftest import clique_bifiltration
+from paperlib import col_zigzag, rectangle_rank_invariant, row_zigzag, zigzag_barcode
 
 TRIANGLE = [
     ((0, 0), (0,)),
@@ -373,13 +374,24 @@ def test_check_rectangle_gmod_default_gives_the_algebraic_witness(tmp_path, caps
 
 
 def test_zigzag_barcode_subcommand(tmp_path, capsys):
+    # the output is what the event-list oracle of paperlib writes
+    from bipersist.bifiltration import read_bif
+
     bif = write_triangle(tmp_path)
     out = tmp_path / "row.zbar"
     assert main(["zigzag-barcode", bif, "--row", "3,2", "-o", str(out)]) == 0
     entries = read_zbar(out.read_text())
     assert entries and all(deg == 0 for deg, _, _ in entries)
-    assert main(["zigzag-barcode", bif, "--col", "1,1", "--degree", "1", "-o", str(out)]) == 0
-    read_zbar(out.read_text())
+    clique = tmp_path / "clique.bif"
+    clique.write_text(write_bif(clique_bifiltration(11, 8, 0.5, 4, 4, p=3)))
+    runs = [(bif, "--row", "3,2", "0"), (bif, "--col", "1,1", "1"), (str(clique), "--row", "3,4", "1")]
+    runs += [(str(clique), "--col", "3,3", d) for d in ("0", "1")]
+    for path, flag, point, degree in runs:
+        assert main(["zigzag-barcode", path, flag, point, "--degree", degree, "-o", str(out)]) == 0
+        parsed = read_bif(open(path).read())
+        x, y = (int(v) - 1 for v in point.split(","))
+        zz = (row_zigzag if flag == "--row" else col_zigzag)(parsed, (x, y))
+        assert out.read_text() == write_zbar([zigzag_barcode(zz, int(degree), parsed.p)])
     assert main(["zigzag-barcode", bif]) == 1
     assert main(["zigzag-barcode", bif, "--row", "1,1", "--col", "1,1"]) == 1
     assert main(["zigzag-barcode", bif, "--row", "9,9"]) == 1
@@ -409,6 +421,15 @@ def test_random_rect_is_deterministic(tmp_path, capsys):
     module = read_gmod(open(a + ".gmod").read())
     assert module.validate() == []
     assert main(["random-rect", "0", "4", "3", "-o", a]) == 1
+
+
+@pytest.mark.parametrize("command", ("rank", "decompose-rectangles", "check-rectangle", "zigzag-barcode"))
+def test_negative_degree_is_a_usage_error(tmp_path, capsys, command):
+    bif = write_triangle(tmp_path)
+    extra = ["--row", "1,1"] if command == "zigzag-barcode" else []
+    assert main([command, bif, "--degree", "-1", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--degree must be 0 or more" in captured.err
 
 
 def test_degree_help_names_the_homology_degree(capsys):
@@ -473,6 +494,11 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     loaded = loaded_modules(["rank", "in.fres", "-o", "out.rank"], tmp_path)
     assert "bipersist.rank_dp" in loaded
     assert not loaded & {"bipersist.weakexact", "bipersist.zigzag", "bipersist.constructions", "bipersist.rect_decomp"}
+    # the zigzag shares the check's flag step and pairing through linalg, not weakexact
+    assert loaded_modules(["zigzag-barcode", "tri.bif", "--row", "3,2", "-o", "out.zbar"], tmp_path) == {
+        "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
+        "bipersist.bifiltration", "bipersist.zigzag",
+    }
 
 
 def test_the_package_binds_its_public_names_on_first_use():

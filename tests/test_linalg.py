@@ -12,12 +12,10 @@ from bipersist.linalg import (
     Subspace,
     extend_basis,
     image_basis,
-    image_of_subspace,
     inv_mod,
     is_prime,
     kernel_basis,
     matmul,
-    preimage_of_subspace,
     rank,
     rref,
     solve_matrix,
@@ -25,7 +23,7 @@ from bipersist.linalg import (
     subspace_sum,
 )
 from conftest import reference_rank, reference_rref
-from paperlib import contains, invertible, solve
+from paperlib import contains, image_of_subspace, invertible, preimage_of_subspace, solve
 
 
 def span_set(cols, p):

@@ -25,9 +25,9 @@ from bipersist.weakexact import (
     kappa_iota,
     kappa_iota_from_zigzags,
 )
-from bipersist.zigzag import ZigzagBarcode, module_barcode
+from bipersist.zigzag import ZigzagBarcode
 from conftest import clique_bifiltration, kappa_iota_naive
-from paperlib import count_spanning, is_strongly_exact
+from paperlib import count_spanning, is_strongly_exact, module_barcode
 
 
 def rand_mat(rng, rows, cols, p):

@@ -2,23 +2,28 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bipersist.bifiltration import (
-    Bifiltration,
-    ZigzagComplex,
-    col_zigzag,
-    homology_module,
-    row_zigzag,
-)
+from bipersist.bifiltration import homology_module
 from bipersist.ioutil import FormatError
 from bipersist.zigzag import (
     ZigzagBarcode,
-    module_barcode,
+    col_zigzag_barcode,
     read_zbar,
+    row_zigzag_barcode,
     write_zbar,
+)
+from conftest import clique_bifiltration
+from paperlib import (
+    ZigzagComplex,
+    col_zigzag,
+    count_spanning,
+    interval_multiplicities,
+    module_barcode,
+    row_zigzag,
     zigzag_barcode,
 )
-from paperlib import count_spanning, interval_multiplicities
 
 
 def random_interval_diagram(rng, stations, p):
@@ -139,7 +144,7 @@ def test_row_zigzag_matches_pointwise_homology(random_bif):
     bif = random_bif(21, max_simplices=25, nx=5, ny=4)
     module = homology_module(bif, 0)
     t = (3, 2)
-    bc = zigzag_barcode(row_zigzag(bif, t), 0, 2)
+    bc = row_zigzag_barcode(bif, t, 0)
     # stations walk (0,2),(1,2),(2,2),(3,2),(3,1),(3,0)
     walk = [(0, 2), (1, 2), (2, 2), (3, 2), (3, 1), (3, 0)]
     assert [bc.dim_at(i) for i in range(len(walk))] == [module.dim_at(w) for w in walk]
@@ -149,9 +154,12 @@ def test_col_zigzag_matches_pointwise_homology(random_bif):
     bif = random_bif(22, max_simplices=25, nx=5, ny=4)
     module = homology_module(bif, 1)
     s = (1, 1)
-    bc = zigzag_barcode(col_zigzag(bif, s), 1, 2)
+    bc = col_zigzag_barcode(bif, s, 1)
     walk = [(1, 3), (1, 2), (1, 1), (2, 1), (3, 1), (4, 1)]
     assert [bc.dim_at(i) for i in range(len(walk))] == [module.dim_at(w) for w in walk]
+    for path_barcode in (row_zigzag_barcode, col_zigzag_barcode):
+        with pytest.raises(ValueError, match=r"\(5, 1\) outside the 5x4 grid"):
+            path_barcode(bif, (5, 1), 1)
 
 
 def test_row_zigzag_of_one_row_grid_is_ordinary_persistence(random_bif):
@@ -161,10 +169,30 @@ def test_row_zigzag_of_one_row_grid_is_ordinary_persistence(random_bif):
     for seed in (3, 4, 5):
         bif = random_bif(seed, max_simplices=20, nx=6, ny=1)
         for degree in (0, 1):
-            bc = zigzag_barcode(row_zigzag(bif, (5, 0)), degree, 2)
+            bc = row_zigzag_barcode(bif, (5, 0), degree)
             bars = interval_multiplicities(homology_module(bif, degree))
             expect = sorted(iv for iv, mult in bars.items() for _ in range(mult))
             assert sorted(bc.intervals) == expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 2**31 - 1]),
+    degree=st.sampled_from([0, 1, 2]),
+    n_vert=st.integers(1, 8),
+    grid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 10**6),
+)
+@example(p=3, degree=1, n_vert=5, grid=(4, 4), seed=0)
+@example(p=2**31 - 1, degree=2, n_vert=8, grid=(3, 4), seed=9)
+def test_path_barcodes_match_the_subspace_oracle(p, degree, n_vert, grid, seed):
+    # the flag walks against the event lists and subspace pushes, at
+    # every point of the grid; zero-dimensional stations restart a walk,
+    # and the second example has H_2 of dimension 3 at the top corner
+    bif = clique_bifiltration(seed, n_vert, 0.6, *grid, p)
+    for t in np.ndindex(*grid):
+        assert row_zigzag_barcode(bif, t, degree) == zigzag_barcode(row_zigzag(bif, t), degree, p), t
+        assert col_zigzag_barcode(bif, t, degree) == zigzag_barcode(col_zigzag(bif, t), degree, p), t
 
 
 def test_zbar_roundtrip_and_validation():
