@@ -214,6 +214,9 @@ def cmd_decompose(args) -> int:
 
     ext = _ext(args.infile)
     if ext == ".rank":
+        for flag, value in (("--degree", args.degree), ("--method", args.method), ("--field", args.field)):
+            if value is not None:
+                raise CliError(f"{flag} does not apply to .rank inputs")
         inv = _read_rank(args.infile)
     else:
         inv = _rank_of_input(args)
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("decompose-rectangles", help="rectangle barcode of a rank invariant")
-    p.add_argument("infile", help=".rank, .bif, or .gmod input")
+    p.add_argument("infile", help=".rank, .bif, .gmod, or .fres input")
     p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     p.add_argument("--method", choices=["dp", "naive"], help="rank method for .bif inputs")
     p.add_argument("--strict", action="store_true", help="exit 2 on negative multiplicities")
@@ -376,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=["zigzag", "algebraic", "geometric"],
         help="zigzag (default): the rank invariant against the kappa/iota tables, one pairing per grid point, "
-        "both from one presentation for a .bif; algebraic or geometric: subspace checkers pair by pair, "
-        "on the homology module for a .bif",
+        "both from one presentation for a .bif; algebraic or geometric: the explicit checkers, on ranks of the "
+        "maps of each comparable pair's square, on the homology module for a .bif",
     )
     p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     add_field(p)

@@ -5,7 +5,10 @@ A module assigns a vector space over F_p to every point of the grid
 unit squares is the validation contract.  Composite maps, the rank
 invariant, dualization and the square-local invariants used by the
 explicit-module exactness checkers all live here, together with the
-.gmod/.rank file formats.
+.gmod/.rank file formats.  The square invariants are ranks: the
+dimensions of an intersection of images and of a sum of kernels come
+from the rank of the two maps side by side and stacked, so no
+subspace is built.
 
 Grid points are 0-based (x, y) tuples in code; the file formats use
 1-based coordinates.
@@ -30,15 +33,7 @@ from .ioutil import (
     parse_int,
     row_capacity,
 )
-from .linalg import (
-    check_modulus,
-    image_basis,
-    kernel_basis,
-    matmul,
-    rank,
-    subspace_intersect,
-    subspace_sum,
-)
+from .linalg import check_modulus, matmul, rank
 
 SQUARE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abc", "bcd", "abcd")
 
@@ -549,7 +544,12 @@ class SquareBarcode(dict):
 
 
 def invariants_of_square(module: GridModule, s, t) -> SquareInvariants:
-    """Compute the eleven square invariants with exact linear algebra."""
+    """Compute the eleven square invariants from ranks.
+
+    Im bd + Im cd is the image of [bd | cd], so i_d = r_bd + r_cd -
+    rank [bd | cd]; Ker ab ∩ Ker ac is the kernel of [ab; ac], so
+    k_a = (dim_a - r_ab) + (dim_a - r_ac) - (dim_a - rank [ab; ac]).
+    """
     s, t = tuple(s), tuple(t)
     bpt, cpt = (t[0], s[1]), (s[0], t[1])
     p = module.p
@@ -557,21 +557,20 @@ def invariants_of_square(module: GridModule, s, t) -> SquareInvariants:
     ac = module.composite(s, cpt)
     bd = module.composite(bpt, t)
     cd = module.composite(cpt, t)
-    ad = module.composite(s, t)
-    i_d = subspace_intersect(image_basis(bd, p), image_basis(cd, p)).dim
-    k_a = subspace_sum(kernel_basis(ab, p), kernel_basis(ac, p)).dim
+    r_ab, r_ac, r_bd, r_cd = (rank(m, p) for m in (ab, ac, bd, cd))
+    dim_a = module.dim_at(s)
     return SquareInvariants(
-        dim_a=module.dim_at(s),
+        dim_a=dim_a,
         dim_b=module.dim_at(bpt),
         dim_c=module.dim_at(cpt),
         dim_d=module.dim_at(t),
-        r_ab=rank(ab, p),
-        r_ac=rank(ac, p),
-        r_bd=rank(bd, p),
-        r_cd=rank(cd, p),
-        r_ad=rank(ad, p),
-        i_d=i_d,
-        k_a=k_a,
+        r_ab=r_ab,
+        r_ac=r_ac,
+        r_bd=r_bd,
+        r_cd=r_cd,
+        r_ad=rank(module.composite(s, t), p),
+        i_d=r_bd + r_cd - rank(np.hstack((bd, cd)), p),
+        k_a=dim_a - r_ab - r_ac + rank(np.vstack((ab, ac)), p),
     )
 
 
@@ -610,24 +609,30 @@ def is_weakly_exact_algebraic(module: GridModule):
     """Check Im rho_s^t = Im(b->t) ∩ Im(c->t) and the kernel-sum dual.
 
     Both conditions are one-sided inclusions by commutativity, so each
-    is tested as a dimension equality.  Returns (True, None) or
-    (False, (s, t)) with the lexicographically smallest failing pair.
+    is tested as a dimension equality on the ranks of
+    `invariants_of_square`: r(s->t) = i_d and dim_a - r(s->t) = k_a,
+    the latter being r(s->t) = r(a->b) + r(a->c) - rank [ab; ac].  The
+    rank of a single composite is taken once, for every pair it serves.
+    Returns (True, None) or (False, (s, t)) with the lexicographically
+    smallest failing pair.
     """
     p = module.p
+    ranks: dict = {}
+
+    def r(u, v):
+        got = ranks.get((u, v))
+        if got is None:
+            got = ranks[u, v] = rank(module.composite(u, v), p)
+        return got
+
     for s, t in comparable_pairs(module.nx, module.ny):
         bpt, cpt = (t[0], s[1]), (s[0], t[1])
-        r_st = rank(module.composite(s, t), p)
-        i_d = subspace_intersect(
-            image_basis(module.composite(bpt, t), p),
-            image_basis(module.composite(cpt, t), p),
-        ).dim
-        if r_st != i_d:
+        r_st = r(s, t)
+        bd, cd = module.composite(bpt, t), module.composite(cpt, t)
+        if r_st != r(bpt, t) + r(cpt, t) - rank(np.hstack((bd, cd)), p):
             return False, (s, t)
-        k_a = subspace_sum(
-            kernel_basis(module.composite(s, bpt), p),
-            kernel_basis(module.composite(s, cpt), p),
-        ).dim
-        if module.dim_at(s) - r_st != k_a:
+        ab, ac = module.composite(s, bpt), module.composite(s, cpt)
+        if r_st != r(s, bpt) + r(s, cpt) - rank(np.vstack((ab, ac)), p):
             return False, (s, t)
     return True, None
 

@@ -20,10 +20,11 @@ keeps a basis adapted to the images of the earlier spaces
 (`flag_step`, on the same reducer), and `pair_flags` pairs two such
 flags in one space: the kappa/iota tables of the check path pair two
 walks at each grid point, and `zigzag-barcode` walks the two legs of
-one path into its apex.  The reducer also counts kernel dimensions in
-`resolution.graded_kernel_basis`.  It is the only elimination: `rref`
-is the block of the rows, and `rank`, `kernel_basis`, `extend_basis`,
-`solve_matrix` and the subspace operations all run on it.
+one path into its apex.  `resolution.graded_kernel_basis` reads its
+kernels off the reducer too, feeding it columns stacked on an identity
+block.  It is the only elimination: `rref` is the block of the rows,
+and `rank`, `kernel_basis`, `extend_basis` and `solve_matrix` run on
+it.  `kernel_basis` and `Subspace` serve `bifiltration.homology_basis`.
 """
 
 from __future__ import annotations
@@ -279,7 +280,10 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    return _reduced_rows(m, p).rank if np.count_nonzero(m) else 0
+    """Row rank = column rank: the reducer takes the shorter side's vectors."""
+    if not np.count_nonzero(m):
+        return 0
+    return _reduced_rows(m if m.shape[0] <= m.shape[1] else m.T, p).rank
 
 
 def pair_counts(columns, k: int, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:
@@ -374,14 +378,6 @@ class Subspace:
         r, piv = rref(cols.T, p)
         return cls(cols.shape[0], r[: len(piv)].T.copy(), p)
 
-    @classmethod
-    def zero(cls, ambient_dim: int, p: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.int64), p)
-
-    @classmethod
-    def full(cls, ambient_dim: int, p: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=np.int64), p)
-
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -400,25 +396,16 @@ class Subspace:
 
 
 def kernel_basis(m: np.ndarray, p: int) -> Subspace:
-    """Null space {v : m v = 0} as a canonical Subspace of F_p^cols."""
-    rows, cols = m.shape
-    if cols == 0:
-        return Subspace.zero(0, p)
-    if rows == 0:
-        return Subspace.full(cols, p)
+    """Null space {v : m v = 0} as a canonical Subspace of F_p^cols: the
+    vector e_j - sum_i R[i, j] e_(pivot i) for every free column j of
+    R = rref(m), canonicalized."""
+    cols = m.shape[1]
     r, piv = rref(m, p)
-    free = [j for j in range(cols) if j not in piv]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-        for i, pc in enumerate(piv):
-            basis[pc, k] = (-r[i, j]) % p
+    free = np.setdiff1d(np.arange(cols), piv)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[piv] = -r[: len(piv), free] % p
     return Subspace.from_columns(basis, p)
-
-
-def image_basis(m: np.ndarray, p: int) -> Subspace:
-    """Column space of m as a canonical Subspace of F_p^rows."""
-    return Subspace.from_columns(m, p)
 
 
 def extend_basis(base: np.ndarray, candidates: np.ndarray, p: int) -> list[int]:
@@ -431,25 +418,6 @@ def extend_basis(base: np.ndarray, candidates: np.ndarray, p: int) -> list[int]:
     """
     reducer = _reduced_rows(base.T, p)
     return [j for j, v in enumerate(ColumnReducer.columns(candidates, p)) if reducer.add(v) is not None]
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim or a.p != b.p:
-        raise ValueError("subspace sum needs a common ambient space")
-    return Subspace.from_columns(np.hstack([a.basis, b.basis]), a.p)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of [A | -B]."""
-    if a.ambient_dim != b.ambient_dim or a.p != b.p:
-        raise ValueError("subspace intersection needs a common ambient space")
-    p = a.p
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim, p)
-    stacked = np.hstack([a.basis, (-b.basis) % p])
-    ker = kernel_basis(stacked, p)
-    vecs = matmul(a.basis, ker.basis[: a.dim], p)
-    return Subspace.from_columns(vecs, p)
 
 
 def solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:

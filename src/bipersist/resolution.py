@@ -37,7 +37,6 @@ from .linalg import (
     ColumnReducer,
     check_modulus,
     extend_basis,
-    kernel_basis,
     matmul,
     rank,
     solve_matrix,
@@ -142,50 +141,55 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     parameters are free modules, so the union over the sweep restricts
     to a basis of the kernel at every single grid point.
 
-    Only points that gain a generator solve anything.  One
-    `ColumnReducer` per row y takes the columns with g_y <= y in rising
-    g_x, so its rank gives dim ker at every (x, y) of the row.  The
-    generators found <= t are independent (those <= (x-1, y) and those
-    <= (x, y-1) are bases of two kernels that meet in the kernel at
-    (x-1, y-1), of which they share a basis), so where dim ker equals
-    their number the completion would add nothing and the point is
-    skipped.
+    The kernel comes from the reduction that already runs, R = D V
+    (Edelsbrunner & Harer, Computational Topology, VII.1), with V
+    tracked by stacking: one `ColumnReducer` per row y takes the
+    columns of [mat; I] with g_y <= y in rising g_x, and admits every
+    one of them.  A combination of columns whose mat part vanishes is
+    a kernel vector in its lower part, so with k = mat.shape[0], dim ker
+    at every (x, y) of the row is the number of leads at or past row k,
+    and the block rows with those leads, cut to their lower part, are
+    the reduced row echelon basis of the kernel, in full column
+    coordinates.  The generators found <= t are independent (those
+    <= (x-1, y) and those <= (x, y-1) are bases of two kernels that meet
+    in the kernel at (x-1, y-1), of which they share a basis), so where
+    dim ker equals their number the completion would add nothing and
+    the point is skipped.
 
     Returns (basis, grades): basis columns live in full column
     coordinates and vanish outside columns of grade <= their own.
     """
-    cols = mat.shape[1]
+    k, cols = mat.shape
     cg = np.array([(int(g[0]), int(g[1])) for g in col_grades], dtype=np.int64).reshape(-1, 2)
     if len(cg) != cols:
         raise ValueError("one grade per column required")
-    vectors = ColumnReducer.columns(mat, p)
+    vectors = ColumnReducer.columns(np.vstack((mat, np.eye(cols, dtype=np.int64))), p)
     by_x = np.argsort(cg[:, 0], kind="stable")
     found: list[np.ndarray] = []
     grades: list[tuple[int, int]] = []
     found_at_x = [0] * nx  # generators found so far with g_x = x, all with g_y <= y
     for y in range(ny):
-        reducer = ColumnReducer(mat.shape[0], p)
+        reducer = ColumnReducer(k + cols, p)
         row = by_x[cg[by_x, 1] <= y]
         present = np.searchsorted(cg[row, 0], np.arange(nx), side="right")  # columns <= (x, y)
+        kernel_dim = 0
         seen = 0  # generators found <= (x, y)
         for x in range(nx):
             for j in row[present[x - 1] if x else 0 : present[x]]:
-                reducer.add(vectors[j])
+                kernel_dim += reducer.add(vectors[j]) >= k
             seen += found_at_x[x]
-            if present[x] - reducer.rank == seen:
+            if kernel_dim == seen:
                 continue
             t = (x, y)
-            mask = (cg[:, 0] <= x) & (cg[:, 1] <= y)
-            ker = kernel_basis(mat[:, mask], p)
-            emb = np.zeros((cols, ker.dim), dtype=np.int64)
-            emb[mask] = ker.basis
+            rows, leads = reducer.block()
+            ker = rows[leads >= k, k:].T
             old = [v for v, g in zip(found, grades) if _leq(g, t)]
             base = np.column_stack(old) if old else np.zeros((cols, 0), dtype=np.int64)
-            for j in extend_basis(base, emb, p):
-                found.append(emb[:, j])
-                grades.append(t)
-                found_at_x[x] += 1
-                seen += 1
+            born = ker[:, extend_basis(base, ker, p)]  # a copy, so no generator keeps all of ker alive
+            found.extend(born.T)
+            grades += [t] * born.shape[1]
+            found_at_x[x] += born.shape[1]
+            seen += born.shape[1]
     basis = np.column_stack(found) if found else np.zeros((cols, 0), dtype=np.int64)
     return basis, grades
 

@@ -167,9 +167,9 @@ def check_module(module: GridModule, method: str = "zigzag"):
     tables of `kappa_iota`, one two-flag pairing per grid point, and
     gives the reasons of `check_rectangle_decomposable`; a grid past the
     dense-table cap is refused before any work.  "algebraic" tests the
-    kernel/image equalities pair by pair with subspace arithmetic, and
-    "geometric" looks for hooks in square barcodes.  The three give the
-    same verdict and the same first witness pair.
+    kernel/image equalities pair by pair on ranks, and "geometric"
+    looks for hooks in square barcodes.  The three give the same
+    verdict and the same first witness pair.
     """
     if method == "zigzag":
         check_table_grid(module.nx, module.ny, 3)

@@ -7,8 +7,9 @@ fully faithful grid embeddings and pointwise right Kan extensions, the
 dart family and its staircase, Hom spaces by naturality equations, a
 randomized isomorphism confirmer, restriction to a subgrid, the
 eleven-by-eleven square invariant matrix, strong exactness, the rank
-invariant of a sum of rectangles and zigzag spanning counts, and the
-zigzag oracle: insert/delete event lists along the row and column
+invariant of a sum of rectangles and zigzag spanning counts, the
+subspace oracle (images, sums and intersections of subspaces, which
+the package's checkers count by ranks instead), and the zigzag oracle: insert/delete event lists along the row and column
 paths, and barcodes of explicit zigzag modules by pushing two nested
 subspaces from every left endpoint.  None of it is on a path the CLI
 runs.
@@ -54,6 +55,33 @@ def invertible(m: np.ndarray, p: int) -> bool:
 def contains(space: Subspace, vec) -> bool:
     v = asmatrix(vec, space.p)
     return rank(np.hstack([space.basis, v]), space.p) == space.dim
+
+
+# -- subspace oracle: the arithmetic that the package replaces by ranks ----
+
+
+def image_basis(m: np.ndarray, p: int) -> Subspace:
+    """Column space of m as a canonical Subspace of F_p^rows."""
+    return Subspace.from_columns(m, p)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    if a.ambient_dim != b.ambient_dim or a.p != b.p:
+        raise ValueError("subspace sum needs a common ambient space")
+    return Subspace.from_columns(np.hstack([a.basis, b.basis]), a.p)
+
+
+def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection via the kernel of [A | -B]."""
+    if a.ambient_dim != b.ambient_dim or a.p != b.p:
+        raise ValueError("subspace intersection needs a common ambient space")
+    p = a.p
+    if a.dim == 0 or b.dim == 0:
+        return Subspace(a.ambient_dim, np.zeros((a.ambient_dim, 0), dtype=np.int64), p)
+    stacked = np.hstack([a.basis, (-b.basis) % p])
+    ker = kernel_basis(stacked, p)
+    vecs = matmul(a.basis, ker.basis[: a.dim], p)
+    return Subspace.from_columns(vecs, p)
 
 
 # -- grid modules ----------------------------------------------------------
@@ -309,8 +337,8 @@ def module_barcode(dims, arrows, p: int) -> list:
         mats.append((direction, mat))
     r = np.zeros((k, k), dtype=np.int64)
     for i in range(k):
-        live = Subspace.full(dims[i], p)
-        newborn = Subspace.zero(dims[i], p)
+        live = Subspace(dims[i], np.eye(dims[i], dtype=np.int64), p)
+        newborn = Subspace(dims[i], np.zeros((dims[i], 0), dtype=np.int64), p)
         r[i, i] = dims[i]
         for j in range(i + 1, k):
             direction, mat = mats[j - 1]

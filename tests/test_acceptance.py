@@ -23,13 +23,7 @@ from bipersist.grid_module import (
     invariants_of_square,
     rank_invariant_naive,
 )
-from bipersist.linalg import (
-    image_basis,
-    kernel_basis,
-    rank,
-    subspace_intersect,
-    subspace_sum,
-)
+from bipersist.linalg import kernel_basis, rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import decompose
 from bipersist.resolution import free_resolution, read_fres, validate_resolution
@@ -47,6 +41,7 @@ from paperlib import (
     dart_embedding,
     hom_dim,
     hom_dim_poset,
+    image_basis,
     indicator_poset_module,
     interval_multiplicities,
     is_strongly_exact,
@@ -56,6 +51,8 @@ from paperlib import (
     restrict,
     square_invariant_matrix,
     square_vector,
+    subspace_intersect,
+    subspace_sum,
 )
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)

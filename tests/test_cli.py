@@ -109,6 +109,18 @@ def test_rank_method_routing_errors(tmp_path, capsys):
     assert main(["rank", str(tmp_path / "tri.txt")]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--degree", "3"), ("--method", "naive"), ("--field", "7")])
+def test_decompose_refuses_the_flags_a_rank_input_ignores(tmp_path, capsys, flag, value):
+    # a .rank holds the ranks of one module and no field, so these
+    # flags could only be ignored; the refusal names the flag
+    rank_file, out = tmp_path / "t.rank", tmp_path / "t.barcode"
+    assert main(["rank", write_triangle(tmp_path), "-o", str(rank_file)]) == 0
+    capsys.readouterr()
+    assert main(["decompose-rectangles", str(rank_file), flag, value, "-o", str(out)]) == 1
+    assert flag in capsys.readouterr().err and not out.exists()
+    assert main(["decompose-rectangles", str(rank_file), "-o", str(out)]) == 0
+
+
 def test_field_flag_must_match_file(tmp_path, capsys):
     bif = write_triangle(tmp_path, p=5)
     assert main(["rank", bif, "--field", "5", "-o", str(tmp_path / "x.rank")]) == 0

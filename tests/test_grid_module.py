@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipersist import ioutil
-from bipersist.constructions import example, random_rectangle_module
+from bipersist.bifiltration import homology_module
+from bipersist.constructions import example, indecgrid, random_rectangle_module
 from bipersist.grid_module import (
     DP_GRID_CAP,
     SQUARE_LABELS,
@@ -29,7 +30,7 @@ from bipersist.grid_module import (
     write_gmod,
 )
 from bipersist.linalg import MAX_MODULUS, matmul, rank
-from conftest import INT64, reference_rank_from_text
+from conftest import INT64, clique_bifiltration, kappa_iota_naive, reference_rank_from_text
 from paperlib import hom_dim, is_strongly_exact, restrict, square_invariant_matrix, square_vector
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
@@ -435,6 +436,27 @@ def test_invariants_of_square_interval_modules():
     assert square_vector(inv).tolist() == [1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0]
     inv = invariants_of_square(interval_module("bd"), (0, 0), (1, 1))
     assert square_vector(inv).tolist() == [0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0]
+
+
+def rank_formula_modules(p):
+    for seed in range(4):
+        yield random_rectangle_module(5, 4, 10, seed=seed, p=p)[0]
+    for n in range(2, 6):
+        yield indecgrid(n, p)
+    for seed in range(3):
+        for degree in (0, 1):
+            yield homology_module(clique_bifiltration(seed, 7, 0.6, 5, 4, p), degree)
+
+
+@pytest.mark.parametrize("p", (2, 3, MAX_MODULUS))
+def test_square_ranks_give_the_subspace_dimensions(p):
+    # i_d = r_bd + r_cd - rank [bd | cd] and k_a = dim_a - r_ab - r_ac +
+    # rank [ab; ac], against the subspace oracle at every comparable pair
+    for module in rank_formula_modules(p):
+        oracle = kappa_iota_naive(module)
+        for s, t in comparable_pairs(module.nx, module.ny):
+            inv = invariants_of_square(module, s, t)
+            assert (inv.i_d, inv.k_a) == (oracle.iota[s + t], oracle.kappa[s + t]), (s, t)
 
 
 def test_square_invariant_matrix_vs_bruteforce():

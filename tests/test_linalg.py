@@ -11,7 +11,6 @@ from bipersist.linalg import (
     ColumnReducer,
     Subspace,
     extend_basis,
-    image_basis,
     inv_mod,
     is_prime,
     kernel_basis,
@@ -19,11 +18,18 @@ from bipersist.linalg import (
     rank,
     rref,
     solve_matrix,
+)
+from conftest import reference_kernel_basis, reference_rank, reference_rref
+from paperlib import (
+    contains,
+    image_basis,
+    image_of_subspace,
+    invertible,
+    preimage_of_subspace,
+    solve,
     subspace_intersect,
     subspace_sum,
 )
-from conftest import reference_rank, reference_rref
-from paperlib import contains, image_of_subspace, invertible, preimage_of_subspace, solve
 
 
 def span_set(cols, p):
@@ -212,6 +218,26 @@ def test_rref_matches_the_row_by_row_reference(p, rows, cols, seed):
     got, piv = rref(m, p)
     assert piv == want_piv and got.dtype == np.int64 and np.array_equal(got, want)
     assert rank(m, p) == len(want_piv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, MAX_MODULUS]),
+    rows=st.sampled_from([0, 1, 2, 5, 9]),
+    cols=st.sampled_from([0, 1, 2, 7, 65]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_basis_matches_the_row_by_row_reference(p, rows, cols, seed):
+    # 0-row (the kernel is everything), 0-column, all-zero and
+    # rank-deficient matrices; the canonical basis is unique, so the
+    # fancy-indexed construction must give the reference's exactly
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(rows, cols) + 1))
+    m = matmul(rng.integers(0, p, (rows, r)), rng.integers(0, p, (r, cols)), p)
+    m[:, rng.random(cols) < 0.2] = 0
+    got, want = kernel_basis(m, p), reference_kernel_basis(m, p)
+    assert got == want and got.basis.dtype == np.int64
+    assert got.dim == cols - reference_rank(m, p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -63,6 +63,34 @@ def test_only_column_reducer_normalises_a_pivot():
     assert inside and outside == []
 
 
+# The production paths take kernels from the reductions they run and
+# kernel/image dimensions from ranks; a dense per-point kernel or a
+# subspace object coming back into one of them needs one of these names.
+DENSE_KERNEL = {"kernel_basis", "Subspace", "rref"}
+SUBSPACE_HELPERS = DENSE_KERNEL | {"image_basis", "subspace_sum", "subspace_intersect", "extend_basis"}
+
+
+def _identifiers(name):
+    """Every name a module imports, reads or reads as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_production_paths_use_no_dense_kernel_or_subspace_helper():
+    for name in ("resolution.py", "rank_dp.py", "weakexact.py"):
+        assert _identifiers(name) & DENSE_KERNEL == set(), name
+    assert _identifiers("grid_module.py") & SUBSPACE_HELPERS == set()
+    assert "kernel_basis" in _identifiers("bifiltration.py")  # the scan sees imports
+
+
 def _names_in(nodes, quoted=False):
     """Names read by expressions evaluated in module scope; with
     `quoted`, a string in them (an annotation) is read as the expression

@@ -11,13 +11,7 @@ from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from bipersist.grid_module import GridModule, GridTooLargeError, RankInvariant, rank_invariant_naive
 from bipersist.ioutil import InvariantError
-from bipersist.linalg import (
-    MAX_MODULUS,
-    image_basis,
-    kernel_basis,
-    subspace_intersect,
-    subspace_sum,
-)
+from bipersist.linalg import MAX_MODULUS, kernel_basis
 from bipersist.weakexact import (
     check_bifiltration,
     check_module,
@@ -27,7 +21,14 @@ from bipersist.weakexact import (
 )
 from bipersist.zigzag import ZigzagBarcode
 from conftest import clique_bifiltration, kappa_iota_naive
-from paperlib import count_spanning, is_strongly_exact, module_barcode
+from paperlib import (
+    count_spanning,
+    image_basis,
+    is_strongly_exact,
+    module_barcode,
+    subspace_intersect,
+    subspace_sum,
+)
 
 
 def rand_mat(rng, rows, cols, p):
