@@ -5,7 +5,9 @@ brute force: `homology_basis` and `homology_map` at single points,
 which the `zigzag-barcode` subcommand solves along its path, and
 `homology_module` over the whole grid, which `rank --method naive` and
 `check-rectangle --method algebraic|geometric` take for a `.bif` and
-the tests take as the oracle of the presentation route.
+the tests take as the oracle of the presentation route.  Each point's
+cycles and representatives come from `linalg.ColumnReducer`, as the
+graded kernel basis of `resolution` does: no dense kernel is solved.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .grid_module import GridModule
 from .ioutil import FormatError, InvariantError, logical_lines, parse_int
-from .linalg import Subspace, check_modulus, extend_basis, kernel_basis, solve_matrix
+from .linalg import ColumnReducer, check_modulus, solve_matrix
 
 Simplex = tuple[int, ...]
 
@@ -142,26 +144,41 @@ class HomologyBasis:
 
 
 def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -> HomologyBasis:
-    """H_degree of the subcomplex on `present`, boundaries-first completion."""
+    """H_degree of the subcomplex on `present`, boundaries-first completion.
+
+    One `ColumnReducer` takes the columns of [d_q; I] on the present
+    q-simplices, d_q having k rows: a combination whose d_q part
+    vanishes is a cycle in its lower part, so the block rows with lead
+    >= k, cut to their lower part, are the reduced row echelon basis of
+    the cycles.  The block depends only on the span, so the columns go
+    in last first: a column that reduces to a cycle then leads at its
+    own identity row, which no column admitted before it holds, and
+    cycles never collide with each other.  A second reducer over
+    F_p^(n_q) takes the present boundary columns, and its block is the
+    reduced row echelon basis of the boundaries; then it takes the
+    cycles, and those it admits, being independent of the boundaries
+    and of each other, are the representatives.
+    """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
     p = bif.p
     present = set(present)
-    q_list = bif.by_dim.get(degree, [])
-    n_q = len(q_list)
-    cycles = np.zeros((n_q, 0), dtype=np.int64)
-    if n_q:
-        mask = np.fromiter((s in present for s in q_list), dtype=bool, count=n_q)
-        ker = kernel_basis(bif.boundary_matrix(degree)[:, mask], p)
-        cycles = np.zeros((n_q, ker.dim), dtype=np.int64)
-        cycles[mask] = ker.basis
-    up_list = bif.by_dim.get(degree + 1, [])
-    bnd_cols = np.zeros((n_q, 0), dtype=np.int64)
-    if up_list:
-        umask = np.fromiter((s in present for s in up_list), dtype=bool, count=len(up_list))
-        bnd_cols = bif.boundary_matrix(degree + 1)[:, umask]
-    bnd = Subspace.from_columns(bnd_cols, p).basis
-    sel = extend_basis(bnd, cycles, p)
+    q_list, up_list = bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
+    mask = np.fromiter((s in present for s in q_list), dtype=bool, count=len(q_list))
+    umask = np.fromiter((s in present for s in up_list), dtype=bool, count=len(up_list))
+    d_q = bif.boundary_matrix(degree)[:, mask]
+    k, m = d_q.shape
+    cycle_space = ColumnReducer(k + m, p)
+    for v in ColumnReducer.columns(np.vstack((d_q, np.eye(m, dtype=np.int64)))[:, ::-1], p):
+        cycle_space.add(v)
+    rows, leads = cycle_space.block()
+    cycles = np.zeros((len(q_list), int(np.count_nonzero(leads >= k))), dtype=np.int64)
+    cycles[mask] = rows[leads >= k, k:].T
+    span = ColumnReducer(len(q_list), p)
+    for v in ColumnReducer.columns(bif.boundary_matrix(degree + 1)[:, umask], p):
+        span.add(v)
+    bnd = span.block()[0].T
+    sel = [j for j, v in enumerate(ColumnReducer.columns(cycles, p)) if span.add(v) is not None]
     return HomologyBasis(reps=cycles[:, sel], boundaries=bnd, dim=len(sel))
 
 

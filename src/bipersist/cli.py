@@ -172,19 +172,17 @@ def cmd_validate(args) -> int:
 
 
 def _rank_of_input(args):
-    from .grid_module import rank_invariant_naive
+    from .grid_module import check_table_grid, rank_invariant_naive
 
     ext = _ext(args.infile)
     degree = args.degree
     if ext == ".bif":
         bif = _load_bif(args.infile, args.field)
-        method = args.method or "dp"
-        if method == "dp":
-            from .grid_module import check_table_grid
+        check_table_grid(bif.nx, bif.ny)  # refuse before building the presentation or the module
+        if (args.method or "dp") == "dp":
             from .rank_dp import rank_from_resolution
             from .resolution import presentation
 
-            check_table_grid(bif.nx, bif.ny)  # refuse before building the presentation
             return rank_from_resolution(presentation(bif, degree or 0))
         from .bifiltration import homology_module
 

@@ -543,34 +543,58 @@ class SquareBarcode(dict):
         return self.hooks == 0
 
 
-def invariants_of_square(module: GridModule, s, t) -> SquareInvariants:
-    """Compute the eleven square invariants from ranks.
+def _composite_ranks(module: GridModule):
+    """r(u, v): the rank of the composite u -> v, taken once per pair."""
+    ranks: dict = {}
+
+    def r(u, v):
+        got = ranks.get((u, v))
+        if got is None:
+            got = ranks[u, v] = rank(module.composite(u, v), module.p)
+        return got
+
+    return r
+
+
+def _meet_ranks(module: GridModule, s, t, r) -> tuple[int, int]:
+    """(i_d, k_a) of the square s <= t, from ranks; r(u, v) is the rank
+    of the composite u -> v.
 
     Im bd + Im cd is the image of [bd | cd], so i_d = r_bd + r_cd -
     rank [bd | cd]; Ker ab ∩ Ker ac is the kernel of [ab; ac], so
     k_a = (dim_a - r_ab) + (dim_a - r_ac) - (dim_a - rank [ab; ac]).
     """
+    bpt, cpt = (t[0], s[1]), (s[0], t[1])
+    ab, ac = module.composite(s, bpt), module.composite(s, cpt)
+    bd, cd = module.composite(bpt, t), module.composite(cpt, t)
+    i_d = r(bpt, t) + r(cpt, t) - rank(np.hstack((bd, cd)), module.p)
+    k_a = module.dim_at(s) - r(s, bpt) - r(s, cpt) + rank(np.vstack((ab, ac)), module.p)
+    return i_d, k_a
+
+
+def invariants_of_square(module: GridModule, s, t, r=None) -> SquareInvariants:
+    """Compute the eleven square invariants from ranks (`_meet_ranks`).
+
+    r(u, v) gives the rank of a single composite; the checkers pass one
+    `_composite_ranks` for every square, so each rank is taken once.
+    """
     s, t = tuple(s), tuple(t)
     bpt, cpt = (t[0], s[1]), (s[0], t[1])
-    p = module.p
-    ab = module.composite(s, bpt)
-    ac = module.composite(s, cpt)
-    bd = module.composite(bpt, t)
-    cd = module.composite(cpt, t)
-    r_ab, r_ac, r_bd, r_cd = (rank(m, p) for m in (ab, ac, bd, cd))
-    dim_a = module.dim_at(s)
+    if r is None:
+        r = _composite_ranks(module)
+    i_d, k_a = _meet_ranks(module, s, t, r)
     return SquareInvariants(
-        dim_a=dim_a,
+        dim_a=module.dim_at(s),
         dim_b=module.dim_at(bpt),
         dim_c=module.dim_at(cpt),
         dim_d=module.dim_at(t),
-        r_ab=r_ab,
-        r_ac=r_ac,
-        r_bd=r_bd,
-        r_cd=r_cd,
-        r_ad=rank(module.composite(s, t), p),
-        i_d=r_bd + r_cd - rank(np.hstack((bd, cd)), p),
-        k_a=dim_a - r_ab - r_ac + rank(np.vstack((ab, ac)), p),
+        r_ab=r(s, bpt),
+        r_ac=r(s, cpt),
+        r_bd=r(bpt, t),
+        r_cd=r(cpt, t),
+        r_ad=r(s, t),
+        i_d=i_d,
+        k_a=k_a,
     )
 
 
@@ -609,38 +633,29 @@ def is_weakly_exact_algebraic(module: GridModule):
     """Check Im rho_s^t = Im(b->t) ∩ Im(c->t) and the kernel-sum dual.
 
     Both conditions are one-sided inclusions by commutativity, so each
-    is tested as a dimension equality on the ranks of
-    `invariants_of_square`: r(s->t) = i_d and dim_a - r(s->t) = k_a,
-    the latter being r(s->t) = r(a->b) + r(a->c) - rank [ab; ac].  The
-    rank of a single composite is taken once, for every pair it serves.
-    Returns (True, None) or (False, (s, t)) with the lexicographically
-    smallest failing pair.
+    is tested as a dimension equality on the ranks of `_meet_ranks`:
+    r(s->t) = i_d and dim_a - r(s->t) = k_a.  The rank of a single
+    composite is taken once, for every pair it serves.  Returns
+    (True, None) or (False, (s, t)) with the lexicographically smallest
+    failing pair.
     """
-    p = module.p
-    ranks: dict = {}
-
-    def r(u, v):
-        got = ranks.get((u, v))
-        if got is None:
-            got = ranks[u, v] = rank(module.composite(u, v), p)
-        return got
-
+    r = _composite_ranks(module)
     for s, t in comparable_pairs(module.nx, module.ny):
-        bpt, cpt = (t[0], s[1]), (s[0], t[1])
-        r_st = r(s, t)
-        bd, cd = module.composite(bpt, t), module.composite(cpt, t)
-        if r_st != r(bpt, t) + r(cpt, t) - rank(np.hstack((bd, cd)), p):
-            return False, (s, t)
-        ab, ac = module.composite(s, bpt), module.composite(s, cpt)
-        if r_st != r(s, bpt) + r(s, cpt) - rank(np.vstack((ab, ac)), p):
+        i_d, k_a = _meet_ranks(module, s, t, r)
+        if r(s, t) != i_d or r(s, t) != module.dim_at(s) - k_a:
             return False, (s, t)
     return True, None
 
 
 def is_weakly_exact_geometric(module: GridModule):
-    """Check that no square's interval decomposition contains a hook."""
+    """Check that no square's interval decomposition contains a hook.
+
+    The rank of a single composite is taken once, for every pair it
+    serves, as in `is_weakly_exact_algebraic`.
+    """
+    r = _composite_ranks(module)
     for s, t in comparable_pairs(module.nx, module.ny):
-        barcode = decompose_square(invariants_of_square(module, s, t))
+        barcode = decompose_square(invariants_of_square(module, s, t, r))
         if not barcode.is_rectangular():
             return False, (s, t)
     return True, None

@@ -4,8 +4,8 @@ Matrices are numpy int64 arrays with entries reduced to [0, p).  The
 modulus travels as an explicit argument; containers higher up the stack
 (grid modules, resolutions) carry it once for all their matrices.
 Everything here is deterministic: no pivoting heuristics beyond
-first-nonzero, and subspaces are kept in a canonical reduced echelon
-form so equality is plain array equality.
+first-nonzero, and a reduced basis is the reduced row echelon form of
+its span, so equal spans give equal arrays.
 
 `ColumnReducer` is the one incremental column reducer, one lead-keyed
 algorithm at every p: Python-int bitsets reduced by XOR at p = 2, int64
@@ -20,11 +20,13 @@ keeps a basis adapted to the images of the earlier spaces
 (`flag_step`, on the same reducer), and `pair_flags` pairs two such
 flags in one space: the kappa/iota tables of the check path pair two
 walks at each grid point, and `zigzag-barcode` walks the two legs of
-one path into its apex.  `resolution.graded_kernel_basis` reads its
-kernels off the reducer too, feeding it columns stacked on an identity
-block.  It is the only elimination: `rref` is the block of the rows,
-and `rank`, `kernel_basis`, `extend_basis` and `solve_matrix` run on
-it.  `kernel_basis` and `Subspace` serve `bifiltration.homology_basis`.
+one path into its apex.  `resolution.graded_kernel_basis` and
+`bifiltration.homology_basis` read their kernels off the reducer too,
+feeding it columns stacked on an identity block, and complete a basis
+by adding candidates to a reducer that holds the span so far: it admits
+exactly the candidates independent of that span and of those admitted
+before.  It is the only elimination: `rref` is the block of the rows,
+and `rank` and `solve_matrix` run on it.
 """
 
 from __future__ import annotations
@@ -70,16 +72,6 @@ def check_modulus(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"field modulus {p} is not prime")
     return p
-
-
-def asmatrix(a, p: int) -> np.ndarray:
-    """Coerce to a 2-D int64 array with entries reduced mod p."""
-    m = np.array(a, dtype=np.int64)
-    if m.ndim == 1:
-        m = m.reshape(-1, 1)
-    if m.ndim != 2:
-        raise ValueError("matrix must be 2-dimensional")
-    return np.mod(m, p)
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -184,6 +176,7 @@ class ColumnReducer:
         k, sorted by lead, and the lead of each row; built once per
         rank."""
         if self._block is None or self._block[1].size != self.rank:
+            self._block = None  # the stale block can go while the new one is built
             rows, leads = self._block_gf2() if self.p == 2 else self._block_modp()
             rows.flags.writeable = leads.flags.writeable = False
             self._block = rows, leads
@@ -354,70 +347,6 @@ def pair_flags(flag_a, flag_b, shape, p: int) -> np.ndarray:
     (a, a_birth), (b, b_birth) = flag_a, flag_b
     coords = solve_matrix(a, b, p)[::-1]
     return pair_counts(ColumnReducer.columns(coords, p), a.shape[0], a_birth[::-1], b_birth, shape, p)
-
-
-class Subspace:
-    """A subspace of F_p^n held as a canonical column basis.
-
-    The basis matrix has shape (ambient_dim, dim) and is the reduced
-    column echelon form of any generating set, so two Subspace objects
-    are equal iff their basis arrays are identical.
-    """
-
-    __slots__ = ("ambient_dim", "basis", "p")
-
-    def __init__(self, ambient_dim: int, basis: np.ndarray, p: int):
-        self.ambient_dim = int(ambient_dim)
-        self.basis = basis
-        self.p = p
-
-    @classmethod
-    def from_columns(cls, cols: np.ndarray, p: int) -> "Subspace":
-        """Span of the columns of `cols`, canonicalized."""
-        cols = asmatrix(cols, p)
-        r, piv = rref(cols.T, p)
-        return cls(cols.shape[0], r[: len(piv)].T.copy(), p)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.p == other.p
-            and self.basis.shape == other.basis.shape
-            and bool(np.array_equal(self.basis, other.basis))
-        )
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"
-
-
-def kernel_basis(m: np.ndarray, p: int) -> Subspace:
-    """Null space {v : m v = 0} as a canonical Subspace of F_p^cols: the
-    vector e_j - sum_i R[i, j] e_(pivot i) for every free column j of
-    R = rref(m), canonicalized."""
-    cols = m.shape[1]
-    r, piv = rref(m, p)
-    free = np.setdiff1d(np.arange(cols), piv)
-    basis = np.zeros((cols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[piv] = -r[: len(piv), free] % p
-    return Subspace.from_columns(basis, p)
-
-
-def extend_basis(base: np.ndarray, candidates: np.ndarray, p: int) -> list[int]:
-    """Indices of candidate columns completing span(base) to span(base|candidates).
-
-    The base columns go through one ColumnReducer first, then the
-    candidates in order, and a candidate is chosen when the reducer
-    admits it: when it is independent of span(base) and of the
-    candidates chosen before it.
-    """
-    reducer = _reduced_rows(base.T, p)
-    return [j for j, v in enumerate(ColumnReducer.columns(candidates, p)) if reducer.add(v) is not None]
 
 
 def solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:

@@ -33,14 +33,7 @@ import numpy as np
 from .bifiltration import Bifiltration, homology_module
 from .grid_module import GridModule
 from .ioutil import FormatError, InvariantError, int_rows, parse_int
-from .linalg import (
-    ColumnReducer,
-    check_modulus,
-    extend_basis,
-    matmul,
-    rank,
-    solve_matrix,
-)
+from .linalg import ColumnReducer, check_modulus, matmul, rank, solve_matrix
 
 
 def _leq(a, b) -> bool:
@@ -156,6 +149,13 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     dim ker equals their number the completion would add nothing and
     the point is skipped.
 
+    The completion runs on a second reducer per row, over F_p^cols,
+    that holds the generators <= (x, y) found so far: the earlier rows'
+    join it in rising g_x when a point of the row first needs them, and
+    the row's own when it admits them.  A kernel vector is a new
+    generator when that reducer admits it, which depends only on the
+    span of what it holds.
+
     Returns (basis, grades): basis columns live in full column
     coordinates and vanish outside columns of grade <= their own.
     """
@@ -167,29 +167,32 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     by_x = np.argsort(cg[:, 0], kind="stable")
     found: list[np.ndarray] = []
     grades: list[tuple[int, int]] = []
-    found_at_x = [0] * nx  # generators found so far with g_x = x, all with g_y <= y
+    joins: list = []  # the generators in the form `ColumnReducer.add` takes
     for y in range(ny):
         reducer = ColumnReducer(k + cols, p)
+        span = ColumnReducer(cols, p)
         row = by_x[cg[by_x, 1] <= y]
         present = np.searchsorted(cg[row, 0], np.arange(nx), side="right")  # columns <= (x, y)
+        gx = np.array([g[0] for g in grades], dtype=np.int64)
+        earlier = np.argsort(gx, kind="stable")  # the earlier rows' generators
+        upto = np.searchsorted(gx[earlier], np.arange(nx), side="right")  # those <= (x, y)
         kernel_dim = 0
-        seen = 0  # generators found <= (x, y)
+        joined = 0  # earlier generators in span
         for x in range(nx):
             for j in row[present[x - 1] if x else 0 : present[x]]:
                 kernel_dim += reducer.add(vectors[j]) >= k
-            seen += found_at_x[x]
-            if kernel_dim == seen:
+            if kernel_dim == span.rank + upto[x] - joined:  # generators found <= (x, y)
                 continue
-            t = (x, y)
+            for g in earlier[joined : upto[x]]:
+                span.add(joins[g])
+            joined = upto[x]
             rows, leads = reducer.block()
             ker = rows[leads >= k, k:].T
-            old = [v for v, g in zip(found, grades) if _leq(g, t)]
-            base = np.column_stack(old) if old else np.zeros((cols, 0), dtype=np.int64)
-            born = ker[:, extend_basis(base, ker, p)]  # a copy, so no generator keeps all of ker alive
-            found.extend(born.T)
-            grades += [t] * born.shape[1]
-            found_at_x[x] += born.shape[1]
-            seen += born.shape[1]
+            born = ker[:, [j for j, v in enumerate(ColumnReducer.columns(ker, p)) if span.add(v) is not None]]
+            del rows, ker  # so that neither is held while the next block is built
+            found.extend(born.T)  # born is a copy, so no generator keeps all of ker alive
+            grades += [(x, y)] * born.shape[1]
+            joins.extend(ColumnReducer.columns(born, p))
     basis = np.column_stack(found) if found else np.zeros((cols, 0), dtype=np.int64)
     return basis, grades
 

@@ -7,10 +7,10 @@ import pytest
 from bipersist.bifiltration import Bifiltration, facets
 from bipersist.grid_module import DP_GRID_CAP, RankInvariant, comparable_pairs
 from bipersist.ioutil import FormatError, logical_lines, parse_int
-from bipersist.linalg import Subspace, check_modulus, extend_basis, inv_mod, kernel_basis, solve_matrix
+from bipersist.linalg import check_modulus, inv_mod, solve_matrix
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
 from bipersist.weakexact import KappaIota
-from paperlib import image_basis, subspace_intersect, subspace_sum
+from paperlib import Subspace, extend_basis, image_basis, kernel_basis, subspace_intersect, subspace_sum
 
 
 def reference_rref(m, p):
@@ -172,6 +172,28 @@ def reference_graded_kernel_basis(mat, col_grades, nx, ny, p):
                 grades.append(t)
     basis = np.column_stack(found) if found else np.zeros((cols, 0), dtype=np.int64)
     return basis, grades
+
+
+def reference_homology_basis(bif, present, degree):
+    """Oracle for `bifiltration.homology_basis`, as (reps, boundaries, dim):
+    a dense kernel of the present boundary columns, embedded in the
+    q-chains, and the cycles that complete the canonical basis of the
+    boundaries."""
+    p = bif.p
+    present = set(present)
+    q_list = bif.by_dim.get(degree, [])
+    up_list = bif.by_dim.get(degree + 1, [])
+    n_q = len(q_list)
+    cycles = np.zeros((n_q, 0), dtype=np.int64)
+    if n_q:
+        mask = np.array([s in present for s in q_list], dtype=bool)
+        ker = kernel_basis(bif.boundary_matrix(degree)[:, mask], p)
+        cycles = np.zeros((n_q, ker.dim), dtype=np.int64)
+        cycles[mask] = ker.basis
+    umask = np.array([s in present for s in up_list], dtype=bool).reshape(len(up_list))
+    bnd = Subspace.from_columns(bif.boundary_matrix(degree + 1)[:, umask], p).basis
+    sel = extend_basis(bnd, cycles, p)
+    return cycles[:, sel], bnd, len(sel)
 
 
 def reference_presentation(bif, degree):

@@ -8,8 +8,10 @@ dart family and its staircase, Hom spaces by naturality equations, a
 randomized isomorphism confirmer, restriction to a subgrid, the
 eleven-by-eleven square invariant matrix, strong exactness, the rank
 invariant of a sum of rectangles and zigzag spanning counts, the
-subspace oracle (images, sums and intersections of subspaces, which
-the package's checkers count by ranks instead), and the zigzag oracle: insert/delete event lists along the row and column
+subspace oracle (canonical `Subspace` bases, dense kernels, basis
+completion, and images, sums and intersections of subspaces, which the
+package reads off its column reducers or counts by ranks instead), and
+the zigzag oracle: insert/delete event lists along the row and column
 paths, and barcodes of explicit zigzag modules by pushing two nested
 subspaces from every left endpoint.  None of it is on a path the CLI
 runs.
@@ -34,12 +36,88 @@ from bipersist.grid_module import (
     rank_invariant_naive,
 )
 from bipersist.ioutil import InvariantError
-from bipersist.linalg import Subspace, asmatrix, check_modulus, kernel_basis, matmul, rank, solve_matrix
+from bipersist.linalg import ColumnReducer, check_modulus, matmul, rank, rref, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.zigzag import ZigzagBarcode
 
 
 # -- linear algebra -------------------------------------------------------
+
+
+def asmatrix(a, p: int) -> np.ndarray:
+    """Coerce to a 2-D int64 array with entries reduced mod p."""
+    m = np.array(a, dtype=np.int64)
+    if m.ndim == 1:
+        m = m.reshape(-1, 1)
+    if m.ndim != 2:
+        raise ValueError("matrix must be 2-dimensional")
+    return np.mod(m, p)
+
+
+class Subspace:
+    """A subspace of F_p^n held as a canonical column basis.
+
+    The basis matrix has shape (ambient_dim, dim) and is the reduced
+    column echelon form of any generating set, so two Subspace objects
+    are equal iff their basis arrays are identical.
+    """
+
+    __slots__ = ("ambient_dim", "basis", "p")
+
+    def __init__(self, ambient_dim: int, basis: np.ndarray, p: int):
+        self.ambient_dim = int(ambient_dim)
+        self.basis = basis
+        self.p = p
+
+    @classmethod
+    def from_columns(cls, cols: np.ndarray, p: int) -> "Subspace":
+        """Span of the columns of `cols`, canonicalized."""
+        cols = asmatrix(cols, p)
+        r, piv = rref(cols.T, p)
+        return cls(cols.shape[0], r[: len(piv)].T.copy(), p)
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.p == other.p
+            and self.basis.shape == other.basis.shape
+            and bool(np.array_equal(self.basis, other.basis))
+        )
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, p={self.p})"
+
+
+def kernel_basis(m: np.ndarray, p: int) -> Subspace:
+    """Null space {v : m v = 0} as a canonical Subspace of F_p^cols: the
+    vector e_j - sum_i R[i, j] e_(pivot i) for every free column j of
+    R = rref(m), canonicalized."""
+    cols = m.shape[1]
+    r, piv = rref(m, p)
+    free = np.setdiff1d(np.arange(cols), piv)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[piv] = -r[: len(piv), free] % p
+    return Subspace.from_columns(basis, p)
+
+
+def extend_basis(base: np.ndarray, candidates: np.ndarray, p: int) -> list[int]:
+    """Indices of candidate columns completing span(base) to span(base|candidates).
+
+    The base columns go through one ColumnReducer first, then the
+    candidates in order, and a candidate is chosen when the reducer
+    admits it: when it is independent of span(base) and of the
+    candidates chosen before it.
+    """
+    reducer = ColumnReducer(base.shape[0], p)
+    for v in ColumnReducer.columns(base, p):
+        reducer.add(v)
+    return [j for j, v in enumerate(ColumnReducer.columns(candidates, p)) if reducer.add(v) is not None]
 
 
 def solve(m: np.ndarray, b, p: int) -> Optional[np.ndarray]:

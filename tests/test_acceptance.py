@@ -23,7 +23,7 @@ from bipersist.grid_module import (
     invariants_of_square,
     rank_invariant_naive,
 )
-from bipersist.linalg import kernel_basis, rank
+from bipersist.linalg import rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import decompose
 from bipersist.resolution import free_resolution, read_fres, validate_resolution
@@ -46,6 +46,7 @@ from paperlib import (
     interval_multiplicities,
     is_strongly_exact,
     iso_test,
+    kernel_basis,
     module_barcode,
     ran_extension,
     restrict,

@@ -1,5 +1,8 @@
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bipersist.bifiltration import (
     Bifiltration,
@@ -12,6 +15,7 @@ from bipersist.bifiltration import (
 )
 from bipersist.linalg import matmul
 from bipersist.resolution import presentation
+from conftest import clique_bifiltration, reference_homology_basis
 from paperlib import ZigzagComplex, col_zigzag, row_zigzag
 
 TRIANGLE = [
@@ -139,6 +143,33 @@ def test_negative_degree_is_refused():
         homology_basis(bif, bif.complex_at((2, 2)), -1)
     with pytest.raises(ValueError, match="negative"):
         presentation(bif, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, 2**31 - 1]),
+    degree=st.integers(0, 3),
+    n_vert=st.integers(1, 8),
+    q=st.sampled_from([0.3, 0.6, 0.9]),
+    grid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 10**6),
+)
+@hypothesis.example(p=2, degree=1, n_vert=1, q=0.9, grid=(2, 2), seed=0)  # no q-simplices
+@hypothesis.example(p=3, degree=2, n_vert=7, q=0.9, grid=(3, 3), seed=4)  # no (q+1)-simplices
+@hypothesis.example(p=65521, degree=3, n_vert=6, q=0.9, grid=(2, 3), seed=2)  # past the top dimension
+@hypothesis.example(p=2**31 - 1, degree=0, n_vert=8, q=0.6, grid=(4, 4), seed=9)
+def test_homology_basis_equals_the_dense_kernel_construction(p, degree, n_vert, q, grid, seed):
+    # the cycles read off the reducer of [d_q; I] and the completion on the
+    # boundary reducer give the dense kernel's canonical basis and the
+    # same chosen representatives, at every point and on the empty complex
+    bif = clique_bifiltration(seed, n_vert, q, *grid, p)
+    points = [bif.complex_at((x, y)) for x in range(bif.nx) for y in range(bif.ny)]
+    for present in points + [set()]:
+        got = homology_basis(bif, present, degree)
+        reps, boundaries, dim = reference_homology_basis(bif, present, degree)
+        assert got.dim == dim
+        for a, b in ((got.reps, reps), (got.boundaries, boundaries)):
+            assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_row_zigzag_stations_match_complexes():

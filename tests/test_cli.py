@@ -137,6 +137,25 @@ def test_dp_grid_cap(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rank", "decompose-rectangles"])
+@pytest.mark.parametrize("method", ["naive", "dp"])
+def test_rank_of_a_bif_refuses_an_oversized_grid_before_any_algebra(tmp_path, capsys, monkeypatch, command, method):
+    # the cap is checked on the grid alone, so neither the homology
+    # module nor the presentation is ever built
+    import bipersist.bifiltration
+    import bipersist.resolution
+
+    def refuse(*args):
+        raise AssertionError("built before the grid cap was checked")
+
+    monkeypatch.setattr(bipersist.bifiltration, "homology_module", refuse)
+    monkeypatch.setattr(bipersist.resolution, "presentation", refuse)
+    wide = tmp_path / "wide.bif"
+    wide.write_text("bifiltration\nfield 2\n" + "".join(f"{x} 1 ; {x}\n" for x in range(1, 62)))
+    assert main([command, str(wide), "--method", method]) == 1
+    assert "grid 61x1 exceeds the 60x60 cap" in capsys.readouterr().err
+
+
 def test_check_rectangle_grid_cap(tmp_path, capsys):
     wide = tmp_path / "wide.bif"
     wide.write_text("bifiltration\nfield 2\n" + "".join(f"{x} 1 ; {x}\n" for x in range(1, 62)))

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from bipersist.linalg import (
     MAX_MODULUS,
     ColumnReducer,
-    Subspace,
-    extend_basis,
     inv_mod,
     is_prime,
-    kernel_basis,
     matmul,
     rank,
     rref,
@@ -21,10 +18,13 @@ from bipersist.linalg import (
 )
 from conftest import reference_kernel_basis, reference_rank, reference_rref
 from paperlib import (
+    Subspace,
     contains,
+    extend_basis,
     image_basis,
     image_of_subspace,
     invertible,
+    kernel_basis,
     preimage_of_subspace,
     solve,
     subspace_intersect,

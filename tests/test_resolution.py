@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.grid_module import rank_invariant_naive
 from bipersist.ioutil import FormatError, InvariantError
-from bipersist.linalg import kernel_basis, rank
+from bipersist.linalg import rank
 from bipersist.rank_dp import rank_from_resolution
 import bipersist.resolution as resolution
 from bipersist.resolution import (
@@ -27,6 +27,7 @@ from bipersist.resolution import (
 )
 from bipersist.weakexact import kappa_iota
 from conftest import clique_bifiltration, reference_graded_kernel_basis, reference_presentation
+from paperlib import kernel_basis
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -208,6 +209,37 @@ def test_graded_kernel_basis_equals_the_per_point_sweep(drawn):
     mat, grades, nx, ny, p = drawn
     basis, got = graded_kernel_basis(mat, grades, nx, ny, p)
     want_basis, want = reference_graded_kernel_basis(mat, grades, nx, ny, p)
+    assert got == want
+    assert basis.shape == want_basis.shape and np.array_equal(basis, want_basis)
+
+
+@st.composite
+def earlier_generators_on_both_sides(draw):
+    """(mat, grades, nx, ny, p, x) from `column_graded_matrices`, widened to
+    nx >= 3 and ny >= 2, with zero columns put in at (0, 0), (nx - 1, 0)
+    and (x, 1), 0 < x < nx - 1.  A zero column is a generator at its own
+    grade, so row 1 completes a kernel at (x, 1) while row 0 holds
+    generators with g_x both below and above x."""
+    mat, grades, nx, ny, p = draw(column_graded_matrices())
+    nx, ny = max(nx, 3), max(ny, 2)
+    x = draw(st.integers(1, nx - 2))
+    rows, columns, grades = mat.shape[0], list(mat.T), list(grades)
+    for g in ((0, 0), (nx - 1, 0), (x, 1)):
+        at = draw(st.integers(0, len(grades)))
+        columns.insert(at, np.zeros(rows, dtype=np.int64))
+        grades.insert(at, g)
+    return np.column_stack(columns), grades, nx, ny, p, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(earlier_generators_on_both_sides())
+def test_graded_kernel_basis_joins_earlier_rows_in_rising_g_x(drawn):
+    # at (x, 1) the row-1 reducer must hold the row-0 generators with
+    # g_x <= x and none of those past x
+    mat, grades, nx, ny, p, x = drawn
+    basis, got = graded_kernel_basis(mat, grades, nx, ny, p)
+    want_basis, want = reference_graded_kernel_basis(mat, grades, nx, ny, p)
+    assert {(0, 0), (nx - 1, 0), (x, 1)} <= set(got)
     assert got == want
     assert basis.shape == want_basis.shape and np.array_equal(basis, want_basis)
 

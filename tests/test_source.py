@@ -85,10 +85,26 @@ def _identifiers(name):
 
 
 def test_production_paths_use_no_dense_kernel_or_subspace_helper():
-    for name in ("resolution.py", "rank_dp.py", "weakexact.py"):
+    for name in ("resolution.py", "rank_dp.py", "weakexact.py", "bifiltration.py", "zigzag.py"):
         assert _identifiers(name) & DENSE_KERNEL == set(), name
     assert _identifiers("grid_module.py") & SUBSPACE_HELPERS == set()
-    assert "kernel_basis" in _identifiers("bifiltration.py")  # the scan sees imports
+    assert "ColumnReducer" in _identifiers("resolution.py")  # the scan sees imports
+
+
+def test_package_defines_no_subspace_helper():
+    # canonical subspaces, dense kernels and basis completion are the
+    # tests' oracle (tests/paperlib.py); the package reads kernels, spans
+    # and completions off its column reducers
+    banned = {"Subspace", "asmatrix", "kernel_basis", "extend_basis"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name in banned:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{path.name}:{node.lineno} {n.id}" for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and n.id in banned]
+    assert found == []
 
 
 def _names_in(nodes, quoted=False):

@@ -11,7 +11,7 @@ from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from bipersist.grid_module import GridModule, GridTooLargeError, RankInvariant, rank_invariant_naive
 from bipersist.ioutil import InvariantError
-from bipersist.linalg import MAX_MODULUS, kernel_basis
+from bipersist.linalg import MAX_MODULUS
 from bipersist.weakexact import (
     check_bifiltration,
     check_module,
@@ -25,6 +25,7 @@ from paperlib import (
     count_spanning,
     image_basis,
     is_strongly_exact,
+    kernel_basis,
     module_barcode,
     subspace_intersect,
     subspace_sum,
