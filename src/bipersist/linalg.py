@@ -135,7 +135,7 @@ class ColumnReducer:
     (p - 1)^2 < 2^62: exact in int64 for every p up to MAX_MODULUS.
     `block` back-substitutes when called and keeps the result until the
     rank changes.  `columns` converts a whole matrix at once to the form
-    `add` takes.
+    `add` takes, and `admitted` gives back an admitted column in it.
     """
 
     def __init__(self, k: int, p: int):
@@ -148,11 +148,11 @@ class ColumnReducer:
     @staticmethod
     def columns(mat: np.ndarray, p: int):
         """The columns of `mat` (any int entries) in the form `add` takes
-        at modulus p: Python-int bitsets at p = 2, which `add` uses as
-        they are, and otherwise the rows of mat.T, which `add` reduces
-        mod p."""
+        at modulus p, as a new list: Python-int bitsets at p = 2, which
+        `add` uses as they are, and otherwise the rows of mat.T, views
+        that `add` reduces mod p into new arrays and never writes."""
         if p != 2:
-            return mat.T
+            return list(mat.T)
         packed = np.packbits(np.asarray(mat) & 1, axis=0)
         n, data = packed.shape[0], packed.T.tobytes()
         pad = 8 * n - mat.shape[0]  # the zero bits past the last row
@@ -170,6 +170,11 @@ class ColumnReducer:
         if self.p == 2:
             return self._add_gf2(v if type(v) is int else self.columns(np.reshape(v, (-1, 1)), 2)[0])
         return self._add_modp(v)
+
+    def admitted(self, lead: int):
+        """The admitted column whose lead is `lead`, reduced, in the form
+        `add` takes."""
+        return self._cols[self.k - lead if self.p == 2 else lead]
 
     def block(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, leads): the reduced block as read-only int64 rows of length
@@ -282,21 +287,34 @@ def rank(m: np.ndarray, p: int) -> int:
 def pair_counts(columns, k: int, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:
     """C[a, b] = #{lead pairs (i, j) with row_key[i] <= a and col_key[j] <= b}.
 
-    `columns` are the columns of a k-row matrix in the form `ColumnReducer.add`
-    takes (`ColumnReducer.columns`), so a caller that pairs several
-    column subsets of one matrix converts it once.  They go left to
-    right through one `ColumnReducer`, and every admitted column j is
-    paired with its lead row i; rows keyed shape[0] or more never count.
-    When the row keys never rise down the rows and the column keys never
-    fall along the columns, the pairing lemma gives
+    `columns` is a list of the columns of a k-row matrix in the form
+    `ColumnReducer.add` takes (`ColumnReducer.columns`), so a caller that
+    pairs several column subsets of one matrix converts it once.  They
+    go left to right through one `ColumnReducer`, and every admitted
+    column j is paired with its lead row i; rows keyed shape[0] or more
+    never count.  When the row keys never rise down the rows and the
+    column keys never fall along the columns, the pairing lemma gives
 
         C[a, b] = rank(mat[:, key <= b]) - rank(mat[key > a, key <= b]).
+
+    Each entry of `columns` is replaced by its reduced form: the column
+    as admitted, or the zero column (0 at p = 2) when it is dependent.
+    A reduced form is its column plus a combination of the columns
+    before it, so the span of every prefix, and with it every pair, is
+    unchanged when the reduced forms are paired again, in the same
+    relative order, with new columns inserted among them.  Only the
+    inserted columns and the leads they take then cost more than one
+    lookup per column.
     """
     reducer = ColumnReducer(k, p)
+    zero = 0 if p == 2 else np.zeros(k, dtype=np.int64)
     leads, cols = [], []
     for j, v in enumerate(columns):
         lead = reducer.add(v)
-        if lead is not None:
+        if lead is None:
+            columns[j] = zero
+        else:
+            columns[j] = reducer.admitted(lead)
             leads.append(lead)
             cols.append(j)
     a, b = row_key[leads], col_key[cols]

@@ -19,6 +19,15 @@ Values of s_y with the same generators g_y <= s_y share one row order,
 so `rank_from_resolution` runs at most (distinct generator y-grades) x
 n_y reductions, only those with t_y >= s_y.  It is exact for every
 presentation of the module and every prime.
+
+Within one row order the reductions are warm-started: each relation
+column enters the sweep at t_y in the reduced form the sweep at t_y - 1
+left it in.  That form is the column plus a combination of columns
+before it, and the columns live at t_y - 1 keep their order at t_y
+(only row t_y's columns are inserted among them), so the span of every
+prefix, and with it every lead pair, is the same as from the raw
+columns.  A sweep then costs one lookup per live column plus the
+collisions that the inserted columns cause, not a full reduction.
 """
 
 from __future__ import annotations
@@ -48,7 +57,10 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     where a class is the run of s_y from one generator y-grade to the
     next.  In a class a generator is born at its g_x if g_y <= s_y and
     never (nx) otherwise, and the rows go in falling birth; phi's
-    columns are converted to the reducer's form once per class.
+    columns are converted to the reducer's form once per class, and
+    each t_y pairs the reduced forms that t_y - 1 left (module
+    docstring), so a class costs one lookup per live column per t_y
+    plus the collisions of the columns each row adds.
 
     The table is written once, a class's rows of one s_x slab at a
     time: generator counts minus pair counts, zero at the incomparable
@@ -66,12 +78,14 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     for lo, hi in zip(ys, ys[1:] + [ny]):
         birth = np.where(gg[:, 1] <= lo, gg[:, 0], nx)
         order = np.argsort(-birth, kind="stable")
-        columns, birth = ColumnReducer.columns(res.phi.entries[order], p), birth[order]
+        reduced, birth = ColumnReducer.columns(res.phi.entries[order], p), birth[order]
         pairs = np.zeros((nx, nx, ny), dtype=np.int64)  # [s_x, t_x, t_y]
         for ty in range(lo, ny):
-            cols = by_x[rg[by_x, 1] <= ty]
-            picked = [columns[j] for j in cols.tolist()]
-            pairs[:, :, ty] = pair_counts(picked, len(gg), birth, rg[cols, 0], (nx, nx), p)
+            cols = by_x[rg[by_x, 1] <= ty].tolist()
+            live = [reduced[j] for j in cols]
+            pairs[:, :, ty] = pair_counts(live, len(gg), birth, rg[cols, 0], (nx, nx), p)
+            for j, v in zip(cols, live):
+                reduced[j] = v  # the warm start of row ty + 1
         above = np.arange(lo, hi)[:, None, None] <= np.arange(ny)  # [s_y, 1, t_y]: s_y <= t_y
         for sx in range(nx):
             rows = table[sx, lo:hi]  # [s_y, t_x, t_y]

@@ -71,17 +71,13 @@ class GradedMatrix:
             )
 
     def inhomogeneous_entries(self) -> list:
-        """((i, j), message) for each nonzero entry whose row grade is not
-        below its column grade, in row-major order."""
+        """(i, j) for each nonzero entry whose row grade is not below its
+        column grade, in row-major order."""
         rows, cols = np.nonzero(self.entries)
         target = np.array(self.target.grades, dtype=np.int64).reshape(-1, 2)
         source = np.array(self.source.grades, dtype=np.int64).reshape(-1, 2)
         bad = (target[rows] > source[cols]).any(axis=1)
-        return [
-            ((i, j), f"entry ({i + 1},{j + 1}) nonzero but row grade "
-                     f"{self.target.grades[i]} is not below column grade {self.source.grades[j]}")
-            for i, j in zip(rows[bad].tolist(), cols[bad].tolist())
-        ]
+        return list(zip(rows[bad].tolist(), cols[bad].tolist()))
 
 
 @dataclass
@@ -447,7 +443,11 @@ def read_fres(text: str) -> FreeResolution:
     for name, gm, (_, entry, setter) in (("phi", phi, matrices[0]), ("psi", psi, matrices[1])):
         problems = gm.inhomogeneous_entries()
         if problems:
-            (i, j), problem = problems[0]
+            i, j = problems[0]
             lineno = setter[np.searchsorted(entry, i * len(gm.source) + j)]
-            raise FormatError(f"line {lineno}: {name} not homogeneous: {problem}")
+            (rx, ry), (cx, cy) = gm.target.grades[i], gm.source.grades[j]
+            raise FormatError(
+                f"line {lineno}: {name} not homogeneous: entry ({i + 1},{j + 1}) nonzero but row grade "
+                f"({rx + 1}, {ry + 1}) is not below column grade ({cx + 1}, {cy + 1})"
+            )
     return FreeResolution(gens, rels, relrels, phi, psi, nx, ny, p)

@@ -9,7 +9,8 @@ from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.grid_module import RankInvariant, comparable_pairs, rank_invariant_naive
 from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, pair_counts, rank
 from bipersist.rank_dp import rank_from_resolution
-from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module
+from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module, read_fres
+from test_acceptance import _perf_fixture_text
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -188,6 +189,75 @@ def test_prepacked_pair_counts_equal_the_ranks_of_submatrices(p, k, n, seed):
         for b in range(4):
             cols = keys <= b
             assert got[a, b] == rank(sub[:, cols], p) - rank(sub[row_key > a][:, cols], p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), k=st.sampled_from([1, 5, 64, 65]), n=st.integers(0, 10), m=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_pair_counts_from_reduced_forms_equal_a_cold_run(p, k, n, m, seed):
+    # a first pass reduces n of the n + m columns in place; pairing its
+    # reduced forms again, in the same order with the other m columns
+    # inserted among them, gives the counts of the raw columns
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(0, p, (k, n + m)) * (rng.random((k, n + m)) < 0.7)
+    row_key = np.sort(rng.integers(0, 4, k))[::-1]
+    col_key = np.sort(rng.integers(0, 4, n + m))
+    old = np.sort(rng.choice(n + m, n, replace=False)).tolist()
+    columns = ColumnReducer.columns(mat, p)
+    first = [columns[j] for j in old]
+    pair_counts(first, k, row_key, col_key[old], (3, 4), p)
+    assert sum(bool(np.any(v)) for v in first) == rank(mat[:, old], p)
+    for j, v in zip(old, first):
+        columns[j] = v
+    cold = pair_counts(ColumnReducer.columns(mat, p), k, row_key, col_key, (3, 4), p)
+    assert np.array_equal(pair_counts(columns, k, row_key, col_key, (3, 4), p), cold)
+
+
+def late_low_presentation(rng, k, l, p):
+    """A presentation on a tall 3 x 8 grid with a dense, high-rank phi:
+    generators on three or more y-grades below 4, relations whose g_x
+    ties and falls as their g_y rises, and every entry kept whose
+    generator lies below its relation."""
+    gy = np.concatenate([rng.choice(4, 3, replace=False), rng.integers(0, 4, k)])[:k]
+    gens = np.column_stack((rng.integers(0, 2, k), gy))
+    fixed = [(2, 1), (2, 2), (0, 6), (1, 5), (2, 3), (0, 7)]
+    rels = np.array((fixed + list(zip(rng.integers(0, 3, l), rng.integers(0, 8, l))))[:l], dtype=np.int64)
+    phi = rng.integers(0, p, (k, l))
+    phi[~(gens[:, None, :] <= rels[None, :, :]).all(axis=2)] = 0
+    res = hand_resolution(gens.tolist(), rels.tolist(), phi, 3, 8, p)
+    assert not res.phi.inhomogeneous_entries()
+    return res
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), k=st.integers(3, 10), l=st.integers(6, 14), seed=st.integers(0, 2**32 - 1))
+def test_warm_started_sweeps_equal_the_rank_of_every_pair(p, k, l, seed):
+    # each t_y sweep starts from the reduced forms of the one below it,
+    # while relations that arrive later sit left of the live columns
+    res = late_low_presentation(np.random.default_rng(seed), k, l, p)
+    assert rank_from_resolution(res) == rank_by_pairs(res)
+
+
+@pytest.mark.parametrize("p", [3, MAX_MODULUS])
+def test_dp_leaves_phi_as_it_was(p):
+    # the reduced forms replace list entries; none is written through a
+    # view into phi, so a second call sees the same phi
+    res = late_low_presentation(np.random.default_rng(p % 1000), 9, 14, p)
+    entries = res.phi.entries.copy()
+    first = rank_from_resolution(res)
+    assert np.array_equal(res.phi.entries, entries)
+    assert rank_from_resolution(res) == first
+
+
+def test_dense_fixture_at_p3_matches_prefix_ranks():
+    # the 50 x 50 timing fixture read at p = 3: every generator sits at
+    # the origin, so r(s, t) = 500 - rank phi[:, <= t] for all s <= t;
+    # the cold per-row sweeps took about 15 s here
+    res = read_fres(_perf_fixture_text().replace("field 2", "field 3", 1))
+    inv = rank_from_resolution(res)
+    rels = np.array(res.rels.grades, dtype=np.int64)
+    for t in [(i, i) for i in (0, 12, 24, 36, 49)] + [(x, 49) for x in (0, 12, 24, 36)]:
+        expected = 500 - rank(res.phi.entries[:, (rels <= t).all(axis=1)], 3)
+        assert inv.get((0, 0), t) == inv.get(t, t) == expected
 
 
 def test_dp_peak_memory_is_the_table_and_a_few_slabs():

@@ -276,6 +276,16 @@ def test_fres_homogeneity_error_names_the_triplet_line():
         read_fres(text)
 
 
+def test_fres_homogeneity_error_gives_the_files_grades():
+    # the entry and both grades are the file's own 1-based coordinates
+    text = "resolution\nfield 3\ngrid 2 2\ngens\n2 2\nrels\n1 1\nrelrels\nphi\n1 1 1\npsi\n"
+    with pytest.raises(FormatError) as err:
+        read_fres(text)
+    assert str(err.value) == (
+        "line 10: phi not homogeneous: entry (1,1) nonzero but row grade (2, 2) is not below column grade (1, 1)"
+    )
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
