@@ -24,8 +24,8 @@ _HOME = {
     "GridModule": "grid_module",
     "RankInvariant": "grid_module",
     "rank_invariant_naive": "grid_module",
-    "read_gmod": "grid_module",
-    "write_gmod": "grid_module",
+    "read_gmod": "gmod",
+    "write_gmod": "gmod",
     "rank_from_resolution": "rank_dp",
     "RectangleBarcode": "rect_decomp",
     "decompose": "rect_decomp",
@@ -45,8 +45,8 @@ _HOME = {
 }
 
 _SUBMODULES = {
-    "bifiltration", "cli", "constructions", "grid_module", "ioutil", "linalg",
-    "rank_dp", "rect_decomp", "resolution", "weakexact", "zigzag",
+    "bifiltration", "cli", "constructions", "gmod", "grid_module", "ioutil", "linalg",
+    "rank_dp", "rect_decomp", "resolution", "squares", "weakexact", "zigzag",
 }
 
 __all__ = sorted(_HOME)

@@ -105,7 +105,7 @@ def _load_bif(path: str, field):
 
 
 def _load_gmod(path: str, field):
-    from .grid_module import read_gmod
+    from .gmod import read_gmod
 
     module = read_gmod(_read_file(path))
     _check_field(field, module.p)
@@ -153,7 +153,7 @@ def cmd_validate(args) -> int:
 
         problems = read_bif(text).validate()
     elif ext == ".gmod":
-        from .grid_module import read_gmod
+        from .gmod import read_gmod
 
         problems = read_gmod(text).validate()
     elif ext == ".fres":
@@ -282,7 +282,7 @@ def cmd_zigzag(args) -> int:
 
 def cmd_examples(args) -> int:
     from .constructions import example, indecgrid
-    from .grid_module import write_gmod
+    from .gmod import write_gmod
 
     p = args.field if args.field is not None else 2
     if args.name == "indecgrid":
@@ -306,7 +306,7 @@ def cmd_examples(args) -> int:
 
 def cmd_random_rect(args) -> int:
     from .constructions import random_rectangle_module
-    from .grid_module import write_gmod
+    from .gmod import write_gmod
     from .rect_decomp import RectangleBarcode
 
     if args.n < 1 or args.m < 1 or args.count < 1:

@@ -3,12 +3,9 @@
 A module assigns a vector space over F_p to every point of the grid
 [0,nx) x [0,ny) and a matrix to every unit edge; commutativity of the
 unit squares is the validation contract.  Composite maps, the rank
-invariant, dualization and the square-local invariants used by the
-explicit-module exactness checkers all live here, together with the
-.gmod/.rank file formats.  The square invariants are ranks: the
-dimensions of an intersection of images and of a sum of kernels come
-from the rank of the two maps side by side and stacked, so no
-subspace is built.
+invariant and dualization live here, together with the .rank file
+format; the .gmod format is in `gmod`, and the square-local invariants
+of the explicit exactness checkers are in `squares`.
 
 Grid points are 0-based (x, y) tuples in code; the file formats use
 1-based coordinates.
@@ -16,7 +13,6 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
@@ -29,29 +25,16 @@ from .ioutil import (
     Scratch,
     block_rows,
     line_blocks,
-    logical_lines,
-    parse_int,
     row_capacity,
 )
 from .linalg import check_modulus, matmul, rank
 
-SQUARE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abc", "bcd", "abcd")
-
-
-# The rank invariant and the kappa/iota tables are dense 4-D int64
-# tables of nx*ny*nx*ny entries; past this extent one table alone would
-# outgrow desk-scale memory.
+# The rank invariant and the kappa/iota tables are dense 4-D tables of
+# nx*ny*nx*ny entries, 4 bytes each (`table_dtype`); past this extent
+# one table alone would outgrow desk-scale memory.
 DP_GRID_CAP = 60
 
-# `composite(s, s)` builds the d x d identity of every .gmod space, which
-# the file backs with at most d entries (none for a space with no nonzero
-# neighbour); the reader refuses files whose identities, summed over all
-# spaces, would need more bytes than this.
-GMOD_IDENTITY_BYTES_CAP = 1 << 28
-
-
-class InconsistentSquareError(ValueError):
-    """Square invariants admit no nonnegative interval decomposition."""
+INT32_MAX = 2**31 - 1
 
 
 class GridTooLargeError(ValueError):
@@ -61,25 +44,29 @@ class GridTooLargeError(ValueError):
 def check_table_grid(nx: int, ny: int, tables: int = 1) -> None:
     """Refuse to allocate `tables` dense 4-D tables on a grid past the cap."""
     if max(nx, ny) > DP_GRID_CAP:
-        need = tables * 8 * (nx * ny) ** 2
+        need = tables * 4 * (nx * ny) ** 2
         raise GridTooLargeError(
             f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the "
-            f"dense 4-D tables ({tables} table(s) would need {need:,} bytes)"
+            f"dense 4-D tables ({tables} table(s) of 4-byte entries would need {need:,} bytes)"
         )
+
+
+def table_dtype(bound: int) -> type:
+    """The entry type of a dense 4-D table whose entries lie in [0, bound]:
+    int32 when `bound` fits in it, int64 otherwise.
+
+    Every entry of the rank invariant and of the kappa/iota tables is a
+    rank or a dimension, so its producer knows a bound: the generator
+    count for the rank DP, the largest dimension of the module for the
+    naive rank and for kappa and iota.
+    """
+    return np.int32 if bound <= INT32_MAX else np.int64
 
 
 def iter_points(nx: int, ny: int) -> Iterator[tuple[int, int]]:
     for x in range(nx):
         for y in range(ny):
             yield (x, y)
-
-
-def comparable_pairs(nx: int, ny: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """All pairs s <= t in lexicographic order of (s, t)."""
-    for s in iter_points(nx, ny):
-        for tx in range(s[0], nx):
-            for ty in range(s[1], ny):
-                yield s, (tx, ty)
 
 
 def comparable_mask(nx: int, ny: int) -> np.ndarray:
@@ -269,7 +256,12 @@ class RankInvariant:
     """r(s, t) = rank of the structure map s -> t, for all s <= t.
 
     Stored as a dense 4-D table indexed [sx, sy, tx, ty]; entries at
-    incomparable pairs are kept at 0 so equality is plain array equality.
+    incomparable pairs are kept at 0 so equality is plain array equality,
+    whatever the two tables' entry types.  The producers store int32
+    entries when their bound allows (`table_dtype`): the rank DP, the
+    naive rank, and the .rank reader, which widens to int64 only when it
+    reads a rank past 2**31 - 1.  With no table given, the zero table is
+    int64, since a caller may set any rank in it.
     """
 
     def __init__(self, nx: int, ny: int, table: Optional[np.ndarray] = None):
@@ -277,7 +269,7 @@ class RankInvariant:
         self.ny = int(ny)
         if table is None:
             check_table_grid(self.nx, self.ny)
-            table = np.zeros((self.nx, self.ny, self.nx, self.ny), dtype=np.int64)
+            table = np.zeros((self.nx, self.ny, self.nx, self.ny), dtype=table_dtype(np.iinfo(np.int64).max))
         self.table = table
 
     def get(self, s, t) -> int:
@@ -302,7 +294,7 @@ class RankInvariant:
 
     def to_text(self) -> str:
         """The .rank text: one line per comparable pair, in
-        `comparable_pairs` order; the join of `text_slabs`."""
+        lexicographic order of (s, t); the join of `text_slabs`."""
         return b"".join(self.text_slabs()).decode("ascii")
 
     def text_slabs(self) -> Iterator[bytes]:
@@ -376,19 +368,24 @@ class RankInvariant:
         Both are allocated at the extents read so far and regrown, the
         old copied into the new, only when a later run names a larger t;
         the writer's files name their largest t in the first lines, so
-        they are allocated once.  Beside them only one run's text and
-        rows are held.  A pair repeats exactly when fewer cells are hit
-        than rows were read.
+        they are allocated once.  The table starts with int32 entries and
+        is regrown to int64 the same way when a run holds a rank past
+        2**31 - 1, so every rank is kept exactly.  Beside them only one
+        run's text and rows are held.  A pair repeats exactly when fewer
+        cells are hit than rows were read.
         """
-        table = np.zeros((0, 0, 0, 0), dtype=np.int64)
+        table = np.zeros((0, 0, 0, 0), dtype=table_dtype(0))
         seen = np.zeros(table.shape, dtype=bool)
         n_rows = 0
         error = None
         for rows, _, error in _rank_rows(blocks()):
             nx = max(table.shape[0], int(rows[:, 2].max(initial=0)))
             ny = max(table.shape[1], int(rows[:, 3].max(initial=0)))
-            if (nx, ny) != table.shape[:2]:  # a good row's t is within the grid cap
-                table, seen = _regrown(table, nx, ny), _regrown(seen, nx, ny)
+            dtype = np.promote_types(table.dtype, table_dtype(int(rows[:, 4].max(initial=0))))
+            if (nx, ny) != table.shape[:2] or dtype != table.dtype:  # a good row's t is within the grid cap
+                table = _regrown(table, nx, ny, dtype)
+            if (nx, ny) != seen.shape[:2]:
+                seen = _regrown(seen, nx, ny, seen.dtype)
             cells = _cells(rows, nx, ny)
             seen.reshape(-1)[cells] = True
             table.reshape(-1)[cells] = rows[:, 4]
@@ -447,10 +444,10 @@ def _first_bad_rank_row(rows, lines):
     raise InvariantError(f"{where}: row {rows[n].tolist()} flagged bad without a cause")
 
 
-def _regrown(a, nx: int, ny: int):
-    """A zero (nx, ny, nx, ny) array of `a`'s dtype with `a` copied into
-    its low corner."""
-    out = np.zeros((nx, ny, nx, ny), dtype=a.dtype)
+def _regrown(a, nx: int, ny: int, dtype):
+    """A zero (nx, ny, nx, ny) array of `dtype` with `a` copied into its
+    low corner."""
+    out = np.zeros((nx, ny, nx, ny), dtype=dtype)
     out[tuple(slice(n) for n in a.shape)] = a
     return out
 
@@ -490,10 +487,12 @@ def rank_invariant_naive(module: GridModule) -> RankInvariant:
     The maps out of one source s are pushed from s one edge at a time,
     along the row s_y and then up every column, the route that
     `GridModule.composite` takes; only the maps into one row are held,
-    and the module's composite cache is left as it is.
+    and the module's composite cache is left as it is.  A rank is at
+    most the largest dimension, which sets the entry type.
     """
     nx, ny, p = module.nx, module.ny, module.p
-    inv = RankInvariant(nx, ny)
+    check_table_grid(nx, ny)
+    inv = RankInvariant(nx, ny, np.zeros((nx, ny, nx, ny), dtype=table_dtype(int(module.dims.max()))))
     for sx, sy in iter_points(nx, ny):
         row = [np.eye(module.dim_at((sx, sy)), dtype=np.int64)]  # row[i]: s -> (s_x + i, t_y)
         for tx in range(sx + 1, nx):
@@ -503,282 +502,3 @@ def rank_invariant_naive(module: GridModule) -> RankInvariant:
                 row = [matmul(module.vmaps[(tx, ty - 1)], m, p) for tx, m in enumerate(row, sx)]
             inv.table[sx, sy, sx:, ty] = [rank(m, p) for m in row]
     return inv
-
-
-# -- square-local invariants and decomposition --------------------------
-
-
-@dataclass
-class SquareInvariants:
-    """The eleven numbers attached to a square s <= t.
-
-    Corners: a = s (bottom left), b = (t_x, s_y), c = (s_x, t_y), d = t.
-    i_d is dim(Im(b->d) ∩ Im(c->d)); k_a is dim(Ker(a->b) + Ker(a->c)).
-    """
-
-    dim_a: int
-    dim_b: int
-    dim_c: int
-    dim_d: int
-    r_ab: int
-    r_ac: int
-    r_bd: int
-    r_cd: int
-    r_ad: int
-    i_d: int
-    k_a: int
-
-
-class SquareBarcode(dict):
-    """Multiplicities of the eleven interval types on a square."""
-
-    def __init__(self, counts):
-        super().__init__({lab: int(counts.get(lab, 0)) for lab in SQUARE_LABELS})
-
-    @property
-    def hooks(self) -> int:
-        return self["abc"] + self["bcd"]
-
-    def is_rectangular(self) -> bool:
-        return self.hooks == 0
-
-
-def _composite_ranks(module: GridModule):
-    """r(u, v): the rank of the composite u -> v, taken once per pair."""
-    ranks: dict = {}
-
-    def r(u, v):
-        got = ranks.get((u, v))
-        if got is None:
-            got = ranks[u, v] = rank(module.composite(u, v), module.p)
-        return got
-
-    return r
-
-
-def _meet_ranks(module: GridModule, s, t, r) -> tuple[int, int]:
-    """(i_d, k_a) of the square s <= t, from ranks; r(u, v) is the rank
-    of the composite u -> v.
-
-    Im bd + Im cd is the image of [bd | cd], so i_d = r_bd + r_cd -
-    rank [bd | cd]; Ker ab ∩ Ker ac is the kernel of [ab; ac], so
-    k_a = (dim_a - r_ab) + (dim_a - r_ac) - (dim_a - rank [ab; ac]).
-    """
-    bpt, cpt = (t[0], s[1]), (s[0], t[1])
-    ab, ac = module.composite(s, bpt), module.composite(s, cpt)
-    bd, cd = module.composite(bpt, t), module.composite(cpt, t)
-    i_d = r(bpt, t) + r(cpt, t) - rank(np.hstack((bd, cd)), module.p)
-    k_a = module.dim_at(s) - r(s, bpt) - r(s, cpt) + rank(np.vstack((ab, ac)), module.p)
-    return i_d, k_a
-
-
-def invariants_of_square(module: GridModule, s, t, r=None) -> SquareInvariants:
-    """Compute the eleven square invariants from ranks (`_meet_ranks`).
-
-    r(u, v) gives the rank of a single composite; the checkers pass one
-    `_composite_ranks` for every square, so each rank is taken once.
-    """
-    s, t = tuple(s), tuple(t)
-    bpt, cpt = (t[0], s[1]), (s[0], t[1])
-    if r is None:
-        r = _composite_ranks(module)
-    i_d, k_a = _meet_ranks(module, s, t, r)
-    return SquareInvariants(
-        dim_a=module.dim_at(s),
-        dim_b=module.dim_at(bpt),
-        dim_c=module.dim_at(cpt),
-        dim_d=module.dim_at(t),
-        r_ab=r(s, bpt),
-        r_ac=r(s, cpt),
-        r_bd=r(bpt, t),
-        r_cd=r(cpt, t),
-        r_ad=r(s, t),
-        i_d=i_d,
-        k_a=k_a,
-    )
-
-
-def decompose_square(inv: SquareInvariants) -> SquareBarcode:
-    """Interval multiplicities on a square from its eleven invariants.
-
-    Solves the triangular system obtained by evaluating the invariants
-    on the eleven interval types; raises InconsistentSquareError when
-    any multiplicity comes out negative (the invariants then belong to
-    no interval-decomposable square module).
-    """
-    m = {}
-    m["abcd"] = inv.r_ad
-    m["bcd"] = inv.i_d - m["abcd"]
-    m["bd"] = inv.r_bd - m["bcd"] - m["abcd"]
-    m["cd"] = inv.r_cd - m["bcd"] - m["abcd"]
-    m["abc"] = inv.dim_a - inv.k_a - m["abcd"]
-    m["ab"] = inv.r_ab - m["abc"] - m["abcd"]
-    m["ac"] = inv.r_ac - m["abc"] - m["abcd"]
-    m["a"] = inv.k_a - m["ab"] - m["ac"]
-    m["b"] = inv.dim_b - m["ab"] - m["abc"] - m["bd"] - m["bcd"] - m["abcd"]
-    m["c"] = inv.dim_c - m["ac"] - m["abc"] - m["cd"] - m["bcd"] - m["abcd"]
-    m["d"] = inv.dim_d - m["bd"] - m["cd"] - m["bcd"] - m["abcd"]
-    negative = [lab for lab in SQUARE_LABELS if m[lab] < 0]
-    if negative:
-        raise InconsistentSquareError(
-            f"inconsistent invariants: negative multiplicity for {', '.join(negative)}"
-        )
-    return SquareBarcode(m)
-
-
-# -- exactness checkers -------------------------------------------------
-
-
-def is_weakly_exact_algebraic(module: GridModule):
-    """Check Im rho_s^t = Im(b->t) ∩ Im(c->t) and the kernel-sum dual.
-
-    Both conditions are one-sided inclusions by commutativity, so each
-    is tested as a dimension equality on the ranks of `_meet_ranks`:
-    r(s->t) = i_d and dim_a - r(s->t) = k_a.  The rank of a single
-    composite is taken once, for every pair it serves.  Returns
-    (True, None) or (False, (s, t)) with the lexicographically smallest
-    failing pair.
-    """
-    r = _composite_ranks(module)
-    for s, t in comparable_pairs(module.nx, module.ny):
-        i_d, k_a = _meet_ranks(module, s, t, r)
-        if r(s, t) != i_d or r(s, t) != module.dim_at(s) - k_a:
-            return False, (s, t)
-    return True, None
-
-
-def is_weakly_exact_geometric(module: GridModule):
-    """Check that no square's interval decomposition contains a hook.
-
-    The rank of a single composite is taken once, for every pair it
-    serves, as in `is_weakly_exact_algebraic`.
-    """
-    r = _composite_ranks(module)
-    for s, t in comparable_pairs(module.nx, module.ny):
-        barcode = decompose_square(invariants_of_square(module, s, t, r))
-        if not barcode.is_rectangular():
-            return False, (s, t)
-    return True, None
-
-
-# -- .gmod file format --------------------------------------------------
-
-
-def write_gmod(module: GridModule) -> str:
-    out = ["gridmodule", f"field {module.p}", f"grid {module.nx} {module.ny}"]
-    for x in range(module.nx):
-        for y in range(module.ny):
-            d = int(module.dims[x, y])
-            if d:
-                out.append(f"dim {x + 1} {y + 1} {d}")
-    def emit(kind, maps):
-        for (x, y), m in sorted(maps.items()):
-            if m.shape[0] and m.shape[1]:
-                out.append(f"{kind} {x + 1} {y + 1}")
-                for row in m:
-                    out.append(" ".join(str(int(v)) for v in row))
-    emit("hmap", module.hmaps)
-    emit("vmap", module.vmaps)
-    return "\n".join(out) + "\n"
-
-
-def read_gmod(text: str) -> GridModule:
-    lines = list(logical_lines(text))
-    if not lines or lines[0][1] != "gridmodule":
-        lineno = lines[0][0] if lines else 1
-        raise FormatError(f"line {lineno}: expected 'gridmodule' header")
-    i = 1
-    p = nx = ny = None
-    dims = {}
-    dim_lines = {}
-    hmaps, vmaps = {}, {}
-    seen = set()
-    identities = 0
-
-    def need(cond, lineno, msg):
-        if not cond:
-            raise FormatError(f"line {lineno}: {msg}")
-
-    while i < len(lines):
-        lineno, line = lines[i]
-        toks = line.split()
-        key = toks[0]
-        if key == "field":
-            need(p is None, lineno, "duplicate field line")
-            need(len(toks) == 2, lineno, "expected 'field p'")
-            p = parse_int(toks[1], lineno, "modulus")
-            try:
-                check_modulus(p)
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from None
-            i += 1
-        elif key == "grid":
-            need(nx is None, lineno, "duplicate grid line")
-            need(len(toks) == 3, lineno, "expected 'grid n m'")
-            nx, ny = parse_int(toks[1], lineno, "extent"), parse_int(toks[2], lineno, "extent")
-            need(nx >= 1 and ny >= 1, lineno, "grid extents must be positive")
-            need(max(nx, ny) <= DP_GRID_CAP, lineno,
-                 f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap")
-            i += 1
-        elif key == "dim":
-            need(nx is not None, lineno, "dim before grid line")
-            need(len(toks) == 4, lineno, "expected 'dim x y d'")
-            x, y, d = (parse_int(t, lineno, "dim entry") for t in toks[1:])
-            need(1 <= x <= nx and 1 <= y <= ny, lineno, f"point ({x},{y}) outside grid")
-            need((x, y) not in dims, lineno, f"duplicate dim for ({x},{y})")
-            need(d >= 0, lineno, "negative dimension")
-            # a space with a map in or out has at least d entries in the file
-            need(d <= len(text), lineno, f"dimension {d} exceeds the file's {len(text)} characters")
-            identities += 8 * d * d
-            need(identities <= GMOD_IDENTITY_BYTES_CAP, lineno,
-                 f"identities of the spaces would need {identities:,} bytes, "
-                 f"past the {GMOD_IDENTITY_BYTES_CAP:,}-byte cap")
-            dims[(x, y)] = d
-            dim_lines[(x - 1, y - 1)] = lineno
-            i += 1
-        elif key in ("hmap", "vmap"):
-            need(nx is not None and p is not None, lineno, f"{key} before grid/field lines")
-            need(len(toks) == 3, lineno, f"expected '{key} x y'")
-            x, y = parse_int(toks[1], lineno, "x"), parse_int(toks[2], lineno, "y")
-            tgt = (x + 1, y) if key == "hmap" else (x, y + 1)
-            need(1 <= x <= nx and 1 <= y <= ny, lineno, f"point ({x},{y}) outside grid")
-            need(tgt[0] <= nx and tgt[1] <= ny, lineno, f"{key} at ({x},{y}) leaves the grid")
-            rows_needed = dims.get(tgt, 0)
-            cols_needed = dims.get((x, y), 0)
-            need(rows_needed > 0 and cols_needed > 0, lineno, f"{key} touches a zero space")
-            need((key, x, y) not in seen, lineno, f"duplicate {key} at ({x},{y})")
-            seen.add((key, x, y))
-            i += 1
-            mat = []
-            for _ in range(rows_needed):
-                need(i < len(lines), lineno, f"{key} at ({x},{y}): missing matrix rows")
-                rlineno, rline = lines[i]
-                row = [parse_int(t, rlineno, "matrix entry") for t in rline.split()]
-                need(len(row) == cols_needed, rlineno,
-                     f"expected {cols_needed} entries, got {len(row)}")
-                mat.append(row)
-                i += 1
-            target = hmaps if key == "hmap" else vmaps
-            target[(x - 1, y - 1)] = np.array(mat, dtype=np.int64)
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {key!r}")
-    if p is None:
-        raise FormatError("line 1: missing 'field p' line")
-    if nx is None:
-        raise FormatError("line 1: missing 'grid n m' line")
-    dims_arr = np.zeros((nx, ny), dtype=np.int64)
-    for (x, y), d in dims.items():
-        dims_arr[x - 1, y - 1] = d
-    # every edge between two nonzero spaces must have been given; the
-    # error names the later of the two spaces' dim lines
-    for x in range(nx - 1):
-        for y in range(ny):
-            if dims_arr[x, y] and dims_arr[x + 1, y] and (x, y) not in hmaps:
-                lineno = max(dim_lines[(x, y)], dim_lines[(x + 1, y)])
-                raise FormatError(f"line {lineno}: missing hmap between nonzero spaces at ({x + 1},{y + 1})")
-    for x in range(nx):
-        for y in range(ny - 1):
-            if dims_arr[x, y] and dims_arr[x, y + 1] and (x, y) not in vmaps:
-                lineno = max(dim_lines[(x, y)], dim_lines[(x, y + 1)])
-                raise FormatError(f"line {lineno}: missing vmap between nonzero spaces at ({x + 1},{y + 1})")
-    return GridModule(nx, ny, p, dims_arr, hmaps, vmaps)

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import RankInvariant, check_table_grid
+from .grid_module import RankInvariant, check_table_grid, table_dtype
 from .ioutil import InvariantError
 from .linalg import ColumnReducer, pair_counts
 from .resolution import Presentation
 
 
-def _gen_count_table(res: Presentation) -> np.ndarray:
-    hist = np.zeros((res.nx, res.ny), dtype=np.int64)
+def _gen_count_table(res: Presentation, dtype) -> np.ndarray:
+    hist = np.zeros((res.nx, res.ny), dtype=dtype)
     for g in res.gens.grades:
         hist[g] += 1
     np.cumsum(hist, axis=0, out=hist)
@@ -65,11 +65,14 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     The table is written once, a class's rows of one s_x slab at a
     time: generator counts minus pair counts, zero at the incomparable
     pairs, and checked for negative entries while the slab is in cache.
+    A rank is at most the generator count, which sets the entry type of
+    the table and of the pair counts.
     """
     nx, ny, p = res.nx, res.ny, res.p
     check_table_grid(nx, ny)
-    table = np.empty((nx, ny, nx, ny), dtype=np.int64)
-    counts = _gen_count_table(res)
+    dtype = table_dtype(len(res.gens.grades))
+    table = np.empty((nx, ny, nx, ny), dtype=dtype)
+    counts = _gen_count_table(res, dtype)
     gg = np.array(res.gens.grades, dtype=np.int64).reshape(-1, 2)
     rg = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
     by_x = np.argsort(rg[:, 0], kind="stable")
@@ -79,7 +82,7 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
         birth = np.where(gg[:, 1] <= lo, gg[:, 0], nx)
         order = np.argsort(-birth, kind="stable")
         reduced, birth = ColumnReducer.columns(res.phi.entries[order], p), birth[order]
-        pairs = np.zeros((nx, nx, ny), dtype=np.int64)  # [s_x, t_x, t_y]
+        pairs = np.zeros((nx, nx, ny), dtype=dtype)  # [s_x, t_x, t_y]
         for ty in range(lo, ny):
             cols = by_x[rg[by_x, 1] <= ty].tolist()
             live = [reduced[j] for j in cols]

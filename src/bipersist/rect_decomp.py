@@ -73,17 +73,19 @@ def decompose(r: RankInvariant):
     positive part.  A clean outcome alone does not certify
     decomposability -- that decision belongs to the checkers.
 
-    The differences are taken one s_x slab at a time: the slab
-    r[s_x] - r[s_x - 1], then, inside that contiguous (ny, nx, ny)
-    slab, downward along s_y and upward along t_x and t_y, each as one
-    shifted subtraction, then the slab's comparable mask.  Beside
-    r.table, which is left as it was, only a few slabs are held at once.
+    The differences are taken one s_x slab at a time, in int64 whatever
+    the table's entry type, since a sixteen-term sum of int32 ranks can
+    pass int32: the slab r[s_x] - r[s_x - 1], then, inside that
+    contiguous (ny, nx, ny) slab, downward along s_y and upward along
+    t_x and t_y, each as one shifted subtraction, then the slab's
+    comparable mask.  Beside r.table, which is left as it was, only a
+    few slabs are held at once.
     """
     table = r.table
     clean = True
     counts = {}
     for sx in range(r.nx):
-        m = table[sx] - table[sx - 1] if sx else table[sx].copy()
+        m = np.subtract(table[sx], table[sx - 1], dtype=np.int64) if sx else table[sx].astype(np.int64)
         # s_y: m(s) -= m(s - 1); t axes: m(t) -= m(t + 1); r = 0 off the grid
         m[1:] -= m[:-1]
         m[:, :-1] -= m[:, 1:]

@@ -1,0 +1,190 @@
+"""Square-local invariants and the explicit exactness checkers.
+
+For a comparable pair s <= t of a `GridModule`, the square with corners
+a = s, b = (t_x, s_y), c = (s_x, t_y) and d = t carries eleven numbers:
+the four dimensions, the five ranks of its maps, the dimension i_d of
+the intersection of the images into d and the dimension k_a of the sum
+of the kernels out of a.  All are ranks: an intersection of images and
+a sum of kernels come from the rank of the two maps side by side and
+stacked, so no subspace is built.  `is_weakly_exact_algebraic` compares
+them with the rank invariant, and `is_weakly_exact_geometric` looks for
+hooks in the squares' interval decompositions; `check_module` runs
+them for the "algebraic" and "geometric" methods.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
+
+from .grid_module import GridModule, iter_points, rank_invariant_naive
+from .linalg import matmul, rank
+
+SQUARE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abc", "bcd", "abcd")
+
+
+class InconsistentSquareError(ValueError):
+    """Square invariants admit no nonnegative interval decomposition."""
+
+
+@dataclass
+class SquareInvariants:
+    """The eleven numbers attached to a square s <= t.
+
+    Corners: a = s (bottom left), b = (t_x, s_y), c = (s_x, t_y), d = t.
+    i_d is dim(Im(b->d) ∩ Im(c->d)); k_a is dim(Ker(a->b) + Ker(a->c)).
+    """
+
+    dim_a: int
+    dim_b: int
+    dim_c: int
+    dim_d: int
+    r_ab: int
+    r_ac: int
+    r_bd: int
+    r_cd: int
+    r_ad: int
+    i_d: int
+    k_a: int
+
+
+class SquareBarcode(dict):
+    """Multiplicities of the eleven interval types on a square."""
+
+    def __init__(self, counts):
+        super().__init__({lab: int(counts.get(lab, 0)) for lab in SQUARE_LABELS})
+
+    @property
+    def hooks(self) -> int:
+        return self["abc"] + self["bcd"]
+
+    def is_rectangular(self) -> bool:
+        return self.hooks == 0
+
+
+def _table_ranks(table: np.ndarray):
+    """r(u, v): the rank of u -> v, read off a rank invariant table."""
+    return lambda u, v: int(table[u + v])
+
+
+def _square_meets(module: GridModule, table: np.ndarray) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
+    """(s, i_d, k_a) for every source s in lexicographic order, where
+    i_d[t_x - s_x, t_y - s_y] and k_a[...] are those of the square s <= t
+    and `table` is the module's rank invariant.
+
+    With corners b = (t_x, s_y) and c = (s_x, t_y): Im bd + Im cd is the
+    image of [bd | cd], so i_d = r_bd + r_cd - rank [bd | cd]; Ker ab ∩
+    Ker ac is the kernel of [ab; ac], so k_a = (dim_a - r_ab) + (dim_a -
+    r_ac) - (dim_a - rank [ab; ac]).  The single ranks are the table's.
+
+    The sides of the squares out of s are pushed one edge at a time:
+    ab along the row s_y, ac and every bd up the columns as t_y rises,
+    and cd along each row t_y.  Each stacked rank is taken while its maps
+    are in hand, so only O(n_x) maps are held and the module's composite
+    cache is left as it is.
+    """
+    nx, ny, p = module.nx, module.ny, module.p
+    r = _table_ranks(table)
+
+    def eye(u):
+        return np.eye(module.dim_at(u), dtype=np.int64)
+
+    for s in iter_points(nx, ny):
+        sx, sy = s
+        ab = [eye(s)]  # ab[i]: s -> (s_x + i, s_y)
+        for tx in range(sx + 1, nx):
+            ab.append(matmul(module.hmaps[(tx - 1, sy)], ab[-1], p))
+        ac, bd = ab[0], [eye((tx, sy)) for tx in range(sx, nx)]  # bd[i]: (s_x + i, s_y) -> (s_x + i, t_y)
+        i_d = np.empty((nx - sx, ny - sy), dtype=np.int64)
+        k_a = np.empty_like(i_d)
+        for ty in range(sy, ny):
+            if ty > sy:
+                ac = matmul(module.vmaps[(sx, ty - 1)], ac, p)
+                bd = [matmul(module.vmaps[(tx, ty - 1)], m, p) for tx, m in enumerate(bd, sx)]
+            c = (sx, ty)
+            cd = eye(c)
+            for tx in range(sx, nx):
+                if tx > sx:
+                    cd = matmul(module.hmaps[(tx - 1, ty)], cd, p)
+                b, t, i = (tx, sy), (tx, ty), (tx - sx, ty - sy)
+                i_d[i] = r(b, t) + r(c, t) - rank(np.hstack((bd[i[0]], cd)), p)
+                k_a[i] = module.dim_at(s) - r(s, b) - r(s, c) + rank(np.vstack((ab[i[0]], ac)), p)
+        yield s, i_d, k_a
+
+
+def decompose_square(inv: SquareInvariants) -> SquareBarcode:
+    """Interval multiplicities on a square from its eleven invariants.
+
+    Solves the triangular system obtained by evaluating the invariants
+    on the eleven interval types; raises InconsistentSquareError when
+    any multiplicity comes out negative (the invariants then belong to
+    no interval-decomposable square module).
+    """
+    m = {}
+    m["abcd"] = inv.r_ad
+    m["bcd"] = inv.i_d - m["abcd"]
+    m["bd"] = inv.r_bd - m["bcd"] - m["abcd"]
+    m["cd"] = inv.r_cd - m["bcd"] - m["abcd"]
+    m["abc"] = inv.dim_a - inv.k_a - m["abcd"]
+    m["ab"] = inv.r_ab - m["abc"] - m["abcd"]
+    m["ac"] = inv.r_ac - m["abc"] - m["abcd"]
+    m["a"] = inv.k_a - m["ab"] - m["ac"]
+    m["b"] = inv.dim_b - m["ab"] - m["abc"] - m["bd"] - m["bcd"] - m["abcd"]
+    m["c"] = inv.dim_c - m["ac"] - m["abc"] - m["cd"] - m["bcd"] - m["abcd"]
+    m["d"] = inv.dim_d - m["bd"] - m["cd"] - m["bcd"] - m["abcd"]
+    negative = [lab for lab in SQUARE_LABELS if m[lab] < 0]
+    if negative:
+        raise InconsistentSquareError(
+            f"inconsistent invariants: negative multiplicity for {', '.join(negative)}"
+        )
+    return SquareBarcode(m)
+
+
+def is_weakly_exact_algebraic(module: GridModule):
+    """Check Im rho_s^t = Im(b->t) ∩ Im(c->t) and the kernel-sum dual.
+
+    Both conditions are one-sided inclusions by commutativity, so each
+    is tested as a dimension equality on the ranks of `_square_meets`:
+    r(s->t) = i_d and dim_a - r(s->t) = k_a.  Returns (True, None) or
+    (False, (s, t)) with the lexicographically smallest failing pair.
+    """
+    table = rank_invariant_naive(module).table
+    for s, i_d, k_a in _square_meets(module, table):
+        r_st = table[s[0], s[1], s[0] :, s[1] :]
+        fails = (r_st != i_d) | (r_st != module.dim_at(s) - k_a)
+        if fails.any():
+            dx, dy = np.argwhere(fails)[0].tolist()  # C order: lexicographic in t
+            return False, (s, (s[0] + dx, s[1] + dy))
+    return True, None
+
+
+def is_weakly_exact_geometric(module: GridModule):
+    """Check that no square's interval decomposition contains a hook.
+
+    The squares' invariants are ranks: the naive rank invariant's and
+    the stacked ones of `_square_meets`, as in `is_weakly_exact_algebraic`.
+    """
+    table = rank_invariant_naive(module).table
+    r = _table_ranks(table)
+    for s, i_d, k_a in _square_meets(module, table):
+        for (dx, dy), i in np.ndenumerate(i_d):
+            t = (s[0] + dx, s[1] + dy)
+            b, c = (t[0], s[1]), (s[0], t[1])
+            square = SquareInvariants(
+                dim_a=module.dim_at(s),
+                dim_b=module.dim_at(b),
+                dim_c=module.dim_at(c),
+                dim_d=module.dim_at(t),
+                r_ab=r(s, b),
+                r_ac=r(s, c),
+                r_bd=r(b, t),
+                r_cd=r(c, t),
+                r_ad=r(s, t),
+                i_d=int(i),
+                k_a=int(k_a[dx, dy]),
+            )
+            if not decompose_square(square).is_rectangular():
+                return False, (s, t)
+    return True, None

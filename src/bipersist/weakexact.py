@@ -40,9 +40,8 @@ from .grid_module import (
     RankInvariant,
     check_table_grid,
     comparable_mask,
-    is_weakly_exact_algebraic,
-    is_weakly_exact_geometric,
     rank_invariant_naive,
+    table_dtype,
 )
 from .ioutil import InvariantError
 from .linalg import flag_step, pair_flags
@@ -52,7 +51,11 @@ from .resolution import presentation, presented_module
 
 @dataclass
 class KappaIota:
-    """4-D tables indexed [s_x, s_y, t_x, t_y]; zero off comparable pairs."""
+    """4-D tables indexed [s_x, s_y, t_x, t_y]; zero off comparable pairs.
+
+    Every entry is at most the largest dimension of the module, so
+    `kappa_iota` stores int32 entries when that fits (`table_dtype`).
+    """
 
     nx: int
     ny: int
@@ -70,7 +73,7 @@ def _image_intersections(module: GridModule) -> np.ndarray:
     for every s <= t.
     """
     nx, ny, p = module.nx, module.ny, module.p
-    iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+    iota = np.zeros((nx, ny, nx, ny), dtype=table_dtype(int(module.dims.max())))
     zero = (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))  # the flag of the zero space
     below = [zero] * nx  # the B-adapted bases at (x, t_y - 1)
     for ty in range(ny):
@@ -98,8 +101,9 @@ def kappa_iota(module: GridModule) -> KappaIota:
     """
     nx, ny = module.nx, module.ny
     check_table_grid(nx, ny, 2)
+    dims = module.dims.astype(table_dtype(int(module.dims.max())))  # so kappa keeps iota's entry type
     # one expression, so the dual's table is freed before iota's is built
-    kappa = module.dims[:, :, None, None] - (
+    kappa = dims[:, :, None, None] - (
         _image_intersections(module.dualize())[::-1, ::-1, ::-1, ::-1].transpose(2, 3, 0, 1)
     )
     kappa[~comparable_mask(nx, ny)] = 0
@@ -174,6 +178,8 @@ def check_module(module: GridModule, method: str = "zigzag"):
     if method == "zigzag":
         check_table_grid(module.nx, module.ny, 3)
         return check_rectangle_decomposable(rank_invariant_naive(module), kappa_iota(module))
+    from .squares import is_weakly_exact_algebraic, is_weakly_exact_geometric  # compiled only for these methods
+
     checkers = {
         "algebraic": (is_weakly_exact_algebraic, "kernel/image equalities fail"),
         "geometric": (is_weakly_exact_geometric, "square barcode contains a hook"),

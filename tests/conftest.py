@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from bipersist.bifiltration import Bifiltration, facets
-from bipersist.grid_module import DP_GRID_CAP, RankInvariant, comparable_pairs
+from bipersist.grid_module import DP_GRID_CAP, RankInvariant
 from bipersist.ioutil import FormatError, logical_lines, parse_int
 from bipersist.linalg import check_modulus, inv_mod, solve_matrix
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
 from bipersist.weakexact import KappaIota
-from paperlib import Subspace, extend_basis, image_basis, kernel_basis, subspace_intersect, subspace_sum
+from paperlib import (
+    Subspace,
+    comparable_pairs,
+    extend_basis,
+    image_basis,
+    kernel_basis,
+    subspace_intersect,
+    subspace_sum,
+)
 
 
 def reference_rref(m, p):

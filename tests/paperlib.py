@@ -6,7 +6,9 @@ other claims against it: representations of finite posets, their
 fully faithful grid embeddings and pointwise right Kan extensions, the
 dart family and its staircase, Hom spaces by naturality equations, a
 randomized isomorphism confirmer, restriction to a subgrid, the
-eleven-by-eleven square invariant matrix, strong exactness, the rank
+comparable pairs in lexicographic order, the invariants of one square
+from its composites, the eleven-by-eleven square invariant matrix,
+strong exactness, the rank
 invariant of a sum of rectangles and zigzag spanning counts, the
 subspace oracle (canonical `Subspace` bases, dense kernels, basis
 completion, and images, sums and intersections of subspaces, which the
@@ -26,18 +28,11 @@ from typing import Optional
 import numpy as np
 
 from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map
-from bipersist.grid_module import (
-    SQUARE_LABELS,
-    GridModule,
-    RankInvariant,
-    SquareInvariants,
-    comparable_mask,
-    comparable_pairs,
-    rank_invariant_naive,
-)
+from bipersist.grid_module import GridModule, RankInvariant, comparable_mask, rank_invariant_naive
 from bipersist.ioutil import InvariantError
 from bipersist.linalg import ColumnReducer, check_modulus, matmul, rank, rref, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
+from bipersist.squares import SQUARE_LABELS, SquareInvariants
 from bipersist.zigzag import ZigzagBarcode
 
 
@@ -163,6 +158,15 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 # -- grid modules ----------------------------------------------------------
+
+
+def comparable_pairs(nx: int, ny: int):
+    """All pairs s <= t in lexicographic order of (s, t)."""
+    for sx in range(nx):
+        for sy in range(ny):
+            for tx in range(sx, nx):
+                for ty in range(sy, ny):
+                    yield (sx, sy), (tx, ty)
 
 
 def restrict(module: GridModule, xs, ys) -> GridModule:
@@ -292,6 +296,29 @@ def hom_dim(a: GridModule, b: GridModule) -> int:
 
 
 # -- square-local invariants and exactness --------------------------------
+
+
+def invariants_of_square(module: GridModule, s, t) -> SquareInvariants:
+    """The eleven invariants of the square s <= t, one composite at a
+    time: with corners b = (t_x, s_y) and c = (s_x, t_y), i_d = r_bd +
+    r_cd - rank [bd | cd] and k_a = dim_a - r_ab - r_ac + rank [ab; ac]."""
+    s, t = tuple(s), tuple(t)
+    b, c = (t[0], s[1]), (s[0], t[1])
+    ab, ac, bd, cd = (module.composite(u, v) for u, v in ((s, b), (s, c), (b, t), (c, t)))
+    r_ab, r_ac, r_bd, r_cd = (rank(m, module.p) for m in (ab, ac, bd, cd))
+    return SquareInvariants(
+        dim_a=module.dim_at(s),
+        dim_b=module.dim_at(b),
+        dim_c=module.dim_at(c),
+        dim_d=module.dim_at(t),
+        r_ab=r_ab,
+        r_ac=r_ac,
+        r_bd=r_bd,
+        r_cd=r_cd,
+        r_ad=rank(module.composite(s, t), module.p),
+        i_d=r_bd + r_cd - rank(np.hstack((bd, cd)), module.p),
+        k_a=module.dim_at(s) - r_ab - r_ac + rank(np.vstack((ab, ac)), module.p),
+    )
 
 
 def square_vector(inv: SquareInvariants) -> np.ndarray:

@@ -15,18 +15,12 @@ import numpy as np
 from bipersist.bifiltration import homology_module
 from bipersist.cli import main
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from bipersist.grid_module import (
-    SQUARE_LABELS,
-    GridModule,
-    comparable_pairs,
-    decompose_square,
-    invariants_of_square,
-    rank_invariant_naive,
-)
+from bipersist.grid_module import GridModule, rank_invariant_naive
 from bipersist.linalg import rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import decompose
 from bipersist.resolution import free_resolution, read_fres, validate_resolution
+from bipersist.squares import SQUARE_LABELS, decompose_square
 from bipersist.weakexact import (
     check_bifiltration,
     check_module,
@@ -36,6 +30,7 @@ from bipersist.zigzag import ZigzagBarcode
 from conftest import kappa_iota_naive
 from paperlib import (
     barcode_dim_at,
+    comparable_pairs,
     count_spanning,
     dart,
     dart_embedding,
@@ -44,6 +39,7 @@ from paperlib import (
     image_basis,
     indicator_poset_module,
     interval_multiplicities,
+    invariants_of_square,
     is_strongly_exact,
     iso_test,
     kernel_basis,

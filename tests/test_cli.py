@@ -10,7 +10,8 @@ from bipersist import ioutil
 from bipersist.bifiltration import write_bif
 from bipersist.cli import main
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid
-from bipersist.grid_module import RankInvariant, read_gmod, write_gmod
+from bipersist.gmod import read_gmod, write_gmod
+from bipersist.grid_module import RankInvariant
 from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.zigzag import read_zbar, write_zbar
@@ -162,7 +163,7 @@ def test_check_rectangle_grid_cap(tmp_path, capsys):
     assert main(["check-rectangle", str(wide)]) == 1
     err = capsys.readouterr().err
     assert "grid 61x1 exceeds the 60x60 cap" in err
-    assert f"{3 * 8 * 61**2:,} bytes" in err
+    assert f"{3 * 4 * 61**2:,} bytes" in err
 
 
 def test_gmod_writers_refuse_grids_the_reader_refuses(tmp_path, capsys):

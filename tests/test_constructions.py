@@ -1,12 +1,8 @@
 import pytest
 
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from bipersist.grid_module import (
-    GridModule,
-    decompose_square,
-    invariants_of_square,
-    rank_invariant_naive,
-)
+from bipersist.grid_module import GridModule, rank_invariant_naive
+from bipersist.squares import decompose_square
 from bipersist.weakexact import check_module
 from paperlib import (
     FinitePoset,
@@ -16,6 +12,7 @@ from paperlib import (
     hom_dim,
     hom_dim_poset,
     indicator_poset_module,
+    invariants_of_square,
     iso_test,
     pad,
     ran_extension,

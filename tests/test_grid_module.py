@@ -2,6 +2,7 @@ import random
 import re
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,28 +11,36 @@ from hypothesis import strategies as st
 from bipersist import ioutil
 from bipersist.bifiltration import homology_module
 from bipersist.constructions import example, indecgrid, random_rectangle_module
+from bipersist.gmod import read_gmod, write_gmod
 from bipersist.grid_module import (
     DP_GRID_CAP,
-    SQUARE_LABELS,
+    INT32_MAX,
     FormatError,
     GridModule,
-    InconsistentSquareError,
     RankInvariant,
-    SquareBarcode,
-    SquareInvariants,
     comparable_mask,
-    comparable_pairs,
-    decompose_square,
-    invariants_of_square,
-    is_weakly_exact_algebraic,
-    is_weakly_exact_geometric,
     rank_invariant_naive,
-    read_gmod,
-    write_gmod,
 )
 from bipersist.linalg import MAX_MODULUS, matmul, rank
+from bipersist.squares import (
+    SQUARE_LABELS,
+    InconsistentSquareError,
+    SquareBarcode,
+    SquareInvariants,
+    decompose_square,
+    is_weakly_exact_algebraic,
+    is_weakly_exact_geometric,
+)
 from conftest import INT64, clique_bifiltration, kappa_iota_naive, reference_rank_from_text
-from paperlib import hom_dim, is_strongly_exact, restrict, square_invariant_matrix, square_vector
+from paperlib import (
+    comparable_pairs,
+    hom_dim,
+    invariants_of_square,
+    is_strongly_exact,
+    restrict,
+    square_invariant_matrix,
+    square_vector,
+)
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
 CORNERS = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
@@ -173,6 +182,25 @@ def test_naive_rank_holds_one_row_of_composites():
     assert m._composites == {}
 
 
+@pytest.mark.parametrize("checker", [is_weakly_exact_algebraic, is_weakly_exact_geometric])
+def test_explicit_checkers_hold_one_row_of_maps(checker):
+    # the sides of the squares out of one source are pushed row by row
+    # and dropped: the peak is the naive rank table and O(n_x n_y) small
+    # matrices, not one cached composite per comparable pair
+    m, _ = random_rectangle_module(12, 12, 40, 1)
+    table_bytes = rank_invariant_naive(m).table.nbytes
+    tracemalloc.start()
+    try:
+        verdict = checker(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = int(m.dims.max())
+    assert verdict == (True, None)
+    assert peak < table_bytes + m.nx * m.ny * (8 * d * d + 256)
+    assert m._composites == {}
+
+
 def reference_rank_to_text(inv):
     """Oracle: the per-pair .rank writer."""
     out = [f"# rank invariant on grid {inv.nx} x {inv.ny} (1-based coordinates)"]
@@ -213,6 +241,56 @@ def test_rank_to_text_at_the_grid_cap(nx, ny, fill):
     text = inv.to_text()
     assert text == reference_rank_to_text(inv)
     assert RankInvariant.from_text(text) == inv
+
+
+STRADDLING = st.sampled_from([0, 9, 10**4, 10**8, INT32_MAX - 1, INT32_MAX, INT32_MAX + 1, 10**10, INT64.max])
+
+
+def straddling_table(nx, ny, values, dtype=np.int64):
+    """A rank table with `values` on the comparable pairs, in order."""
+    table = np.zeros((nx, ny, nx, ny), dtype=dtype)
+    table[comparable_mask(nx, ny)] = values
+    return RankInvariant(nx, ny, table)
+
+
+@st.composite
+def straddling_tables(draw, dtype=np.int64):
+    """Rank tables on grids up to 4 x 4 with ranks on both sides of
+    2**31 - 1, or only up to it for an int32 table."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = STRADDLING | st.integers(0, 2**33)
+    if dtype == np.int32:
+        values = values.filter(lambda v: v <= INT32_MAX)
+    size = int(comparable_mask(nx, ny).sum())
+    return straddling_table(nx, ny, draw(st.lists(values, min_size=size, max_size=size)), dtype)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 64])
+@settings(max_examples=60, deadline=None)
+@given(inv=straddling_tables())
+@hypothesis.example(inv=straddling_table(2, 2, [1, 2, 3, 4, INT32_MAX + 1, 5, 6, 7, 8]))  # the fifth line widens
+def test_rank_reader_reads_int32_until_a_rank_past_it(block, inv):
+    # whole or cut into blocks, so that a later block may widen a table
+    # already filled, the table read is the int64 reference, and it is
+    # int32 exactly when every rank fits
+    text = inv.to_text()
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        got = RankInvariant.from_text(text)
+    want = reference_rank_from_text(text)
+    assert want.table.dtype == np.int64 and got == want == inv
+    assert got.table.dtype == (np.int32 if inv.table.max() <= INT32_MAX else np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(straddling_tables(np.int32))
+@hypothesis.example(straddling_table(1, 2, [INT32_MAX, 10**8, INT32_MAX], np.int32))
+def test_rank_text_slabs_of_an_int32_table_match_the_per_pair_writer(inv):
+    # the 4-digit groups of a rank up to 2**31 - 1 divide by 10**8, which
+    # an int32 holds
+    assert inv.table.dtype == np.int32
+    assert b"".join(inv.text_slabs()).decode("ascii") == reference_rank_to_text(inv)
 
 
 def test_rank_to_text_refuses_a_negative_rank():

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
-from bipersist.grid_module import RankInvariant, comparable_pairs, rank_invariant_naive
+from bipersist.grid_module import RankInvariant, rank_invariant_naive
 from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, pair_counts, rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module, read_fres
+from paperlib import comparable_pairs
 from test_acceptance import _perf_fixture_text
 
 TRIANGLE = [

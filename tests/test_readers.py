@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from bipersist import ioutil
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
-from bipersist.grid_module import DP_GRID_CAP, GMOD_IDENTITY_BYTES_CAP, GridModule, RankInvariant, read_gmod, write_gmod
+from bipersist.gmod import GMOD_IDENTITY_BYTES_CAP, read_gmod, write_gmod
+from bipersist.grid_module import DP_GRID_CAP, GridModule, RankInvariant
 from bipersist.ioutil import FormatError, int_rows, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,17 @@ from hypothesis import strategies as st
 from bipersist.bifiltration import homology_module
 from bipersist.constructions import example, indecgrid, random_rectangle_module
 from bipersist.grid_module import (
+    INT32_MAX,
     GridModule,
     RankInvariant,
     comparable_mask,
-    comparable_pairs,
-    is_weakly_exact_algebraic,
     rank_invariant_naive,
 )
 from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
+from bipersist.squares import is_weakly_exact_algebraic
 from conftest import random_bifiltration
-from paperlib import barcode_dim_at, interval_multiplicities, rectangle_rank_invariant
+from paperlib import barcode_dim_at, comparable_pairs, interval_multiplicities, rectangle_rank_invariant
 
 
 def sixteen_term(r, s, t) -> int:
@@ -88,15 +89,31 @@ def test_decompose_matches_oracle_on_indecgrid(n):
 
 
 @st.composite
-def drawn_tables(draw):
+def drawn_tables(draw, large=st.integers(0, 2**58)):
     """Arbitrary entries on the comparable pairs, which mostly give negative
     multiplicities, on grids that include 1 x n and n x 1."""
     nx, ny = draw(st.sampled_from([(1, 1), (1, 5), (5, 1), (1, 2), (3, 1)]) | st.tuples(st.integers(1, 5), st.integers(1, 5)))
     r = RankInvariant(nx, ny)
     mask = comparable_mask(nx, ny)
     size = int(mask.sum())
-    r.table[mask] = draw(st.lists(st.integers(0, 6) | st.integers(0, 2**58), min_size=size, max_size=size))
+    r.table[mask] = draw(st.lists(st.integers(0, 6) | large, min_size=size, max_size=size))
     return r
+
+
+def _one_by_three(values):
+    r = RankInvariant(1, 3)
+    r.table[comparable_mask(1, 3)] = values
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_tables(st.sampled_from([INT32_MAX - 1, INT32_MAX]) | st.integers(0, INT32_MAX)))
+@hypothesis.example(_one_by_three([0, 0, INT32_MAX, INT32_MAX, 0, 0]))  # m((0,1), (0,1)) = 2 (2**31 - 1)
+def test_decompose_of_an_int32_table_is_that_of_its_int64_copy(r):
+    # the sixteen-term sums of int32 ranks pass int32; the differences
+    # are taken in int64
+    narrow = RankInvariant(r.nx, r.ny, r.table.astype(np.int32))
+    assert decompose(narrow) == decompose(r) == oracle_decompose(r)
 
 
 @settings(max_examples=150, deadline=None)

@@ -87,7 +87,8 @@ def _identifiers(name):
 def test_production_paths_use_no_dense_kernel_or_subspace_helper():
     for name in ("resolution.py", "rank_dp.py", "weakexact.py", "bifiltration.py", "zigzag.py"):
         assert _identifiers(name) & DENSE_KERNEL == set(), name
-    assert _identifiers("grid_module.py") & SUBSPACE_HELPERS == set()
+    for name in ("grid_module.py", "squares.py"):
+        assert _identifiers(name) & SUBSPACE_HELPERS == set(), name
     assert "ColumnReducer" in _identifiers("resolution.py")  # the scan sees imports
 
 
@@ -105,6 +106,39 @@ def test_package_defines_no_subspace_helper():
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 found += [f"{path.name}:{node.lineno} {n.id}" for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and n.id in banned]
     assert found == []
+
+
+ALLOCATORS = {"zeros", "empty", "ones", "full"}
+
+
+def _literal_dtype(node):
+    """Whether a dtype argument names one fixed type: a string, a builtin
+    type, `np.<type>` or `np.dtype(...)`, or nothing at all (float64)."""
+    if node is None or isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in {"int", "float", "bool", "complex", "object"}
+    if isinstance(node, ast.Call):
+        return _literal_dtype(node.func)
+    return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in {"np", "numpy"}
+
+
+def test_dense_tables_take_their_entry_type_from_the_shared_rule():
+    # a 4-D rank or dimension table stores int32 entries when its bound
+    # allows, by `grid_module.table_dtype`; an (nx, ny, nx, ny)
+    # allocation with a literal dtype would fix one width for every input
+    found, literal = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ALLOCATORS and node.args):
+                continue
+            if not (isinstance(node.args[0], ast.Tuple) and len(node.args[0].elts) == 4):
+                continue
+            dtype = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "dtype"), None)
+            found.append(f"{path.name}:{node.lineno}")
+            if _literal_dtype(dtype):
+                literal.append(found[-1])
+    assert len(found) >= 5 and literal == []  # the scan sees the DP's, the reader's and kappa/iota's tables
 
 
 def _names_in(nodes, quoted=False):

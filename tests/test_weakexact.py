@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ def test_dense_tables_refuse_grids_past_the_cap():
     ):
         with pytest.raises(GridTooLargeError, match="grid 61x1 exceeds"):
             build()
+
+
+def test_check_bifiltration_peak_is_four_int32_tables_and_the_masks():
+    # r, kappa, iota and the corank at 4 bytes an entry, the comparable
+    # mask and the comparison's bool temporaries; the presentation and
+    # the module it presents fit in one more byte per cell
+    bif = clique_bifiltration(3, 30, 0.2, 30, 30)
+    cells = (bif.nx * bif.ny) ** 2
+    tracemalloc.start()
+    try:
+        verdict = check_bifiltration(bif, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict[0] is False
+    assert peak <= (4 * 4 + 5) * cells
 
 
 def test_checker_accepts_rectangle_sums():
