@@ -37,14 +37,20 @@ def _read_file(path: str) -> str:
 
 
 def _read_rank(path: str):
-    """`RankInvariant.from_blocks` over a .rank file read one block at a
-    time, so its text is never held whole.  The errors are those of
-    `_read_file` and `from_text` on the whole file: a byte that is not
-    UTF-8 anywhere in it is reported before any bad line."""
+    """A .rank file, read one chunk or block at a time so that its text is
+    never held whole.  A file in the layout `rank` writes is read from
+    its bytes by `RankInvariant.from_slabs`; any other, from the start
+    again, by `RankInvariant.from_blocks` in text mode.  So the errors
+    are those of `_read_file` and `from_text` on the whole file: a byte
+    that is not UTF-8 anywhere in it is reported before any bad line."""
     from .grid_module import RankInvariant
-    from .ioutil import file_blocks
+    from .ioutil import file_blocks, file_chunks
 
     try:
+        with open(path, "rb") as fh:
+            inv = RankInvariant.from_slabs(file_chunks(fh))
+        if inv is not None:
+            return inv
         with open(path, encoding="utf-8") as fh:
 
             def blocks():

@@ -2,10 +2,10 @@
 
 A module assigns a vector space over F_p to every point of the grid
 [0,nx) x [0,ny) and a matrix to every unit edge; commutativity of the
-unit squares is the validation contract.  Composite maps, the rank
-invariant and dualization live here, together with the .rank file
-format; the .gmod format is in `gmod`, and the square-local invariants
-of the explicit exactness checkers are in `squares`.
+unit squares is the validation contract.  The rank invariant and
+dualization live here, together with the .rank file format; the .gmod
+format is in `gmod`, and the square-local invariants of the explicit
+exactness checkers are in `squares`.
 
 Grid points are 0-based (x, y) tuples in code; the file formats use
 1-based coordinates.
@@ -13,6 +13,7 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
@@ -115,7 +116,6 @@ class GridModule:
         for x in range(self.nx):
             for y in range(self.ny - 1):
                 self.vmaps[(x, y)] = self._edge(vmaps.get((x, y)), (x, y + 1), (x, y))
-        self._composites: dict = {}
 
     def _edge(self, m, tgt, src) -> np.ndarray:
         shape = (int(self.dims[tgt]), int(self.dims[src]))
@@ -145,27 +145,6 @@ class GridModule:
                 if not np.array_equal(up_right, right_up):
                     bad.append(f"square at ({x},{y}) does not commute")
         return bad
-
-    # -- structure maps ------------------------------------------------
-
-    def composite(self, s, t) -> np.ndarray:
-        """Matrix of the structure map s -> t (requires s <= t)."""
-        s, t = tuple(s), tuple(t)
-        if not (0 <= s[0] <= t[0] < self.nx and 0 <= s[1] <= t[1] < self.ny):
-            raise ValueError(f"incomparable or out-of-range pair {s} -> {t}")
-        if s == t:
-            return np.eye(self.dim_at(s), dtype=np.int64)
-        key = (s, t)
-        got = self._composites.get(key)
-        if got is None:
-            if t[1] > s[1]:
-                prev = (t[0], t[1] - 1)
-                got = matmul(self.vmaps[prev], self.composite(s, prev), self.p)
-            else:
-                prev = (t[0] - 1, t[1])
-                got = matmul(self.hmaps[prev], self.composite(s, prev), self.p)
-            self._composites[key] = got
-        return got
 
     # -- constructions -------------------------------------------------
 
@@ -252,6 +231,41 @@ def _digit_groups():
     return zero_padded, leading
 
 
+def _rank_header(nx: int, ny: int) -> bytes:
+    return f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n".encode()
+
+
+_RANK_HEADER = re.compile(rb"# rank invariant on grid ([1-9][0-9]*) x ([1-9][0-9]*) \(1-based coordinates\)\n")
+_RANK_DIGITS_MOST = 18  # the longest rank `from_slabs` reads; every such rank fits in int64
+_RANK_LINE_MOST = 2 * len("60 60 ") + _RANK_DIGITS_MOST + 1
+
+
+def _labels(nx: int, ny: int):
+    """The .rank labels "x y " of the grid's points (1-based), indexed
+    x * ny + y: each as a NUL-padded little-endian 8-byte word, the mask
+    of its bytes in that word, and its length."""
+    text = [f"{x + 1} {y + 1} " for x in range(nx) for y in range(ny)]
+    words = np.frombuffer("".join(label.ljust(8, "\0") for label in text).encode(), dtype="<u8")
+    sizes = np.array([len(label) for label in text], dtype=np.int64)
+    masks = (np.uint64(1) << (8 * sizes).astype(np.uint64)) - np.uint64(1)
+    return words, masks, sizes
+
+
+def _slab_lines(nx: int, ny: int, x: int):
+    """The writer's .rank lines of the pairs with s_x = x, in the C order
+    of the slab's comparable pairs: (m, at), with m the [s_y, t] mask of
+    those pairs in the slab table[x] (t = t_x * ny + t_y), and at(c, "s")
+    and at(c, "t") the entries of `c`, an array indexed like `_labels`,
+    at each line's s and at each line's t."""
+    m = slab_mask(nx, ny, x).reshape(ny, nx * ny)
+    runs = (nx - x) * (ny - np.arange(ny))  # the lines of each s_y
+
+    def at(c, side: str):
+        return np.repeat(c[x * ny : (x + 1) * ny], runs) if side == "s" else np.broadcast_to(c, m.shape)[m]
+
+    return m, at
+
+
 class RankInvariant:
     """r(s, t) = rank of the structure map s -> t, for all s <= t.
 
@@ -315,22 +329,17 @@ class RankInvariant:
         check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
         if self.table.min(initial=0) < 0:
             raise ValueError("rank invariant has a negative entry")
-        labels = np.frombuffer(
-            "".join(f"{x + 1} {y + 1} ".ljust(8, "\0") for x in range(nx) for y in range(ny)).encode(),
-            dtype=np.uint64,
-        )
-        header = f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n".encode()
-        return chain([header], (self._slab_bytes(x, labels) for x in range(nx)))
+        labels = _labels(nx, ny)[0]
+        return chain([_rank_header(nx, ny)], (self._slab_bytes(x, labels) for x in range(nx)))
 
     def _slab_bytes(self, x: int, labels) -> bytes:
         """The .rank lines of the pairs with s_x = x; see `text_slabs`."""
-        nx, ny = self.nx, self.ny
-        m = slab_mask(nx, ny, x).reshape(ny, nx * ny)  # [s_y, t]
+        m, at = _slab_lines(self.nx, self.ny, x)
         q = self.table[x].reshape(m.shape)[m]
         groups = -(-len(str(int(q.max()))) // 4)
-        line = np.empty(q.size, dtype=[("s", np.uint64), ("t", np.uint64), ("r", "<u4", (groups,)), ("nl", np.uint8)])
-        line["s"] = np.repeat(labels[x * ny : (x + 1) * ny], (nx - x) * (ny - np.arange(ny)))
-        line["t"] = np.broadcast_to(labels, m.shape)[m]
+        line = np.empty(q.size, dtype=[("s", "<u8"), ("t", "<u8"), ("r", "<u4", (groups,)), ("nl", np.uint8)])
+        line["s"] = at(labels, "s")
+        line["t"] = at(labels, "t")
         zero_padded, leading = _digit_groups()
         for k in range(groups):  # the group of the places 4k .. 4k + 3
             r = q // 10 ** (4 * k) % 10000 if groups > 1 else q
@@ -344,10 +353,106 @@ class RankInvariant:
         return line.tobytes().translate(None, b"\0")
 
     @classmethod
+    def from_slabs(cls, chunks) -> Optional["RankInvariant"]:
+        """Read a .rank file in the layout `text_slabs` writes, given as
+        an iterable of byte chunks cut anywhere; None at the first byte
+        that departs from that layout.  It accepts exactly the bytes that
+        `text_slabs` writes for the table it returns, up to ranks of 18
+        digits, and reads them without tokenizing: any other file, valid
+        or not, is left to `from_blocks`.
+
+        The header's grid, 1 x 1 to 60 x 60, fixes every line but its
+        rank: `_slab_lines` gives each s_x slab's pairs and labels in the
+        writer's order.  For each slab the reader cuts the chunks at the
+        slab's last LF and finds its LFs in one pass; the lines follow
+        each other, so each line starts after the LF before it.  The two
+        labels of each line are compared as masked little-endian 8-byte
+        words, gathered at the line starts and after the first label
+        from one byte-strided `uint64` view of the slab.  What is left of
+        a line, before its LF, is its rank: 1 to 18 digits, with no
+        leading zero unless the rank is 0.  The file must end at the
+        last LF.  The entry type is `from_blocks`': int32, widened to
+        int64 when a rank passes 2**31 - 1.  Beside the table only one
+        slab's bytes and its per-line arrays are held.
+        """
+        chunks = iter(chunks)
+        rest, rest_ends = b"", np.zeros(0, dtype=np.int64)
+
+        def lines(n: int, most: int):
+            """The next n lines of the file, as (a uint8 array that starts
+            with them and ends in 16 zero bytes, since a word may read
+            past the last line, and the positions of their LFs), or None
+            when the file ends first or they are longer than `most`.
+            Each chunk's LFs are found once, as it comes in."""
+            nonlocal rest, rest_ends
+            parts, ends, size = [rest], [rest_ends], len(rest)
+            have = rest_ends.size
+            while have < n:
+                chunk = None if size > most else next(chunks, None)
+                if chunk is None:
+                    return None
+                found = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
+                found += size
+                parts.append(chunk)
+                ends.append(found)
+                have += found.size
+                size += len(chunk)
+            data = np.frombuffer(b"".join([*parts, bytes(16)]), dtype=np.uint8)
+            ends = np.concatenate(ends)
+            cut = int(ends[n - 1]) + 1
+            rest, rest_ends = data[cut:-16].tobytes(), ends[n:] - cut
+            return (data, ends[:n]) if cut <= most else None
+
+        got = lines(1, len(_rank_header(DP_GRID_CAP, DP_GRID_CAP)))
+        grid = got and _RANK_HEADER.fullmatch(got[0][: got[1][0] + 1].tobytes())
+        if not grid or max(nx := int(grid[1]), ny := int(grid[2])) > DP_GRID_CAP:
+            return None
+        words, masks, sizes = _labels(nx, ny)
+        table = np.zeros((nx, ny, nx, ny), dtype=table_dtype(0))
+        for x in range(nx):
+            m, at = _slab_lines(nx, ny, x)
+            n = np.count_nonzero(m)
+            got = lines(n, n * _RANK_LINE_MOST)
+            if got is None:
+                return None
+            data, ends = got
+            word = np.ndarray((data.size - 7,), "<u8", data, strides=(1,))  # word[i]: bytes i .. i + 7
+            start = np.empty_like(ends)  # the line starts, then the ends of their labels
+            start[0] = 0
+            np.add(ends[:-1], 1, out=start[1:])
+            for side in "st":
+                if not np.array_equal(word[start] & at(masks, side), at(words, side)):
+                    return None
+                start += at(sizes, side)
+            digits = ends - start
+            if digits.min() < 1 or digits.max() > _RANK_DIGITS_MOST or np.any((data[start] == 48) & (digits > 1)):
+                return None  # an empty or long rank, or a leading zero
+            value = np.subtract(data[: ends[-1]], 48)
+            is_digit = value < 10
+            # beside the checked labels, only the 4 spaces of each line
+            # and the LFs between the lines are not digits
+            if ends[-1] - np.count_nonzero(is_digit) != 5 * n - 1:
+                return None
+            value *= is_digit  # the digits' values, 0 at the space before each rank
+            start -= 1
+            ranks = value[ends - 1].astype(np.int64)
+            for place in range(1, int(digits.max())):
+                ranks += value[np.maximum(ends - 1 - place, start)] * np.int64(10**place)
+            if ranks.max() > INT32_MAX:
+                table = table.astype(np.int64, copy=False)
+            table[x].reshape(m.shape)[m] = ranks
+        if rest or any(chunks):
+            return None  # the file goes on past its last pair
+        return cls(nx, ny, table)
+
+    @classmethod
     def from_text(cls, text: str) -> "RankInvariant":
         """Read a .rank text; a FormatError names the first bad line.
-        See `from_blocks`, which reads the text's `ioutil.line_blocks`."""
-        return cls.from_blocks(lambda: line_blocks(text))
+        Text in the writer's layout is read by `from_slabs`; any other
+        text, and so every error, by `from_blocks`, which reads the
+        text's `ioutil.line_blocks`."""
+        inv = cls.from_slabs(block.encode("utf-8", "surrogatepass") for _, block, _ in line_blocks(text))
+        return inv if inv is not None else cls.from_blocks(lambda: line_blocks(text))
 
     @classmethod
     def from_blocks(cls, blocks) -> "RankInvariant":
@@ -485,10 +590,9 @@ def rank_invariant_naive(module: GridModule) -> RankInvariant:
     """Rank of every composite structure map, computed directly.
 
     The maps out of one source s are pushed from s one edge at a time,
-    along the row s_y and then up every column, the route that
-    `GridModule.composite` takes; only the maps into one row are held,
-    and the module's composite cache is left as it is.  A rank is at
-    most the largest dimension, which sets the entry type.
+    along the row s_y and then up every column; only the maps into one
+    row are held.  A rank is at most the largest dimension, which sets
+    the entry type.
     """
     nx, ny, p = module.nx, module.ny, module.p
     check_table_grid(nx, ny)

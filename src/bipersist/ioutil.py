@@ -128,6 +128,11 @@ def file_blocks(fh):
         first_line += newlines
 
 
+def file_chunks(fh):
+    """The bytes of an open binary file, `_BLOCK_CHARS` at a time."""
+    return iter(lambda: fh.read(_BLOCK_CHARS), b"")
+
+
 class Scratch:
     """The work arrays of one read, reused by every block it parses.
 

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grid_module import RankInvariant, slab_mask
+from .grid_module import RankInvariant
 from .ioutil import FormatError, logical_lines, parse_int
 
 
@@ -73,25 +73,27 @@ def decompose(r: RankInvariant):
     positive part.  A clean outcome alone does not certify
     decomposability -- that decision belongs to the checkers.
 
-    The differences are taken one s_x slab at a time, in int64 whatever
-    the table's entry type, since a sixteen-term sum of int32 ranks can
-    pass int32: the slab r[s_x] - r[s_x - 1], then, inside that
-    contiguous (ny, nx, ny) slab, downward along s_y and upward along
-    t_x and t_y, each as one shifted subtraction, then the slab's
-    comparable mask.  Beside r.table, which is left as it was, only a
-    few slabs are held at once.
+    The differences are taken one s_x slab at a time, over its pairs
+    with t_x >= s_x only, and in int64 whatever the table's entry type,
+    since a sixteen-term sum of int32 ranks can pass int32: the slab
+    r[s_x, :, s_x:] - r[s_x - 1, :, s_x:], then, inside that (ny, nx -
+    s_x, ny) block, downward along s_y and upward along t_x and t_y,
+    each as one shifted subtraction, then the s_y <= t_y triangle.
+    Beside r.table, which is left as it was, only a few slabs are held
+    at once.
     """
     table = r.table
+    triangle = np.arange(r.ny)[:, None, None] <= np.arange(r.ny)  # [s_y, 1, t_y]
     clean = True
     counts = {}
     for sx in range(r.nx):
-        m = np.subtract(table[sx], table[sx - 1], dtype=np.int64) if sx else table[sx].astype(np.int64)
+        m = np.subtract(table[sx, :, sx:], table[sx - 1, :, sx:], dtype=np.int64) if sx else table[0].astype(np.int64)
         # s_y: m(s) -= m(s - 1); t axes: m(t) -= m(t + 1); r = 0 off the grid
         m[1:] -= m[:-1]
         m[:, :-1] -= m[:, 1:]
         m[:, :, :-1] -= m[:, :, 1:]
-        m *= slab_mask(r.nx, r.ny, sx)
+        m *= triangle
         clean = clean and not (m < 0).any()
-        idx = np.nonzero(m > 0)
-        counts.update(zip(zip(repeat(sx), *(c.tolist() for c in idx)), m[idx].tolist()))
+        sy, tx, ty = np.nonzero(m > 0)
+        counts.update(zip(zip(repeat(sx), sy.tolist(), (tx + sx).tolist(), ty.tolist()), m[sy, tx, ty].tolist()))
     return RectangleBarcode(counts), clean

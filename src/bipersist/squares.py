@@ -82,8 +82,7 @@ def _square_meets(module: GridModule, table: np.ndarray) -> Iterator[tuple[tuple
     The sides of the squares out of s are pushed one edge at a time:
     ab along the row s_y, ac and every bd up the columns as t_y rises,
     and cd along each row t_y.  Each stacked rank is taken while its maps
-    are in hand, so only O(n_x) maps are held and the module's composite
-    cache is left as it is.
+    are in hand, so only O(n_x) maps are held.
     """
     nx, ny, p = module.nx, module.ny, module.p
     r = _table_ranks(table)

@@ -13,6 +13,7 @@ from bipersist.weakexact import KappaIota
 from paperlib import (
     Subspace,
     comparable_pairs,
+    composite,
     extend_basis,
     image_basis,
     kernel_basis,
@@ -141,12 +142,12 @@ def kappa_iota_naive(module):
     for s, t in comparable_pairs(nx, ny):
         b, c = (t[0], s[1]), (s[0], t[1])
         iota[s + t] = subspace_intersect(
-            image_basis(module.composite(b, t), p),
-            image_basis(module.composite(c, t), p),
+            image_basis(composite(module, b, t), p),
+            image_basis(composite(module, c, t), p),
         ).dim
         kappa[s + t] = subspace_sum(
-            kernel_basis(module.composite(s, b), p),
-            kernel_basis(module.composite(s, c), p),
+            kernel_basis(composite(module, s, b), p),
+            kernel_basis(composite(module, s, c), p),
         ).dim
     return KappaIota(nx, ny, kappa, iota)
 

@@ -5,9 +5,9 @@ decomposability verdicts; the constructions here check the paper's
 other claims against it: representations of finite posets, their
 fully faithful grid embeddings and pointwise right Kan extensions, the
 dart family and its staircase, Hom spaces by naturality equations, a
-randomized isomorphism confirmer, restriction to a subgrid, the
-comparable pairs in lexicographic order, the invariants of one square
-from its composites, the eleven-by-eleven square invariant matrix,
+randomized isomorphism confirmer, the composite structure maps of a
+module, restriction to a subgrid, the comparable pairs in
+lexicographic order, the invariants of one square from its composites, the eleven-by-eleven square invariant matrix,
 strong exactness, the rank
 invariant of a sum of rectangles and zigzag spanning counts, the
 subspace oracle (canonical `Subspace` bases, dense kernels, basis
@@ -22,6 +22,7 @@ runs.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import astuple, dataclass
 from typing import Optional
 
@@ -169,6 +170,31 @@ def comparable_pairs(nx: int, ny: int):
                     yield (sx, sy), (tx, ty)
 
 
+_COMPOSITES = weakref.WeakKeyDictionary()  # module -> {(s, t): matrix of s -> t}
+
+
+def composite(module: GridModule, s, t) -> np.ndarray:
+    """Matrix of the structure map s -> t of `module` (requires s <= t):
+    along the row s_y, then up the column t_x.  Every composite is kept,
+    per module, for the later calls."""
+    s, t = tuple(s), tuple(t)
+    if not (0 <= s[0] <= t[0] < module.nx and 0 <= s[1] <= t[1] < module.ny):
+        raise ValueError(f"incomparable or out-of-range pair {s} -> {t}")
+    if s == t:
+        return np.eye(module.dim_at(s), dtype=np.int64)
+    cache = _COMPOSITES.setdefault(module, {})
+    got = cache.get((s, t))
+    if got is None:
+        if t[1] > s[1]:
+            prev = (t[0], t[1] - 1)
+            got = matmul(module.vmaps[prev], composite(module, s, prev), module.p)
+        else:
+            prev = (t[0] - 1, t[1])
+            got = matmul(module.hmaps[prev], composite(module, s, prev), module.p)
+        cache[(s, t)] = got
+    return got
+
+
 def restrict(module: GridModule, xs, ys) -> GridModule:
     """Restriction to the subgrid xs x ys (sorted 0-based indices)."""
     xs, ys = sorted(set(xs)), sorted(set(ys))
@@ -180,10 +206,10 @@ def restrict(module: GridModule, xs, ys) -> GridModule:
     hmaps, vmaps = {}, {}
     for i in range(len(xs) - 1):
         for j in range(len(ys)):
-            hmaps[(i, j)] = module.composite((xs[i], ys[j]), (xs[i + 1], ys[j]))
+            hmaps[(i, j)] = composite(module, (xs[i], ys[j]), (xs[i + 1], ys[j]))
     for i in range(len(xs)):
         for j in range(len(ys) - 1):
-            vmaps[(i, j)] = module.composite((xs[i], ys[j]), (xs[i], ys[j + 1]))
+            vmaps[(i, j)] = composite(module, (xs[i], ys[j]), (xs[i], ys[j + 1]))
     return GridModule(len(xs), len(ys), module.p, dims, hmaps, vmaps)
 
 
@@ -304,7 +330,7 @@ def invariants_of_square(module: GridModule, s, t) -> SquareInvariants:
     r_cd - rank [bd | cd] and k_a = dim_a - r_ab - r_ac + rank [ab; ac]."""
     s, t = tuple(s), tuple(t)
     b, c = (t[0], s[1]), (s[0], t[1])
-    ab, ac, bd, cd = (module.composite(u, v) for u, v in ((s, b), (s, c), (b, t), (c, t)))
+    ab, ac, bd, cd = (composite(module, u, v) for u, v in ((s, b), (s, c), (b, t), (c, t)))
     r_ab, r_ac, r_bd, r_cd = (rank(m, module.p) for m in (ab, ac, bd, cd))
     return SquareInvariants(
         dim_a=module.dim_at(s),
@@ -315,7 +341,7 @@ def invariants_of_square(module: GridModule, s, t) -> SquareInvariants:
         r_ac=r_ac,
         r_bd=r_bd,
         r_cd=r_cd,
-        r_ad=rank(module.composite(s, t), module.p),
+        r_ad=rank(composite(module, s, t), module.p),
         i_d=r_bd + r_cd - rank(np.hstack((bd, cd)), module.p),
         k_a=module.dim_at(s) - r_ab - r_ac + rank(np.vstack((ab, ac)), module.p),
     )
@@ -360,9 +386,9 @@ def is_strongly_exact(module: GridModule):
     p = module.p
     for s, t in comparable_pairs(module.nx, module.ny):
         bpt, cpt = (t[0], s[1]), (s[0], t[1])
-        pairing = np.vstack([module.composite(s, bpt), module.composite(s, cpt)])
+        pairing = np.vstack([composite(module, s, bpt), composite(module, s, cpt)])
         difference = np.hstack(
-            [module.composite(bpt, t), (-module.composite(cpt, t)) % p]
+            [composite(module, bpt, t), (-composite(module, cpt, t)) % p]
         )
         if kernel_basis(difference, p).dim != rank(pairing, p):
             return False, (s, t)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bipersist import ioutil
+from bipersist import grid_module, ioutil
 from bipersist.bifiltration import write_bif
 from bipersist.cli import main
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid
@@ -297,6 +297,38 @@ def test_rank_rows_in_any_order_read_as_in_the_writers_order(tmp_path, capsys, b
         with pytest.raises(FormatError, match=f"^{message}"):
             RankInvariant.from_text(text)
         assert got[0] == 1 and got[1].startswith(f"error: {message}")
+
+
+def test_decompose_reads_the_rank_commands_output_without_the_tokenizer(tmp_path, capsys):
+    # `rank` writes the layout that `from_slabs` checks, so the general
+    # reader's tokenizer never runs on it; cut into 64-byte chunks, the
+    # slabs straddle chunks
+    bif = write_triangle(tmp_path)
+    rank_file = tmp_path / "tri.rank"
+    assert main(["rank", bif, "--degree", "1", "-o", str(rank_file)]) == 0
+    want = barcode_text(RankInvariant.from_text(rank_file.read_text()))
+
+    def tokenizer(*args):
+        raise AssertionError("the general .rank reader ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "block_rows", tokenizer)
+        mp.setattr(grid_module, "block_rows", tokenizer)
+        mp.setattr(ioutil, "_BLOCK_CHARS", 64)
+        assert decompose_rank_file(tmp_path, capsys, rank_file.read_bytes()) == (0, want)
+        assert decompose_rank_file(tmp_path, capsys, RANKS.to_text().encode()) == (0, barcode_text(RANKS))
+
+
+def test_a_writers_rank_file_changed_in_its_bytes_reads_as_text(tmp_path, capsys):
+    # the layout reader sees bytes, the general reader text: a byte that
+    # is not UTF-8 past the last line, or lone CRs for the LFs, leave the
+    # layout, and the general reader reads the file from its start
+    data = RANKS.to_text().encode()
+    lines = data.count(b"\n")
+    assert decompose_rank_file(tmp_path, capsys, data + b"\xff") == (
+        1, f"error: line {lines + 1}: byte 0xff is not UTF-8 (invalid start byte)\n"
+    )
+    assert decompose_rank_file(tmp_path, capsys, data.replace(b"\n", b"\r")) == (0, barcode_text(RANKS))
 
 
 @pytest.mark.parametrize("bad_line", [3, 40_002])

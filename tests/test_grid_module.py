@@ -34,6 +34,7 @@ from bipersist.squares import (
 from conftest import INT64, clique_bifiltration, kappa_iota_naive, reference_rank_from_text
 from paperlib import (
     comparable_pairs,
+    composite,
     hom_dim,
     invariants_of_square,
     is_strongly_exact,
@@ -88,8 +89,8 @@ def test_validate_catches_noncommuting_square():
 
 def test_composite_identity_and_chain():
     m = example("ex1")
-    assert np.array_equal(m.composite((1, 0), (1, 0)), np.eye(2, dtype=np.int64))
-    comp = m.composite((0, 0), (2, 0))
+    assert np.array_equal(composite(m, (1, 0), (1, 0)), np.eye(2, dtype=np.int64))
+    comp = composite(m, (0, 0), (2, 0))
     assert comp.shape == (1, 2)
     assert rank(comp, 2) == 1
 
@@ -100,8 +101,8 @@ def test_composite_path_independence():
         mod, _ = random_rectangle_module(4, 4, 5, seed=trial, p=3)
         s = (rng.randrange(2), rng.randrange(2))
         t = (s[0] + rng.randrange(4 - s[0]), s[1] + rng.randrange(4 - s[1]))
-        over = matmul(mod.composite((t[0], s[1]), t), mod.composite(s, (t[0], s[1])), 3)
-        assert np.array_equal(over, mod.composite(s, t))
+        over = matmul(composite(mod, (t[0], s[1]), t), composite(mod, s, (t[0], s[1])), 3)
+        assert np.array_equal(over, composite(mod, s, t))
 
 
 def test_restrict_and_direct_sum_dims():
@@ -163,7 +164,7 @@ def test_naive_rank_is_the_rank_of_every_composite(p):
     for m in modules:
         table = rank_invariant_naive(m).table
         for s, t in comparable_pairs(m.nx, m.ny):
-            assert table[s + t] == rank(m.composite(s, t), p), (s, t)
+            assert table[s + t] == rank(composite(m, s, t), p), (s, t)
 
 
 def test_naive_rank_holds_one_row_of_composites():
@@ -179,7 +180,6 @@ def test_naive_rank_holds_one_row_of_composites():
         tracemalloc.stop()
     d = int(m.dims.max())
     assert peak < inv.table.nbytes + m.nx * m.ny * (8 * d * d + 256)
-    assert m._composites == {}
 
 
 @pytest.mark.parametrize("checker", [is_weakly_exact_algebraic, is_weakly_exact_geometric])
@@ -198,7 +198,6 @@ def test_explicit_checkers_hold_one_row_of_maps(checker):
     d = int(m.dims.max())
     assert verdict == (True, None)
     assert peak < table_bytes + m.nx * m.ny * (8 * d * d + 256)
-    assert m._composites == {}
 
 
 def reference_rank_to_text(inv):
@@ -291,6 +290,98 @@ def test_rank_text_slabs_of_an_int32_table_match_the_per_pair_writer(inv):
     # an int32 holds
     assert inv.table.dtype == np.int32
     assert b"".join(inv.text_slabs()).decode("ascii") == reference_rank_to_text(inv)
+
+
+@st.composite
+def writer_bytes(draw):
+    """The writer's bytes of a rank table on a grid up to 4 x 4, 60 x 1
+    or 1 x 60, with ranks up to 2**31 - 1 or past it, and of 19 digits."""
+    nx, ny = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)) | st.sampled_from([(DP_GRID_CAP, 1), (1, DP_GRID_CAP)]))
+    values = STRADDLING | st.integers(0, 12) | st.just(10**18 - 1)
+    if draw(st.booleans()):
+        values = values.filter(lambda v: v <= INT32_MAX)
+    palette = draw(st.lists(values, min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inv = straddling_table(nx, ny, rng.choice(np.array(palette, dtype=np.int64), int(comparable_mask(nx, ny).sum())))
+    return inv, b"".join(inv.text_slabs())
+
+
+def mutate_rank_bytes(data: bytes, draw) -> bytes:
+    """`data` with one change: a flipped byte, a dropped, swapped or
+    doubled line, an added comment or blank line, one CRLF, a leading
+    zero, trailing text, or a cut."""
+    lines = data.split(b"\n")[:-1]
+    i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    how = draw(st.sampled_from(["flip", "drop", "swap", "double", "comment", "blank", "crlf", "zero", "trailing", "cut"]))
+    if how == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 127))]) + data[at + 1 :]
+    if how == "cut":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "trailing":
+        return data + draw(st.sampled_from([b" ", b"\n", b"0", b"x\n", b"# end\n", lines[i] + b"\n"]))
+    if how == "drop":
+        del lines[i]
+    elif how == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif how == "double":
+        lines.insert(i, lines[i])
+    elif how in ("comment", "blank"):
+        lines.insert(i, b"# note" if how == "comment" else b"")
+    elif how == "crlf":
+        lines[i] += b"\r"
+    else:
+        head, _, rank = lines[i].rpartition(b" ")
+        lines[i] = head + b" 0" + rank
+    return b"\n".join(lines) + b"\n"
+
+
+def general_outcome(read):
+    """The table read and its entry type, or the FormatError's text."""
+    try:
+        inv = read()
+    except FormatError as e:
+        return str(e)
+    return inv, inv.table.dtype
+
+
+def read_both_ways(data: bytes, size: int):
+    """`from_slabs` on `data` cut into chunks of `size` bytes, and the
+    general reader's outcome on its text; `from_text`, which tries the
+    layout first, must give the general reader's outcome."""
+    text = data.decode("ascii")
+    general = general_outcome(lambda: RankInvariant.from_blocks(lambda: ioutil.line_blocks(text)))
+    assert general_outcome(lambda: RankInvariant.from_text(text)) == general
+    fast = RankInvariant.from_slabs(data[i : i + size] for i in range(0, len(data), size))
+    if fast is not None:  # only the writer's bytes of the table read
+        assert (fast, fast.table.dtype) == general and fast.to_text() == text
+    return fast, general
+
+
+WIDENS_LATE = straddling_table(2, 2, [1, 2, 3, 4, INT32_MAX + 1, 5, 6, 7, 8])  # the second slab widens
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1 << 17])
+@settings(max_examples=40, deadline=None)
+@given(drawn=writer_bytes())
+@hypothesis.example(drawn=(WIDENS_LATE, b"".join(WIDENS_LATE.text_slabs())))
+def test_the_writers_layout_reader_reads_what_the_general_reader_reads(size, drawn):
+    # the writer's bytes, cut into chunks anywhere, give the general
+    # reader's table and entry type; only a rank past 18 digits is left
+    # to the general reader
+    inv, data = drawn
+    fast, general = read_both_ways(data, size)
+    assert general == (inv, np.dtype(np.int32 if inv.table.max() <= INT32_MAX else np.int64))
+    assert (fast is None) == (inv.table.max() >= 10**18)
+
+
+@pytest.mark.parametrize("size", [7, 1 << 17])
+@settings(max_examples=150, deadline=None)
+@given(drawn=writer_bytes(), data=st.data())
+def test_a_changed_writers_file_reads_as_the_general_reader_reads_it(size, drawn, data):
+    # one change anywhere: the layout reader gives None or the general
+    # reader's table, and `from_text` the general reader's table or error
+    read_both_ways(mutate_rank_bytes(drawn[1], data.draw), size)
 
 
 def test_rank_to_text_refuses_a_negative_rank():
