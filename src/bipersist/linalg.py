@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
 Matrices are numpy int64 arrays with entries reduced to [0, p).  The
 modulus travels as an explicit argument; containers higher up the stack
@@ -7,26 +7,14 @@ Everything here is deterministic: no pivoting heuristics beyond
 first-nonzero, and a reduced basis is the reduced row echelon form of
 its span, so equal spans give equal arrays.
 
-`ColumnReducer` is the one incremental column reducer, one lead-keyed
-algorithm at every p: Python-int bitsets reduced by XOR at p = 2, int64
-columns reduced by axpy mod p otherwise, exact as (p - 1)^2 < 2^62.  It
-reports the lead row of every column it admits, and `block`
-back-substitutes on demand into the reduced basis from which
-`resolution.presented_module` reads normal forms.  `pair_counts` turns
-the leads into 2-D cumulative pair counts, and the rank DP and the
-flag pairing share that one helper: the DP pairs the relation matrix
-once per (generator class, t_y).  A flag walk along a path of maps
-keeps a basis adapted to the images of the earlier spaces
-(`flag_step`, on the same reducer), and `pair_flags` pairs two such
-flags in one space: the kappa/iota tables of the check path pair two
-walks at each grid point, and `zigzag-barcode` walks the two legs of
-one path into its apex.  `resolution.graded_kernel_basis` and
-`bifiltration.homology_basis` read their kernels off the reducer too,
-feeding it columns stacked on an identity block, and complete a basis
-by adding candidates to a reducer that holds the span so far: it admits
-exactly the candidates independent of that span and of those admitted
-before.  It is the only elimination: `rref` is the block of the rows,
-and `rank` and `solve_matrix` run on it.
+`ColumnReducer` is the only elimination, one lead-keyed column
+reduction at every p, and the rest runs on it: `rank`, `solve_matrix`
+(a reduction against [m; I]), `pair_counts` (the 2-D cumulative counts
+of its lead pairs, which the rank DP takes per generator class and t_y)
+and the flag walk (`flag_step`, `pair_flags`) of the kappa/iota tables
+and `zigzag-barcode`.  The graded kernel and homology bases are read off
+reducers fed columns stacked on an identity block, and completed on one
+that holds the span so far: it admits exactly the new directions.
 """
 
 from __future__ import annotations
@@ -108,12 +96,13 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class ColumnReducer:
     """Incremental rank of a growing set of columns in F_p^k.
 
-    `add(v)` reduces v against the columns admitted so far, keeps the
-    reduced v when it is independent, and reports its lead row (its
-    first nonzero entry).  `block()` gives the admitted columns as a
-    fully reduced echelon basis, rows sorted by lead: row i is a basis
-    vector whose lead entry is 1 and whose entries at the other leads
-    are 0, the reduced row echelon form of the span of the columns.
+    `add(v)` reduces v against the columns admitted so far, admits the
+    residue when it is nonzero and reports its lead row (its first
+    nonzero entry); `reduce(v)` gives the residue and admits nothing.
+    `block()` gives the admitted columns as a fully reduced echelon
+    basis, rows sorted by lead: row i is a basis vector whose lead entry
+    is 1 and whose entries at the other leads are 0, the reduced row
+    echelon form of the span of the columns.
 
     The leads obey the pairing lemma: after columns c_1..c_j are added
     in order, the rank of rows 0..i of [c_1 .. c_j] is the number of
@@ -159,17 +148,25 @@ class ColumnReducer:
         return [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(packed.shape[1])]
 
     def add(self, v) -> Optional[int]:
-        """Admit column v: length k with any int entries, or at p = 2 a
-        bitset from `columns`.
-
-        Returns the lead of v reduced against the block (its first
-        nonzero row) when v is independent, else None.
-        """
+        """Admit column v (length k, any int entries, or at p = 2 a bitset
+        from `columns`) if it is independent, and return the lead of its
+        residue (the first nonzero row); else return None."""
         if self.rank == self.k:
             return None
+        w, lead = self._reduce_gf2(v) if self.p == 2 else self._reduce_modp(v)
+        if lead is None:
+            return None
         if self.p == 2:
-            return self._add_gf2(v if type(v) is int else self.columns(np.reshape(v, (-1, 1)), 2)[0])
-        return self._add_modp(v)
+            self._cols[self.k - lead] = w
+        else:
+            self._cols[lead] = w * inv_mod(int(w[lead]), self.p) % self.p
+        self.rank += 1
+        return lead
+
+    def reduce(self, v):
+        """v minus a combination of the admitted columns, in the form `add`
+        takes, zero exactly when v lies in their span; admits nothing."""
+        return (self._reduce_gf2(v) if self.p == 2 else self._reduce_modp(v))[0]
 
     def admitted(self, lead: int):
         """The admitted column whose lead is `lead`, reduced, in the form
@@ -187,36 +184,41 @@ class ColumnReducer:
             self._block = rows, leads
         return self._block
 
-    def _add_gf2(self, w: int) -> Optional[int]:
+    def _reduce_gf2(self, w):
+        """(residue, its lead, or None when the residue is zero)."""
+        if type(w) is not int:
+            w = self.columns(np.reshape(w, (-1, 1)), 2)[0]
         cols = self._cols
         while w:
             top = w.bit_length()
             c = cols.get(top)
             if c is None:
-                cols[top] = w
-                self.rank += 1
-                return self.k - top
+                return w, self.k - top
             w ^= c  # clears the lead; c has no higher bit set
-        return None
+        return w, None
 
-    def _add_modp(self, v) -> Optional[int]:
+    def _reduce_modp(self, v):
         p, cols = self.p, self._cols
         w = np.asarray(v, dtype=np.int64) % p
         lead = 0
         while True:
             nz = w[lead:].nonzero()[0]
             if nz.size == 0:
-                return None
+                return w, None
             lead += int(nz[0])
             c = cols.get(lead)
             if c is None:
-                break
+                return w, lead
             tail = w[lead:]  # c is zero before its lead
             tail -= tail[0] * c[lead:]
             tail %= p
-        cols[lead] = w * inv_mod(int(w[lead]), p) % p
-        self.rank += 1
-        return lead
+
+    @staticmethod
+    def _unpacked(bitsets: list, k: int) -> np.ndarray:
+        """The bitsets of length k (bit k-1-i for entry i) as int64 rows."""
+        n = (k + 7) // 8
+        data = np.frombuffer(b"".join(w.to_bytes(n, "big") for w in bitsets), dtype=np.uint8)
+        return np.unpackbits(data).reshape(len(bitsets), 8 * n)[:, 8 * n - k :].astype(np.int64)
 
     def _block_gf2(self):
         """Back-substitution, from the last lead row up: a column's entries
@@ -235,10 +237,7 @@ class ColumnReducer:
                 w ^= red[bit]
                 hits ^= 1 << (bit - 1)
             red[top] = w
-        n = (self.k + 7) // 8
-        data = np.frombuffer(b"".join(red[top].to_bytes(n, "big") for top in reversed(tops)), dtype=np.uint8)
-        rows = np.unpackbits(data).reshape(self.rank, 8 * n)[:, 8 * n - self.k :]
-        return rows.astype(np.int64), np.array([self.k - top for top in reversed(tops)], dtype=np.int64)
+        return self._unpacked([red[top] for top in tops[::-1]], self.k), self.k - np.array(tops[::-1], dtype=np.int64)
 
     def _block_modp(self):
         """Back-substitution, from the last lead up, one lead column at a
@@ -255,33 +254,14 @@ class ColumnReducer:
         return rows, leads
 
 
-def _reduced_rows(m: np.ndarray, p: int) -> ColumnReducer:
-    """A ColumnReducer in F_p^cols that the rows of m went through."""
-    reducer = ColumnReducer(m.shape[1], p)
-    for v in ColumnReducer.columns(m.T, p):
-        reducer.add(v)
-    return reducer
-
-
-def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices).
-
-    The rows of m go through one ColumnReducer, whose block is the
-    nonzero part of R.
-    """
-    r = np.zeros(m.shape, dtype=np.int64)
-    if not np.count_nonzero(m):
-        return r, []
-    rows, leads = _reduced_rows(m, p).block()
-    r[: leads.size] = rows
-    return r, leads.tolist()
-
-
 def rank(m: np.ndarray, p: int) -> int:
     """Row rank = column rank: the reducer takes the shorter side's vectors."""
     if not np.count_nonzero(m):
         return 0
-    return _reduced_rows(m if m.shape[0] <= m.shape[1] else m.T, p).rank
+    reducer = ColumnReducer(max(m.shape), p)
+    for v in ColumnReducer.columns(m.T if m.shape[0] <= m.shape[1] else m, p):
+        reducer.add(v)
+    return reducer.rank
 
 
 def pair_counts(columns, k: int, row_key: np.ndarray, col_key: np.ndarray, shape, p: int) -> np.ndarray:
@@ -368,13 +348,33 @@ def pair_flags(flag_a, flag_b, shape, p: int) -> np.ndarray:
 
 
 def solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Solve m X = b column-wise; None if any column is inconsistent."""
+    """One solution X of m X = b; None if any column of b is inconsistent.
+
+    One `ColumnReducer` admits the columns of [m; I], each [m y; y] once
+    reduced (R = D V, as in `resolution.graded_kernel_basis`), and
+    reduces each [b_j; 0] to a residue [b_j - m y; -y].  Its top part is
+    zero exactly when m x = b_j has a solution, since a nonzero one leads
+    where no admitted column does; then x_j = -y, the only solution when
+    the columns of m are independent.  The stacked columns are made one
+    at a time (at p = 2 as shifted bitsets), never as [m; I] or [m | b].
+    """
     rows, cols = m.shape
     if b.shape[0] != rows:
         raise ValueError(f"shape mismatch {m.shape} x = {b.shape}")
-    r, piv = rref(np.hstack([m, b]), p)
-    if piv and piv[-1] >= cols:
-        return None  # a pivot landed in the right-hand block
-    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
-    x[piv] = r[: len(piv), cols:]
+    reducer = ColumnReducer(rows + cols, p)
+    if p == 2:
+        for j, v in enumerate(ColumnReducer.columns(m, 2)):
+            reducer.add(v << cols | 1 << (cols - 1 - j))
+        residues = [reducer.reduce(v << cols) for v in ColumnReducer.columns(b, 2)]
+        if any(r >> cols for r in residues):
+            return None
+        return ColumnReducer._unpacked(residues, cols).T
+    for j in range(cols):
+        reducer.add(np.concatenate((m[:, j], np.arange(cols) == j)))  # column j of [m; I]
+    x = np.empty((cols, b.shape[1]), dtype=np.int64)
+    for j in range(b.shape[1]):
+        r = reducer.reduce(np.concatenate((b[:, j], np.zeros(cols, dtype=np.int64))))
+        if r[:rows].any():
+            return None
+        x[:, j] = -r[rows:] % p
     return x

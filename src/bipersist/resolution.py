@@ -202,11 +202,11 @@ def presentation(bif: Bifiltration, degree: int) -> Presentation:
     columns that rewrite to zero are dropped (they would only feed a
     spurious cancellation into the next layer).
 
-    One `solve_matrix` rewrites every boundary column at once.  The
-    generators are a basis of the kernel at the top grid point, so each
-    solution is unique, and it must lie on the generators <= its
-    column's grade, since boundaries are cycles, which the generators
-    span gradewise; an InvariantError reports a solution that does not.
+    One `solve_matrix`, a reduction against [generators; I], rewrites
+    every boundary column.  The generators are a basis of the kernel at
+    the top point, so each solution is unique and must lie on the
+    generators <= its column's grade (boundaries are cycles, which they
+    span gradewise); an InvariantError reports one that does not.
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")

@@ -7,46 +7,21 @@ import pytest
 from bipersist.bifiltration import Bifiltration, facets
 from bipersist.grid_module import DP_GRID_CAP, RankInvariant
 from bipersist.ioutil import FormatError, logical_lines, parse_int
-from bipersist.linalg import check_modulus, inv_mod, solve_matrix
+from bipersist.linalg import check_modulus
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
 from bipersist.weakexact import KappaIota
 from paperlib import (
     Subspace,
     comparable_pairs,
     composite,
+    dense_solve_matrix,
     extend_basis,
     image_basis,
     kernel_basis,
+    reference_rref,
     subspace_intersect,
     subspace_sum,
 )
-
-
-def reference_rref(m, p):
-    """Oracle for `linalg.rref`: Gauss-Jordan elimination one pivot row at
-    a time, on entries in [0, p); returns (R, pivot column indices)."""
-    r = m.copy()
-    rows, cols = r.shape
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        if pr >= rows:
-            break
-        nz = np.nonzero(r[pr:, pc])[0]
-        if nz.size == 0:
-            continue
-        i = pr + int(nz[0])
-        if i != pr:
-            r[[pr, i]] = r[[i, pr]]
-        inv = inv_mod(int(r[pr, pc]), p)
-        r[pr] = (r[pr] * inv) % p
-        hit = np.nonzero(r[:, pc])[0]
-        for j in hit:
-            if j != pr:
-                r[j] = (r[j] - r[j, pc] * r[pr]) % p
-        pivots.append(pc)
-        pr += 1
-    return r, pivots
 
 
 def reference_rank(m, p):
@@ -54,7 +29,7 @@ def reference_rank(m, p):
 
 
 def reference_kernel_basis(m, p):
-    """Oracle for `linalg.kernel_basis`: e_j - sum_i R[i, j] e_(pivot i) for
+    """Oracle for `paperlib.kernel_basis`: e_j - sum_i R[i, j] e_(pivot i) for
     every free column j of R = reference_rref(m), built entry by entry,
     then canonicalized as the reduced row echelon form of its span."""
     cols = m.shape[1]
@@ -219,7 +194,7 @@ def reference_presentation(bif, degree):
     phi_cols, rel_grades = [], []
     for j, s in enumerate(up_list):
         sel = [i for i, g in enumerate(gen_grades) if _leq(g, bif.grades[s])]
-        x = solve_matrix(gen_basis[:, sel], d_up[:, j : j + 1], p)
+        x = dense_solve_matrix(gen_basis[:, sel], d_up[:, j : j + 1], p)
         assert x is not None, "boundary column outside the generator span"
         col = np.zeros(len(gens), dtype=np.int64)
         col[sel] = x[:, 0]

@@ -10,7 +10,8 @@ module, restriction to a subgrid, the comparable pairs in
 lexicographic order, the invariants of one square from its composites, the eleven-by-eleven square invariant matrix,
 strong exactness, the rank
 invariant of a sum of rectangles and zigzag spanning counts, the
-subspace oracle (canonical `Subspace` bases, dense kernels, basis
+Gauss-Jordan oracle (`reference_rref`, and `dense_solve_matrix` on it),
+the subspace oracle on it (canonical `Subspace` bases, dense kernels, basis
 completion, and images, sums and intersections of subspaces, which the
 package reads off its column reducers or counts by ranks instead), and
 the zigzag oracle: insert/delete event lists along the row and column
@@ -31,13 +32,53 @@ import numpy as np
 from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map
 from bipersist.grid_module import GridModule, RankInvariant, comparable_mask, rank_invariant_naive
 from bipersist.ioutil import InvariantError
-from bipersist.linalg import ColumnReducer, check_modulus, matmul, rank, rref, solve_matrix
+from bipersist.linalg import ColumnReducer, check_modulus, inv_mod, matmul, rank, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.squares import SQUARE_LABELS, SquareInvariants
 from bipersist.zigzag import ZigzagBarcode
 
 
 # -- linear algebra -------------------------------------------------------
+
+
+def reference_rref(m, p):
+    """Reduced row echelon form by Gauss-Jordan elimination, one pivot row
+    at a time, on entries in [0, p); returns (R, pivot column indices).
+    It runs on no `ColumnReducer`, so it can be the reducer's oracle."""
+    r = m.copy()
+    rows, cols = r.shape
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        if pr >= rows:
+            break
+        nz = np.nonzero(r[pr:, pc])[0]
+        if nz.size == 0:
+            continue
+        i = pr + int(nz[0])
+        if i != pr:
+            r[[pr, i]] = r[[i, pr]]
+        inv = inv_mod(int(r[pr, pc]), p)
+        r[pr] = (r[pr] * inv) % p
+        hit = np.nonzero(r[:, pc])[0]
+        for j in hit:
+            if j != pr:
+                r[j] = (r[j] - r[j, pc] * r[pr]) % p
+        pivots.append(pc)
+        pr += 1
+    return r, pivots
+
+
+def dense_solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """Oracle for `linalg.solve_matrix`: the reference RREF of [m | b],
+    free variables set to 0; None if a pivot lands in b's block."""
+    cols = m.shape[1]
+    r, piv = reference_rref(np.hstack([m, b]) % p, p)
+    if piv and piv[-1] >= cols:
+        return None
+    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+    x[piv] = r[: len(piv), cols:]
+    return x
 
 
 def asmatrix(a, p: int) -> np.ndarray:
@@ -69,7 +110,7 @@ class Subspace:
     def from_columns(cls, cols: np.ndarray, p: int) -> "Subspace":
         """Span of the columns of `cols`, canonicalized."""
         cols = asmatrix(cols, p)
-        r, piv = rref(cols.T, p)
+        r, piv = reference_rref(cols.T, p)
         return cls(cols.shape[0], r[: len(piv)].T.copy(), p)
 
     @property
@@ -92,9 +133,9 @@ class Subspace:
 def kernel_basis(m: np.ndarray, p: int) -> Subspace:
     """Null space {v : m v = 0} as a canonical Subspace of F_p^cols: the
     vector e_j - sum_i R[i, j] e_(pivot i) for every free column j of
-    R = rref(m), canonicalized."""
+    R = reference_rref(m), canonicalized."""
     cols = m.shape[1]
-    r, piv = rref(m, p)
+    r, piv = reference_rref(m % p, p)
     free = np.setdiff1d(np.arange(cols), piv)
     basis = np.zeros((cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from bipersist.bifiltration import (
     Bifiltration,
     FormatError,
+    HomologyBasis,
+    InvariantError,
     facets,
     homology_basis,
+    homology_map,
     homology_module,
     read_bif,
     write_bif,
@@ -143,6 +146,19 @@ def test_negative_degree_is_refused():
         homology_basis(bif, bif.complex_at((2, 2)), -1)
     with pytest.raises(ValueError, match="negative"):
         presentation(bif, -1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_homology_map_refuses_a_representative_outside_the_target_cycles(p):
+    # in F_p^3 the target holds the representative e_0 and the boundary
+    # e_1; a source cycle 2 e_0 + e_1 maps to 2, one at e_2 to nothing
+    e = np.eye(3, dtype=np.int64)
+    tgt = HomologyBasis(reps=e[:, :1], boundaries=e[:, 1:2], dim=1)
+    inside = HomologyBasis(reps=(2 * e[:, :1] + e[:, 1:2]) % p, boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
+    assert homology_map(inside, tgt, p).tolist() == [[2 % p]]
+    outside = HomologyBasis(reps=e[:, 2:], boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
+    with pytest.raises(InvariantError, match="not a cycle in the target"):
+        homology_map(outside, tgt, p)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,13 +13,13 @@ from bipersist.linalg import (
     is_prime,
     matmul,
     rank,
-    rref,
     solve_matrix,
 )
 from conftest import reference_kernel_basis, reference_rank, reference_rref
 from paperlib import (
     Subspace,
     contains,
+    dense_solve_matrix,
     extend_basis,
     image_basis,
     image_of_subspace,
@@ -190,36 +190,6 @@ def test_zero_dimensional_edges():
     assert invertible(np.zeros((0, 0), dtype=np.int64), p)
 
 
-def test_rref_is_idempotent():
-    rng = random.Random(29)
-    for _ in range(20):
-        m = random_matrix(rng, 4, 4, 5)
-        r, piv = rref(m, 5)
-        r2, piv2 = rref(r, 5)
-        assert np.array_equal(r, r2) and piv == piv2
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    p=st.sampled_from([2, 3, 65521, MAX_MODULUS]),
-    rows=st.sampled_from([0, 1, 2, 5, 9]),
-    cols=st.sampled_from([0, 1, 2, 7, 63, 64, 65]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_rref_matches_the_row_by_row_reference(p, rows, cols, seed):
-    # 0-row, 0-column, all-zero (r = 0) and rank-deficient matrices, and
-    # 63 to 65 columns either side of a 64-bit word; R is unique, so the
-    # reducer's block must give the reference's R and pivots exactly
-    rng = np.random.default_rng(seed)
-    r = int(rng.integers(0, min(rows, cols) + 1))
-    m = matmul(rng.integers(0, p, (rows, r)), rng.integers(0, p, (r, cols)), p)
-    m[rng.random(rows) < 0.2] = 0
-    want, want_piv = reference_rref(m, p)
-    got, piv = rref(m, p)
-    assert piv == want_piv and got.dtype == np.int64 and np.array_equal(got, want)
-    assert rank(m, p) == len(want_piv)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     p=st.sampled_from([2, 3, 65521, MAX_MODULUS]),
@@ -238,6 +208,60 @@ def test_kernel_basis_matches_the_row_by_row_reference(p, rows, cols, seed):
     got, want = kernel_basis(m, p), reference_kernel_basis(m, p)
     assert got == want and got.basis.dtype == np.int64
     assert got.dim == cols - reference_rank(m, p)
+
+
+def _dense(w, k, p):
+    """A residue from `ColumnReducer.reduce` as an int64 vector."""
+    if p == 2:
+        return np.array([(w >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.int64)
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, MAX_MODULUS]),
+    rows=st.sampled_from([0, 1, 2, 5, 9, 65]),
+    cols=st.sampled_from([0, 1, 2, 5, 9]),
+    nb=st.sampled_from([0, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_matrix_solves_or_refuses_by_the_residue_against_m_and_i(p, rows, cols, nb, seed):
+    # m with dependent, zero or no columns and b with no columns; some
+    # columns of b are redrawn at random and may leave the image of m
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(0, min(rows, cols) + 1))
+    m = matmul(rng.integers(0, p, (rows, r)), rng.integers(0, p, (r, cols)), p)
+    m[:, rng.random(cols) < 0.2] = 0
+    b = matmul(m, rng.integers(0, p, (cols, nb)), p)
+    redrawn = rng.random(nb) < 0.3
+    b[:, redrawn] = rng.integers(0, p, (rows, int(redrawn.sum())))
+    rank_m = reference_rank(m, p)
+    assert rank(m, p) == rank(m.T, p) == rank_m
+    consistent = [reference_rank(np.hstack((m, b[:, j : j + 1])), p) == rank_m for j in range(nb)]
+    x = solve_matrix(m, b, p)
+    if not all(consistent):
+        assert x is None
+    else:
+        assert x.shape == (cols, nb) and x.dtype == np.int64 and ((x >= 0) & (x < p)).all()
+        assert np.array_equal(matmul(m, x, p), b)
+        if rank_m == cols:
+            assert np.array_equal(x, dense_solve_matrix(m, b, p))
+    # reduce admits nothing: the reducer matches a twin that never reduced
+    reducer, twin = ColumnReducer(rows, p), ColumnReducer(rows, p)
+    for v in ColumnReducer.columns(m, p):
+        reducer.add(v)
+        twin.add(v)
+    for j, v in enumerate(ColumnReducer.columns(b, p)):
+        w = _dense(reducer.reduce(v), rows, p)
+        assert (not w.any()) == consistent[j]
+        assert reference_rank(np.hstack((m, (b[:, j : j + 1] - w[:, None]) % p)), p) == rank_m
+        assert not w.any() or w.nonzero()[0][0] not in twin.block()[1]
+    rows_r, leads = reducer.block()
+    rows_t, leads_t = twin.block()
+    assert reducer.rank == twin.rank == rank_m
+    assert np.array_equal(leads, leads_t) and np.array_equal(rows_r, rows_t)
+    for lead in leads.tolist():
+        assert np.array_equal(_dense(reducer.admitted(lead), rows, p), _dense(twin.admitted(lead), rows, p))
 
 
 @settings(max_examples=60, deadline=None)
