@@ -46,7 +46,7 @@ _HOME = {
 
 _SUBMODULES = {
     "bifiltration", "cli", "constructions", "gmod", "grid_module", "ioutil", "linalg",
-    "rank_dp", "rect_decomp", "resolution", "squares", "weakexact", "zigzag",
+    "rank_dp", "rank_reader", "rect_decomp", "resolution", "squares", "weakexact", "zigzag",
 }
 
 __all__ = sorted(_HOME)

@@ -39,16 +39,17 @@ def _read_file(path: str) -> str:
 def _read_rank(path: str):
     """A .rank file, read one chunk or block at a time so that its text is
     never held whole.  A file in the layout `rank` writes is read from
-    its bytes by `RankInvariant.from_slabs`; any other, from the start
-    again, by `RankInvariant.from_blocks` in text mode.  So the errors
-    are those of `_read_file` and `from_text` on the whole file: a byte
-    that is not UTF-8 anywhere in it is reported before any bad line."""
-    from .grid_module import RankInvariant
+    its bytes by `rank_reader.from_slabs`; any other, from the start
+    again, by `rank_reader.from_blocks` in text mode.  So the errors are
+    those of `_read_file` and `RankInvariant.from_text` on the whole
+    file: a byte that is not UTF-8 anywhere in it is reported before any
+    bad line."""
     from .ioutil import file_blocks, file_chunks
+    from .rank_reader import from_blocks, from_slabs
 
     try:
         with open(path, "rb") as fh:
-            inv = RankInvariant.from_slabs(file_chunks(fh))
+            inv = from_slabs(file_chunks(fh))
         if inv is not None:
             return inv
         with open(path, encoding="utf-8") as fh:
@@ -58,7 +59,7 @@ def _read_rank(path: str):
                 return file_blocks(fh)
 
             try:
-                return RankInvariant.from_blocks(blocks)
+                return from_blocks(blocks)
             except FormatError:
                 for _ in file_blocks(fh):  # decode the rest of the file
                     pass

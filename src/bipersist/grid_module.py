@@ -2,10 +2,11 @@
 
 A module assigns a vector space over F_p to every point of the grid
 [0,nx) x [0,ny) and a matrix to every unit edge; commutativity of the
-unit squares is the validation contract.  The rank invariant and
-dualization live here, together with the .rank file format; the .gmod
-format is in `gmod`, and the square-local invariants of the explicit
-exactness checkers are in `squares`.
+unit squares is the validation contract.  The rank invariant, the
+layout of every table on the comparable pairs, and dualization live
+here, together with the .rank writer; the .rank readers are in
+`rank_reader`, the .gmod format is in `gmod`, and the square-local
+invariants of the explicit exactness checkers are in `squares`.
 
 Grid points are 0-based (x, y) tuples in code; the file formats use
 1-based coordinates.
@@ -13,48 +14,43 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 
 from __future__ import annotations
 
-import re
 from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .ioutil import (
-    FormatError,
-    InvariantError,
-    Scratch,
-    block_rows,
-    line_blocks,
-    row_capacity,
-)
+from .ioutil import line_blocks
 from .linalg import check_modulus, matmul, rank
 
-# The rank invariant and the kappa/iota tables are dense 4-D tables of
-# nx*ny*nx*ny entries, 4 bytes each (`table_dtype`); past this extent
-# one table alone would outgrow desk-scale memory.
+# The rank invariant and the kappa/iota tables hold one entry per
+# comparable pair, 4 bytes each (`table_dtype`): (nx(nx+1)/2)(ny(ny+1)/2)
+# entries, 13.4 MB per table at this extent.  The .rank labels "x y "
+# fit in 8 bytes only below 100.
 DP_GRID_CAP = 60
 
 INT32_MAX = 2**31 - 1
 
 
 class GridTooLargeError(ValueError):
-    """A grid past DP_GRID_CAP, where the dense 4-D tables are refused."""
+    """A grid past DP_GRID_CAP, where the rank and kappa/iota tables are refused."""
 
 
 def check_table_grid(nx: int, ny: int, tables: int = 1) -> None:
-    """Refuse to allocate `tables` dense 4-D tables on a grid past the cap."""
+    """Refuse to allocate `tables` tables on the comparable pairs of a
+    grid past the cap, naming the bytes they would need."""
     if max(nx, ny) > DP_GRID_CAP:
-        need = tables * 4 * (nx * ny) ** 2
+        need = tables * 4 * pair_count(nx, ny)
         raise GridTooLargeError(
-            f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the "
-            f"dense 4-D tables ({tables} table(s) of 4-byte entries would need {need:,} bytes)"
+            f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the rank and "
+            f"kappa/iota tables ({tables} table(s) of 4-byte entries on the comparable pairs "
+            f"would need {need:,} bytes)"
         )
 
 
 def table_dtype(bound: int) -> type:
-    """The entry type of a dense 4-D table whose entries lie in [0, bound]:
-    int32 when `bound` fits in it, int64 otherwise.
+    """The entry type of a table on the comparable pairs whose entries
+    lie in [0, bound]: int32 when `bound` fits in it, int64 otherwise.
 
     Every entry of the rank invariant and of the kappa/iota tables is a
     rank or a dimension, so its producer knows a bound: the generator
@@ -70,22 +66,127 @@ def iter_points(nx: int, ny: int) -> Iterator[tuple[int, int]]:
             yield (x, y)
 
 
-def comparable_mask(nx: int, ny: int) -> np.ndarray:
-    """Boolean [sx, sy, tx, ty] table of the pairs s <= t."""
-    sx = np.arange(nx)[:, None, None, None]
-    sy = np.arange(ny)[None, :, None, None]
-    tx = np.arange(nx)[None, None, :, None]
-    ty = np.arange(ny)[None, None, None, :]
-    return (sx <= tx) & (sy <= ty)
+# -- the layout of the tables on the comparable pairs ---------------------
+#
+# A table holds one entry per comparable pair s <= t, in one vector in
+# lexicographic (s_x, s_y, t_x, t_y) order, the line order of the .rank
+# writer.  So the pairs with one s_x (a slab) are one range, and r(s, .)
+# is one (nx - s_x) x (ny - s_y) block in C order of (t_x, t_y).  Only
+# the functions below and `PairTable` know the layout.
 
 
-def slab_mask(nx: int, ny: int, sx: int) -> np.ndarray:
-    """`comparable_mask(nx, ny)[sx]` without the whole mask: the
-    boolean [sy, tx, ty] table of the pairs s <= t with s_x = sx."""
-    sy = np.arange(ny)[:, None, None]
-    tx = np.arange(nx)[None, :, None]
-    ty = np.arange(ny)[None, None, :]
-    return (sx <= tx) & (sy <= ty)
+def pair_count(nx: int, ny: int) -> int:
+    """The number of comparable pairs s <= t of an nx x ny grid."""
+    return (nx * (nx + 1) // 2) * (ny * (ny + 1) // 2)
+
+
+def _block_start(nx: int, ny: int, sx, sy):
+    """The index of the pair (s, s), where the block r(s, .) starts; at
+    s_y = ny, the end of the slab s_x.  Integer arrays broadcast."""
+    # each slab s_x' < s_x holds (nx - s_x') blocks of ny(ny+1)/2 pairs in
+    # all, and each block (s_x, s_y') with s_y' < s_y holds (nx - s_x)(ny - s_y')
+    return (ny * (ny + 1) // 2) * (sx * nx - sx * (sx - 1) // 2) + (nx - sx) * (sy * ny - sy * (sy - 1) // 2)
+
+
+def pair_index(nx: int, ny: int, s, t):
+    """The index of the comparable pair (s, t); integer arrays broadcast."""
+    (sx, sy), (tx, ty) = s, t
+    return _block_start(nx, ny, sx, sy) + (tx - sx) * (ny - sy) + (ty - sy)
+
+
+def pairs_into(nx: int, ny: int):
+    """A function of t that gives the indices of the pairs (s, t) for
+    every s <= t, as an [s_x, s_y] array."""
+    sx, sy = np.arange(nx)[:, None], np.arange(ny)
+    origin = pair_index(nx, ny, (sx, sy), (0, 0))  # the index is affine in t
+    return lambda t: origin[: t[0] + 1, : t[1] + 1] + (t[0] * (ny - sy[: t[1] + 1]) + t[1])
+
+
+def pair_at(nx: int, ny: int, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The comparable pair (s, t) at index i."""
+    starts = _block_start(nx, ny, np.arange(nx)[:, None], np.arange(ny)).ravel()  # rising, s lexicographic
+    k = int(np.searchsorted(starts, i, side="right")) - 1
+    sx, sy = divmod(k, ny)
+    dx, dy = divmod(int(i) - int(starts[k]), ny - sy)
+    return (sx, sy), (sx + dx, sy + dy)
+
+
+def slab_targets(nx: int, ny: int, sx: int) -> np.ndarray:
+    """t_x * ny + t_y of each pair with s_x = sx, in layout order."""
+    t = np.arange(sx, nx)[:, None] * ny + np.arange(ny)
+    return np.concatenate([t[:, sy:].ravel() for sy in range(ny)])
+
+
+def slab_sources(nx: int, ny: int, sx: int) -> np.ndarray:
+    """For each pair (s, t) with s_x = sx, in layout order, the index in
+    the slab of the pair (s, s), which starts the block of s."""
+    sy = np.arange(ny)
+    return np.repeat(_block_start(nx, ny, sx, sy) - _block_start(nx, ny, sx, 0), (nx - sx) * (ny - sy))
+
+
+class PairTable:
+    """Entries on the comparable pairs s <= t of an nx x ny grid, held
+    as one vector in the layout above (`values`), with accessors by
+    pair, by block r(s, .) and by range of a slab."""
+
+    def __init__(self, nx: int, ny: int, values: np.ndarray):
+        self.nx = int(nx)
+        self.ny = int(ny)
+        if values.shape != (pair_count(self.nx, self.ny),):
+            raise ValueError(f"{values.shape} entries for the comparable pairs of a {nx}x{ny} grid")
+        self.values = values
+
+    def rows(self, sx: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """The entries of the pairs with s_x = sx and lo <= s_y < hi (to
+        the grid's top by default): a view of one range of `values`."""
+        hi = self.ny if hi is None else hi
+        return self.values[_block_start(self.nx, self.ny, sx, lo) : _block_start(self.nx, self.ny, sx, hi)]
+
+    def block(self, s) -> np.ndarray:
+        """The entries (s, t) for every t >= s, as a writable
+        [t_x - s_x, t_y - s_y] view of `values`."""
+        sx, sy = s
+        start, shape = _block_start(self.nx, self.ny, sx, sy), (self.nx - sx, self.ny - sy)
+        return self.values[start : start + shape[0] * shape[1]].reshape(shape)
+
+    def _index(self, s, t) -> Optional[int]:
+        """The index of the pair s <= t; None when either endpoint falls
+        outside the grid."""
+        (sx, sy), (tx, ty) = s, t
+        if not (0 <= sx < self.nx and 0 <= tx < self.nx and 0 <= sy < self.ny and 0 <= ty < self.ny):
+            return None
+        if sx > tx or sy > ty:
+            raise ValueError(f"incomparable pair {s} -> {t}")
+        return pair_index(self.nx, self.ny, s, t)
+
+    def get(self, s, t) -> int:
+        """The entry at s <= t; 0 when either endpoint falls outside the grid."""
+        i = self._index(s, t)
+        return 0 if i is None else int(self.values[i])
+
+    def set(self, s, t, value: int) -> None:
+        i = self._index(s, t)
+        if i is None:
+            raise IndexError(f"pair {s} -> {t} outside the {self.nx}x{self.ny} grid")
+        self.values[i] = value
+
+    @property
+    def table(self) -> np.ndarray:
+        """A read-only dense [s_x, s_y, t_x, t_y] copy, 0 at the
+        incomparable pairs, built on each call: for oracles, which index
+        the pairs themselves."""
+        table = np.zeros((self.nx, self.ny, self.nx, self.ny), dtype=self.values.dtype)
+        for sx, sy in iter_points(self.nx, self.ny):
+            table[sx, sy, sx:, sy:] = self.block((sx, sy))
+        table.flags.writeable = False
+        return table
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PairTable)
+            and (self.nx, self.ny) == (other.nx, other.ny)
+            and bool(np.array_equal(self.values, other.values))
+        )
 
 
 class GridModule:
@@ -231,16 +332,11 @@ def _digit_groups():
     return zero_padded, leading
 
 
-def _rank_header(nx: int, ny: int) -> bytes:
+def rank_header(nx: int, ny: int) -> bytes:
     return f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n".encode()
 
 
-_RANK_HEADER = re.compile(rb"# rank invariant on grid ([1-9][0-9]*) x ([1-9][0-9]*) \(1-based coordinates\)\n")
-_RANK_DIGITS_MOST = 18  # the longest rank `from_slabs` reads; every such rank fits in int64
-_RANK_LINE_MOST = 2 * len("60 60 ") + _RANK_DIGITS_MOST + 1
-
-
-def _labels(nx: int, ny: int):
+def rank_labels(nx: int, ny: int):
     """The .rank labels "x y " of the grid's points (1-based), indexed
     x * ny + y: each as a NUL-padded little-endian 8-byte word, the mask
     of its bytes in that word, and its length."""
@@ -251,60 +347,29 @@ def _labels(nx: int, ny: int):
     return words, masks, sizes
 
 
-def _slab_lines(nx: int, ny: int, x: int):
-    """The writer's .rank lines of the pairs with s_x = x, in the C order
-    of the slab's comparable pairs: (m, at), with m the [s_y, t] mask of
-    those pairs in the slab table[x] (t = t_x * ny + t_y), and at(c, "s")
-    and at(c, "t") the entries of `c`, an array indexed like `_labels`,
-    at each line's s and at each line's t."""
-    m = slab_mask(nx, ny, x).reshape(ny, nx * ny)
-    runs = (nx - x) * (ny - np.arange(ny))  # the lines of each s_y
-
-    def at(c, side: str):
-        return np.repeat(c[x * ny : (x + 1) * ny], runs) if side == "s" else np.broadcast_to(c, m.shape)[m]
-
-    return m, at
+def slab_points(nx: int, ny: int, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s and the t of each .rank line of the pairs with s_x = x, in
+    layout order, as indices x * ny + y into `rank_labels`' arrays."""
+    s = np.repeat(np.arange(x * ny, (x + 1) * ny), (nx - x) * (ny - np.arange(ny)))
+    return s, slab_targets(nx, ny, x)
 
 
-class RankInvariant:
-    """r(s, t) = rank of the structure map s -> t, for all s <= t.
+class RankInvariant(PairTable):
+    """r(s, t) = rank of the structure map s -> t, for all s <= t, on
+    the comparable pairs (`PairTable`).
 
-    Stored as a dense 4-D table indexed [sx, sy, tx, ty]; entries at
-    incomparable pairs are kept at 0 so equality is plain array equality,
-    whatever the two tables' entry types.  The producers store int32
-    entries when their bound allows (`table_dtype`): the rank DP, the
-    naive rank, and the .rank reader, which widens to int64 only when it
-    reads a rank past 2**31 - 1.  With no table given, the zero table is
-    int64, since a caller may set any rank in it.
+    The producers store int32 entries when their bound allows
+    (`table_dtype`): the rank DP, the naive rank, and the .rank readers,
+    which widen to int64 only when they read a rank past 2**31 - 1.
+    With no values given, the zero invariant is int64, since a caller
+    may set any rank in it.
     """
 
-    def __init__(self, nx: int, ny: int, table: Optional[np.ndarray] = None):
-        self.nx = int(nx)
-        self.ny = int(ny)
-        if table is None:
-            check_table_grid(self.nx, self.ny)
-            table = np.zeros((self.nx, self.ny, self.nx, self.ny), dtype=table_dtype(np.iinfo(np.int64).max))
-        self.table = table
-
-    def get(self, s, t) -> int:
-        """r(s, t); 0 when either endpoint falls outside the grid."""
-        sx, sy = s
-        tx, ty = t
-        if sx < 0 or sy < 0 or tx >= self.nx or ty >= self.ny or tx < 0 or ty < 0 or sx >= self.nx or sy >= self.ny:
-            return 0
-        if sx > tx or sy > ty:
-            raise ValueError(f"rank queried at incomparable pair {s} -> {t}")
-        return int(self.table[sx, sy, tx, ty])
-
-    def set(self, s, t, value: int) -> None:
-        self.table[s[0], s[1], t[0], t[1]] = value
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RankInvariant)
-            and (self.nx, self.ny) == (other.nx, other.ny)
-            and bool(np.array_equal(self.table, other.table))
-        )
+    def __init__(self, nx: int, ny: int, values: Optional[np.ndarray] = None):
+        if values is None:
+            check_table_grid(nx, ny)
+            values = np.zeros(pair_count(nx, ny), dtype=table_dtype(np.iinfo(np.int64).max))
+        super().__init__(nx, ny, values)
 
     def to_text(self) -> str:
         """The .rank text: one line per comparable pair, in
@@ -318,28 +383,28 @@ class RankInvariant:
         grid and the ranks are checked at the call, before any slab is
         made.
 
-        A slab is one record per line, in the C order of the comparable
-        mask: the NUL-padded labels "x y " of s and of t, gathered as one
-        8-byte word each from a table of labels; the rank as 4-digit
-        groups, each one 4-byte word from a table of the 10,000 groups
-        (the leading group without its leading zeros, the groups above it
-        NUL); and a newline.  One `bytes.translate` deletes the NULs.
+        A slab is one record per line, in layout order: the NUL-padded
+        labels "x y " of s and of t, gathered as one 8-byte word each
+        from a table of labels; the rank as 4-digit groups, each one
+        4-byte word from a table of the 10,000 groups (the leading group
+        without its leading zeros, the groups above it NUL); and a
+        newline.  One `bytes.translate` deletes the NULs.
         """
         nx, ny = self.nx, self.ny
         check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
-        if self.table.min(initial=0) < 0:
+        if self.values.min(initial=0) < 0:
             raise ValueError("rank invariant has a negative entry")
-        labels = _labels(nx, ny)[0]
-        return chain([_rank_header(nx, ny)], (self._slab_bytes(x, labels) for x in range(nx)))
+        labels = rank_labels(nx, ny)[0]
+        return chain([rank_header(nx, ny)], (self._slab_bytes(x, labels) for x in range(nx)))
 
     def _slab_bytes(self, x: int, labels) -> bytes:
         """The .rank lines of the pairs with s_x = x; see `text_slabs`."""
-        m, at = _slab_lines(self.nx, self.ny, x)
-        q = self.table[x].reshape(m.shape)[m]
+        q = self.rows(x)
         groups = -(-len(str(int(q.max()))) // 4)
         line = np.empty(q.size, dtype=[("s", "<u8"), ("t", "<u8"), ("r", "<u4", (groups,)), ("nl", np.uint8)])
-        line["s"] = at(labels, "s")
-        line["t"] = at(labels, "t")
+        s, t = slab_points(self.nx, self.ny, x)
+        line["s"] = labels[s]
+        line["t"] = labels[t]
         zero_padded, leading = _digit_groups()
         for k in range(groups):  # the group of the places 4k .. 4k + 3
             r = q // 10 ** (4 * k) % 10000 if groups > 1 else q
@@ -353,237 +418,15 @@ class RankInvariant:
         return line.tobytes().translate(None, b"\0")
 
     @classmethod
-    def from_slabs(cls, chunks) -> Optional["RankInvariant"]:
-        """Read a .rank file in the layout `text_slabs` writes, given as
-        an iterable of byte chunks cut anywhere; None at the first byte
-        that departs from that layout.  It accepts exactly the bytes that
-        `text_slabs` writes for the table it returns, up to ranks of 18
-        digits, and reads them without tokenizing: any other file, valid
-        or not, is left to `from_blocks`.
-
-        The header's grid, 1 x 1 to 60 x 60, fixes every line but its
-        rank: `_slab_lines` gives each s_x slab's pairs and labels in the
-        writer's order.  For each slab the reader cuts the chunks at the
-        slab's last LF and finds its LFs in one pass; the lines follow
-        each other, so each line starts after the LF before it.  The two
-        labels of each line are compared as masked little-endian 8-byte
-        words, gathered at the line starts and after the first label
-        from one byte-strided `uint64` view of the slab.  What is left of
-        a line, before its LF, is its rank: 1 to 18 digits, with no
-        leading zero unless the rank is 0.  The file must end at the
-        last LF.  The entry type is `from_blocks`': int32, widened to
-        int64 when a rank passes 2**31 - 1.  Beside the table only one
-        slab's bytes and its per-line arrays are held.
-        """
-        chunks = iter(chunks)
-        rest, rest_ends = b"", np.zeros(0, dtype=np.int64)
-
-        def lines(n: int, most: int):
-            """The next n lines of the file, as (a uint8 array that starts
-            with them and ends in 16 zero bytes, since a word may read
-            past the last line, and the positions of their LFs), or None
-            when the file ends first or they are longer than `most`.
-            Each chunk's LFs are found once, as it comes in."""
-            nonlocal rest, rest_ends
-            parts, ends, size = [rest], [rest_ends], len(rest)
-            have = rest_ends.size
-            while have < n:
-                chunk = None if size > most else next(chunks, None)
-                if chunk is None:
-                    return None
-                found = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
-                found += size
-                parts.append(chunk)
-                ends.append(found)
-                have += found.size
-                size += len(chunk)
-            data = np.frombuffer(b"".join([*parts, bytes(16)]), dtype=np.uint8)
-            ends = np.concatenate(ends)
-            cut = int(ends[n - 1]) + 1
-            rest, rest_ends = data[cut:-16].tobytes(), ends[n:] - cut
-            return (data, ends[:n]) if cut <= most else None
-
-        got = lines(1, len(_rank_header(DP_GRID_CAP, DP_GRID_CAP)))
-        grid = got and _RANK_HEADER.fullmatch(got[0][: got[1][0] + 1].tobytes())
-        if not grid or max(nx := int(grid[1]), ny := int(grid[2])) > DP_GRID_CAP:
-            return None
-        words, masks, sizes = _labels(nx, ny)
-        table = np.zeros((nx, ny, nx, ny), dtype=table_dtype(0))
-        for x in range(nx):
-            m, at = _slab_lines(nx, ny, x)
-            n = np.count_nonzero(m)
-            got = lines(n, n * _RANK_LINE_MOST)
-            if got is None:
-                return None
-            data, ends = got
-            word = np.ndarray((data.size - 7,), "<u8", data, strides=(1,))  # word[i]: bytes i .. i + 7
-            start = np.empty_like(ends)  # the line starts, then the ends of their labels
-            start[0] = 0
-            np.add(ends[:-1], 1, out=start[1:])
-            for side in "st":
-                if not np.array_equal(word[start] & at(masks, side), at(words, side)):
-                    return None
-                start += at(sizes, side)
-            digits = ends - start
-            if digits.min() < 1 or digits.max() > _RANK_DIGITS_MOST or np.any((data[start] == 48) & (digits > 1)):
-                return None  # an empty or long rank, or a leading zero
-            value = np.subtract(data[: ends[-1]], 48)
-            is_digit = value < 10
-            # beside the checked labels, only the 4 spaces of each line
-            # and the LFs between the lines are not digits
-            if ends[-1] - np.count_nonzero(is_digit) != 5 * n - 1:
-                return None
-            value *= is_digit  # the digits' values, 0 at the space before each rank
-            start -= 1
-            ranks = value[ends - 1].astype(np.int64)
-            for place in range(1, int(digits.max())):
-                ranks += value[np.maximum(ends - 1 - place, start)] * np.int64(10**place)
-            if ranks.max() > INT32_MAX:
-                table = table.astype(np.int64, copy=False)
-            table[x].reshape(m.shape)[m] = ranks
-        if rest or any(chunks):
-            return None  # the file goes on past its last pair
-        return cls(nx, ny, table)
-
-    @classmethod
     def from_text(cls, text: str) -> "RankInvariant":
         """Read a .rank text; a FormatError names the first bad line.
-        Text in the writer's layout is read by `from_slabs`; any other
-        text, and so every error, by `from_blocks`, which reads the
-        text's `ioutil.line_blocks`."""
-        inv = cls.from_slabs(block.encode("utf-8", "surrogatepass") for _, block, _ in line_blocks(text))
-        return inv if inv is not None else cls.from_blocks(lambda: line_blocks(text))
+        Text in the writer's layout is read by `rank_reader.from_slabs`;
+        any other text, and so every error, by `rank_reader.from_blocks`,
+        which reads the text's `ioutil.line_blocks`."""
+        from .rank_reader import from_blocks, from_slabs  # compiled only where a .rank is read
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "RankInvariant":
-        """Read a .rank file given as runs of whole lines; a FormatError
-        names the first bad line.
-
-        `blocks()` returns a fresh iterable of (number of the run's first
-        line, run, newlines in the run), as `ioutil.line_blocks` yields
-        them; it is called once, and once more only to name the lines of
-        a repeated pair.
-
-        A line is bad when it is malformed, when its pair is not
-        comparable or not 1-based, when its rank is negative, when it
-        lies past the grid cap, or when its pair repeats an earlier line.
-
-        Each run's good rows are scattered straight into the table and
-        into a bitmap of one bool per cell, marking the cells they hit.
-        Both are allocated at the extents read so far and regrown, the
-        old copied into the new, only when a later run names a larger t;
-        the writer's files name their largest t in the first lines, so
-        they are allocated once.  The table starts with int32 entries and
-        is regrown to int64 the same way when a run holds a rank past
-        2**31 - 1, so every rank is kept exactly.  Beside them only one
-        run's text and rows are held.  A pair repeats exactly when fewer
-        cells are hit than rows were read.
-        """
-        table = np.zeros((0, 0, 0, 0), dtype=table_dtype(0))
-        seen = np.zeros(table.shape, dtype=bool)
-        n_rows = 0
-        error = None
-        for rows, _, error in _rank_rows(blocks()):
-            nx = max(table.shape[0], int(rows[:, 2].max(initial=0)))
-            ny = max(table.shape[1], int(rows[:, 3].max(initial=0)))
-            dtype = np.promote_types(table.dtype, table_dtype(int(rows[:, 4].max(initial=0))))
-            if (nx, ny) != table.shape[:2] or dtype != table.dtype:  # a good row's t is within the grid cap
-                table = _regrown(table, nx, ny, dtype)
-            if (nx, ny) != seen.shape[:2]:
-                seen = _regrown(seen, nx, ny, seen.dtype)
-            cells = _cells(rows, nx, ny)
-            seen.reshape(-1)[cells] = True
-            table.reshape(-1)[cells] = rows[:, 4]
-            n_rows += len(rows)
-        nx, ny = table.shape[:2]
-        if np.count_nonzero(seen) < n_rows:
-            del table, seen  # naming the lines needs neither
-            raise _repeated_pair(blocks(), nx, ny)
-        if error is not None:
-            raise error
-        return cls(nx, ny, table)
-
-
-_RANK_FIELDS = "s_x s_y t_x t_y r"
-
-
-def _rank_rows(blocks):
-    """Parse .rank runs of whole lines; yields (rows, lines, error) per
-    run: the run's good rows and their line numbers, up to the first
-    bad line of the file, and a FormatError naming that line (None
-    before its run, which is the last one read).  The rows and lines
-    are views into one `ioutil.Scratch`, good until the next run."""
-    scratch = Scratch()
-    for first_line, block, newlines in blocks:
-        cap = row_capacity(len(block), newlines, 5)
-        rows, lines = scratch.array("rows", 5 * cap).reshape(cap, 5), scratch.array("lines", cap)
-        got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines, scratch)
-        n_ok, bad = _first_bad_rank_row(rows[:got], lines[:got])
-        if bad is not None:  # a bad row comes before the run's malformed line
-            error = bad
-        yield rows[:n_ok], lines[:n_ok], error
-        if error is not None:
-            return
-
-
-def _first_bad_rank_row(rows, lines):
-    """(n, error): the number of .rank rows before the first one with a
-    bad pair, rank or extent, and a FormatError naming that row's line
-    (None when every row is good)."""
-    sx, sy, tx, ty, r = rows.T
-    bad = (sx < 1) | (sy < 1) | (sx > tx) | (sy > ty) | (r < 0)
-    bad |= (tx > DP_GRID_CAP) | (ty > DP_GRID_CAP)
-    if not bad.any():
-        return len(rows), None
-    n = int(np.argmax(bad))
-    where = f"line {lines[n]}"
-    a, b, c, d, value = rows[n].tolist()
-    if not (1 <= a <= c and 1 <= b <= d):
-        return n, FormatError(f"{where}: pair not comparable or not 1-based")
-    if value < 0:
-        return n, FormatError(f"{where}: negative rank")
-    try:
-        check_table_grid(c, d)
-    except GridTooLargeError as e:
-        return n, FormatError(f"{where}: {e}")
-    raise InvariantError(f"{where}: row {rows[n].tolist()} flagged bad without a cause")
-
-
-def _regrown(a, nx: int, ny: int, dtype):
-    """A zero (nx, ny, nx, ny) array of `dtype` with `a` copied into its
-    low corner."""
-    out = np.zeros((nx, ny, nx, ny), dtype=dtype)
-    out[tuple(slice(n) for n in a.shape)] = a
-    return out
-
-
-def _cells(rows, nx, ny):
-    """Flat indices in the (nx, ny, nx, ny) table of the pairs of good
-    .rank rows."""
-    cells = rows[:, 0] - 1
-    for col, n in ((1, ny), (2, nx), (3, ny)):
-        cells *= n
-        cells += rows[:, col] - 1
-    return cells
-
-
-def _repeated_pair(blocks, nx: int, ny: int) -> FormatError:
-    """The FormatError of the first .rank line whose pair repeats an
-    earlier line's, for a file on an nx x ny grid whose good rows are
-    known to repeat one; reads the file again, keeping the first line
-    of each cell."""
-    first = np.zeros((nx * ny) ** 2, dtype=np.int64)  # 0: no line yet
-    for rows, lines, _ in _rank_rows(blocks):
-        cells = _cells(rows, nx, ny)
-        _, at, back = np.unique(cells, return_index=True, return_inverse=True)
-        # the first line of each row's cell, in an earlier run or in this one
-        earlier = np.where(first[cells] > 0, first[cells], lines[at][back])
-        again = np.flatnonzero(earlier < lines)
-        if again.size:
-            i = int(again[0])
-            return FormatError(f"line {lines[i]}: pair repeats line {earlier[i]}")
-        first[cells[at]] = lines[at]
-    raise InvariantError("no .rank pair repeats")
+        inv = from_slabs(block.encode("utf-8", "surrogatepass") for _, block, _ in line_blocks(text))
+        return inv if inv is not None else from_blocks(lambda: line_blocks(text))
 
 
 def rank_invariant_naive(module: GridModule) -> RankInvariant:
@@ -591,18 +434,20 @@ def rank_invariant_naive(module: GridModule) -> RankInvariant:
 
     The maps out of one source s are pushed from s one edge at a time,
     along the row s_y and then up every column; only the maps into one
-    row are held.  A rank is at most the largest dimension, which sets
-    the entry type.
+    row are held, and their ranks fill the block r(s, .) one column t_y
+    at a time.  A rank is at most the largest dimension, which sets the
+    entry type.
     """
     nx, ny, p = module.nx, module.ny, module.p
     check_table_grid(nx, ny)
-    inv = RankInvariant(nx, ny, np.zeros((nx, ny, nx, ny), dtype=table_dtype(int(module.dims.max()))))
+    inv = RankInvariant(nx, ny, np.zeros(pair_count(nx, ny), dtype=table_dtype(int(module.dims.max()))))
     for sx, sy in iter_points(nx, ny):
+        block = inv.block((sx, sy))
         row = [np.eye(module.dim_at((sx, sy)), dtype=np.int64)]  # row[i]: s -> (s_x + i, t_y)
         for tx in range(sx + 1, nx):
             row.append(matmul(module.hmaps[(tx - 1, sy)], row[-1], p))
         for ty in range(sy, ny):
             if ty > sy:
                 row = [matmul(module.vmaps[(tx, ty - 1)], m, p) for tx, m in enumerate(row, sx)]
-            inv.table[sx, sy, sx:, ty] = [rank(m, p) for m in row]
+            block[:, ty - sy] = [rank(m, p) for m in row]
     return inv

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import RankInvariant, check_table_grid, table_dtype
+from .grid_module import RankInvariant, check_table_grid, pair_count, table_dtype
 from .ioutil import InvariantError
 from .linalg import ColumnReducer, pair_counts
 from .resolution import Presentation
@@ -62,22 +62,21 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     docstring), so a class costs one lookup per live column per t_y
     plus the collisions of the columns each row adds.
 
-    The table is written once, a class's rows of one s_x slab at a
-    time: generator counts minus pair counts, zero at the incomparable
-    pairs, and checked for negative entries while the slab is in cache.
-    A rank is at most the generator count, which sets the entry type of
-    the table and of the pair counts.
+    The invariant is written once, each (s_x, class) range of its
+    vector a block r(s, .) at a time: generator counts minus the pair
+    counts at t, checked for negative entries while the range is in
+    cache.  The rows below the lowest generator stay 0.  A rank is at most the generator count, which sets the
+    entry type of the invariant and of the pair counts.
     """
     nx, ny, p = res.nx, res.ny, res.p
     check_table_grid(nx, ny)
     dtype = table_dtype(len(res.gens.grades))
-    table = np.empty((nx, ny, nx, ny), dtype=dtype)
+    inv = RankInvariant(nx, ny, np.zeros(pair_count(nx, ny), dtype=dtype))
     counts = _gen_count_table(res, dtype)
     gg = np.array(res.gens.grades, dtype=np.int64).reshape(-1, 2)
     rg = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
     by_x = np.argsort(rg[:, 0], kind="stable")
     ys = sorted({y for _, y in res.gens.grades})
-    table[:, : ys[0] if ys else ny] = 0  # below the lowest generator nothing is alive
     for lo, hi in zip(ys, ys[1:] + [ny]):
         birth = np.where(gg[:, 1] <= lo, gg[:, 0], nx)
         order = np.argsort(-birth, kind="stable")
@@ -89,13 +88,9 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
             pairs[:, :, ty] = pair_counts(live, len(gg), birth, rg[cols, 0], (nx, nx), p)
             for j, v in zip(cols, live):
                 reduced[j] = v  # the warm start of row ty + 1
-        above = np.arange(lo, hi)[:, None, None] <= np.arange(ny)  # [s_y, 1, t_y]: s_y <= t_y
         for sx in range(nx):
-            rows = table[sx, lo:hi]  # [s_y, t_x, t_y]
-            np.subtract(counts[sx, lo:hi, None, None], pairs[sx], out=rows)
-            rows[:, :sx] = 0  # incomparable pairs are kept at 0
-            rows[:, sx:] *= above
-            if rows.min() < 0:
+            for sy in range(lo, hi):
+                np.subtract(counts[sx, sy], pairs[sx, sx:, sy:], out=inv.block((sx, sy)))
+            if inv.rows(sx, lo, hi).min() < 0:
                 raise InvariantError("rank table went negative")
-    return RankInvariant(nx, ny, table)
-
+    return inv

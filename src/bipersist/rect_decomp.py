@@ -6,9 +6,9 @@ is the signed sixteen-term sum
 
     m(s, t) = sum over a, b in {0, 1}^2 of (-1)^(|a| + |b|) r(s - a, t + b),
 
-with r = 0 off the grid.  Over the whole table this is one mixed 4-D
-finite difference of r, downward in the s axes and upward in the t
-axes, and its inverse is a 4-D prefix sum.  On arbitrary input the
+with r = 0 off the grid.  Over all pairs this is one mixed 4-D finite
+difference of r, downward in the s axes and upward in the t axes, and
+its inverse is a 4-D prefix sum.  On arbitrary input the
 differences can go negative, which is reported instead of silently
 clamped.
 """
@@ -73,21 +73,30 @@ def decompose(r: RankInvariant):
     positive part.  A clean outcome alone does not certify
     decomposability -- that decision belongs to the checkers.
 
-    The differences are taken one s_x slab at a time, over its pairs
-    with t_x >= s_x only, and in int64 whatever the table's entry type,
-    since a sixteen-term sum of int32 ranks can pass int32: the slab
-    r[s_x, :, s_x:] - r[s_x - 1, :, s_x:], then, inside that (ny, nx -
-    s_x, ny) block, downward along s_y and upward along t_x and t_y,
-    each as one shifted subtraction, then the s_y <= t_y triangle.
-    Beside r.table, which is left as it was, only a few slabs are held
-    at once.
+    The differences are taken one s_x slab at a time, in int64 whatever
+    the invariant's entry type, since a sixteen-term sum of int32 ranks
+    can pass int32: into an (ny, nx - s_x, ny) array [s_y, t_x - s_x,
+    t_y], 0 where t_y < s_y, go the blocks r(s, .) of the slab less
+    those of the slab before it (without their t_x = s_x - 1 column);
+    then, inside the slab, the differences run downward along s_y and
+    upward along t_x and t_y, each as one shifted subtraction, and the
+    s_y <= t_y triangle is kept.  Beside the invariant, which is left as
+    it was, only a few slabs are held at once.
     """
-    table = r.table
-    triangle = np.arange(r.ny)[:, None, None] <= np.arange(r.ny)  # [s_y, 1, t_y]
+    nx, ny = r.nx, r.ny
+    triangle = np.arange(ny)[:, None, None] <= np.arange(ny)  # [s_y, 1, t_y]
     clean = True
     counts = {}
-    for sx in range(r.nx):
-        m = np.subtract(table[sx, :, sx:], table[sx - 1, :, sx:], dtype=np.int64) if sx else table[0].astype(np.int64)
+    before = []  # the blocks of the slab s_x - 1
+    for sx in range(nx):
+        blocks = [r.block((sx, sy)) for sy in range(ny)]
+        m = np.zeros((ny, nx - sx, ny), dtype=np.int64)
+        for sy, block in enumerate(blocks):
+            if before:
+                np.subtract(block, before[sy][1:], out=m[sy, :, sy:], dtype=np.int64)
+            else:
+                m[sy, :, sy:] = block
+        before = blocks
         # s_y: m(s) -= m(s - 1); t axes: m(t) -= m(t + 1); r = 0 off the grid
         m[1:] -= m[:-1]
         m[:, :-1] -= m[:, 1:]

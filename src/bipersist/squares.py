@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid_module import GridModule, iter_points, rank_invariant_naive
+from .grid_module import GridModule, RankInvariant, iter_points, rank_invariant_naive
 from .linalg import matmul, rank
 
 SQUARE_LABELS = ("a", "b", "c", "d", "ab", "ac", "bd", "cd", "abc", "bcd", "abcd")
@@ -64,15 +64,10 @@ class SquareBarcode(dict):
         return self.hooks == 0
 
 
-def _table_ranks(table: np.ndarray):
-    """r(u, v): the rank of u -> v, read off a rank invariant table."""
-    return lambda u, v: int(table[u + v])
-
-
-def _square_meets(module: GridModule, table: np.ndarray) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
+def _square_meets(module: GridModule, inv: RankInvariant) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
     """(s, i_d, k_a) for every source s in lexicographic order, where
     i_d[t_x - s_x, t_y - s_y] and k_a[...] are those of the square s <= t
-    and `table` is the module's rank invariant.
+    and `inv` is the module's rank invariant.
 
     With corners b = (t_x, s_y) and c = (s_x, t_y): Im bd + Im cd is the
     image of [bd | cd], so i_d = r_bd + r_cd - rank [bd | cd]; Ker ab ∩
@@ -85,7 +80,7 @@ def _square_meets(module: GridModule, table: np.ndarray) -> Iterator[tuple[tuple
     are in hand, so only O(n_x) maps are held.
     """
     nx, ny, p = module.nx, module.ny, module.p
-    r = _table_ranks(table)
+    r = inv.get
 
     def eye(u):
         return np.eye(module.dim_at(u), dtype=np.int64)
@@ -149,9 +144,9 @@ def is_weakly_exact_algebraic(module: GridModule):
     r(s->t) = i_d and dim_a - r(s->t) = k_a.  Returns (True, None) or
     (False, (s, t)) with the lexicographically smallest failing pair.
     """
-    table = rank_invariant_naive(module).table
-    for s, i_d, k_a in _square_meets(module, table):
-        r_st = table[s[0], s[1], s[0] :, s[1] :]
+    inv = rank_invariant_naive(module)
+    for s, i_d, k_a in _square_meets(module, inv):
+        r_st = inv.block(s)
         fails = (r_st != i_d) | (r_st != module.dim_at(s) - k_a)
         if fails.any():
             dx, dy = np.argwhere(fails)[0].tolist()  # C order: lexicographic in t
@@ -165,9 +160,9 @@ def is_weakly_exact_geometric(module: GridModule):
     The squares' invariants are ranks: the naive rank invariant's and
     the stacked ones of `_square_meets`, as in `is_weakly_exact_algebraic`.
     """
-    table = rank_invariant_naive(module).table
-    r = _table_ranks(table)
-    for s, i_d, k_a in _square_meets(module, table):
+    inv = rank_invariant_naive(module)
+    r = inv.get
+    for s, i_d, k_a in _square_meets(module, inv):
         for (dx, dy), i in np.ndenumerate(i_d):
             t = (s[0] + dx, s[1] + dy)
             b, c = (t[0], s[1]), (s[0], t[1])

@@ -37,10 +37,15 @@ import numpy as np
 from .bifiltration import Bifiltration
 from .grid_module import (
     GridModule,
+    PairTable,
     RankInvariant,
     check_table_grid,
-    comparable_mask,
+    pair_at,
+    pair_count,
+    pair_index,
+    pairs_into,
     rank_invariant_naive,
+    slab_sources,
     table_dtype,
 )
 from .ioutil import InvariantError
@@ -51,7 +56,7 @@ from .resolution import presentation, presented_module
 
 @dataclass
 class KappaIota:
-    """4-D tables indexed [s_x, s_y, t_x, t_y]; zero off comparable pairs.
+    """The two tables on the comparable pairs of an nx x ny grid.
 
     Every entry is at most the largest dimension of the module, so
     `kappa_iota` stores int32 entries when that fits (`table_dtype`).
@@ -59,21 +64,21 @@ class KappaIota:
 
     nx: int
     ny: int
-    kappa: np.ndarray
-    iota: np.ndarray
+    kappa: PairTable
+    iota: PairTable
 
 
-def _image_intersections(module: GridModule) -> np.ndarray:
-    """The iota table, from one two-flag pairing per grid point t.
+def _image_intersections(module: GridModule, put) -> None:
+    """iota(., t) for every grid point t, from one two-flag pairing per t.
 
     A_x = Im M((x, t_y) -> t) and B_y = Im M((t_x, y) -> t) are flags in
     M_t.  Their adapted bases come from the neighbours' bases pushed one
     edge forward (`linalg.flag_step`), and one pairing of the two
     (`linalg.pair_flags`) gives iota(s, t) = dim(A_{s_x} cap B_{s_y})
-    for every s <= t.
+    for every s <= t: `put(t, a)` gets them as a[s_x, s_y], for every t
+    with M_t != 0 (elsewhere iota(., t) is 0).
     """
     nx, ny, p = module.nx, module.ny, module.p
-    iota = np.zeros((nx, ny, nx, ny), dtype=table_dtype(int(module.dims.max())))
     zero = (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))  # the flag of the zero space
     below = [zero] * nx  # the B-adapted bases at (x, t_y - 1)
     for ty in range(ny):
@@ -86,8 +91,7 @@ def _image_intersections(module: GridModule) -> np.ndarray:
             start = np.zeros((d, 0), dtype=np.int64)
             left = flag_step(module.hmaps[(tx - 1, ty)] if tx else start, left, tx, p)
             below[tx] = flag_step(module.vmaps[(tx, ty - 1)] if ty else start, below[tx], ty, p)
-            iota[: tx + 1, : ty + 1, tx, ty] = pair_flags(left, below[tx], (tx + 1, ty + 1), p)
-    return iota
+            put((tx, ty), pair_flags(left, below[tx], (tx + 1, ty + 1), p))
 
 
 def kappa_iota(module: GridModule) -> KappaIota:
@@ -97,17 +101,28 @@ def kappa_iota(module: GridModule) -> KappaIota:
     the row spaces of M(s -> b) and M(s -> c).  Those row spaces are the
     images into s' of the dual module, on the grid reversed by
     u' = (n_x-1-u_x, n_y-1-u_y), so kappa(s, t) = dim M_s - iota*(t', s'):
-    the dual's walks into s' are the walks out of s, transposed.
+    the dual's walks into s' are the walks out of s, transposed.  So
+    the dual's pairing at s' is the block kappa(s, .), reversed in both
+    axes, and iota(., t) is one entry in each block iota(s, .) with s <= t.
     """
     nx, ny = module.nx, module.ny
     check_table_grid(nx, ny, 2)
-    dims = module.dims.astype(table_dtype(int(module.dims.max())))  # so kappa keeps iota's entry type
-    # one expression, so the dual's table is freed before iota's is built
-    kappa = dims[:, :, None, None] - (
-        _image_intersections(module.dualize())[::-1, ::-1, ::-1, ::-1].transpose(2, 3, 0, 1)
-    )
-    kappa[~comparable_mask(nx, ny)] = 0
-    return KappaIota(nx, ny, kappa, _image_intersections(module))
+    dtype = table_dtype(int(module.dims.max()))
+    kappa = PairTable(nx, ny, np.zeros(pair_count(nx, ny), dtype=dtype))
+
+    def put_kappa(u, a):  # a[t'_x, t'_y] = iota*(t', s') at s' = u
+        s = (nx - 1 - u[0], ny - 1 - u[1])
+        kappa.block(s)[...] = module.dim_at(s) - a[::-1, ::-1]
+
+    _image_intersections(module.dualize(), put_kappa)  # the dual is freed before iota is made
+    iota = PairTable(nx, ny, np.zeros(pair_count(nx, ny), dtype=dtype))
+    into = pairs_into(nx, ny)
+
+    def put_iota(t, a):
+        iota.values[into(t)] = a
+
+    _image_intersections(module, put_iota)
+    return KappaIota(nx, ny, kappa, iota)
 
 
 def kappa_iota_from_zigzags(bif: Bifiltration, degree: int, jobs=None) -> KappaIota:
@@ -129,24 +144,36 @@ def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
     r(s, t) <= iota(s, t) and kappa(s, t) <= r(s, s) - r(s, t), since
     Im(s -> t) lies in both corner images and both corner kernels lie in
     Ker(s -> t); tables that break either bound raise InvariantError.
+
+    The tables are compared one s_x slab at a time, in their common
+    layout, whose order is lexicographic: the first failure is the
+    first in the first slab that has one, and every slab is checked
+    for broken bounds before the verdict.
     """
     if (r.nx, r.ny) != (ki.nx, ki.ny):
         raise ValueError("rank invariant and kappa/iota tables use different grids")
-    x, y = np.arange(r.nx)[:, None], np.arange(r.ny)[None, :]
-    corank = r.table[x, y, x, y][:, :, None, None] - r.table
-    mask = comparable_mask(r.nx, r.ny)
-    broken = mask & ((r.table > ki.iota) | (ki.kappa > corank))
-    if broken.any():
-        at = np.argwhere(broken)[0].tolist()
-        raise InvariantError(f"kernel/image tables out of bounds at [s, t] = {at}")
-    fails = mask & ((r.table != ki.iota) | (corank != ki.kappa))
-    if not fails.any():
+    nx, ny = r.nx, r.ny
+    first = None
+    for sx in range(nx):
+        offset = pair_index(nx, ny, (sx, 0), (sx, 0))  # the slab's first pair
+        rank, iota, kappa = r.rows(sx), ki.iota.rows(sx), ki.kappa.rows(sx)
+        corank = rank[slab_sources(nx, ny, sx)]  # r(s, s) at each pair (s, t)
+        corank -= rank
+        broken = (rank > iota) | (kappa > corank)
+        if broken.any():
+            s, t = pair_at(nx, ny, offset + int(np.argmax(broken)))
+            raise InvariantError(f"kernel/image tables out of bounds at [s, t] = {[*s, *t]}")
+        if first is None:
+            fails = (rank != iota) | (corank != kappa)
+            if fails.any():
+                i = int(np.argmax(fails))
+                first = (pair_at(nx, ny, offset + i), rank[i], iota[i], corank[i], kappa[i])
+    if first is None:
         return True, None
-    at = tuple(int(v) for v in np.unravel_index(np.argmax(fails), fails.shape))  # C order: lexicographic
-    s, t = at[:2], at[2:]
-    if r.table[at] != ki.iota[at]:
-        return False, (s, t, f"rank {r.table[at]} != image intersection {ki.iota[at]}")
-    return False, (s, t, f"corank {corank[at]} != kernel sum {ki.kappa[at]}")
+    (s, t), rank, iota, corank, kappa = first
+    if rank != iota:
+        return False, (s, t, f"rank {rank} != image intersection {iota}")
+    return False, (s, t, f"corank {corank} != kernel sum {kappa}")
 
 
 def check_bifiltration(bif: Bifiltration, degree: int):
@@ -156,7 +183,7 @@ def check_bifiltration(bif: Bifiltration, degree: int):
     DP on it, and kappa/iota from one two-flag pairing per grid point of
     the module it presents (`presented_module`); then the pointwise
     comparison, with the same return shape as the checker.  No homology
-    is solved per grid point.  A grid past the dense-table cap is
+    is solved per grid point.  A grid past the table cap is
     refused before any work.
     """
     check_table_grid(bif.nx, bif.ny, 3)
@@ -170,7 +197,7 @@ def check_module(module: GridModule, method: str = "zigzag"):
     "zigzag" compares the naive rank invariant with the kappa/iota
     tables of `kappa_iota`, one two-flag pairing per grid point, and
     gives the reasons of `check_rectangle_decomposable`; a grid past the
-    dense-table cap is refused before any work.  "algebraic" tests the
+    table cap is refused before any work.  "algebraic" tests the
     kernel/image equalities pair by pair on ranks, and "geometric"
     looks for hooks in square barcodes.  The three give the same
     verdict and the same first witness pair.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bipersist.bifiltration import Bifiltration, facets
-from bipersist.grid_module import DP_GRID_CAP, RankInvariant
+from bipersist.grid_module import DP_GRID_CAP, PairTable, RankInvariant, pair_count
 from bipersist.ioutil import FormatError, logical_lines, parse_int
 from bipersist.linalg import check_modulus
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
@@ -112,18 +112,18 @@ def kappa_iota_naive(module):
     """The kernel/image tables by direct subspace arithmetic at every
     comparable pair: the oracle for `weakexact.kappa_iota`."""
     nx, ny, p = module.nx, module.ny, module.p
-    kappa = np.zeros((nx, ny, nx, ny), dtype=np.int64)
-    iota = np.zeros((nx, ny, nx, ny), dtype=np.int64)
+    kappa = PairTable(nx, ny, np.zeros(pair_count(nx, ny), dtype=np.int64))
+    iota = PairTable(nx, ny, np.zeros(pair_count(nx, ny), dtype=np.int64))
     for s, t in comparable_pairs(nx, ny):
         b, c = (t[0], s[1]), (s[0], t[1])
-        iota[s + t] = subspace_intersect(
+        iota.set(s, t, subspace_intersect(
             image_basis(composite(module, b, t), p),
             image_basis(composite(module, c, t), p),
-        ).dim
-        kappa[s + t] = subspace_sum(
+        ).dim)
+        kappa.set(s, t, subspace_sum(
             kernel_basis(composite(module, s, b), p),
             kernel_basis(composite(module, s, c), p),
-        ).dim
+        ).dim)
     return KappaIota(nx, ny, kappa, iota)
 
 
@@ -234,8 +234,8 @@ def reference_rank_from_text(text):
         entries[key] = r
         nx, ny = max(nx, tx), max(ny, ty)
     inv = RankInvariant(nx, ny)
-    for key, r in entries.items():
-        inv.table[key] = r
+    for (sx, sy, tx, ty), r in entries.items():
+        inv.set((sx, sy), (tx, ty), r)
     return inv
 
 

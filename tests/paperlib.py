@@ -7,7 +7,7 @@ fully faithful grid embeddings and pointwise right Kan extensions, the
 dart family and its staircase, Hom spaces by naturality equations, a
 randomized isomorphism confirmer, the composite structure maps of a
 module, restriction to a subgrid, the comparable pairs in
-lexicographic order, the invariants of one square from its composites, the eleven-by-eleven square invariant matrix,
+lexicographic order and as a mask of a dense table, the invariants of one square from its composites, the eleven-by-eleven square invariant matrix,
 strong exactness, the rank
 invariant of a sum of rectangles and zigzag spanning counts, the
 Gauss-Jordan oracle (`reference_rref`, and `dense_solve_matrix` on it),
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map
-from bipersist.grid_module import GridModule, RankInvariant, comparable_mask, rank_invariant_naive
+from bipersist.grid_module import GridModule, RankInvariant, rank_invariant_naive
 from bipersist.ioutil import InvariantError
 from bipersist.linalg import ColumnReducer, check_modulus, inv_mod, matmul, rank, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
@@ -211,6 +211,17 @@ def comparable_pairs(nx: int, ny: int):
                     yield (sx, sy), (tx, ty)
 
 
+def comparable_mask(nx: int, ny: int) -> np.ndarray:
+    """Boolean [s_x, s_y, t_x, t_y] table of the pairs s <= t.  Masking a
+    dense table with it gives its entries in the package's layout of the
+    comparable pairs, the lexicographic order of `comparable_pairs`."""
+    sx = np.arange(nx)[:, None, None, None]
+    sy = np.arange(ny)[None, :, None, None]
+    tx = np.arange(nx)[None, None, :, None]
+    ty = np.arange(ny)[None, None, None, :]
+    return (sx <= tx) & (sy <= ty)
+
+
 _COMPOSITES = weakref.WeakKeyDictionary()  # module -> {(s, t): matrix of s -> t}
 
 
@@ -265,8 +276,7 @@ def rectangle_rank_invariant(barcode: RectangleBarcode, nx: int, ny: int) -> Ran
     corner >= t: the rectangles go into a 4-D histogram, which is
     summed forward along the s axes and backward along the t axes.
     """
-    inv = RankInvariant(nx, ny)
-    table = inv.table
+    table = np.zeros((nx, ny, nx, ny), dtype=np.int64)
     for (sx, sy, tx, ty), m in barcode.items():
         if sx < nx and sy < ny:  # a rectangle may run past the grid
             table[sx, sy, min(tx, nx - 1), min(ty, ny - 1)] += m
@@ -275,8 +285,7 @@ def rectangle_rank_invariant(barcode: RectangleBarcode, nx: int, ny: int) -> Ran
     for axis in (2, 3):
         rev = np.flip(table, axis=axis)
         np.cumsum(rev, axis=axis, out=rev)
-    table[~comparable_mask(nx, ny)] = 0
-    return inv
+    return RankInvariant(nx, ny, table[comparable_mask(nx, ny)])
 
 
 def barcode_dim_at(barcode: RectangleBarcode, t) -> int:

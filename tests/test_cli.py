@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bipersist import grid_module, ioutil
+from bipersist import ioutil, rank_reader
 from bipersist.bifiltration import write_bif
 from bipersist.cli import main
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid
@@ -163,7 +163,7 @@ def test_check_rectangle_grid_cap(tmp_path, capsys):
     assert main(["check-rectangle", str(wide)]) == 1
     err = capsys.readouterr().err
     assert "grid 61x1 exceeds the 60x60 cap" in err
-    assert f"{3 * 4 * 61**2:,} bytes" in err
+    assert f"{3 * 4 * (61 * 62 // 2):,} bytes" in err
 
 
 def test_gmod_writers_refuse_grids_the_reader_refuses(tmp_path, capsys):
@@ -290,7 +290,7 @@ def test_rank_rows_in_any_order_read_as_in_the_writers_order(tmp_path, capsys, b
             assert got == (0, barcode_text(RANKS)) == decompose_rank_file(tmp_path, capsys, canonical.encode())
             return
         if bad == "past-cap":
-            message = f"line {len(rows) + 2}: grid 61x1 exceeds the 60x60 cap of the dense 4-D tables"
+            message = f"line {len(rows) + 2}: grid 61x1 exceeds the 60x60 cap of the rank and kappa/iota tables"
             assert decompose_rank_file(tmp_path, capsys, canonical.encode())[1].startswith(f"error: {message}")
         else:
             message = f"line {len(rows) + 2}: pair repeats line {moved.index(rows[0]) + 2}"
@@ -313,7 +313,7 @@ def test_decompose_reads_the_rank_commands_output_without_the_tokenizer(tmp_path
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ioutil, "block_rows", tokenizer)
-        mp.setattr(grid_module, "block_rows", tokenizer)
+        mp.setattr(rank_reader, "block_rows", tokenizer)
         mp.setattr(ioutil, "_BLOCK_CHARS", 64)
         assert decompose_rank_file(tmp_path, capsys, rank_file.read_bytes()) == (0, want)
         assert decompose_rank_file(tmp_path, capsys, RANKS.to_text().encode()) == (0, barcode_text(RANKS))
@@ -548,7 +548,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     (tmp_path / "in.rank").write_text(RANKS.to_text())
     assert loaded_modules(["decompose-rectangles", "in.rank", "-o", "out.barcode"], tmp_path) == {
         "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
-        "bipersist.rect_decomp",
+        "bipersist.rank_reader", "bipersist.rect_decomp",
     }
     assert (tmp_path / "out.barcode").read_text() == barcode_text(RANKS)
     from bipersist.bifiltration import read_bif
@@ -557,7 +557,11 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     (tmp_path / "in.fres").write_text(write_fres(free_resolution(read_bif(open(write_triangle(tmp_path)).read()), 0)))
     loaded = loaded_modules(["rank", "in.fres", "-o", "out.rank"], tmp_path)
     assert "bipersist.rank_dp" in loaded
-    assert not loaded & {"bipersist.weakexact", "bipersist.zigzag", "bipersist.constructions", "bipersist.rect_decomp"}
+    # and `rank` compiles no .rank reader
+    assert not loaded & {
+        "bipersist.weakexact", "bipersist.zigzag", "bipersist.constructions", "bipersist.rect_decomp",
+        "bipersist.rank_reader",
+    }
     # the zigzag shares the check's flag step and pairing through linalg, not weakexact
     assert loaded_modules(["zigzag-barcode", "tri.bif", "--row", "3,2", "-o", "out.zbar"], tmp_path) == {
         "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",

@@ -8,19 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipersist import ioutil
+from bipersist import ioutil, rank_reader
 from bipersist.bifiltration import homology_module
 from bipersist.constructions import example, indecgrid, random_rectangle_module
 from bipersist.gmod import read_gmod, write_gmod
 from bipersist.grid_module import (
     DP_GRID_CAP,
     INT32_MAX,
-    FormatError,
     GridModule,
+    PairTable,
     RankInvariant,
-    comparable_mask,
+    pair_at,
+    pair_count,
+    pair_index,
     rank_invariant_naive,
+    slab_sources,
+    slab_targets,
 )
+from bipersist.ioutil import FormatError
 from bipersist.linalg import MAX_MODULUS, matmul, rank
 from bipersist.squares import (
     SQUARE_LABELS,
@@ -32,7 +37,9 @@ from bipersist.squares import (
     is_weakly_exact_geometric,
 )
 from conftest import INT64, clique_bifiltration, kappa_iota_naive, reference_rank_from_text
+from bipersist.weakexact import KappaIota, check_rectangle_decomposable
 from paperlib import (
+    comparable_mask,
     comparable_pairs,
     composite,
     hom_dim,
@@ -72,6 +79,47 @@ def test_comparable_pairs_lex_order():
     pairs43 = list(comparable_pairs(4, 3))
     assert len(set(pairs43)) == len(pairs43) == 60
     assert all(s[0] <= t[0] and s[1] <= t[1] for s, t in pairs43)
+
+
+@st.composite
+def pair_tables(draw):
+    """A rank invariant on a grid 1 x n, n x 1 or up to 7 x 7, with
+    entries up to 2**31, so int64 when one passes 2**31 - 1."""
+    nx, ny = draw(st.sampled_from([(1, 1), (1, 7), (7, 1), (1, 2), (3, 1)]) | st.tuples(st.integers(1, 7), st.integers(1, 7)))
+    values = draw(st.lists(st.integers(0, 9) | st.integers(0, 2**31), min_size=pair_count(nx, ny), max_size=pair_count(nx, ny)))
+    return RankInvariant(nx, ny, np.array(values, dtype=np.int32 if max(values) <= INT32_MAX else np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inv=pair_tables(), data=st.data())
+def test_the_pair_layout_is_the_lexicographic_order_of_the_comparable_pairs(inv, data):
+    nx, ny = inv.nx, inv.ny
+    dense, mask = inv.table, comparable_mask(nx, ny)
+    # vector -> dense view -> vector is the identity, and the view is
+    # 0 off the comparable pairs and read-only
+    assert dense.dtype == inv.values.dtype and not dense.flags.writeable
+    assert np.array_equal(dense[mask], inv.values) and not dense[~mask].any()
+    for i, (s, t) in enumerate(comparable_pairs(nx, ny)):
+        assert inv.get(s, t) == dense[s + t] and pair_index(nx, ny, s, t) == i and pair_at(nx, ny, i) == (s, t)
+    for sx in range(nx):
+        lo = data.draw(st.integers(0, ny - 1))
+        hi = data.draw(st.integers(lo + 1, ny))
+        assert np.array_equal(inv.rows(sx), dense[sx][mask[sx]])
+        assert np.array_equal(inv.rows(sx, lo, hi), dense[sx, lo:hi][mask[sx, lo:hi]])
+        targets = np.broadcast_to(np.arange(nx * ny), (ny, nx * ny))[mask[sx].reshape(ny, -1)]
+        assert np.array_equal(slab_targets(nx, ny, sx), targets)
+        sources = np.broadcast_to(dense[sx, range(ny), sx, range(ny)][:, None, None], mask[sx].shape)[mask[sx]]
+        assert np.array_equal(inv.rows(sx)[slab_sources(nx, ny, sx)], sources)  # r(s, s) at each pair
+        for sy in range(ny):
+            assert np.array_equal(inv.block((sx, sy)), dense[sx, sy, sx:, sy:])
+    # the check's first failing index is comparable_pairs' first failing pair
+    fails = np.array(data.draw(st.lists(st.booleans(), min_size=inv.values.size, max_size=inv.values.size)), dtype=bool)
+    x, y = np.arange(nx)[:, None], np.arange(ny)
+    corank = dense[x, y, x, y][:, :, None, None].astype(np.int64) - dense
+    ki = KappaIota(nx, ny, PairTable(nx, ny, corank[mask]), PairTable(nx, ny, inv.values + fails.astype(np.int64)))
+    want = next((pair for pair, fail in zip(comparable_pairs(nx, ny), fails) if fail), None)
+    ok, witness = check_rectangle_decomposable(inv, ki)
+    assert ok == (want is None) and (ok or witness[:2] == want)
 
 
 def test_validate_catches_noncommuting_square():
@@ -169,8 +217,9 @@ def test_naive_rank_is_the_rank_of_every_composite(p):
 
 def test_naive_rank_holds_one_row_of_composites():
     # the maps out of one source are pushed row by row and dropped: the
-    # peak is the table and O(n_x n_y) small matrices, not one cached
-    # composite per comparable pair
+    # peak is the vector of ranks on the comparable pairs and O(n_x n_y)
+    # small matrices, not one cached composite per comparable pair nor a
+    # dense (nx, ny, nx, ny) table
     m, _ = random_rectangle_module(12, 12, 40, 1)
     tracemalloc.start()
     try:
@@ -179,16 +228,17 @@ def test_naive_rank_holds_one_row_of_composites():
     finally:
         tracemalloc.stop()
     d = int(m.dims.max())
-    assert peak < inv.table.nbytes + m.nx * m.ny * (8 * d * d + 256)
+    assert peak < inv.values.nbytes + m.nx * m.ny * (8 * d * d + 256)
 
 
 @pytest.mark.parametrize("checker", [is_weakly_exact_algebraic, is_weakly_exact_geometric])
 def test_explicit_checkers_hold_one_row_of_maps(checker):
     # the sides of the squares out of one source are pushed row by row
-    # and dropped: the peak is the naive rank table and O(n_x n_y) small
-    # matrices, not one cached composite per comparable pair
+    # and dropped: the peak is the naive rank vector and O(n_x n_y) small
+    # matrices, not one cached composite per comparable pair nor a dense
+    # (nx, ny, nx, ny) table
     m, _ = random_rectangle_module(12, 12, 40, 1)
-    table_bytes = rank_invariant_naive(m).table.nbytes
+    table_bytes = rank_invariant_naive(m).values.nbytes
     tracemalloc.start()
     try:
         verdict = checker(m)
@@ -204,7 +254,7 @@ def reference_rank_to_text(inv):
     """Oracle: the per-pair .rank writer."""
     out = [f"# rank invariant on grid {inv.nx} x {inv.ny} (1-based coordinates)"]
     for s, t in comparable_pairs(inv.nx, inv.ny):
-        r = inv.table[s[0], s[1], t[0], t[1]]
+        r = inv.get(s, t)
         out.append(f"{s[0] + 1} {s[1] + 1} {t[0] + 1} {t[1] + 1} {r}")
     return "\n".join(out) + "\n"
 
@@ -236,7 +286,7 @@ def test_rank_to_text_at_the_grid_cap(nx, ny, fill):
     if fill == "seeded":
         rng = np.random.default_rng(60)
         values = np.array([0, 9, 10, 10**18, INT64.max], dtype=np.int64)
-        inv.table[...] = np.where(comparable_mask(nx, ny), rng.choice(values, inv.table.shape), 0)
+        inv.values[:] = rng.choice(values, inv.values.size)
     text = inv.to_text()
     assert text == reference_rank_to_text(inv)
     assert RankInvariant.from_text(text) == inv
@@ -247,9 +297,7 @@ STRADDLING = st.sampled_from([0, 9, 10**4, 10**8, INT32_MAX - 1, INT32_MAX, INT3
 
 def straddling_table(nx, ny, values, dtype=np.int64):
     """A rank table with `values` on the comparable pairs, in order."""
-    table = np.zeros((nx, ny, nx, ny), dtype=dtype)
-    table[comparable_mask(nx, ny)] = values
-    return RankInvariant(nx, ny, table)
+    return RankInvariant(nx, ny, np.array(values, dtype=dtype))
 
 
 @st.composite
@@ -260,7 +308,7 @@ def straddling_tables(draw, dtype=np.int64):
     values = STRADDLING | st.integers(0, 2**33)
     if dtype == np.int32:
         values = values.filter(lambda v: v <= INT32_MAX)
-    size = int(comparable_mask(nx, ny).sum())
+    size = pair_count(nx, ny)
     return straddling_table(nx, ny, draw(st.lists(values, min_size=size, max_size=size)), dtype)
 
 
@@ -278,8 +326,8 @@ def test_rank_reader_reads_int32_until_a_rank_past_it(block, inv):
             mp.setattr(ioutil, "_BLOCK_CHARS", block)
         got = RankInvariant.from_text(text)
     want = reference_rank_from_text(text)
-    assert want.table.dtype == np.int64 and got == want == inv
-    assert got.table.dtype == (np.int32 if inv.table.max() <= INT32_MAX else np.int64)
+    assert want.values.dtype == np.int64 and got == want == inv
+    assert got.values.dtype == (np.int32 if inv.values.max() <= INT32_MAX else np.int64)
 
 
 @settings(max_examples=80, deadline=None)
@@ -288,7 +336,7 @@ def test_rank_reader_reads_int32_until_a_rank_past_it(block, inv):
 def test_rank_text_slabs_of_an_int32_table_match_the_per_pair_writer(inv):
     # the 4-digit groups of a rank up to 2**31 - 1 divide by 10**8, which
     # an int32 holds
-    assert inv.table.dtype == np.int32
+    assert inv.values.dtype == np.int32
     assert b"".join(inv.text_slabs()).decode("ascii") == reference_rank_to_text(inv)
 
 
@@ -302,7 +350,7 @@ def writer_bytes(draw):
         values = values.filter(lambda v: v <= INT32_MAX)
     palette = draw(st.lists(values, min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    inv = straddling_table(nx, ny, rng.choice(np.array(palette, dtype=np.int64), int(comparable_mask(nx, ny).sum())))
+    inv = straddling_table(nx, ny, rng.choice(np.array(palette, dtype=np.int64), pair_count(nx, ny)))
     return inv, b"".join(inv.text_slabs())
 
 
@@ -342,7 +390,7 @@ def general_outcome(read):
         inv = read()
     except FormatError as e:
         return str(e)
-    return inv, inv.table.dtype
+    return inv, inv.values.dtype
 
 
 def read_both_ways(data: bytes, size: int):
@@ -350,11 +398,11 @@ def read_both_ways(data: bytes, size: int):
     general reader's outcome on its text; `from_text`, which tries the
     layout first, must give the general reader's outcome."""
     text = data.decode("ascii")
-    general = general_outcome(lambda: RankInvariant.from_blocks(lambda: ioutil.line_blocks(text)))
+    general = general_outcome(lambda: rank_reader.from_blocks(lambda: ioutil.line_blocks(text)))
     assert general_outcome(lambda: RankInvariant.from_text(text)) == general
-    fast = RankInvariant.from_slabs(data[i : i + size] for i in range(0, len(data), size))
+    fast = rank_reader.from_slabs(data[i : i + size] for i in range(0, len(data), size))
     if fast is not None:  # only the writer's bytes of the table read
-        assert (fast, fast.table.dtype) == general and fast.to_text() == text
+        assert (fast, fast.values.dtype) == general and fast.to_text() == text
     return fast, general
 
 
@@ -371,8 +419,8 @@ def test_the_writers_layout_reader_reads_what_the_general_reader_reads(size, dra
     # to the general reader
     inv, data = drawn
     fast, general = read_both_ways(data, size)
-    assert general == (inv, np.dtype(np.int32 if inv.table.max() <= INT32_MAX else np.int64))
-    assert (fast is None) == (inv.table.max() >= 10**18)
+    assert general == (inv, np.dtype(np.int32 if inv.values.max() <= INT32_MAX else np.int64))
+    assert (fast is None) == (inv.values.max() >= 10**18)
 
 
 @pytest.mark.parametrize("size", [7, 1 << 17])
@@ -530,7 +578,7 @@ def test_rank_reader_reads_coordinates_up_to_the_grid_cap(nx, ny):
     (f"{DP_GRID_CAP + 1} 1 {DP_GRID_CAP + 1} 1 1", f"{DP_GRID_CAP + 1}x1"),
 ])
 def test_rank_reader_refuses_coordinates_past_the_grid_cap(row, grid):
-    message = f"line 2: grid {grid} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the dense 4-D tables"
+    message = f"line 2: grid {grid} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the rank and kappa/iota tables"
     with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
         RankInvariant.from_text(f"1 1 1 1 1\n{row}\n")
 
@@ -625,7 +673,7 @@ def test_square_ranks_give_the_subspace_dimensions(p):
         oracle = kappa_iota_naive(module)
         for s, t in comparable_pairs(module.nx, module.ny):
             inv = invariants_of_square(module, s, t)
-            assert (inv.i_d, inv.k_a) == (oracle.iota[s + t], oracle.kappa[s + t]), (s, t)
+            assert (inv.i_d, inv.k_a) == (oracle.iota.get(s, t), oracle.kappa.get(s, t)), (s, t)
 
 
 def test_square_invariant_matrix_vs_bruteforce():

@@ -262,9 +262,10 @@ def test_dense_fixture_at_p3_matches_prefix_ranks():
 
 
 def test_dp_peak_memory_is_the_table_and_a_few_slabs():
-    # on a 40 x 40 grid: beside the table, the per-class pair counts (one
-    # s_x slab) and the per-slab comparable mask of the tail; the
-    # presentation's 60 x 60 phi is small beside one slab
+    # on a 40 x 40 grid: beside the vector of ranks on the comparable
+    # pairs, the per-class pair counts [s_x, t_x, t_y] and the gathers of
+    # one (s_x, class) range; the presentation's 60 x 60 phi is small
+    # beside them, and a dense (nx, ny, nx, ny) table is not
     res = low_rank_presentation(np.random.default_rng(7), 60, 60, 40, 40, 2)
     tracemalloc.start()
     try:
@@ -272,7 +273,8 @@ def test_dp_peak_memory_is_the_table_and_a_few_slabs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= inv.table.nbytes + 3 * inv.table[0].nbytes
+    pair_counts_bytes = 40 * 40 * 40 * inv.values.itemsize
+    assert peak <= inv.values.nbytes + 3 * pair_counts_bytes
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -301,7 +303,7 @@ def test_column_reducer_on_empty_space():
     assert reducer.add(np.zeros(0, dtype=np.int64)) is None
     assert reducer.rank == 0
     no_gens = hand_resolution([], [(0, 0), (1, 1)], np.zeros((0, 2)), 2, 2, 3)
-    assert not rank_from_resolution(no_gens).table.any()
+    assert not rank_from_resolution(no_gens).values.any()
     assert not presented_module(no_gens).dims.any()
 
 

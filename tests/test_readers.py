@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipersist import ioutil
+from bipersist import ioutil, rank_reader
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
 from bipersist.gmod import GMOD_IDENTITY_BYTES_CAP, read_gmod, write_gmod
@@ -350,9 +350,9 @@ def test_int_rows_peak_memory_is_its_rows_and_one_block():
 
 
 def test_rank_from_text_peak_memory_is_the_table_and_a_key_per_row():
-    # the same 40 x 40 .rank: beside the table, a row keeps its packed
-    # pair and its rank (12 bytes) and the repeat check one bool per cell;
-    # one block's temporaries fit in the rest
+    # the same 40 x 40 .rank: beside the vector of ranks, a row keeps its
+    # packed pair and its rank (12 bytes) and the repeat check one bool
+    # per pair; one block's temporaries fit in the rest
     text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
     tracemalloc.start()
     try:
@@ -360,15 +360,17 @@ def test_rank_from_text_peak_memory_is_the_table_and_a_key_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, cells = (40 * 41 // 2) ** 2, inv.table.size
-    assert peak <= inv.table.nbytes + 16 * n + cells + 8 * ioutil._BLOCK_CHARS
+    n = (40 * 41 // 2) ** 2
+    assert inv.values.size == n
+    assert peak <= inv.values.nbytes + 16 * n + n + 8 * ioutil._BLOCK_CHARS
 
 
 def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
     # the same 40 x 40 .rank: each block's rows go straight into the
-    # table and the one-bool-per-cell repeat bitmap, so beside them only
-    # one block's text, rows and temporaries are held, whatever the
-    # number of rows (672,400 here; 2 bytes a row would break the bound)
+    # vector of ranks and the one-bool-per-pair repeat bitmap, so beside
+    # them only one block's text, rows and temporaries are held, whatever
+    # the number of rows (672,400 here; 2 bytes a row would break the
+    # bound), and no dense (nx, ny, nx, ny) table
     text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
     tracemalloc.start()
     try:
@@ -376,14 +378,14 @@ def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= inv.table.nbytes + inv.table.size + 40 * ioutil._BLOCK_CHARS
+    assert peak <= inv.values.nbytes + inv.values.size + 40 * ioutil._BLOCK_CHARS
     assert inv == rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
 
 
 def test_rank_text_slabs_peak_memory_is_a_few_slabs():
     # written slab by slab, the .rank text of a 40 x 40 table (10.9 MB)
-    # is never held whole: beside the table, one s_x slab's text and its
-    # temporaries
+    # is never held whole: beside the vector of ranks, one s_x slab's
+    # text and its temporaries
     inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
     chars = 0
     tracemalloc.start()
@@ -394,7 +396,7 @@ def test_rank_text_slabs_peak_memory_is_a_few_slabs():
     finally:
         tracemalloc.stop()
     assert chars == len(inv.to_text())
-    assert peak <= 8 * inv.table[0].nbytes
+    assert peak <= 8 * 40 * 40 * 40 * inv.values.itemsize
 
 
 INT64_MAX = 2**63 - 1
@@ -477,7 +479,7 @@ def test_rank_reader_scratch_carries_nothing_between_blocks(block, text):
         mp.setattr(ioutil, "_BLOCK_CHARS", block)
         rows, lines, error = int_rows(text, fields)
         assert rank_outcome_text(lambda: RankInvariant.from_text(text)) == whole
-        from_file = rank_outcome_text(lambda: RankInvariant.from_blocks(lambda: ioutil.file_blocks(io.StringIO(text))))
+        from_file = rank_outcome_text(lambda: rank_reader.from_blocks(lambda: ioutil.file_blocks(io.StringIO(text))))
         assert from_file == whole
     ref_rows, ref_lines, ref_error = reference_int_rows(text)
     assert rows.tolist() == whole_rows.tolist() == ref_rows

@@ -12,7 +12,7 @@ from bipersist.grid_module import (
     INT32_MAX,
     GridModule,
     RankInvariant,
-    comparable_mask,
+    pair_count,
     rank_invariant_naive,
 )
 from bipersist.ioutil import FormatError
@@ -93,17 +93,12 @@ def drawn_tables(draw, large=st.integers(0, 2**58)):
     """Arbitrary entries on the comparable pairs, which mostly give negative
     multiplicities, on grids that include 1 x n and n x 1."""
     nx, ny = draw(st.sampled_from([(1, 1), (1, 5), (5, 1), (1, 2), (3, 1)]) | st.tuples(st.integers(1, 5), st.integers(1, 5)))
-    r = RankInvariant(nx, ny)
-    mask = comparable_mask(nx, ny)
-    size = int(mask.sum())
-    r.table[mask] = draw(st.lists(st.integers(0, 6) | large, min_size=size, max_size=size))
-    return r
+    size = pair_count(nx, ny)
+    return RankInvariant(nx, ny, np.array(draw(st.lists(st.integers(0, 6) | large, min_size=size, max_size=size))))
 
 
 def _one_by_three(values):
-    r = RankInvariant(1, 3)
-    r.table[comparable_mask(1, 3)] = values
-    return r
+    return RankInvariant(1, 3, np.array(values, dtype=np.int64))
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,16 +107,16 @@ def _one_by_three(values):
 def test_decompose_of_an_int32_table_is_that_of_its_int64_copy(r):
     # the sixteen-term sums of int32 ranks pass int32; the differences
     # are taken in int64
-    narrow = RankInvariant(r.nx, r.ny, r.table.astype(np.int32))
+    narrow = RankInvariant(r.nx, r.ny, r.values.astype(np.int32))
     assert decompose(narrow) == decompose(r) == oracle_decompose(r)
 
 
 @settings(max_examples=150, deadline=None)
 @given(drawn_tables())
 def test_decompose_is_the_sixteen_term_sum_and_leaves_the_table(r):
-    before = r.table.copy()
+    before = r.values.copy()
     assert decompose(r) == oracle_decompose(r)
-    assert np.array_equal(r.table, before)
+    assert np.array_equal(r.values, before)
 
 
 def test_decompose_peak_memory_is_a_few_slabs_and_the_mask():
@@ -133,8 +128,9 @@ def test_decompose_peak_memory_is_a_few_slabs_and_the_mask():
     finally:
         tracemalloc.stop()
     assert clean and len(barcode) == 3
-    # beside r.table only one s_x slab, its shifted copies and flags
-    assert peak <= 3 * r.table[0].nbytes + comparable_mask(40, 40).nbytes
+    # beside r only one int64 s_x slab [s_y, t_x, t_y], its shifted
+    # copies and flags; no comparable mask
+    assert peak <= 3 * 40 * 40 * 40 * 8
 
 
 def test_a_comment_only_rank_file_decomposes_to_an_empty_barcode():

@@ -127,22 +127,61 @@ def _literal_dtype(node):
     return isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in {"np", "numpy"}
 
 
+# allocations of one entry per comparable pair that hold no rank or
+# dimension, with the reason their entry type is fixed
+FIXED_PAIR_TYPES = {
+    ("rank_reader.py", "_repeated_pair"): "the first line number of each pair, int64 like the lines",
+}
+
+
 def test_dense_tables_take_their_entry_type_from_the_shared_rule():
-    # a 4-D rank or dimension table stores int32 entries when its bound
-    # allows, by `grid_module.table_dtype`; an (nx, ny, nx, ny)
-    # allocation with a literal dtype would fix one width for every input
-    found, literal = [], []
+    # a rank or dimension table holds one entry per comparable pair and
+    # stores int32 entries when its bound allows, by
+    # `grid_module.table_dtype`; an allocation of `pair_count(...)`
+    # entries with a literal dtype would fix one width for every input.
+    # The one (nx, ny, nx, ny) allocation is the dense view
+    # `PairTable.table` for the oracles, which takes the vector's type
+    found, literal, dense = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(sub): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            for sub in ast.walk(node)
+        }  # the innermost function around each node, since ast.walk goes outside in
+        for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ALLOCATORS and node.args):
                 continue
-            if not (isinstance(node.args[0], ast.Tuple) and len(node.args[0].elts) == 4):
+            where = f"{path.name}:{node.lineno}"
+            first = node.args[0]
+            if isinstance(first, ast.Tuple) and len(first.elts) == 4:
+                dense.append((path.name, owner.get(id(node))))
+            if not (isinstance(first, ast.Call) and getattr(first.func, "id", None) == "pair_count"):
                 continue
             dtype = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "dtype"), None)
-            found.append(f"{path.name}:{node.lineno}")
-            if _literal_dtype(dtype):
-                literal.append(found[-1])
-    assert len(found) >= 5 and literal == []  # the scan sees the DP's, the reader's and kappa/iota's tables
+            found.append(where)
+            if _literal_dtype(dtype) and (path.name, owner.get(id(node))) not in FIXED_PAIR_TYPES:
+                literal.append(where)
+    # the scan sees the DP's, the readers', the naive rank's and kappa/iota's tables
+    assert len(found) >= 7 and literal == []
+    assert dense == [("grid_module.py", "table")]
+
+
+def test_the_package_reads_no_dense_table_or_comparable_mask():
+    # the rank invariant and the kappa/iota tables are read through the
+    # pair layout's accessors; the dense view `PairTable.table` is built
+    # for the oracles only, and the masks of the comparable pairs of a
+    # dense table belong to the tests (paperlib.comparable_mask)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "table":
+                found.append(f"{path.name}:{node.lineno} .table")
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("comparable_mask", "slab_mask"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def _names_in(nodes, quoted=False):
