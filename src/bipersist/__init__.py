@@ -29,14 +29,14 @@ _HOME = {
     "rank_from_resolution": "rank_dp",
     "RectangleBarcode": "rect_decomp",
     "decompose": "rect_decomp",
+    "read_fres": "fres",
+    "write_fres": "fres",
     "FreeResolution": "resolution",
     "Presentation": "resolution",
     "free_resolution": "resolution",
     "presentation": "resolution",
     "presented_module": "resolution",
-    "read_fres": "resolution",
     "validate_resolution": "resolution",
-    "write_fres": "resolution",
     "check_bifiltration": "weakexact",
     "check_module": "weakexact",
     "ZigzagBarcode": "zigzag",
@@ -45,8 +45,8 @@ _HOME = {
 }
 
 _SUBMODULES = {
-    "bifiltration", "cli", "constructions", "gmod", "grid_module", "ioutil", "linalg",
-    "rank_dp", "rank_reader", "rect_decomp", "resolution", "squares", "weakexact", "zigzag",
+    "bifiltration", "cli", "constructions", "fres", "gmod", "grid_module", "ioutil", "linalg",
+    "rank_dp", "rank_reader", "rank_writer", "rect_decomp", "resolution", "squares", "weakexact", "zigzag",
 }
 
 __all__ = sorted(_HOME)

@@ -36,22 +36,15 @@ def _read_file(path: str) -> str:
         raise FormatError(f"line {line}: byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})") from None
 
 
-def _read_rank(path: str):
-    """A .rank file, read one chunk or block at a time so that its text is
-    never held whole.  A file in the layout `rank` writes is read from
-    its bytes by `rank_reader.from_slabs`; any other, from the start
-    again, by `rank_reader.from_blocks` in text mode.  So the errors are
-    those of `_read_file` and `RankInvariant.from_text` on the whole
-    file: a byte that is not UTF-8 anywhere in it is reported before any
-    bad line."""
-    from .ioutil import file_blocks, file_chunks
-    from .rank_reader import from_blocks, from_slabs
+def _read_in_blocks(path: str, read):
+    """`read(blocks)` of the text file at `path`, where `blocks()` gives
+    `ioutil.file_blocks` of the file from its start, so that its text is
+    never held whole.  The errors are those of `_read_file` and of the
+    reader on the whole text: a byte that is not UTF-8 anywhere in the
+    file is reported before any bad line."""
+    from .ioutil import file_blocks
 
     try:
-        with open(path, "rb") as fh:
-            inv = from_slabs(file_chunks(fh))
-        if inv is not None:
-            return inv
         with open(path, encoding="utf-8") as fh:
 
             def blocks():
@@ -59,7 +52,7 @@ def _read_rank(path: str):
                 return file_blocks(fh)
 
             try:
-                return from_blocks(blocks)
+                return read(blocks)
             except FormatError:
                 for _ in file_blocks(fh):  # decode the rest of the file
                     pass
@@ -69,6 +62,24 @@ def _read_rank(path: str):
     except UnicodeDecodeError:
         _read_file(path)  # raises the FormatError that names the byte's line
         raise
+
+
+def _read_rank(path: str):
+    """A .rank file, read one chunk or block at a time.  A file in the
+    layout `rank` writes is read from its bytes by
+    `rank_reader.from_slabs`; any other, from the start again, by
+    `rank_reader.from_blocks` in text mode (`_read_in_blocks`).  So the
+    errors are those of `_read_file` and `RankInvariant.from_text` on
+    the whole file."""
+    from .ioutil import file_chunks
+    from .rank_reader import from_blocks, from_slabs
+
+    try:
+        with open(path, "rb") as fh:
+            inv = from_slabs(file_chunks(fh))
+    except OSError as e:
+        raise CliError(str(e)) from None
+    return inv if inv is not None else _read_in_blocks(path, from_blocks)
 
 
 def _write_output(chunks, path):
@@ -123,9 +134,11 @@ def _load_gmod(path: str, field):
 
 
 def _load_fres(path: str, field):
-    from .resolution import read_fres
+    """A .fres file, read one block at a time (`_read_in_blocks`), with
+    the errors of `read_fres` on its whole text."""
+    from .fres import read_fres_blocks
 
-    res = read_fres(_read_file(path))
+    res = _read_in_blocks(path, lambda blocks: read_fres_blocks(blocks()))
     _check_field(field, res.p)
     return res
 
@@ -154,22 +167,21 @@ def _point_1based(raw: str, flag: str):
 
 def cmd_validate(args) -> int:
     ext = _ext(args.file)
-    text = _read_file(args.file)
-    if ext == ".bif":
-        from .bifiltration import read_bif
-
-        problems = read_bif(text).validate()
-    elif ext == ".gmod":
-        from .gmod import read_gmod
-
-        problems = read_gmod(text).validate()
-    elif ext == ".fres":
-        from .resolution import read_fres
-
-        read_fres(text)  # the reader enforces shapes and homogeneity
+    if ext == ".fres":
+        _load_fres(args.file, None)  # the reader enforces shapes and homogeneity
         problems = []
     else:
-        raise CliError(f"cannot validate {ext or 'extensionless'} files")
+        text = _read_file(args.file)
+        if ext == ".bif":
+            from .bifiltration import read_bif
+
+            problems = read_bif(text).validate()
+        elif ext == ".gmod":
+            from .gmod import read_gmod
+
+            problems = read_gmod(text).validate()
+        else:
+            raise CliError(f"cannot validate {ext or 'extensionless'} files")
     if problems:
         for problem in problems:
             print(f"{args.file}: {problem}", file=sys.stderr)

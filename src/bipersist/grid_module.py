@@ -3,10 +3,11 @@
 A module assigns a vector space over F_p to every point of the grid
 [0,nx) x [0,ny) and a matrix to every unit edge; commutativity of the
 unit squares is the validation contract.  The rank invariant, the
-layout of every table on the comparable pairs, and dualization live
-here, together with the .rank writer; the .rank readers are in
-`rank_reader`, the .gmod format is in `gmod`, and the square-local
-invariants of the explicit exactness checkers are in `squares`.
+layout of every table on the comparable pairs and of the .rank lines,
+and dualization live here; the .rank writer is in `rank_writer`, the
+.rank readers are in `rank_reader`, the .gmod format is in `gmod`, and
+the square-local invariants of the explicit exactness checkers are in
+`squares`.
 
 Grid points are 0-based (x, y) tuples in code; the file formats use
 1-based coordinates.
@@ -14,8 +15,7 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import chain
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -24,12 +24,19 @@ from .ioutil import line_blocks
 from .linalg import check_modulus, matmul, rank
 
 # The rank invariant and the kappa/iota tables hold one entry per
-# comparable pair, 4 bytes each (`table_dtype`): (nx(nx+1)/2)(ny(ny+1)/2)
-# entries, 13.4 MB per table at this extent.  The .rank labels "x y "
-# fit in 8 bytes only below 100.
+# comparable pair, 2 bytes each when every entry fits in int16 and 4
+# when it fits in int32 (`table_dtype`): (nx(nx+1)/2)(ny(ny+1)/2)
+# entries, 6.7 or 13.4 MB per table at this extent.  The .rank labels
+# "x y " fit in 8 bytes only below 100.
 DP_GRID_CAP = 60
 
+INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
+
+# pairs per run of .rank lines that the writer makes and the layout reader
+# checks at once (`slab_runs`): about 1.7 `ioutil._BLOCK_CHARS` of text,
+# so that their per-line arrays stay near a block of text, not a slab
+RUN_PAIRS = 1 << 14
 
 
 class GridTooLargeError(ValueError):
@@ -38,7 +45,9 @@ class GridTooLargeError(ValueError):
 
 def check_table_grid(nx: int, ny: int, tables: int = 1) -> None:
     """Refuse to allocate `tables` tables on the comparable pairs of a
-    grid past the cap, naming the bytes they would need."""
+    grid past the cap, naming the bytes they would need at 4 bytes an
+    entry: the int32 width, an upper bound for every table whose
+    producer's bound fits in int32 (an int16 table takes half)."""
     if max(nx, ny) > DP_GRID_CAP:
         need = tables * 4 * pair_count(nx, ny)
         raise GridTooLargeError(
@@ -50,13 +59,18 @@ def check_table_grid(nx: int, ny: int, tables: int = 1) -> None:
 
 def table_dtype(bound: int) -> type:
     """The entry type of a table on the comparable pairs whose entries
-    lie in [0, bound]: int32 when `bound` fits in it, int64 otherwise.
+    lie in [0, bound]: the narrowest of int16, int32 and int64 that
+    holds `bound`.
 
     Every entry of the rank invariant and of the kappa/iota tables is a
     rank or a dimension, so its producer knows a bound: the generator
     count for the rank DP, the largest dimension of the module for the
-    naive rank and for kappa and iota.
+    naive rank and for kappa and iota.  A reader, which learns its bound
+    as it goes, starts at `table_dtype(0)` and widens to
+    `np.promote_types(current, table_dtype(largest entry read))`.
     """
+    if bound <= INT16_MAX:
+        return np.int16
     return np.int32 if bound <= INT32_MAX else np.int64
 
 
@@ -111,10 +125,11 @@ def pair_at(nx: int, ny: int, i: int) -> tuple[tuple[int, int], tuple[int, int]]
     return (sx, sy), (sx + dx, sy + dy)
 
 
-def slab_targets(nx: int, ny: int, sx: int) -> np.ndarray:
-    """t_x * ny + t_y of each pair with s_x = sx, in layout order."""
+def slab_targets(nx: int, ny: int, sx: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """t_x * ny + t_y of each pair with s_x = sx and lo <= s_y < hi (to
+    the grid's top by default), in layout order."""
     t = np.arange(sx, nx)[:, None] * ny + np.arange(ny)
-    return np.concatenate([t[:, sy:].ravel() for sy in range(ny)])
+    return np.concatenate([t[:, sy:].ravel() for sy in range(lo, ny if hi is None else hi)])
 
 
 def slab_sources(nx: int, ny: int, sx: int) -> np.ndarray:
@@ -149,20 +164,31 @@ class PairTable:
         start, shape = _block_start(self.nx, self.ny, sx, sy), (self.nx - sx, self.ny - sy)
         return self.values[start : start + shape[0] * shape[1]].reshape(shape)
 
+    @cached_property
+    def _starts(self) -> list:
+        """`_block_start` of every grid point, indexed s_x * ny + s_y, as
+        Python ints for the scalar accessors."""
+        return _block_start(self.nx, self.ny, np.arange(self.nx)[:, None], np.arange(self.ny)).ravel().tolist()
+
     def _index(self, s, t) -> Optional[int]:
         """The index of the pair s <= t; None when either endpoint falls
         outside the grid."""
         (sx, sy), (tx, ty) = s, t
-        if not (0 <= sx < self.nx and 0 <= tx < self.nx and 0 <= sy < self.ny and 0 <= ty < self.ny):
+        nx, ny = self.nx, self.ny
+        if not (0 <= sx < nx and 0 <= tx < nx and 0 <= sy < ny and 0 <= ty < ny):
             return None
         if sx > tx or sy > ty:
             raise ValueError(f"incomparable pair {s} -> {t}")
-        return pair_index(self.nx, self.ny, s, t)
+        return self._starts[sx * ny + sy] + (tx - sx) * (ny - sy) + (ty - sy)
 
     def get(self, s, t) -> int:
         """The entry at s <= t; 0 when either endpoint falls outside the grid."""
+        (sx, sy), (tx, ty) = s, t
+        ny = self.ny
+        if 0 <= sx <= tx < self.nx and 0 <= sy <= ty < ny:  # a pair in the grid: one lookup
+            return self.values.item(self._starts[sx * ny + sy] + (tx - sx) * (ny - sy) + (ty - sy))
         i = self._index(s, t)
-        return 0 if i is None else int(self.values[i])
+        return 0 if i is None else self.values.item(i)
 
     def set(self, s, t, value: int) -> None:
         i = self._index(s, t)
@@ -318,20 +344,6 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- rank invariant -----------------------------------------------------
 
 
-@cache
-def _digit_groups():
-    """The ASCII of 0 .. 9999 as little-endian 4-byte words, so the first
-    character is the low byte: zero-padded ("0042"), and without the
-    leading zeros, left-aligned and NUL-padded ("42\\0\\0"; 0 is "0")."""
-    v = np.arange(10000)
-    chars = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1) + ord("0")
-    zero_padded = chars.astype(np.uint8).view("<u4").ravel()
-    leading_zeros = 3 - (v >= 10) - (v >= 100) - (v >= 1000)
-    leading = zero_padded >> (8 * leading_zeros).astype(np.uint32)
-    zero_padded.flags.writeable = leading.flags.writeable = False  # shared by every caller
-    return zero_padded, leading
-
-
 def rank_header(nx: int, ny: int) -> bytes:
     return f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n".encode()
 
@@ -347,22 +359,39 @@ def rank_labels(nx: int, ny: int):
     return words, masks, sizes
 
 
-def slab_points(nx: int, ny: int, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The s and the t of each .rank line of the pairs with s_x = x, in
-    layout order, as indices x * ny + y into `rank_labels`' arrays."""
-    s = np.repeat(np.arange(x * ny, (x + 1) * ny), (nx - x) * (ny - np.arange(ny)))
-    return s, slab_targets(nx, ny, x)
+def slab_runs(nx: int, ny: int) -> Iterator[tuple[int, int, int]]:
+    """The runs of lines that the .rank writer makes, and the layout
+    reader checks, at once, in file order: (s_x, lo, hi) for each range
+    lo <= s_y < hi of whole blocks r(s, .) of the slab s_x, each of at
+    least `RUN_PAIRS` pairs or the slab's last."""
+    for x in range(nx):
+        lo = pairs = 0
+        for sy in range(ny):
+            pairs += (nx - x) * (ny - sy)
+            if pairs >= RUN_PAIRS or sy == ny - 1:
+                yield x, lo, sy + 1
+                lo, pairs = sy + 1, 0
+
+
+def slab_points(nx: int, ny: int, x: int, lo: int = 0, hi: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The s and the t of each .rank line of the pairs with s_x = x and
+    lo <= s_y < hi (to the grid's top by default), in layout order, as
+    indices x * ny + y into `rank_labels`' arrays."""
+    sy = np.arange(lo, ny if hi is None else hi)
+    s = np.repeat(x * ny + sy, (nx - x) * (ny - sy))
+    return s, slab_targets(nx, ny, x, lo, hi)
 
 
 class RankInvariant(PairTable):
     """r(s, t) = rank of the structure map s -> t, for all s <= t, on
     the comparable pairs (`PairTable`).
 
-    The producers store int32 entries when their bound allows
-    (`table_dtype`): the rank DP, the naive rank, and the .rank readers,
-    which widen to int64 only when they read a rank past 2**31 - 1.
-    With no values given, the zero invariant is int64, since a caller
-    may set any rank in it.
+    The producers store the narrowest entries their bound allows
+    (`table_dtype`): int16 up to 32,767, else int32 up to 2**31 - 1.
+    The rank DP and the naive rank know the bound before they start;
+    the .rank readers start at int16 and widen when they read a rank
+    past the current type.  With no values given, the zero invariant is
+    int64, since a caller may set any rank in it.
     """
 
     def __init__(self, nx: int, ny: int, values: Optional[np.ndarray] = None):
@@ -377,45 +406,11 @@ class RankInvariant(PairTable):
         return b"".join(self.text_slabs()).decode("ascii")
 
     def text_slabs(self) -> Iterator[bytes]:
-        """The .rank file as ASCII bytes: the header line, then one chunk
-        per s_x slab, made as the iterator reaches it, so a writer that
-        writes each as it comes holds one slab of text at a time.  The
-        grid and the ranks are checked at the call, before any slab is
-        made.
+        """The .rank file as ASCII bytes, made one run of lines at a time
+        as the iterator reaches it (`rank_writer.text_runs`)."""
+        from .rank_writer import text_runs  # compiled only where a .rank is written
 
-        A slab is one record per line, in layout order: the NUL-padded
-        labels "x y " of s and of t, gathered as one 8-byte word each
-        from a table of labels; the rank as 4-digit groups, each one
-        4-byte word from a table of the 10,000 groups (the leading group
-        without its leading zeros, the groups above it NUL); and a
-        newline.  One `bytes.translate` deletes the NULs.
-        """
-        nx, ny = self.nx, self.ny
-        check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
-        if self.values.min(initial=0) < 0:
-            raise ValueError("rank invariant has a negative entry")
-        labels = rank_labels(nx, ny)[0]
-        return chain([rank_header(nx, ny)], (self._slab_bytes(x, labels) for x in range(nx)))
-
-    def _slab_bytes(self, x: int, labels) -> bytes:
-        """The .rank lines of the pairs with s_x = x; see `text_slabs`."""
-        q = self.rows(x)
-        groups = -(-len(str(int(q.max()))) // 4)
-        line = np.empty(q.size, dtype=[("s", "<u8"), ("t", "<u8"), ("r", "<u4", (groups,)), ("nl", np.uint8)])
-        s, t = slab_points(self.nx, self.ny, x)
-        line["s"] = labels[s]
-        line["t"] = labels[t]
-        zero_padded, leading = _digit_groups()
-        for k in range(groups):  # the group of the places 4k .. 4k + 3
-            r = q // 10 ** (4 * k) % 10000 if groups > 1 else q
-            word = line["r"][:, groups - 1 - k]
-            word[:] = leading[r]
-            if k < groups - 1:
-                np.copyto(word, zero_padded[r], where=q >= 10 ** (4 * k + 4))
-            if k:
-                word *= q >= 10 ** (4 * k)
-        line["nl"] = 10
-        return line.tobytes().translate(None, b"\0")
+        return text_runs(self)
 
     @classmethod
     def from_text(cls, text: str) -> "RankInvariant":

@@ -59,42 +59,6 @@ _COMMENT = re.compile(r"#[^\n]*")
 _BLOCK_CHARS = 1 << 17
 
 
-def int_rows(text: str, fields: str, first_line: int = 1):
-    """Parse a table of integers, one row per logical line.
-
-    Every line that is not blank once its '#' comment is cut must hold
-    one integer per name in `fields` (e.g. "s_x s_y t_x t_y r").  An
-    integer is an optional sign and ASCII digits, within int64; tokens
-    are separated by spaces or tabs, and a CR is read as a space.
-
-    `text` is a run of whole lines whose first line is line `first_line`
-    of its file, so a reader that cuts one block out of a file keeps the
-    line numbers of the file.  The text is parsed in cache-sized blocks
-    of whole lines, each of which writes its rows straight into one
-    array allocated up front for as many rows as the text can hold;
-    the blocks share one `Scratch`.
-
-    Returns (rows, lines, error): the (n, width) int64 rows of the lines
-    before the first malformed one, their 1-based line numbers, and a
-    FormatError naming that line (None when every line is well formed).
-    A caller checks the rows it got before it raises `error`, so the
-    error it raises names the first bad line of the file, whatever
-    check that line fails.
-    """
-    width = len(fields.split())
-    cap = row_capacity(len(text), text.count("\n"), width)
-    rows = np.empty((cap, width), dtype=np.int64)
-    lines = np.empty(cap, dtype=np.int64)
-    n = 0
-    scratch = Scratch()
-    for first, block, _ in line_blocks(text, first_line):
-        got, error = block_rows(block, fields, first, rows[n:], lines[n:], scratch)
-        n += got
-        if error is not None:
-            return rows[:n], lines[:n], error
-    return rows[:n], lines[:n], None
-
-
 def row_capacity(chars: int, newlines: int, width: int) -> int:
     """Most rows of `width` integers that a text of `chars` characters
     and `newlines` newlines can hold: a row takes a line, and at least
@@ -156,10 +120,23 @@ class Scratch:
 
 
 def block_rows(block: str, fields: str, first_line: int, rows, lines, scratch: Scratch):
-    """`int_rows` on one run of whole lines starting at line `first_line`:
-    writes the rows and their line numbers to the heads of `rows` and
-    `lines`, and returns (number of rows written, error).  Its per-byte
-    and per-token work arrays come from `scratch`."""
+    """Parse a table of integers, one row per logical line, from one run
+    of whole lines starting at line `first_line` of its file.
+
+    Every line that is not blank once its '#' comment is cut must hold
+    one integer per name in `fields` (e.g. "s_x s_y t_x t_y r").  An
+    integer is an optional sign and ASCII digits, within int64; tokens
+    are separated by spaces or tabs, and a CR is read as a space.
+
+    Writes the rows of the lines before the first malformed one, and
+    their 1-based line numbers, to the heads of `rows` (int64, one
+    column per field) and `lines`, and returns (number of rows written,
+    error): a FormatError naming the first malformed line, None when
+    every line is well formed.  A caller checks the rows it got before
+    it raises `error`, so the error it raises names the first bad line
+    of the file, whatever check that line fails.  Its per-byte and
+    per-token work arrays come from `scratch`, so the runs of one file
+    share them."""
     width = rows.shape[1]
     data = np.frombuffer(_COMMENT.sub("", block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
     size = data.size

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 MAX_MODULUS = 2**31 - 1
+_CHUNK_ENTRIES = 1 << 14  # entries of a matrix gathered at once by `ColumnReducer.columns`
 
 
 def is_prime(p: int) -> bool:
@@ -135,17 +136,33 @@ class ColumnReducer:
         self._block = None  # block() at the rank it was built for
 
     @staticmethod
-    def columns(mat: np.ndarray, p: int):
-        """The columns of `mat` (any int entries) in the form `add` takes
-        at modulus p, as a new list: Python-int bitsets at p = 2, which
-        `add` uses as they are, and otherwise the rows of mat.T, views
-        that `add` reduces mod p into new arrays and never writes."""
+    def columns(mat: np.ndarray, p: int, rows: Optional[np.ndarray] = None):
+        """The columns of `mat` (any int entries), or of `mat[rows]` when
+        `rows` is given, in the form `add` takes at modulus p, as a new
+        list: Python-int bitsets at p = 2, which `add` uses as they are,
+        and otherwise the rows of mat.T (of a copy of mat[rows]), views
+        that `add` reduces mod p into new arrays and never writes.
+
+        At p = 2 the parity bits are gathered a few rows at a time into
+        one byte per entry and packed from there, so beside the bitsets
+        only an eighth of mat and one bounded chunk of it are made."""
+        mat = np.asarray(mat)
         if p != 2:
-            return list(mat.T)
-        packed = np.packbits(np.asarray(mat) & 1, axis=0)
+            return list((mat if rows is None else mat[rows]).T)
+        k, cols = (mat.shape[0] if rows is None else len(rows)), mat.shape[1]
+        if k * cols <= _CHUNK_ENTRIES:  # one chunk: the small matrices of `rank` and the flag walk
+            bits = (mat if rows is None else mat[rows]) & 1
+        else:
+            bits = np.empty((k, cols), dtype=np.uint8)
+            step = max(1, _CHUNK_ENTRIES // cols)
+            for lo in range(0, k, step):
+                part = mat[lo : lo + step] if rows is None else mat[rows[lo : lo + step]]
+                np.bitwise_and(part, 1, out=bits[lo : lo + step], casting="unsafe")
+        packed = np.packbits(bits, axis=0)
+        del bits
         n, data = packed.shape[0], packed.T.tobytes()
-        pad = 8 * n - mat.shape[0]  # the zero bits past the last row
-        return [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(packed.shape[1])]
+        pad = 8 * n - k  # the zero bits past the last row
+        return [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(cols)]
 
     def add(self, v) -> Optional[int]:
         """Admit column v (length k, any int entries, or at p = 2 a bitset

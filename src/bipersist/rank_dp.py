@@ -57,16 +57,21 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     where a class is the run of s_y from one generator y-grade to the
     next.  In a class a generator is born at its g_x if g_y <= s_y and
     never (nx) otherwise, and the rows go in falling birth; phi's
-    columns are converted to the reducer's form once per class, and
-    each t_y pairs the reduced forms that t_y - 1 left (module
+    columns are converted to the reducer's form once per class, with
+    the rows gathered in that order a chunk at a time
+    (`ColumnReducer.columns`), so no reordered copy of phi is made at
+    p = 2.  Each t_y pairs the reduced forms that t_y - 1 left (module
     docstring), so a class costs one lookup per live column per t_y
     plus the collisions of the columns each row adds.
 
     The invariant is written once, each (s_x, class) range of its
     vector a block r(s, .) at a time: generator counts minus the pair
     counts at t, checked for negative entries while the range is in
-    cache.  The rows below the lowest generator stay 0.  A rank is at most the generator count, which sets the
-    entry type of the invariant and of the pair counts.
+    cache.  The rows below the lowest generator stay 0.  A rank is at
+    most the generator count, which sets the entry type of the
+    invariant and of the pair counts (`table_dtype`: int16 up to 32,767
+    generators).  Beside the invariant and phi, a class holds its
+    (nx, nx, ny) pair counts and the reducer's columns.
     """
     nx, ny, p = res.nx, res.ny, res.p
     check_table_grid(nx, ny)
@@ -77,11 +82,11 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     rg = np.array(res.rels.grades, dtype=np.int64).reshape(-1, 2)
     by_x = np.argsort(rg[:, 0], kind="stable")
     ys = sorted({y for _, y in res.gens.grades})
+    pairs = np.empty((nx, nx, ny), dtype=dtype)  # [s_x, t_x, t_y]; a class reads only the t_y it writes
     for lo, hi in zip(ys, ys[1:] + [ny]):
         birth = np.where(gg[:, 1] <= lo, gg[:, 0], nx)
         order = np.argsort(-birth, kind="stable")
-        reduced, birth = ColumnReducer.columns(res.phi.entries[order], p), birth[order]
-        pairs = np.zeros((nx, nx, ny), dtype=dtype)  # [s_x, t_x, t_y]
+        reduced, birth = ColumnReducer.columns(res.phi.entries, p, rows=order), birth[order]
         for ty in range(lo, ny):
             cols = by_x[rg[by_x, 1] <= ty].tolist()
             live = [reduced[j] for j in cols]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .grid_module import (
     DP_GRID_CAP,
-    INT32_MAX,
     GridTooLargeError,
     PairTable,
     RankInvariant,
@@ -27,6 +26,7 @@ from .grid_module import (
     rank_header,
     rank_labels,
     slab_points,
+    slab_runs,
     table_dtype,
 )
 from .ioutil import FormatError, InvariantError, Scratch, block_rows, row_capacity
@@ -45,19 +45,21 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
     not, is left to `from_blocks`.
 
     The header's grid, 1 x 1 to 60 x 60, fixes every line but its rank:
-    `slab_points` gives each s_x slab's pairs and labels in the writer's
-    order, which is the order of the slab's range in the vector.  For
-    each slab the reader cuts the chunks at the slab's last LF and finds
-    its LFs in one pass; the lines follow each other, so each line
-    starts after the LF before it.  The two labels of each line are
-    compared as masked little-endian 8-byte words, gathered at the line
-    starts and after the first label from one byte-strided `uint64` view
-    of the slab.  What is left of a line, before its LF, is its rank: 1
-    to 18 digits, with no leading zero unless the rank is 0.  The file
-    must end at the last LF.  The ranks of a slab are written to its
-    range in one copy.  The entry type is `from_blocks`': int32, widened
-    to int64 when a rank passes 2**31 - 1.  Beside the vector only one
-    slab's bytes and its per-line arrays are held.
+    `slab_runs` cuts each s_x slab into the runs of lines the writer
+    makes, and `slab_points` gives each run's pairs and labels in the
+    writer's order, which is the order of the run's range in the
+    vector.  For each run the reader cuts the chunks at the run's last
+    LF and finds its LFs in one pass; the lines follow each other, so
+    each line starts after the LF before it.  The two labels of each
+    line are compared as masked little-endian 8-byte words, gathered at
+    the line starts and after the first label from one byte-strided
+    `uint64` view of the run.  What is left of a line, before its LF,
+    is its rank: 1 to 18 digits, with no leading zero unless the rank is
+    0.  The file must end at the last LF.  The ranks of a run are
+    written to its range in one copy.  The entry type is `from_blocks`':
+    int16, widened to int32 or int64 when a rank passes the current
+    type (`table_dtype`).  Beside the vector only one run's bytes and
+    its per-line arrays are held.
     """
     chunks = iter(chunks)
     rest, rest_ends = b"", np.zeros(0, dtype=np.int64)
@@ -93,8 +95,8 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
         return None
     words, masks, sizes = rank_labels(nx, ny)
     inv = RankInvariant(nx, ny, np.empty(pair_count(nx, ny), dtype=table_dtype(0)))
-    for x in range(nx):
-        s, t = slab_points(nx, ny, x)
+    for x, lo, hi in slab_runs(nx, ny):
+        s, t = slab_points(nx, ny, x, lo, hi)
         n = s.size
         got = lines(n, n * _RANK_LINE_MOST)
         if got is None:
@@ -122,9 +124,10 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
         ranks = value[ends - 1].astype(np.int64)
         for place in range(1, int(digits.max())):
             ranks += value[np.maximum(ends - 1 - place, start)] * np.int64(10**place)
-        if ranks.max() > INT32_MAX:
-            inv.values = inv.values.astype(np.int64, copy=False)
-        inv.rows(x)[:] = ranks
+        dtype = np.promote_types(inv.values.dtype, table_dtype(int(ranks.max())))
+        if dtype != inv.values.dtype:
+            inv.values = inv.values.astype(dtype)
+        inv.rows(x, lo, hi)[:] = ranks
     if rest or any(chunks):
         return None  # the file goes on past its last pair
     return inv
@@ -149,10 +152,11 @@ def from_blocks(blocks) -> RankInvariant:
     regrown, each block r(s, .) copied into the new layout, only when a
     later run names a larger t; the writer's files name their largest t
     in the first lines, so they are allocated once.  The vector starts
-    with int32 entries and is regrown to int64 the same way when a run
-    holds a rank past 2**31 - 1, so every rank is kept exactly.  Beside
-    them only one run's text and rows are held.  A pair repeats exactly
-    when fewer pairs are hit than rows were read.
+    with int16 entries and is regrown the same way, to int32 or int64
+    (`table_dtype`), when a run holds a rank past the current type, so
+    every rank is kept exactly.  Beside them only one run's text and
+    rows are held.  A pair repeats exactly when fewer pairs are hit than
+    rows were read.
     """
     inv = RankInvariant(0, 0, np.zeros(0, dtype=table_dtype(0)))
     seen = PairTable(0, 0, np.zeros(0, dtype=bool))

@@ -74,8 +74,8 @@ def decompose(r: RankInvariant):
     decomposability -- that decision belongs to the checkers.
 
     The differences are taken one s_x slab at a time, in int64 whatever
-    the invariant's entry type, since a sixteen-term sum of int32 ranks
-    can pass int32: into an (ny, nx - s_x, ny) array [s_y, t_x - s_x,
+    the invariant's entry type, since a sixteen-term sum of int16 or
+    int32 ranks can pass their type: into an (ny, nx - s_x, ny) array [s_y, t_x - s_x,
     t_y], 0 where t_y < s_y, go the blocks r(s, .) of the slab less
     those of the slab before it (without their t_x = s_x - 1 column);
     then, inside the slab, the differences run downward along s_y and

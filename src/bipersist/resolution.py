@@ -13,18 +13,12 @@ the rank invariant needs, so the rank and check paths skip the second
 kernel sweep.  `free_resolution` adds psi on top of it, for `.fres`
 output and `validate_resolution`.  `presented_module` turns gens, rels
 and phi into explicit matrices, M_t = F_t / Im phi_t, with one column
-reduction per grid row; the check path reads kappa/iota off it.
-
-`.fres` files share the `.rank` field rule (`ioutil.int_rows`): fields
-are separated by spaces or tabs, a CR reads as a space, and every
-integer is an optional sign and ASCII digits within int64.  Any other
-character, other Unicode whitespace included, belongs to a field.
+reduction per grid row; the check path reads kappa/iota off it.  The
+.fres format of a resolution is in `fres`.
 """
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,8 +26,8 @@ import numpy as np
 
 from .bifiltration import Bifiltration, homology_module
 from .grid_module import GridModule
-from .ioutil import FormatError, InvariantError, int_rows, parse_int
-from .linalg import ColumnReducer, check_modulus, matmul, rank, solve_matrix
+from .ioutil import InvariantError
+from .linalg import ColumnReducer, matmul, rank, solve_matrix
 
 
 def _leq(a, b) -> bool:
@@ -63,21 +57,17 @@ class GradedMatrix:
     p: int
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.int64) % self.p
+        # reduced mod p in place when given as a writable int64 array, as
+        # the readers and builders give it, so that no copy is made
+        self.entries = np.asarray(self.entries, dtype=np.int64)
+        if not self.entries.flags.writeable:
+            self.entries = self.entries.copy()
+        np.remainder(self.entries, self.p, out=self.entries)
         if self.entries.shape != (len(self.target), len(self.source)):
             raise ValueError(
                 f"entries shape {self.entries.shape} does not match "
                 f"{len(self.target)} rows x {len(self.source)} cols"
             )
-
-    def inhomogeneous_entries(self) -> list:
-        """(i, j) for each nonzero entry whose row grade is not below its
-        column grade, in row-major order."""
-        rows, cols = np.nonzero(self.entries)
-        target = np.array(self.target.grades, dtype=np.int64).reshape(-1, 2)
-        source = np.array(self.source.grades, dtype=np.int64).reshape(-1, 2)
-        bad = (target[rows] > source[cols]).any(axis=1)
-        return list(zip(rows[bad].tolist(), cols[bad].tolist()))
 
 
 @dataclass
@@ -315,139 +305,3 @@ def validate_resolution(res: FreeResolution, bif: Bifiltration, degree: int) -> 
                     f"but homology has {oracle.dim_at(t)}"
                 )
     return None
-
-
-# -- .fres file format -----------------------------------------------------
-
-
-def write_fres(res: FreeResolution) -> str:
-    out = ["resolution", f"field {res.p}", f"grid {res.nx} {res.ny}"]
-    for name, fm in (("gens", res.gens), ("rels", res.rels), ("relrels", res.relrels)):
-        out.append(name)
-        for g in fm.grades:
-            out.append(f"{g[0] + 1} {g[1] + 1}")
-    for name, gm in (("phi", res.phi), ("psi", res.psi)):
-        out.append(name)
-        for i, j in zip(*np.nonzero(gm.entries)):
-            out.append(f"{i + 1} {j + 1} {int(gm.entries[i, j])}")
-    return "\n".join(out) + "\n"
-
-
-# a logical line (one with a field once its comment is cut), and a line
-# whose first field is a section name (group 2: the rest, up to the comment)
-_LINE = re.compile(r"^[ \t\r]*([^ \t\r\n#][^\n#]*)", re.M)
-_SECTION = re.compile(r"^[ \t\r]*(gens|rels|relrels|phi|psi)(?=[ \t\r#]|$)([^\n#]*)", re.M)
-_BLANKS = re.compile(r"[ \t\r]+")
-
-
-def read_fres(text: str) -> FreeResolution:
-    """Read a .fres file; a FormatError names the first bad line.
-
-    The header is the first four logical lines: `resolution`,
-    `field p`, `grid nx ny` and `gens`.  The section lines (`gens`,
-    `rels`, `relrels`, `phi`, `psi`) are found by one scan of the text,
-    and each block between them is parsed by one `int_rows` call whose
-    rows are then checked as whole arrays: grades within the grid,
-    triplet indices within the matrix.  A grade block ends at the next
-    line that opens with a section name, a triplet block at the next
-    `phi` or `psi` line, and the `psi` block must run to the end of the
-    text.  A triplet's value is reduced mod p, and the last triplet
-    naming an entry sets it.
-    """
-    header = [
-        (text.count("\n", 0, m.start()) + 1, _BLANKS.split(m[1].strip(" \t\r")))
-        for m in itertools.islice(_LINE.finditer(text), 4)
-    ]
-    if not header or header[0][1] != ["resolution"]:
-        raise FormatError(f"line {header[0][0] if header else 1}: expected 'resolution' header")
-
-    def take(at, prefix, parts):
-        if at >= len(header):
-            raise FormatError(f"line {header[-1][0]}: missing '{prefix}' section")
-        lineno, toks = header[at]
-        if toks[0] != prefix or len(toks) != parts + 1:
-            raise FormatError(f"line {lineno}: expected '{prefix}'" + " with arguments" * bool(parts))
-        return lineno, toks[1:]
-
-    lineno, toks = take(1, "field", 1)
-    p = parse_int(toks[0], lineno, "modulus")
-    try:
-        check_modulus(p)
-    except ValueError as e:
-        raise FormatError(f"line {lineno}: {e}") from None
-    lineno, toks = take(2, "grid", 2)
-    nx, ny = (parse_int(v, lineno, "extent") for v in toks)
-    if nx < 1 or ny < 1:
-        raise FormatError(f"line {lineno}: grid extents must be positive")
-    take(3, "gens", 0)
-
-    # (line number, name, whether the line holds nothing else, start, end) of each section line
-    sections, lineno, at = [], 1, 0
-    for m in _SECTION.finditer(text):
-        lineno += text.count("\n", at, m.start())
-        at = m.start()
-        sections.append((lineno, m[1], not m[2].strip(" \t\r"), m.start(), m.end()))
-
-    def section(k, ends, fields, bad, why, then):
-        """Rows and line numbers of the block after section line k, which
-        runs to the next section line named in `ends`; that line must be
-        `then` alone, and is returned as the next k.  With `then` None
-        there must be no such line: the block runs to the end of the
-        text.  A FormatError names the first line that is malformed or
-        whose row is `bad`."""
-        nxt = next((i for i in range(k + 1, len(sections)) if sections[i][1] in ends), None)
-        eol = text.find("\n", sections[k][4])
-        a = len(text) if eol < 0 else eol + 1
-        b = len(text) if nxt is None else sections[nxt][3]
-        rows, lines, error = int_rows(text[a:b], fields, first_line=sections[k][0] + 1)
-        wrong = bad(*rows.T)
-        if wrong.any():
-            i = int(np.argmax(wrong))
-            raise FormatError(f"line {lines[i]}: " + why(*rows[i].tolist()))
-        if error is not None:
-            raise error
-        if then is None and nxt is not None:
-            raise FormatError(f"line {sections[nxt][0]}: expected the end of the file after the '{sections[k][1]}' block")
-        if then is not None and nxt is None:
-            raise FormatError(f"line {lines[-1] if len(lines) else sections[k][0]}: missing '{then}' section")
-        if then is not None and sections[nxt][1:3] != (then, True):
-            raise FormatError(f"line {sections[nxt][0]}: expected '{then}'")
-        return rows, lines, nxt
-
-    modules, k = [], 0
-    for then in ("rels", "relrels", "phi"):
-        rows, lines, k = section(
-            k, ("gens", "rels", "relrels", "phi", "psi"), "g_x g_y",
-            lambda x, y: (x < 1) | (x > nx) | (y < 1) | (y > ny),
-            lambda x, y: f"grade ({x},{y}) outside the grid", then,
-        )
-        modules.append(FreeModule((rows - 1).tolist()))
-    gens, rels, relrels = modules
-
-    matrices = []  # psi's block runs to the end of the file
-    for n_rows, n_cols, then in ((len(gens), len(rels), "psi"), (len(rels), len(relrels), None)):
-        rows, lines, k = section(
-            k, ("phi", "psi"), "row col value",
-            lambda i, j, v: (i < 1) | (i > n_rows) | (j < 1) | (j > n_cols),
-            lambda i, j, v: f"index ({i},{j}) outside {n_rows}x{n_cols}", then,
-        )
-        flat = (rows[:, 0] - 1) * n_cols + rows[:, 1] - 1
-        order = np.argsort(flat, kind="stable")
-        last = order[np.diff(flat[order], append=-1) != 0]  # the last triplet of each entry
-        entries = np.zeros((n_rows, n_cols), dtype=np.int64)
-        entries.reshape(-1)[flat[last]] = rows[last, 2]  # GradedMatrix reduces mod p
-        matrices.append((entries, flat[last], lines[last]))
-
-    phi = GradedMatrix(gens, rels, matrices[0][0], p)
-    psi = GradedMatrix(rels, relrels, matrices[1][0], p)
-    for name, gm, (_, entry, setter) in (("phi", phi, matrices[0]), ("psi", psi, matrices[1])):
-        problems = gm.inhomogeneous_entries()
-        if problems:
-            i, j = problems[0]
-            lineno = setter[np.searchsorted(entry, i * len(gm.source) + j)]
-            (rx, ry), (cx, cy) = gm.target.grades[i], gm.source.grades[j]
-            raise FormatError(
-                f"line {lineno}: {name} not homogeneous: entry ({i + 1},{j + 1}) nonzero but row grade "
-                f"({rx + 1}, {ry + 1}) is not below column grade ({cx + 1}, {cy + 1})"
-            )
-    return FreeResolution(gens, rels, relrels, phi, psi, nx, ny, p)

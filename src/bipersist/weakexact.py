@@ -59,7 +59,8 @@ class KappaIota:
     """The two tables on the comparable pairs of an nx x ny grid.
 
     Every entry is at most the largest dimension of the module, so
-    `kappa_iota` stores int32 entries when that fits (`table_dtype`).
+    `kappa_iota` stores the narrowest entries that hold it
+    (`table_dtype`): int16 up to 32,767, else int32.
     """
 
     nx: int

@@ -243,7 +243,7 @@ def reference_read_fres(text):
     """Oracle: the per-line .fres reader, one check after another per line.
 
     Fields are separated by spaces or tabs, and a CR reads as a space:
-    the field rule of `ioutil.int_rows`.
+    the field rule of `ioutil.block_rows`.
     """
     lines = []
     for lineno, raw in enumerate(text.split("\n"), start=1):

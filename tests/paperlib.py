@@ -16,8 +16,9 @@ completion, and images, sums and intersections of subspaces, which the
 package reads off its column reducers or counts by ranks instead), and
 the zigzag oracle: insert/delete event lists along the row and column
 paths, and barcodes of explicit zigzag modules by pushing two nested
-subspaces from every left endpoint.  None of it is on a path the CLI
-runs.
+subspaces from every left endpoint; and `int_rows`, the readers'
+integer-table parser over a whole text, and the inhomogeneous entries
+of a graded matrix.  None of it is on a path the CLI runs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map
 from bipersist.grid_module import GridModule, RankInvariant, rank_invariant_naive
-from bipersist.ioutil import InvariantError
+from bipersist.ioutil import InvariantError, Scratch, block_rows, line_blocks, row_capacity
 from bipersist.linalg import ColumnReducer, check_modulus, inv_mod, matmul, rank, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.squares import SQUARE_LABELS, SquareInvariants
@@ -1000,3 +1001,35 @@ def iso_test(a: GridModule, b: GridModule, trials: int = 64, seed: int = 0):
         if ok:
             return "confirmed", None
     return "undetermined", f"no invertible combination found in {trials} trials"
+
+
+def int_rows(text: str, fields: str, first_line: int = 1):
+    """`ioutil.block_rows` over a whole text whose first line is line
+    `first_line`, one `ioutil.line_blocks` run at a time, every run
+    writing its rows straight into one array allocated for as many rows
+    as the text can hold and all sharing one `Scratch`: (rows, lines,
+    error), the rows of the lines before the first malformed one, their
+    line numbers, and the FormatError naming that line or None.
+    """
+    width = len(fields.split())
+    cap = row_capacity(len(text), text.count("\n"), width)
+    rows = np.empty((cap, width), dtype=np.int64)
+    lines = np.empty(cap, dtype=np.int64)
+    n = 0
+    scratch = Scratch()
+    for first, block, _ in line_blocks(text, first_line):
+        got, error = block_rows(block, fields, first, rows[n:], lines[n:], scratch)
+        n += got
+        if error is not None:
+            return rows[:n], lines[:n], error
+    return rows[:n], lines[:n], None
+
+
+def inhomogeneous_entries(gm) -> list:
+    """(i, j) for each nonzero entry of the graded matrix `gm` whose row
+    grade is not below its column grade, in row-major order."""
+    rows, cols = np.nonzero(gm.entries)
+    target = np.array(gm.target.grades, dtype=np.int64).reshape(-1, 2)
+    source = np.array(gm.source.grades, dtype=np.int64).reshape(-1, 2)
+    bad = (target[rows] > source[cols]).any(axis=1)
+    return list(zip(rows[bad].tolist(), cols[bad].tolist()))

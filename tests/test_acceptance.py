@@ -19,7 +19,8 @@ from bipersist.grid_module import GridModule, rank_invariant_naive
 from bipersist.linalg import rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import decompose
-from bipersist.resolution import free_resolution, read_fres, validate_resolution
+from bipersist.fres import read_fres
+from bipersist.resolution import free_resolution, validate_resolution
 from bipersist.squares import SQUARE_LABELS, decompose_square
 from bipersist.weakexact import (
     check_bifiltration,

@@ -1,9 +1,11 @@
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bipersist import ioutil, rank_reader
@@ -87,7 +89,8 @@ def test_rank_fres_matches_bif(tmp_path):
     b = tmp_path / "b.rank"
     assert main(["rank", bif, "-o", str(a)]) == 0
     from bipersist.bifiltration import read_bif
-    from bipersist.resolution import free_resolution, write_fres
+    from bipersist.fres import write_fres
+    from bipersist.resolution import free_resolution
 
     fres.write_text(write_fres(free_resolution(read_bif(open(bif).read()), 0)))
     assert main(["rank", str(fres), "-o", str(b)]) == 0
@@ -103,7 +106,8 @@ def test_rank_method_routing_errors(tmp_path, capsys):
     bif = write_triangle(tmp_path)
     fres = tmp_path / "f.fres"
     from bipersist.bifiltration import read_bif
-    from bipersist.resolution import free_resolution, write_fres
+    from bipersist.fres import write_fres
+    from bipersist.resolution import free_resolution
 
     fres.write_text(write_fres(free_resolution(read_bif(open(bif).read()), 0)))
     assert main(["rank", str(fres), "--method", "naive"]) == 1
@@ -342,6 +346,69 @@ def test_a_byte_that_is_not_utf8_wins_over_an_earlier_malformed_line(tmp_path, c
     )
 
 
+# generators at (1,1) and (2,2), relations at (1,1) and (2,2): the
+# entry (2,1) is inhomogeneous; the triplets start at line 12
+FRES_HEAD = "resolution\nfield 3\ngrid 2 2\ngens\n1 1\n2 2\nrels\n1 1\n2 2\nrelrels\nphi\n"
+INHOMOGENEOUS = "phi not homogeneous: entry (2,1) nonzero but row grade (2, 2) is not below column grade (1, 1)"
+# the same valid file with CRLF line ends, comments, blanks and tabs
+FRES_CRLF = (
+    "# a presentation\r\nresolution # header\r\nfield 3\r\n\r\ngrid\t2 2\r\ngens # two\r\n1 1\r\n2\t2 # top\r\n"
+    "rels\r\n1 1\r\n  2 2\r\nrelrels\r\n# none\r\nphi\r\n1 1 1 # e\r\n2 2 5\r\n1 2 2\r\npsi\r\n# end\r\n"
+)
+FRES_PLAIN = FRES_HEAD + "1 1 1\n2 2 2\n1 2 2\npsi\n"
+NOT_UTF8 = "byte 0x{:02x} is not UTF-8 (invalid start byte)"
+
+
+def fres_command(tmp_path, capsys, command, data: bytes):
+    """(exit code, stdout, stderr) of `command` on a .fres file holding `data`."""
+    path = tmp_path / "in.fres"
+    path.write_bytes(data)
+    code = main([command, str(path)] + (["-o", str(tmp_path / "out.rank")] if command == "rank" else []))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("command", ["rank", "validate"])
+@pytest.mark.parametrize(
+    "data, err",
+    [
+        (FRES_HEAD + "1 1 1\n1 2\n2 2 1\npsi\n", "line 13: expected 'row col value', got '1 2'"),
+        (FRES_HEAD + "1 1 1\n3 1 1\n1 2\npsi\n", "line 13: index (3,1) outside 2x2"),
+        (FRES_HEAD + "2 1 1\n1 1 1\n2 1 2\npsi\n", f"line 14: {INHOMOGENEOUS}"),
+        (FRES_HEAD + "2 1 1\n" + "1 1 1\n" * 3000 + "2 1 4\n2 2 1\npsi\n", f"line 3013: {INHOMOGENEOUS}"),
+        (FRES_HEAD + "2 1 1\n1 1 1\n2 1 3\npsi\n", None),  # 3 is 0 mod 3: the entry is zero after all
+        (FRES_HEAD + "2 1 1\n" + "2 1 -3\n" * 3000 + "psi\n", None),
+        (FRES_HEAD + "1 x 1\n" + "1 1 1\n" * 3000 + "\udcff\npsi\n", f"line 3013: {NOT_UTF8.format(0xFF)}"),
+        (FRES_HEAD + "1 1 1\npsi\nphi\n" + "# note\n" * 3000 + "\udcfe\n", f"line 3015: {NOT_UTF8.format(0xFE)}"),
+        (FRES_CRLF.replace("1 2 2", "1 2 2 2"), "line 17: expected 'row col value', got '1 2 2 2'"),
+        (FRES_CRLF.replace("\r\nphi", "\r\n\tpsi"), "line 14: expected 'phi'"),
+        (FRES_CRLF, None),
+    ],
+    ids=[
+        "malformed", "index", "set-twice", "set-twice-blocks-apart", "zeroed", "zeroed-many-times",
+        "not-utf8-after-malformed", "not-utf8-after-section", "crlf-malformed", "crlf-section", "crlf-comments",
+    ],
+)
+def test_fres_errors_name_the_same_line_read_in_blocks(tmp_path, capsys, monkeypatch, block, command, data, err):
+    # the .fres reader takes the file a block of lines at a time; every
+    # error text and line number is that of reading the whole text: the
+    # last triplet that set a nonzero inhomogeneous entry, a byte that is
+    # not UTF-8 anywhere in the file over an earlier bad line, and line
+    # numbers of CRLF files with comments
+    if block is not None:
+        monkeypatch.setattr(ioutil, "_BLOCK_CHARS", block)
+    got = fres_command(tmp_path, capsys, command, data.encode("utf-8", "surrogateescape"))
+    if err is not None:
+        assert got == (1, "", f"error: {err}\n")
+        return
+    assert got == (0, "ok\n" if command == "validate" else "", "")
+    if command == "rank" and data == FRES_CRLF:
+        crlf = (tmp_path / "out.rank").read_bytes()
+        fres_command(tmp_path, capsys, "rank", FRES_PLAIN.encode())
+        assert crlf == (tmp_path / "out.rank").read_bytes()
+
+
 def test_decompose_names_both_lines_of_a_repeat_blocks_apart(tmp_path, capsys):
     # a 20 x 20 .rank is about five 128 KiB blocks; the repeat of its
     # line 3 is in the last one
@@ -518,7 +585,8 @@ def run_cli(args, cwd, columns=80):
 def test_rank_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path):
     # a file takes the writer's bytes as they are; stdout takes them as text
     from bipersist.bifiltration import read_bif
-    from bipersist.resolution import free_resolution, write_fres
+    from bipersist.fres import write_fres
+    from bipersist.resolution import free_resolution
 
     fres = tmp_path / "tri.fres"
     fres.write_text(write_fres(free_resolution(read_bif(open(write_triangle(tmp_path)).read()), 0)))
@@ -527,6 +595,54 @@ def test_rank_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path):
     assert run_cli(["rank", str(fres)], tmp_path) == (0, data)
     assert run_cli(["rank", str(fres), "-o", "-"], tmp_path) == (0, data)
     assert data.decode() == RankInvariant.from_text(data.decode()).to_text()
+
+
+# Linux charges a child's ru_maxrss with the peak of the process that
+# forked it, so each command is started from this small launcher, not
+# from the test process
+PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def peak_rss_kb(args, cwd) -> int:
+    """The ru_maxrss, in kB, of `python -m bipersist.cli ARGS` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "bipersist.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    )
+    code, kb = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    return kb
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_rank_and_decompose_peak_rss_is_the_start_up_floor_and_the_vector(tmp_path):
+    # on a seeded 30 x 30 presentation (300 generators, 300 relations),
+    # each command peaks at most a few MB above the same command on a
+    # 1 x 1 input, beside the vector of ranks: phi (0.7 MB) and one
+    # block's parse arrays for `rank`, one run's arrays or one slab of
+    # `decompose` for `decompose-rectangles`; a dense table or a
+    # whole-text parse would not fit
+    rng = random.Random(30)
+    lines = ["resolution", "field 2", "grid 30 30", "gens"] + ["1 1"] * 300 + ["rels"]
+    lines += [f"{rng.randrange(30) + 1} {rng.randrange(30) + 1}" for _ in range(300)] + ["relrels", "phi"]
+    lines += [f"{i + 1} {j + 1} 1" for j in range(300) for i in range(300) if rng.random() < 0.5] + ["psi"]
+    (tmp_path / "big.fres").write_text("\n".join(lines) + "\n")
+    (tmp_path / "floor.fres").write_text("resolution\nfield 2\ngrid 1 1\ngens\n1 1\nrels\nrelrels\nphi\npsi\n")
+    vector_kb = 2 * (30 * 31 // 2) ** 2 / 1024  # int16 entries: the ranks are at most 300
+    for name in ("floor", "big"):
+        rank = peak_rss_kb(["rank", f"{name}.fres", "-o", f"{name}.rank"], tmp_path)
+        decompose = peak_rss_kb(["decompose-rectangles", f"{name}.rank", "-o", f"{name}.barcode"], tmp_path)
+        if name == "floor":
+            floor = rank, decompose
+    assert RankInvariant.from_text((tmp_path / "big.rank").read_text()).values.dtype == np.int16
+    assert rank <= floor[0] + vector_kb + 4 * 1024
+    assert decompose <= floor[1] + vector_kb + 4 * 1024
 
 
 LOADED = (
@@ -552,7 +668,8 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     }
     assert (tmp_path / "out.barcode").read_text() == barcode_text(RANKS)
     from bipersist.bifiltration import read_bif
-    from bipersist.resolution import free_resolution, write_fres
+    from bipersist.fres import write_fres
+    from bipersist.resolution import free_resolution
 
     (tmp_path / "in.fres").write_text(write_fres(free_resolution(read_bif(open(write_triangle(tmp_path)).read()), 0)))
     loaded = loaded_modules(["rank", "in.fres", "-o", "out.rank"], tmp_path)
@@ -562,6 +679,8 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         "bipersist.weakexact", "bipersist.zigzag", "bipersist.constructions", "bipersist.rect_decomp",
         "bipersist.rank_reader",
     }
+    # the check compiles neither file reader
+    assert not loaded_modules(["check-rectangle", "tri.bif"], tmp_path) & {"bipersist.fres", "bipersist.rank_reader"}
     # the zigzag shares the check's flag step and pairing through linalg, not weakexact
     assert loaded_modules(["zigzag-barcode", "tri.bif", "--row", "3,2", "-o", "out.zbar"], tmp_path) == {
         "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",

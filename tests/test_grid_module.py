@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipersist import ioutil, rank_reader
+from bipersist import grid_module, ioutil, rank_reader
 from bipersist.bifiltration import homology_module
 from bipersist.constructions import example, indecgrid, random_rectangle_module
 from bipersist.gmod import read_gmod, write_gmod
@@ -292,7 +292,17 @@ def test_rank_to_text_at_the_grid_cap(nx, ny, fill):
     assert RankInvariant.from_text(text) == inv
 
 
-STRADDLING = st.sampled_from([0, 9, 10**4, 10**8, INT32_MAX - 1, INT32_MAX, INT32_MAX + 1, 10**10, INT64.max])
+INT16_MAX = 2**15 - 1
+STRADDLING = st.sampled_from(
+    [0, 9, 10**4, INT16_MAX, INT16_MAX + 1, 10**8, INT32_MAX - 1, INT32_MAX, INT32_MAX + 1, 10**10, INT64.max]
+)
+
+
+def narrowest(values) -> np.dtype:
+    """The entry type a .rank reader gives ranks up to max(values): the
+    first of int16, int32 and int64 that holds it."""
+    top = int(np.max(values))
+    return np.dtype(np.int16 if top <= INT16_MAX else np.int32 if top <= INT32_MAX else np.int64)
 
 
 def straddling_table(nx, ny, values, dtype=np.int64):
@@ -303,31 +313,47 @@ def straddling_table(nx, ny, values, dtype=np.int64):
 @st.composite
 def straddling_tables(draw, dtype=np.int64):
     """Rank tables on grids up to 4 x 4 with ranks on both sides of
-    2**31 - 1, or only up to it for an int32 table."""
+    2**15 - 1 and of 2**31 - 1, or only up to the top of an int16 or
+    int32 table."""
     nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    values = STRADDLING | st.integers(0, 2**33)
-    if dtype == np.int32:
-        values = values.filter(lambda v: v <= INT32_MAX)
+    values = STRADDLING | st.integers(0, 2**33) | st.integers(INT16_MAX - 9, INT16_MAX + 9)
+    if dtype != np.int64:
+        values = values.filter(lambda v: v <= np.iinfo(dtype).max)
     size = pair_count(nx, ny)
     return straddling_table(nx, ny, draw(st.lists(values, min_size=size, max_size=size)), dtype)
+
+
+# tables whose ranks pass int16, then int32, in a late slab: the fifth
+# line of a 2 x 2 table is the first of its second s_x slab
+WIDENING = [
+    straddling_table(2, 2, [1, 2, 3, 4, INT32_MAX + 1, 5, 6, 7, 8]),
+    straddling_table(2, 2, [1, 2, 3, 4, INT16_MAX + 1, 5, 6, 7, INT16_MAX]),
+    straddling_table(2, 2, [INT16_MAX, 2, 3, 4, INT16_MAX + 1, 5, 6, INT32_MAX, INT32_MAX + 1]),
+    straddling_table(3, 1, [INT16_MAX, 0, INT16_MAX, INT16_MAX + 1, INT32_MAX, 2**31]),
+]
 
 
 @pytest.mark.parametrize("block", [None, 1, 7, 64])
 @settings(max_examples=60, deadline=None)
 @given(inv=straddling_tables())
-@hypothesis.example(inv=straddling_table(2, 2, [1, 2, 3, 4, INT32_MAX + 1, 5, 6, 7, 8]))  # the fifth line widens
+@hypothesis.example(inv=WIDENING[0])
+@hypothesis.example(inv=WIDENING[1])
+@hypothesis.example(inv=WIDENING[2])
+@hypothesis.example(inv=WIDENING[3])
 def test_rank_reader_reads_int32_until_a_rank_past_it(block, inv):
     # whole or cut into blocks, so that a later block may widen a table
-    # already filled, the table read is the int64 reference, and it is
-    # int32 exactly when every rank fits
+    # already filled, the table read is the int64 reference, and its
+    # entry type is exactly the narrowest of int16, int32 and int64
+    # that holds every rank
     text = inv.to_text()
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(ioutil, "_BLOCK_CHARS", block)
         got = RankInvariant.from_text(text)
+        general = rank_reader.from_blocks(lambda: ioutil.line_blocks(text))
     want = reference_rank_from_text(text)
-    assert want.values.dtype == np.int64 and got == want == inv
-    assert got.values.dtype == (np.int32 if inv.values.max() <= INT32_MAX else np.int64)
+    assert want.values.dtype == np.int64 and got == want == inv == general
+    assert got.values.dtype == general.values.dtype == narrowest(inv.values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -337,6 +363,20 @@ def test_rank_text_slabs_of_an_int32_table_match_the_per_pair_writer(inv):
     # the 4-digit groups of a rank up to 2**31 - 1 divide by 10**8, which
     # an int32 holds
     assert inv.values.dtype == np.int32
+    assert b"".join(inv.text_slabs()).decode("ascii") == reference_rank_to_text(inv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(straddling_tables(np.int16))
+@hypothesis.example(straddling_table(1, 2, [INT16_MAX, 10**4, 9999], np.int16))
+@hypothesis.example(straddling_table(2, 2, [10**4, 0, INT16_MAX, 10, 32760, 99, 1, INT16_MAX, 10**4], np.int16))
+def test_rank_text_slabs_of_an_int16_table_match_the_per_pair_writer(inv):
+    # a rank of 5 digits takes two 4-digit groups, and its divisor and
+    # thresholds, 10**4, fit in int16; cut into runs of one block each
+    assert inv.values.dtype == np.int16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "RUN_PAIRS", 1)
+        assert b"".join(inv.text_slabs()).decode("ascii") == reference_rank_to_text(inv)
     assert b"".join(inv.text_slabs()).decode("ascii") == reference_rank_to_text(inv)
 
 
@@ -406,21 +446,43 @@ def read_both_ways(data: bytes, size: int):
     return fast, general
 
 
-WIDENS_LATE = straddling_table(2, 2, [1, 2, 3, 4, INT32_MAX + 1, 5, 6, 7, 8])  # the second slab widens
-
-
 @pytest.mark.parametrize("size", [1, 7, 64, 1 << 17])
 @settings(max_examples=40, deadline=None)
 @given(drawn=writer_bytes())
-@hypothesis.example(drawn=(WIDENS_LATE, b"".join(WIDENS_LATE.text_slabs())))
+@hypothesis.example(drawn=(WIDENING[0], b"".join(WIDENING[0].text_slabs())))
+@hypothesis.example(drawn=(WIDENING[1], b"".join(WIDENING[1].text_slabs())))
+@hypothesis.example(drawn=(WIDENING[2], b"".join(WIDENING[2].text_slabs())))
+@hypothesis.example(drawn=(WIDENING[3], b"".join(WIDENING[3].text_slabs())))
 def test_the_writers_layout_reader_reads_what_the_general_reader_reads(size, drawn):
     # the writer's bytes, cut into chunks anywhere, give the general
-    # reader's table and entry type; only a rank past 18 digits is left
-    # to the general reader
+    # reader's table and entry type, exactly the narrowest of int16,
+    # int32 and int64 that holds every rank; only a rank past 18 digits
+    # is left to the general reader
     inv, data = drawn
     fast, general = read_both_ways(data, size)
-    assert general == (inv, np.dtype(np.int32 if inv.values.max() <= INT32_MAX else np.int64))
+    assert general == (inv, narrowest(inv.values))
     assert (fast is None) == (inv.values.max() >= 10**18)
+
+
+@pytest.mark.parametrize("run", [1, 7, 64])
+@settings(max_examples=40, deadline=None)
+@given(drawn=writer_bytes())
+@hypothesis.example(drawn=(WIDENING[1], b"".join(WIDENING[1].text_slabs())))
+@hypothesis.example(drawn=(WIDENING[3], b"".join(WIDENING[3].text_slabs())))
+def test_the_layout_reader_widens_in_runs_of_any_size(run, drawn):
+    # in runs of as few as one block r(s, .), from chunks of as many
+    # bytes, a rank past int16 or int32 in a late run widens the table
+    # already filled, and the table and its entry type are those of a
+    # read in whole slabs
+    inv, data = drawn
+    whole = rank_reader.from_slabs([data])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "RUN_PAIRS", run)
+        fast = rank_reader.from_slabs(data[i : i + run] for i in range(0, len(data), run))
+    if inv.values.max() >= 10**18:
+        assert fast is whole is None
+    else:
+        assert (fast, fast.values.dtype) == (whole, whole.values.dtype) == (inv, narrowest(inv.values))
 
 
 @pytest.mark.parametrize("size", [7, 1 << 17])

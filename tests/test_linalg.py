@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipersist import linalg
 from bipersist.linalg import (
     MAX_MODULUS,
     ColumnReducer,
@@ -384,3 +385,19 @@ def test_column_reducer_block_follows_later_admissions(p):
     assert first.tolist() == [[1, 1, 1, 1]]
     assert rows.tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]] and leads.tolist() == [0, 1]
     assert reducer.block()[0] is rows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+@pytest.mark.parametrize("p", [2, 3])
+def test_columns_of_gathered_rows_are_those_of_the_gathered_matrix(monkeypatch, chunk, p):
+    # the DP converts phi in a class's row order; at p = 2 the parity
+    # bits are gathered a chunk of rows at a time, with no reordered copy
+    rng = np.random.default_rng(chunk)
+    mat = rng.integers(-5, 6, (70, 9))
+    order = rng.permutation(70)
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", chunk)
+    got, want = ColumnReducer.columns(mat, p, rows=order), ColumnReducer.columns(mat[order], p)
+    assert len(got) == len(want) == 9
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    if p == 2:  # bit k-1-i holds row i's parity
+        assert got == [int("".join(map(str, (mat[order, j] & 1).tolist())), 2) for j in range(9)]

@@ -9,8 +9,9 @@ from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.grid_module import RankInvariant, rank_invariant_naive
 from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, pair_counts, rank
 from bipersist.rank_dp import rank_from_resolution
-from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module, read_fres
-from paperlib import comparable_pairs
+from bipersist.fres import read_fres
+from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module
+from paperlib import comparable_pairs, inhomogeneous_entries
 from test_acceptance import _perf_fixture_text
 
 TRIANGLE = [
@@ -85,7 +86,7 @@ def low_rank_presentation(rng, k, l, nx, ny, p):
         if support.size:
             rels[j] = np.maximum(rels[j], support.max(axis=0))
     res = hand_resolution(gens.tolist(), rels.tolist(), phi, nx, ny, p)
-    assert not res.phi.inhomogeneous_entries()
+    assert not inhomogeneous_entries(res.phi)
     return res
 
 
@@ -158,7 +159,7 @@ def scattered_presentation(rng, k, l, nx, ny, p):
         if support.size:
             rels[j] = np.maximum(rels[j], support.max(axis=0))
     res = hand_resolution(gens.tolist(), rels.tolist(), phi, nx, ny, p)
-    assert not res.phi.inhomogeneous_entries()
+    assert not inhomogeneous_entries(res.phi)
     return res
 
 
@@ -225,7 +226,7 @@ def late_low_presentation(rng, k, l, p):
     phi = rng.integers(0, p, (k, l))
     phi[~(gens[:, None, :] <= rels[None, :, :]).all(axis=2)] = 0
     res = hand_resolution(gens.tolist(), rels.tolist(), phi, 3, 8, p)
-    assert not res.phi.inhomogeneous_entries()
+    assert not inhomogeneous_entries(res.phi)
     return res
 
 
@@ -263,9 +264,10 @@ def test_dense_fixture_at_p3_matches_prefix_ranks():
 
 def test_dp_peak_memory_is_the_table_and_a_few_slabs():
     # on a 40 x 40 grid: beside the vector of ranks on the comparable
-    # pairs, the per-class pair counts [s_x, t_x, t_y] and the gathers of
-    # one (s_x, class) range; the presentation's 60 x 60 phi is small
-    # beside them, and a dense (nx, ny, nx, ny) table is not
+    # pairs, one array of pair counts [s_x, t_x, t_y], shared by the
+    # classes, and the gathers of one (s_x, class) range; the
+    # presentation's 60 x 60 phi is small beside them, and a dense
+    # (nx, ny, nx, ny) table is not
     res = low_rank_presentation(np.random.default_rng(7), 60, 60, 40, 40, 2)
     tracemalloc.start()
     try:
@@ -274,7 +276,29 @@ def test_dp_peak_memory_is_the_table_and_a_few_slabs():
     finally:
         tracemalloc.stop()
     pair_counts_bytes = 40 * 40 * 40 * inv.values.itemsize
-    assert peak <= inv.values.nbytes + 3 * pair_counts_bytes
+    assert inv.values.dtype == np.int16
+    assert peak <= inv.values.nbytes + 2 * pair_counts_bytes
+
+
+def test_dp_peak_memory_is_the_vector_phi_and_one_pairs_array():
+    # at p = 2, with a 300 x 300 phi on a 30 x 30 grid: phi's parity bits
+    # are gathered a chunk of rows at a time, so beside the vector the
+    # DP holds less than phi's size (no reordered copy, no `& 1` copy)
+    # and one (nx, nx, ny) array of pair counts
+    res = low_rank_presentation(np.random.default_rng(8), 300, 300, 30, 30, 2)
+    tracemalloc.start()
+    try:
+        inv = rank_from_resolution(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gens = np.array(res.gens.grades, dtype=np.int64)
+    rels = np.array(res.rels.grades, dtype=np.int64)
+    for s, t in [((0, 0), (29, 29)), ((3, 7), (20, 9)), ((11, 0), (11, 29)), ((29, 29), (29, 29))]:
+        low = (gens <= s).all(axis=1)
+        cols = (rels <= t).all(axis=1)
+        assert inv.get(s, t) == int(low.sum()) - rank(res.phi.entries[:, cols], 2) + rank(res.phi.entries[~low][:, cols], 2)
+    assert peak <= inv.values.nbytes + res.phi.entries.nbytes + 30 * 30 * 30 * inv.values.itemsize
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -6,9 +6,11 @@ reader has its own fuzz and reference tests in test_grid_module.py.
 """
 
 import io
+import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +20,13 @@ from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
 from bipersist.gmod import GMOD_IDENTITY_BYTES_CAP, read_gmod, write_gmod
 from bipersist.grid_module import DP_GRID_CAP, GridModule, RankInvariant
-from bipersist.ioutil import FormatError, int_rows, parse_int
+from bipersist.ioutil import FormatError, parse_int
 from bipersist.rect_decomp import RectangleBarcode
-from bipersist.resolution import FreeResolution, free_resolution, read_fres, write_fres
+from bipersist.fres import read_fres, read_fres_blocks, write_fres
+from bipersist.resolution import FreeResolution, free_resolution
 from bipersist.zigzag import ZigzagBarcode, read_zbar, write_zbar
 from conftest import random_bifiltration, reference_read_fres
-from paperlib import rectangle_rank_invariant
+from paperlib import int_rows, rectangle_rank_invariant
 
 FUZZ_CHARS = st.one_of(
     st.sampled_from(list("0123456789 +-#;\n\t\r_x.e\x0b\x00\xa0é١\ud800")),
@@ -383,20 +386,68 @@ def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
 
 
 def test_rank_text_slabs_peak_memory_is_a_few_slabs():
-    # written slab by slab, the .rank text of a 40 x 40 table (10.9 MB)
-    # is never held whole: beside the vector of ranks, one s_x slab's
-    # text and its temporaries
+    # written run by run, the .rank text of a 40 x 40 table (10.9 MB) is
+    # never held whole: beside the vector of ranks, one run of about
+    # `RUN_PAIRS` lines and its temporaries, whatever the size of a slab
+    # (32,800 lines in the first, about 40 `_BLOCK_CHARS` of per-line
+    # arrays)
     inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
     chars = 0
     tracemalloc.start()
     try:
-        for slab in inv.text_slabs():
-            chars += len(slab)
+        for run in inv.text_slabs():
+            chars += len(run)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert chars == len(inv.to_text())
-    assert peak <= 8 * 40 * 40 * 40 * inv.values.itemsize
+    assert peak <= 14 * ioutil._BLOCK_CHARS
+
+
+def test_layout_reader_peak_memory_is_the_vector_and_one_run():
+    # the writer's bytes of a 40 x 40 int16 table, in chunks of
+    # `_BLOCK_CHARS`: beside the vector, one run's bytes and per-line
+    # arrays, not those of a slab
+    inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
+    data = b"".join(inv.text_slabs())
+    chunks = [data[i : i + ioutil._BLOCK_CHARS] for i in range(0, len(data), ioutil._BLOCK_CHARS)]
+    tracemalloc.start()
+    try:
+        got = rank_reader.from_slabs(iter(chunks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == inv and got.values.dtype == np.int16
+    assert peak <= got.values.nbytes + 24 * ioutil._BLOCK_CHARS
+
+
+def big_fres_text(seed: int, n: int, gens: int, rels: int) -> str:
+    """A .fres presentation on an n x n grid, every generator at the
+    origin, relations at seeded grades, each phi entry 1 with
+    probability 1/2."""
+    rng = random.Random(seed)
+    lines = ["resolution", "field 2", f"grid {n} {n}", "gens"] + ["1 1"] * gens + ["rels"]
+    lines += [f"{rng.randrange(n) + 1} {rng.randrange(n) + 1}" for _ in range(rels)]
+    lines += ["relrels", "phi"]
+    lines += [f"{i + 1} {j + 1} 1" for j in range(rels) for i in range(gens) if rng.random() < 0.5]
+    return "\n".join(lines + ["psi"]) + "\n"
+
+
+def test_fres_block_reader_peak_memory_is_phi_and_one_block():
+    # 80,000 triplet lines, about six blocks of text: beside phi, one block's
+    # text, rows and parse arrays, whatever the size of the file or of
+    # the phi block; no whole-block rows, line numbers or sort
+    text = big_fres_text(5, 30, 400, 400)
+    assert len(text) > 5 * ioutil._BLOCK_CHARS
+    fh = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        res = read_fres_blocks(ioutil.file_blocks(fh))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_fres(res) == write_fres(read_fres(text))
+    assert peak <= res.phi.entries.nbytes + res.psi.entries.nbytes + 40 * ioutil._BLOCK_CHARS
 
 
 INT64_MAX = 2**63 - 1

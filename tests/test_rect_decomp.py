@@ -111,6 +111,20 @@ def test_decompose_of_an_int32_table_is_that_of_its_int64_copy(r):
     assert decompose(narrow) == decompose(r) == oracle_decompose(r)
 
 
+INT16_MAX = 2**15 - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_tables(st.sampled_from([INT16_MAX - 1, INT16_MAX]) | st.integers(INT16_MAX - 20, INT16_MAX)))
+@hypothesis.example(_one_by_three([0, 0, INT16_MAX, INT16_MAX, 0, 0]))  # m((0,1), (0,1)) = 2 (2**15 - 1)
+@hypothesis.example(_one_by_three([INT16_MAX, 0, INT16_MAX, INT16_MAX, 0, INT16_MAX]))
+def test_decompose_of_an_int16_table_is_that_of_its_int64_copy(r):
+    # the sixteen-term sums of int16 ranks near 2**15 - 1 pass int16;
+    # the differences are taken in int64
+    narrow = RankInvariant(r.nx, r.ny, r.values.astype(np.int16))
+    assert decompose(narrow) == decompose(r) == oracle_decompose(r)
+
+
 @settings(max_examples=150, deadline=None)
 @given(drawn_tables())
 def test_decompose_is_the_sixteen_term_sum_and_leaves_the_table(r):

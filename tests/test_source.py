@@ -136,7 +136,7 @@ FIXED_PAIR_TYPES = {
 
 def test_dense_tables_take_their_entry_type_from_the_shared_rule():
     # a rank or dimension table holds one entry per comparable pair and
-    # stores int32 entries when its bound allows, by
+    # stores the narrowest entries its bound allows, by
     # `grid_module.table_dtype`; an allocation of `pair_count(...)`
     # entries with a literal dtype would fix one width for every input.
     # The one (nx, ny, nx, ny) allocation is the dense view

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from bipersist.grid_module import GridModule, GridTooLargeError, RankInvariant, pair_count, rank_invariant_naive
+from bipersist.grid_module import GridModule, GridTooLargeError, PairTable, RankInvariant, pair_count, rank_invariant_naive
 from bipersist.ioutil import InvariantError
 from bipersist.linalg import MAX_MODULUS
+from bipersist.rect_decomp import RectangleBarcode
 from bipersist.weakexact import (
+    KappaIota,
     check_bifiltration,
     check_module,
     check_rectangle_decomposable,
@@ -23,11 +25,13 @@ from bipersist.weakexact import (
 from bipersist.zigzag import ZigzagBarcode
 from conftest import clique_bifiltration, kappa_iota_naive
 from paperlib import (
+    comparable_mask,
     count_spanning,
     image_basis,
     is_strongly_exact,
     kernel_basis,
     module_barcode,
+    rectangle_rank_invariant,
     subspace_intersect,
     subspace_sum,
 )
@@ -141,6 +145,42 @@ def test_checker_refuses_tables_that_break_the_bounds():
         getattr(ki, field).set(s, t, value)
         with pytest.raises(InvariantError, match=r"\[1, 1, 2, 1\]"):
             check_rectangle_decomposable(r, ki)
+
+
+INT16_MAX = 2**15 - 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_checking_int16_tables_near_their_top_is_checking_int64_copies(data):
+    # corank = r(s, s) - r(s, t) is taken in the table's type; with ranks
+    # near 2**15 - 1, the tables of a rectangle sum, one entry of kappa or
+    # iota moved by one (a failing pair, or a broken bound), give in int16
+    # the verdict, witness and reason, or the fault, of their int64 copies
+    nx, ny = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rects = {(0, 0, nx - 1, ny - 1): INT16_MAX - 6}
+    for _ in range(data.draw(st.integers(0, 3))):
+        sx, tx = sorted(data.draw(st.integers(0, nx - 1)) for _ in range(2))
+        sy, ty = sorted(data.draw(st.integers(0, ny - 1)) for _ in range(2))
+        rects[(sx, sy, tx, ty)] = rects.get((sx, sy, tx, ty), 0) + data.draw(st.integers(1, 2))
+    r = rectangle_rank_invariant(RectangleBarcode(rects), nx, ny)
+    assert INT16_MAX - 6 <= r.values.max() <= INT16_MAX
+    dense, mask = r.table, comparable_mask(nx, ny)
+    x, y = np.arange(nx)[:, None], np.arange(ny)
+    tables = {"kappa": (dense[x, y, x, y][:, :, None, None] - dense)[mask], "iota": r.values.copy()}
+    if data.draw(st.booleans()):
+        moved = tables[data.draw(st.sampled_from(sorted(tables)))]
+        i = data.draw(st.integers(0, moved.size - 1))
+        moved[i] = min(max(moved[i] + data.draw(st.sampled_from([-1, 1])), 0), INT16_MAX)
+
+    def outcome(dtype):
+        ki = KappaIota(nx, ny, *(PairTable(nx, ny, tables[name].astype(dtype)) for name in ("kappa", "iota")))
+        try:
+            return check_rectangle_decomposable(RankInvariant(nx, ny, r.values.astype(dtype)), ki)
+        except InvariantError as e:
+            return str(e)
+
+    assert outcome(np.int16) == outcome(np.int64)
 
 
 def test_zigzag_tables_take_no_jobs(random_bif):
