@@ -63,8 +63,8 @@ def read_fres_blocks(blocks) -> FreeResolution:
     file.
 
     Each run's triplets are scattered into phi or psi as they come, the
-    last triplet naming an entry setting it, and the matrix reduces
-    them mod p in place once the file is read.  Homogeneity is checked
+    last triplet naming an entry setting it, and both matrices are
+    reduced mod p in place once the file is read.  Homogeneity is checked
     on the triplets: the entry and line of each one that puts a value
     nonzero mod p where the row grade is not below the column grade are
     kept (none in a valid file), and the first such entry in row-major
@@ -107,6 +107,8 @@ def read_fres_blocks(blocks) -> FreeResolution:
             raise error
 
     gens, rels, relrels = modules
+    for entries in matrices:  # the reader's own arrays: reduced where they are
+        np.remainder(entries, p, out=entries)
     phi = GradedMatrix(gens, rels, matrices[0], p)
     psi = GradedMatrix(rels, relrels, matrices[1], p)
     for name, gm, marks in (("phi", phi, flagged[0]), ("psi", psi, flagged[1])):

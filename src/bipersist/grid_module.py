@@ -4,10 +4,9 @@ A module assigns a vector space over F_p to every point of the grid
 [0,nx) x [0,ny) and a matrix to every unit edge; commutativity of the
 unit squares is the validation contract.  The rank invariant, the
 layout of every table on the comparable pairs and of the .rank lines,
-and dualization live here; the .rank writer is in `rank_writer`, the
-.rank readers are in `rank_reader`, the .gmod format is in `gmod`, and
-the square-local invariants of the explicit exactness checkers are in
-`squares`.
+dualization and the .rank writer live here; the .rank readers are in
+`rank_reader`, the .gmod format is in `gmod`, and the square-local
+invariants of the explicit exactness checkers are in `squares`.
 
 Grid points are 0-based (x, y) tuples in code; the file formats use
 1-based coordinates.
@@ -15,7 +14,8 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -171,22 +171,18 @@ class PairTable:
         return _block_start(self.nx, self.ny, np.arange(self.nx)[:, None], np.arange(self.ny)).ravel().tolist()
 
     def _index(self, s, t) -> Optional[int]:
-        """The index of the pair s <= t; None when either endpoint falls
-        outside the grid."""
+        """The index of the pair s <= t (`pair_index`, in Python ints);
+        None when either endpoint falls outside the grid."""
         (sx, sy), (tx, ty) = s, t
         nx, ny = self.nx, self.ny
+        if 0 <= sx <= tx < nx and 0 <= sy <= ty < ny:  # a pair in the grid: one lookup
+            return self._starts[sx * ny + sy] + (tx - sx) * (ny - sy) + (ty - sy)
         if not (0 <= sx < nx and 0 <= tx < nx and 0 <= sy < ny and 0 <= ty < ny):
             return None
-        if sx > tx or sy > ty:
-            raise ValueError(f"incomparable pair {s} -> {t}")
-        return self._starts[sx * ny + sy] + (tx - sx) * (ny - sy) + (ty - sy)
+        raise ValueError(f"incomparable pair {s} -> {t}")
 
     def get(self, s, t) -> int:
         """The entry at s <= t; 0 when either endpoint falls outside the grid."""
-        (sx, sy), (tx, ty) = s, t
-        ny = self.ny
-        if 0 <= sx <= tx < self.nx and 0 <= sy <= ty < ny:  # a pair in the grid: one lookup
-            return self.values.item(self._starts[sx * ny + sy] + (tx - sx) * (ny - sy) + (ty - sy))
         i = self._index(s, t)
         return 0 if i is None else self.values.item(i)
 
@@ -344,6 +340,20 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # -- rank invariant -----------------------------------------------------
 
 
+@cache
+def _digit_groups():
+    """The ASCII of 0 .. 9999 as little-endian 4-byte words, so the first
+    character is the low byte: zero-padded ("0042"), and without the
+    leading zeros, left-aligned and NUL-padded ("42\\0\\0"; 0 is "0")."""
+    v = np.arange(10000)
+    chars = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1) + ord("0")
+    zero_padded = chars.astype(np.uint8).view("<u4").ravel()
+    leading_zeros = 3 - (v >= 10) - (v >= 100) - (v >= 1000)
+    leading = zero_padded >> (8 * leading_zeros).astype(np.uint32)
+    zero_padded.flags.writeable = leading.flags.writeable = False  # shared by every caller
+    return zero_padded, leading
+
+
 def rank_header(nx: int, ny: int) -> bytes:
     return f"# rank invariant on grid {nx} x {ny} (1-based coordinates)\n".encode()
 
@@ -406,11 +416,47 @@ class RankInvariant(PairTable):
         return b"".join(self.text_slabs()).decode("ascii")
 
     def text_slabs(self) -> Iterator[bytes]:
-        """The .rank file as ASCII bytes, made one run of lines at a time
-        as the iterator reaches it (`rank_writer.text_runs`)."""
-        from .rank_writer import text_runs  # compiled only where a .rank is written
+        """The .rank file as ASCII bytes: the header line, then one chunk
+        per run of lines (`slab_runs`, whole blocks r(s, .) of about
+        `RUN_PAIRS` lines), made as the iterator reaches it, so a writer
+        that writes each as it comes holds one run of text at a time.
+        The grid and the ranks are checked at the call, before any run
+        is made.
 
-        return text_runs(self)
+        A run is one record per line, in layout order: the NUL-padded
+        labels "x y " of s and of t, gathered as one 8-byte word each
+        from a table of labels; the rank as 4-digit groups, each one
+        4-byte word from a table of the 10,000 groups (the leading group
+        without its leading zeros, the groups above it NUL); and a
+        newline.  One `bytes.translate` deletes the NULs.
+        """
+        nx, ny = self.nx, self.ny
+        check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
+        if self.values.min(initial=0) < 0:
+            raise ValueError("rank invariant has a negative entry")
+        labels = rank_labels(nx, ny)[0]
+        return chain([rank_header(nx, ny)], (self._run_bytes(x, lo, hi, labels) for x, lo, hi in slab_runs(nx, ny)))
+
+    def _run_bytes(self, x: int, lo: int, hi: int, labels) -> bytes:
+        """The .rank lines of the pairs with s_x = x and lo <= s_y < hi;
+        see `text_slabs`."""
+        q = self.rows(x, lo, hi)
+        groups = -(-len(str(int(q.max()))) // 4)
+        line = np.empty(q.size, dtype=[("s", "<u8"), ("t", "<u8"), ("r", "<u4", (groups,)), ("nl", np.uint8)])
+        s, t = slab_points(self.nx, self.ny, x, lo, hi)
+        line["s"] = labels[s]
+        line["t"] = labels[t]
+        zero_padded, leading = _digit_groups()
+        for k in range(groups):  # the group of the places 4k .. 4k + 3
+            r = q // 10 ** (4 * k) % 10000 if groups > 1 else q
+            word = line["r"][:, groups - 1 - k]
+            word[:] = leading[r]
+            if k < groups - 1:
+                np.copyto(word, zero_padded[r], where=q >= 10 ** (4 * k + 4))
+            if k:
+                word *= q >= 10 ** (4 * k)
+        line["nl"] = 10
+        return line.tobytes().translate(None, b"\0")
 
     @classmethod
     def from_text(cls, text: str) -> "RankInvariant":

@@ -143,26 +143,22 @@ class ColumnReducer:
         and otherwise the rows of mat.T (of a copy of mat[rows]), views
         that `add` reduces mod p into new arrays and never writes.
 
-        At p = 2 the parity bits are gathered a few rows at a time into
-        one byte per entry and packed from there, so beside the bitsets
-        only an eighth of mat and one bounded chunk of it are made."""
+        At p = 2 the parity bits are gathered a few columns at a time
+        and packed, so beside the bitsets only one bounded chunk of mat
+        is made; a small matrix is one chunk."""
         mat = np.asarray(mat)
         if p != 2:
             return list((mat if rows is None else mat[rows]).T)
         k, cols = (mat.shape[0] if rows is None else len(rows)), mat.shape[1]
-        if k * cols <= _CHUNK_ENTRIES:  # one chunk: the small matrices of `rank` and the flag walk
-            bits = (mat if rows is None else mat[rows]) & 1
-        else:
-            bits = np.empty((k, cols), dtype=np.uint8)
-            step = max(1, _CHUNK_ENTRIES // cols)
-            for lo in range(0, k, step):
-                part = mat[lo : lo + step] if rows is None else mat[rows[lo : lo + step]]
-                np.bitwise_and(part, 1, out=bits[lo : lo + step], casting="unsafe")
-        packed = np.packbits(bits, axis=0)
-        del bits
-        n, data = packed.shape[0], packed.T.tobytes()
+        n = (k + 7) // 8
         pad = 8 * n - k  # the zero bits past the last row
-        return [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(cols)]
+        step = max(1, _CHUNK_ENTRIES // max(1, k))
+        bitsets = []
+        for lo in range(0, cols, step):
+            part = mat[:, lo : lo + step] if rows is None else mat[rows, lo : lo + step]
+            data = np.packbits(part & 1, axis=0).T.tobytes()
+            bitsets += [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(part.shape[1])]
+        return bitsets
 
     def add(self, v) -> Optional[int]:
         """Admit column v (length k, any int entries, or at p = 2 a bitset

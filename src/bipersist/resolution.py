@@ -57,12 +57,13 @@ class GradedMatrix:
     p: int
 
     def __post_init__(self):
-        # reduced mod p in place when given as a writable int64 array, as
-        # the readers and builders give it, so that no copy is made
-        self.entries = np.asarray(self.entries, dtype=np.int64)
-        if not self.entries.flags.writeable:
-            self.entries = self.entries.copy()
-        np.remainder(self.entries, self.p, out=self.entries)
+        # entries already in [0, p) as an int64 array are kept as given, so
+        # the .fres reader's matrices are not copied; any others are
+        # reduced into a new array.  The caller's array is never written.
+        entries = np.asarray(self.entries, dtype=np.int64)
+        if entries.size and (entries.min() < 0 or entries.max() >= self.p):
+            entries = entries % self.p
+        self.entries = entries
         if self.entries.shape != (len(self.target), len(self.source)):
             raise ValueError(
                 f"entries shape {self.entries.shape} does not match "

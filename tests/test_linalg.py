@@ -387,11 +387,12 @@ def test_column_reducer_block_follows_later_admissions(p):
     assert reducer.block()[0] is rows
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+@pytest.mark.parametrize("chunk", [1, 7, 140, 1 << 14])
 @pytest.mark.parametrize("p", [2, 3])
 def test_columns_of_gathered_rows_are_those_of_the_gathered_matrix(monkeypatch, chunk, p):
     # the DP converts phi in a class's row order; at p = 2 the parity
-    # bits are gathered a chunk of rows at a time, with no reordered copy
+    # bits are gathered a chunk of columns at a time (one at chunk <= 70,
+    # two at 140), with no reordered copy
     rng = np.random.default_rng(chunk)
     mat = rng.integers(-5, 6, (70, 9))
     order = rng.permutation(70)
@@ -401,3 +402,11 @@ def test_columns_of_gathered_rows_are_those_of_the_gathered_matrix(monkeypatch, 
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     if p == 2:  # bit k-1-i holds row i's parity
         assert got == [int("".join(map(str, (mat[order, j] & 1).tolist())), 2) for j in range(9)]
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+def test_columns_of_empty_matrices_at_p2(monkeypatch, chunk):
+    monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", chunk)
+    assert ColumnReducer.columns(np.zeros((0, 3), dtype=np.int64), 2) == [0, 0, 0]
+    assert ColumnReducer.columns(np.zeros((4, 0), dtype=np.int64), 2) == []
+    assert ColumnReducer.columns(np.zeros((4, 2), dtype=np.int64), 2, rows=np.arange(0)) == [0, 0]

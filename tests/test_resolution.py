@@ -115,6 +115,19 @@ def test_graded_matrix_homogeneity():
     assert inhomogeneous_entries(bad) != []
 
 
+def test_graded_matrix_never_writes_the_callers_entries():
+    # entries outside [0, p) are reduced into a new array; entries already
+    # reduced are kept as given, not copied
+    gens, rels = FreeModule([(0, 0)] * 2), FreeModule([(1, 1)] * 2)
+    given_entries = np.array([[4, -1], [3, 7]], dtype=np.int64)
+    gm = GradedMatrix(gens, rels, given_entries, 3)
+    assert gm.entries.tolist() == [[1, 2], [0, 1]]
+    assert given_entries.tolist() == [[4, -1], [3, 7]]
+    reduced = np.array([[1, 2], [0, 1]], dtype=np.int64)
+    assert GradedMatrix(gens, rels, reduced, 3).entries is reduced
+    assert GradedMatrix(gens, FreeModule([]), np.zeros((2, 0), dtype=np.int64), 3).entries.shape == (2, 0)
+
+
 def test_fres_roundtrip(random_bif):
     bif = random_bif(11, nx=5, ny=5, p=3)
     res = free_resolution(bif, 1)
