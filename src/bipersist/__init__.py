@@ -36,7 +36,6 @@ _HOME = {
     "free_resolution": "resolution",
     "presentation": "resolution",
     "presented_module": "resolution",
-    "validate_resolution": "resolution",
     "check_bifiltration": "weakexact",
     "check_module": "weakexact",
     "ZigzagBarcode": "zigzag",

@@ -84,9 +84,10 @@ def iter_points(nx: int, ny: int) -> Iterator[tuple[int, int]]:
 #
 # A table holds one entry per comparable pair s <= t, in one vector in
 # lexicographic (s_x, s_y, t_x, t_y) order, the line order of the .rank
-# writer.  So the pairs with one s_x (a slab) are one range, and r(s, .)
-# is one (nx - s_x) x (ny - s_y) block in C order of (t_x, t_y).  Only
-# the functions below and `PairTable` know the layout.
+# writer.  So r(s, .) is one (nx - s_x) x (ny - s_y) block in C order of
+# (t_x, t_y), the blocks follow each other in lexicographic order of s,
+# and the pairs with one s_x (a slab) are one range.  Only the functions
+# below and `PairTable` know the layout.
 
 
 def pair_count(nx: int, ny: int) -> int:
@@ -116,15 +117,6 @@ def pairs_into(nx: int, ny: int):
     return lambda t: origin[: t[0] + 1, : t[1] + 1] + (t[0] * (ny - sy[: t[1] + 1]) + t[1])
 
 
-def pair_at(nx: int, ny: int, i: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The comparable pair (s, t) at index i."""
-    starts = _block_start(nx, ny, np.arange(nx)[:, None], np.arange(ny)).ravel()  # rising, s lexicographic
-    k = int(np.searchsorted(starts, i, side="right")) - 1
-    sx, sy = divmod(k, ny)
-    dx, dy = divmod(int(i) - int(starts[k]), ny - sy)
-    return (sx, sy), (sx + dx, sy + dy)
-
-
 def slab_targets(nx: int, ny: int, sx: int, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
     """t_x * ny + t_y of each pair with s_x = sx and lo <= s_y < hi (to
     the grid's top by default), in layout order."""
@@ -132,17 +124,10 @@ def slab_targets(nx: int, ny: int, sx: int, lo: int = 0, hi: Optional[int] = Non
     return np.concatenate([t[:, sy:].ravel() for sy in range(lo, ny if hi is None else hi)])
 
 
-def slab_sources(nx: int, ny: int, sx: int) -> np.ndarray:
-    """For each pair (s, t) with s_x = sx, in layout order, the index in
-    the slab of the pair (s, s), which starts the block of s."""
-    sy = np.arange(ny)
-    return np.repeat(_block_start(nx, ny, sx, sy) - _block_start(nx, ny, sx, 0), (nx - sx) * (ny - sy))
-
-
 class PairTable:
     """Entries on the comparable pairs s <= t of an nx x ny grid, held
     as one vector in the layout above (`values`), with accessors by
-    pair, by block r(s, .) and by range of a slab."""
+    pair, by block r(s, .) and by range of blocks within a slab."""
 
     def __init__(self, nx: int, ny: int, values: np.ndarray):
         self.nx = int(nx)
@@ -244,8 +229,7 @@ class GridModule:
         shape = (int(self.dims[tgt]), int(self.dims[src]))
         if m is None:
             return np.zeros(shape, dtype=np.int64)
-        m = np.mod(np.array(m, dtype=np.int64).reshape(shape), self.p)
-        return m
+        return np.mod(np.asarray(m, dtype=np.int64).reshape(shape), self.p)
 
     def dim_at(self, t) -> int:
         return int(self.dims[t[0], t[1]])
@@ -258,9 +242,6 @@ class GridModule:
     def validate(self) -> list[str]:
         """Return a list of violations; empty means the module is valid."""
         bad = []
-        for (x, y), m in list(self.hmaps.items()) + list(self.vmaps.items()):
-            if np.any(m < 0) or np.any(m >= self.p):
-                bad.append(f"edge at ({x},{y}): entries not reduced mod {self.p}")
         for x in range(self.nx - 1):
             for y in range(self.ny - 1):
                 up_right = matmul(self.vmaps[(x + 1, y)], self.hmaps[(x, y)], self.p)
@@ -319,15 +300,14 @@ class GridModule:
     def dualize(self) -> "GridModule":
         """Linear dual: grid reversed in both coordinates, matrices transposed."""
         nx, ny = self.nx, self.ny
-        dims = self.dims[::-1, ::-1].copy()
         hmaps, vmaps = {}, {}
         for x in range(nx - 1):
             for y in range(ny):
-                hmaps[(x, y)] = self.hmaps[(nx - 2 - x, ny - 1 - y)].T.copy()
+                hmaps[(x, y)] = self.hmaps[(nx - 2 - x, ny - 1 - y)].T
         for x in range(nx):
             for y in range(ny - 1):
-                vmaps[(x, y)] = self.vmaps[(nx - 1 - x, ny - 2 - y)].T.copy()
-        return GridModule(nx, ny, self.p, dims, hmaps, vmaps)
+                vmaps[(x, y)] = self.vmaps[(nx - 1 - x, ny - 2 - y)].T
+        return GridModule(nx, ny, self.p, self.dims[::-1, ::-1], hmaps, vmaps)  # which copies them
 
 
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -66,11 +66,11 @@ def row_capacity(chars: int, newlines: int, width: int) -> int:
     return min(newlines + 1, (chars + 1) // (2 * width))
 
 
-def line_blocks(text: str, first_line: int = 1):
+def line_blocks(text: str):
     """Cut `text` into runs of whole lines of about `_BLOCK_CHARS`
     characters; yields (number of the run's first line, run, newlines
     in the run), each run's newlines counted once."""
-    pos = 0
+    pos, first_line = 0, 1
     while pos < len(text):
         cut = text.find("\n", pos + _BLOCK_CHARS)
         cut = len(text) if cut < 0 else cut + 1

@@ -11,27 +11,26 @@ relations are a graded kernel basis of the relation matrix.
 `presentation` stops after the relations: gens, rels and phi are all
 the rank invariant needs, so the rank and check paths skip the second
 kernel sweep.  `free_resolution` adds psi on top of it, for `.fres`
-output and `validate_resolution`.  `presented_module` turns gens, rels
-and phi into explicit matrices, M_t = F_t / Im phi_t, with one column
-reduction per grid row; the check path reads kappa/iota off it.  The
-.fres format of a resolution is in `fres`.
+output.  `presented_module` turns gens, rels and phi into explicit
+matrices, M_t = F_t / Im phi_t, with one column reduction per grid
+row; the check path reads kappa/iota off it.  The .fres format of a
+resolution is in `fres`, and the tests check a resolution's exactness
+against the homology of the bifiltration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bifiltration import Bifiltration, homology_module
 from .grid_module import GridModule
 from .ioutil import InvariantError
-from .linalg import ColumnReducer, matmul, rank, solve_matrix
+from .linalg import ColumnReducer, solve_matrix
 
-
-def _leq(a, b) -> bool:
-    return a[0] <= b[0] and a[1] <= b[1]
+if TYPE_CHECKING:  # an annotation only, so reading a .fres compiles no bifiltration code
+    from .bifiltration import Bifiltration
 
 
 @dataclass
@@ -95,20 +94,6 @@ class FreeResolution:
     nx: int
     ny: int
     p: int
-
-
-def evaluate(res: FreeResolution, t):
-    """Dimensions and matrices of the evaluated resolution at grid point t.
-
-    Returns ((k, l, m), phi_t, psi_t) where k/l/m count basis elements
-    of grade <= t and the matrices are the corresponding submatrices.
-    """
-    gsel = [i for i, g in enumerate(res.gens.grades) if _leq(g, t)]
-    rsel = [j for j, g in enumerate(res.rels.grades) if _leq(g, t)]
-    zsel = [r for r, g in enumerate(res.relrels.grades) if _leq(g, t)]
-    phi_t = res.phi.entries[np.ix_(gsel, rsel)]
-    psi_t = res.psi.entries[np.ix_(rsel, zsel)]
-    return (len(gsel), len(rsel), len(zsel)), phi_t, psi_t
 
 
 def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
@@ -275,34 +260,3 @@ def presented_module(pres: Presentation) -> GridModule:
                 vmaps[(x, y - 1)] = nf[below[x]].T
             left = below[x] = basis
     return GridModule(nx, ny, p, dims, hmaps, vmaps)
-
-
-def validate_resolution(res: FreeResolution, bif: Bifiltration, degree: int) -> Optional[str]:
-    """Check exactness of 0 -> relrels -> rels -> gens -> H_q -> 0 pointwise.
-
-    Returns None when the evaluated sequence is exact at every grid
-    point, else a message naming the first failing point (y-major
-    order) and the failing slot.  The homology dimensions come from the
-    brute-force oracle module.
-    """
-    p = res.p
-    if matmul(res.phi.entries, res.psi.entries, p).any():
-        return "phi . psi is not zero"
-    oracle = homology_module(bif, degree)
-    if (oracle.nx, oracle.ny) != (res.nx, res.ny):
-        return "resolution grid does not match the bifiltration grid"
-    for y in range(res.ny):
-        for x in range(res.nx):
-            t = (x, y)
-            (k, l, m), phi_t, psi_t = evaluate(res, t)
-            r_phi = rank(phi_t, p)
-            if rank(psi_t, p) != m:
-                return f"psi not injective at {t}"
-            if l - r_phi != m:
-                return f"Ker phi != Im psi at {t}"
-            if k - r_phi != oracle.dim_at(t):
-                return (
-                    f"coker phi has dimension {k - r_phi} at {t} "
-                    f"but homology has {oracle.dim_at(t)}"
-                )
-    return None

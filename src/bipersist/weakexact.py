@@ -40,12 +40,10 @@ from .grid_module import (
     PairTable,
     RankInvariant,
     check_table_grid,
-    pair_at,
+    iter_points,
     pair_count,
-    pair_index,
     pairs_into,
     rank_invariant_naive,
-    slab_sources,
     table_dtype,
 )
 from .ioutil import InvariantError
@@ -146,32 +144,30 @@ def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
     Im(s -> t) lies in both corner images and both corner kernels lie in
     Ker(s -> t); tables that break either bound raise InvariantError.
 
-    The tables are compared one s_x slab at a time, in their common
-    layout, whose order is lexicographic: the first failure is the
-    first in the first slab that has one, and every slab is checked
-    for broken bounds before the verdict.
+    The blocks r(s, .), iota(s, .) and kappa(s, .) are compared one
+    source s at a time, in lexicographic order, with the corank
+    r(s, s) - r(s, t) read off the block's first entry: the first
+    failure is the first in C order of the first block that has one,
+    and every block is checked for broken bounds before the verdict.
     """
     if (r.nx, r.ny) != (ki.nx, ki.ny):
         raise ValueError("rank invariant and kappa/iota tables use different grids")
-    nx, ny = r.nx, r.ny
     first = None
-    for sx in range(nx):
-        offset = pair_index(nx, ny, (sx, 0), (sx, 0))  # the slab's first pair
-        rank, iota, kappa = r.rows(sx), ki.iota.rows(sx), ki.kappa.rows(sx)
-        corank = rank[slab_sources(nx, ny, sx)]  # r(s, s) at each pair (s, t)
-        corank -= rank
+    for s in iter_points(r.nx, r.ny):
+        rank, iota, kappa = r.block(s), ki.iota.block(s), ki.kappa.block(s)
+        corank = rank[0, 0] - rank  # r(s, s) - r(s, t) at each t >= s
         broken = (rank > iota) | (kappa > corank)
         if broken.any():
-            s, t = pair_at(nx, ny, offset + int(np.argmax(broken)))
-            raise InvariantError(f"kernel/image tables out of bounds at [s, t] = {[*s, *t]}")
+            dx, dy = divmod(int(np.argmax(broken)), rank.shape[1])
+            raise InvariantError(f"kernel/image tables out of bounds at [s, t] = {[*s, s[0] + dx, s[1] + dy]}")
         if first is None:
             fails = (rank != iota) | (corank != kappa)
             if fails.any():
-                i = int(np.argmax(fails))
-                first = (pair_at(nx, ny, offset + i), rank[i], iota[i], corank[i], kappa[i])
+                d = divmod(int(np.argmax(fails)), rank.shape[1])  # t - s
+                first = (s, (s[0] + d[0], s[1] + d[1]), rank[d], iota[d], corank[d], kappa[d])
     if first is None:
         return True, None
-    (s, t), rank, iota, corank, kappa = first
+    s, t, rank, iota, corank, kappa = first
     if rank != iota:
         return False, (s, t, f"rank {rank} != image intersection {iota}")
     return False, (s, t, f"corank {corank} != kernel sum {kappa}")

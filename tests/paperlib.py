@@ -17,8 +17,11 @@ package reads off its column reducers or counts by ranks instead), and
 the zigzag oracle: insert/delete event lists along the row and column
 paths, and barcodes of explicit zigzag modules by pushing two nested
 subspaces from every left endpoint; and `int_rows`, the readers'
-integer-table parser over a whole text, and the inhomogeneous entries
-of a graded matrix.  None of it is on a path the CLI runs.
+integer-table parser over a whole text, the inhomogeneous entries
+of a graded matrix, a free resolution evaluated at a grid point and
+its exactness checked against the homology it resolves, and the dense
+scan of the comparable pairs that `check_rectangle_decomposable` is
+checked against.  None of it is on a path the CLI runs.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map
+from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map, homology_module
 from bipersist.grid_module import GridModule, RankInvariant, rank_invariant_naive
 from bipersist.ioutil import InvariantError, Scratch, block_rows, line_blocks, row_capacity
 from bipersist.linalg import ColumnReducer, check_modulus, inv_mod, matmul, rank, solve_matrix
@@ -1017,8 +1020,8 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     lines = np.empty(cap, dtype=np.int64)
     n = 0
     scratch = Scratch()
-    for first, block, _ in line_blocks(text, first_line):
-        got, error = block_rows(block, fields, first, rows[n:], lines[n:], scratch)
+    for first, block, _ in line_blocks(text):
+        got, error = block_rows(block, fields, first + first_line - 1, rows[n:], lines[n:], scratch)
         n += got
         if error is not None:
             return rows[:n], lines[:n], error
@@ -1033,3 +1036,74 @@ def inhomogeneous_entries(gm) -> list:
     source = np.array(gm.source.grades, dtype=np.int64).reshape(-1, 2)
     bad = (target[rows] > source[cols]).any(axis=1)
     return list(zip(rows[bad].tolist(), cols[bad].tolist()))
+
+
+def _leq(a, b) -> bool:
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def evaluate(res, t):
+    """Dimensions and matrices of the evaluated resolution at grid point t.
+
+    Returns ((k, l, m), phi_t, psi_t) where k/l/m count basis elements
+    of grade <= t and the matrices are the corresponding submatrices.
+    """
+    gsel = [i for i, g in enumerate(res.gens.grades) if _leq(g, t)]
+    rsel = [j for j, g in enumerate(res.rels.grades) if _leq(g, t)]
+    zsel = [r for r, g in enumerate(res.relrels.grades) if _leq(g, t)]
+    phi_t = res.phi.entries[np.ix_(gsel, rsel)]
+    psi_t = res.psi.entries[np.ix_(rsel, zsel)]
+    return (len(gsel), len(rsel), len(zsel)), phi_t, psi_t
+
+
+def validate_resolution(res, bif: Bifiltration, degree: int) -> Optional[str]:
+    """Check exactness of 0 -> relrels -> rels -> gens -> H_q -> 0 pointwise.
+
+    Returns None when the evaluated sequence is exact at every grid
+    point, else a message naming the first failing point (y-major
+    order) and the failing slot.  The homology dimensions come from the
+    brute-force oracle module.
+    """
+    p = res.p
+    if matmul(res.phi.entries, res.psi.entries, p).any():
+        return "phi . psi is not zero"
+    oracle = homology_module(bif, degree)
+    if (oracle.nx, oracle.ny) != (res.nx, res.ny):
+        return "resolution grid does not match the bifiltration grid"
+    for y in range(res.ny):
+        for x in range(res.nx):
+            t = (x, y)
+            (k, l, m), phi_t, psi_t = evaluate(res, t)
+            r_phi = rank(phi_t, p)
+            if rank(psi_t, p) != m:
+                return f"psi not injective at {t}"
+            if l - r_phi != m:
+                return f"Ker phi != Im psi at {t}"
+            if k - r_phi != oracle.dim_at(t):
+                return (
+                    f"coker phi has dimension {k - r_phi} at {t} "
+                    f"but homology has {oracle.dim_at(t)}"
+                )
+    return None
+
+
+def reference_check(r: RankInvariant, ki):
+    """Oracle for `weakexact.check_rectangle_decomposable`: the dense
+    tables scanned in `comparable_pairs` order, once for a broken bound
+    (r(s, t) > iota(s, t) or kappa(s, t) > r(s, s) - r(s, t)), which
+    raises the same InvariantError, then for the first pair where an
+    equality fails, with the same witness and reason."""
+    if (r.nx, r.ny) != (ki.nx, ki.ny):
+        raise ValueError("rank invariant and kappa/iota tables use different grids")
+    rank_t, iota_t, kappa_t = (table.table.astype(np.int64) for table in (r, ki.iota, ki.kappa))
+    pairs = list(comparable_pairs(r.nx, r.ny))
+    for s, t in pairs:
+        if rank_t[s + t] > iota_t[s + t] or kappa_t[s + t] > rank_t[s + s] - rank_t[s + t]:
+            raise InvariantError(f"kernel/image tables out of bounds at [s, t] = {[*s, *t]}")
+    for s, t in pairs:
+        rank_st, iota, corank, kappa = rank_t[s + t], iota_t[s + t], rank_t[s + s] - rank_t[s + t], kappa_t[s + t]
+        if rank_st != iota:
+            return False, (s, t, f"rank {rank_st} != image intersection {iota}")
+        if corank != kappa:
+            return False, (s, t, f"corank {corank} != kernel sum {kappa}")
+    return True, None

@@ -20,7 +20,7 @@ from bipersist.linalg import rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import decompose
 from bipersist.fres import read_fres
-from bipersist.resolution import free_resolution, validate_resolution
+from bipersist.resolution import free_resolution
 from bipersist.squares import SQUARE_LABELS, decompose_square
 from bipersist.weakexact import (
     check_bifiltration,
@@ -51,6 +51,7 @@ from paperlib import (
     square_vector,
     subspace_intersect,
     subspace_sum,
+    validate_resolution,
 )
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)

@@ -674,10 +674,11 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     (tmp_path / "in.fres").write_text(write_fres(free_resolution(read_bif(open(write_triangle(tmp_path)).read()), 0)))
     loaded = loaded_modules(["rank", "in.fres", "-o", "out.rank"], tmp_path)
     assert "bipersist.rank_dp" in loaded
-    # and `rank` compiles no .rank reader
+    # and `rank` compiles no .rank reader, nor the .bif code a .fres
+    # does not need
     assert not loaded & {
         "bipersist.weakexact", "bipersist.zigzag", "bipersist.constructions", "bipersist.rect_decomp",
-        "bipersist.rank_reader",
+        "bipersist.rank_reader", "bipersist.bifiltration",
     }
     # the check compiles neither file reader
     assert not loaded_modules(["check-rectangle", "tri.bif"], tmp_path) & {"bipersist.fres", "bipersist.rank_reader"}

@@ -17,16 +17,14 @@ from bipersist.resolution import (
     FreeModule,
     FreeResolution,
     GradedMatrix,
-    evaluate,
     free_resolution,
     graded_kernel_basis,
     presentation,
     presented_module,
-    validate_resolution,
 )
 from bipersist.weakexact import kappa_iota
 from conftest import clique_bifiltration, reference_graded_kernel_basis, reference_presentation
-from paperlib import inhomogeneous_entries, kernel_basis
+from paperlib import evaluate, inhomogeneous_entries, kernel_basis, validate_resolution
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),

@@ -98,8 +98,14 @@ def test_package_defines_no_subspace_helper():
     # and completions off its column reducers.  So are a module's cached
     # composite maps: the package pushes its maps one edge at a time.
     # A dense echelon form is the Gauss-Jordan oracle's: the package
-    # solves and ranks by reducing columns.
-    banned = {"Subspace", "asmatrix", "kernel_basis", "extend_basis", "composite", "_composites", "rref", "_reduced_rows"}
+    # solves and ranks by reducing columns.  The exactness check of a
+    # resolution, and its evaluation at a point, are oracles too; the
+    # decomposability check compares blocks r(s, .), so it needs neither
+    # the pair at an index nor the source of each pair of a slab.
+    banned = {
+        "Subspace", "asmatrix", "kernel_basis", "extend_basis", "composite", "_composites", "rref", "_reduced_rows",
+        "validate_resolution", "evaluate", "pair_at", "slab_sources",
+    }
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

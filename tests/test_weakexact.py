@@ -32,6 +32,7 @@ from paperlib import (
     kernel_basis,
     module_barcode,
     rectangle_rank_invariant,
+    reference_check,
     subspace_intersect,
     subspace_sum,
 )
@@ -183,6 +184,86 @@ def test_checking_int16_tables_near_their_top_is_checking_int64_copies(data):
     assert outcome(np.int16) == outcome(np.int64)
 
 
+def moved_rectangle_sum(nx, ny, rects, moves):
+    """The rank invariant of a sum of rectangles and its true kappa and
+    iota, with each (table, s, t, step) of `moves` applied: that table's
+    entry at (s, t) moved by step, kept in [0, INT16_MAX]."""
+    r = rectangle_rank_invariant(RectangleBarcode(rects), nx, ny)
+    dense, mask = r.table, comparable_mask(nx, ny)
+    x, y = np.arange(nx)[:, None], np.arange(ny)
+    tables = {
+        "kappa": PairTable(nx, ny, (dense[x, y, x, y][:, :, None, None] - dense)[mask]),
+        "iota": PairTable(nx, ny, r.values.copy()),
+    }
+    for name, s, t, step in moves:
+        tables[name].set(s, t, min(max(tables[name].get(s, t) + step, 0), INT16_MAX))
+    return r, tables
+
+
+@st.composite
+def moved_rectangle_sums(draw):
+    """(nx, ny, rects, moves) for `moved_rectangle_sum`: up to four moves,
+    each in the block of a different source s, on ranks near 1 or near
+    the int16 top."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rects = {(0, 0, nx - 1, ny - 1): draw(st.sampled_from([1, INT16_MAX - 6]))}
+    for _ in range(draw(st.integers(0, 3))):
+        sx, tx = sorted(draw(st.integers(0, nx - 1)) for _ in range(2))
+        sy, ty = sorted(draw(st.integers(0, ny - 1)) for _ in range(2))
+        rects[(sx, sy, tx, ty)] = rects.get((sx, sy, tx, ty), 0) + draw(st.integers(1, 2))
+    sources = draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)), max_size=4, unique=True))
+    moves = []
+    for s in sources:
+        t = (draw(st.integers(s[0], nx - 1)), draw(st.integers(s[1], ny - 1)))
+        moves.append((draw(st.sampled_from(["kappa", "iota"])), s, t, draw(st.sampled_from([-1, 1]))))
+    return nx, ny, rects, moves
+
+
+def check_outcomes(case, dtype):
+    """The outcome of `check_rectangle_decomposable` and of the dense
+    oracle on the tables of `moved_rectangle_sum(*case)` in `dtype`: the
+    verdict and witness, or the InvariantError's text."""
+    nx, ny, _, _ = case
+    r, tables = moved_rectangle_sum(*case)
+
+    def outcome(check):
+        ki = KappaIota(nx, ny, *(PairTable(nx, ny, tables[name].values.astype(dtype)) for name in ("kappa", "iota")))
+        try:
+            return check(RankInvariant(nx, ny, r.values.astype(dtype)), ki)
+        except InvariantError as e:
+            return str(e)
+
+    return outcome(check_rectangle_decomposable), outcome(reference_check)
+
+
+# a failing pair in the block of (0, 0), and kappa past its bound in the
+# later block of (2, 1): the check raises for the bound
+FAIL_THEN_BROKEN = (3, 3, {(0, 0, 2, 2): 2}, [("iota", (0, 0), (1, 1), 1), ("kappa", (2, 1), (2, 2), 1)])
+# three broken bounds in three blocks: the check names the
+# lexicographically first, whichever table it is in
+THREE_BROKEN = (3, 3, {(0, 0, 2, 2): 2}, [("kappa", (1, 0), (2, 2), 1), ("iota", (0, 2), (2, 2), -1), ("iota", (2, 0), (2, 1), -1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=moved_rectangle_sums(), dtype=st.sampled_from([np.int16, np.int32]))
+def test_the_check_is_the_dense_scan_of_the_comparable_pairs(case, dtype):
+    # with several kappa/iota entries of a rectangle sum moved by one,
+    # in different blocks, the check gives the verdict, witness and
+    # reason, or the InvariantError, of the scan in comparable_pairs order
+    got, want = check_outcomes(case, dtype)
+    assert got == want
+    if isinstance(got, tuple) and not got[0]:
+        s, t, _ = got[1]
+        assert all(type(c) is int for c in (*s, *t))  # JSON-dumpable
+
+
+@pytest.mark.parametrize("dtype", (np.int16, np.int32))
+def test_a_broken_bound_anywhere_raises_and_names_the_first(dtype):
+    for case, where in ((FAIL_THEN_BROKEN, "[2, 1, 2, 2]"), (THREE_BROKEN, "[0, 2, 2, 2]")):
+        got, want = check_outcomes(case, dtype)
+        assert got == want == f"kernel/image tables out of bounds at [s, t] = {where}"
+
+
 def test_zigzag_tables_take_no_jobs(random_bif):
     bif = random_bif(43, max_simplices=18, nx=4, ny=3)
     for jobs in (0, 1, 4):
@@ -234,8 +315,8 @@ def test_dense_tables_refuse_grids_past_the_cap():
 
 def test_check_bifiltration_peak_is_four_int32_tables_and_the_masks():
     # r, kappa and iota at 4 bytes a comparable pair; the presentation,
-    # the module it presents and the comparison's temporaries of one s_x
-    # slab fit in 5 more bytes a pair.  A dense (nx, ny, nx, ny) table
+    # the module it presents and the comparison's temporaries of one
+    # block r(s, .) fit in 5 more bytes a pair.  A dense (nx, ny, nx, ny) table
     # would be 4 bytes a cell, about 3.7 cells a pair on this grid
     bif = clique_bifiltration(3, 30, 0.2, 30, 30)
     pairs = pair_count(bif.nx, bif.ny)
