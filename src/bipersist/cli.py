@@ -144,7 +144,8 @@ def _load_fres(path: str, field):
 
 
 def _check_gmod_grid(nx: int, ny: int):
-    """Refuse to write a .gmod that read_gmod would refuse."""
+    """Refuse a .gmod grid that read_gmod would refuse, before a module
+    is built; `cmd_random_rect` also applies the reader's size rules."""
     from .grid_module import DP_GRID_CAP
 
     if max(nx, ny) > DP_GRID_CAP:
@@ -325,16 +326,19 @@ def cmd_examples(args) -> int:
 
 def cmd_random_rect(args) -> int:
     from .constructions import random_rectangle_module
-    from .gmod import write_gmod
+    from .gmod import dimension_problem, write_gmod
     from .rect_decomp import RectangleBarcode
 
     if args.n < 1 or args.m < 1 or args.count < 1:
         raise CliError("grid extents and summand count must be positive")
     _check_gmod_grid(args.n, args.m)
     p = args.field if args.field is not None else 2
-    module, truth = random_rectangle_module(args.n, args.m, args.count, args.seed, p)
+    module, truth = random_rectangle_module(args.n, args.m, args.count, args.seed, p)  # refuses the identities
+    text = write_gmod(module)
+    if problem := dimension_problem(int(module.dims.max()), len(text)):
+        raise CliError(problem)
     prefix = args.output
-    _write_output([write_gmod(module)], f"{prefix}.gmod")
+    _write_output([text], f"{prefix}.gmod")
     _write_output([RectangleBarcode(truth).to_text()], f"{prefix}.barcode")
     print(f"wrote {prefix}.gmod and {prefix}.barcode")
     return 0

@@ -9,9 +9,11 @@ its ground-truth barcode.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 
+from .gmod import identities_problem
 from .grid_module import GridModule
 
 
@@ -69,20 +71,35 @@ def random_rectangle_module(nx: int, ny: int, max_summands: int, seed: int, p: i
 
     Returns (module, barcode) where barcode maps 0-based rectangles
     (sx, sy, tx, ty) to multiplicities.
+
+    The sum is built in one pass: the basis at each point is the
+    summands that contain it (`at`), in draw order, and each edge map is
+    the 0/1 matrix that keeps the summands its target shares with its
+    source: the block-diagonal sum, entry for entry.  A sum whose
+    identities `read_gmod` would refuse is refused, with the reader's
+    reason, before any map is built.
     """
     rng = random.Random(seed)
-    count = rng.randint(1, max_summands)
-    barcode: dict = {}
-    module = GridModule.zero(nx, ny, p)
-    for _ in range(count):
+    rects = []
+    for _ in range(rng.randint(1, max_summands)):
         sx = rng.randrange(nx)
         tx = rng.randrange(sx, nx)
         sy = rng.randrange(ny)
         ty = rng.randrange(sy, ny)
-        rect = (sx, sy, tx, ty)
-        barcode[rect] = barcode.get(rect, 0) + 1
-        module = module.direct_sum(GridModule.rectangle(nx, ny, rect, p))
-    return module, barcode
+        rects.append((sx, sy, tx, ty))
+    sx, sy, tx, ty = np.array(rects).T
+    # the dimensions first: a 2-D prefix sum of +1 at each lower corner
+    # and -1 past the rectangle's edges
+    dims = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+    for x, y, sign in ((sx, sy, 1), (tx + 1, sy, -1), (sx, ty + 1, -1), (tx + 1, ty + 1, 1)):
+        np.add.at(dims, (x, y), sign)
+    dims = dims.cumsum(0).cumsum(1)[:nx, :ny]
+    if problem := identities_problem(8 * int((dims * dims).sum())):
+        raise ValueError(problem)
+    at = [[np.flatnonzero((sx <= x) & (x <= tx) & (sy <= y) & (y <= ty)) for y in range(ny)] for x in range(nx)]
+    hmaps = {(x, y): at[x + 1][y][:, None] == at[x][y] for x in range(nx - 1) for y in range(ny)}
+    vmaps = {(x, y): at[x][y + 1][:, None] == at[x][y] for x in range(nx) for y in range(ny - 1)}
+    return GridModule(nx, ny, p, dims, hmaps, vmaps), dict(Counter(rects))
 
 
 # -- worked-example catalogue ---------------------------------------------
@@ -135,7 +152,7 @@ def example(name: str, p: int = 2) -> GridModule:
     if name == "ex3-right-dual":
         return example("ex3-right", p).dualize()
     if name == "zero":
-        return GridModule.zero(2, 2, p)
+        return GridModule(2, 2, p, Z((2, 2)))
     raise ValueError(f"unknown example {name!r}")
 
 

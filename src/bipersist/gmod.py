@@ -21,6 +21,19 @@ from .linalg import check_modulus
 GMOD_IDENTITY_BYTES_CAP = 1 << 28
 
 
+def dimension_problem(d: int, chars: int) -> str:
+    """Why the reader refuses a space of dimension d in a text of `chars`
+    characters, or "": a space with a map in or out has d entries or more."""
+    return f"dimension {d} exceeds the file's {chars} characters" if d > chars else ""
+
+
+def identities_problem(identities: int) -> str:
+    """Why the reader refuses spaces whose identities need `identities`
+    bytes (8 d^2 each), or ""."""
+    cap = GMOD_IDENTITY_BYTES_CAP
+    return f"identities of the spaces would need {identities:,} bytes, past the {cap:,}-byte cap" if identities > cap else ""
+
+
 def write_gmod(module: GridModule) -> str:
     out = ["gridmodule", f"field {module.p}", f"grid {module.nx} {module.ny}"]
     for x in range(module.nx):
@@ -84,12 +97,9 @@ def read_gmod(text: str) -> GridModule:
             need(1 <= x <= nx and 1 <= y <= ny, lineno, f"point ({x},{y}) outside grid")
             need((x, y) not in dims, lineno, f"duplicate dim for ({x},{y})")
             need(d >= 0, lineno, "negative dimension")
-            # a space with a map in or out has at least d entries in the file
-            need(d <= len(text), lineno, f"dimension {d} exceeds the file's {len(text)} characters")
             identities += 8 * d * d
-            need(identities <= GMOD_IDENTITY_BYTES_CAP, lineno,
-                 f"identities of the spaces would need {identities:,} bytes, "
-                 f"past the {GMOD_IDENTITY_BYTES_CAP:,}-byte cap")
+            problem = dimension_problem(d, len(text)) or identities_problem(identities)
+            need(not problem, lineno, problem)
             dims[(x, y)] = d
             dim_lines[(x - 1, y - 1)] = lineno
             i += 1

@@ -14,7 +14,7 @@ Grid points are 0-based (x, y) tuples in code; the file formats use
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -149,33 +149,15 @@ class PairTable:
         start, shape = _block_start(self.nx, self.ny, sx, sy), (self.nx - sx, self.ny - sy)
         return self.values[start : start + shape[0] * shape[1]].reshape(shape)
 
-    @cached_property
-    def _starts(self) -> list:
-        """`_block_start` of every grid point, indexed s_x * ny + s_y, as
-        Python ints for the scalar accessors."""
-        return _block_start(self.nx, self.ny, np.arange(self.nx)[:, None], np.arange(self.ny)).ravel().tolist()
-
-    def _index(self, s, t) -> Optional[int]:
-        """The index of the pair s <= t (`pair_index`, in Python ints);
-        None when either endpoint falls outside the grid."""
-        (sx, sy), (tx, ty) = s, t
-        nx, ny = self.nx, self.ny
-        if 0 <= sx <= tx < nx and 0 <= sy <= ty < ny:  # a pair in the grid: one lookup
-            return self._starts[sx * ny + sy] + (tx - sx) * (ny - sy) + (ty - sy)
-        if not (0 <= sx < nx and 0 <= tx < nx and 0 <= sy < ny and 0 <= ty < ny):
-            return None
-        raise ValueError(f"incomparable pair {s} -> {t}")
-
     def get(self, s, t) -> int:
-        """The entry at s <= t; 0 when either endpoint falls outside the grid."""
-        i = self._index(s, t)
-        return 0 if i is None else self.values.item(i)
-
-    def set(self, s, t, value: int) -> None:
-        i = self._index(s, t)
-        if i is None:
-            raise IndexError(f"pair {s} -> {t} outside the {self.nx}x{self.ny} grid")
-        self.values[i] = value
+        """The entry at s <= t; 0 when either endpoint falls outside the
+        grid, and a ValueError for an incomparable pair inside it."""
+        (sx, sy), (tx, ty) = s, t
+        if not (0 <= sx < self.nx and 0 <= tx < self.nx and 0 <= sy < self.ny and 0 <= ty < self.ny):
+            return 0
+        if sx > tx or sy > ty:
+            raise ValueError(f"incomparable pair {s} -> {t}")
+        return self.values.item(pair_index(self.nx, self.ny, s, t))
 
     @property
     def table(self) -> np.ndarray:
@@ -234,9 +216,6 @@ class GridModule:
     def dim_at(self, t) -> int:
         return int(self.dims[t[0], t[1]])
 
-    def points(self) -> Iterator[tuple[int, int]]:
-        return iter_points(self.nx, self.ny)
-
     # -- validation ----------------------------------------------------
 
     def validate(self) -> list[str]:
@@ -250,52 +229,7 @@ class GridModule:
                     bad.append(f"square at ({x},{y}) does not commute")
         return bad
 
-    # -- constructions -------------------------------------------------
-
-    @classmethod
-    def zero(cls, nx: int, ny: int, p: int) -> "GridModule":
-        return cls(nx, ny, p, np.zeros((nx, ny), dtype=np.int64))
-
-    @classmethod
-    def indicator(cls, nx: int, ny: int, support, p: int) -> "GridModule":
-        """k at each point of `support`, identity maps inside the support.
-
-        Well-defined (commutative) only when the support is convex in
-        the grid order; validate() will flag anything else.
-        """
-        support = {tuple(t) for t in support}
-        dims = np.zeros((nx, ny), dtype=np.int64)
-        for t in support:
-            dims[t] = 1
-        hmaps = {}
-        vmaps = {}
-        for x in range(nx - 1):
-            for y in range(ny):
-                if (x, y) in support and (x + 1, y) in support:
-                    hmaps[(x, y)] = np.array([[1]], dtype=np.int64)
-        for x in range(nx):
-            for y in range(ny - 1):
-                if (x, y) in support and (x, y + 1) in support:
-                    vmaps[(x, y)] = np.array([[1]], dtype=np.int64)
-        return cls(nx, ny, p, dims, hmaps, vmaps)
-
-    @classmethod
-    def rectangle(cls, nx: int, ny: int, rect, p: int) -> "GridModule":
-        """Indicator module of the rectangle [sx,tx] x [sy,ty] (0-based)."""
-        sx, sy, tx, ty = rect
-        pts = [(x, y) for x in range(sx, tx + 1) for y in range(sy, ty + 1)]
-        return cls.indicator(nx, ny, pts, p)
-
-    def direct_sum(self, other: "GridModule") -> "GridModule":
-        if (self.nx, self.ny, self.p) != (other.nx, other.ny, other.p):
-            raise ValueError("direct sum needs matching grids and fields")
-        dims = self.dims + other.dims
-        hmaps, vmaps = {}, {}
-        for key in self.hmaps:
-            hmaps[key] = _block_diag(self.hmaps[key], other.hmaps[key])
-        for key in self.vmaps:
-            vmaps[key] = _block_diag(self.vmaps[key], other.vmaps[key])
-        return GridModule(self.nx, self.ny, self.p, dims, hmaps, vmaps)
+    # -- duality -------------------------------------------------------
 
     def dualize(self) -> "GridModule":
         """Linear dual: grid reversed in both coordinates, matrices transposed."""
@@ -308,13 +242,6 @@ class GridModule:
             for y in range(ny - 1):
                 vmaps[(x, y)] = self.vmaps[(nx - 1 - x, ny - 2 - y)].T
         return GridModule(nx, ny, self.p, self.dims[::-1, ::-1], hmaps, vmaps)  # which copies them
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.int64)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 # -- rank invariant -----------------------------------------------------
@@ -381,7 +308,7 @@ class RankInvariant(PairTable):
     The rank DP and the naive rank know the bound before they start;
     the .rank readers start at int16 and widen when they read a rank
     past the current type.  With no values given, the zero invariant is
-    int64, since a caller may set any rank in it.
+    int64, since a caller may write any rank into its blocks.
     """
 
     def __init__(self, nx: int, ny: int, values: Optional[np.ndarray] = None):

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grid_module import RankInvariant
+from .grid_module import RankInvariant, table_dtype
 from .ioutil import FormatError, logical_lines, parse_int
 
 
@@ -73,27 +73,38 @@ def decompose(r: RankInvariant):
     positive part.  A clean outcome alone does not certify
     decomposability -- that decision belongs to the checkers.
 
-    The differences are taken one s_x slab at a time, in int64 whatever
-    the invariant's entry type, since a sixteen-term sum of int16 or
-    int32 ranks can pass their type: into an (ny, nx - s_x, ny) array [s_y, t_x - s_x,
-    t_y], 0 where t_y < s_y, go the blocks r(s, .) of the slab less
-    those of the slab before it (without their t_x = s_x - 1 column);
-    then, inside the slab, the differences run downward along s_y and
-    upward along t_x and t_y, each as one shifted subtraction, and the
-    s_y <= t_y triangle is kept.  Beside the invariant, which is left as
-    it was, only a few slabs are held at once.
+    The differences are taken one s_x slab at a time, in
+    `table_dtype(8 * largest rank)`: a difference of two ranks lies
+    within the largest rank R, and each of the three differences inside
+    the slab at most doubles the bound, so every intermediate value lies
+    within 8R, which a narrow invariant's type may not hold.  A negative
+    entry, and a rank past 2**60 - 1, where 8R would pass int64, are
+    refused with a ValueError.
+    Into an (ny, nx - s_x, ny) array [s_y, t_x - s_x, t_y], 0 where
+    t_y < s_y, go the blocks r(s, .) of the slab less those of the slab
+    before it (without their t_x = s_x - 1 column); then, inside the
+    slab, the differences run downward along s_y and upward along t_x
+    and t_y, each as one shifted subtraction, and the s_y <= t_y
+    triangle is kept.  Beside the invariant, which is left as it was,
+    only a few slabs are held at once.
     """
     nx, ny = r.nx, r.ny
+    if r.values.min(initial=0) < 0:
+        raise ValueError("rank invariant has a negative entry")
+    largest = int(r.values.max(initial=0))
+    if largest > 2**60 - 1:
+        raise ValueError(f"rank {largest} exceeds 2**60 - 1, past which the rectangle multiplicities could pass int64")
+    dtype = table_dtype(8 * largest)
     triangle = np.arange(ny)[:, None, None] <= np.arange(ny)  # [s_y, 1, t_y]
     clean = True
     counts = {}
     before = []  # the blocks of the slab s_x - 1
     for sx in range(nx):
         blocks = [r.block((sx, sy)) for sy in range(ny)]
-        m = np.zeros((ny, nx - sx, ny), dtype=np.int64)
+        m = np.zeros((ny, nx - sx, ny), dtype=dtype)
         for sy, block in enumerate(blocks):
             if before:
-                np.subtract(block, before[sy][1:], out=m[sy, :, sy:], dtype=np.int64)
+                np.subtract(block, before[sy][1:], out=m[sy, :, sy:], dtype=dtype)
             else:
                 m[sy, :, sy:] = block
         before = blocks

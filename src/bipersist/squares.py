@@ -64,15 +64,19 @@ class SquareBarcode(dict):
         return self.hooks == 0
 
 
-def _square_meets(module: GridModule, inv: RankInvariant) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
-    """(s, i_d, k_a) for every source s in lexicographic order, where
-    i_d[t_x - s_x, t_y - s_y] and k_a[...] are those of the square s <= t
-    and `inv` is the module's rank invariant.
+def _square_meets(module: GridModule, inv: RankInvariant) -> Iterator[tuple]:
+    """(s, r_bd, r_cd, i_d, k_a) for every source s in lexicographic
+    order, where `inv` is the module's rank invariant and each array is
+    indexed [t_x - s_x, t_y - s_y] by the square s <= t with corners
+    b = (t_x, s_y) and c = (s_x, t_y): r_bd and r_cd are the ranks of
+    b -> t and c -> t, read off the blocks r(b, .) along the row s_y and
+    r(c, .) up the column s_x, and i_d and k_a are the square's.  With
+    the block r(s, .), which gives r_ab, r_ac and r_ad, a checker reads
+    every rank of the squares out of s off arrays.
 
-    With corners b = (t_x, s_y) and c = (s_x, t_y): Im bd + Im cd is the
-    image of [bd | cd], so i_d = r_bd + r_cd - rank [bd | cd]; Ker ab ∩
-    Ker ac is the kernel of [ab; ac], so k_a = (dim_a - r_ab) + (dim_a -
-    r_ac) - (dim_a - rank [ab; ac]).  The single ranks are the table's.
+    Im bd + Im cd is the image of [bd | cd], so i_d = r_bd + r_cd -
+    rank [bd | cd]; Ker ab ∩ Ker ac is the kernel of [ab; ac], so k_a =
+    (dim_a - r_ab) + (dim_a - r_ac) - (dim_a - rank [ab; ac]).
 
     The sides of the squares out of s are pushed one edge at a time:
     ab along the row s_y, ac and every bd up the columns as t_y rises,
@@ -80,32 +84,34 @@ def _square_meets(module: GridModule, inv: RankInvariant) -> Iterator[tuple[tupl
     are in hand, so only O(n_x) maps are held.
     """
     nx, ny, p = module.nx, module.ny, module.p
-    r = inv.get
 
     def eye(u):
         return np.eye(module.dim_at(u), dtype=np.int64)
 
     for s in iter_points(nx, ny):
         sx, sy = s
+        r_s = inv.block(s).astype(np.int64)
+        r_bd = np.array([inv.block((tx, sy))[0] for tx in range(sx, nx)], dtype=np.int64)
+        r_cd = np.array([inv.block((sx, ty))[:, 0] for ty in range(sy, ny)], dtype=np.int64).T
         ab = [eye(s)]  # ab[i]: s -> (s_x + i, s_y)
         for tx in range(sx + 1, nx):
             ab.append(matmul(module.hmaps[(tx - 1, sy)], ab[-1], p))
         ac, bd = ab[0], [eye((tx, sy)) for tx in range(sx, nx)]  # bd[i]: (s_x + i, s_y) -> (s_x + i, t_y)
-        i_d = np.empty((nx - sx, ny - sy), dtype=np.int64)
-        k_a = np.empty_like(i_d)
+        beside = np.empty_like(r_s)  # rank [bd | cd]
+        stacked = np.empty_like(r_s)  # rank [ab; ac]
         for ty in range(sy, ny):
             if ty > sy:
                 ac = matmul(module.vmaps[(sx, ty - 1)], ac, p)
                 bd = [matmul(module.vmaps[(tx, ty - 1)], m, p) for tx, m in enumerate(bd, sx)]
-            c = (sx, ty)
-            cd = eye(c)
+            cd = eye((sx, ty))
             for tx in range(sx, nx):
                 if tx > sx:
                     cd = matmul(module.hmaps[(tx - 1, ty)], cd, p)
-                b, t, i = (tx, sy), (tx, ty), (tx - sx, ty - sy)
-                i_d[i] = r(b, t) + r(c, t) - rank(np.hstack((bd[i[0]], cd)), p)
-                k_a[i] = module.dim_at(s) - r(s, b) - r(s, c) + rank(np.vstack((ab[i[0]], ac)), p)
-        yield s, i_d, k_a
+                beside[tx - sx, ty - sy] = rank(np.hstack((bd[tx - sx], cd)), p)
+                stacked[tx - sx, ty - sy] = rank(np.vstack((ab[tx - sx], ac)), p)
+        i_d = r_bd + r_cd - beside
+        k_a = module.dim_at(s) - r_s[:, :1] - r_s[:1, :] + stacked
+        yield s, r_bd, r_cd, i_d, k_a
 
 
 def decompose_square(inv: SquareInvariants) -> SquareBarcode:
@@ -145,7 +151,7 @@ def is_weakly_exact_algebraic(module: GridModule):
     (False, (s, t)) with the lexicographically smallest failing pair.
     """
     inv = rank_invariant_naive(module)
-    for s, i_d, k_a in _square_meets(module, inv):
+    for s, _, _, i_d, k_a in _square_meets(module, inv):
         r_st = inv.block(s)
         fails = (r_st != i_d) | (r_st != module.dim_at(s) - k_a)
         if fails.any():
@@ -158,11 +164,12 @@ def is_weakly_exact_geometric(module: GridModule):
     """Check that no square's interval decomposition contains a hook.
 
     The squares' invariants are ranks: the naive rank invariant's and
-    the stacked ones of `_square_meets`, as in `is_weakly_exact_algebraic`.
+    the stacked ones of `_square_meets`, as in `is_weakly_exact_algebraic`,
+    all read off arrays.
     """
     inv = rank_invariant_naive(module)
-    r = inv.get
-    for s, i_d, k_a in _square_meets(module, inv):
+    for s, r_bd, r_cd, i_d, k_a in _square_meets(module, inv):
+        r_s = inv.block(s)
         for (dx, dy), i in np.ndenumerate(i_d):
             t = (s[0] + dx, s[1] + dy)
             b, c = (t[0], s[1]), (s[0], t[1])
@@ -171,11 +178,11 @@ def is_weakly_exact_geometric(module: GridModule):
                 dim_b=module.dim_at(b),
                 dim_c=module.dim_at(c),
                 dim_d=module.dim_at(t),
-                r_ab=r(s, b),
-                r_ac=r(s, c),
-                r_bd=r(b, t),
-                r_cd=r(c, t),
-                r_ad=r(s, t),
+                r_ab=int(r_s[dx, 0]),
+                r_ac=int(r_s[0, dy]),
+                r_bd=int(r_bd[dx, dy]),
+                r_cd=int(r_cd[dx, dy]),
+                r_ad=int(r_s[dx, dy]),
                 i_d=int(i),
                 k_a=int(k_a[dx, dy]),
             )

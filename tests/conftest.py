@@ -19,6 +19,7 @@ from paperlib import (
     image_basis,
     kernel_basis,
     reference_rref,
+    set_pair,
     subspace_intersect,
     subspace_sum,
 )
@@ -116,11 +117,11 @@ def kappa_iota_naive(module):
     iota = PairTable(nx, ny, np.zeros(pair_count(nx, ny), dtype=np.int64))
     for s, t in comparable_pairs(nx, ny):
         b, c = (t[0], s[1]), (s[0], t[1])
-        iota.set(s, t, subspace_intersect(
+        set_pair(iota, s, t, subspace_intersect(
             image_basis(composite(module, b, t), p),
             image_basis(composite(module, c, t), p),
         ).dim)
-        kappa.set(s, t, subspace_sum(
+        set_pair(kappa, s, t, subspace_sum(
             kernel_basis(composite(module, s, b), p),
             kernel_basis(composite(module, s, c), p),
         ).dim)
@@ -235,7 +236,7 @@ def reference_rank_from_text(text):
         nx, ny = max(nx, tx), max(ny, ty)
     inv = RankInvariant(nx, ny)
     for (sx, sy, tx, ty), r in entries.items():
-        inv.set((sx, sy), (tx, ty), r)
+        set_pair(inv, (sx, sy), (tx, ty), r)
     return inv
 
 

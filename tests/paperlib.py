@@ -4,7 +4,10 @@ The package computes rank invariants, rectangle barcodes and
 decomposability verdicts; the constructions here check the paper's
 other claims against it: representations of finite posets, their
 fully faithful grid embeddings and pointwise right Kan extensions, the
-dart family and its staircase, Hom spaces by naturality equations, a
+dart family and its staircase, the direct-sum algebra of rectangle
+indicators (the oracle of the one-pass `random_rectangle_module`) and
+writes of one pair of a table through its block, Hom spaces by
+naturality equations, a
 randomized isomorphism confirmer, the composite structure maps of a
 module, restriction to a subgrid, the comparable pairs in
 lexicographic order and as a mask of a dense table, the invariants of one square from its composites, the eleven-by-eleven square invariant matrix,
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map, homology_module
-from bipersist.grid_module import GridModule, RankInvariant, rank_invariant_naive
+from bipersist.grid_module import GridModule, RankInvariant, iter_points, rank_invariant_naive
 from bipersist.ioutil import InvariantError, Scratch, block_rows, line_blocks, row_capacity
 from bipersist.linalg import ColumnReducer, check_modulus, inv_mod, matmul, rank, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
@@ -270,6 +273,69 @@ def restrict(module: GridModule, xs, ys) -> GridModule:
 
 
 # -- rectangle sums ---------------------------------------------------------
+#
+# The direct-sum algebra below is the oracle of the one-pass builder
+# `constructions.random_rectangle_module`: its sum of rectangle
+# indicators in draw order, one block-diagonal sum at a time.
+
+
+def zero_module(nx: int, ny: int, p: int) -> GridModule:
+    return GridModule(nx, ny, p, np.zeros((nx, ny), dtype=np.int64))
+
+
+def indicator_module(nx: int, ny: int, support, p: int) -> GridModule:
+    """k at each point of `support`, identity maps inside the support.
+
+    Well-defined (commutative) only when the support is convex in the
+    grid order; validate() will flag anything else.
+    """
+    support = {tuple(t) for t in support}
+    dims = np.zeros((nx, ny), dtype=np.int64)
+    for t in support:
+        dims[t] = 1
+    one = np.array([[1]], dtype=np.int64)
+    hmaps = {(x, y): one for x, y in support if (x + 1, y) in support}
+    vmaps = {(x, y): one for x, y in support if (x, y + 1) in support}
+    return GridModule(nx, ny, p, dims, hmaps, vmaps)
+
+
+def rectangle_module(nx: int, ny: int, rect, p: int) -> GridModule:
+    """Indicator module of the rectangle [sx,tx] x [sy,ty] (0-based)."""
+    sx, sy, tx, ty = rect
+    return indicator_module(nx, ny, [(x, y) for x in range(sx, tx + 1) for y in range(sy, ty + 1)], p)
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.int64)
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
+def direct_sum(a: GridModule, b: GridModule) -> GridModule:
+    """a + b, each map block-diagonal with a's block first."""
+    if (a.nx, a.ny, a.p) != (b.nx, b.ny, b.p):
+        raise ValueError("direct sum needs matching grids and fields")
+    hmaps = {key: _block_diag(a.hmaps[key], b.hmaps[key]) for key in a.hmaps}
+    vmaps = {key: _block_diag(a.vmaps[key], b.vmaps[key]) for key in a.vmaps}
+    return GridModule(a.nx, a.ny, a.p, a.dims + b.dims, hmaps, vmaps)
+
+
+def rectangle_sum(nx: int, ny: int, rects, p: int) -> GridModule:
+    """The direct sum of the rectangles' indicators, in the given order."""
+    total = zero_module(nx, ny, p)
+    for rect in rects:
+        total = direct_sum(total, rectangle_module(nx, ny, rect, p))
+    return total
+
+
+def set_pair(table, s, t, value: int) -> None:
+    """Write the entry of the pair s <= t of a `PairTable`, through its
+    block r(s, .)."""
+    if not (s[0] <= t[0] and s[1] <= t[1]):
+        raise ValueError(f"incomparable pair {s} -> {t}")
+    table.block(s)[t[0] - s[0], t[1] - s[1]] = value
+
 
 
 def rectangle_rank_invariant(barcode: RectangleBarcode, nx: int, ny: int) -> RankInvariant:
@@ -359,7 +425,7 @@ def hom_basis(a: GridModule, b: GridModule) -> list[dict]:
     """
     if (a.nx, a.ny, a.p) != (b.nx, b.ny, b.p):
         raise ValueError("hom needs matching grids and fields")
-    points = list(a.points())
+    points = list(iter_points(a.nx, a.ny))
     dim_a = {t: a.dim_at(t) for t in points}
     dim_b = {t: b.dim_at(t) for t in points}
     edges = []
@@ -966,7 +1032,7 @@ def iso_test(a: GridModule, b: GridModule, trials: int = 64, seed: int = 0):
     """
     if (a.nx, a.ny) != (b.nx, b.ny) or a.p != b.p:
         return "undetermined", "grids or fields differ"
-    for t in a.points():
+    for t in iter_points(a.nx, a.ny):
         if a.dim_at(t) != b.dim_at(t):
             return "undetermined", f"pointwise dimensions differ at {t}"
     if int(a.dims.sum()) == 0:
@@ -975,7 +1041,7 @@ def iso_test(a: GridModule, b: GridModule, trials: int = 64, seed: int = 0):
     if not basis:
         return "undetermined", "Hom space is zero"
     p = a.p
-    support = [t for t in a.points() if a.dim_at(t) > 0]
+    support = [t for t in iter_points(a.nx, a.ny) if a.dim_at(t) > 0]
     # Deterministic first try: a combination that is the identity at
     # every point (one linear solve) is immediately an isomorphism.
     blocks, targets = [], []

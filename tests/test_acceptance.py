@@ -15,7 +15,7 @@ import numpy as np
 from bipersist.bifiltration import homology_module
 from bipersist.cli import main
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from bipersist.grid_module import GridModule, rank_invariant_naive
+from bipersist.grid_module import iter_points, rank_invariant_naive
 from bipersist.linalg import rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import decompose
@@ -35,9 +35,11 @@ from paperlib import (
     count_spanning,
     dart,
     dart_embedding,
+    direct_sum,
     hom_dim,
     hom_dim_poset,
     image_basis,
+    indicator_module,
     indicator_poset_module,
     interval_multiplicities,
     invariants_of_square,
@@ -52,6 +54,7 @@ from paperlib import (
     subspace_intersect,
     subspace_sum,
     validate_resolution,
+    zero_module,
 )
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
@@ -59,7 +62,7 @@ CORNERS = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
 
 
 def _interval(letters, p=2):
-    return GridModule.indicator(2, 2, {CORNERS[ch] for ch in letters}, p)
+    return indicator_module(2, 2, {CORNERS[ch] for ch in letters}, p)
 
 
 def _square_audit(module):
@@ -112,9 +115,9 @@ def test_criterion_1_worked_examples():
     left = example("ex3-left", 101)
     right = example("ex3-right", 101)
     assert rank_invariant_naive(left) == rank_invariant_naive(right)
-    stair = GridModule.indicator(3, 2, {(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)}, 101)
-    point = GridModule.indicator(3, 2, {(1, 1)}, 101)
-    two_intervals = stair.direct_sum(point)
+    stair = indicator_module(3, 2, {(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)}, 101)
+    point = indicator_module(3, 2, {(1, 1)}, 101)
+    two_intervals = direct_sum(stair, point)
     assert iso_test(left, two_intervals) == ("confirmed", None)
     assert hom_dim(left, left) == 2
     assert _square_audit(left) == _square_audit(two_intervals)
@@ -175,7 +178,7 @@ def test_criterion_4_checkers_agree_three_ways(random_bif):
         # pointwise dimensions reproduce the module's
         barcode, clean = decompose(rank_invariant_naive(module))
         assert clean
-        for t in module.points():
+        for t in iter_points(module.nx, module.ny):
             assert barcode_dim_at(barcode, t) == module.dim_at(t)
 
     for seed in range(100):
@@ -236,7 +239,7 @@ def _ran_interval_sum(n, xs, ys, skip, p):
     """Sum of the full-grid floor modules of {j, top}, minus one, restricted."""
     poset = dart(n, p).poset
     emb = dart_embedding(n)
-    total = GridModule.zero(len(xs), len(ys), p)
+    total = zero_module(len(xs), len(ys), p)
     parts = 0
     for j in range(1, n + 2):
         if j == skip:
@@ -245,7 +248,7 @@ def _ran_interval_sum(n, xs, ys, skip, p):
             ran_extension(indicator_poset_module(poset, {j, n + 2}, p), emb, n + 1, n + 1), xs, ys
         )
         assert int(summand.dims.max()) <= 1  # each summand is an interval
-        total = total.direct_sum(summand)
+        total = direct_sum(total, summand)
         parts += 1
     assert parts == n
     return total
@@ -297,7 +300,7 @@ def test_criterion_7_square_solver_oracle():
         for combo in combinations_with_replacement(SQUARE_LABELS, size):
             module = _interval(combo[0])
             for letters in combo[1:]:
-                module = module.direct_sum(_interval(letters))
+                module = direct_sum(module, _interval(letters))
             expected = {lab: combo.count(lab) for lab in SQUARE_LABELS}
             got = decompose_square(invariants_of_square(module, (0, 0), (1, 1)))
             assert dict(got) == expected, combo

@@ -16,6 +16,7 @@ from bipersist.bifiltration import (
     read_bif,
     write_bif,
 )
+from bipersist.grid_module import iter_points
 from bipersist.linalg import matmul
 from bipersist.resolution import presentation
 from conftest import clique_bifiltration, reference_homology_basis
@@ -116,7 +117,7 @@ def test_homology_module_h0_vs_union_find(random_bif):
         assert bif.validate() == []
         h0 = homology_module(bif, 0)
         assert h0.validate() == []
-        for t in h0.points():
+        for t in iter_points(h0.nx, h0.ny):
             assert h0.dim_at(t) == h0_components(bif, t)
 
 
@@ -124,7 +125,7 @@ def test_homology_euler_characteristic(random_bif):
     for seed in range(8):
         bif = random_bif(100 + seed, nx=4, ny=4)
         mods = [homology_module(bif, q) for q in range(3)]
-        for t in mods[0].points():
+        for t in iter_points(mods[0].nx, mods[0].ny):
             chi = sum((-1) ** q * mods[q].dim_at(t) for q in range(3))
             assert chi == euler_characteristic(bif, t)
 

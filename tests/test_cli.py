@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import os
 import random
 import re
@@ -10,7 +12,7 @@ import pytest
 
 from bipersist import ioutil, rank_reader
 from bipersist.bifiltration import write_bif
-from bipersist.cli import main
+from bipersist.cli import build_parser, main
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid
 from bipersist.gmod import read_gmod, write_gmod
 from bipersist.grid_module import RankInvariant
@@ -179,12 +181,68 @@ def test_gmod_writers_refuse_grids_the_reader_refuses(tmp_path, capsys):
     assert capsys.readouterr().err == "error: grid 61x61 exceeds the 60x60 cap of .gmod files\n"
 
 
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["1", "1", "100"], "error: dimension 50 exceeds the file's 39 characters\n"),
+        (["1", "1", "20000"], f"error: identities of the spaces would need {8 * 12624**2:,} bytes, past the 268,435,456-byte cap\n"),
+    ],
+    ids=["dimension", "identities"],
+)
+def test_random_rect_refuses_what_the_reader_refuses(tmp_path, capsys, args, err):
+    # a dimension past the .gmod text's characters, and identities past
+    # the reader's cap, which are refused before any map is built
+    prefix = str(tmp_path / "big")
+    assert main(["random-rect", *args, "--seed", "0", "-o", prefix]) == 1
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
+# SHA-256 of the .gmod and the .barcode that `random-rect` writes, pinned
+# when each sum was still built one block-diagonal direct sum at a time
+RANDOM_RECT_DIGESTS = {
+    ("7", "5", "12", "--seed", "3", "--field", "3"): (
+        "bd5154e522daf7510984c480db3763f980cf2c38c04710361dccf9776a69154a",
+        "45f0ac638a9a556a3c06293c2c2b8f58abb46e4904931452ebb647cd574dbd5d",
+    ),
+    ("45", "30", "120", "--seed", "9", "--field", "2147483647"): (
+        "be827a63ccca993808b4bb511d2fd2585974acf0e0e257b950534f3c79fa9fa5",
+        "35617d752d923fcd9e85caf041ef1dce6957037efe94a6fd46290c855bee6ac2",
+    ),
+    ("60", "1", "40", "--field", "3"): (
+        "54429a775f4c119fb39e7dafbcaaea820d924f870da2d16a02587235a1740e67",
+        "13d8e0ae0a978b0cf54a651f4059c6ea98f7cc6995c6fb837dac9c6e6048f04c",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(RANDOM_RECT_DIGESTS))
+def test_random_rect_output_is_pinned(tmp_path, args):
+    prefix = tmp_path / "rnd"
+    assert main(["random-rect", *args, "-o", str(prefix)]) == 0
+    got = tuple(hashlib.sha256(Path(f"{prefix}{ext}").read_bytes()).hexdigest() for ext in (".gmod", ".barcode"))
+    assert got == RANDOM_RECT_DIGESTS[args]
+
+
 def test_decompose_matches_ground_truth(tmp_path):
     prefix = str(tmp_path / "rnd")
     assert main(["random-rect", "5", "4", "6", "--seed", "3", "-o", prefix]) == 0
     out = tmp_path / "out.barcode"
     assert main(["decompose-rectangles", prefix + ".gmod", "-o", str(out)]) == 0
     assert out.read_text() == (tmp_path / "rnd.barcode").read_text()
+
+
+def test_decompose_refuses_a_rank_whose_differences_pass_int64(tmp_path, capsys):
+    # r((1,2),(2,2)) = r((2,1),(2,2)) = 2**63 - 1 give the sixteen-term
+    # sum -2 (2**63 - 1) at ((1,1),(2,2)), which int64 would wrap
+    inv = RankInvariant(2, 2)
+    for s in ((0, 1), (1, 0)):
+        inv.block(s)[1 - s[0], 1 - s[1]] = 2**63 - 1
+    path = tmp_path / "big.rank"
+    path.write_text(inv.to_text())
+    assert main(["decompose-rectangles", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: rank 9223372036854775807 exceeds 2**60 - 1")
 
 
 def test_decompose_from_rank_file(tmp_path):
@@ -706,3 +764,22 @@ def test_examples_help_lists_the_catalogue(tmp_path):
     code, out = run_cli(["examples", "--help"], tmp_path, columns=400)
     assert code == 0
     assert f"one of {', '.join(EXAMPLE_NAMES)}, or indecgrid" in out.decode()
+
+
+def _synopsis():
+    """The README's command synopsis: {subcommand: line}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return {line.split()[1]: line for line in block.splitlines() if line.startswith("bipersist ")}
+
+
+def test_the_readme_synopsis_names_every_option_of_each_subcommand():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    lines = _synopsis()
+    assert lines.keys() == subcommands.keys()
+    for name, line in lines.items():
+        named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", line.split("#")[0]))
+        options = [a.option_strings for a in subcommands[name]._actions if a.option_strings and a.dest != "help"]
+        assert named <= {flag for flags in options for flag in flags}, line
+        assert all(named & set(flags) for flags in options), line

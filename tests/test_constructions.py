@@ -1,7 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from bipersist.grid_module import GridModule, rank_invariant_naive
+from bipersist.grid_module import iter_points, rank_invariant_naive
 from bipersist.squares import decompose_square
 from bipersist.weakexact import check_module
 from paperlib import (
@@ -9,14 +12,19 @@ from paperlib import (
     GridEmbedding,
     dart,
     dart_embedding,
+    direct_sum,
     hom_dim,
     hom_dim_poset,
+    indicator_module,
     indicator_poset_module,
     invariants_of_square,
     iso_test,
     pad,
     ran_extension,
+    rectangle_module,
+    rectangle_sum,
     restrict,
+    zero_module,
 )
 
 
@@ -98,7 +106,7 @@ def _ran_interval_sum(n, xs, ys, skip, p):
     """Sum of the full-grid floor modules of {j, top}, minus one, restricted."""
     poset = dart(n, p).poset
     emb = dart_embedding(n)
-    total = GridModule.zero(len(xs), len(ys), p)
+    total = zero_module(len(xs), len(ys), p)
     for j in range(1, n + 2):
         if j == skip:
             continue
@@ -106,7 +114,7 @@ def _ran_interval_sum(n, xs, ys, skip, p):
             ran_extension(indicator_poset_module(poset, {j, n + 2}, p), emb, n + 1, n + 1), xs, ys
         )
         assert int(summand.dims.max()) <= 1  # each summand is an interval
-        total = total.direct_sum(summand)
+        total = direct_sum(total, summand)
     return total
 
 
@@ -134,7 +142,7 @@ def test_ran_extension_respects_an_indicator():
         indicator_poset_module(dart(2, p).poset, {1, 4}, p), dart_embedding(2), 3, 3
     )
     assert m.validate() == []
-    support = {t for t in m.points() if m.dim_at(t) == 1}
+    support = {t for t in iter_points(m.nx, m.ny) if m.dim_at(t) == 1}
     assert support == {(0, 2), (1, 2), (2, 2), (2, 1)}
     assert int(m.dims.max()) == 1
 
@@ -149,25 +157,25 @@ def test_pad_and_bounds():
 
 
 def test_iso_test_confirms_reordered_sums():
-    a = GridModule.rectangle(3, 3, (0, 0, 1, 1), 101)
-    b = GridModule.rectangle(3, 3, (1, 1, 2, 2), 101)
-    assert iso_test(a.direct_sum(b), b.direct_sum(a)) == ("confirmed", None)
-    zero = GridModule.zero(2, 2, 101)
+    a = rectangle_module(3, 3, (0, 0, 1, 1), 101)
+    b = rectangle_module(3, 3, (1, 1, 2, 2), 101)
+    assert iso_test(direct_sum(a, b), direct_sum(b, a)) == ("confirmed", None)
+    zero = zero_module(2, 2, 101)
     assert iso_test(zero, zero) == ("confirmed", None)
 
 
 def test_iso_test_undetermined_outcomes():
-    a = GridModule.rectangle(2, 2, (0, 0, 1, 1), 101)
-    b = GridModule.rectangle(2, 2, (0, 0, 1, 0), 101)
+    a = rectangle_module(2, 2, (0, 0, 1, 1), 101)
+    b = rectangle_module(2, 2, (0, 0, 1, 0), 101)
     verdict, reason = iso_test(a, b)
     assert verdict == "undetermined" and "dimensions differ" in reason
-    verdict, reason = iso_test(a, GridModule.rectangle(3, 2, (0, 0, 1, 1), 101))
+    verdict, reason = iso_test(a, rectangle_module(3, 2, (0, 0, 1, 1), 101))
     assert verdict == "undetermined" and "grids or fields" in reason
     # same dimensions everywhere but different internal ranks
-    ab_cd = GridModule.indicator(2, 2, {(0, 0), (1, 0)}, 101).direct_sum(
-        GridModule.indicator(2, 2, {(0, 1), (1, 1)}, 101)
+    ab_cd = direct_sum(
+        indicator_module(2, 2, {(0, 0), (1, 0)}, 101), indicator_module(2, 2, {(0, 1), (1, 1)}, 101)
     )
-    abcd = GridModule.rectangle(2, 2, (0, 0, 1, 1), 101)
+    abcd = rectangle_module(2, 2, (0, 0, 1, 1), 101)
     verdict, _ = iso_test(ab_cd, abcd)
     assert verdict == "undetermined"
 
@@ -176,13 +184,39 @@ def test_random_rectangle_module_matches_its_truth():
     for seed in range(6):
         m, truth = random_rectangle_module(4, 3, 5, seed=seed, p=7)
         assert m.validate() == []
-        for t in m.points():
+        for t in iter_points(m.nx, m.ny):
             expect = sum(
                 mult
                 for (sx, sy, tx, ty), mult in truth.items()
                 if sx <= t[0] <= tx and sy <= t[1] <= ty
             )
             assert m.dim_at(t) == expect
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+@pytest.mark.parametrize(
+    "nx, ny, count, seed", [(1, 1, 4, 0), (1, 9, 6, 1), (9, 1, 6, 2), (7, 5, 12, 3), (60, 60, 6, 4)]
+)
+def test_random_rectangle_module_is_the_direct_sum_in_draw_order(nx, ny, count, seed, p):
+    # the one-pass builder equals the block-diagonal sum of the drawn
+    # rectangles' indicators, taken in draw order, entry for entry
+    m, truth = random_rectangle_module(nx, ny, count, seed, p)
+    rng = random.Random(seed)
+    rects = []
+    for _ in range(rng.randint(1, count)):
+        sx = rng.randrange(nx)
+        tx = rng.randrange(sx, nx)
+        sy = rng.randrange(ny)
+        ty = rng.randrange(sy, ny)
+        rects.append((sx, sy, tx, ty))
+    assert truth == {rect: rects.count(rect) for rect in rects}
+    want = rectangle_sum(nx, ny, rects, p)
+    assert (m.nx, m.ny, m.p) == (want.nx, want.ny, want.p)
+    assert np.array_equal(m.dims, want.dims)
+    for maps, want_maps in ((m.hmaps, want.hmaps), (m.vmaps, want.vmaps)):
+        assert maps.keys() == want_maps.keys()
+        for key, mat in maps.items():
+            assert mat.dtype == want_maps[key].dtype and np.array_equal(mat, want_maps[key]), key
 
 
 def test_example_catalogue_validates():

@@ -18,6 +18,7 @@ from bipersist.grid_module import (
     GridModule,
     PairTable,
     RankInvariant,
+    iter_points,
     pair_count,
     pair_index,
     rank_invariant_naive,
@@ -40,12 +41,17 @@ from paperlib import (
     comparable_mask,
     comparable_pairs,
     composite,
+    direct_sum,
     hom_dim,
+    indicator_module,
     invariants_of_square,
     is_strongly_exact,
+    rectangle_module,
     restrict,
+    set_pair,
     square_invariant_matrix,
     square_vector,
+    zero_module,
 )
 
 # corners of the unit square: a=(0,0), b=(1,0), c=(0,1), d=(1,1)
@@ -54,7 +60,7 @@ CORNERS = {"a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (1, 1)}
 
 def interval_module(letters, p=2):
     pts = {CORNERS[ch] for ch in letters}
-    return GridModule.indicator(2, 2, pts, p)
+    return indicator_module(2, 2, pts, p)
 
 
 def square_barcode(module, s, t):
@@ -127,7 +133,7 @@ def test_validate_catches_noncommuting_square():
     )
     problems = m.validate()
     assert problems and "commute" in problems[0]
-    good = GridModule.rectangle(2, 2, (0, 0, 1, 1), 2)
+    good = rectangle_module(2, 2, (0, 0, 1, 1), 2)
     assert good.validate() == []
 
 
@@ -173,8 +179,8 @@ def test_composite_path_independence():
 def test_restrict_and_direct_sum_dims():
     a, _ = random_rectangle_module(4, 3, 3, seed=1, p=2)
     b, _ = random_rectangle_module(4, 3, 2, seed=2, p=2)
-    s = a.direct_sum(b)
-    assert all(s.dim_at(t) == a.dim_at(t) + b.dim_at(t) for t in s.points())
+    s = direct_sum(a, b)
+    assert all(s.dim_at(t) == a.dim_at(t) + b.dim_at(t) for t in iter_points(s.nx, s.ny))
     r = restrict(s, [0, 2, 3], [1, 2])
     assert (r.nx, r.ny) == (3, 2)
     assert r.validate() == []
@@ -189,14 +195,14 @@ def test_dualize_reverses_dims_and_preserves_hom_dim():
         for y in range(2):
             assert d.dim_at((x, y)) == m.dim_at((2 - x, 1 - y))
     assert hom_dim(d, d) == hom_dim(m, m)
-    r = GridModule.rectangle(3, 2, (1, 0, 2, 0), 5).dualize()
-    expect = GridModule.rectangle(3, 2, (0, 1, 1, 1), 5)
-    assert [r.dim_at(t) for t in r.points()] == [expect.dim_at(t) for t in expect.points()]
+    r = rectangle_module(3, 2, (1, 0, 2, 0), 5).dualize()
+    expect = rectangle_module(3, 2, (0, 1, 1, 1), 5)
+    assert [r.dim_at(t) for t in iter_points(r.nx, r.ny)] == [expect.dim_at(t) for t in iter_points(expect.nx, expect.ny)]
 
 
 def test_rank_invariant_get_set_bounds():
     inv = RankInvariant(2, 2)
-    inv.set((0, 0), (1, 1), 3)
+    set_pair(inv, (0, 0), (1, 1), 3)
     assert inv.get((0, 0), (1, 1)) == 3
     assert inv.get((-1, 0), (1, 1)) == 0
     assert inv.get((0, 0), (2, 1)) == 0
@@ -282,7 +288,7 @@ def rank_tables(draw):
     ny = draw(st.integers(1, 4))
     inv = RankInvariant(nx, ny)
     for s, t in comparable_pairs(nx, ny):
-        inv.set(s, t, draw(st.one_of(st.integers(0, 5), st.integers(0, INT64.max))))
+        set_pair(inv, s, t, draw(st.one_of(st.integers(0, 5), st.integers(0, INT64.max))))
     return inv
 
 
@@ -513,7 +519,7 @@ def test_a_changed_writers_file_reads_as_the_general_reader_reads_it(size, drawn
 
 def test_rank_to_text_refuses_a_negative_rank():
     inv = RankInvariant(1, 2)
-    inv.set((0, 0), (0, 1), -1)
+    set_pair(inv, (0, 0), (0, 1), -1)
     with pytest.raises(ValueError, match="negative entry"):
         inv.to_text()
 
@@ -645,9 +651,9 @@ def test_rank_reader_reads_coordinates_up_to_the_grid_cap(nx, ny):
     # a coordinate at the grid cap is read on either axis
     inv = RankInvariant.from_text(f"1 1 {nx} {ny} 3\n{nx} {ny} {nx} {ny} 2\n1 1 1 1 4\n")
     want = RankInvariant(nx, ny)
-    want.set((0, 0), (nx - 1, ny - 1), 3)
-    want.set((nx - 1, ny - 1), (nx - 1, ny - 1), 2)
-    want.set((0, 0), (0, 0), 4)
+    set_pair(want, (0, 0), (nx - 1, ny - 1), 3)
+    set_pair(want, (nx - 1, ny - 1), (nx - 1, ny - 1), 2)
+    set_pair(want, (0, 0), (0, 0), 4)
     assert inv == want
 
 
@@ -708,7 +714,7 @@ def test_rank_invariant_additivity():
     a, _ = random_rectangle_module(3, 3, 3, seed=10, p=2)
     b, _ = random_rectangle_module(3, 3, 3, seed=11, p=2)
     total = rank_invariant_naive(a).table + rank_invariant_naive(b).table
-    assert np.array_equal(total, rank_invariant_naive(a.direct_sum(b)).table)
+    assert np.array_equal(total, rank_invariant_naive(direct_sum(a, b)).table)
 
 
 def test_hom_dim_interval_pairs():
@@ -723,7 +729,7 @@ def test_hom_dim_interval_pairs():
 
 
 def test_hom_dim_counts_endomorphisms_of_sums():
-    m = interval_module("ab").direct_sum(interval_module("ac"))
+    m = direct_sum(interval_module("ab"), interval_module("ac"))
     assert hom_dim(m, m) == 2
 
 
@@ -770,10 +776,10 @@ def test_decompose_square_roundtrip_singletons():
 
 
 def test_decompose_square_on_sums():
-    m = interval_module("ab").direct_sum(interval_module("ac"))
+    m = direct_sum(interval_module("ab"), interval_module("ac"))
     assert square_barcode(m, (0, 0), (1, 1)) == SquareBarcode({"ab": 1, "ac": 1})
     assert invariants_of_square(m, (0, 0), (1, 1)).k_a == 2
-    m2 = m.direct_sum(interval_module("abcd"))
+    m2 = direct_sum(m, interval_module("abcd"))
     assert square_barcode(m2, (0, 0), (1, 1)) == SquareBarcode(
         {"ab": 1, "ac": 1, "abcd": 1}
     )
@@ -824,7 +830,7 @@ def test_gmod_roundtrip():
     back = read_gmod(text)
     assert back.p == 7 and (back.nx, back.ny) == (3, 2)
     assert back.validate() == []
-    for t in m.points():
+    for t in iter_points(m.nx, m.ny):
         assert back.dim_at(t) == m.dim_at(t)
     assert write_gmod(back) == text
 
@@ -835,6 +841,6 @@ def test_gmod_rejects_malformed():
         read_gmod(good.replace("gridmodule", "gridmod"))
     with pytest.raises(FormatError):
         read_gmod(good + "junk line\n")
-    zero = write_gmod(GridModule.zero(2, 1, 2))
+    zero = write_gmod(zero_module(2, 1, 2))
     with pytest.raises(FormatError):
         read_gmod(zero + "hmap 1 1\n")

@@ -11,7 +11,7 @@ from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, pair_counts, ra
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.fres import read_fres
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module
-from paperlib import comparable_pairs, inhomogeneous_entries
+from paperlib import comparable_pairs, inhomogeneous_entries, set_pair
 from test_acceptance import _perf_fixture_text
 
 TRIANGLE = [
@@ -99,7 +99,7 @@ def rank_by_pairs(res):
     for s, t in comparable_pairs(res.nx, res.ny):
         low = (gens <= s).all(axis=1)
         cols = (rels <= t).all(axis=1)
-        inv.set(s, t, int(low.sum()) - rank(phi[:, cols], p) + rank(phi[~low][:, cols], p))
+        set_pair(inv, s, t, int(low.sum()) - rank(phi[:, cols], p) + rank(phi[~low][:, cols], p))
     return inv
 
 

@@ -10,8 +10,8 @@ from bipersist.bifiltration import homology_module
 from bipersist.constructions import example, indecgrid, random_rectangle_module
 from bipersist.grid_module import (
     INT32_MAX,
-    GridModule,
     RankInvariant,
+    iter_points,
     pair_count,
     rank_invariant_naive,
 )
@@ -19,7 +19,14 @@ from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.squares import is_weakly_exact_algebraic
 from conftest import random_bifiltration
-from paperlib import barcode_dim_at, comparable_pairs, interval_multiplicities, rectangle_rank_invariant
+from paperlib import (
+    barcode_dim_at,
+    comparable_pairs,
+    direct_sum,
+    interval_multiplicities,
+    rectangle_module,
+    rectangle_rank_invariant,
+)
 
 
 def sixteen_term(r, s, t) -> int:
@@ -45,7 +52,7 @@ def oracle_decompose(r):
 
 
 def test_multiplicity_reads_off_one_summand():
-    m = GridModule.rectangle(3, 3, (0, 1, 2, 2), 5)
+    m = rectangle_module(3, 3, (0, 1, 2, 2), 5)
     r = rank_invariant_naive(m)
     assert decompose(r) == ({(0, 1, 2, 2): 1}, True)
     assert sixteen_term(r, (0, 1), (2, 2)) == 1
@@ -106,7 +113,7 @@ def _one_by_three(values):
 @hypothesis.example(_one_by_three([0, 0, INT32_MAX, INT32_MAX, 0, 0]))  # m((0,1), (0,1)) = 2 (2**31 - 1)
 def test_decompose_of_an_int32_table_is_that_of_its_int64_copy(r):
     # the sixteen-term sums of int32 ranks pass int32; the differences
-    # are taken in int64
+    # are taken in a type that holds eight times the largest rank
     narrow = RankInvariant(r.nx, r.ny, r.values.astype(np.int32))
     assert decompose(narrow) == decompose(r) == oracle_decompose(r)
 
@@ -120,9 +127,41 @@ INT16_MAX = 2**15 - 1
 @hypothesis.example(_one_by_three([INT16_MAX, 0, INT16_MAX, INT16_MAX, 0, INT16_MAX]))
 def test_decompose_of_an_int16_table_is_that_of_its_int64_copy(r):
     # the sixteen-term sums of int16 ranks near 2**15 - 1 pass int16;
-    # the differences are taken in int64
+    # the differences are taken in a type that holds eight times the
+    # largest rank
     narrow = RankInvariant(r.nx, r.ny, r.values.astype(np.int16))
     assert decompose(narrow) == decompose(r) == oracle_decompose(r)
+
+
+def _two_corner_ranks(value):
+    """A 2 x 2 invariant whose only nonzero ranks are r((0,1),(1,1)) =
+    r((1,0),(1,1)) = value: the sixteen-term sum at ((0,0),(1,1)) is
+    -2 value."""
+    r = RankInvariant(2, 2)
+    for s in ((0, 1), (1, 0)):
+        r.block(s)[1 - s[0], 1 - s[1]] = value
+    return r
+
+
+def test_decompose_is_exact_up_to_ranks_of_2_60_minus_1_and_refuses_the_rest():
+    r = _two_corner_ranks(2**60 - 1)
+    barcode, clean = decompose(r)
+    assert (barcode, clean) == oracle_decompose(r)
+    assert not clean and barcode == {(0, 1, 1, 1): 2**60 - 1, (1, 0, 1, 1): 2**60 - 1}
+    for value in (2**60, 2**63 - 1):
+        with pytest.raises(ValueError, match=f"rank {value} exceeds 2\\*\\*60 - 1"):
+            decompose(_two_corner_ranks(value))
+    # the bound 8R holds for ranks, which are never negative
+    with pytest.raises(ValueError, match="negative entry"):
+        decompose(_two_corner_ranks(-1))
+
+
+def test_decompose_is_exact_either_side_of_each_slab_type_bound():
+    # 8 * 4095 fits in int16, so the 500-generator fixture's slabs are
+    # int16; the sums stay exact at the bound's edge either side
+    for value in (4095, 4096, 2**28 - 1, 2**28):
+        r = _two_corner_ranks(value)
+        assert decompose(r) == oracle_decompose(r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -176,7 +215,7 @@ def test_decompose_barcode_reconstructs_rank_invariant():
     barcode, clean = decompose(r)
     assert clean
     assert rectangle_rank_invariant(barcode, 4, 4) == r
-    assert all(barcode_dim_at(barcode, t) == m.dim_at(t) for t in m.points())
+    assert all(barcode_dim_at(barcode, t) == m.dim_at(t) for t in iter_points(m.nx, m.ny))
 
 
 def test_decompose_flags_negative_multiplicity():
@@ -192,7 +231,7 @@ def test_decompose_clean_is_not_a_certificate():
     # the staircase's only negative count is -1 at the point (2, 2), so
     # adding one point summand there makes the sieve clean even though
     # the sum still contains an indecomposable non-rectangle
-    m = indecgrid(2).direct_sum(GridModule.rectangle(3, 3, (2, 2, 2, 2), 2))
+    m = direct_sum(indecgrid(2), rectangle_module(3, 3, (2, 2, 2, 2), 2))
     r = rank_invariant_naive(m)
     barcode, clean = decompose(r)
     assert clean
@@ -247,9 +286,9 @@ def test_one_row_decompose_on_two_bars():
 
 def test_one_row_decompose_interval_modules():
     # single interval [1, 2] on a 4-point line
-    mod = GridModule.rectangle(4, 1, (1, 0, 2, 0), 3)
+    mod = rectangle_module(4, 1, (1, 0, 2, 0), 3)
     assert interval_multiplicities(mod) == {(1, 2): 1}
-    both = mod.direct_sum(GridModule.rectangle(4, 1, (1, 0, 2, 0), 3))
+    both = direct_sum(mod, rectangle_module(4, 1, (1, 0, 2, 0), 3))
     assert interval_multiplicities(both) == {(1, 2): 2}
 
 

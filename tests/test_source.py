@@ -14,6 +14,12 @@ REACHABILITY_ALLOWLIST = {
     ("zigzag", "read_zbar"): "reads the .zbar files that `zigzag-barcode` writes",
 }
 
+# methods kept although nothing in the package or the benchmark reads
+# them as an attribute, with the reason
+METHOD_ALLOWLIST = {
+    ("cli", "_CatalogueHelp", "_get_help_string"): "argparse's HelpFormatter calls it",
+}
+
 
 def test_package_has_no_assert_statements():
     # `python -O` strips asserts, so data invariants raise InvariantError
@@ -101,10 +107,13 @@ def test_package_defines_no_subspace_helper():
     # solves and ranks by reducing columns.  The exactness check of a
     # resolution, and its evaluation at a point, are oracles too; the
     # decomposability check compares blocks r(s, .), so it needs neither
-    # the pair at an index nor the source of each pair of a slab.
+    # the pair at an index nor the source of each pair of a slab.  A
+    # block-diagonal direct sum is the oracle of the one-pass rectangle
+    # sum, and the checkers read ranks off blocks, so a pair table keeps
+    # no cached list of block starts for reads one pair at a time.
     banned = {
         "Subspace", "asmatrix", "kernel_basis", "extend_basis", "composite", "_composites", "rref", "_reduced_rows",
-        "validate_resolution", "evaluate", "pair_at", "slab_sources",
+        "validate_resolution", "evaluate", "pair_at", "slab_sources", "direct_sum", "_block_diag", "_starts",
     }
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -330,6 +339,33 @@ def test_every_top_level_name_is_reached():
     # a name that only the tests reach belongs in tests/paperlib.py; an
     # allowlisted name must still exist and still be unreached
     assert unreached_names() == sorted(f"{mod}.{name}" for mod, name in REACHABILITY_ALLOWLIST)
+
+
+def unread_methods():
+    """Methods of the package's classes, dunders aside, whose name
+    nothing in the package or in perfbench/ reads as an attribute."""
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in reads:
+                    found.append(f"{path.stem}.{cls.name}.{node.name}")
+    return sorted(found)
+
+
+def test_every_method_is_read():
+    # a method that only the tests call belongs in tests/paperlib.py; an
+    # allowlisted method must still exist and still be unread
+    assert unread_methods() == sorted(".".join(key) for key in METHOD_ALLOWLIST)
 
 
 def test_reachability_counts_reads_not_locals():

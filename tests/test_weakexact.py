@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from bipersist.grid_module import GridModule, GridTooLargeError, PairTable, RankInvariant, pair_count, rank_invariant_naive
+from bipersist.grid_module import GridTooLargeError, PairTable, RankInvariant, pair_count, rank_invariant_naive
 from bipersist.ioutil import InvariantError
 from bipersist.linalg import MAX_MODULUS
 from bipersist.rect_decomp import RectangleBarcode
@@ -33,8 +33,10 @@ from paperlib import (
     module_barcode,
     rectangle_rank_invariant,
     reference_check,
+    set_pair,
     subspace_intersect,
     subspace_sum,
+    zero_module,
 )
 
 
@@ -143,7 +145,7 @@ def test_checker_refuses_tables_that_break_the_bounds():
     corank = r.get(s, s) - r.get(s, t)
     for field, value in (("iota", r.get(s, t) - 1), ("kappa", corank + 1)):
         ki = kappa_iota_naive(m)
-        getattr(ki, field).set(s, t, value)
+        set_pair(getattr(ki, field), s, t, value)
         with pytest.raises(InvariantError, match=r"\[1, 1, 2, 1\]"):
             check_rectangle_decomposable(r, ki)
 
@@ -196,7 +198,7 @@ def moved_rectangle_sum(nx, ny, rects, moves):
         "iota": PairTable(nx, ny, r.values.copy()),
     }
     for name, s, t, step in moves:
-        tables[name].set(s, t, min(max(tables[name].get(s, t) + step, 0), INT16_MAX))
+        set_pair(tables[name], s, t, min(max(tables[name].get(s, t) + step, 0), INT16_MAX))
     return r, tables
 
 
@@ -305,7 +307,7 @@ def test_dense_tables_refuse_grids_past_the_cap():
     wide = Bifiltration({(0,): (60, 0)}, 61, 1)
     for build in (
         lambda: RankInvariant(61, 1),
-        lambda: kappa_iota(GridModule.zero(61, 1, 2)),
+        lambda: kappa_iota(zero_module(61, 1, 2)),
         lambda: kappa_iota_from_zigzags(wide, 0),
         lambda: check_bifiltration(wide, 0),
     ):
