@@ -138,7 +138,7 @@ def _load_fres(path: str, field):
     the errors of `read_fres` on its whole text."""
     from .fres import read_fres_blocks
 
-    res = _read_in_blocks(path, lambda blocks: read_fres_blocks(blocks()))
+    res = _read_in_blocks(path, read_fres_blocks)
     _check_field(field, res.p)
     return res
 

@@ -5,6 +5,8 @@ loaded only by the commands that read a .fres.
 are separated by spaces or tabs, a CR reads as a space, and every
 integer is an optional sign and ASCII digits within int64.  Any other
 character, other Unicode whitespace included, belongs to a field.
+The reader holds the matrices it returns and one run of lines with its
+rows at a time; nothing else is kept from run to run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 
 import numpy as np
 
-from .ioutil import FormatError, Scratch, block_rows, line_blocks, parse_int, row_capacity
+from .ioutil import _BLOCK_CHARS, FormatError, block_rows, line_blocks, parse_int
 from .linalg import check_modulus
 from .resolution import FreeModule, FreeResolution, GradedMatrix
 
@@ -44,13 +46,17 @@ def read_fres(text: str) -> FreeResolution:
     """Read a .fres text; a FormatError names the first bad line.  The
     text is read as `read_fres_blocks` reads a file, one run of lines
     (`ioutil.line_blocks`) at a time."""
-    return read_fres_blocks(line_blocks(text))
+    return read_fres_blocks(lambda: line_blocks(text))
 
 
 def read_fres_blocks(blocks) -> FreeResolution:
-    """Read a .fres file given as runs of whole lines, as
-    `ioutil.line_blocks` and `ioutil.file_blocks` yield them; a
-    FormatError names the first bad line.
+    """Read a .fres file given as runs of whole lines; a FormatError
+    names the first bad line.
+
+    `blocks()` returns a fresh iterable of (number of the run's first
+    line, run), as `ioutil.line_blocks` and `ioutil.file_blocks` yield
+    them; it is called once, and once more only to name the line of an
+    entry that is not homogeneous.
 
     The header is the first four logical lines: `resolution`,
     `field p`, `grid nx ny` and `gens`.  The section lines (`gens`,
@@ -64,16 +70,16 @@ def read_fres_blocks(blocks) -> FreeResolution:
 
     Each run's triplets are scattered into phi or psi as they come, the
     last triplet naming an entry setting it, and both matrices are
-    reduced mod p in place once the file is read.  Homogeneity is checked
-    on the triplets: the entry and line of each one that puts a value
-    nonzero mod p where the row grade is not below the column grade are
-    kept (none in a valid file), and the first such entry in row-major
-    order that is still nonzero at the end fails the file, at the line
-    of the last triplet that set it.  So beside the two matrices only
-    one run's text and rows are held, and no whole text.
+    reduced mod p in place once the file is read.  Then the first
+    nonzero entry of phi, and then of psi, in row-major order whose row
+    grade is not below its column grade (`_check_homogeneous`) fails the
+    file, at the line of the last triplet that names it, which a second
+    read finds (`_last_line`).  So beside the two matrices only one
+    run's text and rows are held, and no whole text, and a valid file
+    is read once.
     """
-    p, nx, ny, first, pieces = _fres_header(blocks)
-    grades, modules, matrices, flagged = [], [], [], []
+    p, nx, ny, first, pieces = _fres_header(blocks())
+    grades, modules, matrices = [], [], []
     for k, rows, lines, error in _fres_rows(pieces, first):
         if rows is None:  # block k opens
             if k == 3:
@@ -83,7 +89,6 @@ def read_fres_blocks(blocks) -> FreeResolution:
                 grades.append([])
             else:
                 matrices.append(np.zeros((len(modules[k - 3]), len(modules[k - 2])), dtype=np.int64))
-                flagged.append([])
         elif k < 3:
             x, y = rows.T
             bad = (x < 1) | (x > nx) | (y < 1) | (y > ny)
@@ -99,33 +104,51 @@ def read_fres_blocks(blocks) -> FreeResolution:
             # the last triplet of each entry in the run, first in the reversed run
             last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
             entries.reshape(-1)[flat[last]] = rows[last, 2]
-            inhomogeneous = (grades[k - 3][i] > grades[k - 2][j]).any(axis=1)
-            inhomogeneous &= rows[:, 2] % p != 0
-            if inhomogeneous.any():
-                flagged[k - 3].append((flat[inhomogeneous], lines[inhomogeneous]))
         if error is not None:
             raise error
 
-    gens, rels, relrels = modules
-    for entries in matrices:  # the reader's own arrays: reduced where they are
+    for k, entries in enumerate(matrices):  # the reader's own arrays: reduced where they are
         np.remainder(entries, p, out=entries)
+        _check_homogeneous(entries, grades[k], grades[k + 1], blocks, k + 3)
+    gens, rels, relrels = modules
     phi = GradedMatrix(gens, rels, matrices[0], p)
     psi = GradedMatrix(rels, relrels, matrices[1], p)
-    for name, gm, marks in (("phi", phi, flagged[0]), ("psi", psi, flagged[1])):
-        if not marks:
-            continue
-        flat = np.concatenate([f for f, _ in marks])
-        setter = np.concatenate([line for _, line in marks])
-        entry, last = np.unique(flat[::-1], return_index=True)  # the last mark of each entry
-        alive = np.flatnonzero(gm.entries.reshape(-1)[entry] != 0)
-        if alive.size:
-            i, j = divmod(int(entry[alive[0]]), len(gm.source))
-            (rx, ry), (cx, cy) = gm.target.grades[i], gm.source.grades[j]
-            raise FormatError(
-                f"line {setter[::-1][last[alive[0]]]}: {name} not homogeneous: entry ({i + 1},{j + 1}) nonzero but "
-                f"row grade ({rx + 1}, {ry + 1}) is not below column grade ({cx + 1}, {cy + 1})"
-            )
     return FreeResolution(gens, rels, relrels, phi, psi, nx, ny, p)
+
+
+def _check_homogeneous(entries, row_grades, col_grades, blocks, k: int) -> None:
+    """Raise the FormatError of the first nonzero entry of `entries`, the
+    matrix of block `_SECTIONS[k]`, in row-major order whose row grade
+    is not below its column grade, at the line `_last_line` finds.  The
+    entry is read off the nonzeros of bands of rows of about
+    `ioutil._BLOCK_CHARS` / 16 entries, so one band's work is held
+    (bands of `_BLOCK_CHARS` entries raised the peak RSS of `rank` on
+    the 50 x 50 benchmark presentation by 1.3 MB)."""
+    band = max(1, _BLOCK_CHARS // 16 // max(1, entries.shape[1]))
+    (rx, ry), (cx, cy) = row_grades.T, col_grades.T
+    for a in range(0, len(entries), band):
+        i, j = np.nonzero(entries[a : a + band])
+        i += a
+        bad = np.flatnonzero((rx[i] > cx[j]) | (ry[i] > cy[j]))
+        if bad.size:
+            i, j = int(i[bad[0]]), int(j[bad[0]])
+            raise FormatError(
+                f"line {_last_line(blocks(), k, i, j)}: {_SECTIONS[k]} not homogeneous: entry ({i + 1},{j + 1}) nonzero "
+                f"but row grade ({rx[i] + 1}, {ry[i] + 1}) is not below column grade ({cx[j] + 1}, {cy[j] + 1})"
+            )
+
+
+def _last_line(blocks, k: int, i: int, j: int) -> int:
+    """The line of the last triplet of the block of `_SECTIONS[k]` that
+    names entry (i, j), 0-based, read again off the runs `blocks` of a
+    file that has been read without error."""
+    *_, first, pieces = _fres_header(blocks)
+    hits = [
+        lines[(rows[:, 0] == i + 1) & (rows[:, 1] == j + 1)]
+        for section, rows, lines, _ in _fres_rows(pieces, first)
+        if section == k and rows is not None
+    ]
+    return int(np.concatenate(hits)[-1])
 
 
 def _first_bad(rows, lines, bad, why) -> None:
@@ -141,7 +164,7 @@ def _fres_header(blocks):
     the lines after it)."""
     blocks = iter(blocks)
     header, rest = [], None
-    for first_line, block, _ in blocks:
+    for first_line, block in blocks:
         for m in _LINE.finditer(block):
             header.append((first_line + block.count("\n", 0, m.start()), _BLANKS.split(m[1].strip(" \t\r"))))
             if len(header) == 4:
@@ -172,7 +195,7 @@ def _fres_header(blocks):
     if nx < 1 or ny < 1:
         raise FormatError(f"line {lineno}: grid extents must be positive")
     lineno, _ = take(3, "gens", 0)
-    return p, nx, ny, lineno, _pieces(itertools.chain([rest], ((first, block) for first, block, _ in blocks)))
+    return p, nx, ny, lineno, _pieces(itertools.chain([rest], blocks))
 
 
 def _pieces(runs):
@@ -199,12 +222,11 @@ def _fres_rows(pieces, first: int):
     (k, None, None, None) as the block of `_SECTIONS[k]` opens, and then
     (k, rows, lines, error) per run of its lines: their good rows and
     line numbers, up to the first malformed line, and a FormatError
-    naming that line (None before it).  The rows and lines are views
-    into one `ioutil.Scratch`, good until the next run.  A section line
+    naming that line (None before it); each run is parsed afresh by
+    `ioutil.block_rows`, so nothing is carried between runs.  A section line
     out of place, and a file that ends before the `psi` block, raise
     the FormatError that names it, once the rows before it are yielded.
     """
-    scratch = Scratch()
     k, last = 0, first  # the open block, and its last row's line or its section line
     yield k, None, None, None
     for line, text, m in pieces:
@@ -216,14 +238,10 @@ def _fres_rows(pieces, first: int):
             k, last = k + 1, line
             yield k, None, None, None
             continue
-        fields = "g_x g_y" if k < 3 else "row col value"
-        width = len(fields.split())
-        cap = row_capacity(len(text), text.count("\n"), width)
-        rows, lines = scratch.array("rows", width * cap).reshape(cap, width), scratch.array("lines", cap)
-        got, error = block_rows(text, fields, line, rows, lines, scratch)
-        yield k, rows[:got], lines[:got], error
-        if got:
-            last = int(lines[got - 1])
+        rows, lines, error = block_rows(text, "g_x g_y" if k < 3 else "row col value", line)
+        yield k, rows, lines, error
+        if len(lines):
+            last = int(lines[-1])
         if error is not None:
             return
     if k < 4:

@@ -373,7 +373,7 @@ class RankInvariant(PairTable):
         which reads the text's `ioutil.line_blocks`."""
         from .rank_reader import from_blocks, from_slabs  # compiled only where a .rank is read
 
-        inv = from_slabs(block.encode("utf-8", "surrogatepass") for _, block, _ in line_blocks(text))
+        inv = from_slabs(block.encode("utf-8", "surrogatepass") for _, block in line_blocks(text))
         return inv if inv is not None else from_blocks(lambda: line_blocks(text))
 
 

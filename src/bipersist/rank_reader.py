@@ -29,7 +29,7 @@ from .grid_module import (
     slab_runs,
     table_dtype,
 )
-from .ioutil import FormatError, InvariantError, Scratch, block_rows, row_capacity
+from .ioutil import FormatError, InvariantError, block_rows
 
 _RANK_HEADER = re.compile(rb"# rank invariant on grid ([1-9][0-9]*) x ([1-9][0-9]*) \(1-based coordinates\)\n")
 _RANK_DIGITS_MOST = 18  # the longest rank `from_slabs` reads; every such rank fits in int64
@@ -138,9 +138,8 @@ def from_blocks(blocks) -> RankInvariant:
     names the first bad line.
 
     `blocks()` returns a fresh iterable of (number of the run's first
-    line, run, newlines in the run), as `ioutil.line_blocks` yields
-    them; it is called once, and once more only to name the lines of a
-    repeated pair.
+    line, run), as `ioutil.line_blocks` yields them; it is called once,
+    and once more only to name the lines of a repeated pair.
 
     A line is bad when it is malformed, when its pair is not comparable
     or not 1-based, when its rank is negative, when it lies past the
@@ -190,14 +189,11 @@ def _rank_rows(blocks):
     """Parse .rank runs of whole lines; yields (rows, lines, error) per
     run: the run's good rows and their line numbers, up to the first
     bad line of the file, and a FormatError naming that line (None
-    before its run, which is the last one read).  The rows and lines
-    are views into one `ioutil.Scratch`, good until the next run."""
-    scratch = Scratch()
-    for first_line, block, newlines in blocks:
-        cap = row_capacity(len(block), newlines, 5)
-        rows, lines = scratch.array("rows", 5 * cap).reshape(cap, 5), scratch.array("lines", cap)
-        got, error = block_rows(block, _RANK_FIELDS, first_line, rows, lines, scratch)
-        n_ok, bad = _first_bad_rank_row(rows[:got], lines[:got])
+    before its run, which is the last one read).  Each run is parsed
+    afresh by `ioutil.block_rows`, so nothing is carried between runs."""
+    for first_line, block in blocks:
+        rows, lines, error = block_rows(block, _RANK_FIELDS, first_line)
+        n_ok, bad = _first_bad_rank_row(rows, lines)
         if bad is not None:  # a bad row comes before the run's malformed line
             error = bad
         yield rows[:n_ok], lines[:n_ok], error

@@ -38,7 +38,7 @@ import numpy as np
 
 from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map, homology_module
 from bipersist.grid_module import GridModule, RankInvariant, iter_points, rank_invariant_naive
-from bipersist.ioutil import InvariantError, Scratch, block_rows, line_blocks, row_capacity
+from bipersist.ioutil import InvariantError, block_rows, line_blocks
 from bipersist.linalg import ColumnReducer, check_modulus, inv_mod, matmul, rank, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.squares import SQUARE_LABELS, SquareInvariants
@@ -1074,21 +1074,22 @@ def iso_test(a: GridModule, b: GridModule, trials: int = 64, seed: int = 0):
 
 def int_rows(text: str, fields: str, first_line: int = 1):
     """`ioutil.block_rows` over a whole text whose first line is line
-    `first_line`, one `ioutil.line_blocks` run at a time, every run
-    writing its rows straight into one array allocated for as many rows
-    as the text can hold and all sharing one `Scratch`: (rows, lines,
-    error), the rows of the lines before the first malformed one, their
-    line numbers, and the FormatError naming that line or None.
+    `first_line`, one `ioutil.line_blocks` run at a time, each run's
+    rows copied into one array allocated for as many rows as the text
+    can hold (a row takes a line, and at least one character and one
+    separator per field): (rows, lines, error), the rows of the lines
+    before the first malformed one, their line numbers, and the
+    FormatError naming that line or None.
     """
     width = len(fields.split())
-    cap = row_capacity(len(text), text.count("\n"), width)
+    cap = min(text.count("\n") + 1, (len(text) + 1) // (2 * width))
     rows = np.empty((cap, width), dtype=np.int64)
     lines = np.empty(cap, dtype=np.int64)
     n = 0
-    scratch = Scratch()
-    for first, block, _ in line_blocks(text):
-        got, error = block_rows(block, fields, first + first_line - 1, rows[n:], lines[n:], scratch)
-        n += got
+    for first, block in line_blocks(text):
+        got, got_lines, error = block_rows(block, fields, first + first_line - 1)
+        rows[n : n + len(got)], lines[n : n + len(got)] = got, got_lines
+        n += len(got)
         if error is not None:
             return rows[:n], lines[:n], error
     return rows[:n], lines[:n], None

@@ -290,6 +290,47 @@ def test_fres_homogeneity_error_gives_the_files_grades():
     )
 
 
+def counted(blocks):
+    """`blocks` with a count of its calls."""
+
+    def again():
+        again.calls += 1
+        return blocks()
+
+    again.calls = 0
+    return again
+
+
+@pytest.mark.parametrize(
+    "last, err",
+    [
+        ("2 1 1", "line 10001: phi not homogeneous: entry (2,1)"),
+        ("2 1 0", None),
+    ],
+    ids=["set-again", "reset-to-zero"],
+)
+def test_fres_homogeneity_line_is_found_by_reading_the_file_again(last, err):
+    # phi's entry (2, 1) would feed a relation at (1, 1) from a generator
+    # at (2, 2); it is set nonzero at line 11, and set again at line
+    # 10001, about 30 blocks later.  Only a file that fails on
+    # homogeneity is read twice.
+    text = (
+        "resolution\nfield 2\ngrid 2 2\ngens\n1 1\n2 2\nrels\n1 1\nrelrels\nphi\n2 1 1\n"
+        + "1 1 1\n" * 9989
+        + f"{last}\npsi\n"
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "_BLOCK_CHARS", 2048)
+        blocks = counted(lambda: ioutil.line_blocks(text))
+        if err is None:
+            res = read_fres_blocks(blocks)
+            assert res.phi.entries.tolist() == [[1], [0]]
+        else:
+            with pytest.raises(FormatError, match=rf"^{re.escape(err)} nonzero"):
+                read_fres_blocks(blocks)
+    assert blocks.calls == (1 if err is None else 2)
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
@@ -369,12 +410,18 @@ def test_rank_from_text_peak_memory_is_the_table_and_a_key_per_row():
 
 
 def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
-    # the same 40 x 40 .rank: each block's rows go straight into the
-    # vector of ranks and the one-bool-per-pair repeat bitmap, so beside
-    # them only one block's text, rows and temporaries are held, whatever
-    # the number of rows (672,400 here; 2 bytes a row would break the
-    # bound), and no dense (nx, ny, nx, ny) table
-    text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
+    # the same 40 x 40 .rank, with a comment line after its header so
+    # that the layout reader refuses it and the general reader runs: each
+    # block's rows go straight into the vector of ranks and the
+    # one-bool-per-pair repeat bitmap, so beside them only one block's
+    # text, rows and temporaries are held, whatever the number of rows
+    # (672,400 here; 2 bytes a row would break the bound), and no dense
+    # (nx, ny, nx, ny) table
+    head, rest = rectangle_rank_invariant(
+        RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40
+    ).to_text().split("\n", 1)
+    text = f"{head}\n# not the writer's layout\n{rest}"
+    assert rank_reader.from_slabs([text.encode()]) is None
     tracemalloc.start()
     try:
         inv = RankInvariant.from_text(text)
@@ -440,9 +487,14 @@ def test_fres_block_reader_peak_memory_is_phi_and_one_block():
     text = big_fres_text(5, 30, 400, 400)
     assert len(text) > 5 * ioutil._BLOCK_CHARS
     fh = io.StringIO(text)
+
+    def blocks():
+        fh.seek(0)
+        return ioutil.file_blocks(fh)
+
     tracemalloc.start()
     try:
-        res = read_fres_blocks(ioutil.file_blocks(fh))
+        res = read_fres_blocks(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
