@@ -1,9 +1,15 @@
 """Command-line front end over the library pipelines.
 
+Every .bif, .gmod and .fres input, `validate`'s included, is read by
+`_read_input` as the kind its command names, and a command takes it
+through `_load`: a --field other than the file's field is refused, then
+the file's first problem.  A .rank is read from its bytes (`_read_rank`).
+
 Exit codes: 0 for success (and a "decomposable" verdict), 2 for a
 negative checker verdict (or `decompose-rectangles --strict` hitting
-negative multiplicities), 1 for any input or usage error.  All outputs
-are deterministic given the inputs and seeds.
+negative multiplicities), 1 for any input or usage error, an allocation
+the machine refuses included.  All outputs are deterministic given the
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -103,44 +109,39 @@ def _ext(path: str) -> str:
     return os.path.splitext(path)[1].lower()
 
 
-def _check_field(flag_p, file_p: int):
-    if flag_p is not None and flag_p != file_p:
-        raise CliError(
-            f"--field {flag_p} conflicts with the file's field {file_p}; "
-            "re-reduction is refused"
-        )
+def _read_input(path: str, kind: str):
+    """(data, problems) of the file at `path` read as a `kind` input,
+    ".bif", ".gmod" or ".fres", as the command names it: the reader's
+    object and what its `validate` finds.  A .fres has no problems: its
+    block reader (`_read_in_blocks`) enforces its rules as it reads.
+    Any other kind is refused once the file is read."""
+    if kind == ".fres":
+        from .fres import read_fres_blocks
+
+        return _read_in_blocks(path, read_fres_blocks), []
+    text = _read_file(path)
+    if kind == ".bif":
+        from .bifiltration import read_bif
+
+        data = read_bif(text)
+    elif kind == ".gmod":
+        from .gmod import read_gmod
+
+        data = read_gmod(text)
+    else:
+        raise CliError(f"cannot validate {kind or 'extensionless'} files")
+    return data, data.validate()
 
 
-def _load_bif(path: str, field):
-    from .bifiltration import read_bif
-
-    bif = read_bif(_read_file(path))
-    _check_field(field, bif.p)
-    problems = bif.validate()
+def _load(path: str, kind: str, field):
+    """The `kind` input at `path` (`_read_input`), refused on a --field
+    other than the file's field, and then on its first problem."""
+    data, problems = _read_input(path, kind)
+    if field is not None and field != data.p:
+        raise CliError(f"--field {field} conflicts with the file's field {data.p}; re-reduction is refused")
     if problems:
         raise CliError(f"{path}: {problems[0]}")
-    return bif
-
-
-def _load_gmod(path: str, field):
-    from .gmod import read_gmod
-
-    module = read_gmod(_read_file(path))
-    _check_field(field, module.p)
-    problems = module.validate()
-    if problems:
-        raise CliError(f"{path}: {problems[0]}")
-    return module
-
-
-def _load_fres(path: str, field):
-    """A .fres file, read one block at a time (`_read_in_blocks`), with
-    the errors of `read_fres` on its whole text."""
-    from .fres import read_fres_blocks
-
-    res = _read_in_blocks(path, read_fres_blocks)
-    _check_field(field, res.p)
-    return res
+    return data
 
 
 def _check_gmod_grid(nx: int, ny: int):
@@ -167,25 +168,10 @@ def _point_1based(raw: str, flag: str):
 
 
 def cmd_validate(args) -> int:
-    ext = _ext(args.file)
-    if ext == ".fres":
-        _load_fres(args.file, None)  # the reader enforces shapes and homogeneity
-        problems = []
-    else:
-        text = _read_file(args.file)
-        if ext == ".bif":
-            from .bifiltration import read_bif
-
-            problems = read_bif(text).validate()
-        elif ext == ".gmod":
-            from .gmod import read_gmod
-
-            problems = read_gmod(text).validate()
-        else:
-            raise CliError(f"cannot validate {ext or 'extensionless'} files")
+    _, problems = _read_input(args.file, _ext(args.file))
+    for problem in problems:
+        print(f"{args.file}: {problem}", file=sys.stderr)
     if problems:
-        for problem in problems:
-            print(f"{args.file}: {problem}", file=sys.stderr)
         return 1
     print("ok")
     return 0
@@ -197,7 +183,7 @@ def _rank_of_input(args):
     ext = _ext(args.infile)
     degree = args.degree
     if ext == ".bif":
-        bif = _load_bif(args.infile, args.field)
+        bif = _load(args.infile, ".bif", args.field)
         check_table_grid(bif.nx, bif.ny)  # refuse before building the presentation or the module
         if (args.method or "dp") == "dp":
             from .rank_dp import rank_from_resolution
@@ -212,13 +198,13 @@ def _rank_of_input(args):
     if ext == ".gmod":
         if args.method == "dp":
             raise CliError("--method dp needs a .bif or .fres input")
-        return rank_invariant_naive(_load_gmod(args.infile, args.field))
+        return rank_invariant_naive(_load(args.infile, ".gmod", args.field))
     if ext == ".fres":
         if args.method == "naive":
             raise CliError("--method naive needs a .bif or .gmod input")
         from .rank_dp import rank_from_resolution
 
-        return rank_from_resolution(_load_fres(args.infile, args.field))
+        return rank_from_resolution(_load(args.infile, ".fres", args.field))
     raise CliError(f"cannot compute ranks from {ext or 'extensionless'} files")
 
 
@@ -257,7 +243,7 @@ def cmd_check(args) -> int:
     ext = _ext(args.infile)
     method = args.method or "zigzag"
     if ext == ".bif":
-        bif = _load_bif(args.infile, args.field)
+        bif = _load(args.infile, ".bif", args.field)
         degree = args.degree or 0
         if method == "zigzag":
             ok, witness = check_bifiltration(bif, degree)
@@ -268,7 +254,7 @@ def cmd_check(args) -> int:
     elif ext == ".gmod":
         if args.degree is not None:
             raise CliError("--degree applies to .bif inputs only")
-        ok, witness = check_module(_load_gmod(args.infile, args.field), method)
+        ok, witness = check_module(_load(args.infile, ".gmod", args.field), method)
     else:
         raise CliError(f"cannot check {ext or 'extensionless'} files")
     print("decomposable" if ok else "not-decomposable")
@@ -285,7 +271,7 @@ def cmd_check(args) -> int:
 def cmd_zigzag(args) -> int:
     from .zigzag import col_zigzag_barcode, row_zigzag_barcode, write_zbar
 
-    bif = _load_bif(args.infile, args.field)
+    bif = _load(args.infile, ".bif", args.field)
     if (args.row is None) == (args.col is None):
         raise CliError("exactly one of --row and --col is required")
     if args.row is not None:
@@ -309,17 +295,11 @@ def cmd_examples(args) -> int:
         if args.n is None:
             raise CliError("indecgrid needs --n")
         _check_gmod_grid(args.n + 1, args.n + 1)
-        try:
-            module = indecgrid(args.n, p)
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        module = indecgrid(args.n, p)
     else:
         if args.n is not None:
             raise CliError("--n applies to indecgrid only")
-        try:
-            module = example(args.name, p)
-        except ValueError as e:
-            raise CliError(str(e)) from None
+        module = example(args.name, p)
     _write_output([write_gmod(module)], args.output)
     return 0
 
@@ -443,7 +423,7 @@ def main(argv=None) -> int:
         if getattr(args, "degree", None) is not None and args.degree < 0:
             raise CliError(f"--degree must be 0 or more, got {args.degree}")
         return args.func(args)
-    except (CliError, FormatError, ValueError) as e:
+    except (CliError, FormatError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

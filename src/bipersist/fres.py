@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 
-from .ioutil import _BLOCK_CHARS, FormatError, block_rows, line_blocks, parse_int
+from .ioutil import _BLOCK_CHARS, DENSE_BYTES_CAP, FormatError, block_rows, line_blocks, parse_int
 from .linalg import check_modulus
 from .resolution import FreeModule, FreeResolution, GradedMatrix
 
@@ -66,7 +66,9 @@ def read_fres_blocks(blocks) -> FreeResolution:
     triplet indices within the matrix.  A grade block ends at the next
     line that opens with a section name, a triplet block at the next
     `phi` or `psi` line, and the `psi` block must run to the end of the
-    file.
+    file.  Once the grade blocks are read, a file whose phi and psi
+    would need more than `ioutil.DENSE_BYTES_CAP` bytes is refused at
+    its `phi` line, before either is allocated.
 
     Each run's triplets are scattered into phi or psi as they come, the
     last triplet naming an entry setting it, and both matrices are
@@ -81,10 +83,15 @@ def read_fres_blocks(blocks) -> FreeResolution:
     p, nx, ny, first, pieces = _fres_header(blocks())
     grades, modules, matrices = [], [], []
     for k, rows, lines, error in _fres_rows(pieces, first):
-        if rows is None:  # block k opens
+        if rows is None:  # block k opens, at line `lines`
             if k == 3:
                 grades = [np.concatenate(block) if block else np.zeros((0, 2), dtype=np.int64) for block in grades]
                 modules = [FreeModule(block.tolist()) for block in grades]
+                need = 8 * len(modules[1]) * (len(modules[0]) + len(modules[2]))  # int64 phi and psi
+                if need > DENSE_BYTES_CAP:
+                    raise FormatError(
+                        f"line {lines}: phi and psi would need {need:,} bytes, past the {DENSE_BYTES_CAP:,}-byte cap"
+                    )
             if k < 3:
                 grades.append([])
             else:
@@ -219,16 +226,17 @@ def _pieces(runs):
 
 def _fres_rows(pieces, first: int):
     """Parse the `_pieces` after the `gens` line (line `first`): yields
-    (k, None, None, None) as the block of `_SECTIONS[k]` opens, and then
-    (k, rows, lines, error) per run of its lines: their good rows and
-    line numbers, up to the first malformed line, and a FormatError
-    naming that line (None before it); each run is parsed afresh by
-    `ioutil.block_rows`, so nothing is carried between runs.  A section line
-    out of place, and a file that ends before the `psi` block, raise
-    the FormatError that names it, once the rows before it are yielded.
+    (k, None, line, None) as the block of `_SECTIONS[k]` opens at its
+    section line `line`, and then (k, rows, lines, error) per run of its
+    lines: their good rows and line numbers, up to the first malformed
+    line, and a FormatError naming that line (None before it); each run
+    is parsed afresh by `ioutil.block_rows`, so nothing is carried
+    between runs.  A section line out of place, and a file that ends
+    before the `psi` block, raise the FormatError that names it, once
+    the rows before it are yielded.
     """
     k, last = 0, first  # the open block, and its last row's line or its section line
-    yield k, None, None, None
+    yield k, None, first, None
     for line, text, m in pieces:
         if m is not None and m[1] in _SECTIONS[3 if k >= 3 else 0 :]:
             if k == 4:
@@ -236,7 +244,7 @@ def _fres_rows(pieces, first: int):
             if (m[1], m[2].strip(" \t\r")) != (_SECTIONS[k + 1], ""):
                 raise FormatError(f"line {line}: expected '{_SECTIONS[k + 1]}'")
             k, last = k + 1, line
-            yield k, None, None, None
+            yield k, None, line, None
             continue
         rows, lines, error = block_rows(text, "g_x g_y" if k < 3 else "row col value", line)
         yield k, rows, lines, error

@@ -11,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .grid_module import DP_GRID_CAP, GridModule
-from .ioutil import FormatError, logical_lines, parse_int
+from .ioutil import DENSE_BYTES_CAP, FormatError, logical_lines, parse_int
 from .linalg import check_modulus
 
 # The naive rank and the explicit checkers build the d x d identity of
 # every .gmod space, which the file backs with at most d entries (none
 # for a space with no nonzero neighbour); the reader refuses files whose
 # identities, summed over all spaces, would need more bytes than this.
-GMOD_IDENTITY_BYTES_CAP = 1 << 28
+GMOD_IDENTITY_BYTES_CAP = DENSE_BYTES_CAP
 
 
 def dimension_problem(d: int, chars: int) -> str:

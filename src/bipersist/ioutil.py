@@ -53,6 +53,10 @@ def parse_int(tok: str, lineno: int, what: str) -> int:
     return value
 
 
+# The most bytes the dense arrays a file asks for may take: the
+# identities of a .gmod's spaces, and a .fres's phi and psi.
+DENSE_BYTES_CAP = 1 << 28
+
 _COMMENT = re.compile(r"#[^\n]*")
 # text parsed per vectorized pass: small enough that the pass's per-byte and
 # per-token temporaries stay in the CPU cache

@@ -29,11 +29,10 @@ from .grid_module import (
     slab_runs,
     table_dtype,
 )
-from .ioutil import FormatError, InvariantError, block_rows
+from .ioutil import _SAFE_DIGITS, FormatError, InvariantError, block_rows
 
 _RANK_HEADER = re.compile(rb"# rank invariant on grid ([1-9][0-9]*) x ([1-9][0-9]*) \(1-based coordinates\)\n")
-_RANK_DIGITS_MOST = 18  # the longest rank `from_slabs` reads; every such rank fits in int64
-_RANK_LINE_MOST = 2 * len("60 60 ") + _RANK_DIGITS_MOST + 1
+_RANK_LINE_MOST = 2 * len("60 60 ") + _SAFE_DIGITS + 1  # `from_slabs` reads ranks of up to 18 digits
 
 
 def from_slabs(chunks) -> Optional[RankInvariant]:
@@ -111,7 +110,7 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
                 return None
             start += sizes[at]
         digits = ends - start
-        if digits.min() < 1 or digits.max() > _RANK_DIGITS_MOST or np.any((data[start] == 48) & (digits > 1)):
+        if digits.min() < 1 or digits.max() > _SAFE_DIGITS or np.any((data[start] == 48) & (digits > 1)):
             return None  # an empty or long rank, or a leading zero
         value = np.subtract(data[: ends[-1]], 48)
         is_digit = value < 10

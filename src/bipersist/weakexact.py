@@ -31,10 +31,10 @@ presentation, runs the rank DP on it and reads the module off it with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bifiltration import Bifiltration
 from .grid_module import (
     GridModule,
     PairTable,
@@ -50,6 +50,9 @@ from .ioutil import InvariantError
 from .linalg import flag_step, pair_flags
 from .rank_dp import rank_from_resolution
 from .resolution import presentation, presented_module
+
+if TYPE_CHECKING:  # annotations only, so checking a .gmod compiles no bifiltration code
+    from .bifiltration import Bifiltration
 
 
 @dataclass

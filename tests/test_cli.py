@@ -442,10 +442,12 @@ def fres_command(tmp_path, capsys, command, data: bytes):
         (FRES_CRLF.replace("1 2 2", "1 2 2 2"), "line 17: expected 'row col value', got '1 2 2 2'"),
         (FRES_CRLF.replace("\r\nphi", "\r\n\tpsi"), "line 14: expected 'phi'"),
         (FRES_CRLF, None),
+        ("resolution\nfield 2\ngrid 0 3\ngens\nrels\nrelrels\nphi\npsi\n", "line 3: grid extents must be positive"),
     ],
     ids=[
         "malformed", "index", "set-twice", "set-twice-blocks-apart", "zeroed", "zeroed-many-times",
         "not-utf8-after-malformed", "not-utf8-after-section", "crlf-malformed", "crlf-section", "crlf-comments",
+        "empty-grid",
     ],
 )
 def test_fres_errors_name_the_same_line_read_in_blocks(tmp_path, capsys, monkeypatch, block, command, data, err):
@@ -465,6 +467,23 @@ def test_fres_errors_name_the_same_line_read_in_blocks(tmp_path, capsys, monkeyp
         crlf = (tmp_path / "out.rank").read_bytes()
         fres_command(tmp_path, capsys, "rank", FRES_PLAIN.encode())
         assert crlf == (tmp_path / "out.rank").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["rank", "validate"])
+@pytest.mark.parametrize("cap", [72, 71])
+def test_fres_whose_matrices_pass_the_cap_is_refused_at_its_phi_line(tmp_path, capsys, monkeypatch, command, cap):
+    # 2 generators, 3 relations and 1 relation on relations: phi and psi
+    # take 8 (2 x 3 + 3 x 1) = 72 bytes, counted once the grades are
+    # read and refused before either matrix is allocated
+    import bipersist.fres
+
+    monkeypatch.setattr(bipersist.fres, "DENSE_BYTES_CAP", cap)
+    data = "resolution\nfield 2\ngrid 2 2\ngens\n1 1\n1 1\nrels\n1 1\n2 2\n2 2\nrelrels\n2 2\nphi\npsi\n"
+    got = fres_command(tmp_path, capsys, command, data.encode())
+    if cap == 72:
+        assert got == (0, "ok\n" if command == "validate" else "", "")
+    else:
+        assert got == (1, "", "error: line 13: phi and psi would need 72 bytes, past the 71-byte cap\n")
 
 
 def test_decompose_names_both_lines_of_a_repeat_blocks_apart(tmp_path, capsys):
@@ -612,6 +631,55 @@ def test_random_rect_is_deterministic(tmp_path, capsys):
     assert main(["random-rect", "0", "4", "3", "-o", a]) == 1
 
 
+# inputs of the refusals below; tri.bif is the triangle
+REFUSED_INPUTS = {
+    "x.gmod": write_gmod(example("ex2")),
+    "x.fres": "resolution\nfield 2\ngrid 1 1\ngens\n1 1\nrels\nrelrels\nphi\npsi\n",
+    "field23.bif": "bifiltration\nfield 2 3\n1 1 ; 0\n",
+    "bad.bif": "bifiltration\nfield 2\n1 1 ; 0 1\n",  # the vertices of the edge are missing
+}
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["check-rectangle", "x.gmod", "--degree", "1"], "--degree applies to .bif inputs only"),
+        (["check-rectangle", "x.fres"], "cannot check .fres files"),
+        (["zigzag-barcode", "tri.bif", "--row", "a,b"], "--row expects integers, got 'a,b'"),
+        (["validate", "field23.bif"], "line 2: expected 'field p'"),
+        (["validate", "x.txt"], "[Errno 2] No such file or directory: 'x.txt'"),
+        (["rank", "bad.bif", "--field", "7"], "--field 7 conflicts with the file's field 2; re-reduction is refused"),
+        (["zigzag-barcode", "x.gmod", "--row", "1,1"], "line 1: expected 'bifiltration' header"),
+    ],
+    ids=["gmod-degree", "check-fres", "row-not-integers", "bif-field-line", "validate-absent-txt", "field-first",
+         "zigzag-gmod"],
+)
+def test_refusals_name_the_first_problem(tmp_path, capsys, monkeypatch, args, err):
+    # an absent file of an unknown kind reports the OS error, a --field
+    # conflict comes before the file's own problems, and the zigzag reads
+    # any file as a .bif
+    monkeypatch.chdir(tmp_path)
+    write_triangle(tmp_path)
+    for name, text in REFUSED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_an_allocation_the_machine_refuses_is_an_error(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError states the bytes it could not get
+    import bipersist.resolution
+
+    message = "Unable to allocate 6.71 GiB for an array with shape (30000, 30000) and data type int64"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(bipersist.resolution, "presentation", refuse)
+    assert main(["rank", write_triangle(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ("rank", "decompose-rectangles", "check-rectangle", "zigzag-barcode"))
 def test_negative_degree_is_a_usage_error(tmp_path, capsys, command):
     bif = write_triangle(tmp_path)
@@ -745,6 +813,11 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
         "bipersist.bifiltration", "bipersist.zigzag",
     }
+
+
+def test_the_check_of_a_gmod_compiles_no_bifiltration_code(tmp_path):
+    (tmp_path / "m.gmod").write_text(write_gmod(example("ex2")))
+    assert "bipersist.bifiltration" not in loaded_modules(["check-rectangle", "m.gmod"], tmp_path)
 
 
 def test_the_package_binds_its_public_names_on_first_use():

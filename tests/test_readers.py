@@ -337,8 +337,9 @@ def test_fres_homogeneity_line_is_found_by_reading_the_file_again(last, err):
         ("gridmodule\nfield 2\ngrid 2 100000\n", 3, f"grid 2x100000 exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap"),
         ("gridmodule\nfield 2\ngrid 1 1\ndim 1 1 1000\n", 4, "dimension 1000 exceeds the file's 41 characters"),
         ("gridmodule\nfield 2\ngrid 2 1\ndim 1 1 1\n\ndim 2 1 1\n", 6, r"missing hmap between nonzero spaces at \(1,1\)"),
+        ("gridmodule\nfield 2\ngrid 1 2\ndim 1 2 1\n\ndim 1 1 1\n", 6, r"missing vmap between nonzero spaces at \(1,1\)"),
     ],
-    ids=["grid-past-cap", "dim-past-file", "missing-map"],
+    ids=["grid-past-cap", "dim-past-file", "missing-map", "missing-vmap"],
 )
 def test_gmod_reader_refuses_sizes_the_file_cannot_back(text, line, message):
     with pytest.raises(FormatError, match=rf"^line {line}: {message}"):
@@ -393,20 +394,27 @@ def test_int_rows_peak_memory_is_its_rows_and_one_block():
     assert peak <= 1.25 * (rows.nbytes + lines.nbytes) + ioutil._BLOCK_CHARS
 
 
-def test_rank_from_text_peak_memory_is_the_table_and_a_key_per_row():
-    # the same 40 x 40 .rank: beside the vector of ranks, a row keeps its
-    # packed pair and its rank (12 bytes) and the repeat check one bool
-    # per pair; one block's temporaries fit in the rest
+def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_block():
+    # the writer's text of the same 40 x 40 .rank goes to the layout
+    # reader one `line_blocks` run at a time, so the tokenizer never runs
+    # and the 8.8 MB text is never encoded whole: beside the vector, one
+    # run's bytes and per-line arrays, as `from_slabs` holds on byte
+    # chunks, and one block of text with its encoding
     text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
-    tracemalloc.start()
-    try:
-        inv = RankInvariant.from_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    n = (40 * 41 // 2) ** 2
-    assert inv.values.size == n
-    assert peak <= inv.values.nbytes + 16 * n + n + 8 * ioutil._BLOCK_CHARS
+
+    def tokenizer(*args):
+        raise AssertionError("the general .rank reader ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank_reader, "block_rows", tokenizer)
+        tracemalloc.start()
+        try:
+            inv = RankInvariant.from_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert inv.values.size == (40 * 41 // 2) ** 2
+    assert peak <= inv.values.nbytes + (24 + 2) * ioutil._BLOCK_CHARS
 
 
 def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():

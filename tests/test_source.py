@@ -113,11 +113,12 @@ def test_package_defines_no_subspace_helper():
     # no cached list of block starts for reads one pair at a time.
     # The block readers allocate each block's work afresh: work arrays
     # kept from block to block measured no faster, so they come back
-    # only with a measurement that shows they pay.
+    # only with a measurement that shows they pay.  The CLI loads every
+    # input through one loader, so a loader per format does not return.
     banned = {
         "Subspace", "asmatrix", "kernel_basis", "extend_basis", "composite", "_composites", "rref", "_reduced_rows",
         "validate_resolution", "evaluate", "pair_at", "slab_sources", "direct_sum", "_block_diag", "_starts",
-        "Scratch", "row_capacity",
+        "Scratch", "row_capacity", "_load_bif", "_load_gmod", "_load_fres",
     }
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -129,6 +130,29 @@ def test_package_defines_no_subspace_helper():
                 names = [getattr(n, "id", getattr(n, "attr", None)) for t in targets for n in ast.walk(t)]
                 found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
     assert found == []
+
+
+def test_the_cli_names_the_input_readers_only_in_read_input():
+    # `validate` and every command read a .bif, .gmod or .fres through
+    # `cli._read_input`, which also finds the file's problems; a reader
+    # named anywhere else in the CLI would be a loader of its own
+    readers = {"read_bif", "read_gmod", "read_fres_blocks"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    inside = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_read_input"
+        for sub in ast.walk(node)
+    }
+    named, outside = set(), []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in readers:
+            if id(node) in inside:
+                named.add(name)
+            else:
+                outside.append(f"cli.py:{node.lineno} {name}")
+    assert named == readers and outside == []
 
 
 ALLOCATORS = {"zeros", "empty", "ones", "full"}
