@@ -3,11 +3,11 @@
 Parsing and validation, graded subcomplexes, and graded homology by
 brute force: `homology_basis` and `homology_map` at single points,
 which the `zigzag-barcode` subcommand solves along its path, and
-`homology_module` over the whole grid, which `rank --method naive` and
-`check-rectangle --method algebraic|geometric` take for a `.bif` and
-the tests take as the oracle of the presentation route.  Each point's
-cycles and representatives come from `linalg.ColumnReducer`, as the
-graded kernel basis of `resolution` does: no dense kernel is solved.
+`homology_module` over the whole grid, the tests' and the benchmark's
+oracle of the presentation that every other .bif command reads the
+module off.  Each point's cycles and representatives come from
+`linalg.ColumnReducer`, as the graded kernel basis of `resolution`
+does: no dense kernel is solved.
 """
 
 from __future__ import annotations

@@ -144,15 +144,6 @@ def _load(path: str, kind: str, field):
     return data
 
 
-def _check_gmod_grid(nx: int, ny: int):
-    """Refuse a .gmod grid that read_gmod would refuse, before a module
-    is built; `cmd_random_rect` also applies the reader's size rules."""
-    from .grid_module import DP_GRID_CAP
-
-    if max(nx, ny) > DP_GRID_CAP:
-        raise CliError(f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of .gmod files")
-
-
 def _point_1based(raw: str, flag: str):
     parts = raw.split(",")
     if len(parts) != 2:
@@ -177,39 +168,37 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _rank_of_input(args):
-    from .grid_module import check_table_grid, rank_invariant_naive
+def _rank_of_input(args, layout: bool = False):
+    """The input's rank invariant; with `layout`, a grid that the .rank
+    layout cannot hold is refused before any algebra."""
+    from .grid_module import check_rank_layout, rank_invariant_naive
 
     ext = _ext(args.infile)
-    degree = args.degree
-    if ext == ".bif":
-        bif = _load(args.infile, ".bif", args.field)
-        check_table_grid(bif.nx, bif.ny)  # refuse before building the presentation or the module
-        if (args.method or "dp") == "dp":
-            from .rank_dp import rank_from_resolution
-            from .resolution import presentation
-
-            return rank_from_resolution(presentation(bif, degree or 0))
-        from .bifiltration import homology_module
-
-        return rank_invariant_naive(homology_module(bif, degree or 0))
-    if degree is not None:
+    if ext != ".bif" and args.degree is not None:
         raise CliError("--degree applies to .bif inputs only")
+    if ext not in (".bif", ".gmod", ".fres"):
+        raise CliError(f"cannot compute ranks from {ext or 'extensionless'} files")
+    if ext == ".gmod" and args.method == "dp":
+        raise CliError("--method dp needs a .bif or .fres input")
+    if ext == ".fres" and args.method == "naive":
+        raise CliError("--method naive needs a .bif or .gmod input")
+    data = _load(args.infile, ext, args.field)
+    if layout:
+        check_rank_layout(data.nx, data.ny)
     if ext == ".gmod":
-        if args.method == "dp":
-            raise CliError("--method dp needs a .bif or .fres input")
-        return rank_invariant_naive(_load(args.infile, ".gmod", args.field))
-    if ext == ".fres":
-        if args.method == "naive":
-            raise CliError("--method naive needs a .bif or .gmod input")
-        from .rank_dp import rank_from_resolution
+        return rank_invariant_naive(data)
+    from .rank_dp import rank_from_resolution
 
-        return rank_from_resolution(_load(args.infile, ".fres", args.field))
-    raise CliError(f"cannot compute ranks from {ext or 'extensionless'} files")
+    if ext == ".fres":
+        return rank_from_resolution(data)
+    from .resolution import presentation, presented_module  # naive takes the explicit matrices of the module presented
+
+    pres = presentation(data, args.degree or 0)
+    return rank_from_resolution(pres) if (args.method or "dp") == "dp" else rank_invariant_naive(presented_module(pres))
 
 
 def cmd_rank(args) -> int:
-    _write_output(_rank_of_input(args).text_slabs(), args.output)
+    _write_output(_rank_of_input(args, layout=True).text_slabs(), args.output)
     return 0
 
 
@@ -248,9 +237,9 @@ def cmd_check(args) -> int:
         if method == "zigzag":
             ok, witness = check_bifiltration(bif, degree)
         else:
-            from .bifiltration import homology_module
+            from .resolution import presentation, presented_module
 
-            ok, witness = check_module(homology_module(bif, degree), method)
+            ok, witness = check_module(presented_module(presentation(bif, degree)), method)
     elif ext == ".gmod":
         if args.degree is not None:
             raise CliError("--degree applies to .bif inputs only")
@@ -294,8 +283,7 @@ def cmd_examples(args) -> int:
     if args.name == "indecgrid":
         if args.n is None:
             raise CliError("indecgrid needs --n")
-        _check_gmod_grid(args.n + 1, args.n + 1)
-        module = indecgrid(args.n, p)
+        module = indecgrid(args.n, p)  # refuses a module the reader would refuse
     else:
         if args.n is not None:
             raise CliError("--n applies to indecgrid only")
@@ -311,9 +299,8 @@ def cmd_random_rect(args) -> int:
 
     if args.n < 1 or args.m < 1 or args.count < 1:
         raise CliError("grid extents and summand count must be positive")
-    _check_gmod_grid(args.n, args.m)
     p = args.field if args.field is not None else 2
-    module, truth = random_rectangle_module(args.n, args.m, args.count, args.seed, p)  # refuses the identities
+    module, truth = random_rectangle_module(args.n, args.m, args.count, args.seed, p)  # refuses what the reader would
     text = write_gmod(module)
     if problem := dimension_problem(int(module.dims.max()), len(text)):
         raise CliError(problem)
@@ -369,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose-rectangles", help="rectangle barcode of a rank invariant")
     p.add_argument("infile", help=".rank, .bif, .gmod, or .fres input")
     p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
-    p.add_argument("--method", choices=["dp", "naive"], help="rank method for .bif inputs")
+    p.add_argument("--method", choices=["dp", "naive"], help="rank method for .bif inputs, as for rank")
     p.add_argument("--strict", action="store_true", help="exit 2 on negative multiplicities")
     p.add_argument("-o", "--output", metavar="out.barcode", help="output path (default stdout)")
     add_field(p)
@@ -381,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=["zigzag", "algebraic", "geometric"],
         help="zigzag (default): the rank invariant against the kappa/iota tables, one pairing per grid point, "
         "both from one presentation for a .bif; algebraic or geometric: the explicit checkers, on ranks of the "
-        "maps of each comparable pair's square, on the homology module for a .bif",
+        "maps of each comparable pair's square, on the module its presentation presents for a .bif",
     )
     p.add_argument("--degree", type=int, metavar="q", help="homology degree (.bif only, default 0)")
     add_field(p)

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from .gmod import identities_problem
+from .gmod import check_module_bytes
 from .grid_module import GridModule
 
 
@@ -31,6 +31,7 @@ def indecgrid(n: int, p: int = 2) -> GridModule:
     if n < 2:
         raise ValueError("n must be at least 2")
     size = n + 1
+    check_module_bytes(size, size)
     dims = np.zeros((size, size), dtype=np.int64)
     for x in range(size):
         for y in range(size):
@@ -38,6 +39,7 @@ def indecgrid(n: int, p: int = 2) -> GridModule:
                 dims[x, y] = n
             elif x + y == n:
                 dims[x, y] = 1
+    check_module_bytes(size, size, n, 8 * int((dims * dims).sum()))
     hmaps, vmaps = {}, {}
     eye = np.eye(n, dtype=np.int64)
 
@@ -75,10 +77,11 @@ def random_rectangle_module(nx: int, ny: int, max_summands: int, seed: int, p: i
     The sum is built in one pass: the basis at each point is the
     summands that contain it (`at`), in draw order, and each edge map is
     the 0/1 matrix that keeps the summands its target shares with its
-    source: the block-diagonal sum, entry for entry.  A sum whose
-    identities `read_gmod` would refuse is refused, with the reader's
-    reason, before any map is built.
+    source: the block-diagonal sum, entry for entry.  A sum that
+    `read_gmod` would refuse for its size is refused, in the reader's
+    words, before any map is built (its grid before any draw).
     """
+    check_module_bytes(nx, ny)
     rng = random.Random(seed)
     rects = []
     for _ in range(rng.randint(1, max_summands)):
@@ -94,8 +97,7 @@ def random_rectangle_module(nx: int, ny: int, max_summands: int, seed: int, p: i
     for x, y, sign in ((sx, sy, 1), (tx + 1, sy, -1), (sx, ty + 1, -1), (tx + 1, ty + 1, 1)):
         np.add.at(dims, (x, y), sign)
     dims = dims.cumsum(0).cumsum(1)[:nx, :ny]
-    if problem := identities_problem(8 * int((dims * dims).sum())):
-        raise ValueError(problem)
+    check_module_bytes(nx, ny, int(dims.max()), 8 * int((dims * dims).sum()))
     at = [[np.flatnonzero((sx <= x) & (x <= tx) & (sy <= y) & (y <= ty)) for y in range(ny)] for x in range(nx)]
     hmaps = {(x, y): at[x + 1][y][:, None] == at[x][y] for x in range(nx - 1) for y in range(ny)}
     vmaps = {(x, y): at[x][y + 1][:, None] == at[x][y] for x in range(nx) for y in range(ny - 1)}

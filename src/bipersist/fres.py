@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 
-from .ioutil import _BLOCK_CHARS, DENSE_BYTES_CAP, FormatError, block_rows, line_blocks, parse_int
+from .ioutil import _BLOCK_CHARS, FormatError, block_rows, check_bytes, line_blocks, parse_int
 from .linalg import check_modulus
 from .resolution import FreeModule, FreeResolution, GradedMatrix
 
@@ -67,8 +67,8 @@ def read_fres_blocks(blocks) -> FreeResolution:
     line that opens with a section name, a triplet block at the next
     `phi` or `psi` line, and the `psi` block must run to the end of the
     file.  Once the grade blocks are read, a file whose phi and psi
-    would need more than `ioutil.DENSE_BYTES_CAP` bytes is refused at
-    its `phi` line, before either is allocated.
+    would need more bytes than the cap is refused at its `phi` line
+    (`ioutil.check_bytes`), before either is allocated.
 
     Each run's triplets are scattered into phi or psi as they come, the
     last triplet naming an entry setting it, and both matrices are
@@ -87,11 +87,7 @@ def read_fres_blocks(blocks) -> FreeResolution:
             if k == 3:
                 grades = [np.concatenate(block) if block else np.zeros((0, 2), dtype=np.int64) for block in grades]
                 modules = [FreeModule(block.tolist()) for block in grades]
-                need = 8 * len(modules[1]) * (len(modules[0]) + len(modules[2]))  # int64 phi and psi
-                if need > DENSE_BYTES_CAP:
-                    raise FormatError(
-                        f"line {lines}: phi and psi would need {need:,} bytes, past the {DENSE_BYTES_CAP:,}-byte cap"
-                    )
+                check_bytes(8 * len(modules[1]) * (len(modules[0]) + len(modules[2])), "phi and psi", lines)  # int64
             if k < 3:
                 grades.append([])
             else:

@@ -4,21 +4,19 @@ A header `gridmodule`, a `field p` line and a `grid n m` line, then a
 `dim x y d` line per nonzero space and, after an `hmap x y` or
 `vmap x y` line, the rows of each map between nonzero spaces; points
 are 1-based.  The reader names the first bad line in a FormatError.
+Every .gmod command builds the naive rank's table and the d x d
+identity of each space; `check_module_bytes` refuses them past the cap
+at the `grid` or `dim` line that crosses it, and before the `examples`
+and `random-rect` constructions build such a module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import DP_GRID_CAP, GridModule
-from .ioutil import DENSE_BYTES_CAP, FormatError, logical_lines, parse_int
+from .grid_module import GridModule, table_bytes
+from .ioutil import FormatError, check_bytes, logical_lines, parse_int
 from .linalg import check_modulus
-
-# The naive rank and the explicit checkers build the d x d identity of
-# every .gmod space, which the file backs with at most d entries (none
-# for a space with no nonzero neighbour); the reader refuses files whose
-# identities, summed over all spaces, would need more bytes than this.
-GMOD_IDENTITY_BYTES_CAP = DENSE_BYTES_CAP
 
 
 def dimension_problem(d: int, chars: int) -> str:
@@ -27,11 +25,12 @@ def dimension_problem(d: int, chars: int) -> str:
     return f"dimension {d} exceeds the file's {chars} characters" if d > chars else ""
 
 
-def identities_problem(identities: int) -> str:
-    """Why the reader refuses spaces whose identities need `identities`
-    bytes (8 d^2 each), or ""."""
-    cap = GMOD_IDENTITY_BYTES_CAP
-    return f"identities of the spaces would need {identities:,} bytes, past the {cap:,}-byte cap" if identities > cap else ""
+def check_module_bytes(nx: int, ny: int, largest: int = 0, identities: int = 0, line=None) -> None:
+    """Refuse a module whose rank table, at the type of its largest
+    dimension, and identities, 8 d^2 bytes a space, which a file backs
+    with at most d entries (none without a nonzero neighbour), pass the cap."""
+    what = f"the rank table of the {nx}x{ny} grid and the identities of its spaces"
+    check_bytes(table_bytes(nx, ny, 1, largest) + identities, what, line)
 
 
 def write_gmod(module: GridModule) -> str:
@@ -63,7 +62,7 @@ def read_gmod(text: str) -> GridModule:
     dim_lines = {}
     hmaps, vmaps = {}, {}
     seen = set()
-    identities = 0
+    largest = identities = 0
 
     def need(cond, lineno, msg):
         if not cond:
@@ -87,8 +86,7 @@ def read_gmod(text: str) -> GridModule:
             need(len(toks) == 3, lineno, "expected 'grid n m'")
             nx, ny = parse_int(toks[1], lineno, "extent"), parse_int(toks[2], lineno, "extent")
             need(nx >= 1 and ny >= 1, lineno, "grid extents must be positive")
-            need(max(nx, ny) <= DP_GRID_CAP, lineno,
-                 f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap")
+            check_module_bytes(nx, ny, line=lineno)
             i += 1
         elif key == "dim":
             need(nx is not None, lineno, "dim before grid line")
@@ -97,9 +95,10 @@ def read_gmod(text: str) -> GridModule:
             need(1 <= x <= nx and 1 <= y <= ny, lineno, f"point ({x},{y}) outside grid")
             need((x, y) not in dims, lineno, f"duplicate dim for ({x},{y})")
             need(d >= 0, lineno, "negative dimension")
-            identities += 8 * d * d
-            problem = dimension_problem(d, len(text)) or identities_problem(identities)
+            problem = dimension_problem(d, len(text))
             need(not problem, lineno, problem)
+            largest, identities = max(largest, d), identities + 8 * d * d
+            check_module_bytes(nx, ny, largest, identities, lineno)
             dims[(x, y)] = d
             dim_lines[(x - 1, y - 1)] = lineno
             i += 1

@@ -20,15 +20,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .ioutil import line_blocks
+from .ioutil import check_bytes, line_blocks
 from .linalg import check_modulus, matmul, rank
 
-# The rank invariant and the kappa/iota tables hold one entry per
-# comparable pair, 2 bytes each when every entry fits in int16 and 4
-# when it fits in int32 (`table_dtype`): (nx(nx+1)/2)(ny(ny+1)/2)
-# entries, 6.7 or 13.4 MB per table at this extent.  The .rank labels
-# "x y " fit in 8 bytes only below 100.
-DP_GRID_CAP = 60
+# The .rank labels "x y " fit in 8 bytes only below 100; the tables
+# are bounded by their bytes (`check_tables`), not by the extent.
+RANK_EXTENT_MAX = 99
 
 INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
@@ -39,22 +36,24 @@ INT32_MAX = 2**31 - 1
 RUN_PAIRS = 1 << 14
 
 
-class GridTooLargeError(ValueError):
-    """A grid past DP_GRID_CAP, where the rank and kappa/iota tables are refused."""
+def check_rank_layout(nx: int, ny: int) -> None:
+    """Refuse a grid that the .rank layout cannot hold."""
+    if max(nx, ny) > RANK_EXTENT_MAX:
+        raise ValueError(f"grid {nx}x{ny} exceeds the {RANK_EXTENT_MAX}x{RANK_EXTENT_MAX} extent of the .rank layout")
 
 
-def check_table_grid(nx: int, ny: int, tables: int = 1) -> None:
-    """Refuse to allocate `tables` tables on the comparable pairs of a
-    grid past the cap, naming the bytes they would need at 4 bytes an
-    entry: the int32 width, an upper bound for every table whose
-    producer's bound fits in int32 (an int16 table takes half)."""
-    if max(nx, ny) > DP_GRID_CAP:
-        need = tables * 4 * pair_count(nx, ny)
-        raise GridTooLargeError(
-            f"grid {nx}x{ny} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the rank and "
-            f"kappa/iota tables ({tables} table(s) of 4-byte entries on the comparable pairs "
-            f"would need {need:,} bytes)"
-        )
+def table_bytes(nx: int, ny: int, tables: int, bound: int) -> int:
+    """The bytes their producer allocates for `tables` tables on the
+    comparable pairs of the nx x ny grid with entries in [0, bound]."""
+    return tables * pair_count(nx, ny) * np.dtype(table_dtype(bound)).itemsize
+
+
+def check_tables(nx: int, ny: int, tables: int, bound: int, line: Optional[int] = None, work: int = 0) -> None:
+    """Refuse `tables` tables, with `work` bytes of their producer's work
+    arrays, past the byte cap before they are allocated; `line` names
+    the line of a file that asks for them."""
+    what = f"{tables} table(s) on the comparable pairs of the {nx}x{ny} grid"
+    check_bytes(table_bytes(nx, ny, tables, bound) + work, what + (f" and {work:,} bytes of work" if work else ""), line)
 
 
 def table_dtype(bound: int) -> type:
@@ -313,7 +312,7 @@ class RankInvariant(PairTable):
 
     def __init__(self, nx: int, ny: int, values: Optional[np.ndarray] = None):
         if values is None:
-            check_table_grid(nx, ny)
+            check_tables(nx, ny, 1, np.iinfo(np.int64).max)
             values = np.zeros(pair_count(nx, ny), dtype=table_dtype(np.iinfo(np.int64).max))
         super().__init__(nx, ny, values)
 
@@ -338,7 +337,7 @@ class RankInvariant(PairTable):
         newline.  One `bytes.translate` deletes the NULs.
         """
         nx, ny = self.nx, self.ny
-        check_table_grid(nx, ny)  # below 100 a label "x y " fits in 8 bytes
+        check_rank_layout(nx, ny)
         if self.values.min(initial=0) < 0:
             raise ValueError("rank invariant has a negative entry")
         labels = rank_labels(nx, ny)[0]
@@ -387,7 +386,7 @@ def rank_invariant_naive(module: GridModule) -> RankInvariant:
     entry type.
     """
     nx, ny, p = module.nx, module.ny, module.p
-    check_table_grid(nx, ny)
+    check_tables(nx, ny, 1, int(module.dims.max()))
     inv = RankInvariant(nx, ny, np.zeros(pair_count(nx, ny), dtype=table_dtype(int(module.dims.max()))))
     for sx, sy in iter_points(nx, ny):
         block = inv.block((sx, sy))

@@ -4,6 +4,7 @@ package's exception classes."""
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 import numpy as np
 
@@ -53,9 +54,22 @@ def parse_int(tok: str, lineno: int, what: str) -> int:
     return value
 
 
-# The most bytes the dense arrays a file asks for may take: the
-# identities of a .gmod's spaces, and a .fres's phi and psi.
-DENSE_BYTES_CAP = 1 << 28
+# The most bytes an input's largest allocations may take: its tables on
+# the comparable pairs and the dense matrices of its route.
+BYTES_CAP = 1 << 28
+
+
+class TooLargeError(ValueError):
+    """An input whose allocations `check_bytes` refuses."""
+
+
+def check_bytes(need: int, what: str, line: Optional[int] = None) -> None:
+    """Every size refusal of the package, made before the allocation:
+    `need` bytes for `what` past `BYTES_CAP` raise a TooLargeError naming
+    both, or a FormatError "line N: " it for the file line that asks."""
+    if need > BYTES_CAP:
+        text = f"{what} would need {need:,} bytes, past the {BYTES_CAP:,}-byte cap"
+        raise TooLargeError(text) if line is None else FormatError(f"line {line}: {text}")
 
 _COMMENT = re.compile(r"#[^\n]*")
 # text parsed per vectorized pass: small enough that the pass's per-byte and

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_module import RankInvariant, check_table_grid, pair_count, table_dtype
+from .grid_module import RankInvariant, check_tables, pair_count, table_dtype
 from .ioutil import InvariantError
 from .linalg import ColumnReducer, pair_counts
 from .resolution import Presentation
@@ -74,8 +74,10 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     (nx, nx, ny) pair counts and the reducer's columns.
     """
     nx, ny, p = res.nx, res.ny, res.p
-    check_table_grid(nx, ny)
-    dtype = table_dtype(len(res.gens.grades))
+    dtype = table_dtype(len(res.gens))
+    # the pair counts of every t_y, and one `pair_counts`' int64 histogram
+    # and its two cumulative sums: past the table itself on thin grids
+    check_tables(nx, ny, 1, len(res.gens), work=nx * nx * (ny * np.dtype(dtype).itemsize + 24))
     inv = RankInvariant(nx, ny, np.zeros(pair_count(nx, ny), dtype=dtype))
     counts = _gen_count_table(res, dtype)
     gg = np.array(res.gens.grades, dtype=np.int64).reshape(-1, 2)

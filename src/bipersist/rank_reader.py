@@ -15,11 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .grid_module import (
-    DP_GRID_CAP,
-    GridTooLargeError,
+    RANK_EXTENT_MAX,
     PairTable,
     RankInvariant,
-    check_table_grid,
+    check_tables,
     iter_points,
     pair_count,
     pair_index,
@@ -32,7 +31,16 @@ from .grid_module import (
 from .ioutil import _SAFE_DIGITS, FormatError, InvariantError, block_rows
 
 _RANK_HEADER = re.compile(rb"# rank invariant on grid ([1-9][0-9]*) x ([1-9][0-9]*) \(1-based coordinates\)\n")
-_RANK_LINE_MOST = 2 * len("60 60 ") + _SAFE_DIGITS + 1  # `from_slabs` reads ranks of up to 18 digits
+_RANK_LINE_MOST = 2 * len("99 99 ") + _SAFE_DIGITS + 1  # `from_slabs` reads ranks of up to 18 digits
+
+
+def _table_refusal(nx: int, ny: int, rank: int, line: Optional[int] = None):
+    """`check_tables`' error for the rank table of the nx x ny grid that
+    holds `rank` (naming `line` when given), or None when it fits."""
+    try:
+        check_tables(nx, ny, 1, rank, line)
+    except ValueError as e:
+        return e
 
 
 def from_slabs(chunks) -> Optional[RankInvariant]:
@@ -43,7 +51,7 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
     digits, and reads them without tokenizing: any other file, valid or
     not, is left to `from_blocks`.
 
-    The header's grid, 1 x 1 to 60 x 60, fixes every line but its rank:
+    The header's grid, 1 x 1 to 99 x 99, fixes every line but its rank:
     `slab_runs` cuts each s_x slab into the runs of lines the writer
     makes, and `slab_points` gives each run's pairs and labels in the
     writer's order, which is the order of the run's range in the
@@ -57,8 +65,10 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
     0.  The file must end at the last LF.  The ranks of a run are
     written to its range in one copy.  The entry type is `from_blocks`':
     int16, widened to int32 or int64 when a rank passes the current
-    type (`table_dtype`).  Beside the vector only one run's bytes and
-    its per-line arrays are held.
+    type (`table_dtype`).  A grid whose int64 table would pass the byte
+    cap is left to `from_blocks`, which names the line that crosses it.
+    Beside the vector only one run's bytes and its per-line arrays are
+    held.
     """
     chunks = iter(chunks)
     rest, rest_ends = b"", np.zeros(0, dtype=np.int64)
@@ -88,9 +98,9 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
         rest, rest_ends = data[cut:-16].tobytes(), ends[n:] - cut
         return (data, ends[:n]) if cut <= most else None
 
-    got = lines(1, len(rank_header(DP_GRID_CAP, DP_GRID_CAP)))
+    got = lines(1, len(rank_header(RANK_EXTENT_MAX, RANK_EXTENT_MAX)))
     grid = got and _RANK_HEADER.fullmatch(got[0][: got[1][0] + 1].tobytes())
-    if not grid or max(nx := int(grid[1]), ny := int(grid[2])) > DP_GRID_CAP:
+    if not grid or max(nx := int(grid[1]), ny := int(grid[2])) > RANK_EXTENT_MAX or _table_refusal(nx, ny, 2**63 - 1):
         return None
     words, masks, sizes = rank_labels(nx, ny)
     inv = RankInvariant(nx, ny, np.empty(pair_count(nx, ny), dtype=table_dtype(0)))
@@ -141,8 +151,9 @@ def from_blocks(blocks) -> RankInvariant:
     and once more only to name the lines of a repeated pair.
 
     A line is bad when it is malformed, when its pair is not comparable
-    or not 1-based, when its rank is negative, when it lies past the
-    grid cap, or when its pair repeats an earlier line.
+    or not 1-based, when its rank is negative, when the table of the
+    rows up to it passes the byte cap, or when its pair repeats an
+    earlier line.
 
     Each run's good rows are scattered straight into the vector of
     ranks and into a bitmap of one bool per comparable pair, marking the
@@ -160,12 +171,9 @@ def from_blocks(blocks) -> RankInvariant:
     seen = PairTable(0, 0, np.zeros(0, dtype=bool))
     n_rows = 0
     error = None
-    for rows, _, error in _rank_rows(blocks()):
-        nx = max(inv.nx, int(rows[:, 2].max(initial=0)))
-        ny = max(inv.ny, int(rows[:, 3].max(initial=0)))
-        dtype = np.promote_types(inv.values.dtype, table_dtype(int(rows[:, 4].max(initial=0))))
-        if (nx, ny) != (inv.nx, inv.ny) or dtype != inv.values.dtype:  # a good row's t is within the grid cap
-            inv = _regrown(inv, nx, ny, dtype)
+    for rows, _, error, (nx, ny, top) in _rank_rows(blocks()):
+        if (nx, ny, table_dtype(top)) != (inv.nx, inv.ny, inv.values.dtype):  # within the byte cap, as checked
+            inv = _regrown(inv, nx, ny, table_dtype(top))
         if (nx, ny) != (seen.nx, seen.ny):
             seen = _regrown(seen, nx, ny, bool)
         at = _indices(rows, nx, ny)
@@ -185,42 +193,40 @@ _RANK_FIELDS = "s_x s_y t_x t_y r"
 
 
 def _rank_rows(blocks):
-    """Parse .rank runs of whole lines; yields (rows, lines, error) per
-    run: the run's good rows and their line numbers, up to the first
-    bad line of the file, and a FormatError naming that line (None
-    before its run, which is the last one read).  Each run is parsed
-    afresh by `ioutil.block_rows`, so nothing is carried between runs."""
+    """Parse .rank runs of whole lines; yields (rows, lines, error, grid)
+    per run: the run's good rows and their line numbers, up to the first
+    bad line of the file, a FormatError naming that line (None before
+    its run, which is the last one read), and [nx, ny, largest rank] of
+    the good rows so far, the only state carried between runs, for the
+    byte rule.  Each run is parsed afresh by `ioutil.block_rows`."""
+    grid = [0, 0, 0]
     for first_line, block in blocks:
         rows, lines, error = block_rows(block, _RANK_FIELDS, first_line)
-        n_ok, bad = _first_bad_rank_row(rows, lines)
+        n_ok, bad, grid = _first_bad_rank_row(rows, lines, grid)
         if bad is not None:  # a bad row comes before the run's malformed line
             error = bad
-        yield rows[:n_ok], lines[:n_ok], error
+        yield rows[:n_ok], lines[:n_ok], error, grid
         if error is not None:
             return
 
 
-def _first_bad_rank_row(rows, lines):
-    """(n, error): the number of .rank rows before the first one with a
-    bad pair, rank or extent, and a FormatError naming that row's line
-    (None when every row is good)."""
+def _first_bad_rank_row(rows, lines, grid):
+    """(n, error, grid): the number of .rank rows before the first with a
+    bad pair or rank, or past which the table of [nx, ny, largest rank]
+    passes the byte cap, a FormatError naming its line (None when every
+    row is good), and the `grid` of the rows before it, given for those
+    before the run.  The table only grows, so the rows are checked one
+    by one only when the last good one's does not fit."""
     sx, sy, tx, ty, r = rows.T
-    bad = (sx < 1) | (sy < 1) | (sx > tx) | (sy > ty) | (r < 0)
-    bad |= (tx > DP_GRID_CAP) | (ty > DP_GRID_CAP)
-    if not bad.any():
-        return len(rows), None
-    n = int(np.argmax(bad))
-    where = f"line {lines[n]}"
-    a, b, c, d, value = rows[n].tolist()
-    if not (1 <= a <= c and 1 <= b <= d):
-        return n, FormatError(f"{where}: pair not comparable or not 1-based")
-    if value < 0:
-        return n, FormatError(f"{where}: negative rank")
-    try:
-        check_table_grid(c, d)
-    except GridTooLargeError as e:
-        return n, FormatError(f"{where}: {e}")
-    raise InvariantError(f"{where}: row {rows[n].tolist()} flagged bad without a cause")
+    pair = (sx < 1) | (sy < 1) | (sx > tx) | (sy > ty)
+    bad = pair | (r < 0)
+    n = int(np.argmax(bad)) if bad.any() else len(rows)
+    after = np.maximum.accumulate(np.vstack((grid, rows[:n, 2:])))  # [t_x, t_y, r] maxima after each row
+    if _table_refusal(*after[-1].tolist()):
+        n = next(i for i, row in enumerate(after[1:].tolist()) if _table_refusal(*row))
+        return n, _table_refusal(*after[n + 1].tolist(), int(lines[n])), after[n].tolist()
+    why = n < len(rows) and ("pair not comparable or not 1-based" if pair[n] else "negative rank")
+    return n, FormatError(f"line {lines[n]}: {why}") if why else None, after[-1].tolist()
 
 
 def _regrown(table: PairTable, nx: int, ny: int, dtype) -> PairTable:
@@ -245,7 +251,7 @@ def _repeated_pair(blocks, nx: int, ny: int) -> FormatError:
     known to repeat one; reads the file again, keeping the first line
     of each pair."""
     first = np.zeros(pair_count(nx, ny), dtype=np.int64)  # 0: no line yet
-    for rows, lines, _ in _rank_rows(blocks):
+    for rows, lines, *_ in _rank_rows(blocks):
         at = _indices(rows, nx, ny)
         _, once, back = np.unique(at, return_index=True, return_inverse=True)
         # the first line of each row's pair, in an earlier run or in this one

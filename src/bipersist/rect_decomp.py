@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from .grid_module import RankInvariant, table_dtype
-from .ioutil import FormatError, logical_lines, parse_int
+from .ioutil import FormatError, check_bytes, logical_lines, parse_int
 
 
 class RectangleBarcode(dict):
@@ -95,6 +95,9 @@ def decompose(r: RankInvariant):
     if largest > 2**60 - 1:
         raise ValueError(f"rank {largest} exceeds 2**60 - 1, past which the rectangle multiplicities could pass int64")
     dtype = table_dtype(8 * largest)
+    # a slab's differences, numpy's copy of an overlapping operand and two
+    # masks; on a thin grid past the invariant itself
+    check_bytes(nx * ny * ny * (2 * np.dtype(dtype).itemsize + 2), f"the differences of one slab of the {nx}x{ny} grid")
     triangle = np.arange(ny)[:, None, None] <= np.arange(ny)  # [s_y, 1, t_y]
     clean = True
     counts = {}

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid_module import GridModule
-from .ioutil import InvariantError
+from .grid_module import GridModule, table_bytes
+from .ioutil import InvariantError, check_bytes
 from .linalg import ColumnReducer, solve_matrix
 
 if TYPE_CHECKING:  # an annotation only, so reading a .fres compiles no bifiltration code
@@ -159,33 +159,49 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
                 span.add(joins[g])
             joined = upto[x]
             rows, leads = reducer.block()
-            ker = rows[leads >= k, k:].T
+            ker = rows[np.searchsorted(leads, k) :, k:].T  # a view: the rows are sorted by lead
             born = ker[:, [j for j, v in enumerate(ColumnReducer.columns(ker, p)) if span.add(v) is not None]]
             del rows, ker  # so that neither is held while the next block is built
             found.extend(born.T)  # born is a copy, so no generator keeps all of ker alive
             grades += [(x, y)] * born.shape[1]
             joins.extend(ColumnReducer.columns(born, p))
+    reducer = span = None  # so that the last row's block is not held while the basis is stacked
     basis = np.column_stack(found) if found else np.zeros((cols, 0), dtype=np.int64)
     return basis, grades
 
 
-def presentation(bif: Bifiltration, degree: int) -> Presentation:
+def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentation:
     """A presentation of the degree-q homology of the bifiltration.
 
     Generators are a graded kernel basis of the boundary matrix in the
     given degree.  Relations are the boundary columns of one dimension
     up rewritten in generator coordinates, keeping the simplex grades;
-    columns that rewrite to zero are dropped (they would only feed a
-    spurious cancellation into the next layer).
+    none rewrites to zero, since no boundary column is zero and the
+    generators are independent.
 
     One `solve_matrix`, a reduction against [generators; I], rewrites
     every boundary column.  The generators are a basis of the kernel at
     the top point, so each solution is unique and must lie on the
     generators <= its column's grade (boundaries are cycles, which they
     span gradewise); an InvariantError reports one that does not.
+
+    Before any matrix is built, its arrays are stated from the simplex
+    counts S_(q-1), S_q, S_(q+1) and refused past the cap, with the
+    `tables` tables its caller builds at `table_dtype(S_q)` (no rank or
+    dimension passes the generator count, at most S_q).  In bytes an
+    entry, so that the sum bounds them wherever they meet: the cached
+    boundaries, 8; [d_q; I] and its reduced block, 9 with the unpacking;
+    the basis, at most S_q x S_q, 8, which also covers the identity
+    stacked into [d_q; I] before it; the solved relations, at most
+    S_q x S_(q+1), 11 with their grade masks; and 2^18 bytes of fixed
+    work (`ColumnReducer.columns`' 2^14 int64 entries, numpy's buffers).
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
+    s_down, s_q, s_up = (len(bif.by_dim.get(d, ())) for d in (degree - 1, degree, degree + 1))
+    need = s_q * (17 * (s_down + s_q) + 19 * s_up) + (1 << 18) + table_bytes(bif.nx, bif.ny, tables, s_q)
+    check_bytes(need, f"the degree-{degree} presentation ({s_down:,}, {s_q:,} and {s_up:,} simplices of dimension "
+                f"q-1, q and q+1) and {tables} table(s) on the comparable pairs of the {bif.nx}x{bif.ny} grid")
     p = bif.p
     q_list = bif.by_dim.get(degree, [])
     up_list = bif.by_dim.get(degree + 1, [])
@@ -199,9 +215,8 @@ def presentation(bif: Bifiltration, degree: int) -> Presentation:
     outside = (gg[:, None, :] > up_grades[None, :, :]).any(axis=2)
     if x is None or (x.astype(bool) & outside).any():
         raise InvariantError("boundary column outside the generator span")
-    keep = x.any(axis=0)
-    rels = FreeModule(up_grades[keep].tolist())
-    return Presentation(gens, rels, GradedMatrix(gens, rels, x[:, keep], p), bif.nx, bif.ny, p)
+    rels = FreeModule(up_grades.tolist())
+    return Presentation(gens, rels, GradedMatrix(gens, rels, x, p), bif.nx, bif.ny, p)
 
 
 def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:

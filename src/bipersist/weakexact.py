@@ -39,7 +39,7 @@ from .grid_module import (
     GridModule,
     PairTable,
     RankInvariant,
-    check_table_grid,
+    check_tables,
     iter_points,
     pair_count,
     pairs_into,
@@ -108,7 +108,7 @@ def kappa_iota(module: GridModule) -> KappaIota:
     axes, and iota(., t) is one entry in each block iota(s, .) with s <= t.
     """
     nx, ny = module.nx, module.ny
-    check_table_grid(nx, ny, 2)
+    check_tables(nx, ny, 2, int(module.dims.max()))
     dtype = table_dtype(int(module.dims.max()))
     kappa = PairTable(nx, ny, np.zeros(pair_count(nx, ny), dtype=dtype))
 
@@ -129,13 +129,12 @@ def kappa_iota(module: GridModule) -> KappaIota:
 
 def kappa_iota_from_zigzags(bif: Bifiltration, degree: int, jobs=None) -> KappaIota:
     """`kappa_iota` of the module presented by `presentation(bif, degree)`,
-    refusing grids past the cap first; the same tables `check_bifiltration`
-    builds, from a presentation of its own.  Name and `jobs` (None only)
-    are kept for perfbench/traced.py."""
+    whose byte rule counts the two tables; the same tables
+    `check_bifiltration` builds, from a presentation of its own.  Name
+    and `jobs` (None only) are kept for perfbench/traced.py."""
     if jobs is not None:
         raise ValueError("kappa_iota_from_zigzags runs serially; pass None for jobs")
-    check_table_grid(bif.nx, bif.ny, 2)
-    return kappa_iota(presented_module(presentation(bif, degree)))
+    return kappa_iota(presented_module(presentation(bif, degree, tables=2)))
 
 
 def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
@@ -183,11 +182,10 @@ def check_bifiltration(bif: Bifiltration, degree: int):
     DP on it, and kappa/iota from one two-flag pairing per grid point of
     the module it presents (`presented_module`); then the pointwise
     comparison, with the same return shape as the checker.  No homology
-    is solved per grid point.  A grid past the table cap is
-    refused before any work.
+    is solved per grid point.  The presentation's byte rule counts the
+    three tables, so an input past the cap is refused before any work.
     """
-    check_table_grid(bif.nx, bif.ny, 3)
-    pres = presentation(bif, degree)
+    pres = presentation(bif, degree, tables=3)
     return check_rectangle_decomposable(rank_from_resolution(pres), kappa_iota(presented_module(pres)))
 
 
@@ -196,14 +194,14 @@ def check_module(module: GridModule, method: str = "zigzag"):
 
     "zigzag" compares the naive rank invariant with the kappa/iota
     tables of `kappa_iota`, one two-flag pairing per grid point, and
-    gives the reasons of `check_rectangle_decomposable`; a grid past the
-    table cap is refused before any work.  "algebraic" tests the
+    gives the reasons of `check_rectangle_decomposable`; three tables
+    past the byte cap are refused before any work.  "algebraic" tests the
     kernel/image equalities pair by pair on ranks, and "geometric"
     looks for hooks in square barcodes.  The three give the same
     verdict and the same first witness pair.
     """
     if method == "zigzag":
-        check_table_grid(module.nx, module.ny, 3)
+        check_tables(module.nx, module.ny, 3, int(module.dims.max()))
         return check_rectangle_decomposable(rank_invariant_naive(module), kappa_iota(module))
     from .squares import is_weakly_exact_algebraic, is_weakly_exact_geometric  # compiled only for these methods
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bipersist.bifiltration import Bifiltration, facets
-from bipersist.grid_module import DP_GRID_CAP, PairTable, RankInvariant, pair_count
+from bipersist import ioutil
+from bipersist.grid_module import PairTable, RankInvariant, pair_count
 from bipersist.ioutil import FormatError, logical_lines, parse_int
 from bipersist.linalg import check_modulus
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
@@ -214,7 +215,7 @@ INT64 = np.iinfo(np.int64)
 def reference_rank_from_text(text):
     """Oracle: the per-line .rank reader, one check after another per line."""
     entries = {}
-    nx = ny = 0
+    nx = ny = top = 0
     for lineno, line in logical_lines(text):
         toks = line.split()
         if len(toks) != 5 or not all(INTEGER.fullmatch(t) for t in toks):
@@ -227,14 +228,15 @@ def reference_rank_from_text(text):
             raise FormatError(f"line {lineno}: pair not comparable or not 1-based")
         if r < 0:
             raise FormatError(f"line {lineno}: negative rank")
-        if max(tx, ty) > DP_GRID_CAP:
-            raise FormatError(f"line {lineno}: past the grid cap")
+        nx, ny, top = max(nx, tx), max(ny, ty), max(top, r)
+        entry = 2 if top < 2**15 else 4 if top < 2**31 else 8  # the narrowest type that holds every rank so far
+        if pair_count(nx, ny) * entry > ioutil.BYTES_CAP:
+            raise FormatError(f"line {lineno}: the table of the grid so far passes the byte cap")
         key = (sx - 1, sy - 1, tx - 1, ty - 1)
         if key in entries:
             raise FormatError(f"line {lineno}: repeated pair")
         entries[key] = r
-        nx, ny = max(nx, tx), max(ny, ty)
-    inv = RankInvariant(nx, ny)
+    inv = RankInvariant(nx, ny, np.zeros(pair_count(nx, ny), dtype=np.int64))
     for (sx, sy, tx, ty), r in entries.items():
         set_pair(inv, (sx, sy), (tx, ty), r)
     return inv

@@ -15,7 +15,7 @@ from bipersist.bifiltration import write_bif
 from bipersist.cli import build_parser, main
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid
 from bipersist.gmod import read_gmod, write_gmod
-from bipersist.grid_module import RankInvariant
+from bipersist.grid_module import RankInvariant, pair_count
 from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.zigzag import read_zbar, write_zbar
@@ -135,57 +135,174 @@ def test_field_flag_must_match_file(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
-def test_dp_grid_cap(tmp_path, capsys):
+def test_dp_grid_cap(tmp_path, capsys, monkeypatch):
+    # one generator on the 61 x 1 grid: the DP's int16 table of 1,891
+    # pairs, 3,782 bytes, and its work, 61^2 (2 + 24) bytes of pair
+    # counts, are stated before they are allocated; the grid is past the
+    # old 60 x 60 cap, and the bytes are what is capped
     fres = tmp_path / "wide.fres"
     fres.write_text(
         "resolution\nfield 2\ngrid 61 1\ngens\n1 1\nrels\nrelrels\nphi\npsi\n"
     )
-    assert main(["rank", str(fres)]) == 1
-    assert "exceeds" in capsys.readouterr().err
+    for command in ("rank", "decompose-rectangles"):
+        monkeypatch.setattr(ioutil, "BYTES_CAP", 100528)
+        assert main([command, str(fres), "-o", str(tmp_path / "out")]) == 0
+        monkeypatch.setattr(ioutil, "BYTES_CAP", 100527)
+        assert main([command, str(fres)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 1 table(s) on the comparable pairs of the 61x1 grid and 96,746 bytes of work would need "
+            "100,528 bytes, past the 100,527-byte cap\n"
+        )
+
+
+def refuse_boundaries(monkeypatch):
+    """Make every boundary matrix of a bifiltration fail when it is built."""
+    from bipersist.bifiltration import Bifiltration
+
+    def refuse(*args):
+        raise AssertionError("a boundary matrix was built before the byte rule was checked")
+
+    monkeypatch.setattr(Bifiltration, "boundary_matrix", refuse)
+
+
+def wide_bif(tmp_path, n: int):
+    """A .bif of n vertices, one at each x of an n x 1 grid."""
+    path = tmp_path / "wide.bif"
+    path.write_text("bifiltration\nfield 2\n" + "".join(f"{x} 1 ; {x}\n" for x in range(1, n + 1)))
+    return str(path)
+
+
+def test_rank_refuses_a_grid_the_rank_layout_cannot_hold_before_any_algebra(tmp_path, capsys, monkeypatch):
+    # a label "x y " of the .rank layout fits in 8 bytes below 100; the
+    # ranks of a wider grid are still decomposed
+    wide = wide_bif(tmp_path, 100)
+    assert main(["decompose-rectangles", wide, "-o", str(tmp_path / "out.barcode")]) == 0
+    refuse_boundaries(monkeypatch)
+    assert main(["rank", wide]) == 1
+    assert capsys.readouterr().err == "error: grid 100x1 exceeds the 99x99 extent of the .rank layout\n"
 
 
 @pytest.mark.parametrize("command", ["rank", "decompose-rectangles"])
 @pytest.mark.parametrize("method", ["naive", "dp"])
 def test_rank_of_a_bif_refuses_an_oversized_grid_before_any_algebra(tmp_path, capsys, monkeypatch, command, method):
-    # the cap is checked on the grid alone, so neither the homology
-    # module nor the presentation is ever built
-    import bipersist.bifiltration
-    import bipersist.resolution
+    # 61 vertices on the 61 x 1 grid: both methods take one presentation,
+    # which states 61 (17 * 61) = 63,257 bytes of matrices, 2^18 of fixed
+    # work and 3,782 of the int16 table; one byte short of that it is
+    # refused before any boundary matrix is built
+    wide = wide_bif(tmp_path, 61)
+    monkeypatch.setattr(ioutil, "BYTES_CAP", 329183)
+    assert main([command, wide, "--method", method, "-o", str(tmp_path / "out")]) == 0
+    monkeypatch.setattr(ioutil, "BYTES_CAP", 329182)
+    refuse_boundaries(monkeypatch)
+    assert main([command, wide, "--method", method]) == 1
+    assert capsys.readouterr().err == (
+        "error: the degree-0 presentation (0, 61 and 0 simplices of dimension q-1, q and q+1) and 1 table(s) on the "
+        "comparable pairs of the 61x1 grid would need 329,183 bytes, past the 329,182-byte cap\n"
+    )
 
-    def refuse(*args):
-        raise AssertionError("built before the grid cap was checked")
 
-    monkeypatch.setattr(bipersist.bifiltration, "homology_module", refuse)
-    monkeypatch.setattr(bipersist.resolution, "presentation", refuse)
-    wide = tmp_path / "wide.bif"
-    wide.write_text("bifiltration\nfield 2\n" + "".join(f"{x} 1 ; {x}\n" for x in range(1, 62)))
-    assert main([command, str(wide), "--method", method]) == 1
-    assert "grid 61x1 exceeds the 60x60 cap" in capsys.readouterr().err
-
-
-def test_check_rectangle_grid_cap(tmp_path, capsys):
-    wide = tmp_path / "wide.bif"
-    wide.write_text("bifiltration\nfield 2\n" + "".join(f"{x} 1 ; {x}\n" for x in range(1, 62)))
-    assert main(["check-rectangle", str(wide)]) == 1
+def test_check_rectangle_grid_cap(tmp_path, capsys, monkeypatch):
+    # the check's presentation counts its three int16 tables
+    wide = wide_bif(tmp_path, 61)
+    need = 63257 + (1 << 18) + 3 * 3782
+    monkeypatch.setattr(ioutil, "BYTES_CAP", need)
+    assert main(["check-rectangle", wide]) == 0
+    assert capsys.readouterr().out == "decomposable\n"
+    monkeypatch.setattr(ioutil, "BYTES_CAP", need - 1)
+    refuse_boundaries(monkeypatch)
+    assert main(["check-rectangle", wide]) == 1
     err = capsys.readouterr().err
-    assert "grid 61x1 exceeds the 60x60 cap" in err
-    assert f"{3 * 4 * (61 * 62 // 2):,} bytes" in err
+    assert "3 table(s) on the comparable pairs of the 61x1 grid would need 336,747 bytes, past the 336,746-byte cap" in err
 
 
-def test_gmod_writers_refuse_grids_the_reader_refuses(tmp_path, capsys):
-    prefix = str(tmp_path / "wide")
-    assert main(["random-rect", "61", "1", "1", "-o", prefix]) == 1
-    assert capsys.readouterr().err == "error: grid 61x1 exceeds the 60x60 cap of .gmod files\n"
-    assert not (tmp_path / "wide.gmod").exists()
-    assert main(["examples", "indecgrid", "--n", "60"]) == 1
-    assert capsys.readouterr().err == "error: grid 61x61 exceeds the 60x60 cap of .gmod files\n"
+@pytest.mark.parametrize(
+    "args", [["rank"], ["decompose-rectangles"], ["check-rectangle"], ["check-rectangle", "--method", "algebraic"], None]
+)
+def test_a_bif_of_30000_isolated_vertices_is_refused_before_any_matrix(tmp_path, capsys, monkeypatch, args):
+    # its presentation would stack the 30,000 x 30,000 identity: the
+    # counts alone state 30,000 (17 * 30,000) bytes, 2^18 of fixed work
+    # and the 1 x 1 grid's int16 tables, 2 bytes each, so no boundary
+    # matrix is built
+    from bipersist.bifiltration import read_bif
+    from bipersist.resolution import presentation
+
+    path = tmp_path / "dots.bif"
+    path.write_text("bifiltration\nfield 2\n" + "".join(f"0 0 ; {v}\n" for v in range(30000)))
+    refuse_boundaries(monkeypatch)
+    if args is None:
+        with pytest.raises(ValueError, match="would need 15,300,262,146 bytes, past the 268,435,456-byte cap$"):
+            presentation(read_bif(path.read_text()), 0)
+        return
+    assert main([*args, str(path)]) == 1
+    tables = 3 if args == ["check-rectangle"] else 1
+    assert capsys.readouterr().err == (
+        f"error: the degree-0 presentation (0, 30,000 and 0 simplices of dimension q-1, q and q+1) and {tables} "
+        f"table(s) on the comparable pairs of the 1x1 grid would need {15_300_000_000 + (1 << 18) + 2 * tables:,} bytes, "
+        "past the 268,435,456-byte cap\n"
+    )
+
+
+def test_a_bif_on_a_grid_past_the_old_extent_cap_is_read(tmp_path, capsys):
+    # 61 vertices along x, joined by edges that enter one row up: the
+    # 61 x 2 grid passed the old 60 x 60 cap, and its tables are 22 kB
+    from bipersist.bifiltration import homology_module, read_bif
+    from bipersist.grid_module import rank_invariant_naive
+    from bipersist.weakexact import check_module
+
+    path, out = tmp_path / "wide.bif", tmp_path / "out.rank"
+    edges = "".join(f"{x + 1} 2 ; {x} {x + 1}\n" for x in range(1, 61))
+    path.write_text("bifiltration\nfield 2\n" + "".join(f"{x} 1 ; {x}\n" for x in range(1, 62)) + edges)
+    oracle = homology_module(read_bif(path.read_text()), 0)
+    for method in ("dp", "naive"):
+        assert main(["rank", str(path), "--method", method, "-o", str(out)]) == 0
+        assert out.read_text() == rank_invariant_naive(oracle).to_text()
+    capsys.readouterr()
+    ok, witness = check_module(oracle, "algebraic")
+    assert main(["check-rectangle", str(path)]) == (0 if ok else 2)
+    out_text, err = capsys.readouterr()
+    assert out_text == ("decomposable\n" if ok else "not-decomposable\n")
+    if not ok:
+        s, t, _ = witness
+        assert err.startswith(f"witness: s=({s[0] + 1},{s[1] + 1}) t=({t[0] + 1},{t[1] + 1}): ")
+
+
+def test_gmod_writers_refuse_grids_the_reader_refuses(tmp_path, capsys, monkeypatch):
+    # `random-rect` and `examples` refuse exactly the modules whose .gmod
+    # `read_gmod` refuses, in its words: with the cap at the bytes of a
+    # written module's int16 rank table and identities, the reader takes
+    # its file; one byte short of those, or of the table alone, the
+    # writer refuses it before writing and the reader refuses the file
+    default = ioutil.BYTES_CAP
+    path = tmp_path / "out.gmod"
+    for args in (["random-rect", "61", "1", "1", "-o", str(tmp_path / "out")], ["examples", "indecgrid", "--n", "5", "-o", str(path)]):
+        monkeypatch.setattr(ioutil, "BYTES_CAP", default)
+        assert main(args) == 0
+        text = path.read_text()
+        module = read_gmod(text)
+        table = 2 * pair_count(module.nx, module.ny)
+        monkeypatch.setattr(ioutil, "BYTES_CAP", table + 8 * int((module.dims**2).sum()))
+        read_gmod(text)
+        for cap in (ioutil.BYTES_CAP - 1, table - 1):
+            monkeypatch.setattr(ioutil, "BYTES_CAP", cap)
+            with pytest.raises(FormatError) as refused:
+                read_gmod(text)
+            path.unlink()
+            capsys.readouterr()
+            assert main(args) == 1
+            assert capsys.readouterr().err == f"error: {str(refused.value).split(': ', 1)[1]}\n"
+            assert f"bytes, past the {cap:,}-byte cap" in str(refused.value) and not path.exists()
+            path.write_text(text)
 
 
 @pytest.mark.parametrize(
     "args, err",
     [
         (["1", "1", "100"], "error: dimension 50 exceeds the file's 39 characters\n"),
-        (["1", "1", "20000"], f"error: identities of the spaces would need {8 * 12624**2:,} bytes, past the 268,435,456-byte cap\n"),
+        (
+            ["1", "1", "20000"],
+            "error: the rank table of the 1x1 grid and the identities of its spaces would need "
+            f"{8 * 12624**2 + 2:,} bytes, past the 268,435,456-byte cap\n",
+        ),
     ],
     ids=["dimension", "identities"],
 )
@@ -346,17 +463,22 @@ def test_rank_rows_in_any_order_read_as_in_the_writers_order(tmp_path, capsys, b
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(ioutil, "_BLOCK_CHARS", block)
+        if bad == "past-cap":  # the cap at the bytes of the 6 x 5 grid's int16 table, which 61 x 5 passes
+            mp.setattr(ioutil, "BYTES_CAP", 2 * pair_count(6, 5))
         got = decompose_rank_file(tmp_path, capsys, text.encode())
         if bad is None:
             assert RankInvariant.from_text(text) == RankInvariant.from_text(canonical) == RANKS
             assert got == (0, barcode_text(RANKS)) == decompose_rank_file(tmp_path, capsys, canonical.encode())
             return
         if bad == "past-cap":
-            message = f"line {len(rows) + 2}: grid 61x1 exceeds the 60x60 cap of the rank and kappa/iota tables"
+            message = (
+                f"line {len(rows) + 2}: 1 table(s) on the comparable pairs of the 61x5 grid "
+                f"would need {2 * pair_count(61, 5):,} bytes, past the 630-byte cap"
+            )
             assert decompose_rank_file(tmp_path, capsys, canonical.encode())[1].startswith(f"error: {message}")
         else:
             message = f"line {len(rows) + 2}: pair repeats line {moved.index(rows[0]) + 2}"
-        with pytest.raises(FormatError, match=f"^{message}"):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
             RankInvariant.from_text(text)
         assert got[0] == 1 and got[1].startswith(f"error: {message}")
 
@@ -474,11 +596,10 @@ def test_fres_errors_name_the_same_line_read_in_blocks(tmp_path, capsys, monkeyp
 def test_fres_whose_matrices_pass_the_cap_is_refused_at_its_phi_line(tmp_path, capsys, monkeypatch, command, cap):
     # 2 generators, 3 relations and 1 relation on relations: phi and psi
     # take 8 (2 x 3 + 3 x 1) = 72 bytes, counted once the grades are
-    # read and refused before either matrix is allocated
-    import bipersist.fres
-
-    monkeypatch.setattr(bipersist.fres, "DENSE_BYTES_CAP", cap)
-    data = "resolution\nfield 2\ngrid 2 2\ngens\n1 1\n1 1\nrels\n1 1\n2 2\n2 2\nrelrels\n2 2\nphi\npsi\n"
+    # read and refused before either matrix is allocated.  On the 1 x 1
+    # grid the DP of `rank` then states 28 bytes, within both caps
+    monkeypatch.setattr(ioutil, "BYTES_CAP", cap)
+    data = "resolution\nfield 2\ngrid 1 1\ngens\n1 1\n1 1\nrels\n1 1\n1 1\n1 1\nrelrels\n1 1\nphi\npsi\n"
     got = fres_command(tmp_path, capsys, command, data.encode())
     if cap == 72:
         assert got == (0, "ok\n" if command == "validate" else "", "")

@@ -13,8 +13,8 @@ from bipersist.bifiltration import homology_module
 from bipersist.constructions import example, indecgrid, random_rectangle_module
 from bipersist.gmod import read_gmod, write_gmod
 from bipersist.grid_module import (
-    DP_GRID_CAP,
     INT32_MAX,
+    RANK_EXTENT_MAX,
     GridModule,
     PairTable,
     RankInvariant,
@@ -23,8 +23,11 @@ from bipersist.grid_module import (
     pair_index,
     rank_invariant_naive,
     slab_targets,
+    table_bytes,
 )
-from bipersist.ioutil import FormatError
+from bipersist.ioutil import FormatError, TooLargeError
+from bipersist.rank_dp import rank_from_resolution
+from bipersist.resolution import presentation
 from bipersist.linalg import MAX_MODULUS, matmul, rank
 from bipersist.squares import (
     SQUARE_LABELS,
@@ -35,8 +38,8 @@ from bipersist.squares import (
     is_weakly_exact_algebraic,
     is_weakly_exact_geometric,
 )
-from conftest import INT64, clique_bifiltration, kappa_iota_naive, reference_rank_from_text
-from bipersist.weakexact import KappaIota, check_rectangle_decomposable
+from conftest import INT64, clique_bifiltration, kappa_iota_naive, random_bifiltration, reference_rank_from_text
+from bipersist.weakexact import KappaIota, check_rectangle_decomposable, kappa_iota
 from paperlib import (
     comparable_mask,
     comparable_pairs,
@@ -65,6 +68,41 @@ def interval_module(letters, p=2):
 
 def square_barcode(module, s, t):
     return decompose_square(invariants_of_square(module, s, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    tiers=st.sampled_from([(grid_module.INT16_MAX, grid_module.INT32_MAX), (1, 3), (0, 1)]),
+)
+def test_the_table_rule_states_the_bytes_the_producers_allocate(grid, count, seed, tiers):
+    # each producer refuses its tables by the bytes `table_bytes` states
+    # at the entry type its bound picks, which are the bytes it
+    # allocates; with the DP's work arrays, n_x^2 (n_y e + 24) bytes at
+    # an entry of e bytes, it runs with the cap at them and is refused
+    # one byte short.  With the int16 and int32 tiers moved down to
+    # bounds 1 and 3, or 0 and 1, small modules reach every tier
+    module = random_rectangle_module(*grid, count, seed)[0]
+    bif = random_bifiltration(seed, nx=grid[0], ny=grid[1])
+    pres = presentation(bif, seed % 2)
+    dim = int(module.dims.max())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "INT16_MAX", tiers[0])
+        mp.setattr(grid_module, "INT32_MAX", tiers[1])
+        dp = table_bytes(bif.nx, bif.ny, 1, len(pres.gens))
+        for stated, work, build, tables in (
+            (table_bytes(*grid, 1, dim), 0, lambda: rank_invariant_naive(module), lambda inv: [inv]),
+            (table_bytes(*grid, 2, dim), 0, lambda: kappa_iota(module), lambda ki: [ki.kappa, ki.iota]),
+            (dp, bif.nx**2 * (bif.ny * dp // pair_count(bif.nx, bif.ny) + 24), lambda: rank_from_resolution(pres), lambda inv: [inv]),
+        ):
+            need = stated + work
+            mp.setattr(ioutil, "BYTES_CAP", need)
+            assert sum(table.values.nbytes for table in tables(build())) == stated
+            mp.setattr(ioutil, "BYTES_CAP", need - 1)
+            with pytest.raises(TooLargeError, match=f"would need {need:,} bytes"):
+                build()
 
 
 def test_comparable_pairs_lex_order():
@@ -300,11 +338,12 @@ def test_rank_to_text_matches_the_per_pair_writer(inv):
     assert RankInvariant.from_text(text) == inv
 
 
-@pytest.mark.parametrize("nx, ny", [(DP_GRID_CAP, 2), (2, DP_GRID_CAP), (12, 12)])
+@pytest.mark.parametrize("nx, ny", [(60, 2), (2, 60), (RANK_EXTENT_MAX, 2), (2, RANK_EXTENT_MAX), (12, 12)])
 @pytest.mark.parametrize("fill", ["seeded", "zero"])
 def test_rank_to_text_at_the_grid_cap(nx, ny, fill):
-    # coordinates reach the cap, and on 12 x 12 a label "x y " takes 6
-    # of its 8 bytes, as "60 60 " does; ranks take 1, 2 and 19 digits
+    # coordinates reach the .rank layout's extent, and on 12 x 12 a label
+    # "x y " takes 6 of its 8 bytes, as "99 99 " does; ranks take 1, 2
+    # and 19 digits
     inv = RankInvariant(nx, ny)
     if fill == "seeded":
         rng = np.random.default_rng(60)
@@ -407,7 +446,7 @@ def test_rank_text_slabs_of_an_int16_table_match_the_per_pair_writer(inv):
 def writer_bytes(draw):
     """The writer's bytes of a rank table on a grid up to 4 x 4, 60 x 1
     or 1 x 60, with ranks up to 2**31 - 1 or past it, and of 19 digits."""
-    nx, ny = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)) | st.sampled_from([(DP_GRID_CAP, 1), (1, DP_GRID_CAP)]))
+    nx, ny = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)) | st.sampled_from([(RANK_EXTENT_MAX, 1), (1, RANK_EXTENT_MAX)]))
     values = STRADDLING | st.integers(0, 12) | st.just(10**18 - 1)
     if draw(st.booleans()):
         values = values.filter(lambda v: v <= INT32_MAX)
@@ -565,7 +604,7 @@ def test_rank_from_text_matches_the_per_line_reader(text):
 
 
 BAD_RANK_LINES = [
-    "1 1 1 1", "1 1 1 1 1 1", "1 1 1 1 x", "1 1 1 1 -1", "2 1 1 1 1", "0 1 1 1 1", f"1 1 1 {DP_GRID_CAP + 1} 1",
+    "1 1 1 1", "1 1 1 1 1 1", "1 1 1 1 x", "1 1 1 1 -1", "2 1 1 1 1", "0 1 1 1 1", "1 1 1 99999 1",
     "1 1 1 1 9223372036854775808", "1 1 1 1 -9223372036854775809", "1 1 1 1 9999999999999999999",
 ]
 
@@ -646,11 +685,14 @@ def test_rank_reader_names_the_second_line_of_a_repeated_pair():
         RankInvariant.from_text(text)
 
 
-@pytest.mark.parametrize("nx, ny", [(DP_GRID_CAP, 1), (1, DP_GRID_CAP), (DP_GRID_CAP, 2)])
-def test_rank_reader_reads_coordinates_up_to_the_grid_cap(nx, ny):
-    # a coordinate at the grid cap is read on either axis
+@pytest.mark.parametrize("nx, ny", [(60, 1), (1, 60), (60, 2), (100, 1), (1, 100)])
+def test_rank_reader_reads_coordinates_up_to_the_grid_cap(monkeypatch, nx, ny):
+    # the table is bounded by its bytes, not by the grid's extents: a
+    # coordinate past the old 60 x 60 cap and the .rank layout's 99 is
+    # read on either axis, with the cap at the bytes of the int16 table
+    monkeypatch.setattr(ioutil, "BYTES_CAP", 2 * pair_count(nx, ny))
     inv = RankInvariant.from_text(f"1 1 {nx} {ny} 3\n{nx} {ny} {nx} {ny} 2\n1 1 1 1 4\n")
-    want = RankInvariant(nx, ny)
+    want = RankInvariant(nx, ny, np.zeros(pair_count(nx, ny), dtype=np.int16))
     set_pair(want, (0, 0), (nx - 1, ny - 1), 3)
     set_pair(want, (nx - 1, ny - 1), (nx - 1, ny - 1), 2)
     set_pair(want, (0, 0), (0, 0), 4)
@@ -658,14 +700,27 @@ def test_rank_reader_reads_coordinates_up_to_the_grid_cap(nx, ny):
 
 
 @pytest.mark.parametrize("row, grid", [
-    (f"1 1 {DP_GRID_CAP + 1} 1 1", f"{DP_GRID_CAP + 1}x1"),
-    (f"1 1 1 {DP_GRID_CAP + 1} 0", f"1x{DP_GRID_CAP + 1}"),
-    (f"{DP_GRID_CAP + 1} 1 {DP_GRID_CAP + 1} 1 1", f"{DP_GRID_CAP + 1}x1"),
+    ("1 1 61 1 1", "61x1"),
+    ("1 1 1 61 0", "1x61"),
+    ("61 1 61 1 1", "61x1"),
+    ("1 1 1 101 0", "1x101"),
+    ("1 1 2 1 40000", "2x1"),  # a rank past int16 widens the table
 ])
-def test_rank_reader_refuses_coordinates_past_the_grid_cap(row, grid):
-    message = f"line 2: grid {grid} exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap of the rank and kappa/iota tables"
-    with pytest.raises(FormatError, match=f"^{re.escape(message)}"):
-        RankInvariant.from_text(f"1 1 1 1 1\n{row}\n")
+def test_rank_reader_refuses_coordinates_past_the_grid_cap(monkeypatch, row, grid):
+    # the table of the grid and the largest rank so far is checked as
+    # each row comes: read at its bytes, refused one byte short of them
+    entry = 4 if row.endswith("40000") else 2
+    need = entry * pair_count(*map(int, grid.split("x")))
+    text = f"1 1 1 1 1\n{row}\n"
+    monkeypatch.setattr(ioutil, "BYTES_CAP", need)
+    assert RankInvariant.from_text(text).values.nbytes == need
+    monkeypatch.setattr(ioutil, "BYTES_CAP", need - 1)
+    message = (
+        f"line 2: 1 table(s) on the comparable pairs of the {grid} grid "
+        f"would need {need:,} bytes, past the {need - 1:,}-byte cap"
+    )
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        RankInvariant.from_text(text)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -687,7 +742,8 @@ def test_rank_reader_names_both_lines_of_a_repeat_in_different_blocks(block):
     ("1 1 1 1 1\n1 1 2 2 1 0\n1 1 1 1 2\n", "line 2: expected 's_x s_y t_x t_y r', got '1 1 2 2 1 0'"),
     ("1 1 1 1 1\n2 1 1 1 1\n1 1 1 1 2\n", "line 2: pair not comparable or not 1-based"),
     ("1 1 1 1 1\n1 1 2 2 -1\n1 1 1 1 2\n", "line 2: negative rank"),
-    (f"1 1 1 1 1\n1 1 {DP_GRID_CAP + 1} 1 0\n1 1 1 1 2\n", f"line 2: grid {DP_GRID_CAP + 1}x1 exceeds"),
+    ("1 1 1 1 1\n1 1 1 99999 0\n1 1 1 1 2\n", "line 2: 1 table(s) on the comparable pairs of "
+     "the 1x99999 grid would need 9,999,900,000 bytes"),
 ], ids=["repeat-then-malformed", "repeat-then-bad-row", "malformed-then-repeat", "not-comparable-then-repeat",
         "negative-then-repeat", "past-cap-then-repeat"])
 def test_rank_reader_raises_for_the_first_bad_line(block, text, message):

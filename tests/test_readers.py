@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from bipersist import ioutil, rank_reader
 from bipersist.bifiltration import Bifiltration, read_bif, write_bif
 from bipersist.constructions import random_rectangle_module
-from bipersist.gmod import GMOD_IDENTITY_BYTES_CAP, read_gmod, write_gmod
-from bipersist.grid_module import DP_GRID_CAP, GridModule, RankInvariant
+from bipersist.gmod import read_gmod, write_gmod
+from bipersist.grid_module import GridModule, RankInvariant
 from bipersist.ioutil import FormatError, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.fres import read_fres, read_fres_blocks, write_fres
@@ -334,7 +334,11 @@ def test_fres_homogeneity_line_is_found_by_reading_the_file_again(last, err):
 @pytest.mark.parametrize(
     "text, line, message",
     [
-        ("gridmodule\nfield 2\ngrid 2 100000\n", 3, f"grid 2x100000 exceeds the {DP_GRID_CAP}x{DP_GRID_CAP} cap"),
+        (
+            "gridmodule\nfield 2\ngrid 2 100000\n", 3,
+            "the rank table of the 2x100000 grid and the identities of its spaces would need 30,000,300,000 bytes, "
+            "past the 268,435,456-byte cap",
+        ),
         ("gridmodule\nfield 2\ngrid 1 1\ndim 1 1 1000\n", 4, "dimension 1000 exceeds the file's 41 characters"),
         ("gridmodule\nfield 2\ngrid 2 1\ndim 1 1 1\n\ndim 2 1 1\n", 6, r"missing hmap between nonzero spaces at \(1,1\)"),
         ("gridmodule\nfield 2\ngrid 1 2\ndim 1 2 1\n\ndim 1 1 1\n", 6, r"missing vmap between nonzero spaces at \(1,1\)"),
@@ -352,10 +356,11 @@ def test_gmod_reader_refuses_large_isolated_spaces_before_allocating():
     # pass the per-line bound, and the sum of 8 d^2 over them passes the cap
     d = 10**5
     text = f"gridmodule\nfield 2\ngrid 3 1\ndim 1 1 1\ndim 3 1 {d}\n#{'x' * d}\n"
-    assert 8 * d * d > GMOD_IDENTITY_BYTES_CAP
+    assert 8 * d * d > ioutil.BYTES_CAP
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=r"^line 5: identities of the spaces would need 80,000,000,008 bytes"):
+        # 8 (1 + d^2) bytes of identities, and the int32 table of the 3 x 1 grid's 6 pairs
+        with pytest.raises(FormatError, match=r"^line 5: the rank table of the 3x1 grid and the identities of its spaces would need 80,000,000,032 bytes"):
             read_gmod(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -368,10 +373,11 @@ def test_gmod_reader_refuses_large_spaces_with_neighbours_before_allocating():
     # yet its identity takes 8 d^2 bytes: d = 6000 passes the cap
     d = 6000
     text = f"gridmodule\nfield 2\ngrid 2 1\ndim 1 1 {d}\ndim 2 1 1\nhmap 1 1\n{' '.join(['1'] * d)}\n"
-    assert 8 * d * d > GMOD_IDENTITY_BYTES_CAP
+    assert 8 * d * d > ioutil.BYTES_CAP
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match=r"^line 4: identities of the spaces would need 288,000,000 bytes"):
+        # and the int16 table of the 2 x 1 grid's 3 pairs
+        with pytest.raises(FormatError, match=r"^line 4: the rank table of the 2x1 grid and the identities of its spaces would need 288,000,006 bytes"):
             read_gmod(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

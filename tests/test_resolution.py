@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import hypothesis
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.grid_module import rank_invariant_naive
-from bipersist.ioutil import FormatError, InvariantError
+from bipersist import ioutil
+from bipersist.ioutil import FormatError, InvariantError, TooLargeError
 from bipersist.linalg import rank
 from bipersist.rank_dp import rank_from_resolution
 import bipersist.resolution as resolution
@@ -304,6 +306,29 @@ def test_presentation_peaks_where_its_graded_kernel_does():
     whole = _traced_peak(lambda: presentation(bif, 1))
     assert mat.shape[1] > 5 * mat.shape[0]  # wide: the generators outnumber the rows
     assert whole <= 1.1 * kernel
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    degree=st.sampled_from([0, 1, 2]),
+    n_vert=st.integers(2, 60),
+    q=st.floats(0.05, 0.3),
+    grid=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+    seed=st.integers(0, 10**6),
+)
+def test_presentation_states_at_least_the_bytes_it_peaks_at(degree, n_vert, q, grid, seed):
+    # the byte rule of a .bif is stated from the simplex counts before any
+    # matrix is built; at p = 2 it is at least the traced peak, on small
+    # complexes where the fixed work dominates and on larger ones where
+    # the dense arrays do.  The stated bytes are read off the refusal at
+    # a cap below any input, with no tables counted
+    bif = clique_bifiltration(seed, n_vert, q, *grid, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "BYTES_CAP", -1)
+        with pytest.raises(TooLargeError) as refused:
+            presentation(bif, degree, tables=0)
+    stated = int(re.search(r"would need ([0-9,]+) bytes", str(refused.value))[1].replace(",", ""))
+    assert _traced_peak(lambda: presentation(bif, degree)) <= stated
 
 
 @settings(max_examples=60, deadline=None)

@@ -132,6 +132,47 @@ def test_package_defines_no_subspace_helper():
     assert found == []
 
 
+def _names(path):
+    """(line, name) of every name a module defines, imports, reads or
+    reads as an attribute, and of every string constant in it."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            out += [(node.lineno, node.name), (node.lineno, node.asname)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Name, ast.Attribute, ast.Constant)):
+            out.append((node.lineno, getattr(node, "id", getattr(node, "attr", getattr(node, "value", None)))))
+    return out
+
+
+def test_one_byte_rule_makes_every_size_refusal():
+    # every size refusal in the package is `ioutil.check_bytes` against
+    # the one cap, `ioutil.BYTES_CAP`, which no other module names; the
+    # extent cap of the tables and the per-format caps are gone.  The
+    # .bif commands read the module off one presentation, so only
+    # `bifiltration`, and the export map, name the per-point homology
+    gone = {
+        "DP_GRID_CAP", "GridTooLargeError", "check_table_grid", "GMOD_IDENTITY_BYTES_CAP", "identities_problem",
+        "_check_gmod_grid", "DENSE_BYTES_CAP",
+    }
+    found, cap, homology = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, name in _names(path):
+            where = f"{path.name}:{line}"
+            if name in gone:
+                found.append(f"{where} {name}")
+            if name == "BYTES_CAP" or name == 1 << 28:
+                cap.append(path.name)
+            if name == "homology_module" and path.name not in ("bifiltration.py", "__init__.py"):
+                homology.append(where)
+    assert found == [] and homology == []
+    assert set(cap) == {"ioutil.py"} and cap.count("ioutil.py") >= 2  # assigned once and read by `check_bytes`
+    tree = ast.parse((PACKAGE / "ioutil.py").read_text(encoding="utf-8"))
+    assigned = [node for node in ast.walk(tree) if isinstance(node, ast.Assign) and "BYTES_CAP" in ast.unparse(node.targets[0])]
+    assert len(assigned) == 1
+
+
 def test_the_cli_names_the_input_readers_only_in_read_input():
     # `validate` and every command read a .bif, .gmod or .fres through
     # `cli._read_input`, which also finds the file's problems; a reader

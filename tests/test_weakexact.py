@@ -8,10 +8,14 @@ import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bipersist import ioutil
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
-from bipersist.grid_module import GridTooLargeError, PairTable, RankInvariant, pair_count, rank_invariant_naive
-from bipersist.ioutil import InvariantError
+from bipersist.grid_module import PairTable, RankInvariant, pair_count, rank_invariant_naive
+from bipersist.ioutil import InvariantError, TooLargeError
+from bipersist.rank_dp import rank_from_resolution
+from bipersist.rect_decomp import decompose
+from bipersist.resolution import presentation
 from bipersist.linalg import MAX_MODULUS
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.weakexact import (
@@ -303,15 +307,32 @@ def test_check_path_solves_no_homology(p, degree, n_vert, grid, seed):
     assert ki.kappa == want_ki.kappa and ki.iota == want_ki.iota
 
 
-def test_dense_tables_refuse_grids_past_the_cap():
+def test_dense_tables_refuse_grids_past_the_cap(monkeypatch):
+    # every library entry point states the bytes of its tables on the
+    # comparable pairs, and a .bif route those of its presentation too,
+    # before it allocates them: it runs with the cap at those bytes and
+    # is refused, naming them, one byte short.  The 61 x 1 grid has
+    # 1,891 pairs, 2 bytes each at int16; the presentation of one vertex
+    # states 17 bytes and 2^18 of fixed work, the DP 61^2 (2 + 24) bytes
+    # of pair counts, and `decompose` 6 bytes per entry of its slab
     wide = Bifiltration({(0,): (60, 0)}, 61, 1)
-    for build in (
-        lambda: RankInvariant(61, 1),
-        lambda: kappa_iota(zero_module(61, 1, 2)),
-        lambda: kappa_iota_from_zigzags(wide, 0),
-        lambda: check_bifiltration(wide, 0),
+    module, pres, pairs, one = zero_module(61, 1, 2), presentation(wide, 0), pair_count(61, 1), 17 + (1 << 18)
+    inv = rank_from_resolution(pres)
+    for need, build in (
+        (8 * pairs, lambda: RankInvariant(61, 1)),  # int64, since a caller may write any rank
+        (2 * pairs, lambda: rank_invariant_naive(module)),
+        (2 * pairs + 61 * 61 * 26, lambda: rank_from_resolution(pres)),
+        (6 * 61, lambda: decompose(inv)),
+        (4 * pairs, lambda: kappa_iota(module)),
+        (6 * pairs, lambda: check_module(module)),
+        (one + 2 * pairs, lambda: presentation(wide, 0)),
+        (one + 4 * pairs, lambda: kappa_iota_from_zigzags(wide, 0)),
+        (one + 6 * pairs, lambda: check_bifiltration(wide, 0)),
     ):
-        with pytest.raises(GridTooLargeError, match="grid 61x1 exceeds"):
+        monkeypatch.setattr(ioutil, "BYTES_CAP", need)
+        build()
+        monkeypatch.setattr(ioutil, "BYTES_CAP", need - 1)
+        with pytest.raises(TooLargeError, match=f" would need {need:,} bytes, past the {need - 1:,}-byte cap$"):
             build()
 
 
