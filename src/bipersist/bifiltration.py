@@ -8,19 +8,25 @@ oracle of the presentation that every other .bif command reads the
 module off.  Each point's cycles and representatives come from
 `linalg.ColumnReducer`, as the graded kernel basis of `resolution`
 does: no dense kernel is solved.
+
+Parsing and validation are pure Python, and the module loads no numpy:
+the boundary matrices and the homology import numpy, `linalg` and
+`grid_module` when called, so `validate` and every refusal of a .bif
+made before the algebra starts run without them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+from .ioutil import FormatError, InvariantError, check_modulus, logical_lines, parse_int
 
-from .grid_module import GridModule
-from .ioutil import FormatError, InvariantError, logical_lines, parse_int
-from .linalg import ColumnReducer, check_modulus, solve_matrix
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
+
+    from .grid_module import GridModule
 
 Simplex = tuple[int, ...]
 
@@ -114,6 +120,8 @@ class Bifiltration:
         """Boundary of q-chains over the full simplex universe, mod p."""
         if q in self._boundary:
             return self._boundary[q]
+        import numpy as np
+
         cols = self.by_dim.get(q, [])
         rows = self.by_dim.get(q - 1, []) if q >= 1 else []
         mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
@@ -161,6 +169,10 @@ def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
+    import numpy as np
+
+    from .linalg import ColumnReducer
+
     p = bif.p
     present = set(present)
     q_list, up_list = bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
@@ -184,6 +196,10 @@ def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -
 
 def homology_map(src: HomologyBasis, tgt: HomologyBasis, p: int) -> np.ndarray:
     """Matrix of H_q(inclusion) in the two representative bases."""
+    import numpy as np
+
+    from .linalg import solve_matrix
+
     if src.dim == 0 or tgt.dim == 0:
         return np.zeros((tgt.dim, src.dim), dtype=np.int64)
     system = np.hstack([tgt.reps, tgt.boundaries])
@@ -195,6 +211,10 @@ def homology_map(src: HomologyBasis, tgt: HomologyBasis, p: int) -> np.ndarray:
 
 def homology_module(bif: Bifiltration, degree: int) -> GridModule:
     """Brute-force graded homology of the bifiltration; the oracle module."""
+    import numpy as np
+
+    from .grid_module import GridModule
+
     p = bif.p
     data = {}
     for x in range(bif.nx):
@@ -252,6 +272,8 @@ def read_bif(text: str) -> Bifiltration:
         if len(gtoks) != 2:
             raise FormatError(f"line {lineno}: expected two grade coordinates")
         try:
+            if not all(t.isascii() and "_" not in t for t in gtoks):  # float() reads 1_0 and a fullwidth 2 too
+                raise ValueError
             grade = (float(gtoks[0]), float(gtoks[1]))
         except ValueError:
             raise FormatError(f"line {lineno}: bad grade {left.strip()!r}") from None

@@ -21,7 +21,10 @@ import sys
 from .ioutil import FormatError
 
 # Each subcommand imports the modules it runs when it runs, so that a
-# command compiles and loads only its own part of the package.
+# command compiles and loads only its own part of the package.  The text
+# layer (`ioutil`, `bifiltration`) loads no numpy, so numpy loads with
+# the algebra only: `validate` of a .bif, and every refusal of an input
+# made before the algebra starts, run without it.
 
 
 class CliError(Exception):
@@ -171,8 +174,6 @@ def cmd_validate(args) -> int:
 def _rank_of_input(args, layout: bool = False):
     """The input's rank invariant; with `layout`, a grid that the .rank
     layout cannot hold is refused before any algebra."""
-    from .grid_module import check_rank_layout, rank_invariant_naive
-
     ext = _ext(args.infile)
     if ext != ".bif" and args.degree is not None:
         raise CliError("--degree applies to .bif inputs only")
@@ -183,6 +184,8 @@ def _rank_of_input(args, layout: bool = False):
     if ext == ".fres" and args.method == "naive":
         raise CliError("--method naive needs a .bif or .gmod input")
     data = _load(args.infile, ext, args.field)
+    from .grid_module import check_rank_layout, rank_invariant_naive
+
     if layout:
         check_rank_layout(data.nx, data.ny)
     if ext == ".gmod":
@@ -203,8 +206,6 @@ def cmd_rank(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .rect_decomp import decompose
-
     ext = _ext(args.infile)
     if ext == ".rank":
         for flag, value in (("--degree", args.degree), ("--method", args.method), ("--field", args.field)):
@@ -213,6 +214,8 @@ def cmd_decompose(args) -> int:
         inv = _read_rank(args.infile)
     else:
         inv = _rank_of_input(args)
+    from .rect_decomp import decompose
+
     barcode, clean = decompose(inv)
     _write_output([barcode.to_text()], args.output)
     if not clean:
@@ -227,13 +230,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .weakexact import check_bifiltration, check_module
-
     ext = _ext(args.infile)
     method = args.method or "zigzag"
     if ext == ".bif":
         bif = _load(args.infile, ".bif", args.field)
         degree = args.degree or 0
+        from .weakexact import check_bifiltration, check_module
+
         if method == "zigzag":
             ok, witness = check_bifiltration(bif, degree)
         else:
@@ -243,6 +246,8 @@ def cmd_check(args) -> int:
     elif ext == ".gmod":
         if args.degree is not None:
             raise CliError("--degree applies to .bif inputs only")
+        from .weakexact import check_module
+
         ok, witness = check_module(_load(args.infile, ".gmod", args.field), method)
     else:
         raise CliError(f"cannot check {ext or 'extensionless'} files")
@@ -258,8 +263,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_zigzag(args) -> int:
-    from .zigzag import col_zigzag_barcode, row_zigzag_barcode, write_zbar
-
     bif = _load(args.infile, ".bif", args.field)
     if (args.row is None) == (args.col is None):
         raise CliError("exactly one of --row and --col is required")
@@ -269,6 +272,8 @@ def cmd_zigzag(args) -> int:
         x, y = _point_1based(args.col, "--col")
     if not (0 <= x < bif.nx and 0 <= y < bif.ny):
         raise CliError(f"point ({x + 1},{y + 1}) outside the {bif.nx}x{bif.ny} grid")
+    from .zigzag import col_zigzag_barcode, row_zigzag_barcode, write_zbar
+
     path_barcode = row_zigzag_barcode if args.row is not None else col_zigzag_barcode
     barcode = path_barcode(bif, (x, y), args.degree or 0)
     _write_output([write_zbar([barcode])], args.output)

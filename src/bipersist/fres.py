@@ -16,8 +16,7 @@ import re
 
 import numpy as np
 
-from .ioutil import _BLOCK_CHARS, FormatError, block_rows, check_bytes, line_blocks, parse_int
-from .linalg import check_modulus
+from .ioutil import _BLOCK_CHARS, FormatError, block_rows, check_bytes, check_modulus, line_blocks, parse_int
 from .resolution import FreeModule, FreeResolution, GradedMatrix
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid_module import GridModule, table_bytes
-from .ioutil import FormatError, check_bytes, logical_lines, parse_int
-from .linalg import check_modulus
+from .ioutil import FormatError, check_bytes, check_modulus, logical_lines, parse_int
 
 
 def dimension_problem(d: int, chars: int) -> str:

@@ -20,8 +20,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .ioutil import check_bytes, line_blocks
-from .linalg import check_modulus, matmul, rank
+from .ioutil import check_bytes, check_modulus, line_blocks
+from .linalg import matmul, rank
 
 # The .rank labels "x y " fit in 8 bytes only below 100; the tables
 # are bounded by their bytes (`check_tables`), not by the extent.

@@ -1,12 +1,15 @@
-"""Shared bits: the text file formats (UTF-8, LF, '#' comments) and the
-package's exception classes."""
+"""Shared bits: the text file formats (UTF-8, LF, '#' comments), the
+field modulus rule and the package's exception classes.
+
+This is the text layer, and it loads no numpy: `block_rows`, its one
+array user, imports it when called, so reading and validating a .bif,
+and every refusal made before the algebra starts, run without it."""
 
 from __future__ import annotations
 
+import numbers
 import re
 from typing import Optional
-
-import numpy as np
 
 
 class FormatError(ValueError):
@@ -52,6 +55,47 @@ def parse_int(tok: str, lineno: int, what: str) -> int:
     if value is None:
         raise FormatError(f"line {lineno}: integer {tok} is outside the 64-bit range")
     return value
+
+
+MAX_MODULUS = 2**31 - 1
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, valid for all p below 2**31."""
+    if p < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # bases 2,3,5,7 are a proven witness set for p < 3_215_031_751
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_modulus(p: int) -> int:
+    """p as an int, when it is a prime in [2, MAX_MODULUS]: an int or a
+    numpy integer scalar (both `numbers.Integral`), not a float or an array."""
+    if not isinstance(p, numbers.Integral):
+        raise ValueError("field modulus must be an integer")
+    p = int(p)
+    if p < 2 or p > MAX_MODULUS:
+        raise ValueError(f"field modulus {p} out of range [2, {MAX_MODULUS}]")
+    if not is_prime(p):
+        raise ValueError(f"field modulus {p} is not prime")
+    return p
 
 
 # The most bytes an input's largest allocations may take: its tables on
@@ -120,6 +164,8 @@ def block_rows(block: str, fields: str, first_line: int):
     got before it raises `error`, so the error it raises names the first
     bad line of the file, whatever check that line fails.  Its per-byte
     and per-token work arrays are the run's own, freed when it returns."""
+    import numpy as np
+
     width = len(fields.split())
     data = np.frombuffer(_COMMENT.sub("", block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
     size = data.size

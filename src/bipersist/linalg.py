@@ -23,44 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-MAX_MODULUS = 2**31 - 1
 _CHUNK_ENTRIES = 1 << 14  # entries of a matrix gathered at once by `ColumnReducer.columns`
-
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all p below 2**31."""
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # bases 2,3,5,7 are a proven witness set for p < 3_215_031_751
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_modulus(p: int) -> int:
-    if not isinstance(p, (int, np.integer)):
-        raise ValueError("field modulus must be an integer")
-    p = int(p)
-    if p < 2 or p > MAX_MODULUS:
-        raise ValueError(f"field modulus {p} out of range [2, {MAX_MODULUS}]")
-    if not is_prime(p):
-        raise ValueError(f"field modulus {p} is not prime")
-    return p
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -122,7 +85,7 @@ class ColumnReducer:
     subtraction is one XOR.  At any other p it is an int64 array in
     [0, p) with lead entry 1, and a subtraction is one axpy
     w = (w - w[lead] c) mod p, whose products are at most
-    (p - 1)^2 < 2^62: exact in int64 for every p up to MAX_MODULUS.
+    (p - 1)^2 < 2^62: exact in int64 for every p up to `ioutil.MAX_MODULUS`.
     `block` back-substitutes when called and keeps the result until the
     rank changes.  `columns` converts a whole matrix at once to the form
     `add` takes, and `admitted` gives back an admitted column in it.

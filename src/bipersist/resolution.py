@@ -195,11 +195,19 @@ def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentatio
     stacked into [d_q; I] before it; the solved relations, at most
     S_q x S_(q+1), 11 with their grade masks; and 2^18 bytes of fixed
     work (`ColumnReducer.columns`' 2^14 int64 entries, numpy's buffers).
+    At p != 2 the reducers hold int64 columns where p = 2 holds bitsets,
+    which adds 16 bytes an entry of [d_q; I] (the stack, alive under its
+    columns, which are views of it, and the admitted columns, 8 each)
+    and 17 an entry of the basis (the completing reducer's columns, 8;
+    the block's lead columns, gathered for its back-substitution, 8,
+    and their nonzero mask, 1).
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
     s_down, s_q, s_up = (len(bif.by_dim.get(d, ())) for d in (degree - 1, degree, degree + 1))
     need = s_q * (17 * (s_down + s_q) + 19 * s_up) + (1 << 18) + table_bytes(bif.nx, bif.ny, tables, s_q)
+    if bif.p != 2:
+        need += s_q * (16 * (s_down + s_q) + 17 * s_q)
     check_bytes(need, f"the degree-{degree} presentation ({s_down:,}, {s_q:,} and {s_up:,} simplices of dimension "
                 f"q-1, q and q+1) and {tables} table(s) on the comparable pairs of the {bif.nx}x{bif.ny} grid")
     p = bif.p

@@ -7,8 +7,7 @@ import pytest
 from bipersist.bifiltration import Bifiltration, facets
 from bipersist import ioutil
 from bipersist.grid_module import PairTable, RankInvariant, pair_count
-from bipersist.ioutil import FormatError, logical_lines, parse_int
-from bipersist.linalg import check_modulus
+from bipersist.ioutil import FormatError, check_modulus, logical_lines, parse_int
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
 from bipersist.weakexact import KappaIota
 from paperlib import (

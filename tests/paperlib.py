@@ -38,8 +38,8 @@ import numpy as np
 
 from bipersist.bifiltration import Bifiltration, facets, homology_basis, homology_map, homology_module
 from bipersist.grid_module import GridModule, RankInvariant, iter_points, rank_invariant_naive
-from bipersist.ioutil import InvariantError, block_rows, line_blocks
-from bipersist.linalg import ColumnReducer, check_modulus, inv_mod, matmul, rank, solve_matrix
+from bipersist.ioutil import InvariantError, block_rows, check_modulus, line_blocks
+from bipersist.linalg import ColumnReducer, inv_mod, matmul, rank, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
 from bipersist.squares import SQUARE_LABELS, SquareInvariants
 from bipersist.zigzag import ZigzagBarcode

@@ -895,23 +895,36 @@ def test_rank_and_decompose_peak_rss_is_the_start_up_floor_and_the_vector(tmp_pa
 LOADED = (
     "import sys\n"
     "from bipersist.cli import main\n"
-    "main(sys.argv[1:])\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('bipersist'))))\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('bipersist') or m == 'numpy'))\n"
 )
 
 
-def loaded_modules(args, cwd):
-    """The bipersist modules a fresh process has loaded after running `main(args)`."""
+def run_loaded(args, cwd):
+    """(exit code, the bipersist modules and numpy loaded after it, stderr)
+    of `main(args)` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", LOADED, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    return set(done.stdout.split())
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    return int(code), set(loaded), done.stderr
+
+
+def loaded_modules(args, cwd):
+    """The bipersist modules, and numpy, a fresh process has loaded after running `main(args)`."""
+    return run_loaded(args, cwd)[1]
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    # numpy loads with the algebra only: `validate` of a .bif runs the
+    # text layer alone
+    write_triangle(tmp_path)
+    assert run_loaded(["validate", "tri.bif"], tmp_path) == (
+        0, {"bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.bifiltration"}, ""
+    )
     (tmp_path / "in.rank").write_text(RANKS.to_text())
     assert loaded_modules(["decompose-rectangles", "in.rank", "-o", "out.barcode"], tmp_path) == {
         "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
-        "bipersist.rank_reader", "bipersist.rect_decomp",
+        "bipersist.rank_reader", "bipersist.rect_decomp", "numpy",
     }
     assert (tmp_path / "out.barcode").read_text() == barcode_text(RANKS)
     from bipersist.bifiltration import read_bif
@@ -930,10 +943,22 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     # the check compiles neither file reader
     assert not loaded_modules(["check-rectangle", "tri.bif"], tmp_path) & {"bipersist.fres", "bipersist.rank_reader"}
     # the zigzag shares the check's flag step and pairing through linalg, not weakexact
+    # (and needs no grid_module: the per-point homology imports it only
+    # for the whole-grid module)
     assert loaded_modules(["zigzag-barcode", "tri.bif", "--row", "3,2", "-o", "out.zbar"], tmp_path) == {
-        "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
-        "bipersist.bifiltration", "bipersist.zigzag",
+        "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.bifiltration",
+        "bipersist.zigzag", "numpy",
     }
+
+
+@pytest.mark.parametrize("command", ["rank", "check-rectangle"])
+def test_a_malformed_bif_is_refused_without_numpy(tmp_path, command):
+    # the refusal comes from the text layer, before the command imports
+    # its algebra
+    (tmp_path / "bad.bif").write_text("bifiltration\nfield 2\n1 1 ; 0\n1 x ; 1\n")
+    assert run_loaded([command, "bad.bif"], tmp_path) == (
+        1, {"bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.bifiltration"}, "error: line 4: bad grade '1 x'\n"
+    )
 
 
 def test_the_check_of_a_gmod_compiles_no_bifiltration_code(tmp_path):

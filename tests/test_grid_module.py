@@ -25,10 +25,10 @@ from bipersist.grid_module import (
     slab_targets,
     table_bytes,
 )
-from bipersist.ioutil import FormatError, TooLargeError
+from bipersist.ioutil import MAX_MODULUS, FormatError, TooLargeError
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.resolution import presentation
-from bipersist.linalg import MAX_MODULUS, matmul, rank
+from bipersist.linalg import matmul, rank
 from bipersist.squares import (
     SQUARE_LABELS,
     InconsistentSquareError,

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bipersist import linalg
+from bipersist.ioutil import MAX_MODULUS, is_prime
 from bipersist.linalg import (
-    MAX_MODULUS,
     ColumnReducer,
     inv_mod,
-    is_prime,
     matmul,
     rank,
     solve_matrix,

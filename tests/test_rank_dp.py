@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.grid_module import RankInvariant, rank_invariant_naive
-from bipersist.linalg import MAX_MODULUS, ColumnReducer, matmul, pair_counts, rank
+from bipersist.ioutil import MAX_MODULUS
+from bipersist.linalg import ColumnReducer, matmul, pair_counts, rank
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.fres import read_fres
 from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, free_resolution, presented_module

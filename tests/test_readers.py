@@ -9,6 +9,8 @@ import io
 import random
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -270,6 +272,43 @@ def test_bif_reader_refuses_non_finite_grades(grade):
     text = f"bifiltration\nfield 2\n0 0 ; 1\n\n{grade} ; 2\n"
     with pytest.raises(FormatError, match=rf"^line 5: grade '{grade}' is not finite"):
         read_bif(text)
+
+
+@pytest.mark.parametrize("grade", ["1_0 1", "1 2_5.0", "\uff12 1", "1 \u0661"])
+def test_bif_reader_refuses_grades_outside_ascii_or_with_separators(grade):
+    # float() would read 1_0 as 10 and a fullwidth or Arabic-Indic digit
+    # as its value; a grade, like every integer field, is ASCII without _
+    text = f"bifiltration\nfield 2\n0 0 ; 1\n\n{grade} ; 2\n"
+    with pytest.raises(FormatError, match=rf"^line 5: bad grade {re.escape(repr(grade))}$"):
+        read_bif(text)
+
+
+def test_bif_reader_reads_ascii_real_grades():
+    bif = read_bif("bifiltration\nfield 2\n+.5 1e0 ; 0\n1.5E0 -2 ; 1\n")
+    assert bif.grades == {(0,): (0, 1), (1,): (1, 0)}
+
+
+@pytest.mark.parametrize(
+    "value, outcome",
+    [
+        (3, 3), (np.int64(3), 3), (np.int32(3), 3), (np.uint8(3), 3), (np.uint64(2**31 - 1), 2**31 - 1),
+        (True, "out of range"), (np.int64(4), "not prime"),
+        (3.0, "must be an integer"), (np.float64(3), "must be an integer"), (np.array(3), "must be an integer"),
+        (np.array([3]), "must be an integer"), (np.bool_(True), "must be an integer"),
+        (Fraction(3), "must be an integer"), (Decimal(3), "must be an integer"), ("3", "must be an integer"),
+        (None, "must be an integer"),
+    ],
+    ids=repr,
+)
+def test_check_modulus_accepts_ints_and_numpy_integer_scalars_only(value, outcome):
+    # an int or a numpy integer scalar is read as the int it holds; a
+    # float, an array or any other number is refused whatever its value
+    if isinstance(outcome, int):
+        got = ioutil.check_modulus(value)
+        assert got == outcome and type(got) is int
+    else:
+        with pytest.raises(ValueError, match=outcome):
+            ioutil.check_modulus(value)
 
 
 def test_fres_homogeneity_error_names_the_triplet_line():

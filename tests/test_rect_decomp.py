@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import hypothesis
@@ -15,8 +16,9 @@ from bipersist.grid_module import (
     pair_count,
     rank_invariant_naive,
 )
-from bipersist.ioutil import FormatError
-from bipersist.rect_decomp import RectangleBarcode, decompose
+from bipersist import ioutil
+from bipersist.ioutil import FormatError, TooLargeError
+from bipersist.rect_decomp import _RECTANGLE_BYTES, RectangleBarcode, decompose
 from bipersist.squares import is_weakly_exact_algebraic
 from conftest import random_bifiltration
 from paperlib import (
@@ -184,6 +186,51 @@ def test_decompose_peak_memory_is_a_few_slabs_and_the_mask():
     # beside r only one int64 s_x slab [s_y, t_x, t_y], its shifted
     # copies and flags; no comparable mask
     assert peak <= 3 * 40 * 40 * 40 * 8
+
+
+def _slab_bytes(r, monkeypatch):
+    """The bytes of one slab `decompose(r)` states, read off its refusal
+    at a cap below any input."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ioutil, "BYTES_CAP", -1)
+        with pytest.raises(TooLargeError) as refused:
+            decompose(r)
+    return int(re.search(r"one slab of the \d+x\d+ grid would need ([0-9,]+) bytes", str(refused.value))[1].replace(",", ""))
+
+
+def test_decompose_refuses_a_barcode_past_the_cap_before_adding_its_slab(monkeypatch):
+    # two rectangles in the slab s_x = 0, a third in s_x = 2: the barcode
+    # is counted at each slab, with the rectangles of the slabs before
+    truth = RectangleBarcode({(0, 0, 2, 1): 1, (0, 1, 1, 1): 2, (2, 0, 2, 0): 1})
+    r = rectangle_rank_invariant(truth, 3, 2)
+    slab = _slab_bytes(r, monkeypatch)
+    for rectangles in (2, 3):
+        need = slab + rectangles * _RECTANGLE_BYTES
+        monkeypatch.setattr(ioutil, "BYTES_CAP", need - 1)
+        with pytest.raises(TooLargeError, match=(
+            f"^the differences of one slab of the 3x2 grid and {rectangles} rectangle\\(s\\) would need {need:,} bytes, "
+            f"past the {need - 1:,}-byte cap$"
+        )):
+            decompose(r)
+    monkeypatch.setattr(ioutil, "BYTES_CAP", slab + 3 * _RECTANGLE_BYTES)
+    assert decompose(r) == (truth, True)
+
+
+@pytest.mark.parametrize("nx, ny, high", [(1, 300, 2**40), (1, 200, 3), (12, 12, 2**40)])
+def test_decompose_states_at_least_the_bytes_of_its_barcode(monkeypatch, nx, ny, high):
+    # random ranks: nearly every pair carries a rectangle, so the barcode,
+    # a dict of tuples, outgrows the slabs; with ranks past 256 and
+    # coordinates past 256 its ints are not Python's cached ones
+    rng = np.random.default_rng(7)
+    r = RankInvariant(nx, ny, rng.integers(0, high, pair_count(nx, ny), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        barcode, _ = decompose(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(barcode) > pair_count(nx, ny) // 8
+    assert peak <= _slab_bytes(r, monkeypatch) + len(barcode) * _RECTANGLE_BYTES
 
 
 def test_a_comment_only_rank_file_decomposes_to_an_empty_barcode():

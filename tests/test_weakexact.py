@@ -12,12 +12,10 @@ from bipersist import ioutil
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from bipersist.grid_module import PairTable, RankInvariant, pair_count, rank_invariant_naive
-from bipersist.ioutil import InvariantError, TooLargeError
+from bipersist.ioutil import MAX_MODULUS, InvariantError, TooLargeError
 from bipersist.rank_dp import rank_from_resolution
-from bipersist.rect_decomp import decompose
+from bipersist.rect_decomp import _RECTANGLE_BYTES, RectangleBarcode, decompose
 from bipersist.resolution import presentation
-from bipersist.linalg import MAX_MODULUS
-from bipersist.rect_decomp import RectangleBarcode
 from bipersist.weakexact import (
     KappaIota,
     check_bifiltration,
@@ -314,7 +312,8 @@ def test_dense_tables_refuse_grids_past_the_cap(monkeypatch):
     # is refused, naming them, one byte short.  The 61 x 1 grid has
     # 1,891 pairs, 2 bytes each at int16; the presentation of one vertex
     # states 17 bytes and 2^18 of fixed work, the DP 61^2 (2 + 24) bytes
-    # of pair counts, and `decompose` 6 bytes per entry of its slab
+    # of pair counts, and `decompose` 6 bytes per entry of its slab and
+    # `_RECTANGLE_BYTES` for the one rectangle of its barcode
     wide = Bifiltration({(0,): (60, 0)}, 61, 1)
     module, pres, pairs, one = zero_module(61, 1, 2), presentation(wide, 0), pair_count(61, 1), 17 + (1 << 18)
     inv = rank_from_resolution(pres)
@@ -322,7 +321,7 @@ def test_dense_tables_refuse_grids_past_the_cap(monkeypatch):
         (8 * pairs, lambda: RankInvariant(61, 1)),  # int64, since a caller may write any rank
         (2 * pairs, lambda: rank_invariant_naive(module)),
         (2 * pairs + 61 * 61 * 26, lambda: rank_from_resolution(pres)),
-        (6 * 61, lambda: decompose(inv)),
+        (6 * 61 + _RECTANGLE_BYTES, lambda: decompose(inv)),
         (4 * pairs, lambda: kappa_iota(module)),
         (6 * pairs, lambda: check_module(module)),
         (one + 2 * pairs, lambda: presentation(wide, 0)),
