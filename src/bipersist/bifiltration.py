@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .ioutil import FormatError, InvariantError, check_modulus, logical_lines, parse_int
+from .ioutil import BLANKS, FormatError, InvariantError, check_modulus, fields, logical_lines, parse_int
 
 if TYPE_CHECKING:  # annotations only
     import numpy as np
@@ -251,10 +251,10 @@ def read_bif(text: str) -> Bifiltration:
     if not lines or lines[0][1] != "bifiltration":
         lineno = lines[0][0] if lines else 1
         raise FormatError(f"line {lineno}: expected 'bifiltration' header")
-    if len(lines) < 2 or not lines[1][1].startswith("field "):
+    toks = fields(lines[1][1]) if len(lines) > 1 else []
+    if len(toks) < 2 or toks[0] != "field":
         raise FormatError(f"line {lines[0][0]}: missing 'field p' line")
-    lineno, field_line = lines[1]
-    toks = field_line.split()
+    lineno = lines[1][0]
     if len(toks) != 2:
         raise FormatError(f"line {lineno}: expected 'field p'")
     p = parse_int(toks[1], lineno, "modulus")
@@ -268,18 +268,18 @@ def read_bif(text: str) -> Bifiltration:
         if ";" not in line:
             raise FormatError(f"line {lineno}: expected 'g_x g_y ; v0 v1 ...'")
         left, right = line.split(";", 1)
-        gtoks = left.split()
+        gtoks = fields(left)
         if len(gtoks) != 2:
             raise FormatError(f"line {lineno}: expected two grade coordinates")
-        try:
-            if not all(t.isascii() and "_" not in t for t in gtoks):  # float() reads 1_0 and a fullwidth 2 too
+        try:  # float() also reads 1_0, a fullwidth 2 and whitespace such as "1\x0b"
+            if not all(t.isascii() and t.isprintable() and "_" not in t for t in gtoks):
                 raise ValueError
             grade = (float(gtoks[0]), float(gtoks[1]))
         except ValueError:
-            raise FormatError(f"line {lineno}: bad grade {left.strip()!r}") from None
+            raise FormatError(f"line {lineno}: bad grade {left.strip(BLANKS)!r}") from None
         if not all(map(math.isfinite, grade)):  # nan is unordered, and inf (1e400 too) no real grade
-            raise FormatError(f"line {lineno}: grade {left.strip()!r} is not finite")
-        vtoks = right.split()
+            raise FormatError(f"line {lineno}: grade {left.strip(BLANKS)!r} is not finite")
+        vtoks = fields(right)
         if not vtoks:
             raise FormatError(f"line {lineno}: empty simplex")
         verts = tuple(parse_int(v, lineno, "vertex id") for v in vtoks)

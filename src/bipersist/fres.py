@@ -1,10 +1,10 @@
 """The .fres format of free resolutions (`write_fres`, `read_fres`),
 loaded only by the commands that read a .fres.
 
-`.fres` files share the `.rank` field rule (`ioutil.block_rows`): fields
-are separated by spaces or tabs, a CR reads as a space, and every
-integer is an optional sign and ASCII digits within int64.  Any other
-character, other Unicode whitespace included, belongs to a field.
+`.fres` files follow the field rule of every format (`ioutil.BLANKS`):
+fields are separated by spaces, tabs and CRs, and every integer is an
+optional sign and ASCII digits within int64.  Any other character,
+other Unicode whitespace included, belongs to a field.
 The reader holds the matrices it returns and one run of lines with its
 rows at a time; nothing else is kept from run to run.
 """
@@ -16,7 +16,8 @@ import re
 
 import numpy as np
 
-from .ioutil import _BLOCK_CHARS, FormatError, block_rows, check_bytes, check_modulus, line_blocks, parse_int
+from .ioutil import _BLOCK_CHARS, BLANKS, FormatError, block_rows, check_bytes, check_modulus, fields, line_blocks
+from .ioutil import parse_int
 from .resolution import FreeModule, FreeResolution, GradedMatrix
 
 
@@ -35,9 +36,8 @@ def write_fres(res: FreeResolution) -> str:
 
 # a logical line (one with a field once its comment is cut), and a line
 # whose first field is a section name (group 2: the rest, up to the comment)
-_LINE = re.compile(r"^[ \t\r]*([^ \t\r\n#][^\n#]*)", re.M)
-_SECTION = re.compile(r"^[ \t\r]*(gens|rels|relrels|phi|psi)(?=[ \t\r#]|$)([^\n#]*)", re.M)
-_BLANKS = re.compile(r"[ \t\r]+")
+_LINE = re.compile(rf"^[{BLANKS}]*([^{BLANKS}\n#][^\n#]*)", re.M)
+_SECTION = re.compile(rf"^[{BLANKS}]*(gens|rels|relrels|phi|psi)(?=[{BLANKS}#]|$)([^\n#]*)", re.M)
 _SECTIONS = ("gens", "rels", "relrels", "phi", "psi")
 
 
@@ -168,7 +168,7 @@ def _fres_header(blocks):
     header, rest = [], None
     for first_line, block in blocks:
         for m in _LINE.finditer(block):
-            header.append((first_line + block.count("\n", 0, m.start()), _BLANKS.split(m[1].strip(" \t\r"))))
+            header.append((first_line + block.count("\n", 0, m.start()), fields(m[1])))
             if len(header) == 4:
                 eol = block.find("\n", m.end())
                 rest = (header[-1][0] + 1, block[eol + 1 :] if eol >= 0 else "")
@@ -236,7 +236,7 @@ def _fres_rows(pieces, first: int):
         if m is not None and m[1] in _SECTIONS[3 if k >= 3 else 0 :]:
             if k == 4:
                 raise FormatError(f"line {line}: expected the end of the file after the 'psi' block")
-            if (m[1], m[2].strip(" \t\r")) != (_SECTIONS[k + 1], ""):
+            if (m[1], m[2].strip(BLANKS)) != (_SECTIONS[k + 1], ""):
                 raise FormatError(f"line {line}: expected '{_SECTIONS[k + 1]}'")
             k, last = k + 1, line
             yield k, None, line, None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid_module import GridModule, table_bytes
-from .ioutil import FormatError, check_bytes, check_modulus, logical_lines, parse_int
+from .ioutil import FormatError, check_bytes, check_modulus, fields, logical_lines, parse_int
 
 
 def dimension_problem(d: int, chars: int) -> str:
@@ -69,7 +69,7 @@ def read_gmod(text: str) -> GridModule:
 
     while i < len(lines):
         lineno, line = lines[i]
-        toks = line.split()
+        toks = fields(line)
         key = toks[0]
         if key == "field":
             need(p is None, lineno, "duplicate field line")
@@ -118,7 +118,7 @@ def read_gmod(text: str) -> GridModule:
             for _ in range(rows_needed):
                 need(i < len(lines), lineno, f"{key} at ({x},{y}): missing matrix rows")
                 rlineno, rline = lines[i]
-                row = [parse_int(t, rlineno, "matrix entry") for t in rline.split()]
+                row = [parse_int(t, rlineno, "matrix entry") for t in fields(rline)]
                 need(len(row) == cols_needed, rlineno,
                      f"expected {cols_needed} entries, got {len(row)}")
                 mat.append(row)

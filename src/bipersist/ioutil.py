@@ -1,5 +1,6 @@
-"""Shared bits: the text file formats (UTF-8, LF, '#' comments), the
-field modulus rule and the package's exception classes.
+"""Shared bits: the text rules of every file format (UTF-8, LF, '#'
+comments, blank-separated fields), the field modulus rule and the
+package's exception classes.
 
 This is the text layer, and it loads no numpy: `block_rows`, its one
 array user, imports it when called, so reading and validating a .bif,
@@ -23,10 +24,18 @@ class InvariantError(RuntimeError):
     """
 
 
+# The text rules of every format: a '#' opens a comment to the end of its
+# line, and a field is a run of characters other than the blanks, space,
+# tab and CR; any other character, Unicode whitespace too, is a field's.
+BLANKS = " \t\r"
+fields = re.compile(f"[^{BLANKS}]+").findall  # the fields of a line, in order
+
+
 def logical_lines(text: str):
-    """Yield (lineno, stripped_content) skipping blanks and comments."""
+    """Yield (lineno, content) of each line that holds a field once its
+    comment is cut, stripped of its blanks."""
     for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(BLANKS)
         if line:
             yield i, line
 
@@ -148,14 +157,14 @@ def file_chunks(fh):
     return iter(lambda: fh.read(_BLOCK_CHARS), b"")
 
 
-def block_rows(block: str, fields: str, first_line: int):
+def block_rows(block: str, names: str, first_line: int):
     """Parse a table of integers, one row per logical line, from one run
     of whole lines starting at line `first_line` of its file.
 
     Every line that is not blank once its '#' comment is cut must hold
-    one integer per name in `fields` (e.g. "s_x s_y t_x t_y r").  An
-    integer is an optional sign and ASCII digits, within int64; tokens
-    are separated by spaces or tabs, and a CR is read as a space.
+    one integer per name in `names` (e.g. "s_x s_y t_x t_y r").  An
+    integer is an optional sign and ASCII digits, within int64, and the
+    `BLANKS` separate them.
 
     Returns (rows, lines, error): the rows of the lines before the
     first malformed one (int64, one column per field), their 1-based
@@ -166,7 +175,7 @@ def block_rows(block: str, fields: str, first_line: int):
     and per-token work arrays are the run's own, freed when it returns."""
     import numpy as np
 
-    width = len(fields.split())
+    width = len(fields(names))
     data = np.frombuffer(_COMMENT.sub("", block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
     size = data.size
     # per byte: the digit values, 0 off the digits and shifted one place
@@ -184,10 +193,9 @@ def block_rows(block: str, fields: str, first_line: int):
     newline = np.equal(data, 10, out=solid[:size])
     solid[size] = True  # the run's last line ends at its end
     line_ends = np.flatnonzero(solid[: size + 1])
-    np.equal(data, 32, out=blank)
-    blank |= newline
-    for tab_or_cr in (9, 13):
-        blank |= np.equal(data, tab_or_cr, out=solid[:size])
+    np.copyto(blank, newline)
+    for byte in BLANKS.encode():
+        blank |= np.equal(data, byte, out=solid[:size])
     plain += np.count_nonzero(blank)
     solid[0] = solid[-1] = False
     np.logical_not(blank, out=solid[1:-1])
@@ -202,8 +210,8 @@ def block_rows(block: str, fields: str, first_line: int):
     if not fits.all():
         stop = int(np.argmin(fits))
         a = line_ends[stop - 1] + 1 if stop else 0
-        line = data[a : line_ends[stop]].tobytes().decode("utf-8", "replace").strip()
-        why = f"expected '{fields}', got {line!r}"
+        line = data[a : line_ends[stop]].tobytes().decode("utf-8", "replace").strip(BLANKS)
+        why = f"expected '{names}', got {line!r}"
     # a byte that is neither blank nor a digit must be a sign that opens
     # its token and is followed by a digit
     signed = plain < size

@@ -191,10 +191,16 @@ class ColumnReducer:
 
     @staticmethod
     def _unpacked(bitsets: list, k: int) -> np.ndarray:
-        """The bitsets of length k (bit k-1-i for entry i) as int64 rows."""
+        """The bitsets of length k (bit k-1-i for entry i) as int64 rows,
+        unpacked a bounded chunk of rows at a time."""
         n = (k + 7) // 8
-        data = np.frombuffer(b"".join(w.to_bytes(n, "big") for w in bitsets), dtype=np.uint8)
-        return np.unpackbits(data).reshape(len(bitsets), 8 * n)[:, 8 * n - k :].astype(np.int64)
+        rows = np.empty((len(bitsets), k), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // max(1, k))
+        for lo in range(0, len(bitsets), step):
+            chunk = bitsets[lo : lo + step]
+            data = np.frombuffer(b"".join(w.to_bytes(n, "big") for w in chunk), dtype=np.uint8)
+            rows[lo : lo + step] = np.unpackbits(data).reshape(len(chunk), 8 * n)[:, 8 * n - k :]
+        return rows
 
     def _block_gf2(self):
         """Back-substitution, from the last lead row up: a column's entries

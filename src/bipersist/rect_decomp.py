@@ -20,7 +20,7 @@ from itertools import repeat
 import numpy as np
 
 from .grid_module import RankInvariant, table_dtype
-from .ioutil import FormatError, check_bytes, logical_lines, parse_int
+from .ioutil import check_bytes
 
 # Bytes a rectangle of `decompose`'s barcode may take, traced: its key
 # tuple, the ints past Python's small-int cache in it and its value, its
@@ -49,26 +49,6 @@ class RectangleBarcode(dict):
         for sx, sy, tx, ty in sorted(self):
             out.append(f"{sx + 1} {sy + 1} {tx + 1} {ty + 1} {self[(sx, sy, tx, ty)]}")
         return "\n".join(out) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RectangleBarcode":
-        counts = {}
-        for lineno, line in logical_lines(text):
-            toks = line.split()
-            if len(toks) != 5:
-                raise FormatError(f"line {lineno}: expected 's_x s_y t_x t_y multiplicity'")
-            sx, sy, tx, ty, mult = (parse_int(t, lineno, "barcode entry") for t in toks)
-            if sx < 1 or sy < 1:
-                raise FormatError(f"line {lineno}: coordinates are 1-based")
-            if sx > tx or sy > ty:
-                raise FormatError(f"line {lineno}: corners out of order")
-            if mult < 1:
-                raise FormatError(f"line {lineno}: multiplicity must be positive")
-            rect = (sx - 1, sy - 1, tx - 1, ty - 1)
-            if rect in counts:
-                raise FormatError(f"line {lineno}: duplicate rectangle")
-            counts[rect] = mult
-        return cls(counts)
 
 
 def decompose(r: RankInvariant):

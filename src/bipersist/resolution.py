@@ -242,7 +242,7 @@ def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
     return FreeResolution(pres.gens, pres.rels, relrels, pres.phi, psi, bif.nx, bif.ny, bif.p)
 
 
-def presented_module(pres: Presentation) -> GridModule:
+def presented_module(pres: Presentation, tables: int = 1) -> GridModule:
     """The module presented by `pres` as explicit matrices: M_t = F_t / Im phi_t.
 
     Reads gens, rels and phi only, so a `FreeResolution` serves as well.
@@ -255,9 +255,18 @@ def presented_module(pres: Presentation) -> GridModule:
     class of a pivot generator is e_g minus its block row, which lies on
     the basis generators, so the map of an edge into t selects the
     normal-form rows of the source's basis generators.
+
+    Before the maps into a point are stored, the bytes so far are
+    refused past the cap, with the `tables` tables of the caller at
+    `table_dtype(k)`, k generators: 16 an entry of each map (it and
+    `GridModule`'s copy) and 640 a map (at most 620 measured, 1 x 1
+    maps), phi, one point's block and normal forms, 8 an entry of k x k
+    each, 8 more for the int64 columns at p != 2, and 2^18 fixed.
     """
     nx, ny, p = pres.nx, pres.ny, pres.p
     k = len(pres.gens)
+    need = table_bytes(nx, ny, tables, k) + pres.phi.entries.nbytes + (16 if p == 2 else 24) * k * k
+    need += 640 * (2 * nx * ny - nx - ny) + (1 << 18)
     columns = ColumnReducer.columns(pres.phi.entries, p)
     gg = np.array(pres.gens.grades, dtype=np.int64).reshape(-1, 2)
     rg = np.array(pres.rels.grades, dtype=np.int64).reshape(-1, 2)
@@ -273,6 +282,9 @@ def presented_module(pres: Presentation) -> GridModule:
             alive = (gg[:, 0] <= x) & (gg[:, 1] <= y)
             alive[leads] = False
             basis = np.flatnonzero(alive)
+            need += 16 * basis.size * ((left.size if x else 0) + (below[x].size if y else 0))
+            check_bytes(need, f"the maps into the points up to ({x + 1},{y + 1}) of the module presented on the "
+                        f"{nx}x{ny} grid and {tables} table(s) on its comparable pairs")
             nf = np.zeros((k, basis.size), dtype=np.int64)  # row g: the class of e_g in the basis
             nf[basis, np.arange(basis.size)] = 1
             nf[leads] = -rows[:, basis] % p
@@ -282,4 +294,5 @@ def presented_module(pres: Presentation) -> GridModule:
             if y:
                 vmaps[(x, y - 1)] = nf[below[x]].T
             left = below[x] = basis
+    reducer = rows = nf = None  # so that the last point's work is not held while the maps are copied
     return GridModule(nx, ny, p, dims, hmaps, vmaps)

@@ -70,7 +70,7 @@ class KappaIota:
     iota: PairTable
 
 
-def _image_intersections(module: GridModule, put) -> None:
+def _image_intersections(module: GridModule, put, dual: bool = False) -> None:
     """iota(., t) for every grid point t, from one two-flag pairing per t.
 
     A_x = Im M((x, t_y) -> t) and B_y = Im M((t_x, y) -> t) are flags in
@@ -78,7 +78,9 @@ def _image_intersections(module: GridModule, put) -> None:
     edge forward (`linalg.flag_step`), and one pairing of the two
     (`linalg.pair_flags`) gives iota(s, t) = dim(A_{s_x} cap B_{s_y})
     for every s <= t: `put(t, a)` gets them as a[s_x, s_y], for every t
-    with M_t != 0 (elsewhere iota(., t) is 0).
+    with M_t != 0 (elsewhere iota(., t) is 0).  With `dual` it walks the
+    dual module on the module's own maps: the grid reversed, u at
+    (n_x-1-u_x, n_y-1-u_y), and the maps into u the transposed maps out of u.
     """
     nx, ny, p = module.nx, module.ny, module.p
     zero = (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))  # the flag of the zero space
@@ -86,13 +88,17 @@ def _image_intersections(module: GridModule, put) -> None:
     for ty in range(ny):
         left = zero  # the A-adapted basis at (t_x - 1, t_y)
         for tx in range(nx):
-            d = module.dim_at((tx, ty))
+            u = (nx - 1 - tx, ny - 1 - ty) if dual else (tx, ty)
+            d = module.dim_at(u)
             if d == 0:
                 left = below[tx] = zero
                 continue
             start = np.zeros((d, 0), dtype=np.int64)
-            left = flag_step(module.hmaps[(tx - 1, ty)] if tx else start, left, tx, p)
-            below[tx] = flag_step(module.vmaps[(tx, ty - 1)] if ty else start, below[tx], ty, p)
+            if dual:  # the maps into u on the dual: the transposed maps out of u
+                h, v = module.hmaps[u].T if tx else start, module.vmaps[u].T if ty else start
+            else:
+                h, v = module.hmaps[(tx - 1, ty)] if tx else start, module.vmaps[(tx, ty - 1)] if ty else start
+            left, below[tx] = flag_step(h, left, tx, p), flag_step(v, below[tx], ty, p)
             put((tx, ty), pair_flags(left, below[tx], (tx + 1, ty + 1), p))
 
 
@@ -103,7 +109,8 @@ def kappa_iota(module: GridModule) -> KappaIota:
     the row spaces of M(s -> b) and M(s -> c).  Those row spaces are the
     images into s' of the dual module, on the grid reversed by
     u' = (n_x-1-u_x, n_y-1-u_y), so kappa(s, t) = dim M_s - iota*(t', s'):
-    the dual's walks into s' are the walks out of s, transposed.  So
+    the dual's walks into s' are the walks out of s, transposed, on the
+    module's own maps (no dual module is built).  So
     the dual's pairing at s' is the block kappa(s, .), reversed in both
     axes, and iota(., t) is one entry in each block iota(s, .) with s <= t.
     """
@@ -116,7 +123,7 @@ def kappa_iota(module: GridModule) -> KappaIota:
         s = (nx - 1 - u[0], ny - 1 - u[1])
         kappa.block(s)[...] = module.dim_at(s) - a[::-1, ::-1]
 
-    _image_intersections(module.dualize(), put_kappa)  # the dual is freed before iota is made
+    _image_intersections(module, put_kappa, dual=True)
     iota = PairTable(nx, ny, np.zeros(pair_count(nx, ny), dtype=dtype))
     into = pairs_into(nx, ny)
 
@@ -134,7 +141,7 @@ def kappa_iota_from_zigzags(bif: Bifiltration, degree: int, jobs=None) -> KappaI
     and `jobs` (None only) are kept for perfbench/traced.py."""
     if jobs is not None:
         raise ValueError("kappa_iota_from_zigzags runs serially; pass None for jobs")
-    return kappa_iota(presented_module(presentation(bif, degree, tables=2)))
+    return kappa_iota(presented_module(presentation(bif, degree, tables=2), tables=2))
 
 
 def check_rectangle_decomposable(r: RankInvariant, ki: KappaIota):
@@ -186,7 +193,7 @@ def check_bifiltration(bif: Bifiltration, degree: int):
     three tables, so an input past the cap is refused before any work.
     """
     pres = presentation(bif, degree, tables=3)
-    return check_rectangle_decomposable(rank_from_resolution(pres), kappa_iota(presented_module(pres)))
+    return check_rectangle_decomposable(rank_from_resolution(pres), kappa_iota(presented_module(pres, tables=3)))
 
 
 def check_module(module: GridModule, method: str = "zigzag"):

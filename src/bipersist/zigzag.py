@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .bifiltration import Bifiltration, homology_basis, homology_map
-from .ioutil import FormatError, InvariantError, logical_lines, parse_int
+from .ioutil import InvariantError
 from .linalg import flag_step, pair_flags
 
 
@@ -136,19 +136,3 @@ def write_zbar(barcodes) -> str:
         for b, d in sorted(bc.intervals):
             out.append(f"{deg} {b + 1} {d + 1}")
     return "\n".join(out) + "\n"
-
-
-def read_zbar(text: str) -> list:
-    """Parse 'degree birth death' lines into 0-based (degree, b, d) tuples."""
-    entries = []
-    for lineno, line in logical_lines(text):
-        toks = line.split()
-        if len(toks) != 3:
-            raise FormatError(f"line {lineno}: expected 'degree birth death'")
-        deg, b, d = (parse_int(t, lineno, "barcode entry") for t in toks)
-        if deg < 0:
-            raise FormatError(f"line {lineno}: negative degree")
-        if not (1 <= b <= d):
-            raise FormatError(f"line {lineno}: stations are 1-based with birth <= death")
-        entries.append((deg, b - 1, d - 1))
-    return entries

@@ -216,7 +216,7 @@ def reference_rank_from_text(text):
     entries = {}
     nx = ny = top = 0
     for lineno, line in logical_lines(text):
-        toks = line.split()
+        toks = re.findall(r"[^ \t\r]+", line)  # the fields: runs of characters other than space, tab and CR
         if len(toks) != 5 or not all(INTEGER.fullmatch(t) for t in toks):
             raise FormatError(f"line {lineno}: malformed")
         vals = [int(t) for t in toks]

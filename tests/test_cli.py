@@ -18,9 +18,9 @@ from bipersist.gmod import read_gmod, write_gmod
 from bipersist.grid_module import RankInvariant, pair_count
 from bipersist.ioutil import FormatError
 from bipersist.rect_decomp import RectangleBarcode, decompose
-from bipersist.zigzag import read_zbar, write_zbar
+from bipersist.zigzag import write_zbar
 from conftest import clique_bifiltration
-from paperlib import col_zigzag, rectangle_rank_invariant, row_zigzag, zigzag_barcode
+from paperlib import col_zigzag, int_rows, rectangle_rank_invariant, row_zigzag, zigzag_barcode
 
 TRIANGLE = [
     ((0, 0), (0,)),
@@ -188,9 +188,12 @@ def test_rank_of_a_bif_refuses_an_oversized_grid_before_any_algebra(tmp_path, ca
     # 61 vertices on the 61 x 1 grid: both methods take one presentation,
     # which states 61 (17 * 61) = 63,257 bytes of matrices, 2^18 of fixed
     # work and 3,782 of the int16 table; one byte short of that it is
-    # refused before any boundary matrix is built
+    # refused before any boundary matrix is built.  The naive method also
+    # states the module presented, dimensions 1 .. 61 along the row:
+    # 16 x (1 x 2 + ... + 60 x 61) bytes of maps, 640 a map, 16 x 61^2
+    # of one point's work, 2^18 of fixed work and the table
     wide = wide_bif(tmp_path, 61)
-    monkeypatch.setattr(ioutil, "BYTES_CAP", 329183)
+    monkeypatch.setattr(ioutil, "BYTES_CAP", 329183 if method == "dp" else 1210240 + 38400 + 59536 + (1 << 18) + 3782)
     assert main([command, wide, "--method", method, "-o", str(tmp_path / "out")]) == 0
     monkeypatch.setattr(ioutil, "BYTES_CAP", 329182)
     refuse_boundaries(monkeypatch)
@@ -202,10 +205,11 @@ def test_rank_of_a_bif_refuses_an_oversized_grid_before_any_algebra(tmp_path, ca
 
 
 def test_check_rectangle_grid_cap(tmp_path, capsys, monkeypatch):
-    # the check's presentation counts its three int16 tables
+    # the check's presentation counts its three int16 tables, and so
+    # does the module it presents, which states more (see above)
     wide = wide_bif(tmp_path, 61)
     need = 63257 + (1 << 18) + 3 * 3782
-    monkeypatch.setattr(ioutil, "BYTES_CAP", need)
+    monkeypatch.setattr(ioutil, "BYTES_CAP", 1210240 + 38400 + 59536 + (1 << 18) + 3 * 3782)
     assert main(["check-rectangle", wide]) == 0
     assert capsys.readouterr().out == "decomposable\n"
     monkeypatch.setattr(ioutil, "BYTES_CAP", need - 1)
@@ -646,7 +650,8 @@ def test_decompose_strict_flags_negatives(tmp_path, capsys):
     assert "negative multiplicities" in capsys.readouterr().err
     assert main(["decompose-rectangles", str(gmod), "--strict", "-o", str(out)]) == 2
     # the emitted positive part is still a valid barcode file
-    RectangleBarcode.from_text(out.read_text())
+    rows, _, error = int_rows(out.read_text(), "s_x s_y t_x t_y multiplicity")
+    assert error is None and len(rows) and (rows[:, :2] <= rows[:, 2:4]).all() and (rows[:, 4] > 0).all()
 
 
 def test_check_rectangle_verdicts(tmp_path, capsys):
@@ -709,8 +714,8 @@ def test_zigzag_barcode_subcommand(tmp_path, capsys):
     bif = write_triangle(tmp_path)
     out = tmp_path / "row.zbar"
     assert main(["zigzag-barcode", bif, "--row", "3,2", "-o", str(out)]) == 0
-    entries = read_zbar(out.read_text())
-    assert entries and all(deg == 0 for deg, _, _ in entries)
+    entries, _, error = int_rows(out.read_text(), "degree birth death")
+    assert error is None and len(entries) and (entries[:, 0] == 0).all()
     clique = tmp_path / "clique.bif"
     clique.write_text(write_bif(clique_bifiltration(11, 8, 0.5, 4, 4, p=3)))
     runs = [(bif, "--row", "3,2", "0"), (bif, "--col", "1,1", "1"), (str(clique), "--row", "3,4", "1")]

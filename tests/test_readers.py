@@ -26,7 +26,6 @@ from bipersist.ioutil import FormatError, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.fres import read_fres, read_fres_blocks, write_fres
 from bipersist.resolution import FreeResolution, free_resolution
-from bipersist.zigzag import ZigzagBarcode, read_zbar, write_zbar
 from conftest import random_bifiltration, reference_read_fres
 from paperlib import int_rows, rectangle_rank_invariant
 
@@ -61,23 +60,6 @@ def gmod_texts(draw):
 
 
 @st.composite
-def barcode_texts(draw):
-    rects = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * 4).map(lambda r: (min(r[0], r[2]), min(r[1], r[3]), max(r[0], r[2]), max(r[1], r[3]))),
-        st.integers(1, 3),
-        max_size=5,
-    ))
-    return RectangleBarcode(rects).to_text()
-
-
-@st.composite
-def zbar_texts(draw):
-    n = draw(st.integers(1, 6))
-    bars = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple), max_size=5))
-    return write_zbar([ZigzagBarcode(n, bars, draw(st.integers(0, 2)))])
-
-
-@st.composite
 def mutated(draw, texts):
     """A valid file with characters spliced in, a span cut out, or a number swapped for a huge one."""
     text = draw(texts)
@@ -98,8 +80,6 @@ READERS = {
     ".bif": (read_bif, Bifiltration, bif_texts()),
     ".fres": (read_fres, FreeResolution, fres_texts()),
     ".gmod": (read_gmod, GridModule, gmod_texts()),
-    ".barcode": (RectangleBarcode.from_text, RectangleBarcode, barcode_texts()),
-    ".zbar": (read_zbar, list, zbar_texts()),
 }
 
 
@@ -151,8 +131,6 @@ def test_parse_int_accepts_only_sign_and_ascii_digits(tok):
         (".bif", "bifiltration\nfield 2\n1 1 ; 9223372036854775808\n", 3),
         (".fres", "resolution\nfield 2\ngrid 1 99999999999999999999\n", 3),
         (".gmod", "gridmodule\nfield 2\ngrid 1 1\ndim 1 1 99999999999999999999\n", 4),
-        (".barcode", "1 1 1 1 99999999999999999999\n", 1),
-        (".zbar", "# bars\n0 1 99999999999999999999\n", 2),
     ],
 )
 def test_every_reader_names_the_line_of_an_integer_past_int64(ext, text, line):
@@ -274,13 +252,65 @@ def test_bif_reader_refuses_non_finite_grades(grade):
         read_bif(text)
 
 
-@pytest.mark.parametrize("grade", ["1_0 1", "1 2_5.0", "\uff12 1", "1 \u0661"])
+@pytest.mark.parametrize("grade", ["1_0 1", "1 2_5.0", "\uff12 1", "1 \u0661", "1\x0b 1", "1 \x1c2"])
 def test_bif_reader_refuses_grades_outside_ascii_or_with_separators(grade):
-    # float() would read 1_0 as 10 and a fullwidth or Arabic-Indic digit
-    # as its value; a grade, like every integer field, is ASCII without _
+    # float() would read 1_0 as 10, a fullwidth or Arabic-Indic digit as
+    # its value and a number next to a vertical tab or a file separator
+    # as the number; a grade, like every integer field, is printable
+    # ASCII without _
     text = f"bifiltration\nfield 2\n0 0 ; 1\n\n{grade} ; 2\n"
     with pytest.raises(FormatError, match=rf"^line 5: bad grade {re.escape(repr(grade))}$"):
         read_bif(text)
+
+
+# every character at which str.split() splits, the LF that ends a line aside
+SEPARATORS = [
+    " ", "\t", "\r", "\x0b", "\x0c", *map(chr, range(0x1C, 0x20)), "\x85", "\xa0", "\u1680",
+    *map(chr, range(0x2000, 0x200B)), "\u2028", "\u2029", "\u202f", "\u205f", "\u3000",
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    values=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+    gap=st.integers(0, 2),
+)
+def test_every_reader_separates_fields_by_space_tab_and_cr_only(values, gap):
+    # one rule for every format: a field is a run of characters other
+    # than space, tab and CR, so any other separator, Unicode whitespace
+    # included, joins the two fields around it and the reader refuses
+    # the line, naming it
+    a, b, c, d = values
+    cases = {  # (reader, file text, number and fields of the line that takes the separator)
+        ".bif grade": (read_bif, "bifiltration\nfield 2\n{} ; 0\n", 3, [str(a), str(b)]),
+        ".bif simplex": (read_bif, "bifiltration\nfield 2\n1 1 ; {}\n", 3, [str(a), str(a + b), str(a + b + c)]),
+        ".gmod dim": (read_gmod, "gridmodule\nfield 2\ngrid 9 9\n{}\n", 4, ["dim", str(a), str(b), str(d)]),
+        ".fres grid": (read_fres, "resolution\nfield 2\n{}\ngens\nrels\nrelrels\nphi\npsi\n", 3, ["grid", str(a), str(b)]),
+    }
+    for read, text, number, parts in cases.values():
+        at = min(gap, len(parts) - 2)
+        for sep in SEPARATORS:
+            line = " ".join(parts[: at + 1]) + sep + " ".join(parts[at + 1 :])
+            if sep in " \t\r":
+                read(text.format(line))
+            else:
+                with pytest.raises(FormatError, match=rf"^line {number}: "):
+                    read(text.format(line))
+
+
+def test_a_table_line_of_the_wrong_width_is_quoted_with_its_other_whitespace():
+    # the quoted line loses its blanks only: the ideographic space that
+    # makes "1\u3000" one field stays in the message
+    quoted = re.escape(repr("1 1 1 1\u3000"))
+    with pytest.raises(FormatError, match=rf"^line 2: expected 's_x s_y t_x t_y r', got {quoted}$"):
+        RankInvariant.from_text("1 1 1 1 1\n1 1 1 1\u3000 \t\n")
+
+
+@pytest.mark.parametrize("blanks", [" ", "\t", "\r", " \t\r "])
+def test_bif_field_line_is_split_by_the_blanks_as_every_line(blanks):
+    # the field line took a single space only, so `field\t2` was refused
+    # as a missing field line where .fres read it as `field 2`
+    assert read_bif(f"bifiltration\nfield{blanks}3\n1 1 ; 0\n").p == 3
 
 
 def test_bif_reader_reads_ascii_real_grades():
@@ -602,7 +632,7 @@ def reference_int_rows(text):
     line numbers, the number of the first malformed line or None)."""
     rows, lines = [], []
     for lineno, line in ioutil.logical_lines(text):
-        toks = line.split()
+        toks = re.findall(r"[^ \t\r]+", line)  # the fields: runs of characters other than space, tab and CR
         if len(toks) != 5 or not all(re.fullmatch(r"[+-]?[0-9]+", t) for t in toks):
             return rows, lines, lineno
         values = [int(t) for t in toks]

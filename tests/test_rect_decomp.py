@@ -17,7 +17,7 @@ from bipersist.grid_module import (
     rank_invariant_naive,
 )
 from bipersist import ioutil
-from bipersist.ioutil import FormatError, TooLargeError
+from bipersist.ioutil import TooLargeError
 from bipersist.rect_decomp import _RECTANGLE_BYTES, RectangleBarcode, decompose
 from bipersist.squares import is_weakly_exact_algebraic
 from conftest import random_bifiltration
@@ -25,6 +25,7 @@ from paperlib import (
     barcode_dim_at,
     comparable_pairs,
     direct_sum,
+    int_rows,
     interval_multiplicities,
     rectangle_module,
     rectangle_rank_invariant,
@@ -303,24 +304,15 @@ def test_barcode_constructor_validates():
 
 
 def test_barcode_text_roundtrip():
+    # the .barcode lines are the 1-based rectangles in sorted order,
+    # read back by the field rule of every format
     bc = RectangleBarcode({(0, 1, 2, 1): 2, (0, 0, 0, 0): 1})
     text = bc.to_text()
     assert text.splitlines()[1] == "1 1 1 1 1"
     assert text.splitlines()[2] == "1 2 3 2 2"
-    assert RectangleBarcode.from_text(text) == bc
-
-
-def test_barcode_from_text_rejects_malformed():
-    with pytest.raises(FormatError):
-        RectangleBarcode.from_text("1 1 2\n")
-    with pytest.raises(FormatError):
-        RectangleBarcode.from_text("0 1 2 2 1\n")  # 0-based coordinate
-    with pytest.raises(FormatError):
-        RectangleBarcode.from_text("2 1 1 1 1\n")  # corners out of order
-    with pytest.raises(FormatError):
-        RectangleBarcode.from_text("1 1 2 2 0\n")  # zero multiplicity
-    with pytest.raises(FormatError):
-        RectangleBarcode.from_text("1 1 2 2 1\n1 1 2 2 3\n")  # duplicate
+    rows, lines, error = int_rows(text, "s_x s_y t_x t_y multiplicity")
+    assert error is None and lines.tolist() == [2, 3]
+    assert RectangleBarcode({tuple(v - 1 for v in r[:4]): r[4] for r in rows.tolist()}) == bc
 
 
 # one-parameter modules: the rectangles of an n x 1 grid are its intervals

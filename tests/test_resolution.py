@@ -318,11 +318,16 @@ def test_presentation_peaks_where_its_graded_kernel_does():
     grid=st.tuples(st.integers(1, 20), st.integers(1, 20)),
     seed=st.integers(0, 10**6),
 )
+@hypothesis.example(p=2, degree=0, n_vert=600, q=0.0, grid=(10, 10), seed=600)
+@hypothesis.example(p=2, degree=0, n_vert=1000, q=0.0, grid=(10, 10), seed=1000)
 def test_presentation_states_at_least_the_bytes_it_peaks_at(p, degree, n_vert, q, grid, seed):
     # the byte rule of a .bif is stated from the simplex counts before any
     # matrix is built; at every p it is at least the traced peak, on small
     # complexes where the fixed work dominates and on larger ones where
-    # the dense arrays do (past p = 2, the reducers' int64 columns)
+    # the dense arrays do (past p = 2, the reducers' int64 columns).  The
+    # isolated vertices make [d_q; I] the square identity: every column is
+    # a generator, and the basis meets the last block, which the reducer
+    # unpacks from its bitsets a bounded chunk at a time
     bif = clique_bifiltration(seed, n_vert, q, *grid, p)
     assert _traced_peak(lambda: presentation(bif, degree)) <= _stated_bytes(bif, degree)
 

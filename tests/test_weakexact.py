@@ -8,14 +8,14 @@ import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipersist import ioutil
+from bipersist import ioutil, resolution
 from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.constructions import EXAMPLE_NAMES, example, indecgrid, random_rectangle_module
 from bipersist.grid_module import PairTable, RankInvariant, pair_count, rank_invariant_naive
 from bipersist.ioutil import MAX_MODULUS, InvariantError, TooLargeError
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.rect_decomp import _RECTANGLE_BYTES, RectangleBarcode, decompose
-from bipersist.resolution import presentation
+from bipersist.resolution import presentation, presented_module
 from bipersist.weakexact import (
     KappaIota,
     check_bifiltration,
@@ -307,15 +307,18 @@ def test_check_path_solves_no_homology(p, degree, n_vert, grid, seed):
 
 def test_dense_tables_refuse_grids_past_the_cap(monkeypatch):
     # every library entry point states the bytes of its tables on the
-    # comparable pairs, and a .bif route those of its presentation too,
-    # before it allocates them: it runs with the cap at those bytes and
-    # is refused, naming them, one byte short.  The 61 x 1 grid has
-    # 1,891 pairs, 2 bytes each at int16; the presentation of one vertex
-    # states 17 bytes and 2^18 of fixed work, the DP 61^2 (2 + 24) bytes
-    # of pair counts, and `decompose` 6 bytes per entry of its slab and
-    # `_RECTANGLE_BYTES` for the one rectangle of its barcode
+    # comparable pairs, and a .bif route those of its presentation and
+    # of the module it presents too, before it allocates them: it runs
+    # with the cap at those bytes and is refused, naming them, one byte
+    # short.  The 61 x 1 grid has 1,891 pairs, 2 bytes each at int16; the
+    # presentation of one vertex states 17 bytes and 2^18 of fixed work,
+    # the module it presents 16 bytes of work for its one generator, 640
+    # for each of its 60 maps and 2^18 of fixed work, the DP 61^2 (2 + 24)
+    # bytes of pair counts, and `decompose` 6 bytes per entry of its slab
+    # and `_RECTANGLE_BYTES` for the one rectangle of its barcode
     wide = Bifiltration({(0,): (60, 0)}, 61, 1)
     module, pres, pairs, one = zero_module(61, 1, 2), presentation(wide, 0), pair_count(61, 1), 17 + (1 << 18)
+    presented = 16 + 640 * 60 + (1 << 18)
     inv = rank_from_resolution(pres)
     for need, build in (
         (8 * pairs, lambda: RankInvariant(61, 1)),  # int64, since a caller may write any rank
@@ -325,14 +328,54 @@ def test_dense_tables_refuse_grids_past_the_cap(monkeypatch):
         (4 * pairs, lambda: kappa_iota(module)),
         (6 * pairs, lambda: check_module(module)),
         (one + 2 * pairs, lambda: presentation(wide, 0)),
-        (one + 4 * pairs, lambda: kappa_iota_from_zigzags(wide, 0)),
-        (one + 6 * pairs, lambda: check_bifiltration(wide, 0)),
+        (presented + 4 * pairs, lambda: kappa_iota_from_zigzags(wide, 0)),
+        (presented + 6 * pairs, lambda: check_bifiltration(wide, 0)),
     ):
         monkeypatch.setattr(ioutil, "BYTES_CAP", need)
         build()
         monkeypatch.setattr(ioutil, "BYTES_CAP", need - 1)
         with pytest.raises(TooLargeError, match=f" would need {need:,} bytes, past the {need - 1:,}-byte cap$"):
             build()
+
+
+@pytest.mark.parametrize("route", ["check_bifiltration", "kappa_iota_from_zigzags", "presented_module"])
+def test_every_route_that_builds_the_module_refuses_its_maps_past_the_cap(route):
+    # 100 vertices in degree 1: the presentation and three tables state
+    # 30.9 MB, but the check peaked at 119.4 MB traced, in the maps of
+    # the module it presents and their copies; those now count, and a
+    # cap between the two statements refuses the module, on the check
+    # route and on the naive rank's and the explicit checkers' (the
+    # presented module with one table), before its maps pass the cap
+    bif = clique_bifiltration(1, 100, 0.2, 20, 20, 2)
+    runs = {
+        "check_bifiltration": lambda: check_bifiltration(bif, 1),
+        "kappa_iota_from_zigzags": lambda: kappa_iota_from_zigzags(bif, 1),
+        "presented_module": lambda: presented_module(presentation(bif, 1)),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "BYTES_CAP", 64 << 20)
+        presentation(bif, 1, tables=3)
+        with pytest.raises(TooLargeError, match=r"^the maps into the points up to \(\d+,\d+\) of the module presented"):
+            runs[route]()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_check_route_states_at_least_the_bytes_it_peaks_at(monkeypatch, p):
+    # the largest of the statements of the presentation and of the
+    # module it presents bounds the traced peak of the whole check, the
+    # rank DP and the kappa/iota walks included; on these inputs the
+    # module's maps are the largest arrays
+    bif = clique_bifiltration(1, 60 if p == 2 else 45, 0.2, 20, 20, p)
+    stated = []
+    monkeypatch.setattr(resolution, "check_bytes", lambda need, what, line=None: stated.append(need))
+    tracemalloc.start()
+    try:
+        check_bifiltration(bif, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stated[-1] == max(stated) > stated[0]  # the module's last statement, above the presentation's
+    assert peak <= max(stated)
 
 
 def test_check_bifiltration_peak_is_four_int32_tables_and_the_masks():

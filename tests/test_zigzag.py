@@ -6,11 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipersist.bifiltration import homology_module
-from bipersist.ioutil import FormatError
 from bipersist.zigzag import (
     ZigzagBarcode,
     col_zigzag_barcode,
-    read_zbar,
     row_zigzag_barcode,
     write_zbar,
 )
@@ -19,6 +17,7 @@ from paperlib import (
     ZigzagComplex,
     col_zigzag,
     count_spanning,
+    int_rows,
     interval_multiplicities,
     module_barcode,
     row_zigzag,
@@ -196,15 +195,15 @@ def test_path_barcodes_match_the_subspace_oracle(p, degree, n_vert, grid, seed):
 
 
 def test_zbar_roundtrip_and_validation():
+    # the .zbar lines are the 1-based intervals of each barcode in turn,
+    # read back by the field rule of every format; a barcode refuses an
+    # interval outside its stations or with birth after death
     bc0 = ZigzagBarcode(4, [(0, 2), (1, 3)], degree=0)
     bc1 = ZigzagBarcode(4, [(2, 2)], degree=1)
-    text = write_zbar([bc0, bc1])
-    assert read_zbar(text) == [(0, 0, 2), (0, 1, 3), (1, 2, 2)]
-    with pytest.raises(FormatError):
-        read_zbar("0 1\n")
-    with pytest.raises(FormatError):
-        read_zbar("0 0 2\n")  # stations are 1-based
-    with pytest.raises(FormatError):
-        read_zbar("0 3 2\n")  # birth after death
-    with pytest.raises(FormatError):
-        read_zbar("-1 1 2\n")
+    rows, lines, error = int_rows(write_zbar([bc0, bc1]), "degree birth death")
+    assert error is None and lines.tolist() == [2, 3, 4]
+    assert rows.tolist() == [[0, 1, 3], [0, 2, 4], [1, 3, 3]]
+    for bad in ([(0, 4)], [(3, 2)], [(-1, 1)]):
+        with pytest.raises(ValueError):
+            ZigzagBarcode(4, bad)
+
