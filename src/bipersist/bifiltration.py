@@ -18,7 +18,6 @@ made before the algebra starts run without them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .ioutil import BLANKS, FormatError, InvariantError, check_modulus, fields, logical_lines, parse_int
@@ -142,13 +141,13 @@ class Bifiltration:
 # -- graded homology ------------------------------------------------------
 
 
-@dataclass
 class HomologyBasis:
-    """Cycle representatives for H_q of one subcomplex, in global chain coords."""
+    """Cycle representatives for H_q of one subcomplex, in global chain coords:
+    `reps` holds the (n_q, dim) cycle columns and `boundaries` an echelon
+    basis of the boundary space."""
 
-    reps: np.ndarray        # (n_q, dim) cycle columns
-    boundaries: np.ndarray  # echelon basis of the boundary space
-    dim: int
+    def __init__(self, reps: np.ndarray, boundaries: np.ndarray, dim: int):
+        self.reps, self.boundaries, self.dim = reps, boundaries, dim
 
 
 def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -> HomologyBasis:
@@ -251,11 +250,11 @@ def read_bif(text: str) -> Bifiltration:
     if not lines or lines[0][1] != "bifiltration":
         lineno = lines[0][0] if lines else 1
         raise FormatError(f"line {lineno}: expected 'bifiltration' header")
-    toks = fields(lines[1][1]) if len(lines) > 1 else []
-    if len(toks) < 2 or toks[0] != "field":
+    if len(lines) < 2:
         raise FormatError(f"line {lines[0][0]}: missing 'field p' line")
-    lineno = lines[1][0]
-    if len(toks) != 2:
+    lineno, line = lines[1]
+    toks = fields(line)
+    if len(toks) != 2 or toks[0] != "field":
         raise FormatError(f"line {lineno}: expected 'field p'")
     p = parse_int(toks[1], lineno, "modulus")
     try:

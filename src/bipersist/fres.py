@@ -97,15 +97,7 @@ def read_fres_blocks(blocks) -> FreeResolution:
             _first_bad(rows, lines, bad, lambda x, y: f"grade ({x},{y}) outside the grid")
             grades[k].append(rows - 1)
         else:
-            entries = matrices[k - 3]
-            n_rows, n_cols = entries.shape
-            i, j = rows[:, 0] - 1, rows[:, 1] - 1
-            bad = (i < 0) | (i >= n_rows) | (j < 0) | (j >= n_cols)
-            _first_bad(rows, lines, bad, lambda i, j, v: f"index ({i},{j}) outside {n_rows}x{n_cols}")
-            flat = i * n_cols + j
-            # the last triplet of each entry in the run, first in the reversed run
-            last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-            entries.reshape(-1)[flat[last]] = rows[last, 2]
+            _scatter(matrices[k - 3], rows, lines)
         if error is not None:
             raise error
 
@@ -116,6 +108,20 @@ def read_fres_blocks(blocks) -> FreeResolution:
     phi = GradedMatrix(gens, rels, matrices[0], p)
     psi = GradedMatrix(rels, relrels, matrices[1], p)
     return FreeResolution(gens, rels, relrels, phi, psi, nx, ny, p)
+
+
+def _scatter(entries, rows, lines) -> None:
+    """Set the entries that a run's triplets `rows` name, the last
+    triplet of an entry setting it; its index arrays are freed when it
+    returns, before the next run is parsed."""
+    n_rows, n_cols = entries.shape
+    i, j = rows[:, 0] - 1, rows[:, 1] - 1
+    bad = (i < 0) | (i >= n_rows) | (j < 0) | (j >= n_cols)
+    _first_bad(rows, lines, bad, lambda i, j, v: f"index ({i},{j}) outside {n_rows}x{n_cols}")
+    flat = i * n_cols + j
+    # the last triplet of each entry in the run, first in the reversed run
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    entries.reshape(-1)[flat[last]] = rows[last, 2]
 
 
 def _check_homogeneous(entries, row_grades, col_grades, blocks, k: int) -> None:

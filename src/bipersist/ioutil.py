@@ -172,12 +172,16 @@ def block_rows(block: str, names: str, first_line: int):
     None when every line is well formed.  A caller checks the rows it
     got before it raises `error`, so the error it raises names the first
     bad line of the file, whatever check that line fails.  Its per-byte
-    and per-token work arrays are the run's own, freed when it returns."""
+    and per-token work arrays are the run's own, freed when it returns:
+    byte positions are int32 wherever they fit, the per-byte masks are
+    freed before the per-token work, and only the index of the digit
+    gathers is intp, so that no gather casts its index to a copy."""
     import numpy as np
 
     width = len(fields(names))
     data = np.frombuffer(_COMMENT.sub("", block).encode("utf-8", "surrogatepass"), dtype=np.uint8)
     size = data.size
+    position = np.int32 if size < 2**31 else np.intp  # no position passes size
     # per byte: the digit values, 0 off the digits and shifted one place
     # behind a leading 0; the blanks; and the non-blanks, padded with a
     # blank at each end so that every token has a start and an end edge.
@@ -192,14 +196,14 @@ def block_rows(block: str, names: str, first_line: int):
     plain = np.count_nonzero(digit)  # bytes that are digits or blanks
     newline = np.equal(data, 10, out=solid[:size])
     solid[size] = True  # the run's last line ends at its end
-    line_ends = np.flatnonzero(solid[: size + 1])
+    line_ends = np.flatnonzero(solid[: size + 1]).astype(position)
     np.copyto(blank, newline)
     for byte in BLANKS.encode():
         blank |= np.equal(data, byte, out=solid[:size])
     plain += np.count_nonzero(blank)
     solid[0] = solid[-1] = False
     np.logical_not(blank, out=solid[1:-1])
-    edges = np.flatnonzero(np.not_equal(solid[1:], solid[:-1], out=edge))  # token i is data[edges[2i]:edges[2i + 1]]
+    edges = np.flatnonzero(np.not_equal(solid[1:], solid[:-1], out=edge)).astype(position)  # token i is data[edges[2i]:edges[2i + 1]]
     # twice the tokens up to each line end: a token lies within one line,
     # and its end edge may be the newline itself
     through = np.searchsorted(edges, line_ends, side="right")
@@ -230,6 +234,8 @@ def block_rows(block: str, names: str, first_line: int):
                 why = f"expected integer, got {token!r}"
 
     n_tok = int(through[stop - 1]) // 2 if stop else 0
+    lines = np.flatnonzero(per_line[:stop] == width)[: n_tok // width] + first_line
+    del blank, solid, edge, digit, newline, through, per_line, fits  # the masks and per-line counts are done with
     starts, ends = edges[0 : 2 * n_tok : 2], edges[1 : 2 * n_tok : 2]
     n_digits = ends - starts
     if signed:
@@ -245,10 +251,10 @@ def block_rows(block: str, names: str, first_line: int):
     low = np.subtract(ends, n_digits, out=n_digits)
     # one index buffer serves every place: fresh indices per place raised
     # `rank`'s peak RSS by 0.3 MB on the 50 x 50 benchmark presentation
-    values, at = np.zeros(n_tok, dtype=np.int64), np.empty(n_tok, dtype=np.int64)
+    values, at = np.zeros(n_tok, dtype=np.int64), np.empty(n_tok, dtype=np.intp)
     for place in reversed(range(min(longest, _SAFE_DIGITS))):
         values *= 10
-        values += digit_at[np.maximum(np.subtract(ends, place, out=at), low, out=at) if place else ends]
+        values += digit_at[np.maximum(np.subtract(ends, place, out=at), low, out=at)]
     if signed:
         np.negative(values, out=values, where=minus)
     for t in long_tokens:
@@ -262,5 +268,4 @@ def block_rows(block: str, names: str, first_line: int):
         values[t] = value
     error = FormatError(f"line {first_line + stop}: {why}") if why else None
     n_rows = n_tok // width
-    lines = np.flatnonzero(per_line[:stop] == width)[:n_rows] + first_line
-    return values[: n_rows * width].reshape(n_rows, width), lines, error
+    return values[: n_rows * width].reshape(n_rows, width), lines[:n_rows], error

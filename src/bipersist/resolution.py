@@ -11,16 +11,17 @@ relations are a graded kernel basis of the relation matrix.
 `presentation` stops after the relations: gens, rels and phi are all
 the rank invariant needs, so the rank and check paths skip the second
 kernel sweep.  `free_resolution` adds psi on top of it, for `.fres`
-output.  `presented_module` turns gens, rels and phi into explicit
-matrices, M_t = F_t / Im phi_t, with one column reduction per grid
-row; the check path reads kappa/iota off it.  The .fres format of a
-resolution is in `fres`, and the tests check a resolution's exactness
-against the homology of the bifiltration.
+output: a `FreeResolution` is a `Presentation` with relrels and psi, so
+whatever reads a presentation reads a resolution.  `presented_module`
+turns gens, rels and phi into explicit matrices, M_t = F_t / Im phi_t,
+with one column reduction per grid row; the check path reads
+kappa/iota off it.  The .fres format of a resolution is in `fres`, and
+the tests check a resolution's exactness against the homology of the
+bifiltration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,67 +34,51 @@ if TYPE_CHECKING:  # an annotation only, so reading a .fres compiles no bifiltra
     from .bifiltration import Bifiltration
 
 
-@dataclass
 class FreeModule:
     """A free bigraded module given by the grades of its basis."""
 
-    grades: list
-
-    def __post_init__(self):
-        self.grades = [(int(g[0]), int(g[1])) for g in self.grades]
+    def __init__(self, grades: list):
+        self.grades = [(int(g[0]), int(g[1])) for g in grades]
 
     def __len__(self) -> int:
         return len(self.grades)
 
+    def __eq__(self, other):
+        return vars(self) == vars(other) if isinstance(other, FreeModule) else NotImplemented
 
-@dataclass
+
 class GradedMatrix:
     """Matrix of a map of free bigraded modules (rows: target basis)."""
 
-    target: FreeModule
-    source: FreeModule
-    entries: np.ndarray
-    p: int
-
-    def __post_init__(self):
+    def __init__(self, target: FreeModule, source: FreeModule, entries, p: int):
         # entries already in [0, p) as an int64 array are kept as given, so
         # the .fres reader's matrices are not copied; any others are
         # reduced into a new array.  The caller's array is never written.
-        entries = np.asarray(self.entries, dtype=np.int64)
-        if entries.size and (entries.min() < 0 or entries.max() >= self.p):
-            entries = entries % self.p
-        self.entries = entries
-        if self.entries.shape != (len(self.target), len(self.source)):
+        entries = np.asarray(entries, dtype=np.int64)
+        if entries.size and (entries.min() < 0 or entries.max() >= p):
+            entries = entries % p
+        if entries.shape != (len(target), len(source)):
             raise ValueError(
-                f"entries shape {self.entries.shape} does not match "
-                f"{len(self.target)} rows x {len(self.source)} cols"
+                f"entries shape {entries.shape} does not match "
+                f"{len(target)} rows x {len(source)} cols"
             )
+        self.target, self.source, self.entries, self.p = target, source, entries, p
 
 
-@dataclass
 class Presentation:
     """rels -> gens -> M -> 0: the module is the cokernel of phi."""
 
-    gens: FreeModule
-    rels: FreeModule
-    phi: GradedMatrix
-    nx: int
-    ny: int
-    p: int
+    def __init__(self, gens: FreeModule, rels: FreeModule, phi: GradedMatrix, nx: int, ny: int, p: int):
+        self.gens, self.rels, self.phi, self.nx, self.ny, self.p = gens, rels, phi, nx, ny, p
 
 
-@dataclass
-class FreeResolution:
-    """0 -> relrels -> rels -> gens -> M -> 0 with graded matrices phi, psi."""
+class FreeResolution(Presentation):
+    """0 -> relrels -> rels -> gens -> M -> 0: a `Presentation` with psi."""
 
-    gens: FreeModule
-    rels: FreeModule
-    relrels: FreeModule
-    phi: GradedMatrix
-    psi: GradedMatrix
-    nx: int
-    ny: int
-    p: int
+    def __init__(self, gens: FreeModule, rels: FreeModule, relrels: FreeModule, phi: GradedMatrix,
+                 psi: GradedMatrix, nx: int, ny: int, p: int):
+        super().__init__(gens, rels, phi, nx, ny, p)
+        self.relrels, self.psi = relrels, psi
 
 
 def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):

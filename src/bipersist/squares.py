@@ -14,7 +14,6 @@ them for the "algebraic" and "geometric" methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -29,7 +28,6 @@ class InconsistentSquareError(ValueError):
     """Square invariants admit no nonnegative interval decomposition."""
 
 
-@dataclass
 class SquareInvariants:
     """The eleven numbers attached to a square s <= t.
 
@@ -37,17 +35,11 @@ class SquareInvariants:
     i_d is dim(Im(b->d) ∩ Im(c->d)); k_a is dim(Ker(a->b) + Ker(a->c)).
     """
 
-    dim_a: int
-    dim_b: int
-    dim_c: int
-    dim_d: int
-    r_ab: int
-    r_ac: int
-    r_bd: int
-    r_cd: int
-    r_ad: int
-    i_d: int
-    k_a: int
+    def __init__(self, dim_a: int, dim_b: int, dim_c: int, dim_d: int, r_ab: int, r_ac: int, r_bd: int, r_cd: int,
+                 r_ad: int, i_d: int, k_a: int):
+        self.dim_a, self.dim_b, self.dim_c, self.dim_d = dim_a, dim_b, dim_c, dim_d
+        self.r_ab, self.r_ac, self.r_bd, self.r_cd, self.r_ad = r_ab, r_ac, r_bd, r_cd, r_ad
+        self.i_d, self.k_a = i_d, k_a
 
 
 class SquareBarcode(dict):

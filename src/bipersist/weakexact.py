@@ -30,7 +30,6 @@ presentation, runs the rank DP on it and reads the module off it with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,7 +54,6 @@ if TYPE_CHECKING:  # annotations only, so checking a .gmod compiles no bifiltrat
     from .bifiltration import Bifiltration
 
 
-@dataclass
 class KappaIota:
     """The two tables on the comparable pairs of an nx x ny grid.
 
@@ -64,10 +62,8 @@ class KappaIota:
     (`table_dtype`): int16 up to 32,767, else int32.
     """
 
-    nx: int
-    ny: int
-    kappa: PairTable
-    iota: PairTable
+    def __init__(self, nx: int, ny: int, kappa: PairTable, iota: PairTable):
+        self.nx, self.ny, self.kappa, self.iota = nx, ny, kappa, iota
 
 
 def _image_intersections(module: GridModule, put, dual: bool = False) -> None:

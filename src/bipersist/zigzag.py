@@ -21,9 +21,6 @@ of a path, over the simplices that the path's complexes hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .bifiltration import Bifiltration, homology_basis, homology_map
@@ -31,18 +28,17 @@ from .ioutil import InvariantError
 from .linalg import flag_step, pair_flags
 
 
-@dataclass
 class ZigzagBarcode:
     """Multiset of closed station intervals (birth, death), 0-based."""
 
-    num_stations: int
-    intervals: list = field(default_factory=list)
-    degree: Optional[int] = None
-
-    def __post_init__(self):
+    def __init__(self, num_stations: int, intervals=(), degree: int | None = None):
+        self.num_stations, self.intervals, self.degree = num_stations, list(intervals), degree
         for b, d in self.intervals:
-            if not (0 <= b <= d < self.num_stations):
+            if not (0 <= b <= d < num_stations):
                 raise ValueError(f"interval ({b}, {d}) outside the station range")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if isinstance(other, ZigzagBarcode) else NotImplemented
 
     def dim_at(self, i: int) -> int:
         return sum(1 for b, d in self.intervals if b <= i <= d)

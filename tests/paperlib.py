@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -469,7 +469,8 @@ def invariants_of_square(module: GridModule, s, t) -> SquareInvariants:
 
 def square_vector(inv: SquareInvariants) -> np.ndarray:
     """The eleven square invariants in field order."""
-    return np.array(astuple(inv), dtype=np.int64)
+    return np.array((inv.dim_a, inv.dim_b, inv.dim_c, inv.dim_d, inv.r_ab, inv.r_ac, inv.r_bd, inv.r_cd, inv.r_ad,
+                     inv.i_d, inv.k_a), dtype=np.int64)
 
 
 def square_invariant_matrix() -> np.ndarray:

@@ -899,15 +899,16 @@ def test_rank_and_decompose_peak_rss_is_the_start_up_floor_and_the_vector(tmp_pa
 
 LOADED = (
     "import sys\n"
+    "REPORTED = {'numpy', 'dataclasses', 'inspect'}\n"
     "from bipersist.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('bipersist') or m == 'numpy'))\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('bipersist') or m in REPORTED))\n"
 )
 
 
 def run_loaded(args, cwd):
-    """(exit code, the bipersist modules and numpy loaded after it, stderr)
-    of `main(args)` in a fresh process."""
+    """(exit code, the bipersist modules, numpy, dataclasses and inspect
+    loaded after it, stderr) of `main(args)` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", LOADED, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True)
     code, *loaded = done.stdout.splitlines()[-1].split()
@@ -915,13 +916,14 @@ def run_loaded(args, cwd):
 
 
 def loaded_modules(args, cwd):
-    """The bipersist modules, and numpy, a fresh process has loaded after running `main(args)`."""
+    """The bipersist modules, numpy, dataclasses and inspect a fresh process has loaded after running `main(args)`."""
     return run_loaded(args, cwd)[1]
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     # numpy loads with the algebra only: `validate` of a .bif runs the
-    # text layer alone
+    # text layer alone.  No command loads dataclasses, whose generated
+    # methods are compiled at import; inspect comes with numpy only
     write_triangle(tmp_path)
     assert run_loaded(["validate", "tri.bif"], tmp_path) == (
         0, {"bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.bifiltration"}, ""
@@ -929,7 +931,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     (tmp_path / "in.rank").write_text(RANKS.to_text())
     assert loaded_modules(["decompose-rectangles", "in.rank", "-o", "out.barcode"], tmp_path) == {
         "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
-        "bipersist.rank_reader", "bipersist.rect_decomp", "numpy",
+        "bipersist.rank_reader", "bipersist.rect_decomp", "numpy", "inspect",
     }
     assert (tmp_path / "out.barcode").read_text() == barcode_text(RANKS)
     from bipersist.bifiltration import read_bif
@@ -938,7 +940,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
 
     (tmp_path / "in.fres").write_text(write_fres(free_resolution(read_bif(open(write_triangle(tmp_path)).read()), 0)))
     loaded = loaded_modules(["rank", "in.fres", "-o", "out.rank"], tmp_path)
-    assert "bipersist.rank_dp" in loaded
+    assert "bipersist.rank_dp" in loaded and "dataclasses" not in loaded
     # and `rank` compiles no .rank reader, nor the .bif code a .fres
     # does not need
     assert not loaded & {
@@ -946,13 +948,15 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         "bipersist.rank_reader", "bipersist.bifiltration",
     }
     # the check compiles neither file reader
-    assert not loaded_modules(["check-rectangle", "tri.bif"], tmp_path) & {"bipersist.fres", "bipersist.rank_reader"}
+    assert not loaded_modules(["check-rectangle", "tri.bif"], tmp_path) & {
+        "bipersist.fres", "bipersist.rank_reader", "dataclasses",
+    }
     # the zigzag shares the check's flag step and pairing through linalg, not weakexact
     # (and needs no grid_module: the per-point homology imports it only
     # for the whole-grid module)
     assert loaded_modules(["zigzag-barcode", "tri.bif", "--row", "3,2", "-o", "out.zbar"], tmp_path) == {
         "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.bifiltration",
-        "bipersist.zigzag", "numpy",
+        "bipersist.zigzag", "numpy", "inspect",
     }
 
 

@@ -28,6 +28,7 @@ from bipersist.fres import read_fres, read_fres_blocks, write_fres
 from bipersist.resolution import FreeResolution, free_resolution
 from conftest import random_bifiltration, reference_read_fres
 from paperlib import int_rows, rectangle_rank_invariant
+from test_acceptance import _perf_fixture_text
 
 FUZZ_CHARS = st.one_of(
     st.sampled_from(list("0123456789 +-#;\n\t\r_x.e\x0b\x00\xa0é١\ud800")),
@@ -313,6 +314,21 @@ def test_bif_field_line_is_split_by_the_blanks_as_every_line(blanks):
     assert read_bif(f"bifiltration\nfield{blanks}3\n1 1 ; 0\n").p == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("bifiltration\nfield\u30002\n1 1 ; 0\n", "line 2: expected 'field p'"),
+    ("bifiltration\nfield\n1 1 ; 0\n", "line 2: expected 'field p'"),
+    ("bifiltration\n# p\n\nfield 2 3\n", "line 4: expected 'field p'"),
+    ("bifiltration\n1 1 ; 0\n", "line 2: expected 'field p'"),
+    ("bifiltration\n# no field line\n", "line 1: missing 'field p' line"),
+])
+def test_bif_field_line_is_refused_at_its_own_line(text, message):
+    # the second logical line must be `field p`, and a refusal names it,
+    # as read_fres names its field line; only a file with no second
+    # logical line is refused at the header
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_bif(text)
+
+
 def test_bif_reader_reads_ascii_real_grades():
     bif = read_bif("bifiltration\nfield 2\n+.5 1e0 ; 0\n1.5E0 -2 ; 1\n")
     assert bif.grades == {(0,): (0, 1), (1,): (1, 0)}
@@ -467,6 +483,24 @@ def test_int_rows_peak_memory_is_its_rows_and_one_block():
         tracemalloc.stop()
     assert error is None and len(rows) == (40 * 41 // 2) ** 2
     assert peak <= 1.25 * (rows.nbytes + lines.nbytes) + ioutil._BLOCK_CHARS
+
+
+def test_fres_reader_peak_memory_is_phi_and_one_run_of_work():
+    # the 50 x 50 benchmark presentation (seed 808), one run of about
+    # `_BLOCK_CHARS` characters at a time: beside phi, one run's text,
+    # rows and parse work, with int32 token positions and no per-byte
+    # mask alive through the digit pass (about 19 bytes a character;
+    # int64 positions and a run's index arrays kept into the next run
+    # made it 32)
+    text = _perf_fixture_text()
+    tracemalloc.start()
+    try:
+        res = read_fres(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.phi.entries.shape == (500, 500)
+    assert peak <= res.phi.entries.nbytes + 24 * ioutil._BLOCK_CHARS
 
 
 def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_block():

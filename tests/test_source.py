@@ -30,11 +30,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_package_starts_no_threads_or_processes():
-    # the algebra is pure Python and numpy under the GIL; a pool comes
-    # back only with a benchmark that shows it pays
-    banned = {"concurrent", "threading", "multiprocessing"}
-    found = []
+def _absolute_imports():
+    """("file:line", top-level package) of every absolute import in the package."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -44,8 +41,21 @@ def test_package_starts_no_threads_or_processes():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in banned]
-    assert found == []
+            yield from ((f"{path.name}:{node.lineno}", n.split(".")[0]) for n in names)
+
+
+def test_package_imports_no_dataclasses():
+    # a dataclass compiles its generated methods at import, and loads
+    # inspect, ast, dis and tokenize with it, in every command that
+    # imports the module; the records are plain classes
+    assert [where for where, top in _absolute_imports() if top == "dataclasses"] == []
+
+
+def test_package_starts_no_threads_or_processes():
+    # the algebra is pure Python and numpy under the GIL; a pool comes
+    # back only with a benchmark that shows it pays
+    banned = {"concurrent", "threading", "multiprocessing"}
+    assert [f"{where} {top}" for where, top in _absolute_imports() if top in banned] == []
 
 
 def test_only_column_reducer_normalises_a_pivot():
