@@ -74,21 +74,19 @@ def _read_in_blocks(path: str, read):
 
 
 def _read_rank(path: str):
-    """A .rank file, read one chunk or block at a time.  A file in the
-    layout `rank` writes is read from its bytes by
-    `rank_reader.from_slabs`; any other, from the start again, by
-    `rank_reader.from_blocks` in text mode (`_read_in_blocks`).  So the
-    errors are those of `_read_file` and `RankInvariant.from_text` on
-    the whole file."""
+    """A .rank file, read one chunk or block at a time by
+    `rank_reader.read_rank`: from its bytes when it is in the layout
+    `rank` writes, and otherwise from the start again in text mode
+    (`_read_in_blocks`).  So the errors are those of `_read_file` and
+    `RankInvariant.from_text` on the whole file."""
     from .ioutil import file_chunks
-    from .rank_reader import from_blocks, from_slabs
+    from .rank_reader import read_rank
 
     try:
         with open(path, "rb") as fh:
-            inv = from_slabs(file_chunks(fh))
+            return read_rank(file_chunks(fh), lambda read: _read_in_blocks(path, read))
     except OSError as e:
         raise CliError(str(e)) from None
-    return inv if inv is not None else _read_in_blocks(path, from_blocks)
 
 
 def _write_output(chunks, path):

@@ -92,12 +92,12 @@ def read_fres_blocks(blocks) -> FreeResolution:
             else:
                 matrices.append(np.zeros((len(modules[k - 3]), len(modules[k - 2])), dtype=np.int64))
         elif k < 3:
-            x, y = rows.T
-            bad = (x < 1) | (x > nx) | (y < 1) | (y > ny)
-            _first_bad(rows, lines, bad, lambda x, y: f"grade ({x},{y}) outside the grid")
+            outside = ((rows < 1) | (rows > (nx, ny))).any(axis=1)
+            _first_bad(rows, lines, outside, lambda x, y: f"grade ({x},{y}) outside the grid")
             grades[k].append(rows - 1)
         else:
             _scatter(matrices[k - 3], rows, lines)
+        del rows, lines  # freed before the next run is parsed
         if error is not None:
             raise error
 
@@ -212,8 +212,8 @@ def _pieces(runs):
     match), where match is the `_SECTION` match of a section line and
     None for the lines between two of them."""
     for line, run in runs:
-        at = 0
-        for m in _SECTION.finditer(run):
+        at = 0  # a run with no section name, such as one of triplets, skips the scan
+        for m in _SECTION.finditer(run) if any(name in run for name in ("gens", "rels", "phi", "psi")) else ():
             if m.start() > at:
                 yield line, run[at : m.start()], None
                 line += run.count("\n", at, m.start())
@@ -248,9 +248,10 @@ def _fres_rows(pieces, first: int):
             yield k, None, line, None
             continue
         rows, lines, error = block_rows(text, "g_x g_y" if k < 3 else "row col value", line)
-        yield k, rows, lines, error
         if len(lines):
             last = int(lines[-1])
+        yield k, rows, lines, error
+        del rows, lines  # before the next run is parsed
         if error is not None:
             return
     if k < 4:

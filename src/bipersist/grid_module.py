@@ -21,7 +21,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .ioutil import check_bytes, check_modulus, line_blocks
-from .linalg import matmul, rank
 
 # The .rank labels "x y " fit in 8 bytes only below 100; the tables
 # are bounded by their bytes (`check_tables`), not by the extent.
@@ -219,6 +218,8 @@ class GridModule:
 
     def validate(self) -> list[str]:
         """Return a list of violations; empty means the module is valid."""
+        from .linalg import matmul
+
         bad = []
         for x in range(self.nx - 1):
             for y in range(self.ny - 1):
@@ -266,13 +267,11 @@ def rank_header(nx: int, ny: int) -> bytes:
 
 def rank_labels(nx: int, ny: int):
     """The .rank labels "x y " of the grid's points (1-based), indexed
-    x * ny + y: each as a NUL-padded little-endian 8-byte word, the mask
-    of its bytes in that word, and its length."""
+    x * ny + y: each as a NUL-padded little-endian 8-byte word, and its
+    length."""
     text = [f"{x + 1} {y + 1} " for x in range(nx) for y in range(ny)]
     words = np.frombuffer("".join(label.ljust(8, "\0") for label in text).encode(), dtype="<u8")
-    sizes = np.array([len(label) for label in text], dtype=np.int64)
-    masks = (np.uint64(1) << (8 * sizes).astype(np.uint64)) - np.uint64(1)
-    return words, masks, sizes
+    return words, np.array([len(label) for label in text], dtype=np.int64)
 
 
 def slab_runs(nx: int, ny: int) -> Iterator[tuple[int, int, int]]:
@@ -296,6 +295,32 @@ def slab_points(nx: int, ny: int, x: int, lo: int = 0, hi: Optional[int] = None)
     sy = np.arange(lo, ny if hi is None else hi)
     s = np.repeat(x * ny + sy, (nx - x) * (ny - sy))
     return s, slab_targets(nx, ny, x, lo, hi)
+
+
+def run_bytes(q: np.ndarray, s: np.ndarray, t: np.ndarray, labels: np.ndarray) -> bytes:
+    """The .rank lines of the nonnegative ranks `q` at the pairs (s, t)
+    of a run (`slab_points`): the one definition of a .rank line, which
+    the writer writes and the layout reader checks.  A run is one record
+    per line, in order: the NUL-padded labels "x y " of s and of t, one
+    8-byte word each from `labels` (`rank_labels`); the rank as 4-digit
+    groups, each one 4-byte word from a table of the 10,000 groups (the
+    leading group without its leading zeros, the groups above it NUL);
+    and a newline.  One `bytes.translate` deletes the NULs."""
+    groups = -(-len(str(int(q.max()))) // 4)
+    line = np.empty(q.size, dtype=[("s", "<u8"), ("t", "<u8"), ("r", "<u4", (groups,)), ("nl", np.uint8)])
+    line["s"] = labels[s]
+    line["t"] = labels[t]
+    zero_padded, leading = _digit_groups()
+    for k in range(groups):  # the group of the places 4k .. 4k + 3
+        r = q // 10 ** (4 * k) % 10000 if groups > 1 else q
+        word = line["r"][:, groups - 1 - k]
+        word[:] = leading[r]
+        if k < groups - 1:
+            np.copyto(word, zero_padded[r], where=q >= 10 ** (4 * k + 4))
+        if k:
+            word *= q >= 10 ** (4 * k)
+    line["nl"] = 10
+    return line.tobytes().translate(None, b"\0")
 
 
 class RankInvariant(PairTable):
@@ -324,56 +349,28 @@ class RankInvariant(PairTable):
     def text_slabs(self) -> Iterator[bytes]:
         """The .rank file as ASCII bytes: the header line, then one chunk
         per run of lines (`slab_runs`, whole blocks r(s, .) of about
-        `RUN_PAIRS` lines), made as the iterator reaches it, so a writer
-        that writes each as it comes holds one run of text at a time.
-        The grid and the ranks are checked at the call, before any run
-        is made.
-
-        A run is one record per line, in layout order: the NUL-padded
-        labels "x y " of s and of t, gathered as one 8-byte word each
-        from a table of labels; the rank as 4-digit groups, each one
-        4-byte word from a table of the 10,000 groups (the leading group
-        without its leading zeros, the groups above it NUL); and a
-        newline.  One `bytes.translate` deletes the NULs.
+        `RUN_PAIRS` lines), made by `run_bytes` as the iterator reaches
+        it, so a writer that writes each as it comes holds one run of
+        text at a time.  The grid and the ranks are checked at the call,
+        before any run is made.
         """
         nx, ny = self.nx, self.ny
         check_rank_layout(nx, ny)
         if self.values.min(initial=0) < 0:
             raise ValueError("rank invariant has a negative entry")
         labels = rank_labels(nx, ny)[0]
-        return chain([rank_header(nx, ny)], (self._run_bytes(x, lo, hi, labels) for x, lo, hi in slab_runs(nx, ny)))
-
-    def _run_bytes(self, x: int, lo: int, hi: int, labels) -> bytes:
-        """The .rank lines of the pairs with s_x = x and lo <= s_y < hi;
-        see `text_slabs`."""
-        q = self.rows(x, lo, hi)
-        groups = -(-len(str(int(q.max()))) // 4)
-        line = np.empty(q.size, dtype=[("s", "<u8"), ("t", "<u8"), ("r", "<u4", (groups,)), ("nl", np.uint8)])
-        s, t = slab_points(self.nx, self.ny, x, lo, hi)
-        line["s"] = labels[s]
-        line["t"] = labels[t]
-        zero_padded, leading = _digit_groups()
-        for k in range(groups):  # the group of the places 4k .. 4k + 3
-            r = q // 10 ** (4 * k) % 10000 if groups > 1 else q
-            word = line["r"][:, groups - 1 - k]
-            word[:] = leading[r]
-            if k < groups - 1:
-                np.copyto(word, zero_padded[r], where=q >= 10 ** (4 * k + 4))
-            if k:
-                word *= q >= 10 ** (4 * k)
-        line["nl"] = 10
-        return line.tobytes().translate(None, b"\0")
+        runs = (run_bytes(self.rows(x, lo, hi), *slab_points(nx, ny, x, lo, hi), labels) for x, lo, hi in slab_runs(nx, ny))
+        return chain([rank_header(nx, ny)], runs)
 
     @classmethod
     def from_text(cls, text: str) -> "RankInvariant":
-        """Read a .rank text; a FormatError names the first bad line.
-        Text in the writer's layout is read by `rank_reader.from_slabs`;
-        any other text, and so every error, by `rank_reader.from_blocks`,
-        which reads the text's `ioutil.line_blocks`."""
-        from .rank_reader import from_blocks, from_slabs  # compiled only where a .rank is read
+        """Read a .rank text, as `rank_reader.read_rank` reads a file,
+        from the text's `ioutil.line_blocks`; a FormatError names the
+        first bad line."""
+        from .rank_reader import read_rank  # compiled only where a .rank is read
 
-        inv = from_slabs(block.encode("utf-8", "surrogatepass") for _, block in line_blocks(text))
-        return inv if inv is not None else from_blocks(lambda: line_blocks(text))
+        chunks = (block.encode("utf-8", "surrogatepass") for _, block in line_blocks(text))
+        return read_rank(chunks, lambda read: read(lambda: line_blocks(text)))
 
 
 def rank_invariant_naive(module: GridModule) -> RankInvariant:
@@ -385,6 +382,8 @@ def rank_invariant_naive(module: GridModule) -> RankInvariant:
     at a time.  A rank is at most the largest dimension, which sets the
     entry type.
     """
+    from .linalg import matmul, rank
+
     nx, ny, p = module.nx, module.ny, module.p
     check_tables(nx, ny, 1, int(module.dims.max()))
     inv = RankInvariant(nx, ny, np.zeros(pair_count(nx, ny), dtype=table_dtype(int(module.dims.max()))))

@@ -1,10 +1,11 @@
 """The .rank readers, loaded only by the commands that read a .rank.
 
 `from_slabs` reads the exact layout that `RankInvariant.text_slabs`
-writes, from its bytes and without tokenizing; `from_blocks` reads any
-valid .rank text and names the first bad line of any other.  Both fill
-the rank invariant's vector on the comparable pairs (`grid_module`)
-directly.
+writes, from its bytes and without tokenizing, and accepts a run of
+lines only when the writer's `run_bytes` renders it; `from_blocks` reads
+any valid .rank text and names the first bad line of any other, and
+`read_rank` tries the two in turn.  Both fill the rank invariant's
+vector on the comparable pairs (`grid_module`) directly.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .grid_module import (
     pair_index,
     rank_header,
     rank_labels,
+    run_bytes,
     slab_points,
     slab_runs,
     table_dtype,
 )
 from .ioutil import _SAFE_DIGITS, FormatError, InvariantError, block_rows
 
-_RANK_HEADER = re.compile(rb"# rank invariant on grid ([1-9][0-9]*) x ([1-9][0-9]*) \(1-based coordinates\)\n")
+_RANK_GRID = re.compile(rb"# rank invariant on grid ([1-9][0-9]*) x ([1-9][0-9]*) ")  # then `rank_header`
 _RANK_LINE_MOST = 2 * len("99 99 ") + _SAFE_DIGITS + 1  # `from_slabs` reads ranks of up to 18 digits
 
 
@@ -43,30 +45,34 @@ def _table_refusal(nx: int, ny: int, rank: int, line: Optional[int] = None):
         return e
 
 
+def read_rank(chunks, read_blocks) -> RankInvariant:
+    """A .rank file, from its bytes (an iterable of byte chunks) by
+    `from_slabs` when they are the writer's, and otherwise by
+    `read_blocks(from_blocks)`, which reads it from its start again."""
+    inv = from_slabs(chunks)
+    return inv if inv is not None else read_blocks(from_blocks)
+
+
 def from_slabs(chunks) -> Optional[RankInvariant]:
     """Read a .rank file in the layout `text_slabs` writes, given as an
-    iterable of byte chunks cut anywhere; None at the first byte that
-    departs from that layout.  It accepts exactly the bytes that
-    `text_slabs` writes for the invariant it returns, up to ranks of 18
-    digits, and reads them without tokenizing: any other file, valid or
-    not, is left to `from_blocks`.
+    iterable of byte chunks cut anywhere, without tokenizing; None at the
+    first run of lines that departs from that layout, which leaves any
+    other file, valid or not, to `from_blocks`.
 
     The header's grid, 1 x 1 to 99 x 99, fixes every line but its rank:
     `slab_runs` cuts each s_x slab into the runs of lines the writer
-    makes, and `slab_points` gives each run's pairs and labels in the
-    writer's order, which is the order of the run's range in the
-    vector.  For each run the reader cuts the chunks at the run's last
-    LF and finds its LFs in one pass; the lines follow each other, so
-    each line starts after the LF before it.  The two labels of each
-    line are compared as masked little-endian 8-byte words, gathered at
-    the line starts and after the first label from one byte-strided
-    `uint64` view of the run.  What is left of a line, before its LF,
-    is its rank: 1 to 18 digits, with no leading zero unless the rank is
-    0.  The file must end at the last LF.  The ranks of a run are
-    written to its range in one copy.  The entry type is `from_blocks`':
-    int16, widened to int32 or int64 when a rank passes the current
-    type (`table_dtype`).  A grid whose int64 table would pass the byte
-    cap is left to `from_blocks`, which names the line that crosses it.
+    makes, and `slab_points` gives each run's pairs in the writer's
+    order, the order of the run's range in the vector.  For each run the
+    reader cuts the chunks at the run's last LF and reads each line's
+    rank as the 1 to 18 bytes between its two labels (`rank_labels`'
+    lengths) and its LF.  It writes the ranks to the run's range and
+    accepts the run only when `run_bytes` renders that range as exactly
+    the run's bytes: so it accepts exactly the bytes that `text_slabs`
+    writes for the invariant it returns, up to ranks of 18 digits.  The
+    file must end at the last LF.  The entry type is `from_blocks`':
+    int16, widened to int32 or int64 when a rank passes the current type
+    (`table_dtype`).  A grid whose int64 table would pass the byte cap
+    is left to `from_blocks`, which names the line that crosses it.
     Beside the vector only one run's bytes and its per-line arrays are
     held.
     """
@@ -74,11 +80,10 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
     rest, rest_ends = b"", np.zeros(0, dtype=np.int64)
 
     def lines(n: int, most: int):
-        """The next n lines of the file, as (a uint8 array that starts
-        with them and ends in 16 zero bytes, since a word may read past
-        the last line, and the positions of their LFs), or None when the
-        file ends first or they are longer than `most`.  Each chunk's
-        LFs are found once, as it comes in."""
+        """The next n lines of the file, as (bytes that start with them,
+        the positions of their LFs), or None when the file ends first or
+        they are longer than `most`.  Each chunk's LFs are found once, as
+        it comes in."""
         nonlocal rest, rest_ends
         parts, ends, size = [rest], [rest_ends], len(rest)
         have = rest_ends.size
@@ -92,53 +97,48 @@ def from_slabs(chunks) -> Optional[RankInvariant]:
             ends.append(found)
             have += found.size
             size += len(chunk)
-        data = np.frombuffer(b"".join([*parts, bytes(16)]), dtype=np.uint8)
-        ends = np.concatenate(ends)
+        data, ends = b"".join(parts), np.concatenate(ends)
         cut = int(ends[n - 1]) + 1
-        rest, rest_ends = data[cut:-16].tobytes(), ends[n:] - cut
+        rest, rest_ends = data[cut:], ends[n:] - cut
         return (data, ends[:n]) if cut <= most else None
 
-    got = lines(1, len(rank_header(RANK_EXTENT_MAX, RANK_EXTENT_MAX)))
-    grid = got and _RANK_HEADER.fullmatch(got[0][: got[1][0] + 1].tobytes())
-    if not grid or max(nx := int(grid[1]), ny := int(grid[2])) > RANK_EXTENT_MAX or _table_refusal(nx, ny, 2**63 - 1):
-        return None
-    words, masks, sizes = rank_labels(nx, ny)
-    inv = RankInvariant(nx, ny, np.empty(pair_count(nx, ny), dtype=table_dtype(0)))
-    for x, lo, hi in slab_runs(nx, ny):
+    def read_run(x: int, lo: int, hi: int) -> bool:
+        """Read the run of the pairs with s_x = x, lo <= s_y < hi into
+        `inv`; whether its bytes are the writer's.  Its arrays go with it."""
         s, t = slab_points(nx, ny, x, lo, hi)
-        n = s.size
-        got = lines(n, n * _RANK_LINE_MOST)
-        if got is None:
-            return None
+        if (got := lines(s.size, s.size * _RANK_LINE_MOST)) is None:
+            return False
         data, ends = got
-        word = np.ndarray((data.size - 7,), "<u8", data, strides=(1,))  # word[i]: bytes i .. i + 7
-        start = np.empty_like(ends)  # the line starts, then the ends of their labels
-        start[0] = 0
-        np.add(ends[:-1], 1, out=start[1:])
-        for at in (s, t):
-            if not np.array_equal(word[start] & masks[at], words[at]):
-                return None
-            start += sizes[at]
+        start = np.concatenate(([0], ends[:-1] + 1)) + sizes[s] + sizes[t]  # where each line's rank starts
         digits = ends - start
-        if digits.min() < 1 or digits.max() > _SAFE_DIGITS or np.any((data[start] == 48) & (digits > 1)):
-            return None  # an empty or long rank, or a leading zero
-        value = np.subtract(data[: ends[-1]], 48)
-        is_digit = value < 10
-        # beside the checked labels, only the 4 spaces of each line
-        # and the LFs between the lines are not digits
-        if ends[-1] - np.count_nonzero(is_digit) != 5 * n - 1:
-            return None
-        value *= is_digit  # the digits' values, 0 at the space before each rank
+        if digits.min() < 1 or digits.max() > _SAFE_DIGITS:
+            return False
+        value = np.frombuffer(data, dtype=np.uint8, count=int(ends[-1])) - np.uint8(48)
         start -= 1
+        value[start] = 0  # at the space before each rank, where its places end
         ranks = value[ends - 1].astype(np.int64)
         for place in range(1, int(digits.max())):
             ranks += value[np.maximum(ends - 1 - place, start)] * np.int64(10**place)
+        if ranks.min() < 0:
+            return False  # wrapped by bytes that are not digits: no rank renders so
         dtype = np.promote_types(inv.values.dtype, table_dtype(int(ranks.max())))
         if dtype != inv.values.dtype:
             inv.values = inv.values.astype(dtype)
         inv.rows(x, lo, hi)[:] = ranks
-    if rest or any(chunks):
-        return None  # the file goes on past its last pair
+        del got, ends, start, digits, value, ranks  # the render needs only the run's bytes and points
+        return data.startswith(run_bytes(inv.rows(x, lo, hi), s, t, labels))
+
+    got = lines(1, len(rank_header(RANK_EXTENT_MAX, RANK_EXTENT_MAX)))
+    head = got and got[0][: got[1][0] + 1]
+    grid = head and _RANK_GRID.match(head)
+    if not grid or head != rank_header(nx := int(grid[1]), ny := int(grid[2])):
+        return None
+    if max(nx, ny) > RANK_EXTENT_MAX or _table_refusal(nx, ny, 2**63 - 1):
+        return None
+    labels, sizes = rank_labels(nx, ny)
+    inv = RankInvariant(nx, ny, np.empty(pair_count(nx, ny), dtype=table_dtype(0)))
+    if not all(read_run(x, lo, hi) for x, lo, hi in slab_runs(nx, ny)) or rest or any(chunks):
+        return None  # a run departs from the layout, or the file goes on past its last pair
     return inv
 
 

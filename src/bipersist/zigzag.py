@@ -16,15 +16,18 @@ The column path through s, (s_x, n_y-1) <- ... <- s -> ... -> (n_x-1, s_y),
 is a span.  Its dual, the same spaces under the transposed maps, is a
 cospan into s with the same bars, so it goes the same way with both
 legs walked from their far ends.  Homology is solved once at each point
-of a path, over the simplices that the path's complexes hold.
+of a path, over the simplices that the path's complexes hold, whose
+counts state the path's arrays before any is built (`_check_path_bytes`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .bifiltration import Bifiltration, homology_basis, homology_map
-from .ioutil import InvariantError
+from .ioutil import InvariantError, check_bytes
 from .linalg import flag_step, pair_flags
 
 
@@ -77,12 +80,37 @@ def _cospan_bars(edges_a, edges_b, p: int) -> list:
     return [(i, j) for i, j in np.argwhere(mult).tolist() for _ in range(mult[i, j])]
 
 
+def _check_path_bytes(held: set, degree: int, stations: int, p: int) -> None:
+    """Refuse a path whose homology would pass the byte cap, before any
+    array is built, from the counts a, b, c of the held simplices of
+    dimension q-1, q and q+1.  In bytes: each station holds its basis
+    (cycles and boundaries, at most b columns of b entries), its map
+    into the next station and its flag, each at most b x b, 24 b^2 in
+    all; one station's `homology_basis` at a time stacks [d_q; I] and
+    reduces it and the boundaries, as `resolution.presentation` does
+    over the same counts, b (17 (a + b) + 19 c), with b (16 (a + b) +
+    17 b) more for the reducers' int64 columns past p = 2; and the held
+    complex, rebuilt as a `Bifiltration` with a set of simplices per
+    station, 512 bytes a simplex; the table of the bars' ranks on the
+    stations and its corner differences, 32 bytes an entry; and 2^18
+    bytes of fixed work."""
+    counts = Counter(map(len, held))
+    a, b, c = (counts[degree + k] for k in range(3))
+    need = 24 * b * b * stations + b * (17 * (a + b) + 19 * c) + 512 * len(held)
+    need += 32 * (stations + 1) ** 2 + (1 << 18)
+    if p != 2:
+        need += b * (16 * (a + b) + 17 * b)
+    check_bytes(need, f"the degree-{degree} homology along the path ({a:,}, {b:,} and {c:,} held simplices of "
+                f"dimension q-1, q and q+1, {stations} station(s))")
+
+
 def _cospan_barcode(bif: Bifiltration, held: set, leg_a: list, leg_b: list, degree: int, dual: bool) -> ZigzagBarcode:
     """The barcode of degree-q homology along two legs of grid points,
     each in walk order and both ending in the apex, over the simplices
     in `held`; with `dual`, the maps go against the grid order and are
     transposed."""
     p = bif.p
+    _check_path_bytes(held, degree, len(leg_a) + len(leg_b) - 1, p)
     ambient = Bifiltration({s: bif.grades[s] for s in held}, bif.nx, bif.ny, p)
     hb = {u: homology_basis(ambient, ambient.complex_at(u), degree) for u in dict.fromkeys(leg_a + leg_b)}
 

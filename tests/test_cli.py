@@ -246,6 +246,30 @@ def test_a_bif_of_30000_isolated_vertices_is_refused_before_any_matrix(tmp_path,
     )
 
 
+def test_the_zigzag_of_30000_isolated_vertices_is_refused_before_any_array(tmp_path):
+    # its one station would stack the 30,000 x 30,000 identity, 6.71 GiB
+    # that numpy would be asked for; under a 2 GiB address space the
+    # path's counts refuse it first: 24 b^2 bytes held, 17 b^2 of one
+    # station's work, 512 a held simplex, 32 (1 + 1)^2 of the bars'
+    # table and 2^18 of fixed work
+    import resource
+
+    path = tmp_path / "dots.bif"
+    path.write_text("bifiltration\nfield 2\n" + "".join(f"0 0 ; {v}\n" for v in range(30000)))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    args = [sys.executable, "-m", "bipersist.cli", "zigzag-barcode", str(path), "--row", "1,1"]
+    done = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit)
+    need = 41 * 30000**2 + 512 * 30000 + 32 * 2**2 + (1 << 18)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", (
+        "error: the degree-0 homology along the path (0, 30,000 and 0 held simplices of dimension q-1, q and q+1, "
+        f"1 station(s)) would need {need:,} bytes, past the 268,435,456-byte cap\n"
+    ))
+
+
 def test_a_bif_on_a_grid_past_the_old_extent_cap_is_read(tmp_path, capsys):
     # 61 vertices along x, joined by edges that enter one row up: the
     # 61 x 2 grid passed the old 60 x 60 cap, and its tables are 22 kB
@@ -929,8 +953,9 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         0, {"bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.bifiltration"}, ""
     )
     (tmp_path / "in.rank").write_text(RANKS.to_text())
+    # and a .rank needs no elimination
     assert loaded_modules(["decompose-rectangles", "in.rank", "-o", "out.barcode"], tmp_path) == {
-        "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.linalg", "bipersist.grid_module",
+        "bipersist", "bipersist.cli", "bipersist.ioutil", "bipersist.grid_module",
         "bipersist.rank_reader", "bipersist.rect_decomp", "numpy", "inspect",
     }
     assert (tmp_path / "out.barcode").read_text() == barcode_text(RANKS)

@@ -556,6 +556,18 @@ def test_a_changed_writers_file_reads_as_the_general_reader_reads_it(size, drawn
     read_both_ways(mutate_rank_bytes(drawn[1], data.draw), size)
 
 
+@pytest.mark.parametrize("run", [1, 7])
+@settings(max_examples=80, deadline=None)
+@given(drawn=writer_bytes(), data=st.data())
+def test_a_changed_writers_file_reads_as_the_general_reader_reads_it_in_short_runs(run, drawn, data):
+    # in runs of one block r(s, .) or a few, a change in a late run
+    # comes after runs already read into the table: the layout reader
+    # still gives None or the general reader's table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "RUN_PAIRS", run)
+        read_both_ways(mutate_rank_bytes(drawn[1], data.draw), 7)
+
+
 def test_rank_to_text_refuses_a_negative_rank():
     inv = RankInvariant(1, 2)
     set_pair(inv, (0, 0), (0, 1), -1)

@@ -488,10 +488,9 @@ def test_int_rows_peak_memory_is_its_rows_and_one_block():
 def test_fres_reader_peak_memory_is_phi_and_one_run_of_work():
     # the 50 x 50 benchmark presentation (seed 808), one run of about
     # `_BLOCK_CHARS` characters at a time: beside phi, one run's text,
-    # rows and parse work, with int32 token positions and no per-byte
-    # mask alive through the digit pass (about 19 bytes a character;
-    # int64 positions and a run's index arrays kept into the next run
-    # made it 32)
+    # rows and parse work, with int32 token positions, no per-byte mask
+    # alive through the digit pass and no run's rows or line numbers
+    # alive while the next run is parsed (16.0 `_BLOCK_CHARS` measured)
     text = _perf_fixture_text()
     tracemalloc.start()
     try:
@@ -500,7 +499,7 @@ def test_fres_reader_peak_memory_is_phi_and_one_run_of_work():
     finally:
         tracemalloc.stop()
     assert res.phi.entries.shape == (500, 500)
-    assert peak <= res.phi.entries.nbytes + 24 * ioutil._BLOCK_CHARS
+    assert peak <= res.phi.entries.nbytes + 17 * ioutil._BLOCK_CHARS
 
 
 def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_block():
@@ -508,7 +507,8 @@ def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_b
     # reader one `line_blocks` run at a time, so the tokenizer never runs
     # and the 8.8 MB text is never encoded whole: beside the vector, one
     # run's bytes and per-line arrays, as `from_slabs` holds on byte
-    # chunks, and one block of text with its encoding
+    # chunks, and one block of text with its encoding (17.1
+    # `_BLOCK_CHARS` measured)
     text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
 
     def tokenizer(*args):
@@ -523,7 +523,7 @@ def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_b
         finally:
             tracemalloc.stop()
     assert inv.values.size == (40 * 41 // 2) ** 2
-    assert peak <= inv.values.nbytes + (24 + 2) * ioutil._BLOCK_CHARS
+    assert peak <= inv.values.nbytes + (18 + 1) * ioutil._BLOCK_CHARS
 
 
 def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
@@ -571,7 +571,8 @@ def test_rank_text_slabs_peak_memory_is_a_few_slabs():
 def test_layout_reader_peak_memory_is_the_vector_and_one_run():
     # the writer's bytes of a 40 x 40 int16 table, in chunks of
     # `_BLOCK_CHARS`: beside the vector, one run's bytes and per-line
-    # arrays, not those of a slab
+    # arrays, not those of a slab, and at the render that checks the
+    # run only its bytes and points (16.1 `_BLOCK_CHARS` measured)
     inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
     data = b"".join(inv.text_slabs())
     chunks = [data[i : i + ioutil._BLOCK_CHARS] for i in range(0, len(data), ioutil._BLOCK_CHARS)]
@@ -582,7 +583,7 @@ def test_layout_reader_peak_memory_is_the_vector_and_one_run():
     finally:
         tracemalloc.stop()
     assert got == inv and got.values.dtype == np.int16
-    assert peak <= got.values.nbytes + 24 * ioutil._BLOCK_CHARS
+    assert peak <= got.values.nbytes + 18 * ioutil._BLOCK_CHARS
 
 
 def big_fres_text(seed: int, n: int, gens: int, rels: int) -> str:

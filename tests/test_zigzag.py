@@ -1,11 +1,17 @@
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bipersist import ioutil
 from bipersist.bifiltration import homology_module
+from bipersist.rank_dp import rank_from_resolution
+from bipersist.resolution import presentation, presented_module
+from bipersist.weakexact import kappa_iota
 from bipersist.zigzag import (
     ZigzagBarcode,
     col_zigzag_barcode,
@@ -192,6 +198,116 @@ def test_path_barcodes_match_the_subspace_oracle(p, degree, n_vert, grid, seed):
     for t in np.ndindex(*grid):
         assert row_zigzag_barcode(bif, t, degree) == zigzag_barcode(row_zigzag(bif, t), degree, p), t
         assert col_zigzag_barcode(bif, t, degree) == zigzag_barcode(col_zigzag(bif, t), degree, p), t
+
+
+def corner_bars(stations: int, rank) -> list:
+    """The bars of a zigzag of `stations` stations whose generalized
+    rank, the number of bars covering [i, j], is rank(i, j): the corner
+    differences, as for one-parameter persistence."""
+    r = lambda i, j: rank(i, j) if 0 <= i <= j < stations else 0
+    return sorted(
+        (i, j) for i in range(stations) for j in range(i, stations)
+        for _ in range(r(i, j) - r(i - 1, j) - r(i, j + 1) + r(i - 1, j + 1))
+    )
+
+
+def row_path_bars(r, iota, t) -> list:
+    """The row path through t read off the check's tables: r along its
+    row leg (i, t_y) and its column leg (t_x, y), and across the apex,
+    from (x, t_y) to (t_x, y), iota((x, y), t)."""
+    tx, ty = t
+    point = lambda i: (i, ty) if i <= tx else (tx, ty - (i - tx))
+
+    def rank(i, j):
+        u, v = point(i), point(j)
+        if j <= tx:
+            return r.get(u, v)
+        return r.get(v, u) if i >= tx else iota.get((u[0], v[1]), t)
+
+    return corner_bars(tx + ty + 1, rank)
+
+
+def col_path_bars(r, kappa, s, nx, ny) -> list:
+    """The column path through s read off the check's tables: r along its
+    column leg (s_x, y), walked down, and its row leg (x, s_y), and across
+    the apex, for the span (s_x, y) <- s -> (x, s_y), the rank from its
+    limit to its colimit, dim M_s - kappa(s, (x, y))."""
+    sx, sy = s
+    apex = ny - 1 - sy
+    point = lambda i: (sx, ny - 1 - i) if i <= apex else (sx + i - apex, sy)
+
+    def rank(i, j):
+        u, v = point(i), point(j)
+        if j <= apex:
+            return r.get(v, u)
+        return r.get(u, v) if i >= apex else r.get(s, s) - kappa.get(s, (v[0], u[1]))
+
+    return corner_bars(apex + nx - sx, rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, 2**31 - 1]),
+    degree=st.sampled_from([0, 1, 2]),
+    n_vert=st.integers(1, 12),
+    q=st.floats(0.2, 0.8),
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 10**6),
+)
+@example(p=2**31 - 1, degree=2, n_vert=8, q=0.6, grid=(3, 4), seed=9)
+@example(p=65521, degree=1, n_vert=9, q=0.45, grid=(4, 4), seed=3)
+def test_path_barcodes_are_read_off_the_checks_tables(p, degree, n_vert, q, grid, seed):
+    # the zigzag of each path through each point is determined by the
+    # rank invariant of the module's presentation and its kappa/iota
+    # tables: a route to the bars with no homology solved per station
+    bif = clique_bifiltration(seed, n_vert, q, *grid, p)
+    pres = presentation(bif, degree)
+    r, tables = rank_from_resolution(pres), kappa_iota(presented_module(pres))
+    for t in np.ndindex(*grid):
+        assert sorted(row_zigzag_barcode(bif, t, degree).intervals) == row_path_bars(r, tables.iota, t), t
+        assert sorted(col_zigzag_barcode(bif, t, degree).intervals) == col_path_bars(r, tables.kappa, t, *grid), t
+
+
+def stated_path_bytes(path_barcode, bif, t, degree) -> int:
+    """The bytes `path_barcode(bif, t, degree)` states, read off its
+    refusal at a cap below any input."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ioutil, "BYTES_CAP", -1)
+        with pytest.raises(ioutil.TooLargeError) as refused:
+            path_barcode(bif, t, degree)
+    return int(re.search(r"would need ([0-9,]+) bytes", str(refused.value))[1].replace(",", ""))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 2**31 - 1]),
+    degree=st.sampled_from([0, 1, 2]),
+    n_vert=st.integers(2, 50),
+    q=st.floats(0.05, 0.45),
+    grid=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+    seed=st.integers(0, 10**6),
+    at=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+)
+@example(p=3, degree=0, n_vert=400, q=0.0, grid=(3, 3), seed=4, at=(0.9, 0.9))
+@example(p=2, degree=1, n_vert=50, q=0.45, grid=(10, 10), seed=5, at=(0.5, 0.5))
+@example(p=2, degree=1, n_vert=1000, q=0.0, grid=(1000, 1), seed=3, at=(0.9995, 0))
+def test_path_states_at_least_the_bytes_it_peaks_at(p, degree, n_vert, q, grid, seed, at):
+    # the byte rule of a path is stated from its held simplex counts
+    # before any array is built, and bounds the traced peak of the whole
+    # path, its rebuilt complex included; the isolated vertices make
+    # every station's basis the identity, or, on the 1000 x 1 grid in
+    # degree 1, leave only the table of the bars on 1000 stations
+    bif = clique_bifiltration(seed, n_vert, q, *grid, p)
+    t = tuple(int(f * n) for f, n in zip(at, grid))
+    for path_barcode in (row_zigzag_barcode, col_zigzag_barcode):
+        stated = stated_path_bytes(path_barcode, bif, t, degree)
+        tracemalloc.start()
+        try:
+            path_barcode(bif, t, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stated
 
 
 def test_zbar_roundtrip_and_validation():
