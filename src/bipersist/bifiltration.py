@@ -153,44 +153,38 @@ class HomologyBasis:
 def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -> HomologyBasis:
     """H_degree of the subcomplex on `present`, boundaries-first completion.
 
-    One `ColumnReducer` takes the columns of [d_q; I] on the present
-    q-simplices, d_q having k rows: a combination whose d_q part
-    vanishes is a cycle in its lower part, so the block rows with lead
-    >= k, cut to their lower part, are the reduced row echelon basis of
-    the cycles.  The block depends only on the span, so the columns go
-    in last first: a column that reduces to a cycle then leads at its
-    own identity row, which no column admitted before it holds, and
-    cycles never collide with each other.  A second reducer over
-    F_p^(n_q) takes the present boundary columns, and its block is the
-    reduced row echelon basis of the boundaries; then it takes the
-    cycles, and those it admits, being independent of the boundaries
-    and of each other, are the representatives.
+    One `ColumnReducer` over all the q-simplices takes the columns of
+    [d_q; I] (`ColumnReducer.stacked`) of the present ones, so the
+    reduced echelon basis of the cycles comes out in global chain
+    coordinates.  The columns go in last first: a column that reduces to
+    a cycle then leads at its own identity row, which no column admitted
+    before it holds, and cycles never collide with each other.  A second
+    reducer takes the present boundary columns, and its block is the
+    reduced echelon basis of the boundaries; then `ColumnReducer.kernel`
+    hands it the cycles, and those it admits, independent of the
+    boundaries and of each other, are the representatives.
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
-    import numpy as np
-
     from .linalg import ColumnReducer
 
-    p = bif.p
-    present = set(present)
+    p, present = bif.p, set(present)
     q_list, up_list = bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
-    mask = np.fromiter((s in present for s in q_list), dtype=bool, count=len(q_list))
-    umask = np.fromiter((s in present for s in up_list), dtype=bool, count=len(up_list))
-    d_q = bif.boundary_matrix(degree)[:, mask]
-    k, m = d_q.shape
-    cycle_space = ColumnReducer(k + m, p)
-    for v in ColumnReducer.columns(np.vstack((d_q, np.eye(m, dtype=np.int64)))[:, ::-1], p):
-        cycle_space.add(v)
-    rows, leads = cycle_space.block()
-    cycles = np.zeros((len(q_list), int(np.count_nonzero(leads >= k))), dtype=np.int64)
-    cycles[mask] = rows[leads >= k, k:].T
+    d_q = bif.boundary_matrix(degree)
+    k = d_q.shape[0]
+    cycle_space = ColumnReducer(k + len(q_list), p)
+    stacked = ColumnReducer.stacked(ColumnReducer.columns(d_q, p), k, p)
+    for j in reversed(range(len(q_list))):
+        if q_list[j] in present:
+            cycle_space.add(stacked[j])
+    del stacked  # past p = 2, views of one array that the reads below need no more
     span = ColumnReducer(len(q_list), p)
-    for v in ColumnReducer.columns(bif.boundary_matrix(degree + 1)[:, umask], p):
-        span.add(v)
+    for v, s in zip(ColumnReducer.columns(bif.boundary_matrix(degree + 1), p), up_list):
+        if s in present:
+            span.add(v)
     bnd = span.block()[0].T
-    sel = [j for j, v in enumerate(ColumnReducer.columns(cycles, p)) if span.add(v) is not None]
-    return HomologyBasis(reps=cycles[:, sel], boundaries=bnd, dim=len(sel))
+    reps = cycle_space.kernel(k, span)
+    return HomologyBasis(reps=ColumnReducer.dense(reps, len(q_list), p), boundaries=bnd, dim=len(reps))
 
 
 def homology_map(src: HomologyBasis, tgt: HomologyBasis, p: int) -> np.ndarray:
@@ -214,22 +208,12 @@ def homology_module(bif: Bifiltration, degree: int) -> GridModule:
 
     from .grid_module import GridModule
 
-    p = bif.p
-    data = {}
-    for x in range(bif.nx):
-        for y in range(bif.ny):
-            data[(x, y)] = homology_basis(bif, bif.complex_at((x, y)), degree)
-    dims = np.zeros((bif.nx, bif.ny), dtype=np.int64)
-    for t, hb in data.items():
-        dims[t] = hb.dim
-    hmaps, vmaps = {}, {}
-    for x in range(bif.nx - 1):
-        for y in range(bif.ny):
-            hmaps[(x, y)] = homology_map(data[(x, y)], data[(x + 1, y)], p)
-    for x in range(bif.nx):
-        for y in range(bif.ny - 1):
-            vmaps[(x, y)] = homology_map(data[(x, y)], data[(x, y + 1)], p)
-    return GridModule(bif.nx, bif.ny, p, dims, hmaps, vmaps)
+    nx, ny, p = bif.nx, bif.ny, bif.p
+    data = {t: homology_basis(bif, bif.complex_at(t), degree) for t in np.ndindex(nx, ny)}
+    dims = np.array([hb.dim for hb in data.values()], dtype=np.int64).reshape(nx, ny)
+    hmaps = {(x, y): homology_map(hb, data[(x + 1, y)], p) for (x, y), hb in data.items() if x + 1 < nx}
+    vmaps = {(x, y): homology_map(hb, data[(x, y + 1)], p) for (x, y), hb in data.items() if y + 1 < ny}
+    return GridModule(nx, ny, p, dims, hmaps, vmaps)
 
 
 # -- .bif file format ------------------------------------------------------

@@ -13,8 +13,8 @@ reduction at every p, and the rest runs on it: `rank`, `solve_matrix`
 of its lead pairs, which the rank DP takes per generator class and t_y)
 and the flag walk (`flag_step`, `pair_flags`) of the kappa/iota tables
 and `zigzag-barcode`.  The graded kernel and homology bases are read off
-reducers fed columns stacked on an identity block, and completed on one
-that holds the span so far: it admits exactly the new directions.
+reducers fed [m; I] in their own form, and completed on one that holds
+the span so far: it admits exactly the new directions.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class ColumnReducer:
 
     `add(v)` reduces v against the columns admitted so far, admits the
     residue when it is nonzero and reports its lead row (its first
-    nonzero entry); `reduce(v)` gives the residue and admits nothing.
+    nonzero entry).
     `block()` gives the admitted columns as a fully reduced echelon
     basis, rows sorted by lead: row i is a basis vector whose lead entry
     is 1 and whose entries at the other leads are 0, the reduced row
@@ -88,7 +88,8 @@ class ColumnReducer:
     (p - 1)^2 < 2^62: exact in int64 for every p up to `ioutil.MAX_MODULUS`.
     `block` back-substitutes when called and keeps the result until the
     rank changes.  `columns` converts a whole matrix at once to the form
-    `add` takes, and `admitted` gives back an admitted column in it.
+    `add` takes and `dense` back; `stacked` makes the columns of [m; I]
+    in it, and `admitted`, `kernel` and `solve` give columns back in it.
     """
 
     def __init__(self, k: int, p: int):
@@ -123,6 +124,36 @@ class ColumnReducer:
             bitsets += [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(part.shape[1])]
         return bitsets
 
+    @staticmethod
+    def stacked(columns: list, k: int, p: int) -> list:
+        """The columns of [m; I] from the n columns of the k-row m, both in
+        the form `add` takes, with no identity block built: at p = 2, m's
+        bitset shifted past n bits, plus bit n-1-j; otherwise views of the
+        rows of one new n x (k + n) int64 array."""
+        n = len(columns)
+        if p == 2:
+            return [v << n | 1 << (n - 1 - j) for j, v in enumerate(columns)]
+        stack = np.zeros((n, k + n), dtype=np.int64)
+        for j, v in enumerate(columns):
+            stack[j, :k] = v
+            stack[j, k + j] = 1
+        return list(stack)
+
+    @staticmethod
+    def dense(columns: list, k: int, p: int) -> np.ndarray:
+        """The k-row int64 matrix of `columns`, in the form `add` takes with
+        entries in [0, p); bitsets are unpacked a bounded chunk at a time."""
+        if p != 2:
+            return np.array(columns, dtype=np.int64).reshape(len(columns), k).T
+        n = (k + 7) // 8
+        rows = np.empty((len(columns), k), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // max(1, k))
+        for lo in range(0, len(columns), step):
+            chunk = columns[lo : lo + step]
+            data = np.frombuffer(b"".join(w.to_bytes(n, "big") for w in chunk), dtype=np.uint8)
+            rows[lo : lo + step] = np.unpackbits(data).reshape(len(chunk), 8 * n)[:, 8 * n - k :]
+        return rows.T
+
     def add(self, v) -> Optional[int]:
         """Admit column v (length k, any int entries, or at p = 2 a bitset
         from `columns`) if it is independent, and return the lead of its
@@ -139,11 +170,6 @@ class ColumnReducer:
         self.rank += 1
         return lead
 
-    def reduce(self, v):
-        """v minus a combination of the admitted columns, in the form `add`
-        takes, zero exactly when v lies in their span; admits nothing."""
-        return (self._reduce_gf2(v) if self.p == 2 else self._reduce_modp(v))[0]
-
     def admitted(self, lead: int):
         """The admitted column whose lead is `lead`, reduced, in the form
         `add` takes."""
@@ -155,10 +181,35 @@ class ColumnReducer:
         rank."""
         if self._block is None or self._block[1].size != self.rank:
             self._block = None  # the stale block can go while the new one is built
-            rows, leads = self._block_gf2() if self.p == 2 else self._block_modp()
+            rows, leads = self._reduced_gf2(0) if self.p == 2 else self._reduced_modp(0)
+            if self.p == 2:
+                rows = self.dense(rows, self.k, 2).T
             rows.flags.writeable = leads.flags.writeable = False
             self._block = rows, leads
         return self._block
+
+    def kernel(self, k: int, span: "ColumnReducer") -> list:
+        """The kernel vectors that `span`, over F_p^(self.k - k), admits, as
+        new columns in the form `add` takes.  Fed columns of [m; I]
+        (`stacked`), m with k rows, the block rows that lead at k or past
+        vanish on m; their lower parts, by lead, are the reduced echelon
+        basis of the kernel of the columns fed (R = D V, Edelsbrunner &
+        Harer, Computational Topology, VII.1)."""
+        if self.p == 2:
+            return [v for v in self._reduced_gf2(k)[0] if span.add(v) is not None]
+        return [row.copy() for row in self._reduced_modp(k)[0] if span.add(row) is not None]
+
+    def solve(self, v, k: int):
+        """A y with m y = v, or None, in the form `add` takes, when the
+        reducer was fed the columns of [m; I] of a k-row m (`stacked`).
+        Each is [m y; y] once admitted, so [v; 0] reduces to [v - m y; -y],
+        zero on top exactly when m y = v is solvable: a nonzero top leads
+        where no admitted column does."""
+        if self.p == 2:
+            w, lead = self._reduce_gf2(v << (self.k - k))
+            return None if lead is not None and lead < k else w
+        w, lead = self._reduce_modp(np.concatenate((v, np.zeros(self.k - k, dtype=np.int64))))
+        return None if lead is not None and lead < k else -w[k:] % self.p
 
     def _reduce_gf2(self, w):
         """(residue, its lead, or None when the residue is zero)."""
@@ -189,27 +240,15 @@ class ColumnReducer:
             tail -= tail[0] * c[lead:]
             tail %= p
 
-    @staticmethod
-    def _unpacked(bitsets: list, k: int) -> np.ndarray:
-        """The bitsets of length k (bit k-1-i for entry i) as int64 rows,
-        unpacked a bounded chunk of rows at a time."""
-        n = (k + 7) // 8
-        rows = np.empty((len(bitsets), k), dtype=np.int64)
-        step = max(1, _CHUNK_ENTRIES // max(1, k))
-        for lo in range(0, len(bitsets), step):
-            chunk = bitsets[lo : lo + step]
-            data = np.frombuffer(b"".join(w.to_bytes(n, "big") for w in chunk), dtype=np.uint8)
-            rows[lo : lo + step] = np.unpackbits(data).reshape(len(chunk), 8 * n)[:, 8 * n - k :]
-        return rows
-
-    def _block_gf2(self):
-        """Back-substitution, from the last lead row up: a column's entries
-        at the other leads all lie below its own lead, where the rows are
-        already fully reduced, and XOR with such a row changes no other
-        lead entry."""
+    def _reduced_gf2(self, lo: int):
+        """(bitsets, leads): the admitted columns that lead at lo or past,
+        fully reduced among themselves, by lead.  Back-substitution, from
+        the last lead row up: a column's entries at the other leads all
+        lie below its own lead, where the rows are already fully reduced,
+        and XOR with such a row changes no other lead entry."""
         cols = self._cols
-        lead_bits = sum(1 << (top - 1) for top in cols)
-        tops = sorted(cols)
+        tops = sorted(top for top in cols if top <= self.k - lo)
+        lead_bits = sum(1 << (top - 1) for top in tops)
         red = {}
         for top in tops:
             w = cols[top]
@@ -219,20 +258,22 @@ class ColumnReducer:
                 w ^= red[bit]
                 hits ^= 1 << (bit - 1)
             red[top] = w
-        return self._unpacked([red[top] for top in tops[::-1]], self.k), self.k - np.array(tops[::-1], dtype=np.int64)
+        return [red[top] for top in tops[::-1]], self.k - np.array(tops[::-1], dtype=np.int64)
 
-    def _block_modp(self):
-        """Back-substitution, from the last lead up, one lead column at a
-        time: the row of that lead is by then zero at every other lead, so
+    def _reduced_modp(self, lo: int):
+        """(rows, leads): the admitted columns that lead at lo or past, cut
+        to rows lo.., fully reduced among themselves, by lead, in a new
+        array.  Back-substitution, from the last lead up, one lead column at
+        a time: the row of that lead is by then zero at every other lead, so
         clearing its column in the rows above changes no other lead entry,
         and which rows need it can be read off before the first step."""
-        p = self.p
-        leads = np.array(sorted(self._cols), dtype=np.int64)
-        rows = np.array([self._cols[lead] for lead in leads.tolist()], dtype=np.int64).reshape(self.rank, self.k)
-        hits = rows[:, leads] != 0  # zero below the diagonal, one on it
+        leads = np.array(sorted(lead for lead in self._cols if lead >= lo), dtype=np.int64)
+        rows = np.array([self._cols[lead][lo:] for lead in leads.tolist()], dtype=np.int64).reshape(leads.size, self.k - lo)
+        leads -= lo
+        hits = (rows != 0)[:, leads]  # zero below the diagonal, one on it
         for i in np.flatnonzero(hits.sum(axis=0) > 1)[::-1]:
             lead, above = leads[i], hits[:i, i].nonzero()[0]
-            rows[above, lead:] = (rows[above, lead:] - rows[above, lead, None] * rows[i, lead:]) % p
+            rows[above, lead:] = (rows[above, lead:] - rows[above, lead, None] * rows[i, lead:]) % self.p
         return rows, leads
 
 
@@ -329,34 +370,27 @@ def pair_flags(flag_a, flag_b, shape, p: int) -> np.ndarray:
     return pair_counts(ColumnReducer.columns(coords, p), a.shape[0], a_birth[::-1], b_birth, shape, p)
 
 
-def solve_matrix(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
+def solve_matrix(m, b: np.ndarray, p: int) -> Optional[np.ndarray]:
     """One solution X of m X = b; None if any column of b is inconsistent.
 
-    One `ColumnReducer` admits the columns of [m; I], each [m y; y] once
-    reduced (R = D V, as in `resolution.graded_kernel_basis`), and
-    reduces each [b_j; 0] to a residue [b_j - m y; -y].  Its top part is
-    zero exactly when m x = b_j has a solution, since a nonzero one leads
-    where no admitted column does; then x_j = -y, the only solution when
-    the columns of m are independent.  The stacked columns are made one
-    at a time (at p = 2 as shifted bitsets), never as [m; I] or [m | b].
+    m is a matrix or its columns in the form `ColumnReducer.add` takes.
+    One reducer admits the columns of [m; I] (R = D V, as in
+    `resolution.graded_kernel_basis`) and solves each column of b on
+    them (`ColumnReducer.solve`), by the same code at every p; the
+    solution is the only one when the columns of m are independent.
+    No [m | b] is built, and at p = 2 no [m; I] array.
     """
-    rows, cols = m.shape
-    if b.shape[0] != rows:
-        raise ValueError(f"shape mismatch {m.shape} x = {b.shape}")
-    reducer = ColumnReducer(rows + cols, p)
-    if p == 2:
-        for j, v in enumerate(ColumnReducer.columns(m, 2)):
-            reducer.add(v << cols | 1 << (cols - 1 - j))
-        residues = [reducer.reduce(v << cols) for v in ColumnReducer.columns(b, 2)]
-        if any(r >> cols for r in residues):
+    rows = b.shape[0]
+    if isinstance(m, np.ndarray):
+        if m.shape[0] != rows:
+            raise ValueError(f"shape mismatch {m.shape} x = {b.shape}")
+        m = ColumnReducer.columns(m, p)
+    reducer = ColumnReducer(rows + len(m), p)
+    for v in ColumnReducer.stacked(m, rows, p):
+        reducer.add(v)
+    x = []
+    for v in ColumnReducer.columns(b, p):  # v no longer holds a view of the stack
+        x.append(reducer.solve(v, rows))
+        if x[-1] is None:
             return None
-        return ColumnReducer._unpacked(residues, cols).T
-    for j in range(cols):
-        reducer.add(np.concatenate((m[:, j], np.arange(cols) == j)))  # column j of [m; I]
-    x = np.empty((cols, b.shape[1]), dtype=np.int64)
-    for j in range(b.shape[1]):
-        r = reducer.reduce(np.concatenate((b[:, j], np.zeros(cols, dtype=np.int64))))
-        if r[:rows].any():
-            return None
-        x[:, j] = -r[rows:] % p
-    return x
+    return ColumnReducer.dense(x, len(m), p)

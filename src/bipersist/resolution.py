@@ -92,14 +92,12 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     to a basis of the kernel at every single grid point.
 
     The kernel comes from the reduction that already runs, R = D V
-    (Edelsbrunner & Harer, Computational Topology, VII.1), with V
-    tracked by stacking: one `ColumnReducer` per row y takes the
-    columns of [mat; I] with g_y <= y in rising g_x, and admits every
-    one of them.  A combination of columns whose mat part vanishes is
-    a kernel vector in its lower part, so with k = mat.shape[0], dim ker
-    at every (x, y) of the row is the number of leads at or past row k,
-    and the block rows with those leads, cut to their lower part, are
-    the reduced row echelon basis of the kernel, in full column
+    (Edelsbrunner & Harer, Computational Topology, VII.1): one
+    `ColumnReducer` per row y admits the columns of [mat; I]
+    (`ColumnReducer.stacked`) with g_y <= y in rising g_x.  With
+    k = mat.shape[0], dim ker at every (x, y) of the row is the number
+    of leads at or past row k, and `ColumnReducer.kernel` reads the
+    kernel's reduced echelon basis off the reducer, in full column
     coordinates.  The generators found <= t are independent (those
     <= (x-1, y) and those <= (x, y-1) are bases of two kernels that meet
     in the kernel at (x-1, y-1), of which they share a basis), so where
@@ -113,18 +111,18 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     generator when that reducer admits it, which depends only on the
     span of what it holds.
 
-    Returns (basis, grades): basis columns live in full column
-    coordinates and vanish outside columns of grade <= their own.
+    Returns (basis, grades), the basis as columns in the form
+    `ColumnReducer.add` takes, each vanishing outside the columns of
+    grade <= its own.
     """
     k, cols = mat.shape
     cg = np.array([(int(g[0]), int(g[1])) for g in col_grades], dtype=np.int64).reshape(-1, 2)
     if len(cg) != cols:
         raise ValueError("one grade per column required")
-    vectors = ColumnReducer.columns(np.vstack((mat, np.eye(cols, dtype=np.int64))), p)
+    vectors = ColumnReducer.stacked(ColumnReducer.columns(mat, p), k, p)
     by_x = np.argsort(cg[:, 0], kind="stable")
-    found: list[np.ndarray] = []
+    basis: list = []
     grades: list[tuple[int, int]] = []
-    joins: list = []  # the generators in the form `ColumnReducer.add` takes
     for y in range(ny):
         reducer = ColumnReducer(k + cols, p)
         span = ColumnReducer(cols, p)
@@ -141,17 +139,11 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
             if kernel_dim == span.rank + upto[x] - joined:  # generators found <= (x, y)
                 continue
             for g in earlier[joined : upto[x]]:
-                span.add(joins[g])
+                span.add(basis[g])
             joined = upto[x]
-            rows, leads = reducer.block()
-            ker = rows[np.searchsorted(leads, k) :, k:].T  # a view: the rows are sorted by lead
-            born = ker[:, [j for j, v in enumerate(ColumnReducer.columns(ker, p)) if span.add(v) is not None]]
-            del rows, ker  # so that neither is held while the next block is built
-            found.extend(born.T)  # born is a copy, so no generator keeps all of ker alive
-            grades += [(x, y)] * born.shape[1]
-            joins.extend(ColumnReducer.columns(born, p))
-    reducer = span = None  # so that the last row's block is not held while the basis is stacked
-    basis = np.column_stack(found) if found else np.zeros((cols, 0), dtype=np.int64)
+            born = reducer.kernel(k, span)
+            basis += born
+            grades += [(x, y)] * len(born)
     return basis, grades
 
 
@@ -164,43 +156,42 @@ def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentatio
     none rewrites to zero, since no boundary column is zero and the
     generators are independent.
 
-    One `solve_matrix`, a reduction against [generators; I], rewrites
-    every boundary column.  The generators are a basis of the kernel at
-    the top point, so each solution is unique and must lie on the
-    generators <= its column's grade (boundaries are cycles, which they
-    span gradewise); an InvariantError reports one that does not.
+    One `solve_matrix` on the generators as the kernel sweep left them,
+    in the reducer's form, rewrites every boundary column.  They are a
+    basis of the kernel at the top point, so each solution is unique and
+    must lie on the generators <= its column's grade (boundaries are
+    cycles, which they span gradewise); an InvariantError reports one
+    that does not.
 
     Before any matrix is built, its arrays are stated from the simplex
     counts S_(q-1), S_q, S_(q+1) and refused past the cap, with the
     `tables` tables its caller builds at `table_dtype(S_q)` (no rank or
-    dimension passes the generator count, at most S_q).  In bytes an
-    entry, so that the sum bounds them wherever they meet: the cached
-    boundaries, 8; [d_q; I] and its reduced block, 9 with the unpacking;
-    the basis, at most S_q x S_q, 8, which also covers the identity
-    stacked into [d_q; I] before it; the solved relations, at most
-    S_q x S_(q+1), 11 with their grade masks; and 2^18 bytes of fixed
-    work (`ColumnReducer.columns`' 2^14 int64 entries, numpy's buffers).
-    At p != 2 the reducers hold int64 columns where p = 2 holds bitsets,
-    which adds 16 bytes an entry of [d_q; I] (the stack, alive under its
-    columns, which are views of it, and the admitted columns, 8 each)
-    and 17 an entry of the basis (the completing reducer's columns, 8;
-    the block's lead columns, gathered for its back-substitution, 8,
-    and their nonzero mask, 1).
+    dimension passes the generator count, at most S_q): the cached
+    boundaries, 8 bytes an entry, the larger of the kernel sweep's and
+    the solve's work, and 2^18 bytes of fixed work.  The sweep holds up
+    to six copies of [d_q; I], the solve the basis, [basis; I] twice and
+    the relations, at most S_q x S_(q+1), as columns and as the matrix
+    with its grade masks.  At p = 2 the columns are bitsets, 4 bytes per
+    30 bits and about 40 an int with its slot: 1 byte an entry of
+    [d_q; I] or S_q x S_q, 256 a column, 12 an entry of the relations.
+    Otherwise they are int64: the sweep's 16 an entry of [d_q; I] and 26
+    of S_q x S_q (the kernel's rows and mask, span and basis), the
+    solve's 48 of S_q x S_q and 19 of the relations, and 512 a column.
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
     s_down, s_q, s_up = (len(bif.by_dim.get(d, ())) for d in (degree - 1, degree, degree + 1))
-    need = s_q * (17 * (s_down + s_q) + 19 * s_up) + (1 << 18) + table_bytes(bif.nx, bif.ny, tables, s_q)
-    if bif.p != 2:
-        need += s_q * (16 * (s_down + s_q) + 17 * s_q)
+    if bif.p == 2:
+        sweep = s_q * (s_down + s_q) + 256 * s_q
+        solve = s_q * (s_q + 12 * s_up) + 256 * (s_q + s_up)
+    else:
+        sweep = s_q * (16 * (s_down + s_q) + 26 * s_q) + 512 * s_q
+        solve = s_q * (48 * s_q + 19 * s_up) + 512 * (s_q + s_up)
+    need = 8 * s_q * (s_down + s_up) + max(sweep, solve) + (1 << 18) + table_bytes(bif.nx, bif.ny, tables, s_q)
     check_bytes(need, f"the degree-{degree} presentation ({s_down:,}, {s_q:,} and {s_up:,} simplices of dimension "
                 f"q-1, q and q+1) and {tables} table(s) on the comparable pairs of the {bif.nx}x{bif.ny} grid")
-    p = bif.p
-    q_list = bif.by_dim.get(degree, [])
-    up_list = bif.by_dim.get(degree + 1, [])
-    gen_basis, gen_grades = graded_kernel_basis(
-        bif.boundary_matrix(degree), [bif.grades[s] for s in q_list], bif.nx, bif.ny, p
-    )
+    p, q_list, up_list = bif.p, bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
+    gen_basis, gen_grades = graded_kernel_basis(bif.boundary_matrix(degree), [bif.grades[s] for s in q_list], bif.nx, bif.ny, p)
     gens = FreeModule(gen_grades)
     up_grades = np.array([bif.grades[s] for s in up_list], dtype=np.int64).reshape(-1, 2)
     x = solve_matrix(gen_basis, bif.boundary_matrix(degree + 1), p)
@@ -219,11 +210,9 @@ def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
     basis of the relation matrix, by the same sweep as the generators.
     """
     pres = presentation(bif, degree)
-    psi_entries, rr_grades = graded_kernel_basis(
-        pres.phi.entries, pres.rels.grades, bif.nx, bif.ny, bif.p
-    )
+    psi_basis, rr_grades = graded_kernel_basis(pres.phi.entries, pres.rels.grades, bif.nx, bif.ny, bif.p)
     relrels = FreeModule(rr_grades)
-    psi = GradedMatrix(pres.rels, relrels, psi_entries, bif.p)
+    psi = GradedMatrix(pres.rels, relrels, ColumnReducer.dense(psi_basis, len(pres.rels), bif.p), bif.p)
     return FreeResolution(pres.gens, pres.rels, relrels, pres.phi, psi, bif.nx, bif.ny, bif.p)
 
 

@@ -26,7 +26,7 @@ from collections import Counter
 
 import numpy as np
 
-from .bifiltration import Bifiltration, homology_basis, homology_map
+from .bifiltration import Bifiltration, HomologyBasis, homology_basis, homology_map
 from .ioutil import InvariantError, check_bytes
 from .linalg import flag_step, pair_flags
 
@@ -47,33 +47,34 @@ class ZigzagBarcode:
         return sum(1 for b, d in self.intervals if b <= i <= d)
 
 
-def _walk(edges, p: int) -> list:
-    """The flag at each space of a walk from the zero space along `edges`."""
-    flag = (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))
-    flags = []
-    for here, edge in enumerate(edges):
-        flag = flag_step(edge, flag, here, p)
-        flags.append(flag)
-    return flags
+def _walk(ambient: Bifiltration, leg: list, apex, degree: int, dual: bool):
+    """(the flag's births at each station before the apex, the flag at the
+    apex) along a leg walked from the zero space, holding only the station
+    before's homology basis; `apex` is the apex's, and with `dual` the maps
+    are transposed."""
+    p, flag = ambient.p, (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    births, before = [], HomologyBasis(None, None, 0)  # the zero space
+    for here, u in enumerate(leg):
+        hb = apex if here == len(leg) - 1 else homology_basis(ambient, ambient.complex_at(u), degree)
+        flag = flag_step(homology_map(hb, before, p).T if dual else homology_map(before, hb, p), flag, here, p)
+        births.append(flag[1])
+        before = hb
+    return births[:-1], flag
 
 
-def _cospan_bars(edges_a, edges_b, p: int) -> list:
-    """Bars of the zigzag U_0 -> ... -> U_a = D = W_b <- ... <- W_0.
-
-    Each leg is given by its edges in walk order, the first from the
-    zero space; both end in the apex D.  The stations are U_0 .. U_a,
-    then W_{b-1} .. W_0.
-    """
-    flags_a, flags_b = _walk(edges_a, p), _walk(edges_b, p)
-    a, b = len(flags_a) - 1, len(flags_b) - 1
+def _cospan_bars(walk_a, walk_b, p: int) -> list:
+    """Bars of the zigzag U_0 -> ... -> U_a = D = W_b <- ... <- W_0 from
+    the `_walk` of each leg; the stations are U_0 .. U_a, W_{b-1} .. W_0."""
+    (births_a, flag_a), (births_b, flag_b) = walk_a, walk_b
+    a, b = len(births_a), len(births_b)
     k = a + b + 1
     r = np.zeros((k + 1, k + 1), dtype=np.int64)  # r[i + 1, j] = r(i, j); r(-1, j) = r(i, k) = 0
-    for v, (_, births) in enumerate(flags_a[:-1]):
+    for v, births in enumerate(births_a):
         r[1 : v + 2, v] = np.bincount(births, minlength=v + 1).cumsum()
-    for y, (_, births) in enumerate(flags_b[:-1]):
+    for y, births in enumerate(births_b):
         i = a + b - y  # the station of W_y
         r[i + 1, i:k] = np.bincount(births, minlength=y + 1).cumsum()[::-1]
-    r[1 : a + 2, a:k] = pair_flags(flags_a[-1], flags_b[-1], (a + 1, b + 1), p)[:, ::-1]
+    r[1 : a + 2, a:k] = pair_flags(flag_a, flag_b, (a + 1, b + 1), p)[:, ::-1]
     mult = np.triu(r[1:, :k] - r[:k, :k] - r[1:, 1:] + r[:k, 1:])
     if (mult < 0).any():
         raise InvariantError("zigzag interval multiplicities must be nonnegative")
@@ -83,23 +84,20 @@ def _cospan_bars(edges_a, edges_b, p: int) -> list:
 def _check_path_bytes(held: set, degree: int, stations: int, p: int) -> None:
     """Refuse a path whose homology would pass the byte cap, before any
     array is built, from the counts a, b, c of the held simplices of
-    dimension q-1, q and q+1.  In bytes: each station holds its basis
-    (cycles and boundaries, at most b columns of b entries), its map
-    into the next station and its flag, each at most b x b, 24 b^2 in
-    all; one station's `homology_basis` at a time stacks [d_q; I] and
-    reduces it and the boundaries, as `resolution.presentation` does
-    over the same counts, b (17 (a + b) + 19 c), with b (16 (a + b) +
-    17 b) more for the reducers' int64 columns past p = 2; and the held
-    complex, rebuilt as a `Bifiltration` with a set of simplices per
-    station, 512 bytes a simplex; the table of the bars' ranks on the
-    stations and its corner differences, 32 bytes an entry; and 2^18
-    bytes of fixed work."""
+    dimension q-1, q and q+1.  In bytes: the apex's basis and flag, and
+    on the leg walked the station before's and the current one's, with
+    the map and the flag step's candidates, 80 b^2 in all, or 40 b^2
+    when the apex is the only station; each station's flag births, 8 b;
+    one `homology_basis` at a time, the
+    bitsets of [d_q; I], b (a + b), and the held complex's dense
+    boundaries, 8 b (a + c), with b (24 (a + b) + 8 b) more for the
+    int64 columns past p = 2; the held complex, rebuilt as a
+    `Bifiltration`, 512 a simplex; the bars' rank table and its corner
+    differences, 32 an entry; and 2^18 bytes of fixed work."""
     counts = Counter(map(len, held))
     a, b, c = (counts[degree + k] for k in range(3))
-    need = 24 * b * b * stations + b * (17 * (a + b) + 19 * c) + 512 * len(held)
-    need += 32 * (stations + 1) ** 2 + (1 << 18)
-    if p != 2:
-        need += b * (16 * (a + b) + 17 * b)
+    need = (80 if stations > 1 else 40) * b * b + 8 * b * stations + b * (a + b + 8 * (a + c)) + 512 * len(held)
+    need += 32 * (stations + 1) ** 2 + (1 << 18) + (0 if p == 2 else b * (24 * (a + b) + 8 * b))
     check_bytes(need, f"the degree-{degree} homology along the path ({a:,}, {b:,} and {c:,} held simplices of "
                 f"dimension q-1, q and q+1, {stations} station(s))")
 
@@ -109,18 +107,12 @@ def _cospan_barcode(bif: Bifiltration, held: set, leg_a: list, leg_b: list, degr
     each in walk order and both ending in the apex, over the simplices
     in `held`; with `dual`, the maps go against the grid order and are
     transposed."""
-    p = bif.p
-    _check_path_bytes(held, degree, len(leg_a) + len(leg_b) - 1, p)
-    ambient = Bifiltration({s: bif.grades[s] for s in held}, bif.nx, bif.ny, p)
-    hb = {u: homology_basis(ambient, ambient.complex_at(u), degree) for u in dict.fromkeys(leg_a + leg_b)}
-
-    def edges(leg):
-        out = [np.zeros((hb[leg[0]].dim, 0), dtype=np.int64)]
-        for u, v in zip(leg, leg[1:]):
-            out.append(homology_map(hb[v], hb[u], p).T if dual else homology_map(hb[u], hb[v], p))
-        return out
-
-    return ZigzagBarcode(len(leg_a) + len(leg_b) - 1, _cospan_bars(edges(leg_a), edges(leg_b), p), degree)
+    stations = len(leg_a) + len(leg_b) - 1
+    _check_path_bytes(held, degree, stations, bif.p)
+    ambient = Bifiltration({s: bif.grades[s] for s in held}, bif.nx, bif.ny, bif.p)
+    apex = homology_basis(ambient, ambient.complex_at(leg_a[-1]), degree)
+    walks = [_walk(ambient, leg, apex, degree, dual) for leg in (leg_a, leg_b)]
+    return ZigzagBarcode(stations, _cospan_bars(*walks, bif.p), degree)
 
 
 def row_zigzag_barcode(bif: Bifiltration, t, degree: int) -> ZigzagBarcode:

@@ -186,21 +186,21 @@ def test_rank_refuses_a_grid_the_rank_layout_cannot_hold_before_any_algebra(tmp_
 @pytest.mark.parametrize("method", ["naive", "dp"])
 def test_rank_of_a_bif_refuses_an_oversized_grid_before_any_algebra(tmp_path, capsys, monkeypatch, command, method):
     # 61 vertices on the 61 x 1 grid: both methods take one presentation,
-    # which states 61 (17 * 61) = 63,257 bytes of matrices, 2^18 of fixed
+    # which states 61 (61 + 256) = 19,337 bytes of bitsets, 2^18 of fixed
     # work and 3,782 of the int16 table; one byte short of that it is
     # refused before any boundary matrix is built.  The naive method also
     # states the module presented, dimensions 1 .. 61 along the row:
     # 16 x (1 x 2 + ... + 60 x 61) bytes of maps, 640 a map, 16 x 61^2
     # of one point's work, 2^18 of fixed work and the table
     wide = wide_bif(tmp_path, 61)
-    monkeypatch.setattr(ioutil, "BYTES_CAP", 329183 if method == "dp" else 1210240 + 38400 + 59536 + (1 << 18) + 3782)
+    monkeypatch.setattr(ioutil, "BYTES_CAP", 285263 if method == "dp" else 1210240 + 38400 + 59536 + (1 << 18) + 3782)
     assert main([command, wide, "--method", method, "-o", str(tmp_path / "out")]) == 0
-    monkeypatch.setattr(ioutil, "BYTES_CAP", 329182)
+    monkeypatch.setattr(ioutil, "BYTES_CAP", 285262)
     refuse_boundaries(monkeypatch)
     assert main([command, wide, "--method", method]) == 1
     assert capsys.readouterr().err == (
         "error: the degree-0 presentation (0, 61 and 0 simplices of dimension q-1, q and q+1) and 1 table(s) on the "
-        "comparable pairs of the 61x1 grid would need 329,183 bytes, past the 329,182-byte cap\n"
+        "comparable pairs of the 61x1 grid would need 285,263 bytes, past the 285,262-byte cap\n"
     )
 
 
@@ -208,7 +208,7 @@ def test_check_rectangle_grid_cap(tmp_path, capsys, monkeypatch):
     # the check's presentation counts its three int16 tables, and so
     # does the module it presents, which states more (see above)
     wide = wide_bif(tmp_path, 61)
-    need = 63257 + (1 << 18) + 3 * 3782
+    need = 19337 + (1 << 18) + 3 * 3782
     monkeypatch.setattr(ioutil, "BYTES_CAP", 1210240 + 38400 + 59536 + (1 << 18) + 3 * 3782)
     assert main(["check-rectangle", wide]) == 0
     assert capsys.readouterr().out == "decomposable\n"
@@ -216,17 +216,17 @@ def test_check_rectangle_grid_cap(tmp_path, capsys, monkeypatch):
     refuse_boundaries(monkeypatch)
     assert main(["check-rectangle", wide]) == 1
     err = capsys.readouterr().err
-    assert "3 table(s) on the comparable pairs of the 61x1 grid would need 336,747 bytes, past the 336,746-byte cap" in err
+    assert "3 table(s) on the comparable pairs of the 61x1 grid would need 292,827 bytes, past the 292,826-byte cap" in err
 
 
 @pytest.mark.parametrize(
     "args", [["rank"], ["decompose-rectangles"], ["check-rectangle"], ["check-rectangle", "--method", "algebraic"], None]
 )
 def test_a_bif_of_30000_isolated_vertices_is_refused_before_any_matrix(tmp_path, capsys, monkeypatch, args):
-    # its presentation would stack the 30,000 x 30,000 identity: the
-    # counts alone state 30,000 (17 * 30,000) bytes, 2^18 of fixed work
-    # and the 1 x 1 grid's int16 tables, 2 bytes each, so no boundary
-    # matrix is built
+    # its presentation would hold [d_0; I], the 30,000 x 30,000 identity,
+    # as bitsets several times over: the counts alone state
+    # 30,000 (30,000 + 256) bytes, 2^18 of fixed work and the 1 x 1
+    # grid's int16 tables, 2 bytes each, so no boundary matrix is built
     from bipersist.bifiltration import read_bif
     from bipersist.resolution import presentation
 
@@ -234,23 +234,24 @@ def test_a_bif_of_30000_isolated_vertices_is_refused_before_any_matrix(tmp_path,
     path.write_text("bifiltration\nfield 2\n" + "".join(f"0 0 ; {v}\n" for v in range(30000)))
     refuse_boundaries(monkeypatch)
     if args is None:
-        with pytest.raises(ValueError, match="would need 15,300,262,146 bytes, past the 268,435,456-byte cap$"):
+        with pytest.raises(ValueError, match="would need 907,942,146 bytes, past the 268,435,456-byte cap$"):
             presentation(read_bif(path.read_text()), 0)
         return
     assert main([*args, str(path)]) == 1
     tables = 3 if args == ["check-rectangle"] else 1
     assert capsys.readouterr().err == (
         f"error: the degree-0 presentation (0, 30,000 and 0 simplices of dimension q-1, q and q+1) and {tables} "
-        f"table(s) on the comparable pairs of the 1x1 grid would need {15_300_000_000 + (1 << 18) + 2 * tables:,} bytes, "
+        f"table(s) on the comparable pairs of the 1x1 grid would need {907_680_000 + (1 << 18) + 2 * tables:,} bytes, "
         "past the 268,435,456-byte cap\n"
     )
 
 
 def test_the_zigzag_of_30000_isolated_vertices_is_refused_before_any_array(tmp_path):
-    # its one station would stack the 30,000 x 30,000 identity, 6.71 GiB
-    # that numpy would be asked for; under a 2 GiB address space the
-    # path's counts refuse it first: 24 b^2 bytes held, 17 b^2 of one
-    # station's work, 512 a held simplex, 32 (1 + 1)^2 of the bars'
+    # its one station's cycles would be the 30,000 x 30,000 identity,
+    # 6.71 GiB that numpy would be asked for; under a 2 GiB address space
+    # the path's counts refuse it first: 40 b^2 bytes of the one
+    # station's basis, flags and candidates, 8 b of the flag's births,
+    # b^2 of its bitsets, 512 a held simplex, 32 (1 + 1)^2 of the bars'
     # table and 2^18 of fixed work
     import resource
 
@@ -263,7 +264,7 @@ def test_the_zigzag_of_30000_isolated_vertices_is_refused_before_any_array(tmp_p
     env = dict(os.environ, PYTHONPATH=str(SRC))
     args = [sys.executable, "-m", "bipersist.cli", "zigzag-barcode", str(path), "--row", "1,1"]
     done = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit)
-    need = 41 * 30000**2 + 512 * 30000 + 32 * 2**2 + (1 << 18)
+    need = 41 * 30000**2 + 8 * 30000 + 512 * 30000 + 32 * 2**2 + (1 << 18)
     assert (done.returncode, done.stdout, done.stderr) == (1, "", (
         "error: the degree-0 homology along the path (0, 30,000 and 0 held simplices of dimension q-1, q and q+1, "
         f"1 station(s)) would need {need:,} bytes, past the 268,435,456-byte cap\n"

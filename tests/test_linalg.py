@@ -208,13 +208,22 @@ def test_kernel_basis_matches_the_row_by_row_reference(p, rows, cols, seed):
     got, want = kernel_basis(m, p), reference_kernel_basis(m, p)
     assert got == want and got.basis.dtype == np.int64
     assert got.dim == cols - reference_rank(m, p)
-
-
-def _dense(w, k, p):
-    """A residue from `ColumnReducer.reduce` as an int64 vector."""
-    if p == 2:
-        return np.array([(w >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.int64)
-    return w
+    # the reducer fed the columns of [m; I], no identity built, gives the
+    # same basis: the lower parts of its block rows that lead past m,
+    # every one admitted by an empty span, and its block is the
+    # reference's reduced echelon form of [m; I]
+    stacked = ColumnReducer.stacked(ColumnReducer.columns(m, p), rows, p)
+    assert np.array_equal(ColumnReducer.dense(stacked, rows + cols, p), np.vstack((m % p, np.eye(cols, dtype=np.int64))))
+    reducer = ColumnReducer(rows + cols, p)
+    assert all(reducer.add(v) is not None for v in stacked)
+    span = ColumnReducer(cols, p)
+    kernel = reducer.kernel(rows, span)
+    assert span.rank == len(kernel) == got.dim
+    assert np.array_equal(ColumnReducer.dense(kernel, cols, p), got.basis)
+    r, piv = reference_rref(np.hstack((m.T % p, np.eye(cols, dtype=np.int64))), p)
+    assert np.array_equal(reducer.block()[0], r[: len(piv)])
+    if p != 2:  # each a copy, so that none keeps the reduced rows alive
+        assert all(v.base is None for v in kernel)
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,22 +255,25 @@ def test_solve_matrix_solves_or_refuses_by_the_residue_against_m_and_i(p, rows, 
         assert np.array_equal(matmul(m, x, p), b)
         if rank_m == cols:
             assert np.array_equal(x, dense_solve_matrix(m, b, p))
-    # reduce admits nothing: the reducer matches a twin that never reduced
-    reducer, twin = ColumnReducer(rows, p), ColumnReducer(rows, p)
-    for v in ColumnReducer.columns(m, p):
-        reducer.add(v)
-        twin.add(v)
+    # m given as its columns is solved as m is, and solve admits nothing:
+    # the reducer of [m; I] matches a twin that never solved
+    x_cols = solve_matrix(ColumnReducer.columns(m, p), b, p)
+    assert (x is None and x_cols is None) or np.array_equal(x_cols, x)
+    reducer, twin = ColumnReducer(rows + cols, p), ColumnReducer(rows + cols, p)
+    for v in ColumnReducer.stacked(ColumnReducer.columns(m, p), rows, p):
+        assert reducer.add(v) is not None and twin.add(v) is not None
     for j, v in enumerate(ColumnReducer.columns(b, p)):
-        w = _dense(reducer.reduce(v), rows, p)
-        assert (not w.any()) == consistent[j]
-        assert reference_rank(np.hstack((m, (b[:, j : j + 1] - w[:, None]) % p)), p) == rank_m
-        assert not w.any() or w.nonzero()[0][0] not in twin.block()[1]
+        y = reducer.solve(v, rows)
+        assert (y is not None) == consistent[j]
+        if y is not None:
+            assert np.array_equal(matmul(m, ColumnReducer.dense([y], cols, p), p), b[:, j : j + 1])
     rows_r, leads = reducer.block()
     rows_t, leads_t = twin.block()
-    assert reducer.rank == twin.rank == rank_m
+    assert reducer.rank == twin.rank == cols
     assert np.array_equal(leads, leads_t) and np.array_equal(rows_r, rows_t)
     for lead in leads.tolist():
-        assert np.array_equal(_dense(reducer.admitted(lead), rows, p), _dense(twin.admitted(lead), rows, p))
+        got, want = reducer.admitted(lead), twin.admitted(lead)
+        assert np.array_equal(ColumnReducer.dense([got], rows + cols, p), ColumnReducer.dense([want], rows + cols, p))
 
 
 @settings(max_examples=60, deadline=None)

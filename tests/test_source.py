@@ -140,6 +140,50 @@ def test_package_defines_no_subspace_helper():
     assert found == []
 
 
+def _top_level_owner(tree):
+    """id(node) -> the name of the top-level function or class it lies in."""
+    return {id(sub): node.name for node in tree.body if hasattr(node, "name") for sub in ast.walk(node)}
+
+
+def _numpy_calls(tree, names):
+    """Every call of np.<name> in the tree, for a name in `names`."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in names
+        and getattr(node.func.value, "id", None) == "np"
+    ]
+
+
+def test_only_the_column_reducer_stacks_an_identity_or_touches_its_bitsets():
+    # the columns of [m; I] are made in the reducer's own form
+    # (`ColumnReducer.stacked`), and kernel vectors and solutions are
+    # read off it in that form, so no kernel or solve stacks an np.eye;
+    # the one np.eye left in linalg is `flag_step`'s unit-vector
+    # candidates.  Only the reducer shifts, packs or unpacks a bitset:
+    # outside it, in the modules that hold its columns, a shift is of a
+    # constant (1 << 18) or of `matmul`'s int64 limbs
+    bitwork = {"_unpacked", "packbits", "unpackbits", "to_bytes", "from_bytes", "bit_length"}
+    for name in ("resolution.py", "bifiltration.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        stacks = [node for node in _numpy_calls(tree, {"vstack", "hstack", "concatenate", "column_stack"})
+                  if _numpy_calls(node, {"eye", "identity"})]
+        assert [f"{name}:{node.lineno}" for node in stacks] == []
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    owner = _top_level_owner(tree)
+    assert [owner.get(id(node)) for node in _numpy_calls(tree, {"eye", "identity"})] == ["flag_step"]
+    found = []
+    for name in ("linalg.py", "resolution.py", "bifiltration.py", "zigzag.py", "rank_dp.py", "weakexact.py", "squares.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        owner = _top_level_owner(tree)
+        for node in ast.walk(tree):
+            if owner.get(id(node)) in ("ColumnReducer", "matmul"):
+                continue
+            shift = isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift))
+            if shift and not isinstance(node.left, ast.Constant) or getattr(node, "attr", None) in bitwork:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def _names(path):
     """(line, name) of every name a module defines, imports, reads or
     reads as an attribute, and of every string constant in it."""

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bipersist import ioutil
-from bipersist.bifiltration import homology_module
+from bipersist.bifiltration import Bifiltration, homology_module
 from bipersist.rank_dp import rank_from_resolution
 from bipersist.resolution import presentation, presented_module
 from bipersist.weakexact import kappa_iota
@@ -308,6 +308,22 @@ def test_path_states_at_least_the_bytes_it_peaks_at(p, degree, n_vert, q, grid, 
         finally:
             tracemalloc.stop()
         assert peak <= stated
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_long_path_states_no_homology_basis_per_station(p):
+    # the walk holds the station before's homology basis and flag, and
+    # of the others only their flags' births, so past the bars' table,
+    # 32 bytes an entry of the stations squared, the stated bytes of a
+    # path of b held vertices grow by less than b^2 a station; holding
+    # every station's basis, map and flag stated 24 b^2 a station
+    b = 200
+    stated = {}
+    for n in (2, 40):
+        bif = Bifiltration({(v,): (0, 0) for v in range(b)}, n, 1, p)
+        stated[n] = stated_path_bytes(row_zigzag_barcode, bif, (n - 1, 0), 0)
+    grow = stated[40] - stated[2] - 32 * (41**2 - 3**2)
+    assert 0 < grow < b * b * (40 - 2)
 
 
 def test_zbar_roundtrip_and_validation():
