@@ -143,10 +143,11 @@ class Bifiltration:
 
 class HomologyBasis:
     """Cycle representatives for H_q of one subcomplex, in global chain coords:
-    `reps` holds the (n_q, dim) cycle columns and `boundaries` an echelon
-    basis of the boundary space."""
+    `reps` holds the dim cycle columns of F_p^(n_q), in the form
+    `linalg.ColumnReducer.add` takes, and `boundaries` the (n_q, rank)
+    echelon basis of the boundary space."""
 
-    def __init__(self, reps: np.ndarray, boundaries: np.ndarray, dim: int):
+    def __init__(self, reps: list, boundaries: np.ndarray, dim: int):
         self.reps, self.boundaries, self.dim = reps, boundaries, dim
 
 
@@ -173,30 +174,30 @@ def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -
     d_q = bif.boundary_matrix(degree)
     k = d_q.shape[0]
     cycle_space = ColumnReducer(k + len(q_list), p)
-    stacked = ColumnReducer.stacked(ColumnReducer.columns(d_q, p), k, p)
+    stacked = list(ColumnReducer.stacked(ColumnReducer.columns(d_q, p), k, p))
     for j in reversed(range(len(q_list))):
         if q_list[j] in present:
             cycle_space.add(stacked[j])
-    del stacked  # past p = 2, views of one array that the reads below need no more
+    del stacked  # the reads below need them no more
     span = ColumnReducer(len(q_list), p)
     for v, s in zip(ColumnReducer.columns(bif.boundary_matrix(degree + 1), p), up_list):
         if s in present:
             span.add(v)
     bnd = span.block()[0].T
     reps = cycle_space.kernel(k, span)
-    return HomologyBasis(reps=ColumnReducer.dense(reps, len(q_list), p), boundaries=bnd, dim=len(reps))
+    return HomologyBasis(reps=reps, boundaries=bnd, dim=len(reps))
 
 
 def homology_map(src: HomologyBasis, tgt: HomologyBasis, p: int) -> np.ndarray:
     """Matrix of H_q(inclusion) in the two representative bases."""
     import numpy as np
 
-    from .linalg import solve_matrix
+    from .linalg import ColumnReducer, solve_matrix
 
     if src.dim == 0 or tgt.dim == 0:
         return np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    system = np.hstack([tgt.reps, tgt.boundaries])
-    x = solve_matrix(system, src.reps, p)
+    system = tgt.reps + ColumnReducer.columns(tgt.boundaries, p)
+    x = solve_matrix(system, src.reps, p, k=len(tgt.boundaries))
     if x is None:  # cycles of a subcomplex stay cycles in any supercomplex
         raise InvariantError("homology representative is not a cycle in the target")
     return x[: tgt.dim] % p

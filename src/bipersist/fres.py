@@ -5,8 +5,9 @@ loaded only by the commands that read a .fres.
 fields are separated by spaces, tabs and CRs, and every integer is an
 optional sign and ASCII digits within int64.  Any other character,
 other Unicode whitespace included, belongs to a field.
-The reader holds the matrices it returns and one run of lines with its
-rows at a time; nothing else is kept from run to run.
+The reader holds the matrices it returns, as columns, the scratch of the
+one it reads, and one run of lines with its rows at a time; nothing
+else is kept from run to run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .ioutil import _BLOCK_CHARS, BLANKS, FormatError, block_rows, check_bytes, check_modulus, fields, line_blocks
 from .ioutil import parse_int
-from .resolution import FreeModule, FreeResolution, GradedMatrix
+from .linalg import ColumnReducer
+from .resolution import FreeModule, FreeResolution, GradedMatrix, column_bytes
 
 
 def write_fres(res: FreeResolution) -> str:
@@ -29,8 +31,9 @@ def write_fres(res: FreeResolution) -> str:
             out.append(f"{g[0] + 1} {g[1] + 1}")
     for name, gm in (("phi", res.phi), ("psi", res.psi)):
         out.append(name)
-        for i, j in zip(*np.nonzero(gm.entries)):
-            out.append(f"{i + 1} {j + 1} {int(gm.entries[i, j])}")
+        entries = ColumnReducer.dense(gm.columns, len(gm.target), gm.p)  # the triplets go in row-major order
+        for i, j in zip(*np.nonzero(entries)):
+            out.append(f"{i + 1} {j + 1} {int(entries[i, j])}")
     return "\n".join(out) + "\n"
 
 
@@ -69,51 +72,73 @@ def read_fres_blocks(blocks) -> FreeResolution:
     would need more bytes than the cap is refused at its `phi` line
     (`ioutil.check_bytes`), before either is allocated.
 
-    Each run's triplets are scattered into phi or psi as they come, the
-    last triplet naming an entry setting it, and both matrices are
-    reduced mod p in place once the file is read.  Then the first
-    nonzero entry of phi, and then of psi, in row-major order whose row
-    grade is not below its column grade (`_check_homogeneous`) fails the
-    file, at the line of the last triplet that names it, which a second
-    read finds (`_last_line`).  So beside the two matrices only one
-    run's text and rows are held, and no whole text, and a valid file
-    is read once.
+    Each block of triplets is scattered into a scratch of its matrix,
+    transposed, as the runs come, reduced mod p, the last triplet naming
+    an entry setting it: at p = 2 one byte an entry, else int64.  Once
+    the block is read, its first nonzero entry in row-major order whose
+    row grade is not below its column grade is found on the scratch
+    (`_first_inhomogeneous`), and the scratch becomes the matrix's
+    columns in the form `ColumnReducer.add` takes: at p = 2 it is packed
+    into bitsets and dropped, so phi is held as bitsets while psi is
+    read; otherwise its rows are the int64 columns.  Once the whole file
+    is read, such an entry of phi, and then of psi, fails the file at
+    the line of the last triplet that names it, which a second read
+    finds (`_last_line`).  So beside the matrices only one scratch and
+    one run's text and rows are held, and no whole text, and a valid
+    file is read once.  The cap is stated on what is allocated: both
+    matrices' columns (`resolution.column_bytes`), and at p = 2 the
+    larger scratch.
     """
     p, nx, ny, first, pieces = _fres_header(blocks())
-    grades, modules, matrices = [], [], []
+    grades, modules, columns, scratch, inhomogeneous = [], [], [], None, []
     for k, rows, lines, error in _fres_rows(pieces, first):
         if rows is None:  # block k opens, at line `lines`
             if k == 3:
                 grades = [np.concatenate(block) if block else np.zeros((0, 2), dtype=np.int64) for block in grades]
                 modules = [FreeModule(block.tolist()) for block in grades]
-                check_bytes(8 * len(modules[1]) * (len(modules[0]) + len(modules[2])), "phi and psi", lines)  # int64
+                g, r, z = map(len, modules)
+                need = column_bytes(g, r, p) + column_bytes(r, z, p) + (max(g * r, r * z) if p == 2 else 0)
+                check_bytes(need, "phi and psi", lines)
             if k < 3:
                 grades.append([])
             else:
-                matrices.append(np.zeros((len(modules[k - 3]), len(modules[k - 2])), dtype=np.int64))
+                if scratch is not None:  # phi's block is read
+                    inhomogeneous.append(_first_inhomogeneous(scratch.T, grades[0], grades[1]))
+                    columns.append(_columns(scratch, p))
+                scratch = None  # before the next one is allocated
+                scratch = np.zeros((len(modules[k - 2]), len(modules[k - 3])), dtype=np.uint8 if p == 2 else np.int64)
         elif k < 3:
             outside = ((rows < 1) | (rows > (nx, ny))).any(axis=1)
             _first_bad(rows, lines, outside, lambda x, y: f"grade ({x},{y}) outside the grid")
             grades[k].append(rows - 1)
         else:
-            _scatter(matrices[k - 3], rows, lines)
+            _scatter(scratch.T, rows, lines, p)
         del rows, lines  # freed before the next run is parsed
         if error is not None:
             raise error
-
-    for k, entries in enumerate(matrices):  # the reader's own arrays: reduced where they are
-        np.remainder(entries, p, out=entries)
-        _check_homogeneous(entries, grades[k], grades[k + 1], blocks, k + 3)
+    inhomogeneous.append(_first_inhomogeneous(scratch.T, grades[1], grades[2]))
+    columns.append(_columns(scratch, p))
+    del scratch
+    for k, entry in enumerate(inhomogeneous):
+        if entry is not None:
+            _raise_inhomogeneous(entry, grades[k], grades[k + 1], blocks, k + 3)
     gens, rels, relrels = modules
-    phi = GradedMatrix(gens, rels, matrices[0], p)
-    psi = GradedMatrix(rels, relrels, matrices[1], p)
+    phi = GradedMatrix(gens, rels, columns[0], p)
+    psi = GradedMatrix(rels, relrels, columns[1], p)
     return FreeResolution(gens, rels, relrels, phi, psi, nx, ny, p)
 
 
-def _scatter(entries, rows, lines) -> None:
-    """Set the entries that a run's triplets `rows` name, the last
-    triplet of an entry setting it; its index arrays are freed when it
-    returns, before the next run is parsed."""
+def _columns(scratch, p: int) -> list:
+    """The columns of the matrix whose transposed scratch is `scratch`, in
+    the form `ColumnReducer.add` takes: at p = 2 the parity bytes packed
+    into bitsets, otherwise the scratch's rows."""
+    return ColumnReducer.columns(scratch.T, 2) if p == 2 else list(scratch)
+
+
+def _scatter(entries, rows, lines, p: int) -> None:
+    """Set the entries that a run's triplets `rows` name to their values
+    mod p, the last triplet of an entry setting it; its index arrays are
+    freed when it returns, before the next run is parsed."""
     n_rows, n_cols = entries.shape
     i, j = rows[:, 0] - 1, rows[:, 1] - 1
     bad = (i < 0) | (i >= n_rows) | (j < 0) | (j >= n_cols)
@@ -121,17 +146,16 @@ def _scatter(entries, rows, lines) -> None:
     flat = i * n_cols + j
     # the last triplet of each entry in the run, first in the reversed run
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-    entries.reshape(-1)[flat[last]] = rows[last, 2]
+    entries[i[last], j[last]] = rows[last, 2] % p
 
 
-def _check_homogeneous(entries, row_grades, col_grades, blocks, k: int) -> None:
-    """Raise the FormatError of the first nonzero entry of `entries`, the
-    matrix of block `_SECTIONS[k]`, in row-major order whose row grade
-    is not below its column grade, at the line `_last_line` finds.  The
-    entry is read off the nonzeros of bands of rows of about
-    `ioutil._BLOCK_CHARS` / 16 entries, so one band's work is held
-    (bands of `_BLOCK_CHARS` entries raised the peak RSS of `rank` on
-    the 50 x 50 benchmark presentation by 1.3 MB)."""
+def _first_inhomogeneous(entries, row_grades, col_grades):
+    """The first nonzero entry (i, j) of `entries` in row-major order whose
+    row grade is not below its column grade, or None.  It is read off the
+    nonzeros of bands of rows of about `ioutil._BLOCK_CHARS` / 16
+    entries, so one band's work is held (bands of `_BLOCK_CHARS` entries
+    raised the peak RSS of `rank` on the 50 x 50 benchmark presentation
+    by 1.3 MB)."""
     band = max(1, _BLOCK_CHARS // 16 // max(1, entries.shape[1]))
     (rx, ry), (cx, cy) = row_grades.T, col_grades.T
     for a in range(0, len(entries), band):
@@ -139,11 +163,19 @@ def _check_homogeneous(entries, row_grades, col_grades, blocks, k: int) -> None:
         i += a
         bad = np.flatnonzero((rx[i] > cx[j]) | (ry[i] > cy[j]))
         if bad.size:
-            i, j = int(i[bad[0]]), int(j[bad[0]])
-            raise FormatError(
-                f"line {_last_line(blocks(), k, i, j)}: {_SECTIONS[k]} not homogeneous: entry ({i + 1},{j + 1}) nonzero "
-                f"but row grade ({rx[i] + 1}, {ry[i] + 1}) is not below column grade ({cx[j] + 1}, {cy[j] + 1})"
-            )
+            return int(i[bad[0]]), int(j[bad[0]])
+    return None
+
+
+def _raise_inhomogeneous(entry, row_grades, col_grades, blocks, k: int) -> None:
+    """Raise the FormatError of the entry (i, j) of the matrix of block
+    `_SECTIONS[k]` that `_first_inhomogeneous` found, at the line
+    `_last_line` finds."""
+    (i, j), (rx, ry), (cx, cy) = entry, row_grades.T, col_grades.T
+    raise FormatError(
+        f"line {_last_line(blocks(), k, i, j)}: {_SECTIONS[k]} not homogeneous: entry ({i + 1},{j + 1}) nonzero "
+        f"but row grade ({rx[i] + 1}, {ry[i] + 1}) is not below column grade ({cx[j] + 1}, {cy[j] + 1})"
+    )
 
 
 def _last_line(blocks, k: int, i: int, j: int) -> int:

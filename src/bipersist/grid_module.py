@@ -30,9 +30,14 @@ INT16_MAX = 2**15 - 1
 INT32_MAX = 2**31 - 1
 
 # pairs per run of .rank lines that the writer makes and the layout reader
-# checks at once (`slab_runs`): about 1.7 `ioutil._BLOCK_CHARS` of text,
-# so that their per-line arrays stay near a block of text, not a slab
-RUN_PAIRS = 1 << 14
+# checks at once (`slab_runs`): about 0.4 `ioutil._BLOCK_CHARS` of text,
+# so that each of a run's per-line arrays, 8 bytes a line, stays below
+# glibc's 128 kB mmap threshold and is reused from the heap run after
+# run.  At 2^14 each was mapped and given back to the OS every run:
+# 46.3k minor faults for `decompose-rectangles` on the 50 x 50
+# benchmark presentation's .rank, against 5.8k at 2^12, and its peak RSS
+# 1 MB higher.
+RUN_PAIRS = 1 << 12
 
 
 def check_rank_layout(nx: int, ny: int) -> None:

@@ -8,8 +8,9 @@ first-nonzero, and a reduced basis is the reduced row echelon form of
 its span, so equal spans give equal arrays.
 
 `ColumnReducer` is the only elimination, one lead-keyed column
-reduction at every p, and the rest runs on it: `rank`, `solve_matrix`
-(a reduction against [m; I]), `pair_counts` (the 2-D cumulative counts
+reduction at every p, and the rest runs on it: `rank`, `solve_columns`
+(a reduction against [m; I]; `solve_matrix` is its dense form),
+`pair_counts` (the 2-D cumulative counts
 of its lead pairs, which the rank DP takes per generator class and t_y)
 and the flag walk (`flag_step`, `pair_flags`) of the kappa/iota tables
 and `zigzag-barcode`.  The graded kernel and homology bases are read off
@@ -88,8 +89,10 @@ class ColumnReducer:
     (p - 1)^2 < 2^62: exact in int64 for every p up to `ioutil.MAX_MODULUS`.
     `block` back-substitutes when called and keeps the result until the
     rank changes.  `columns` converts a whole matrix at once to the form
-    `add` takes and `dense` back; `stacked` makes the columns of [m; I]
-    in it, and `admitted`, `kernel` and `solve` give columns back in it.
+    `add` takes and `dense` back; `gathered` takes a row subset of
+    columns in it and `support` reads their nonzero entries; `stacked`
+    makes the columns of [m; I] in it, `unit` the unit vectors, and
+    `admitted`, `kernel` and `solve` give columns back in it.
     """
 
     def __init__(self, k: int, p: int):
@@ -125,19 +128,43 @@ class ColumnReducer:
         return bitsets
 
     @staticmethod
-    def stacked(columns: list, k: int, p: int) -> list:
-        """The columns of [m; I] from the n columns of the k-row m, both in
-        the form `add` takes, with no identity block built: at p = 2, m's
-        bitset shifted past n bits, plus bit n-1-j; otherwise views of the
-        rows of one new n x (k + n) int64 array."""
-        n = len(columns)
+    def gathered(columns: list, k: int, p: int, rows: np.ndarray) -> list:
+        """The columns of mat[rows], from those of the k-row mat in the form
+        `add` takes, in that form, as a new list: past p = 2 a copy of each
+        column's entries at `rows`; at p = 2 the bits of a bounded chunk of
+        columns are unpacked, gathered and packed again, so no matrix of
+        all the columns is made."""
+        if p != 2:
+            return [v[rows] for v in columns]
+        step = max(1, _CHUNK_ENTRIES // max(1, k))
+        out = []
+        for lo in range(0, len(columns), step):
+            out += ColumnReducer.columns(ColumnReducer._unpacked(columns[lo : lo + step], k).T, 2, rows=rows)
+        return out
+
+    @staticmethod
+    def support(columns: list, k: int, p: int) -> np.ndarray:
+        """The (len(columns), k) bool array of the nonzero entries of the
+        columns, given in the form `add` takes."""
         if p == 2:
-            return [v << n | 1 << (n - 1 - j) for j, v in enumerate(columns)]
-        stack = np.zeros((n, k + n), dtype=np.int64)
+            return ColumnReducer._unpacked(columns, k).view(bool)
+        return np.array(columns, dtype=np.int64).reshape(len(columns), k) != 0
+
+    @staticmethod
+    def stacked(columns: list, k: int, p: int):
+        """The columns of [m; I] from the n columns of the k-row m, both in
+        the form `add` takes, one at a time and with no identity block
+        built: at p = 2, m's bitset shifted past n bits, plus bit n-1-j;
+        otherwise a new int64 array of length k + n each."""
+        n = len(columns)
         for j, v in enumerate(columns):
-            stack[j, :k] = v
-            stack[j, k + j] = 1
-        return list(stack)
+            if p == 2:
+                yield v << n | 1 << (n - 1 - j)
+            else:
+                w = np.zeros(k + n, dtype=np.int64)
+                w[:k] = v
+                w[k + j] = 1
+                yield w
 
     @staticmethod
     def dense(columns: list, k: int, p: int) -> np.ndarray:
@@ -145,14 +172,27 @@ class ColumnReducer:
         entries in [0, p); bitsets are unpacked a bounded chunk at a time."""
         if p != 2:
             return np.array(columns, dtype=np.int64).reshape(len(columns), k).T
-        n = (k + 7) // 8
         rows = np.empty((len(columns), k), dtype=np.int64)
         step = max(1, _CHUNK_ENTRIES // max(1, k))
         for lo in range(0, len(columns), step):
-            chunk = columns[lo : lo + step]
-            data = np.frombuffer(b"".join(w.to_bytes(n, "big") for w in chunk), dtype=np.uint8)
-            rows[lo : lo + step] = np.unpackbits(data).reshape(len(chunk), 8 * n)[:, 8 * n - k :]
+            rows[lo : lo + step] = ColumnReducer._unpacked(columns[lo : lo + step], k)
         return rows.T
+
+    @staticmethod
+    def _unpacked(bitsets: list, k: int) -> np.ndarray:
+        """The (len(bitsets), k) uint8 array of the bits of k-bit bitsets,
+        row i of the matrix in column i."""
+        n = (k + 7) // 8
+        data = np.frombuffer(b"".join(w.to_bytes(n, "big") for w in bitsets), dtype=np.uint8)
+        return np.unpackbits(data).reshape(len(bitsets), 8 * n)[:, 8 * n - k :]
+
+    def unit(self, i: int):
+        """The unit vector e_i of F_p^k in the form `add` takes."""
+        if self.p == 2:
+            return 1 << (self.k - 1 - i)
+        e = np.zeros(self.k, dtype=np.int64)
+        e[i] = 1
+        return e
 
     def add(self, v) -> Optional[int]:
         """Admit column v (length k, any int entries, or at p = 2 a bitset
@@ -336,22 +376,26 @@ def flag_step(edge: np.ndarray, flag, here: int, p: int):
     map `edge` from V_{h-1} into V_h = F_p^d, this returns the flag at
     V_h, h = `here`.  The pushed basis spans the earlier flag spaces and
     is sorted by birth; each column independent of those before it is
-    kept, and unit vectors born at `here` complete the basis.  The kept
-    columns are those a `ColumnReducer` admits, in order, until the
-    rank is d.  A walk starts from the zero space: an edge with no
+    kept, and unit vectors born at `here` complete the basis.  One
+    `ColumnReducer` takes the pushed columns, then the unit vectors in
+    its own form, until its rank is d, and the basis is built from what
+    it admits.  A walk starts from the zero space: an edge with no
     columns and a flag with an empty basis.
     """
     d = edge.shape[0]
-    cand = np.hstack((matmul(edge, flag[0], p), np.eye(d, dtype=np.int64)))
-    born = np.concatenate((flag[1], np.full(d, here, dtype=np.int64)))
+    pushed = matmul(edge, flag[0], p)
     reducer = ColumnReducer(d, p)
     keep = []
-    for j, v in enumerate(ColumnReducer.columns(cand, p)):
+    for j, v in enumerate(ColumnReducer.columns(pushed, p)):
+        if reducer.rank == d:
+            break
         if reducer.add(v) is not None:
             keep.append(j)
-            if reducer.rank == d:
-                break
-    return cand[:, keep], born[keep]
+    units = [i for i in range(d) if reducer.rank < d and reducer.add(reducer.unit(i)) is not None]
+    basis = np.zeros((d, len(keep) + len(units)), dtype=np.int64)
+    basis[:, : len(keep)] = pushed[:, keep]
+    basis[units, np.arange(len(keep), basis.shape[1])] = 1
+    return basis, np.concatenate((flag[1][keep], np.full(len(units), here, dtype=np.int64)))
 
 
 def pair_flags(flag_a, flag_b, shape, p: int) -> np.ndarray:
@@ -363,34 +407,50 @@ def pair_flags(flag_a, flag_b, shape, p: int) -> np.ndarray:
     rows of A-birth > x in the columns of B-birth <= y, a lower-left
     submatrix.  One left-to-right reduction of X pairs every column with
     a lead row (X is invertible), so by the pairing lemma C[x, y] counts
-    the pairs with A-birth <= x and B-birth <= y: `pair_counts` of X.
+    the pairs with A-birth <= x and B-birth <= y: `pair_counts` of X,
+    whose columns the solve against the A-basis reversed gives in the
+    reducer's form.
     """
     (a, a_birth), (b, b_birth) = flag_a, flag_b
-    coords = solve_matrix(a, b, p)[::-1]
-    return pair_counts(ColumnReducer.columns(coords, p), a.shape[0], a_birth[::-1], b_birth, shape, p)
+    coords = solve_columns(ColumnReducer.columns(a[:, ::-1], p), ColumnReducer.columns(b, p), a.shape[0], p)
+    return pair_counts(coords, a.shape[0], a_birth[::-1], b_birth, shape, p)
 
 
-def solve_matrix(m, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One solution X of m X = b; None if any column of b is inconsistent.
+def solve_columns(m: list, b: list, k: int, p: int) -> Optional[list]:
+    """One solution X of m X = b, or None if any column of b is
+    inconsistent, with m, b and X given as columns in the form
+    `ColumnReducer.add` takes, m and b of k rows.
 
-    m is a matrix or its columns in the form `ColumnReducer.add` takes.
     One reducer admits the columns of [m; I] (R = D V, as in
-    `resolution.graded_kernel_basis`) and solves each column of b on
-    them (`ColumnReducer.solve`), by the same code at every p; the
-    solution is the only one when the columns of m are independent.
-    No [m | b] is built, and at p = 2 no [m; I] array.
+    `resolution.graded_kernel_basis`), each handed to it as it is made,
+    and solves each column of b on them (`ColumnReducer.solve`), by the
+    same code at every p; the solution is the only one when the columns
+    of m are independent.  No [m | b] is built, and no [m; I] array.
     """
-    rows = b.shape[0]
-    if isinstance(m, np.ndarray):
-        if m.shape[0] != rows:
-            raise ValueError(f"shape mismatch {m.shape} x = {b.shape}")
-        m = ColumnReducer.columns(m, p)
-    reducer = ColumnReducer(rows + len(m), p)
-    for v in ColumnReducer.stacked(m, rows, p):
+    reducer = ColumnReducer(k + len(m), p)
+    for v in ColumnReducer.stacked(m, k, p):
         reducer.add(v)
     x = []
-    for v in ColumnReducer.columns(b, p):  # v no longer holds a view of the stack
-        x.append(reducer.solve(v, rows))
+    for v in b:
+        x.append(reducer.solve(v, k))
         if x[-1] is None:
             return None
-    return ColumnReducer.dense(x, len(m), p)
+    return x
+
+
+def solve_matrix(m, b, p: int, k: Optional[int] = None) -> Optional[np.ndarray]:
+    """One solution X of m X = b as an int64 matrix; None if any column of
+    b is inconsistent.
+
+    m and b are matrices, or the columns of k-row ones in the form
+    `ColumnReducer.add` takes; `solve_columns` solves them.
+    """
+    if isinstance(b, np.ndarray):
+        k = b.shape[0]
+        b = ColumnReducer.columns(b, p)
+    if isinstance(m, np.ndarray):
+        if m.shape[0] != k:
+            raise ValueError(f"shape mismatch {m.shape} x = ({k}, {len(b)})")
+        m = ColumnReducer.columns(m, p)
+    x = solve_columns(m, b, k, p)
+    return None if x is None else ColumnReducer.dense(x, len(m), p)

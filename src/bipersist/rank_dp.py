@@ -57,12 +57,13 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     where a class is the run of s_y from one generator y-grade to the
     next.  In a class a generator is born at its g_x if g_y <= s_y and
     never (nx) otherwise, and the rows go in falling birth; phi's
-    columns are converted to the reducer's form once per class, with
-    the rows gathered in that order a chunk at a time
-    (`ColumnReducer.columns`), so no reordered copy of phi is made at
-    p = 2.  Each t_y pairs the reduced forms that t_y - 1 left (module
-    docstring), so a class costs one lookup per live column per t_y
-    plus the collisions of the columns each row adds.
+    columns are gathered in that row order once per class
+    (`ColumnReducer.gathered`): at p = 2 a chunk of bitsets is unpacked,
+    gathered and packed again at a time, so neither a dense nor a
+    reordered matrix of phi is made.  Each t_y pairs the reduced forms
+    that t_y - 1 left (module docstring), so a class costs one lookup
+    per live column per t_y plus the collisions of the columns each row
+    adds.
 
     The invariant is written once, each (s_x, class) range of its
     vector a block r(s, .) at a time: generator counts minus the pair
@@ -88,7 +89,7 @@ def rank_from_resolution(res: Presentation) -> RankInvariant:
     for lo, hi in zip(ys, ys[1:] + [ny]):
         birth = np.where(gg[:, 1] <= lo, gg[:, 0], nx)
         order = np.argsort(-birth, kind="stable")
-        reduced, birth = ColumnReducer.columns(res.phi.entries, p, rows=order), birth[order]
+        reduced, birth = ColumnReducer.gathered(res.phi.columns, len(gg), p, order), birth[order]
         for ty in range(lo, ny):
             cols = by_x[rg[by_x, 1] <= ty].tolist()
             live = [reduced[j] for j in cols]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid_module import GridModule, table_bytes
 from .ioutil import InvariantError, check_bytes
-from .linalg import ColumnReducer, solve_matrix
+from .linalg import ColumnReducer, solve_columns
 
 if TYPE_CHECKING:  # an annotation only, so reading a .fres compiles no bifiltration code
     from .bifiltration import Bifiltration
@@ -48,21 +48,29 @@ class FreeModule:
 
 
 class GradedMatrix:
-    """Matrix of a map of free bigraded modules (rows: target basis)."""
+    """Matrix of a map of free bigraded modules (rows: target basis).
 
-    def __init__(self, target: FreeModule, source: FreeModule, entries, p: int):
-        # entries already in [0, p) as an int64 array are kept as given, so
-        # the .fres reader's matrices are not copied; any others are
-        # reduced into a new array.  The caller's array is never written.
-        entries = np.asarray(entries, dtype=np.int64)
-        if entries.size and (entries.min() < 0 or entries.max() >= p):
-            entries = entries % p
-        if entries.shape != (len(target), len(source)):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match "
-                f"{len(target)} rows x {len(source)} cols"
-            )
-        self.target, self.source, self.entries, self.p = target, source, entries, p
+    It is held as its columns, in the form `ColumnReducer.add` takes with
+    entries in [0, p), which every reader of phi and psi consumes as it
+    comes: Python-int bitsets at p = 2 (bit k-1-i for row i, about 1 byte
+    per 7.5 rows; see `column_bytes`), and otherwise int64 arrays of
+    length k.  The columns given are kept as they are, never copied or
+    written.  Only the .fres writer, which writes triplets in row-major
+    order, makes the dense matrix (`ColumnReducer.dense`).
+    """
+
+    def __init__(self, target: FreeModule, source: FreeModule, columns: list, p: int):
+        if len(columns) != len(source):
+            raise ValueError(f"{len(columns)} columns do not match the {len(source)} source generators")
+        self.target, self.source, self.columns, self.p = target, source, columns, p
+
+
+def column_bytes(rows: int, cols: int, p: int) -> int:
+    """The bytes of `cols` columns of `rows` entries in the form
+    `ColumnReducer.add` takes, with their list: at p = 2 an int of 4 bytes
+    per 30 bits and about 40 with its slot; otherwise 8 bytes an entry and
+    128 an array with its slot."""
+    return cols * (4 * ((rows + 29) // 30) + 40 if p == 2 else 8 * rows + 128)
 
 
 class Presentation:
@@ -81,8 +89,9 @@ class FreeResolution(Presentation):
         self.relrels, self.psi = relrels, psi
 
 
-def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
-    """Basis of the graded kernel module of a column-graded matrix.
+def graded_kernel_basis(columns: list, k: int, col_grades, nx: int, ny: int, p: int):
+    """Basis of the graded kernel module of a column-graded k-row matrix,
+    given as its columns in the form `ColumnReducer.add` takes.
 
     Sweeps the grid in y-major order; at each point the kernel of the
     columns present so far is completed against the generators already
@@ -94,11 +103,10 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     The kernel comes from the reduction that already runs, R = D V
     (Edelsbrunner & Harer, Computational Topology, VII.1): one
     `ColumnReducer` per row y admits the columns of [mat; I]
-    (`ColumnReducer.stacked`) with g_y <= y in rising g_x.  With
-    k = mat.shape[0], dim ker at every (x, y) of the row is the number
-    of leads at or past row k, and `ColumnReducer.kernel` reads the
-    kernel's reduced echelon basis off the reducer, in full column
-    coordinates.  The generators found <= t are independent (those
+    (`ColumnReducer.stacked`) with g_y <= y in rising g_x.  dim ker at
+    every (x, y) of the row is the number of leads at or past row k,
+    and `ColumnReducer.kernel` reads the kernel's reduced echelon basis
+    off the reducer, in full column coordinates.  The generators found <= t are independent (those
     <= (x-1, y) and those <= (x, y-1) are bases of two kernels that meet
     in the kernel at (x-1, y-1), of which they share a basis), so where
     dim ker equals their number the completion would add nothing and
@@ -115,11 +123,11 @@ def graded_kernel_basis(mat: np.ndarray, col_grades, nx: int, ny: int, p: int):
     `ColumnReducer.add` takes, each vanishing outside the columns of
     grade <= its own.
     """
-    k, cols = mat.shape
+    cols = len(columns)
     cg = np.array([(int(g[0]), int(g[1])) for g in col_grades], dtype=np.int64).reshape(-1, 2)
     if len(cg) != cols:
         raise ValueError("one grade per column required")
-    vectors = ColumnReducer.stacked(ColumnReducer.columns(mat, p), k, p)
+    vectors = list(ColumnReducer.stacked(columns, k, p))
     by_x = np.argsort(cg[:, 0], kind="stable")
     basis: list = []
     grades: list[tuple[int, int]] = []
@@ -156,12 +164,14 @@ def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentatio
     none rewrites to zero, since no boundary column is zero and the
     generators are independent.
 
-    One `solve_matrix` on the generators as the kernel sweep left them,
-    in the reducer's form, rewrites every boundary column.  They are a
-    basis of the kernel at the top point, so each solution is unique and
-    must lie on the generators <= its column's grade (boundaries are
-    cycles, which they span gradewise); an InvariantError reports one
-    that does not.
+    One `solve_columns` on the generators as the kernel sweep left them,
+    in the reducer's form, rewrites every boundary column, and its
+    solutions are phi's columns as they come: no dense phi is made.  The
+    generators are a basis of the kernel at the top point, so each
+    solution is unique and must lie on the generators <= its column's
+    grade (boundaries are cycles, which they span gradewise); the
+    columns' supports are checked a bounded chunk at a time
+    (`_off_grade`), and an InvariantError reports one that does not.
 
     Before any matrix is built, its arrays are stated from the simplex
     counts S_(q-1), S_q, S_(q+1) and refused past the cap, with the
@@ -169,38 +179,52 @@ def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentatio
     dimension passes the generator count, at most S_q): the cached
     boundaries, 8 bytes an entry, the larger of the kernel sweep's and
     the solve's work, and 2^18 bytes of fixed work.  The sweep holds up
-    to six copies of [d_q; I], the solve the basis, [basis; I] twice and
-    the relations, at most S_q x S_(q+1), as columns and as the matrix
-    with its grade masks.  At p = 2 the columns are bitsets, 4 bytes per
-    30 bits and about 40 an int with its slot: 1 byte an entry of
-    [d_q; I] or S_q x S_q, 256 a column, 12 an entry of the relations.
-    Otherwise they are int64: the sweep's 16 an entry of [d_q; I] and 26
-    of S_q x S_q (the kernel's rows and mask, span and basis), the
-    solve's 48 of S_q x S_q and 19 of the relations, and 512 a column.
+    to six copies of [d_q; I]; the solve the basis, the reducer's
+    columns of [basis; I], each made as it is admitted, and the boundary
+    columns and the relations, at most S_q x S_(q+1), as columns.  At
+    p = 2 the columns are bitsets, 4 bytes per 30 bits and about 40 an
+    int with its slot: 1 byte an entry of [d_q; I], of S_q x S_q and of
+    the relations, and 256 a column.  Otherwise they are int64: the
+    sweep's 16 an entry of [d_q; I] and 26 of S_q x S_q (the kernel's
+    rows and mask, span and basis), the solve's 24 of S_q x S_q (the
+    basis and the reducer's columns) and 8 of the relations, and 512 a
+    column.
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
     s_down, s_q, s_up = (len(bif.by_dim.get(d, ())) for d in (degree - 1, degree, degree + 1))
     if bif.p == 2:
         sweep = s_q * (s_down + s_q) + 256 * s_q
-        solve = s_q * (s_q + 12 * s_up) + 256 * (s_q + s_up)
+        solve = s_q * (s_q + s_up) + 256 * (s_q + s_up)
     else:
         sweep = s_q * (16 * (s_down + s_q) + 26 * s_q) + 512 * s_q
-        solve = s_q * (48 * s_q + 19 * s_up) + 512 * (s_q + s_up)
+        solve = s_q * (24 * s_q + 8 * s_up) + 512 * (s_q + s_up)
     need = 8 * s_q * (s_down + s_up) + max(sweep, solve) + (1 << 18) + table_bytes(bif.nx, bif.ny, tables, s_q)
     check_bytes(need, f"the degree-{degree} presentation ({s_down:,}, {s_q:,} and {s_up:,} simplices of dimension "
                 f"q-1, q and q+1) and {tables} table(s) on the comparable pairs of the {bif.nx}x{bif.ny} grid")
     p, q_list, up_list = bif.p, bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
-    gen_basis, gen_grades = graded_kernel_basis(bif.boundary_matrix(degree), [bif.grades[s] for s in q_list], bif.nx, bif.ny, p)
+    gen_basis, gen_grades = graded_kernel_basis(ColumnReducer.columns(bif.boundary_matrix(degree), p), s_down,
+                                                [bif.grades[s] for s in q_list], bif.nx, bif.ny, p)
     gens = FreeModule(gen_grades)
     up_grades = np.array([bif.grades[s] for s in up_list], dtype=np.int64).reshape(-1, 2)
-    x = solve_matrix(gen_basis, bif.boundary_matrix(degree + 1), p)
-    gg = np.array(gen_grades, dtype=np.int64).reshape(-1, 2)
-    outside = (gg[:, None, :] > up_grades[None, :, :]).any(axis=2)
-    if x is None or (x.astype(bool) & outside).any():
+    x = solve_columns(gen_basis, ColumnReducer.columns(bif.boundary_matrix(degree + 1), p), s_q, p)
+    del gen_basis  # not held through the grade check
+    if x is None or _off_grade(x, np.array(gen_grades, dtype=np.int64).reshape(-1, 2), up_grades, p):
         raise InvariantError("boundary column outside the generator span")
     rels = FreeModule(up_grades.tolist())
     return Presentation(gens, rels, GradedMatrix(gens, rels, x, p), bif.nx, bif.ny, p)
+
+
+def _off_grade(columns: list, row_grades: np.ndarray, col_grades: np.ndarray, p: int) -> bool:
+    """Whether some column has a nonzero entry whose row grade is not
+    below the column's grade, read off the columns' supports a bounded
+    chunk of columns at a time."""
+    step = max(1, (1 << 14) // max(1, len(row_grades)))
+    for lo in range(0, len(columns), step):
+        support = ColumnReducer.support(columns[lo : lo + step], len(row_grades), p)
+        if (support & (row_grades[None, :, :] > col_grades[lo : lo + step, None, :]).any(axis=2)).any():
+            return True
+    return False
 
 
 def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
@@ -210,9 +234,9 @@ def free_resolution(bif: Bifiltration, degree: int) -> FreeResolution:
     basis of the relation matrix, by the same sweep as the generators.
     """
     pres = presentation(bif, degree)
-    psi_basis, rr_grades = graded_kernel_basis(pres.phi.entries, pres.rels.grades, bif.nx, bif.ny, bif.p)
+    psi_basis, rr_grades = graded_kernel_basis(pres.phi.columns, len(pres.gens), pres.rels.grades, bif.nx, bif.ny, bif.p)
     relrels = FreeModule(rr_grades)
-    psi = GradedMatrix(pres.rels, relrels, ColumnReducer.dense(psi_basis, len(pres.rels), bif.p), bif.p)
+    psi = GradedMatrix(pres.rels, relrels, psi_basis, bif.p)
     return FreeResolution(pres.gens, pres.rels, relrels, pres.phi, psi, bif.nx, bif.ny, bif.p)
 
 
@@ -221,7 +245,8 @@ def presented_module(pres: Presentation, tables: int = 1) -> GridModule:
 
     Reads gens, rels and phi only, so a `FreeResolution` serves as well.
     One `ColumnReducer` per grid row y takes the generators as rows, in
-    index order, and the relation columns with g_y <= y in rising g_x.
+    index order, and phi's columns, as they come, with g_y <= y in
+    rising g_x.
     Once the columns with g_x <= x are in, its block is a fully reduced
     basis of Im phi_(x,y), since homogeneity keeps every such column on
     the generators <= (x, y).  The leads of the block are the pivot
@@ -234,14 +259,15 @@ def presented_module(pres: Presentation, tables: int = 1) -> GridModule:
     refused past the cap, with the `tables` tables of the caller at
     `table_dtype(k)`, k generators: 16 an entry of each map (it and
     `GridModule`'s copy) and 640 a map (at most 620 measured, 1 x 1
-    maps), phi, one point's block and normal forms, 8 an entry of k x k
-    each, 8 more for the int64 columns at p != 2, and 2^18 fixed.
+    maps), phi's columns (`column_bytes`), one point's block and normal
+    forms, 8 an entry of k x k each, 8 more for the int64 columns at
+    p != 2, and 2^18 fixed.
     """
     nx, ny, p = pres.nx, pres.ny, pres.p
     k = len(pres.gens)
-    need = table_bytes(nx, ny, tables, k) + pres.phi.entries.nbytes + (16 if p == 2 else 24) * k * k
+    need = table_bytes(nx, ny, tables, k) + column_bytes(k, len(pres.rels), p) + (16 if p == 2 else 24) * k * k
     need += 640 * (2 * nx * ny - nx - ny) + (1 << 18)
-    columns = ColumnReducer.columns(pres.phi.entries, p)
+    columns = pres.phi.columns
     gg = np.array(pres.gens.grades, dtype=np.int64).reshape(-1, 2)
     rg = np.array(pres.rels.grades, dtype=np.int64).reshape(-1, 2)
     dims = np.zeros((nx, ny), dtype=np.int64)

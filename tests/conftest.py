@@ -8,7 +8,7 @@ from bipersist.bifiltration import Bifiltration, facets
 from bipersist import ioutil
 from bipersist.grid_module import PairTable, RankInvariant, pair_count
 from bipersist.ioutil import FormatError, check_modulus, logical_lines, parse_int
-from bipersist.resolution import FreeModule, FreeResolution, GradedMatrix, Presentation
+from bipersist.resolution import FreeModule, FreeResolution, Presentation
 from bipersist.weakexact import KappaIota
 from paperlib import (
     Subspace,
@@ -16,6 +16,7 @@ from paperlib import (
     composite,
     dense_solve_matrix,
     extend_basis,
+    graded_matrix,
     image_basis,
     kernel_basis,
     reference_rref,
@@ -204,7 +205,7 @@ def reference_presentation(bif, degree):
             rel_grades.append(bif.grades[s])
     phi = np.column_stack(phi_cols) if phi_cols else np.zeros((len(gens), 0), dtype=np.int64)
     rels = FreeModule(rel_grades)
-    return Presentation(gens, rels, GradedMatrix(gens, rels, phi, p), bif.nx, bif.ny, p)
+    return Presentation(gens, rels, graded_matrix(gens, rels, phi, p), bif.nx, bif.ny, p)
 
 
 INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -326,8 +327,8 @@ def reference_read_fres(text):
             (a, b), (c, d) = rows.grades[i], cols.grades[j]
             if a > c or b > d:
                 raise FormatError(f"line {setter[i, j]}: {name} not homogeneous")
-    return FreeResolution(gens, rels, relrels, GradedMatrix(gens, rels, phi_entries, p),
-                          GradedMatrix(rels, relrels, psi_entries, p), nx, ny, p)
+    return FreeResolution(gens, rels, relrels, graded_matrix(gens, rels, phi_entries, p),
+                          graded_matrix(rels, relrels, psi_entries, p), nx, ny, p)
 
 
 @pytest.fixture

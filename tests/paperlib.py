@@ -41,6 +41,7 @@ from bipersist.grid_module import GridModule, RankInvariant, iter_points, rank_i
 from bipersist.ioutil import InvariantError, block_rows, check_modulus, line_blocks
 from bipersist.linalg import ColumnReducer, inv_mod, matmul, rank, solve_matrix
 from bipersist.rect_decomp import RectangleBarcode, decompose
+from bipersist.resolution import GradedMatrix
 from bipersist.squares import SQUARE_LABELS, SquareInvariants
 from bipersist.zigzag import ZigzagBarcode
 
@@ -1096,10 +1097,22 @@ def int_rows(text: str, fields: str, first_line: int = 1):
     return rows[:n], lines[:n], None
 
 
+def graded_matrix(target, source, entries, p: int) -> GradedMatrix:
+    """The graded matrix of a dense matrix of any int entries, reduced mod
+    p, held as `GradedMatrix` holds its columns."""
+    entries = np.asarray(entries, dtype=np.int64).reshape(len(target), len(source)) % p
+    return GradedMatrix(target, source, ColumnReducer.columns(entries, p), p)
+
+
+def dense(gm) -> np.ndarray:
+    """The int64 matrix of the graded matrix `gm`."""
+    return ColumnReducer.dense(gm.columns, len(gm.target), gm.p)
+
+
 def inhomogeneous_entries(gm) -> list:
     """(i, j) for each nonzero entry of the graded matrix `gm` whose row
     grade is not below its column grade, in row-major order."""
-    rows, cols = np.nonzero(gm.entries)
+    rows, cols = np.nonzero(dense(gm))
     target = np.array(gm.target.grades, dtype=np.int64).reshape(-1, 2)
     source = np.array(gm.source.grades, dtype=np.int64).reshape(-1, 2)
     bad = (target[rows] > source[cols]).any(axis=1)
@@ -1119,8 +1132,8 @@ def evaluate(res, t):
     gsel = [i for i, g in enumerate(res.gens.grades) if _leq(g, t)]
     rsel = [j for j, g in enumerate(res.rels.grades) if _leq(g, t)]
     zsel = [r for r, g in enumerate(res.relrels.grades) if _leq(g, t)]
-    phi_t = res.phi.entries[np.ix_(gsel, rsel)]
-    psi_t = res.psi.entries[np.ix_(rsel, zsel)]
+    phi_t = dense(res.phi)[np.ix_(gsel, rsel)]
+    psi_t = dense(res.psi)[np.ix_(rsel, zsel)]
     return (len(gsel), len(rsel), len(zsel)), phi_t, psi_t
 
 
@@ -1133,7 +1146,7 @@ def validate_resolution(res, bif: Bifiltration, degree: int) -> Optional[str]:
     brute-force oracle module.
     """
     p = res.p
-    if matmul(res.phi.entries, res.psi.entries, p).any():
+    if matmul(dense(res.phi), dense(res.psi), p).any():
         return "phi . psi is not zero"
     oracle = homology_module(bif, degree)
     if (oracle.nx, oracle.ny) != (res.nx, res.ny):

@@ -33,6 +33,7 @@ from paperlib import (
     barcode_dim_at,
     comparable_pairs,
     count_spanning,
+    dense,
     dart,
     dart_embedding,
     direct_sum,
@@ -335,7 +336,7 @@ def _presented_rank(res, s, t):
     """
     gsel = [i for i, g in enumerate(res.gens.grades) if g[0] <= t[0] and g[1] <= t[1]]
     rsel = [j for j, g in enumerate(res.rels.grades) if g[0] <= t[0] and g[1] <= t[1]]
-    phi_t = res.phi.entries[np.ix_(gsel, rsel)]
+    phi_t = dense(res.phi)[np.ix_(gsel, rsel)]
     low = [
         pos
         for pos, i in enumerate(gsel)

@@ -17,7 +17,7 @@ from bipersist.bifiltration import (
     write_bif,
 )
 from bipersist.grid_module import iter_points
-from bipersist.linalg import matmul
+from bipersist.linalg import ColumnReducer, matmul
 from bipersist.resolution import presentation
 from conftest import clique_bifiltration, reference_homology_basis
 from paperlib import ZigzagComplex, col_zigzag, row_zigzag
@@ -154,10 +154,11 @@ def test_homology_map_refuses_a_representative_outside_the_target_cycles(p):
     # in F_p^3 the target holds the representative e_0 and the boundary
     # e_1; a source cycle 2 e_0 + e_1 maps to 2, one at e_2 to nothing
     e = np.eye(3, dtype=np.int64)
-    tgt = HomologyBasis(reps=e[:, :1], boundaries=e[:, 1:2], dim=1)
-    inside = HomologyBasis(reps=(2 * e[:, :1] + e[:, 1:2]) % p, boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
+    tgt = HomologyBasis(reps=ColumnReducer.columns(e[:, :1], p), boundaries=e[:, 1:2], dim=1)
+    inside = HomologyBasis(reps=ColumnReducer.columns((2 * e[:, :1] + e[:, 1:2]) % p, p),
+                           boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
     assert homology_map(inside, tgt, p).tolist() == [[2 % p]]
-    outside = HomologyBasis(reps=e[:, 2:], boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
+    outside = HomologyBasis(reps=ColumnReducer.columns(e[:, 2:], p), boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
     with pytest.raises(InvariantError, match="not a cycle in the target"):
         homology_map(outside, tgt, p)
 
@@ -185,7 +186,8 @@ def test_homology_basis_equals_the_dense_kernel_construction(p, degree, n_vert, 
         got = homology_basis(bif, present, degree)
         reps, boundaries, dim = reference_homology_basis(bif, present, degree)
         assert got.dim == dim
-        for a, b in ((got.reps, reps), (got.boundaries, boundaries)):
+        got_reps = ColumnReducer.dense(got.reps, len(bif.by_dim.get(degree, [])), p)
+        for a, b in ((got_reps, reps), (got.boundaries, boundaries)):
             assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and np.array_equal(a, b)
 
 

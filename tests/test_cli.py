@@ -623,17 +623,18 @@ def test_fres_errors_name_the_same_line_read_in_blocks(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("command", ["rank", "validate"])
 @pytest.mark.parametrize("cap", [72, 71])
 def test_fres_whose_matrices_pass_the_cap_is_refused_at_its_phi_line(tmp_path, capsys, monkeypatch, command, cap):
-    # 2 generators, 3 relations and 1 relation on relations: phi and psi
-    # take 8 (2 x 3 + 3 x 1) = 72 bytes, counted once the grades are
-    # read and refused before either matrix is allocated.  On the 1 x 1
-    # grid the DP of `rank` then states 28 bytes, within both caps
+    # 28 generators and 1 relation at p = 2: phi's one column, a bitset of
+    # 28 bits, takes 44 bytes with its slot and its 1-byte scratch 28, and
+    # psi nothing: 72 bytes, counted once the grades are read and refused
+    # before either matrix is allocated.  On the 1 x 1 grid the DP of
+    # `rank` then states 28 bytes, within both caps
     monkeypatch.setattr(ioutil, "BYTES_CAP", cap)
-    data = "resolution\nfield 2\ngrid 1 1\ngens\n1 1\n1 1\nrels\n1 1\n1 1\n1 1\nrelrels\n1 1\nphi\npsi\n"
+    data = "resolution\nfield 2\ngrid 1 1\ngens\n" + "1 1\n" * 28 + "rels\n1 1\nrelrels\nphi\npsi\n"
     got = fres_command(tmp_path, capsys, command, data.encode())
     if cap == 72:
         assert got == (0, "ok\n" if command == "validate" else "", "")
     else:
-        assert got == (1, "", "error: line 13: phi and psi would need 72 bytes, past the 71-byte cap\n")
+        assert got == (1, "", "error: line 36: phi and psi would need 72 bytes, past the 71-byte cap\n")
 
 
 def test_decompose_names_both_lines_of_a_repeat_blocks_apart(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from bipersist import linalg
 from bipersist.ioutil import MAX_MODULUS, is_prime
 from bipersist.linalg import (
     ColumnReducer,
+    flag_step,
     inv_mod,
     matmul,
+    pair_flags,
     rank,
+    solve_columns,
     solve_matrix,
 )
 from conftest import reference_kernel_basis, reference_rank, reference_rref
@@ -212,7 +216,7 @@ def test_kernel_basis_matches_the_row_by_row_reference(p, rows, cols, seed):
     # same basis: the lower parts of its block rows that lead past m,
     # every one admitted by an empty span, and its block is the
     # reference's reduced echelon form of [m; I]
-    stacked = ColumnReducer.stacked(ColumnReducer.columns(m, p), rows, p)
+    stacked = list(ColumnReducer.stacked(ColumnReducer.columns(m, p), rows, p))
     assert np.array_equal(ColumnReducer.dense(stacked, rows + cols, p), np.vstack((m % p, np.eye(cols, dtype=np.int64))))
     reducer = ColumnReducer(rows + cols, p)
     assert all(reducer.add(v) is not None for v in stacked)
@@ -259,6 +263,12 @@ def test_solve_matrix_solves_or_refuses_by_the_residue_against_m_and_i(p, rows, 
     # the reducer of [m; I] matches a twin that never solved
     x_cols = solve_matrix(ColumnReducer.columns(m, p), b, p)
     assert (x is None and x_cols is None) or np.array_equal(x_cols, x)
+    # both given as columns, with their row count, and the solutions in
+    # the reducer's form
+    both = solve_matrix(ColumnReducer.columns(m, p), ColumnReducer.columns(b, p), p, k=rows)
+    assert (x is None and both is None) or np.array_equal(both, x)
+    y = solve_columns(ColumnReducer.columns(m, p), ColumnReducer.columns(b, p), rows, p)
+    assert (x is None and y is None) or np.array_equal(ColumnReducer.dense(y, cols, p), x)
     reducer, twin = ColumnReducer(rows + cols, p), ColumnReducer(rows + cols, p)
     for v in ColumnReducer.stacked(ColumnReducer.columns(m, p), rows, p):
         assert reducer.add(v) is not None and twin.add(v) is not None
@@ -413,6 +423,14 @@ def test_columns_of_gathered_rows_are_those_of_the_gathered_matrix(monkeypatch, 
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     if p == 2:  # bit k-1-i holds row i's parity
         assert got == [int("".join(map(str, (mat[order, j] & 1).tolist())), 2) for j in range(9)]
+    # gathered from the columns themselves, a chunk of bitsets unpacked at
+    # a time, and their supports
+    held = ColumnReducer.columns(mat % p, p)
+    regathered = ColumnReducer.gathered(held, 70, p, order)
+    reduced = ColumnReducer.columns(mat[order] % p, p)
+    assert all(np.array_equal(a, b) for a, b in zip(regathered, reduced)) and len(regathered) == 9
+    assert np.array_equal(ColumnReducer.support(held, 70, p), (mat % p != 0).T)
+    assert ColumnReducer.gathered(held[:0], 70, p, order) == []
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 14])
@@ -421,3 +439,60 @@ def test_columns_of_empty_matrices_at_p2(monkeypatch, chunk):
     assert ColumnReducer.columns(np.zeros((0, 3), dtype=np.int64), 2) == [0, 0, 0]
     assert ColumnReducer.columns(np.zeros((4, 0), dtype=np.int64), 2) == []
     assert ColumnReducer.columns(np.zeros((4, 2), dtype=np.int64), 2, rows=np.arange(0)) == [0, 0]
+
+
+def reference_flag_step(edge, flag, here, p):
+    """Oracle for `flag_step`: the pushed basis and the unit vectors as one
+    dense candidate matrix [edge basis | I], whose columns are kept as a
+    reference rank test admits them, until the rank is d."""
+    d = edge.shape[0]
+    cand = np.hstack((matmul(edge, flag[0], p), np.eye(d, dtype=np.int64)))
+    born = np.concatenate((flag[1], np.full(d, here, dtype=np.int64)))
+    keep = []
+    for j in range(cand.shape[1]):
+        if len(keep) < d and reference_rank(cand[:, keep + [j]], p) > len(keep):
+            keep.append(j)
+    return cand[:, keep], born[keep]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, MAX_MODULUS]),
+    dims=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flag_step_keeps_the_admitted_pushed_columns_then_unit_vectors(p, dims, seed):
+    # a walk from the zero space through spaces of the drawn dimensions,
+    # 0 included, along low-rank edges: the unit vectors come from the
+    # reducer, with no identity block, and the flag is the oracle's
+    rng = np.random.default_rng(seed)
+    flag = want = (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    for here, d in enumerate(dims):
+        r = int(rng.integers(0, min(d, len(flag[1])) + 1))
+        edge = matmul(rng.integers(0, p, (d, r)), rng.integers(0, p, (r, len(flag[1]))), p)
+        flag, want = flag_step(edge, flag, here, p), reference_flag_step(edge, want, here, p)
+        assert flag[0].dtype == np.int64 and flag[0].shape == (d, d)
+        assert np.array_equal(flag[0], want[0]) and np.array_equal(flag[1], want[1])
+
+
+def test_pair_flags_solves_with_no_stack_of_the_basis_and_the_identity():
+    # two 120-dimensional flags at p = 3: the columns of [a; I] reach the
+    # solve's reducer one at a time, so it holds its admitted columns,
+    # 16 d^2 bytes, and the solutions, 8 d^2, but no n x (k + n) stack
+    # beside them (28.7 d^2 measured; 36 d^2 while the stack was held)
+    p, d = 3, 120
+    rng = np.random.default_rng(120)
+    flags = []
+    for _ in range(2):
+        basis = rng.integers(0, p, (d, d))
+        while reference_rank(basis, p) < d:
+            basis = rng.integers(0, p, (d, d))
+        flags.append((basis, np.sort(rng.integers(0, 4, d))))
+    tracemalloc.start()
+    try:
+        got = pair_flags(*flags, (4, 4), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[-1, -1] == d
+    assert peak <= 30 * d * d

@@ -25,9 +25,9 @@ from bipersist.grid_module import GridModule, RankInvariant
 from bipersist.ioutil import FormatError, parse_int
 from bipersist.rect_decomp import RectangleBarcode
 from bipersist.fres import read_fres, read_fres_blocks, write_fres
-from bipersist.resolution import FreeResolution, free_resolution
+from bipersist.resolution import FreeResolution, column_bytes, free_resolution
 from conftest import random_bifiltration, reference_read_fres
-from paperlib import int_rows, rectangle_rank_invariant
+from paperlib import dense, int_rows, rectangle_rank_invariant
 from test_acceptance import _perf_fixture_text
 
 FUZZ_CHARS = st.one_of(
@@ -409,7 +409,7 @@ def test_fres_homogeneity_line_is_found_by_reading_the_file_again(last, err):
         blocks = counted(lambda: ioutil.line_blocks(text))
         if err is None:
             res = read_fres_blocks(blocks)
-            assert res.phi.entries.tolist() == [[1], [0]]
+            assert dense(res.phi).tolist() == [[1], [0]]
         else:
             with pytest.raises(FormatError, match=rf"^{re.escape(err)} nonzero"):
                 read_fres_blocks(blocks)
@@ -487,10 +487,11 @@ def test_int_rows_peak_memory_is_its_rows_and_one_block():
 
 def test_fres_reader_peak_memory_is_phi_and_one_run_of_work():
     # the 50 x 50 benchmark presentation (seed 808), one run of about
-    # `_BLOCK_CHARS` characters at a time: beside phi, one run's text,
-    # rows and parse work, with int32 token positions, no per-byte mask
-    # alive through the digit pass and no run's rows or line numbers
-    # alive while the next run is parsed (16.0 `_BLOCK_CHARS` measured)
+    # `_BLOCK_CHARS` characters at a time: beside phi's columns, 54 kB of
+    # bitsets, and its 1-byte scratch, one run's text, rows and parse
+    # work, with int32 token positions, no per-byte mask alive through
+    # the digit pass and no run's rows or line numbers alive while the
+    # next run is parsed (15.4 `_BLOCK_CHARS` measured); no int64 phi
     text = _perf_fixture_text()
     tracemalloc.start()
     try:
@@ -498,8 +499,8 @@ def test_fres_reader_peak_memory_is_phi_and_one_run_of_work():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.phi.entries.shape == (500, 500)
-    assert peak <= res.phi.entries.nbytes + 17 * ioutil._BLOCK_CHARS
+    assert dense(res.phi).shape == (500, 500) and all(type(v) is int for v in res.phi.columns)
+    assert peak <= column_bytes(500, 500, 2) + 500 * 500 + 16 * ioutil._BLOCK_CHARS
 
 
 def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_block():
@@ -507,7 +508,7 @@ def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_b
     # reader one `line_blocks` run at a time, so the tokenizer never runs
     # and the 8.8 MB text is never encoded whole: beside the vector, one
     # run's bytes and per-line arrays, as `from_slabs` holds on byte
-    # chunks, and one block of text with its encoding (17.1
+    # chunks, and one block of text with its encoding (9.7
     # `_BLOCK_CHARS` measured)
     text = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40).to_text()
 
@@ -523,7 +524,7 @@ def test_rank_from_text_layout_route_peak_memory_is_the_vector_one_run_and_one_b
         finally:
             tracemalloc.stop()
     assert inv.values.size == (40 * 41 // 2) ** 2
-    assert peak <= inv.values.nbytes + (18 + 1) * ioutil._BLOCK_CHARS
+    assert peak <= inv.values.nbytes + (9 + 1) * ioutil._BLOCK_CHARS
 
 
 def test_rank_from_text_peak_memory_is_the_table_the_bitmap_and_one_block():
@@ -554,7 +555,7 @@ def test_rank_text_slabs_peak_memory_is_a_few_slabs():
     # never held whole: beside the vector of ranks, one run of about
     # `RUN_PAIRS` lines and its temporaries, whatever the size of a slab
     # (32,800 lines in the first, about 40 `_BLOCK_CHARS` of per-line
-    # arrays)
+    # arrays; 7.0 `_BLOCK_CHARS` measured at 4,096 pairs a run)
     inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
     chars = 0
     tracemalloc.start()
@@ -565,14 +566,14 @@ def test_rank_text_slabs_peak_memory_is_a_few_slabs():
     finally:
         tracemalloc.stop()
     assert chars == len(inv.to_text())
-    assert peak <= 14 * ioutil._BLOCK_CHARS
+    assert peak <= 8 * ioutil._BLOCK_CHARS
 
 
 def test_layout_reader_peak_memory_is_the_vector_and_one_run():
     # the writer's bytes of a 40 x 40 int16 table, in chunks of
     # `_BLOCK_CHARS`: beside the vector, one run's bytes and per-line
     # arrays, not those of a slab, and at the render that checks the
-    # run only its bytes and points (16.1 `_BLOCK_CHARS` measured)
+    # run only its bytes and points (7.8 `_BLOCK_CHARS` measured)
     inv = rectangle_rank_invariant(RectangleBarcode({(0, 0, 39, 39): 2, (3, 5, 30, 36): 1}), 40, 40)
     data = b"".join(inv.text_slabs())
     chunks = [data[i : i + ioutil._BLOCK_CHARS] for i in range(0, len(data), ioutil._BLOCK_CHARS)]
@@ -583,7 +584,7 @@ def test_layout_reader_peak_memory_is_the_vector_and_one_run():
     finally:
         tracemalloc.stop()
     assert got == inv and got.values.dtype == np.int16
-    assert peak <= got.values.nbytes + 18 * ioutil._BLOCK_CHARS
+    assert peak <= got.values.nbytes + 9 * ioutil._BLOCK_CHARS
 
 
 def big_fres_text(seed: int, n: int, gens: int, rels: int) -> str:
@@ -599,9 +600,10 @@ def big_fres_text(seed: int, n: int, gens: int, rels: int) -> str:
 
 
 def test_fres_block_reader_peak_memory_is_phi_and_one_block():
-    # 80,000 triplet lines, about six blocks of text: beside phi, one block's
-    # text, rows and parse arrays, whatever the size of the file or of
-    # the phi block; no whole-block rows, line numbers or sort
+    # 80,000 triplet lines, about six blocks of text: beside phi's columns
+    # and its 1-byte scratch, one block's text, rows and parse arrays,
+    # whatever the size of the file or of the phi block; no whole-block
+    # rows, line numbers or sort (16.6 `_BLOCK_CHARS` measured)
     text = big_fres_text(5, 30, 400, 400)
     assert len(text) > 5 * ioutil._BLOCK_CHARS
     fh = io.StringIO(text)
@@ -617,7 +619,7 @@ def test_fres_block_reader_peak_memory_is_phi_and_one_block():
     finally:
         tracemalloc.stop()
     assert write_fres(res) == write_fres(read_fres(text))
-    assert peak <= res.phi.entries.nbytes + res.psi.entries.nbytes + 40 * ioutil._BLOCK_CHARS
+    assert peak <= column_bytes(400, 400, 2) + 400 * 400 + 18 * ioutil._BLOCK_CHARS
 
 
 INT64_MAX = 2**63 - 1

@@ -27,7 +27,7 @@ from bipersist.resolution import (
 )
 from bipersist.weakexact import kappa_iota
 from conftest import clique_bifiltration, reference_graded_kernel_basis, reference_presentation
-from paperlib import evaluate, inhomogeneous_entries, kernel_basis, validate_resolution
+from paperlib import dense, evaluate, graded_matrix, inhomogeneous_entries, kernel_basis, validate_resolution
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -39,7 +39,7 @@ TRIANGLE = [
 def test_graded_kernel_basis_pointwise():
     # columns graded so the kernel appears only once both are present
     mat = np.array([[1, 1], [1, 1]], dtype=np.int64)
-    basis, grades = graded_kernel_basis(mat, [(0, 1), (1, 0)], 2, 2, 2)
+    basis, grades = graded_kernel_basis(ColumnReducer.columns(mat, 2), 2, [(0, 1), (1, 0)], 2, 2, 2)
     assert grades == [(1, 1)]
     assert ColumnReducer.dense(basis, 2, 2).shape == (2, 1)
     # restricted to grade <= t the recorded generators span the kernel
@@ -92,9 +92,9 @@ def test_validate_detects_missing_relation():
     # the edge it merges then never merges, so coker phi overshoots H0
     keep = list(range(1, len(res.rels)))
     rels = FreeModule([res.rels.grades[j] for j in keep])
-    phi = GradedMatrix(res.gens, rels, res.phi.entries[:, keep], res.p)
+    phi = GradedMatrix(res.gens, rels, [res.phi.columns[j] for j in keep], res.p)
     relrels = FreeModule([])
-    psi = GradedMatrix(rels, relrels, np.zeros((len(keep), 0), dtype=np.int64), res.p)
+    psi = GradedMatrix(rels, relrels, [], res.p)
     broken = FreeResolution(res.gens, rels, relrels, phi, psi, res.nx, res.ny, res.p)
     msg = validate_resolution(broken, bif, 0)
     assert msg is not None
@@ -110,23 +110,25 @@ def test_empty_degree_gives_empty_resolution():
 
 
 def test_graded_matrix_homogeneity():
-    good = GradedMatrix(FreeModule([(0, 0)]), FreeModule([(1, 1)]), [[1]], 2)
+    good = graded_matrix(FreeModule([(0, 0)]), FreeModule([(1, 1)]), [[1]], 2)
     assert inhomogeneous_entries(good) == []
-    bad = GradedMatrix(FreeModule([(1, 1)]), FreeModule([(0, 0)]), [[1]], 2)
+    bad = graded_matrix(FreeModule([(1, 1)]), FreeModule([(0, 0)]), [[1]], 2)
     assert inhomogeneous_entries(bad) != []
 
 
 def test_graded_matrix_never_writes_the_callers_entries():
-    # entries outside [0, p) are reduced into a new array; entries already
-    # reduced are kept as given, not copied
+    # the columns are kept as given, in the reducer's form, neither copied
+    # nor written; one column per source generator
     gens, rels = FreeModule([(0, 0)] * 2), FreeModule([(1, 1)] * 2)
-    given_entries = np.array([[4, -1], [3, 7]], dtype=np.int64)
-    gm = GradedMatrix(gens, rels, given_entries, 3)
-    assert gm.entries.tolist() == [[1, 2], [0, 1]]
-    assert given_entries.tolist() == [[4, -1], [3, 7]]
-    reduced = np.array([[1, 2], [0, 1]], dtype=np.int64)
-    assert GradedMatrix(gens, rels, reduced, 3).entries is reduced
-    assert GradedMatrix(gens, FreeModule([]), np.zeros((2, 0), dtype=np.int64), 3).entries.shape == (2, 0)
+    for p in (2, 3):
+        given = ColumnReducer.columns(np.array([[1, 2], [0, 1]], dtype=np.int64) % p, p)
+        snapshot = [int(v) if p == 2 else v.copy() for v in given]
+        gm = GradedMatrix(gens, rels, given, p)
+        assert gm.columns is given and all(np.array_equal(a, b) for a, b in zip(given, snapshot))
+        assert dense(gm).tolist() == ([[1, 0], [0, 1]] if p == 2 else [[1, 2], [0, 1]])
+    assert dense(GradedMatrix(gens, FreeModule([]), [], 3)).shape == (2, 0)
+    with pytest.raises(ValueError, match="columns"):
+        GradedMatrix(gens, rels, given[:1], 3)
 
 
 def test_fres_roundtrip(random_bif):
@@ -138,8 +140,8 @@ def test_fres_roundtrip(random_bif):
     assert back.gens.grades == res.gens.grades
     assert back.rels.grades == res.rels.grades
     assert back.relrels.grades == res.relrels.grades
-    assert np.array_equal(back.phi.entries, res.phi.entries)
-    assert np.array_equal(back.psi.entries, res.psi.entries)
+    assert np.array_equal(dense(back.phi), dense(res.phi))
+    assert np.array_equal(dense(back.psi), dense(res.psi))
     assert write_fres(back) == text
 
 
@@ -166,7 +168,7 @@ def test_presentation_is_the_resolution_without_psi(random_bif):
         for degree in (0, 1):
             pres, res = presentation(bif, degree), free_resolution(bif, degree)
             assert pres.gens == res.gens and pres.rels == res.rels
-            assert np.array_equal(pres.phi.entries, res.phi.entries)
+            assert np.array_equal(dense(pres.phi), dense(res.phi))
             assert (pres.nx, pres.ny, pres.p) == (res.nx, res.ny, res.p)
 
 
@@ -220,7 +222,7 @@ def test_graded_kernel_basis_equals_the_per_point_sweep(drawn):
     # skipping the points that gain no generator changes neither the
     # basis nor its grades
     mat, grades, nx, ny, p = drawn
-    basis, got = graded_kernel_basis(mat, grades, nx, ny, p)
+    basis, got = graded_kernel_basis(ColumnReducer.columns(mat, p), mat.shape[0], grades, nx, ny, p)
     basis = ColumnReducer.dense(basis, mat.shape[1], p)
     want_basis, want = reference_graded_kernel_basis(mat, grades, nx, ny, p)
     assert got == want
@@ -251,7 +253,7 @@ def test_graded_kernel_basis_joins_earlier_rows_in_rising_g_x(drawn):
     # at (x, 1) the row-1 reducer must hold the row-0 generators with
     # g_x <= x and none of those past x
     mat, grades, nx, ny, p, x = drawn
-    basis, got = graded_kernel_basis(mat, grades, nx, ny, p)
+    basis, got = graded_kernel_basis(ColumnReducer.columns(mat, p), mat.shape[0], grades, nx, ny, p)
     basis = ColumnReducer.dense(basis, mat.shape[1], p)
     want_basis, want = reference_graded_kernel_basis(mat, grades, nx, ny, p)
     assert {(0, 0), (nx - 1, 0), (x, 1)} <= set(got)
@@ -264,7 +266,7 @@ def test_graded_kernel_basis_joins_earlier_rows_in_rising_g_x(drawn):
 def test_graded_kernel_basis_of_empty_matrices(p, shape):
     mat = np.zeros(shape, dtype=np.int64)
     grades = [(0, j % 2) for j in range(shape[1])]
-    basis, got = graded_kernel_basis(mat, grades, 2, 2, p)
+    basis, got = graded_kernel_basis(ColumnReducer.columns(mat, p), mat.shape[0], grades, 2, 2, p)
     basis = ColumnReducer.dense(basis, shape[1], p)
     want_basis, want = reference_graded_kernel_basis(mat, grades, 2, 2, p)
     assert got == want and basis.shape == want_basis.shape == (shape[1], shape[1] if not shape[0] else 0)
@@ -281,7 +283,7 @@ def test_graded_kernel_basis_peak_memory_does_not_grow_with_the_points_that_solv
     k, cols = mat.shape
     tracemalloc.start()
     try:
-        graded_kernel_basis(mat, [bif.grades[s] for s in bif.by_dim[1]], bif.nx, bif.ny, p)
+        graded_kernel_basis(ColumnReducer.columns(mat, p), k, [bif.grades[s] for s in bif.by_dim[1]], bif.nx, bif.ny, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,8 +386,8 @@ def test_presentation_equals_the_per_column_solve(p, degree, n_vert, q, grid, se
     bif = clique_bifiltration(seed, n_vert, q, *grid, p)
     got, want = presentation(bif, degree), reference_presentation(bif, degree)
     assert got.gens.grades == want.gens.grades and got.rels.grades == want.rels.grades
-    assert got.phi.entries.shape == want.phi.entries.shape
-    assert np.array_equal(got.phi.entries, want.phi.entries)
+    assert dense(got.phi).shape == dense(want.phi).shape
+    assert np.array_equal(dense(got.phi), dense(want.phi))
 
 
 @pytest.mark.parametrize("damage", ["raise the grades", "drop a generator"])
@@ -393,7 +395,8 @@ def test_presentation_refuses_boundaries_outside_the_generator_span(monkeypatch,
     # vertex generators graded above their edges, or one vertex missing:
     # some boundary column has no solution on the generators below it
     bif = Bifiltration.from_graded_simplices(TRIANGLE)
-    basis, grades = graded_kernel_basis(bif.boundary_matrix(0), [bif.grades[s] for s in bif.by_dim[0]], bif.nx, bif.ny, 2)
+    basis, grades = graded_kernel_basis(ColumnReducer.columns(bif.boundary_matrix(0), 2), 0, [bif.grades[s] for s in bif.by_dim[0]],
+                                        bif.nx, bif.ny, 2)
     if damage == "raise the grades":
         damaged = (basis, [(bif.nx - 1, bif.ny - 1)] * len(grades))
     else:
@@ -401,3 +404,74 @@ def test_presentation_refuses_boundaries_outside_the_generator_span(monkeypatch,
     monkeypatch.setattr(resolution, "graded_kernel_basis", lambda *args: damaged)
     with pytest.raises(InvariantError, match="outside the generator span"):
         presentation(bif, 0)
+
+
+def dense_fres_text(gens, rels, relrels, phi, psi, nx, ny, p) -> str:
+    """The .fres text of a resolution given by dense int64 matrices with
+    entries in [0, p): the triplets of each in row-major order."""
+    out = ["resolution", f"field {p}", f"grid {nx} {ny}"]
+    for name, fm in (("gens", gens), ("rels", rels), ("relrels", relrels)):
+        out += [name] + [f"{g[0] + 1} {g[1] + 1}" for g in fm.grades]
+    for name, mat in (("phi", phi), ("psi", psi)):
+        out += [name] + [f"{i + 1} {j + 1} {int(mat[i, j])}" for i, j in zip(*np.nonzero(mat))]
+    return "\n".join(out) + "\n"
+
+
+def drawn_graded(rng, rows: FreeModule, cols: FreeModule, p: int) -> np.ndarray:
+    """A dense homogeneous matrix: each entry whose row grade is below its
+    column grade is drawn, a third of them nonzero."""
+    rg = np.array(rows.grades, dtype=np.int64).reshape(-1, 2)
+    cg = np.array(cols.grades, dtype=np.int64).reshape(-1, 2)
+    below = (rg[:, None, :] <= cg[None, :, :]).all(axis=2)
+    return rng.integers(0, p, below.shape) * (rng.random(below.shape) < 1 / 3) * below
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, 2**31 - 1]),
+    sizes=st.tuples(st.sampled_from([0, 1, 5, 64, 65]), st.integers(0, 9), st.integers(0, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_graded_matrices_held_as_columns_read_write_and_present_as_dense_ones(p, sizes, seed):
+    # phi and psi drawn dense and homogeneous on a 3 x 4 grid, with 0
+    # gens, 0 rels or 0 relrels among the shapes: the column form writes
+    # the dense matrices' bytes, reads them back to the same bytes, gives
+    # the rank of the module it presents, and presents the module of the
+    # same phi held as the columns of a densified copy
+    rng = np.random.default_rng(seed)
+    gens, rels, relrels = (FreeModule(np.column_stack((rng.integers(0, 3, n), rng.integers(0, 4, n))).tolist())
+                           for n in sizes)
+    phi, psi = drawn_graded(rng, gens, rels, p), drawn_graded(rng, rels, relrels, p)
+    res = FreeResolution(gens, rels, relrels, graded_matrix(gens, rels, phi, p), graded_matrix(rels, relrels, psi, p), 3, 4, p)
+    text = dense_fres_text(gens, rels, relrels, phi, psi, 3, 4, p)
+    assert write_fres(res) == text
+    back = read_fres(text)
+    assert write_fres(back) == text
+    if p == 2:  # bitsets, with no dense matrix kept
+        assert all(type(v) is int for v in back.phi.columns + back.psi.columns)
+    module = presented_module(back)
+    assert rank_from_resolution(back) == rank_invariant_naive(module)
+    densified = FreeResolution(gens, rels, relrels, graded_matrix(gens, rels, dense(back.phi), p), back.psi, 3, 4, p)
+    again = presented_module(densified)
+    assert np.array_equal(again.dims, module.dims)
+    for ours, theirs in ((again.hmaps, module.hmaps), (again.vmaps, module.vmaps)):
+        assert ours.keys() == theirs.keys() and all(np.array_equal(ours[e], theirs[e]) for e in ours)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, 2**31 - 1]),
+    degree=st.sampled_from([0, 1, 2]),
+    n_vert=st.integers(1, 8),
+    q=st.sampled_from([0.3, 0.6, 0.9]),
+    grid=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    seed=st.integers(0, 10**6),
+)
+def test_free_resolution_writes_the_bytes_of_the_dense_construction(p, degree, n_vert, q, grid, seed):
+    # phi from the dense per-column solve and psi from the dense graded
+    # kernel sweep give the .fres bytes that the column form writes
+    bif = clique_bifiltration(seed, n_vert, q, *grid, p)
+    want = reference_presentation(bif, degree)
+    psi, rr_grades = reference_graded_kernel_basis(dense(want.phi), want.rels.grades, bif.nx, bif.ny, p)
+    text = dense_fres_text(want.gens, want.rels, FreeModule(rr_grades), dense(want.phi), psi, bif.nx, bif.ny, p)
+    assert write_fres(free_resolution(bif, degree)) == text

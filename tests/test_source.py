@@ -157,9 +157,10 @@ def _numpy_calls(tree, names):
 def test_only_the_column_reducer_stacks_an_identity_or_touches_its_bitsets():
     # the columns of [m; I] are made in the reducer's own form
     # (`ColumnReducer.stacked`), and kernel vectors and solutions are
-    # read off it in that form, so no kernel or solve stacks an np.eye;
-    # the one np.eye left in linalg is `flag_step`'s unit-vector
-    # candidates.  Only the reducer shifts, packs or unpacks a bitset:
+    # read off it in that form, so no kernel or solve stacks an np.eye,
+    # and `flag_step` takes its unit vectors from the reducer
+    # (`ColumnReducer.unit`), so linalg has no np.eye at all.  Only the
+    # reducer shifts, packs or unpacks a bitset:
     # outside it, in the modules that hold its columns, a shift is of a
     # constant (1 << 18) or of `matmul`'s int64 limbs
     bitwork = {"_unpacked", "packbits", "unpackbits", "to_bytes", "from_bytes", "bit_length"}
@@ -170,7 +171,7 @@ def test_only_the_column_reducer_stacks_an_identity_or_touches_its_bitsets():
         assert [f"{name}:{node.lineno}" for node in stacks] == []
     tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
     owner = _top_level_owner(tree)
-    assert [owner.get(id(node)) for node in _numpy_calls(tree, {"eye", "identity"})] == ["flag_step"]
+    assert [owner.get(id(node)) for node in _numpy_calls(tree, {"eye", "identity"})] == []
     found = []
     for name in ("linalg.py", "resolution.py", "bifiltration.py", "zigzag.py", "rank_dp.py", "weakexact.py", "squares.py"):
         tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
@@ -182,6 +183,24 @@ def test_only_the_column_reducer_stacks_an_identity_or_touches_its_bitsets():
             if shift and not isinstance(node.left, ast.Constant) or getattr(node, "attr", None) in bitwork:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_graded_matrices_stay_columns_and_only_the_fres_writer_densifies_them():
+    # phi and psi are held as their columns in the reducer's form from the
+    # .fres reader and the solve to the DP: no module keeps or reads a
+    # dense `entries`, and outside linalg only the .fres writer, which
+    # writes triplets in row-major order, calls `ColumnReducer.dense`
+    entries, dense = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = _top_level_owner(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "entries":
+                entries.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dense" and path.name != "linalg.py":
+                dense.append(f"{path.name}:{owner.get(id(node))}")
+    assert entries == []
+    assert dense == ["fres.py:write_fres"]
 
 
 def _names(path):
