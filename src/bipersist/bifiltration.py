@@ -5,12 +5,12 @@ brute force: `homology_basis` and `homology_map` at single points,
 which the `zigzag-barcode` subcommand solves along its path, and
 `homology_module` over the whole grid, the tests' and the benchmark's
 oracle of the presentation that every other .bif command reads the
-module off.  Each point's cycles and representatives come from
-`linalg.ColumnReducer`, as the graded kernel basis of `resolution`
-does: no dense kernel is solved.
+module off.  The boundaries are cached per degree as columns in the
+form of `linalg.ColumnReducer` (`Bifiltration.boundary_columns`), which
+the presentation and the homology take as they come: no dense boundary.
 
 Parsing and validation are pure Python, and the module loads no numpy:
-the boundary matrices and the homology import numpy, `linalg` and
+the boundary columns and the homology import `linalg`, numpy and
 `grid_module` when called, so `validate` and every refusal of a .bif
 made before the algebra starts run without them.
 """
@@ -61,8 +61,7 @@ class Bifiltration:
         self.by_dim: dict[int, list[Simplex]] = {}
         for s in sorted(self.grades):
             self.by_dim.setdefault(len(s) - 1, []).append(s)
-        self._index = {q: {s: i for i, s in enumerate(lst)} for q, lst in self.by_dim.items()}
-        self._boundary: dict[int, np.ndarray] = {}
+        self._boundary: dict[int, list] = {}
 
     @classmethod
     def from_graded_simplices(cls, items: Iterable, p: int = 2) -> "Bifiltration":
@@ -115,27 +114,23 @@ class Bifiltration:
             raise ValueError(f"{tuple(t)} outside the {self.nx}x{self.ny} grid")
         return {s for s, g in self.grades.items() if g[0] <= x and g[1] <= y}
 
-    def boundary_matrix(self, q: int) -> np.ndarray:
-        """Boundary of q-chains over the full simplex universe, mod p."""
-        if q in self._boundary:
-            return self._boundary[q]
-        import numpy as np
+    def boundary_columns(self, q: int) -> list:
+        """The boundary of each q-simplex over the (q-1)-simplices, mod p,
+        in the form `linalg.ColumnReducer.add` takes (bitsets at p = 2,
+        int64 arrays otherwise), built from its facets' rows and signs;
+        cached per degree, so never written.  A vertex's boundary is zero."""
+        if q not in self._boundary:
+            from .linalg import ColumnReducer
 
-        cols = self.by_dim.get(q, [])
-        rows = self.by_dim.get(q - 1, []) if q >= 1 else []
-        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        if q >= 1 and cols:
-            ridx = self._index.get(q - 1, {})
-            for j, s in enumerate(cols):
-                sign = 1
-                for i in range(len(s)):
-                    f = s[:i] + s[i + 1 :]
-                    if f not in ridx:
-                        raise ValueError(f"face {f} of {s} is missing")
-                    mat[ridx[f], j] = sign % self.p
-                    sign = -sign
-        self._boundary[q] = mat
-        return mat
+            index = {s: i for i, s in enumerate(self.by_dim.get(q - 1, []))}
+            entries = []
+            for s in self.by_dim.get(q, []):
+                missing = [f for f in facets(s) if f not in index]
+                if missing:
+                    raise ValueError(f"face {missing[0]} of {s} is missing")
+                entries.append([(index[f], (-1) ** i) for i, f in enumerate(facets(s))])
+            self._boundary[q] = ColumnReducer.sparse(entries, len(index), self.p)
+        return self._boundary[q]
 
 
 # -- graded homology ------------------------------------------------------
@@ -143,12 +138,11 @@ class Bifiltration:
 
 class HomologyBasis:
     """Cycle representatives for H_q of one subcomplex, in global chain coords:
-    `reps` holds the dim cycle columns of F_p^(n_q), in the form
-    `linalg.ColumnReducer.add` takes, and `boundaries` the (n_q, rank)
-    echelon basis of the boundary space."""
+    `reps` and a basis of the boundaries, as columns of F_p^chains in the
+    form `linalg.ColumnReducer.add` takes, chains the q-simplex count."""
 
-    def __init__(self, reps: list, boundaries: np.ndarray, dim: int):
-        self.reps, self.boundaries, self.dim = reps, boundaries, dim
+    def __init__(self, reps: list, boundaries: list, chains: int):
+        self.reps, self.boundaries, self.chains, self.dim = reps, boundaries, chains, len(reps)
 
 
 def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -> HomologyBasis:
@@ -160,47 +154,38 @@ def homology_basis(bif: Bifiltration, present: Iterable[Simplex], degree: int) -
     coordinates.  The columns go in last first: a column that reduces to
     a cycle then leads at its own identity row, which no column admitted
     before it holds, and cycles never collide with each other.  A second
-    reducer takes the present boundary columns, and its block is the
-    reduced echelon basis of the boundaries; then `ColumnReducer.kernel`
-    hands it the cycles, and those it admits, independent of the
-    boundaries and of each other, are the representatives.
+    reducer takes the present boundary columns, and those it admits, as
+    cached, are the boundary basis; then `ColumnReducer.kernel` hands it
+    the cycles, and those it admits, independent of the boundaries and of
+    each other, are the representatives.
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
     from .linalg import ColumnReducer
 
     p, present = bif.p, set(present)
-    q_list, up_list = bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
-    d_q = bif.boundary_matrix(degree)
-    k = d_q.shape[0]
+    k, q_list, up_list = len(bif.by_dim.get(degree - 1, [])), bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
     cycle_space = ColumnReducer(k + len(q_list), p)
-    stacked = list(ColumnReducer.stacked(ColumnReducer.columns(d_q, p), k, p))
-    for j in reversed(range(len(q_list))):
-        if q_list[j] in present:
-            cycle_space.add(stacked[j])
-    del stacked  # the reads below need them no more
+    d_q = ColumnReducer.stacked(bif.boundary_columns(degree), k, p)
+    for v in reversed([v for v, s in zip(d_q, q_list) if s in present]):
+        cycle_space.add(v)
     span = ColumnReducer(len(q_list), p)
-    for v, s in zip(ColumnReducer.columns(bif.boundary_matrix(degree + 1), p), up_list):
-        if s in present:
-            span.add(v)
-    bnd = span.block()[0].T
-    reps = cycle_space.kernel(k, span)
-    return HomologyBasis(reps=reps, boundaries=bnd, dim=len(reps))
+    bnd = [v for v, s in zip(bif.boundary_columns(degree + 1), up_list) if s in present and span.add(v) is not None]
+    return HomologyBasis(cycle_space.kernel(k, span), bnd, len(q_list))
 
 
 def homology_map(src: HomologyBasis, tgt: HomologyBasis, p: int) -> np.ndarray:
     """Matrix of H_q(inclusion) in the two representative bases."""
     import numpy as np
 
-    from .linalg import ColumnReducer, solve_matrix
+    from .linalg import solve_matrix
 
     if src.dim == 0 or tgt.dim == 0:
         return np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    system = tgt.reps + ColumnReducer.columns(tgt.boundaries, p)
-    x = solve_matrix(system, src.reps, p, k=len(tgt.boundaries))
+    x = solve_matrix(tgt.reps + tgt.boundaries, src.reps, p, k=tgt.chains)
     if x is None:  # cycles of a subcomplex stay cycles in any supercomplex
         raise InvariantError("homology representative is not a cycle in the target")
-    return x[: tgt.dim] % p
+    return x[: tgt.dim]
 
 
 def homology_module(bif: Bifiltration, degree: int) -> GridModule:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .ioutil import _BLOCK_CHARS, BLANKS, FormatError, block_rows, check_bytes, check_modulus, fields, line_blocks
 from .ioutil import parse_int
-from .linalg import ColumnReducer
-from .resolution import FreeModule, FreeResolution, GradedMatrix, column_bytes
+from .linalg import ColumnReducer, column_bytes
+from .resolution import FreeModule, FreeResolution, GradedMatrix
 
 
 def write_fres(res: FreeResolution) -> str:
@@ -86,7 +86,7 @@ def read_fres_blocks(blocks) -> FreeResolution:
     finds (`_last_line`).  So beside the matrices only one scratch and
     one run's text and rows are held, and no whole text, and a valid
     file is read once.  The cap is stated on what is allocated: both
-    matrices' columns (`resolution.column_bytes`), and at p = 2 the
+    matrices' columns (`linalg.column_bytes`), and at p = 2 the
     larger scratch.
     """
     p, nx, ny, first, pieces = _fres_header(blocks())

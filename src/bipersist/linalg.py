@@ -58,6 +58,14 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def column_bytes(rows: int, cols: int, p: int) -> int:
+    """The bytes of `cols` columns of `rows` entries in the form
+    `ColumnReducer.add` takes, with their list: at p = 2 an int of 4 bytes
+    per 30 bits and about 40 with its slot; otherwise 8 bytes an entry and
+    128 an array with its slot."""
+    return cols * (4 * ((rows + 29) // 30) + 40 if p == 2 else 8 * rows + 128)
+
+
 class ColumnReducer:
     """Incremental rank of a growing set of columns in F_p^k.
 
@@ -89,10 +97,11 @@ class ColumnReducer:
     (p - 1)^2 < 2^62: exact in int64 for every p up to `ioutil.MAX_MODULUS`.
     `block` back-substitutes when called and keeps the result until the
     rank changes.  `columns` converts a whole matrix at once to the form
-    `add` takes and `dense` back; `gathered` takes a row subset of
-    columns in it and `support` reads their nonzero entries; `stacked`
-    makes the columns of [m; I] in it, `unit` the unit vectors, and
-    `admitted`, `kernel` and `solve` give columns back in it.
+    `add` takes and `dense` back, and `sparse` builds it from nonzero
+    entries, as the boundaries of a bifiltration are; `gathered` takes a
+    row subset of columns in it and `support` reads their nonzero
+    entries; `stacked` makes the columns of [m; I] in it, `unit` the unit
+    vectors, and `admitted`, `kernel` and `solve` give columns back in it.
     """
 
     def __init__(self, k: int, p: int):
@@ -126,6 +135,18 @@ class ColumnReducer:
             data = np.packbits(part & 1, axis=0).T.tobytes()
             bitsets += [int.from_bytes(data[j * n : (j + 1) * n], "big") >> pad for j in range(part.shape[1])]
         return bitsets
+
+    @staticmethod
+    def sparse(entries: list, k: int, p: int) -> list:
+        """The columns, in the form `add` takes, of the k-row matrix whose
+        columns have the given (row, value) pairs, in distinct rows."""
+        if p == 2:
+            return [sum(1 << (k - 1 - i) for i, v in col if v & 1) for col in entries]
+        out = [np.zeros(k, dtype=np.int64) for _ in entries]
+        for w, col in zip(out, entries):
+            for i, v in col:
+                w[i] = v % p
+        return out
 
     @staticmethod
     def gathered(columns: list, k: int, p: int, rows: np.ndarray) -> list:

@@ -4,7 +4,7 @@ A free resolution of the graded homology of a 1-critical bifiltration
 comes out of one primitive: a graded kernel basis of a column-graded
 matrix, found by sweeping the grid and completing the kernel at each
 point against the generators already recorded.  Generators are a graded
-kernel basis of the boundary matrix, relations are boundary columns of
+kernel basis of the boundary columns, relations are boundary columns of
 one dimension up rewritten in generator coordinates, and relations-on-
 relations are a graded kernel basis of the relation matrix.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid_module import GridModule, table_bytes
 from .ioutil import InvariantError, check_bytes
-from .linalg import ColumnReducer, solve_columns
+from .linalg import ColumnReducer, column_bytes, solve_columns
 
 if TYPE_CHECKING:  # an annotation only, so reading a .fres compiles no bifiltration code
     from .bifiltration import Bifiltration
@@ -63,14 +63,6 @@ class GradedMatrix:
         if len(columns) != len(source):
             raise ValueError(f"{len(columns)} columns do not match the {len(source)} source generators")
         self.target, self.source, self.columns, self.p = target, source, columns, p
-
-
-def column_bytes(rows: int, cols: int, p: int) -> int:
-    """The bytes of `cols` columns of `rows` entries in the form
-    `ColumnReducer.add` takes, with their list: at p = 2 an int of 4 bytes
-    per 30 bits and about 40 with its slot; otherwise 8 bytes an entry and
-    128 an array with its slot."""
-    return cols * (4 * ((rows + 29) // 30) + 40 if p == 2 else 8 * rows + 128)
 
 
 class Presentation:
@@ -158,11 +150,12 @@ def graded_kernel_basis(columns: list, k: int, col_grades, nx: int, ny: int, p: 
 def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentation:
     """A presentation of the degree-q homology of the bifiltration.
 
-    Generators are a graded kernel basis of the boundary matrix in the
-    given degree.  Relations are the boundary columns of one dimension
-    up rewritten in generator coordinates, keeping the simplex grades;
-    none rewrites to zero, since no boundary column is zero and the
-    generators are independent.
+    Generators are a graded kernel basis of the boundary columns in the
+    given degree, in the reducer's form (`Bifiltration.boundary_columns`).
+    Relations are the boundary columns of one dimension up rewritten in
+    generator coordinates, keeping the simplex grades; none rewrites to
+    zero, since no boundary column is zero and the generators are
+    independent.
 
     One `solve_columns` on the generators as the kernel sweep left them,
     in the reducer's form, rewrites every boundary column, and its
@@ -173,22 +166,21 @@ def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentatio
     columns' supports are checked a bounded chunk at a time
     (`_off_grade`), and an InvariantError reports one that does not.
 
-    Before any matrix is built, its arrays are stated from the simplex
+    Before any column is built, the work is stated from the simplex
     counts S_(q-1), S_q, S_(q+1) and refused past the cap, with the
     `tables` tables its caller builds at `table_dtype(S_q)` (no rank or
     dimension passes the generator count, at most S_q): the cached
-    boundaries, 8 bytes an entry, the larger of the kernel sweep's and
-    the solve's work, and 2^18 bytes of fixed work.  The sweep holds up
-    to six copies of [d_q; I]; the solve the basis, the reducer's
-    columns of [basis; I], each made as it is admitted, and the boundary
-    columns and the relations, at most S_q x S_(q+1), as columns.  At
-    p = 2 the columns are bitsets, 4 bytes per 30 bits and about 40 an
-    int with its slot: 1 byte an entry of [d_q; I], of S_q x S_q and of
-    the relations, and 256 a column.  Otherwise they are int64: the
-    sweep's 16 an entry of [d_q; I] and 26 of S_q x S_q (the kernel's
-    rows and mask, span and basis), the solve's 24 of S_q x S_q (the
-    basis and the reducer's columns) and 8 of the relations, and 512 a
-    column.
+    boundary columns (`column_bytes`), the larger of the kernel sweep's
+    and the solve's work, and 2^18 bytes of fixed work.  The sweep holds
+    up to six copies of [d_q; I]; the solve the basis, the reducer's
+    columns of [basis; I], each made as it is admitted, and the
+    relations, at most S_q x S_(q+1), as columns.  At p = 2 the columns
+    are bitsets, 4 bytes per 30 bits and about 40 an int with its slot:
+    1 byte an entry of [d_q; I], of S_q x S_q and of the relations, and
+    256 a column.  Otherwise they are int64: the sweep's 16 an entry of
+    [d_q; I] and 26 of S_q x S_q (the kernel's rows and mask, span and
+    basis), the solve's 24 of S_q x S_q (the basis and the reducer's
+    columns) and 8 of the relations, and 512 a column.
     """
     if degree < 0:
         raise ValueError(f"homology degree {degree} is negative")
@@ -199,15 +191,16 @@ def presentation(bif: Bifiltration, degree: int, tables: int = 1) -> Presentatio
     else:
         sweep = s_q * (16 * (s_down + s_q) + 26 * s_q) + 512 * s_q
         solve = s_q * (24 * s_q + 8 * s_up) + 512 * (s_q + s_up)
-    need = 8 * s_q * (s_down + s_up) + max(sweep, solve) + (1 << 18) + table_bytes(bif.nx, bif.ny, tables, s_q)
+    need = column_bytes(s_down, s_q, bif.p) + column_bytes(s_q, s_up, bif.p) + max(sweep, solve) + (1 << 18)
+    need += table_bytes(bif.nx, bif.ny, tables, s_q)
     check_bytes(need, f"the degree-{degree} presentation ({s_down:,}, {s_q:,} and {s_up:,} simplices of dimension "
                 f"q-1, q and q+1) and {tables} table(s) on the comparable pairs of the {bif.nx}x{bif.ny} grid")
     p, q_list, up_list = bif.p, bif.by_dim.get(degree, []), bif.by_dim.get(degree + 1, [])
-    gen_basis, gen_grades = graded_kernel_basis(ColumnReducer.columns(bif.boundary_matrix(degree), p), s_down,
-                                                [bif.grades[s] for s in q_list], bif.nx, bif.ny, p)
+    gen_basis, gen_grades = graded_kernel_basis(bif.boundary_columns(degree), s_down, [bif.grades[s] for s in q_list],
+                                                bif.nx, bif.ny, p)
     gens = FreeModule(gen_grades)
     up_grades = np.array([bif.grades[s] for s in up_list], dtype=np.int64).reshape(-1, 2)
-    x = solve_columns(gen_basis, ColumnReducer.columns(bif.boundary_matrix(degree + 1), p), s_q, p)
+    x = solve_columns(gen_basis, bif.boundary_columns(degree + 1), s_q, p)
     del gen_basis  # not held through the grade check
     if x is None or _off_grade(x, np.array(gen_grades, dtype=np.int64).reshape(-1, 2), up_grades, p):
         raise InvariantError("boundary column outside the generator span")

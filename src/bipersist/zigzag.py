@@ -28,7 +28,7 @@ import numpy as np
 
 from .bifiltration import Bifiltration, HomologyBasis, homology_basis, homology_map
 from .ioutil import InvariantError, check_bytes
-from .linalg import flag_step, pair_flags
+from .linalg import column_bytes, flag_step, pair_flags
 
 
 class ZigzagBarcode:
@@ -53,7 +53,7 @@ def _walk(ambient: Bifiltration, leg: list, apex, degree: int, dual: bool):
     before's homology basis; `apex` is the apex's, and with `dual` the maps
     are transposed."""
     p, flag = ambient.p, (np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64))
-    births, before = [], HomologyBasis(None, None, 0)  # the zero space
+    births, before = [], HomologyBasis([], [], 0)  # the zero space
     for here, u in enumerate(leg):
         hb = apex if here == len(leg) - 1 else homology_basis(ambient, ambient.complex_at(u), degree)
         flag = flag_step(homology_map(hb, before, p).T if dual else homology_map(before, hb, p), flag, here, p)
@@ -88,16 +88,17 @@ def _check_path_bytes(held: set, degree: int, stations: int, p: int) -> None:
     on the leg walked the station before's and the current one's, with
     the map and the flag step's candidates, 80 b^2 in all, or 40 b^2
     when the apex is the only station; each station's flag births, 8 b;
-    one `homology_basis` at a time, the
-    bitsets of [d_q; I], b (a + b), and the held complex's dense
-    boundaries, 8 b (a + c), with b (24 (a + b) + 8 b) more for the
-    int64 columns past p = 2; the held complex, rebuilt as a
-    `Bifiltration`, 512 a simplex; the bars' rank table and its corner
-    differences, 32 an entry; and 2^18 bytes of fixed work."""
+    one `homology_basis` at a time, the bitsets of [d_q; I], b (a + b),
+    with b (24 (a + b) + 8 b) more for the int64 columns past p = 2;
+    the held complex, rebuilt as a `Bifiltration`, 512 a simplex, and
+    its cached boundary columns of degrees q and q+1 (`column_bytes`);
+    the bars' rank table and its corner differences, 32 an entry; and
+    2^18 bytes of fixed work."""
     counts = Counter(map(len, held))
     a, b, c = (counts[degree + k] for k in range(3))
-    need = (80 if stations > 1 else 40) * b * b + 8 * b * stations + b * (a + b + 8 * (a + c)) + 512 * len(held)
-    need += 32 * (stations + 1) ** 2 + (1 << 18) + (0 if p == 2 else b * (24 * (a + b) + 8 * b))
+    need = (80 if stations > 1 else 40) * b * b + 8 * b * stations + b * (a + b) + column_bytes(a, b, p)
+    need += column_bytes(b, c, p) + 512 * len(held) + 32 * (stations + 1) ** 2 + (1 << 18)
+    need += 0 if p == 2 else b * (24 * (a + b) + 8 * b)
     check_bytes(need, f"the degree-{degree} homology along the path ({a:,}, {b:,} and {c:,} held simplices of "
                 f"dimension q-1, q and q+1, {stations} station(s))")
 

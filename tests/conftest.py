@@ -12,6 +12,7 @@ from bipersist.resolution import FreeModule, FreeResolution, Presentation
 from bipersist.weakexact import KappaIota
 from paperlib import (
     Subspace,
+    boundary_matrix,
     comparable_pairs,
     composite,
     dense_solve_matrix,
@@ -173,11 +174,11 @@ def reference_homology_basis(bif, present, degree):
     cycles = np.zeros((n_q, 0), dtype=np.int64)
     if n_q:
         mask = np.array([s in present for s in q_list], dtype=bool)
-        ker = kernel_basis(bif.boundary_matrix(degree)[:, mask], p)
+        ker = kernel_basis(boundary_matrix(bif, degree)[:, mask], p)
         cycles = np.zeros((n_q, ker.dim), dtype=np.int64)
         cycles[mask] = ker.basis
     umask = np.array([s in present for s in up_list], dtype=bool).reshape(len(up_list))
-    bnd = Subspace.from_columns(bif.boundary_matrix(degree + 1)[:, umask], p).basis
+    bnd = Subspace.from_columns(boundary_matrix(bif, degree + 1)[:, umask], p).basis
     sel = extend_basis(bnd, cycles, p)
     return cycles[:, sel], bnd, len(sel)
 
@@ -189,10 +190,10 @@ def reference_presentation(bif, degree):
     q_list = bif.by_dim.get(degree, [])
     up_list = bif.by_dim.get(degree + 1, [])
     gen_basis, gen_grades = reference_graded_kernel_basis(
-        bif.boundary_matrix(degree), [bif.grades[s] for s in q_list], bif.nx, bif.ny, p
+        boundary_matrix(bif, degree), [bif.grades[s] for s in q_list], bif.nx, bif.ny, p
     )
     gens = FreeModule(gen_grades)
-    d_up = bif.boundary_matrix(degree + 1)
+    d_up = boundary_matrix(bif, degree + 1)
     phi_cols, rel_grades = [], []
     for j, s in enumerate(up_list):
         sel = [i for i, g in enumerate(gen_grades) if _leq(g, bif.grades[s])]

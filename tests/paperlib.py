@@ -20,7 +20,8 @@ package reads off its column reducers or counts by ranks instead), and
 the zigzag oracle: insert/delete event lists along the row and column
 paths, and barcodes of explicit zigzag modules by pushing two nested
 subspaces from every left endpoint; and `int_rows`, the readers'
-integer-table parser over a whole text, the inhomogeneous entries
+integer-table parser over a whole text, the dense boundary matrix
+of a bifiltration, the inhomogeneous entries
 of a graded matrix, a free resolution evaluated at a grid point and
 its exactness checked against the homology it resolves, and the dense
 scan of the comparable pairs that `check_rectangle_decomposable` is
@@ -1095,6 +1096,20 @@ def int_rows(text: str, fields: str, first_line: int = 1):
         if error is not None:
             return rows[:n], lines[:n], error
     return rows[:n], lines[:n], None
+
+
+def boundary_matrix(bif: Bifiltration, q: int) -> np.ndarray:
+    """The dense boundary of q-chains over the full simplex universe, mod
+    p, entry by entry: the oracle of `Bifiltration.boundary_columns`."""
+    cols, rows = bif.by_dim.get(q, []), bif.by_dim.get(q - 1, [])
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    ridx = {s: i for i, s in enumerate(rows)}
+    for j, s in enumerate(cols):
+        for i, f in enumerate(facets(s)):
+            if f not in ridx:
+                raise ValueError(f"face {f} of {s} is missing")
+            mat[ridx[f], j] = (-1) ** i % bif.p
+    return mat
 
 
 def graded_matrix(target, source, entries, p: int) -> GradedMatrix:

@@ -20,7 +20,7 @@ from bipersist.grid_module import iter_points
 from bipersist.linalg import ColumnReducer, matmul
 from bipersist.resolution import presentation
 from conftest import clique_bifiltration, reference_homology_basis
-from paperlib import ZigzagComplex, col_zigzag, row_zigzag
+from paperlib import Subspace, ZigzagComplex, boundary_matrix, col_zigzag, row_zigzag
 
 TRIANGLE = [
     ((0, 0), (0,)), ((1, 0), (1,)), ((0, 1), (2,)),
@@ -104,11 +104,39 @@ def test_complex_at_corners():
 
 
 def test_boundary_matrix_squares_to_zero():
+    # on the columns the package builds, densified
     bif = Bifiltration.from_graded_simplices(TRIANGLE, p=5)
-    d1 = bif.boundary_matrix(1)
-    d2 = bif.boundary_matrix(2)
+    d1 = ColumnReducer.dense(bif.boundary_columns(1), 3, 5)
+    d2 = ColumnReducer.dense(bif.boundary_columns(2), 3, 5)
     assert d1.shape == (3, 3) and d2.shape == (3, 1)
     assert not matmul(d1, d2, 5).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 65521, 2**31 - 1]),
+    degree=st.integers(0, 4),
+    n_vert=st.integers(1, 8),
+    q=st.sampled_from([0.3, 0.6, 0.9]),
+    seed=st.integers(0, 10**6),
+)
+@hypothesis.example(p=2, degree=0, n_vert=5, q=0.6, seed=0)  # no (q-1)-simplices: 0 rows
+@hypothesis.example(p=3, degree=1, n_vert=1, q=0.9, seed=0)  # no q-simplices: 0 columns
+@hypothesis.example(p=65521, degree=4, n_vert=4, q=0.9, seed=1)  # past the top dimension: 0 x 0
+@hypothesis.example(p=2**31 - 1, degree=2, n_vert=8, q=0.9, seed=3)
+def test_boundary_columns_are_the_dense_boundary(p, degree, n_vert, q, seed):
+    # the columns built from each simplex's facet rows and signs, in the
+    # reducer's form, densify to the entry-by-entry oracle, are cached
+    # per degree, and compose to zero with the next degree's
+    bif = clique_bifiltration(seed, n_vert, q, 3, 3, p)
+    rows, cols = (len(bif.by_dim.get(d, [])) for d in (degree - 1, degree))
+    got = ColumnReducer.dense(bif.boundary_columns(degree), rows, p)
+    want = boundary_matrix(bif, degree)
+    assert got.dtype == want.dtype == np.int64 and got.shape == want.shape == (rows, cols)
+    assert np.array_equal(got, want)
+    assert bif.boundary_columns(degree) is bif.boundary_columns(degree)
+    up = ColumnReducer.dense(bif.boundary_columns(degree + 1), cols, p)
+    assert not matmul(got, up, p).any()
 
 
 def test_homology_module_h0_vs_union_find(random_bif):
@@ -154,11 +182,10 @@ def test_homology_map_refuses_a_representative_outside_the_target_cycles(p):
     # in F_p^3 the target holds the representative e_0 and the boundary
     # e_1; a source cycle 2 e_0 + e_1 maps to 2, one at e_2 to nothing
     e = np.eye(3, dtype=np.int64)
-    tgt = HomologyBasis(reps=ColumnReducer.columns(e[:, :1], p), boundaries=e[:, 1:2], dim=1)
-    inside = HomologyBasis(reps=ColumnReducer.columns((2 * e[:, :1] + e[:, 1:2]) % p, p),
-                           boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
+    tgt = HomologyBasis(reps=ColumnReducer.columns(e[:, :1], p), boundaries=ColumnReducer.columns(e[:, 1:2], p), chains=3)
+    inside = HomologyBasis(reps=ColumnReducer.columns((2 * e[:, :1] + e[:, 1:2]) % p, p), boundaries=[], chains=3)
     assert homology_map(inside, tgt, p).tolist() == [[2 % p]]
-    outside = HomologyBasis(reps=ColumnReducer.columns(e[:, 2:], p), boundaries=np.zeros((3, 0), dtype=np.int64), dim=1)
+    outside = HomologyBasis(reps=ColumnReducer.columns(e[:, 2:], p), boundaries=[], chains=3)
     with pytest.raises(InvariantError, match="not a cycle in the target"):
         homology_map(outside, tgt, p)
 
@@ -179,16 +206,22 @@ def test_homology_map_refuses_a_representative_outside_the_target_cycles(p):
 def test_homology_basis_equals_the_dense_kernel_construction(p, degree, n_vert, q, grid, seed):
     # the cycles read off the reducer of [d_q; I] and the completion on the
     # boundary reducer give the dense kernel's canonical basis and the
-    # same chosen representatives, at every point and on the empty complex
+    # same chosen representatives, at every point and on the empty complex;
+    # the boundary basis is the present boundary columns the reducer
+    # admits, as the bifiltration caches them, whose canonical basis is
+    # the dense one
     bif = clique_bifiltration(seed, n_vert, q, *grid, p)
+    n_q = len(bif.by_dim.get(degree, []))
+    cached = {id(v) for v in bif.boundary_columns(degree + 1)}
     points = [bif.complex_at((x, y)) for x in range(bif.nx) for y in range(bif.ny)]
     for present in points + [set()]:
         got = homology_basis(bif, present, degree)
         reps, boundaries, dim = reference_homology_basis(bif, present, degree)
-        assert got.dim == dim
-        got_reps = ColumnReducer.dense(got.reps, len(bif.by_dim.get(degree, [])), p)
-        for a, b in ((got_reps, reps), (got.boundaries, boundaries)):
-            assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and np.array_equal(a, b)
+        assert got.dim == dim and got.chains == n_q
+        got_reps = ColumnReducer.dense(got.reps, n_q, p)
+        assert got_reps.dtype == reps.dtype == np.int64 and got_reps.shape == reps.shape and np.array_equal(got_reps, reps)
+        assert {id(v) for v in got.boundaries} <= cached and len(got.boundaries) == boundaries.shape[1]
+        assert np.array_equal(Subspace.from_columns(ColumnReducer.dense(got.boundaries, n_q, p), p).basis, boundaries)
 
 
 def test_row_zigzag_stations_match_complexes():

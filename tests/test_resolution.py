@@ -279,11 +279,11 @@ def test_graded_kernel_basis_peak_memory_does_not_grow_with_the_points_that_solv
     # 76-80 MB here, against a few copies of the stacked
     # (k + cols) x cols matrix, 2.6 MB
     bif = clique_bifiltration(3, 60, 0.3, 20, 20, p)
-    mat = bif.boundary_matrix(1)
-    k, cols = mat.shape
+    columns = bif.boundary_columns(1)
+    k, cols = len(bif.by_dim[0]), len(columns)
     tracemalloc.start()
     try:
-        graded_kernel_basis(ColumnReducer.columns(mat, p), k, [bif.grades[s] for s in bif.by_dim[1]], bif.nx, bif.ny, p)
+        graded_kernel_basis(columns, k, [bif.grades[s] for s in bif.by_dim[1]], bif.nx, bif.ny, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,11 +303,12 @@ def test_presentation_peaks_below_a_dense_basis_and_boundaries():
     # the boundary columns are solved by reducing them against
     # [generators; I], column by column, so the solve holds no dense
     # [basis | boundaries], 8 rows (gens + rels) bytes: 4.20 MB here,
-    # where a dense solve peaked at 5.94 MB, and the solve on the
-    # reducer's columns at 2.25 MB (the boundary matrices are cached on
-    # the bifiltration before the run)
+    # where a dense solve peaked at 5.94 MB, the solve on the reducer's
+    # columns at 2.25 MB, and with the boundaries as columns at 0.32 MB
+    # (the boundary columns are cached on the bifiltration before the run)
     bif = clique_bifiltration(1, 70, 0.25, 10, 10, 2)
-    mat, _ = bif.boundary_matrix(1), bif.boundary_matrix(2)
+    bif.boundary_columns(1), bif.boundary_columns(2)
+    s_0, s_1 = len(bif.by_dim[0]), len(bif.by_dim[1])
     pres = None
 
     def run():
@@ -315,8 +316,19 @@ def test_presentation_peaks_below_a_dense_basis_and_boundaries():
         pres = presentation(bif, 1)
 
     peak = _traced_peak(run)
-    assert mat.shape[1] > 5 * mat.shape[0]  # wide: the generators outnumber the rows
-    assert peak < 8 * mat.shape[1] * (len(pres.gens) + len(pres.rels))
+    assert s_1 > 5 * s_0  # wide: the generators outnumber the rows
+    assert peak < 8 * s_1 * (len(pres.gens) + len(pres.rels))
+
+
+def test_presentation_peaks_below_the_dense_boundary_one_degree_up():
+    # the boundaries are built as columns in the reducer's form, from
+    # each simplex's facets, and cached on the bifiltration inside the
+    # run: at p = 2 the whole presentation peaks below the int64 d_2
+    # alone, 8 S_1 S_2 bytes (5.06 MB here), at 0.78 MB; the dense
+    # boundaries, held beside their bitsets, peaked at 6.43 MB
+    bif = clique_bifiltration(1, 100, 0.2, 20, 20, 2)
+    s_1, s_2 = len(bif.by_dim[1]), len(bif.by_dim[2])
+    assert _traced_peak(lambda: presentation(bif, 1)) < 8 * s_1 * s_2
 
 
 @settings(max_examples=20, deadline=None)
@@ -334,7 +346,7 @@ def test_presentation_states_at_least_the_bytes_it_peaks_at(p, degree, n_vert, q
     # the byte rule of a .bif is stated from the simplex counts before any
     # matrix is built; at every p it is at least the traced peak, on small
     # complexes where the fixed work dominates and on larger ones where
-    # the dense arrays do (past p = 2, the reducers' int64 columns).  The
+    # the columns do (past p = 2, the reducers' int64 columns).  The
     # isolated vertices make [d_q; I] the square identity: every column is
     # a generator, and the basis meets the last block, which the reducer
     # unpacks from its bitsets a bounded chunk at a time
@@ -395,8 +407,7 @@ def test_presentation_refuses_boundaries_outside_the_generator_span(monkeypatch,
     # vertex generators graded above their edges, or one vertex missing:
     # some boundary column has no solution on the generators below it
     bif = Bifiltration.from_graded_simplices(TRIANGLE)
-    basis, grades = graded_kernel_basis(ColumnReducer.columns(bif.boundary_matrix(0), 2), 0, [bif.grades[s] for s in bif.by_dim[0]],
-                                        bif.nx, bif.ny, 2)
+    basis, grades = graded_kernel_basis(bif.boundary_columns(0), 0, [bif.grades[s] for s in bif.by_dim[0]], bif.nx, bif.ny, 2)
     if damage == "raise the grades":
         damaged = (basis, [(bif.nx - 1, bif.ny - 1)] * len(grades))
     else:

@@ -203,6 +203,24 @@ def test_graded_matrices_stay_columns_and_only_the_fres_writer_densifies_them():
     assert dense == ["fres.py:write_fres"]
 
 
+def test_the_package_builds_no_dense_boundary():
+    # the boundaries are columns in the reducer's form, built from each
+    # simplex's facet rows and signs (`Bifiltration.boundary_columns`) and
+    # taken as they come by the presentation and the homology; the dense
+    # boundary is the tests' oracle (`paperlib.boundary_matrix`).  In
+    # `bifiltration` only the homology map of a zero space and the
+    # whole-grid oracle module read numpy
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "boundary_matrix":
+                defined.append(f"{path.name}:{node.lineno}")
+    tree = ast.parse((PACKAGE / "bifiltration.py").read_text(encoding="utf-8"))
+    owner = _top_level_owner(tree)
+    numpy = {owner.get(id(node)) for node in ast.walk(tree) if getattr(getattr(node, "value", None), "id", None) == "np"}
+    assert defined == [] and numpy == {"homology_map", "homology_module"}
+
+
 def _names(path):
     """(line, name) of every name a module defines, imports, reads or
     reads as an attribute, and of every string constant in it."""

@@ -311,14 +311,15 @@ def test_dense_tables_refuse_grids_past_the_cap(monkeypatch):
     # of the module it presents too, before it allocates them: it runs
     # with the cap at those bytes and is refused, naming them, one byte
     # short.  The 61 x 1 grid has 1,891 pairs, 2 bytes each at int16; the
-    # presentation of one vertex states 257 bytes, a bit and its column's
-    # 256, and 2^18 of fixed work,
+    # presentation of one vertex states 297 bytes, a bit and its column's
+    # 256 and the vertex's cached boundary column, 40 (`column_bytes` of
+    # a column of no rows), and 2^18 of fixed work,
     # the module it presents 16 bytes of work for its one generator, 640
     # for each of its 60 maps and 2^18 of fixed work, the DP 61^2 (2 + 24)
     # bytes of pair counts, and `decompose` 6 bytes per entry of its slab
     # and `_RECTANGLE_BYTES` for the one rectangle of its barcode
     wide = Bifiltration({(0,): (60, 0)}, 61, 1)
-    module, pres, pairs, one = zero_module(61, 1, 2), presentation(wide, 0), pair_count(61, 1), 257 + (1 << 18)
+    module, pres, pairs, one = zero_module(61, 1, 2), presentation(wide, 0), pair_count(61, 1), 297 + (1 << 18)
     presented = 16 + 640 * 60 + (1 << 18)
     inv = rank_from_resolution(pres)
     for need, build in (
